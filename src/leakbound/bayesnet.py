@@ -10,7 +10,9 @@ and inference always conditions on its value.
 ``BayesNet`` deliberately stores raw rational rows rather than validated
 channel objects so that ``validate`` can report every defect of an
 ill-formed file (bad row sums, arity mismatches, cycles) instead of
-throwing at the first one.
+throwing at the first one. The validated CPT channels, and the joints
+that ``composite_channel`` enumerates, are memoized on the instance as
+they are first needed; both depend only on the nodes, which never change.
 """
 
 from __future__ import annotations
@@ -65,6 +67,10 @@ class BayesNet:
         self.nodes = nodes
         self.source = source
         self.by_id: Mapping[str, NodeSpec] = {n.node_id: n for n in nodes}
+        # ("cpt", node) -> validated channel; ("joint", closure, x) -> the
+        # support masses of the closure's joint given source value x, keyed
+        # like joint_distribution's output (see composite_channel).
+        self._memo: dict[tuple, object] = {}
 
     def node_ids(self) -> list[str]:
         return [n.node_id for n in self.nodes]
@@ -77,6 +83,9 @@ class BayesNet:
 
     def cpt(self, node_id: str) -> DiscreteChannel:
         """The node's CPT as a channel; raises on structural defects."""
+        key = ("cpt", node_id)
+        if key in self._memo:
+            return self._memo[key]
         node = self.by_id[node_id]
         if node.rows is None:
             raise LeakboundError(f"node {node_id!r} has no distribution rows")
@@ -87,7 +96,8 @@ class BayesNet:
                 f"{len(configs)} parent configurations"
             )
         rows = [Pmf.from_values(r, node.alphabet) for r in node.rows]
-        return DiscreteChannel(rows, configs)
+        channel = self._memo[key] = DiscreteChannel(rows, configs)
+        return channel
 
     def with_source(self, source: str) -> "BayesNet":
         return BayesNet(self.nodes, source)
@@ -214,6 +224,32 @@ def descendants(net: BayesNet, node_id: str) -> set[str]:
     return out
 
 
+def ancestral_closure(net: BayesNet, node_ids: Sequence[str]) -> tuple[str, ...]:
+    """The nodes, the source and all their ancestors, in declaration order.
+
+    Parents that are not nodes of the net are skipped here; inference on
+    the closure reports them.
+    """
+    keep: set[str] = set()
+    frontier = [*node_ids, net.source]
+    while frontier:
+        u = frontier.pop()
+        if u in keep or u not in net.by_id:
+            continue
+        keep.add(u)
+        frontier.extend(net.by_id[u].parents)
+    return tuple(nid for nid in net.node_ids() if nid in keep)
+
+
+def _check_states(net: BayesNet, node_ids: Sequence[str], max_states: int) -> None:
+    """Refuse a joint over these nodes with more than max_states states."""
+    total_states = 1
+    for nid in node_ids:
+        total_states *= len(net.by_id[nid].alphabet)
+        if total_states > max_states:
+            raise CapacityError(total_states, max_states, "joint states")
+
+
 def joint_distribution(
     net: BayesNet, source_value: str, max_states: int = DEFAULT_MAX_STATES
 ) -> Pmf:
@@ -226,12 +262,7 @@ def joint_distribution(
     if source_value not in src.alphabet:
         raise LeakboundError(f"{source_value!r} not in the source alphabet")
     non_source = [n.node_id for n in net.nodes if n.node_id != net.source]
-
-    total_states = 1
-    for nid in non_source:
-        total_states *= len(net.by_id[nid].alphabet)
-        if total_states > max_states:
-            raise CapacityError(total_states, max_states, "joint states")
+    _check_states(net, non_source, max_states)
 
     order = [nid for nid in topological_sort(net) if nid != net.source]
     cpts = {nid: net.cpt(nid) for nid in non_source}
@@ -278,6 +309,13 @@ def composite_channel(
     declaration order (so the result is independent of the order the
     caller lists them in). The source itself may appear as a target; its
     coordinate is then a point mass at the conditioning value.
+
+    Only the ancestral closure of the targets and the source is
+    enumerated, since no other node changes the targets' law, and
+    ``max_states`` bounds the closure's states. Each closure joint is
+    memoized on ``net`` per source value, so calls that share a closure
+    enumerate it once. Callers that skip ``validate`` therefore get CPT
+    and graph errors only for nodes inside the closure.
     """
     targets = list(dict.fromkeys(targets))
     for t in targets:
@@ -288,18 +326,29 @@ def composite_channel(
     if not ordered:
         raise LeakboundError("empty target set")
 
-    non_source = [nid for nid in decl if nid != net.source]
+    closure = ancestral_closure(net, ordered)
+    non_source = [nid for nid in closure if nid != net.source]
+    _check_states(net, non_source, max_states)
     ns_pos = {nid: k for k, nid in enumerate(non_source)}
     out_alphabet = list(product(*(net.by_id[nid].alphabet for nid in ordered)))
 
+    sub = None
     rows = []
     for x in net.by_id[net.source].alphabet:
-        joint = joint_distribution(net, x, max_states=max_states)
+        memo_key = ("joint", closure, x)
+        if memo_key not in net._memo:
+            if sub is None:
+                sub = BayesNet([net.by_id[nid] for nid in closure], net.source)
+                # Every parent of a closure node is in the closure, so the
+                # sub-network's CPTs are the network's: share their memo.
+                sub._memo = net._memo
+            joint = joint_distribution(sub, x, max_states=max_states)
+            net._memo[memo_key] = {a: joint[a] for a in joint.support()}
         mass: dict[tuple, Fraction] = {}
-        for assign in joint.support():
+        for assign, q in net._memo[memo_key].items():
             key = tuple(
                 x if nid == net.source else assign[ns_pos[nid]] for nid in ordered
             )
-            mass[key] = mass.get(key, ZERO) + joint[assign]
+            mass[key] = mass.get(key, ZERO) + q
         rows.append(Pmf(out_alphabet, mass))
     return DiscreteChannel(rows, net.by_id[net.source].alphabet)

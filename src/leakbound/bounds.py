@@ -113,15 +113,15 @@ def _v_side_precondition(v_channel: DiscreteChannel, v_label: str):
 
 
 def _sources_for_coupling(
-    net: BayesNet, v_set: Sequence[str], u: str, max_states: int
+    net: BayesNet, v_set: Sequence[str], u: str, w_channel: DiscreteChannel
 ) -> list[JointPmf]:
-    """The joints P_{V, pa(U) | X = i}: x-part = parent values of U,
-    y-part = V values, one JointPmf per source value."""
+    """The joints P_{V, pa(U) | X = i} split out of the rows of
+    w_channel = P_{V+pa(U)|X}: x-part = parent values of U, y-part = V
+    values, one JointPmf per source value."""
     parents = list(net.by_id[u].parents)
-    w_nodes = list(dict.fromkeys(list(v_set) + parents))
-    w_channel = composite_channel(net, w_nodes, max_states=max_states)
     decl = net.node_ids()
-    ordered = [nid for nid in decl if nid in set(w_nodes)]
+    w_nodes = set(v_set) | set(parents)
+    ordered = [nid for nid in decl if nid in w_nodes]
     w_pos = {nid: k for k, nid in enumerate(ordered)}
     v_ordered = [nid for nid in decl if nid in set(v_set)]
 
@@ -140,53 +140,59 @@ def _sources_for_coupling(
     return sources
 
 
-def _single_step(
-    net: BayesNet,
-    v_set: Sequence[str],
-    u: str,
-    method: str,
-    max_states: int,
-) -> tuple[Fraction, Fraction | None, Fraction, PeelStep]:
-    """(tau_max_u, tau_max_v, penalty, step record) for peeling u off V.
-
-    Raises PreconditionError when the method's hypotheses fail; the
-    ``baseline`` method skips hypotheses, uses a zero penalty, and leaves
-    tau_max_v as None (the recursion never needs it).
-    """
+def _checked_peel(
+    net: BayesNet, v_set: Sequence[str], u: str, max_states: int
+) -> tuple[Fraction, DiscreteChannel, DiscreteChannel, tuple]:
+    """(tau_max_u, P_{V|X}, P_{V+pa(U)|X}, precondition records) for
+    peeling u off V; raises PreconditionError when a hypothesis fails."""
     v_set = list(v_set)
     if not v_set:
         raise LeakboundError("V must be non-empty")
     _check_order(net, v_set, u)
     u_cpt = net.cpt(u)
     tmu = tau_max(u_cpt)
-
-    if method == "baseline":
-        step = PeelStep(u, tuple(v_set), (), tmu, ZERO, ())
-        return tmu, None, ZERO, step
-
-    checks = []
     ok_u, rec_u = _u_side_precondition(u_cpt, u)
-    checks.append(rec_u)
     v_channel = composite_channel(net, v_set, max_states=max_states)
     ok_v, rec_v = _v_side_precondition(v_channel, "+".join(sorted(v_set)))
-    checks.append(rec_v)
     if not ok_u or not ok_v:
         failed = rec_u if not ok_u else rec_v
         raise PreconditionError(failed[0], Fraction(failed[1]))
+    w_nodes = list(dict.fromkeys(v_set + list(net.by_id[u].parents)))
+    w_channel = composite_channel(net, w_nodes, max_states=max_states)
+    return tmu, v_channel, w_channel, (rec_u, rec_v)
 
-    parents = list(net.by_id[u].parents)
+
+def _penalty(
+    method: str,
+    net: BayesNet,
+    v_set: Sequence[str],
+    u: str,
+    w_channel: DiscreteChannel,
+    max_states: int,
+) -> Fraction:
+    """The Doeblin coefficient of P_{V+pa(U)|X}, or f under the
+    simultaneous coupling of its rows."""
     if method == "doeblin":
-        w_nodes = list(dict.fromkeys(v_set + parents))
-        penalty = doeblin(composite_channel(net, w_nodes, max_states=max_states))
-    elif method == "coupling":
-        sources = _sources_for_coupling(net, v_set, u, max_states)
-        coupling = build_simultaneous_coupling(sources, max_states=max_states)
-        penalty = f_quantity(coupling)
-    else:
-        raise LeakboundError(f"unknown method {method!r}")
+        return doeblin(w_channel)
+    if method == "coupling":
+        sources = _sources_for_coupling(net, v_set, u, w_channel)
+        return f_quantity(build_simultaneous_coupling(sources, max_states=max_states))
+    raise LeakboundError(f"unknown method {method!r}")
 
-    step = PeelStep(u, tuple(v_set), (), tmu, penalty, tuple(checks))
-    return tmu, tau_max(v_channel), penalty, step
+
+def _single_step(
+    net: BayesNet,
+    v_set: Sequence[str],
+    u: str,
+    method: str,
+    max_states: int,
+) -> tuple[Fraction, Fraction, PeelStep]:
+    """(bound, penalty-free product, step record) for peeling u off V."""
+    tmu, v_channel, w_channel, checks = _checked_peel(net, v_set, u, max_states)
+    penalty = _penalty(method, net, v_set, u, w_channel, max_states)
+    tmv = tau_max(v_channel)
+    step = PeelStep(u, tuple(v_set), (), tmu, penalty, checks)
+    return tmu * tmv - (tmu - 1) * penalty, tmu * tmv, step
 
 
 def coupling_bound(
@@ -196,8 +202,7 @@ def coupling_bound(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Fraction:
     """Single-step bound with the simultaneous-coupling penalty f."""
-    tmu, tmv, penalty, _ = _single_step(net, v_set, u, "coupling", max_states)
-    return tmu * tmv - (tmu - 1) * penalty
+    return _single_step(net, v_set, u, "coupling", max_states)[0]
 
 
 def doeblin_bound(
@@ -207,14 +212,13 @@ def doeblin_bound(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Fraction:
     """Single-step bound with the Doeblin-coefficient penalty."""
-    tmu, tmv, penalty, _ = _single_step(net, v_set, u, "doeblin", max_states)
-    return tmu * tmv - (tmu - 1) * penalty
+    return _single_step(net, v_set, u, "doeblin", max_states)[0]
 
 
 def exact_tau_max(
     net: BayesNet, targets: Sequence[str], max_states: int = DEFAULT_MAX_STATES
 ) -> Fraction:
-    """Ground truth by exhaustive enumeration of the composite channel."""
+    """Ground truth: the leakage exponent of the exact composite channel."""
     return tau_max(composite_channel(net, list(targets), max_states=max_states))
 
 
@@ -222,6 +226,65 @@ def _peel_plan(net: BayesNet, targets: Sequence[str]) -> list[str]:
     order = topological_sort(net)
     position = {nid: k for k, nid in enumerate(order)}
     return sorted(set(targets), key=position.get)
+
+
+def _walk(
+    net: BayesNet, targets: Sequence[str], method: str, max_states: int
+) -> tuple[list[PeelStep], list[DiscreteChannel], list[str]]:
+    """Walk the peel plan of ``recursive_bound`` once.
+
+    Returns the steps, the channel P_{V+pa(U)|X} of each step, and the
+    final singleton. Each step carries the method's penalty. For
+    ``baseline`` the hypotheses are skipped, the penalty is zero, and no
+    channel is computed. A precondition failure raises with the steps
+    before it in the error's ``trace`` attribute.
+    """
+    targets = list(dict.fromkeys(targets))
+    if not targets:
+        raise LeakboundError("empty target set")
+    for t in targets:
+        if t not in net.by_id:
+            raise LeakboundError(f"unknown target node {t!r}")
+        if t == net.source:
+            raise LeakboundError("the source cannot be a bound target")
+    if method not in ("doeblin", "coupling", "baseline"):
+        raise LeakboundError(f"unknown method {method!r}")
+
+    steps: list[PeelStep] = []
+    w_channels: list[DiscreteChannel] = []
+    current = _peel_plan(net, targets)
+    while len(current) > 1:
+        u = current[-1]
+        v_set = current[:-1]
+        adjoin = tuple(
+            p
+            for p in net.by_id[u].parents
+            if p not in set(v_set) and p != net.source
+        )
+        v_set = _peel_plan(net, v_set + list(adjoin))
+        if method == "baseline":
+            step = PeelStep(u, tuple(v_set), adjoin, tau_max(net.cpt(u)), ZERO, ())
+        else:
+            try:
+                tmu, _, w_channel, checks = _checked_peel(net, v_set, u, max_states)
+            except PreconditionError as err:
+                err.trace = tuple(steps)
+                raise
+            penalty = _penalty(method, net, v_set, u, w_channel, max_states)
+            step = PeelStep(u, tuple(v_set), adjoin, tmu, penalty, checks)
+            w_channels.append(w_channel)
+        steps.append(step)
+        current = v_set
+    return steps, w_channels, current
+
+
+def _compose(last: Fraction, factors) -> Fraction:
+    """Fold (tau_max_u, penalty) pairs, first peel outermost, onto the
+    exact value of the final singleton."""
+    value = last
+    for tmu, penalty in reversed(factors):
+        value = tmu * value - (tmu - 1) * penalty
+    return value
 
 
 def recursive_bound(
@@ -239,46 +302,9 @@ def recursive_bound(
     is evaluated exactly. On a precondition failure, the raised error
     carries the partial trace in its ``trace`` attribute.
     """
-    targets = list(dict.fromkeys(targets))
-    if not targets:
-        raise LeakboundError("empty target set")
-    for t in targets:
-        if t not in net.by_id:
-            raise LeakboundError(f"unknown target node {t!r}")
-        if t == net.source:
-            raise LeakboundError("the source cannot be a bound target")
-    if method not in ("doeblin", "coupling", "baseline"):
-        raise LeakboundError(f"unknown method {method!r}")
-
-    steps: list[PeelStep] = []
-    current = _peel_plan(net, targets)
-    factors: list[tuple[Fraction, Fraction]] = []  # (tau_max_u, penalty)
-    while len(current) > 1:
-        u = current[-1]
-        v_set = current[:-1]
-        adjoin = [
-            p
-            for p in net.by_id[u].parents
-            if p not in set(v_set) and p != net.source
-        ]
-        v_set = _peel_plan(net, v_set + adjoin)
-        try:
-            tmu, _, penalty, step = _single_step(net, v_set, u, method, max_states)
-        except PreconditionError as err:
-            err.trace = tuple(steps)
-            raise
-        if adjoin:
-            step = PeelStep(
-                step.u, step.v_set, tuple(adjoin), step.tau_max_u,
-                step.penalty, step.preconditions,
-            )
-        steps.append(step)
-        factors.append((tmu, penalty))
-        current = v_set
-
-    value = exact_tau_max(net, current, max_states=max_states)
-    for tmu, penalty in reversed(factors):
-        value = tmu * value - (tmu - 1) * penalty
+    steps, _, last = _walk(net, targets, method, max_states)
+    exact_last = exact_tau_max(net, last, max_states=max_states)
+    value = _compose(exact_last, [(s.tau_max_u, s.penalty) for s in steps])
     return value, tuple(steps)
 
 
@@ -305,6 +331,13 @@ def query_report(
     or "doeblin" (single peel of the topologically last target). A
     precondition failure marks the affected bounds None but the exact
     value is always reported.
+
+    The recursive report walks the peel plan once, with the Doeblin
+    penalty, and takes the coupling penalties from the same channels
+    afterwards; its values equal those of ``recursive_bound`` for both
+    methods and of ``subadditivity_baseline``. The coupling penalty has
+    the same hypotheses as the V-side precondition, so it cannot fail once
+    the walk has passed.
     """
     exact = exact_tau_max(net, targets, max_states=max_states)
     log: list[tuple[str, str, bool]] = []
@@ -325,29 +358,34 @@ def query_report(
 
     try:
         if method == "recursive":
-            doeblin_value, trace = recursive_bound(
-                net, targets, "doeblin", max_states=max_states
+            steps, w_channels, last = _walk(net, targets, "doeblin", max_states)
+            exact_last = exact_tau_max(net, last, max_states=max_states)
+            coupling_penalties = [
+                _penalty("coupling", net, s.v_set, s.u, w, max_states)
+                for s, w in zip(steps, w_channels)
+            ]
+            doeblin_value = _compose(
+                exact_last, [(s.tau_max_u, s.penalty) for s in steps]
             )
-            coupling_value, _ = recursive_bound(
-                net, targets, "coupling", max_states=max_states
+            coupling_value = _compose(
+                exact_last,
+                [(s.tau_max_u, p) for s, p in zip(steps, coupling_penalties)],
             )
-            baseline_value = subadditivity_baseline(net, targets, max_states=max_states)
-            for step in trace:
-                log.extend(step.preconditions)
+            baseline_value = _compose(exact_last, [(s.tau_max_u, ZERO) for s in steps])
+            trace = tuple(steps)
         elif method in ("coupling", "doeblin"):
-            u = plan[-1]
-            v_set = plan[:-1]
-            tmu, tmv, penalty, step = _single_step(net, v_set, u, method, max_states)
-            value = tmu * tmv - (tmu - 1) * penalty
+            value, baseline_value, step = _single_step(
+                net, plan[:-1], plan[-1], method, max_states
+            )
             if method == "coupling":
                 coupling_value = value
             else:
                 doeblin_value = value
-            baseline_value = tmu * tmv
             trace = (step,)
-            log.extend(step.preconditions)
         else:
             raise LeakboundError(f"unknown method {method!r}")
+        for step in trace:
+            log.extend(step.preconditions)
     except PreconditionError as err:
         log.append((err.condition, str(err.value), False))
 

@@ -365,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-states",
             type=int,
             default=10**6,
-            help="state/variable budget for exact enumerations (default 1e6)",
+            help="state/variable budget for exact enumerations; inference "
+            "counts the states of the targets' ancestral closure (default 1e6)",
         )
 
     p = sub.add_parser("bound", help="bound the composite leakage exponent")

@@ -100,6 +100,12 @@ def eval_rational_expression(text: str, bindings: Mapping[str, Fraction]) -> Fra
         raise NetworkFormatError(f"division by zero in {text!r}") from None
 
 
+def _as_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise NetworkFormatError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _parse_entry(value, bindings: Mapping[str, Fraction] | None) -> Fraction:
     if bindings is not None and isinstance(value, str):
         try:
@@ -128,7 +134,7 @@ def parse_network(
         raise NetworkFormatError('missing "nodes" or "source"')
 
     nodes = []
-    for raw in doc["nodes"]:
+    for raw in _as_list(doc["nodes"], '"nodes"'):
         if not isinstance(raw, dict) or "id" not in raw or "alphabet" not in raw:
             raise NetworkFormatError(f"bad node entry {raw!r}")
         alphabet = raw["alphabet"]
@@ -140,16 +146,15 @@ def parse_network(
             alphabet = [str(a) for a in alphabet]
         else:
             raise NetworkFormatError(f"node {raw['id']}: bad alphabet")
+        where = f"node {raw['id']}:"
         rows = None
         if "cpt" in raw and raw["cpt"] is not None:
-            if not isinstance(raw["cpt"], list):
-                raise NetworkFormatError(f"node {raw['id']}: cpt must be a list")
             rows = [
-                [_parse_entry(v, bindings) for v in row] for row in raw["cpt"]
+                [_parse_entry(v, bindings) for v in _as_list(row, f"{where} cpt row")]
+                for row in _as_list(raw["cpt"], f"{where} cpt")
             ]
-        nodes.append(
-            NodeSpec.make(raw["id"], alphabet, raw.get("parents", []), rows)
-        )
+        parents = _as_list(raw.get("parents", []), f"{where} parents")
+        nodes.append(NodeSpec.make(raw["id"], alphabet, parents, rows))
     try:
         return BayesNet(nodes, str(doc["source"]))
     except Exception as err:
@@ -192,10 +197,10 @@ def parse_pmf_file(text: str):
     if "pmfs" in doc:
         if "alphabet" not in doc:
             raise NetworkFormatError('missing "alphabet"')
-        alphabet = [str(a) for a in doc["alphabet"]]
+        alphabet = [str(a) for a in _as_list(doc["alphabet"], '"alphabet"')]
         out = []
-        for row in doc["pmfs"]:
-            values = [parse_probability(v) for v in row]
+        for row in _as_list(doc["pmfs"], '"pmfs"'):
+            values = [parse_probability(v) for v in _as_list(row, "pmf")]
             try:
                 out.append(Pmf.from_values(values, alphabet))
             except Exception as err:
@@ -206,15 +211,15 @@ def parse_pmf_file(text: str):
         for key in ("x_alphabet", "y_alphabet"):
             if key not in doc:
                 raise NetworkFormatError(f'missing "{key}"')
-        xs = [str(a) for a in doc["x_alphabet"]]
-        ys = [str(a) for a in doc["y_alphabet"]]
+        xs = [str(a) for a in _as_list(doc["x_alphabet"], '"x_alphabet"')]
+        ys = [str(a) for a in _as_list(doc["y_alphabet"], '"y_alphabet"')]
         out = []
-        for matrix in doc["joints"]:
-            if len(matrix) != len(xs):
+        for matrix in _as_list(doc["joints"], '"joints"'):
+            if len(_as_list(matrix, "joint matrix")) != len(xs):
                 raise NetworkFormatError("joint matrix has wrong row count")
             mass = {}
             for x, row in zip(xs, matrix):
-                if len(row) != len(ys):
+                if len(_as_list(row, "joint matrix row")) != len(ys):
                     raise NetworkFormatError("joint matrix has wrong column count")
                 for y, v in zip(ys, row):
                     mass[(x, y)] = parse_probability(v)

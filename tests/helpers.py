@@ -156,6 +156,16 @@ def diamond_net(d: Q) -> BayesNet:
     )
 
 
+def wide_net() -> BayesNet:
+    """X -> Y plus 14 ternary children of X that Y never depends on: the
+    whole net has 2 * 3**14 non-source states, Y's ancestral closure 2."""
+    bsc = [["3/4", "1/4"], ["1/4", "3/4"]]
+    noise = [["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"]]
+    nodes = [NodeSpec.make("X", 2), NodeSpec.make("Y", 2, ["X"], bsc)]
+    nodes += [NodeSpec.make(f"C{k}", 3, ["X"], noise) for k in range(14)]
+    return BayesNet(nodes, "X")
+
+
 def rand_couplable_net(
     rng: random.Random,
     n_nodes: int,

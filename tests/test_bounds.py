@@ -4,8 +4,17 @@ import math
 import random
 from fractions import Fraction as Q
 
+from pathlib import Path
+
 import pytest
-from helpers import bsc_rows, chain_net, diamond_net, rand_net, relay_net
+from helpers import (
+    bsc_rows,
+    chain_net,
+    diamond_net,
+    rand_couplable_net,
+    rand_net,
+    relay_net,
+)
 
 from leakbound import (
     LeakboundError,
@@ -23,6 +32,7 @@ from leakbound import (
     tau_max,
 )
 from leakbound.bayesnet import BayesNet, NodeSpec
+from leakbound.netfile import parse_network
 
 DELTAS = [Q(0), Q(1, 8), Q(1, 4), Q(3, 8), Q(1, 2)]
 
@@ -333,6 +343,81 @@ class TestQueryReport:
         assert report.doeblin_bound_value is None
         assert report.exact_tau_max is not None
         assert any(not ok for _, _, ok in report.precondition_log)
+
+
+def separate_calls(net, targets):
+    """The recursive report assembled from three separate recursions on a
+    fresh copy of the net: (coupling, doeblin, baseline, log, trace)."""
+    net = BayesNet(net.nodes, net.source)
+    coupling = doeblin_value = baseline = None
+    log, trace = [], ()
+    try:
+        doeblin_value, trace = recursive_bound(net, targets, "doeblin")
+        coupling, _ = recursive_bound(net, targets, "coupling")
+        baseline = subadditivity_baseline(net, targets)
+        for step in trace:
+            log.extend(step.preconditions)
+    except PreconditionError as err:
+        log.append((err.condition, str(err.value), False))
+    return coupling, doeblin_value, baseline, tuple(log), trace
+
+
+def walked(net, targets):
+    report = query_report(net, targets, "recursive")
+    return (
+        report.coupling_bound_value,
+        report.doeblin_bound_value,
+        report.subadditivity_value,
+        report.precondition_log,
+        report.trace,
+    )
+
+
+class TestSingleWalk:
+    """query_report walks the peel plan once; it must agree with the
+    three recursions it replaces."""
+
+    @pytest.mark.parametrize(
+        "name,targets",
+        [
+            ("chain.json", ["Y1", "Y2"]),
+            ("relay.json", ["Y1", "Y2"]),
+            ("diamond.json", ["Y1", "Y2", "Y3"]),
+            ("random1.json", ["N2", "N3"]),
+            ("random2.json", ["N2", "N3"]),
+        ],
+    )
+    def test_fixtures(self, name, targets):
+        net = parse_network((Path(__file__).parent / "fixtures" / name).read_text())
+        assert walked(net, targets) == separate_calls(net, targets)
+
+    def test_seeded_couplable_nets(self):
+        rng = random.Random(91)
+        peeled = 0
+        for _ in range(200):
+            net = rand_couplable_net(rng, rng.randrange(3, 7))
+            ids = [nid for nid in net.node_ids() if nid != net.source]
+            targets = rng.sample(ids, rng.randrange(2, min(4, len(ids)) + 1))
+            got = walked(net, targets)
+            assert got == separate_calls(net, targets)
+            peeled += len(got[4])
+        assert peeled >= 200
+
+    def test_precondition_failures(self):
+        rng = random.Random(92)
+        failed = 0
+        for _ in range(60):
+            net = rand_net(rng, n_nodes=rng.randrange(3, 6), noisy=False)
+            ids = [nid for nid in net.node_ids() if nid != net.source]
+            targets = rng.sample(ids, rng.randrange(2, len(ids) + 1))
+            got = walked(net, targets)
+            assert got == separate_calls(net, targets)
+            if got[0] is None:
+                failed += 1
+                assert got[1] is None and got[2] is None
+                assert len(got[3]) == 1 and got[3][0][2] is False
+                assert got[4] == ()
+        assert failed >= 5
 
 
 class TestRelayReport:

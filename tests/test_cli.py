@@ -6,8 +6,10 @@ import json
 from pathlib import Path
 
 import pytest
+from helpers import wide_net
 
 from leakbound.cli import main
+from leakbound.netfile import write_network
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -179,6 +181,15 @@ class TestCapacityAndOverrides:
         )
         assert code == 2
 
+    def test_unrelated_children_do_not_count(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(write_network(wide_net()))
+        code, out, err = run(
+            capsys, "bound", path, "--targets", "Y", "--compare-exact"
+        )
+        assert code == 0, err
+        assert "exact tau_max      = 3/2" in out
+
     def test_bound_source_override_rejected_when_not_root(self, capsys):
         code, _, err = run(
             capsys, "bound", FIXTURES / "chain.json", "--targets", "Y2",
@@ -202,6 +213,39 @@ class TestCapacityAndOverrides:
         assert code == 0
         assert "tau_max2  = undefined" in out
         assert "tau_max   = 1/1" in out
+
+
+NET_HEAD = {"format_version": 1, "source": "X"}
+X_NODE = {"id": "X", "alphabet": 2, "parents": []}
+BSC = [["3/4", "1/4"], ["1/4", "3/4"]]
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("bound", {**NET_HEAD, "nodes": 5}),
+        ("bound", {**NET_HEAD, "nodes": [
+            X_NODE, {"id": "Y", "alphabet": 2, "parents": ["X"], "cpt": [1]}]}),
+        ("bound", {**NET_HEAD, "nodes": [
+            X_NODE, {"id": "Y", "alphabet": 2, "parents": "X", "cpt": BSC}]}),
+        ("couple", {"alphabet": ["0", "1"], "pmfs": [1]}),
+        ("couple", {"alphabet": 5, "pmfs": [["1/2", "1/2"]]}),
+        ("couple", {"x_alphabet": ["0"], "y_alphabet": ["0"], "joints": [5]}),
+        ("couple", {"x_alphabet": ["0"], "y_alphabet": ["0"], "joints": [[5]]}),
+    ],
+    ids=["nodes-int", "cpt-row-int", "parents-str", "pmf-int", "alphabet-int",
+         "joint-int", "joint-row-int"],
+)
+def test_malformed_file_exit_one(capsys, tmp_path, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--targets", "Y"] if command == "bound" else ["--mode", "lp"]
+    code, _, err = run(capsys, command, path, *extra)
+    assert code == 1
+    assert "must be a list" in err
+    if command == "bound":
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 1 and "must be a list" in out
 
 
 class TestSweep:

@@ -1,0 +1,143 @@
+"""Query-scoped inference against the whole-network oracle.
+
+``composite_channel`` enumerates only the ancestral closure of its
+targets and memoizes each closure joint on the net. The oracle here
+enumerates the joint of every non-source node with ``joint_distribution``
+on a fresh copy of the net and marginalizes it in the test; the two must
+agree exactly.
+"""
+
+import random
+from fractions import Fraction as Q
+from itertools import combinations, product
+from pathlib import Path
+
+import pytest
+from helpers import rand_couplable_net, rand_net, wide_net
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leakbound import (
+    CapacityError,
+    DiscreteChannel,
+    Pmf,
+    composite_channel,
+    joint_distribution,
+)
+from leakbound.bayesnet import BayesNet, NodeSpec
+from leakbound.netfile import parse_network
+
+FIXTURES = Path(__file__).parent / "fixtures"
+NETWORKS = ["chain.json", "relay.json", "diamond.json", "random1.json", "random2.json"]
+TEMPLATES = ["chain_template.json", "relay_template.json"]
+
+
+def oracle(net: BayesNet, targets) -> DiscreteChannel:
+    """P(targets | source) by marginalizing the full joint."""
+    full = BayesNet(net.nodes, net.source)
+    non_source = [nid for nid in full.node_ids() if nid != full.source]
+    ordered = [nid for nid in full.node_ids() if nid in set(targets)]
+    out_alphabet = list(product(*(full.by_id[nid].alphabet for nid in ordered)))
+    rows = []
+    for x in full.by_id[full.source].alphabet:
+        mass: dict[tuple, Q] = {}
+        for assign, q in joint_distribution(full, x).items():
+            value = dict(zip(non_source, assign), **{full.source: x})
+            key = tuple(value[nid] for nid in ordered)
+            mass[key] = mass.get(key, Q(0)) + q
+        rows.append(Pmf(out_alphabet, mass))
+    return DiscreteChannel(rows, full.by_id[full.source].alphabet)
+
+
+def all_target_sets(net: BayesNet):
+    ids = net.node_ids()
+    for size in range(1, len(ids) + 1):
+        yield from combinations(ids, size)
+
+
+@pytest.mark.parametrize("name", NETWORKS + TEMPLATES)
+def test_fixtures_every_target_set(name):
+    text = (FIXTURES / name).read_text()
+    net = parse_network(text, bindings={"d": Q(1, 8)} if name in TEMPLATES else None)
+    for targets in all_target_sets(net):
+        assert composite_channel(net, list(targets)) == oracle(net, targets), targets
+
+
+def test_seeded_networks():
+    rng = random.Random(90)
+    for k in range(200):
+        n_nodes = rng.randrange(3, 8)
+        if k % 2:
+            net = rand_couplable_net(rng, n_nodes)
+        else:
+            net = rand_net(rng, n_nodes, noisy=rng.random() < 0.5)
+        ids = net.node_ids()
+        # several target sets per net, so later ones hit closures memoized
+        # by earlier ones; the first and the last also contain the source
+        for j in range(4):
+            targets = rng.sample(ids[1:], rng.randrange(1, min(4, len(ids) - 1) + 1))
+            if j % 3 == 0:
+                targets.append(net.source)
+            assert composite_channel(net, targets) == oracle(net, targets)
+
+
+@st.composite
+def small_dags(draw):
+    """2-5 nodes with random parents among earlier nodes, CPT rows with
+    zeros allowed, the source any parentless node, and declaration order
+    shuffled away from topological order."""
+    n = draw(st.integers(2, 5))
+    sizes = [draw(st.integers(1, 3)) for _ in range(n)]
+    parents = [sorted(draw(st.sets(st.integers(0, k - 1), max_size=2))) if k else []
+               for k in range(n)]
+    roots = [k for k in range(n) if not parents[k]]
+    source = draw(st.sampled_from(roots))
+    nodes = []
+    for k in range(n):
+        rows = None
+        if k != source:
+            n_rows = 1
+            for p in parents[k]:
+                n_rows *= sizes[p]
+            rows = []
+            for _ in range(n_rows):
+                weights = draw(st.lists(st.integers(0, 3), min_size=sizes[k],
+                                        max_size=sizes[k]).filter(any))
+                rows.append([Q(w, sum(weights)) for w in weights])
+        nodes.append(NodeSpec.make(f"N{k}", sizes[k], [f"N{p}" for p in parents[k]], rows))
+    order = draw(st.permutations(range(n)))
+    net = BayesNet([nodes[k] for k in order], f"N{source}")
+    targets = draw(st.lists(st.sampled_from(net.node_ids()), min_size=1, max_size=n))
+    return net, targets
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_dags())
+def test_property_small_dags(case):
+    net, targets = case
+    assert composite_channel(net, targets) == oracle(net, targets)
+
+
+class TestCapacityGuard:
+    def test_unrelated_nodes_not_counted(self):
+        net = wide_net()
+        channel = composite_channel(net, ["Y"])
+        assert channel.rows[0][("0",)] == Q(3, 4)
+        assert channel.rows[1][("0",)] == Q(1, 4)
+        # the whole-net joint is still refused: 2 * 3**12 > 10**6
+        with pytest.raises(CapacityError) as err:
+            joint_distribution(net, "0")
+        assert err.value.requested == 1_062_882
+
+    def test_large_closure_refused(self):
+        net = wide_net()
+        with pytest.raises(CapacityError):
+            composite_channel(net, ["Y"] + [f"C{k}" for k in range(14)])
+
+    def test_memoized_closure_still_guarded(self):
+        net = wide_net()
+        targets = ["Y", "C0", "C1"]
+        first = composite_channel(net, targets)  # 18 closure states, memoized
+        with pytest.raises(CapacityError):
+            composite_channel(net, targets, max_states=17)
+        assert composite_channel(net, targets, max_states=18) == first
