@@ -17,12 +17,10 @@ from .bayesnet import (
 from .bounds import (
     BoundReport,
     coupling_bound,
-    diamond_report,
     doeblin_bound,
     exact_tau_max,
     query_report,
     recursive_bound,
-    relay_report,
     subadditivity_baseline,
 )
 from .couplings import (

@@ -22,10 +22,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
-from .errors import CapacityError, LeakboundError
+from .errors import DEFAULT_MAX_STATES, CapacityError, LeakboundError
 from .measures import ZERO, DiscreteChannel, Pmf, as_fraction
-
-DEFAULT_MAX_STATES = 10**6
 
 
 @dataclass(frozen=True)

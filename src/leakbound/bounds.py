@@ -44,7 +44,6 @@ from .measures import (
     ZERO,
     DiscreteChannel,
     doeblin,
-    log_fraction,
     tau_max,
     tau_max2,
 )
@@ -79,7 +78,6 @@ class BoundReport:
     subadditivity_value: Fraction | None
     precondition_log: tuple[tuple[str, str, bool], ...]
     trace: tuple[PeelStep, ...] = ()
-    log_form_bound: float | None = None
 
     def gap(self, which: str) -> Fraction | None:
         value = getattr(self, f"{which}_value")
@@ -97,19 +95,6 @@ def _check_order(net: BayesNet, v_set: Sequence[str], u: str) -> None:
         raise LeakboundError(
             f"directed path from {u!r} into {bad}; peel order invalid"
         )
-
-
-def _u_side_precondition(u_cpt: DiscreteChannel, u: str):
-    """tau_max2 of the node's own CPT; single-row CPTs pass trivially."""
-    if u_cpt.n < 2:
-        return True, (f"tau_max2(P_{{{u}|pa}}) <= 1", "trivial (one row)", True)
-    value = tau_max2(u_cpt)
-    return value <= 1, (f"tau_max2(P_{{{u}|pa}}) <= 1", str(value), value <= 1)
-
-
-def _v_side_precondition(v_channel: DiscreteChannel, v_label: str):
-    ok, label, value = coupling_feasibility(list(v_channel.rows))
-    return ok, (f"{label} for P_{{{v_label}|X}}", str(value), ok)
 
 
 def _sources_for_coupling(
@@ -151,12 +136,19 @@ def _checked_peel(
     _check_order(net, v_set, u)
     u_cpt = net.cpt(u)
     tmu = tau_max(u_cpt)
-    ok_u, rec_u = _u_side_precondition(u_cpt, u)
+    # tau_max2 of U's own CPT; a single-row CPT passes trivially.
+    u_value = tau_max2(u_cpt) if u_cpt.n > 1 else None
+    rec_u = (
+        f"tau_max2(P_{{{u}|pa}}) <= 1",
+        "trivial (one row)" if u_value is None else str(u_value),
+        u_value is None or u_value <= 1,
+    )
     v_channel = composite_channel(net, v_set, max_states=max_states)
-    ok_v, rec_v = _v_side_precondition(v_channel, "+".join(sorted(v_set)))
-    if not ok_u or not ok_v:
-        failed = rec_u if not ok_u else rec_v
-        raise PreconditionError(failed[0], Fraction(failed[1]))
+    ok_v, label, v_value = coupling_feasibility(list(v_channel.rows))
+    rec_v = (f"{label} for P_{{{'+'.join(sorted(v_set))}|X}}", str(v_value), ok_v)
+    for name, value, ok in (rec_u, rec_v):
+        if not ok:
+            raise PreconditionError(name, Fraction(value))
     w_nodes = list(dict.fromkeys(v_set + list(net.by_id[u].parents)))
     w_channel = composite_channel(net, w_nodes, max_states=max_states)
     return tmu, v_channel, w_channel, (rec_u, rec_v)
@@ -395,128 +387,6 @@ def query_report(
         coupling_bound_value=coupling_value,
         doeblin_bound_value=doeblin_value,
         subadditivity_value=baseline_value,
-        precondition_log=tuple(log),
-        trace=trace,
-    )
-
-
-# ---------------------------------------------------------------------------
-# The two worked network shapes.
-# ---------------------------------------------------------------------------
-
-
-def _match_relay(net: BayesNet) -> tuple[str, str, str]:
-    """Relay shape: X -> A, {X, A} -> B, B -> C. Returns (A, B, C)."""
-    others = [n for n in net.nodes if n.node_id != net.source]
-    if len(others) != 3:
-        raise LeakboundError("relay shape needs exactly four nodes")
-    by_parents = {n.node_id: set(n.parents) for n in others}
-    x = net.source
-    a = [nid for nid, ps in by_parents.items() if ps == {x}]
-    b = [
-        nid
-        for nid, ps in by_parents.items()
-        if len(ps) == 2 and x in ps and (ps - {x}) <= set(a)
-    ]
-    if len(a) != 1 or len(b) != 1:
-        raise LeakboundError("network does not match the relay shape")
-    c = [nid for nid, ps in by_parents.items() if ps == {b[0]}]
-    if len(c) != 1:
-        raise LeakboundError("network does not match the relay shape")
-    return a[0], b[0], c[0]
-
-
-def relay_report(net: BayesNet, max_states: int = DEFAULT_MAX_STATES) -> BoundReport:
-    """Single-peel report for the relay network X -> A -> B -> C with the
-    shortcut X -> B, querying X -> (A, C).
-
-    Peeling C with V = {A} gives, in the log domain,
-
-        L(X -> (A, C)) <= L(X -> A) + L(B -> C)
-            + log(1 - (tau_max(P_C|B) - 1)/tau_max(P_C|B)
-                    * tau(P_{A,B|X})/tau_max(P_A|X)),
-
-    whose exponential is checked against the rational-domain bound before
-    any logarithm is taken.
-    """
-    a, b, c = _match_relay(net)
-    u_cpt = net.cpt(c)
-    tmu = tau_max(u_cpt)
-    a_channel = composite_channel(net, [a], max_states=max_states)
-    tmv = tau_max(a_channel)
-    penalty = doeblin(composite_channel(net, [a, b], max_states=max_states))
-
-    checks = []
-    ok_u, rec_u = _u_side_precondition(u_cpt, c)
-    checks.append(rec_u)
-    ok_v, rec_v = _v_side_precondition(a_channel, a)
-    checks.append(rec_v)
-    if not (ok_u and ok_v):
-        failed = rec_u if not ok_u else rec_v
-        raise PreconditionError(failed[0], failed[1])
-
-    bound = tmu * tmv - (tmu - 1) * penalty
-    correction = 1 - (tmu - 1) / tmu * penalty / tmv
-    if tmu * tmv * correction != bound:
-        raise LeakboundError("log-form and product-form bounds disagree")
-    log_form = log_fraction(tmv) + log_fraction(tmu) + log_fraction(correction)
-
-    exact = exact_tau_max(net, [a, c], max_states=max_states)
-    step = PeelStep(c, (a,), (), tmu, penalty, tuple(checks))
-    return BoundReport(
-        query=f"{net.source} -> {{{a}, {c}}} [relay]",
-        exact_tau_max=exact,
-        coupling_bound_value=None,
-        doeblin_bound_value=bound,
-        subadditivity_value=tmu * tmv,
-        precondition_log=tuple(checks),
-        trace=(step,),
-        log_form_bound=log_form,
-    )
-
-
-def _match_diamond(net: BayesNet) -> tuple[str, str, str]:
-    """Diamond shape: X -> A, {X, A} -> B, {A, B} -> C. Returns (A, B, C)."""
-    others = [n for n in net.nodes if n.node_id != net.source]
-    if len(others) != 3:
-        raise LeakboundError("diamond shape needs exactly four nodes")
-    by_parents = {n.node_id: set(n.parents) for n in others}
-    x = net.source
-    a = [nid for nid, ps in by_parents.items() if ps == {x}]
-    if len(a) != 1:
-        raise LeakboundError("network does not match the diamond shape")
-    b = [nid for nid, ps in by_parents.items() if ps == {x, a[0]}]
-    if len(b) != 1:
-        raise LeakboundError("network does not match the diamond shape")
-    c = [nid for nid, ps in by_parents.items() if ps == {a[0], b[0]}]
-    if len(c) != 1:
-        raise LeakboundError("network does not match the diamond shape")
-    return a[0], b[0], c[0]
-
-
-def diamond_report(net: BayesNet, max_states: int = DEFAULT_MAX_STATES) -> BoundReport:
-    """Two-peel report for the diamond X -> A, {X,A} -> B, {A,B} -> C,
-    querying X -> (A, B, C).
-
-    The first peel removes C against V = {A, B}; the second bounds
-    tau_max(P_{A,B|X}) by tau_max(P_{A|X}) * tau_max(P_{B|X,A}), whose
-    penalty vanishes because the parent set contains X itself.
-    """
-    a, b, c = _match_diamond(net)
-    value, trace = recursive_bound(net, [a, b, c], "doeblin", max_states=max_states)
-    if trace[1].penalty != 0:
-        raise LeakboundError("second peel should have a vanishing penalty")
-    exact = exact_tau_max(net, [a, b, c], max_states=max_states)
-    baseline = subadditivity_baseline(net, [a, b, c], max_states=max_states)
-    log: list[tuple[str, str, bool]] = []
-    for step in trace:
-        log.extend(step.preconditions)
-    return BoundReport(
-        query=f"{net.source} -> {{{a}, {b}, {c}}} [diamond]",
-        exact_tau_max=exact,
-        coupling_bound_value=None,
-        doeblin_bound_value=value,
-        subadditivity_value=baseline,
         precondition_log=tuple(log),
         trace=trace,
     )

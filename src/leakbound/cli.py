@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 
@@ -29,6 +30,7 @@ from .couplings import (
     verify_intersection_property,
 )
 from .errors import (
+    DEFAULT_MAX_STATES,
     CapacityError,
     LeakboundError,
     NetworkFormatError,
@@ -211,8 +213,6 @@ def cmd_bound(args) -> int:
                 f"{label:<18} = {format_fraction(value)}"
                 f" (log {_fmt_log(log_fraction(value))})"
             )
-    if report.log_form_bound is not None:
-        print(f"log-form bound     = {_fmt_log(report.log_form_bound)}")
     for name, value, ok in report.precondition_log:
         print(f"precondition {name}: {value} [{'pass' if ok else 'FAIL'}]")
 
@@ -343,6 +343,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# Built once per process: parse_args returns a fresh Namespace on every
+# call and leaves the parser unchanged, so in-process callers share it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leakbound",
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--max-states",
             type=int,
-            default=10**6,
+            default=DEFAULT_MAX_STATES,
             help="state/variable budget for exact enumerations; inference "
             "counts the states of the targets' ancestral closure (default 1e6)",
         )

@@ -36,7 +36,7 @@ from .measures import (
     DiscreteChannel,
     Pmf,
     Symbol,
-    as_fraction,
+    exact_masses,
     tau_max,
     tau_max2,
     tau_subset,
@@ -81,19 +81,10 @@ class Coupling:
             if p.alphabet != alphabet:
                 raise LeakboundError("declared marginal on a different alphabet")
         known = set(alphabet)
-        clean: dict[tuple, Fraction] = {}
-        for tup, raw in mass.items():
-            tup = tuple(tup)
-            if len(tup) != arity or any(s not in known for s in tup):
-                raise LeakboundError(f"bad support tuple {tup!r}")
-            q = as_fraction(raw)
-            if q < 0:
-                raise LeakboundError(f"negative mass {q} at {tup!r}")
-            if q:
-                clean[tup] = clean.get(tup, ZERO) + q
-        total = sum(clean.values(), ZERO)
-        if total != 1:
-            raise LeakboundError(f"coupling mass sums to {total}, expected 1")
+        clean = exact_masses(
+            ((tuple(tup), q) for tup, q in mass.items()),
+            lambda tup: len(tup) == arity and known.issuperset(tup),
+        )
         for i, marg in enumerate(marginals):
             got: dict[Symbol, Fraction] = {}
             for tup, q in clean.items():

@@ -4,6 +4,10 @@ The CLI maps these onto exit codes: validation and precondition failures
 exit 1, capacity refusals exit 2, I/O problems exit 3.
 """
 
+# The default budget of every exact enumeration: joint states, LP
+# variables, coupling support tuples.
+DEFAULT_MAX_STATES = 10**6
+
 
 class LeakboundError(Exception):
     """Base class for all package errors."""

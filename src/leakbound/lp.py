@@ -32,10 +32,8 @@ from itertools import product
 from typing import Sequence
 
 from .couplings import Coupling
-from .errors import CapacityError, InfeasibleError, LeakboundError
+from .errors import DEFAULT_MAX_STATES, CapacityError, InfeasibleError, LeakboundError
 from .measures import ZERO, DiscreteChannel, Pmf, tau_max
-
-DEFAULT_MAX_VARIABLES = 10**6
 
 ONE = Fraction(1)
 
@@ -192,34 +190,6 @@ def solve_sparse(
     return value, solution
 
 
-def simplex_min(
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    costs: Sequence[Fraction],
-) -> tuple[Fraction, list[Fraction]]:
-    """Dense-input convenience wrapper around ``solve_sparse``.
-
-    Matrix entries must be 0 or +-1 (which all callers here satisfy).
-    """
-    n = len(costs)
-    columns: list[SparseCol] = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v == 0:
-                continue
-            if v == 1:
-                columns[j].append((i, 1))
-            elif v == -1:
-                columns[j].append((i, -1))
-            else:
-                raise LeakboundError("simplex_min handles only 0/+1/-1 matrices")
-    value, solution = solve_sparse(columns, list(costs), list(rhs))
-    dense = [ZERO] * n
-    for j, v in solution.items():
-        dense[j] = v
-    return value, dense
-
-
 @dataclass(frozen=True)
 class LpResult:
     optimal_value: Fraction
@@ -294,14 +264,14 @@ def _coupling_lp(
 
 
 def min_union_coupling(
-    marginals: Sequence[Pmf], max_variables: int = DEFAULT_MAX_VARIABLES
+    marginals: Sequence[Pmf], max_variables: int = DEFAULT_MAX_STATES
 ) -> LpResult:
     """Exact minimizer of the union mass over the coupling polytope."""
     return _coupling_lp(marginals, diagonal_floor=False, max_variables=max_variables)
 
 
 def min_union_coupling_diag(
-    marginals: Sequence[Pmf], max_variables: int = DEFAULT_MAX_VARIABLES
+    marginals: Sequence[Pmf], max_variables: int = DEFAULT_MAX_STATES
 ) -> LpResult:
     """Same LP with the added floor mass(y,...,y) >= min_i P_i(y).
 

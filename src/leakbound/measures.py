@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import LeakboundError
 
@@ -54,6 +54,40 @@ def log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
+def check_alphabet(alphabet: Iterable[Symbol]) -> tuple:
+    """The alphabet as a tuple; rejects an empty one and repeated symbols."""
+    alphabet = tuple(alphabet)
+    if not alphabet:
+        raise LeakboundError("alphabet is empty")
+    if len(set(alphabet)) != len(alphabet):
+        raise LeakboundError(f"alphabet {alphabet!r} contains duplicate symbols")
+    return alphabet
+
+
+def exact_masses(
+    cells: Iterable[tuple[Hashable, object]], known: Callable[[Hashable], bool]
+) -> dict:
+    """Validate (cell, mass) pairs as one probability law.
+
+    Coerces each mass to ``Fraction``, rejects cells for which ``known``
+    is false and negative masses, adds up repeated cells, drops zeros, and
+    requires a total of exactly 1. Returns cell -> positive mass.
+    """
+    clean: dict = {}
+    for cell, raw in cells:
+        if not known(cell):
+            raise LeakboundError(f"mass at unknown cell {cell!r}")
+        q = as_fraction(raw)
+        if q < 0:
+            raise LeakboundError(f"negative mass {q} at {cell!r}")
+        if q:
+            clean[cell] = clean.get(cell, ZERO) + q
+    total = sum(clean.values(), ZERO)
+    if total != 1:
+        raise LeakboundError(f"masses sum to {total}, expected exactly 1")
+    return clean
+
+
 class Pmf:
     """A probability mass function over a finite ordered alphabet.
 
@@ -64,24 +98,8 @@ class Pmf:
     __slots__ = ("alphabet", "_mass")
 
     def __init__(self, alphabet: Iterable[Symbol], mass: Mapping[Symbol, object]):
-        alphabet = tuple(alphabet)
-        if len(set(alphabet)) != len(alphabet):
-            raise LeakboundError("alphabet contains duplicate symbols")
-        if not alphabet:
-            raise LeakboundError("alphabet is empty")
-        known = set(alphabet)
-        clean: dict[Symbol, Fraction] = {}
-        for sym, raw in mass.items():
-            if sym not in known:
-                raise LeakboundError(f"mass assigned to unknown symbol {sym!r}")
-            q = as_fraction(raw)
-            if q < 0 or q > 1:
-                raise LeakboundError(f"mass {q} for {sym!r} outside [0, 1]")
-            if q:
-                clean[sym] = q
-        total = sum(clean.values(), ZERO)
-        if total != 1:
-            raise LeakboundError(f"masses sum to {total}, expected exactly 1")
+        alphabet = check_alphabet(alphabet)
+        clean = exact_masses(mass.items(), set(alphabet).__contains__)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_mass", clean)
 
@@ -144,12 +162,10 @@ class DiscreteChannel:
             if row.alphabet != out:
                 raise LeakboundError(f"row {k} has a different output alphabet")
         if input_alphabet is None:
-            input_alphabet = tuple(str(i) for i in range(len(rows)))
-        input_alphabet = tuple(input_alphabet)
+            input_alphabet = (str(i) for i in range(len(rows)))
+        input_alphabet = check_alphabet(input_alphabet)
         if len(input_alphabet) != len(rows):
             raise LeakboundError("input alphabet size does not match row count")
-        if len(set(input_alphabet)) != len(input_alphabet):
-            raise LeakboundError("input alphabet contains duplicates")
         object.__setattr__(self, "input_alphabet", input_alphabet)
         object.__setattr__(self, "rows", rows)
 

@@ -38,11 +38,24 @@ from .couplings import (
     n4_condition,
     union_mass,
 )
-from .errors import CapacityError, ConstructionError, LeakboundError, PreconditionError
-from .lp import DEFAULT_MAX_VARIABLES, min_union_coupling_diag
-from .measures import ZERO, DiscreteChannel, Pmf, Symbol, as_fraction, tau_max, tau_max2
-
-DEFAULT_MAX_STATES = 10**6
+from .errors import (
+    DEFAULT_MAX_STATES,
+    CapacityError,
+    ConstructionError,
+    LeakboundError,
+    PreconditionError,
+)
+from .lp import min_union_coupling_diag
+from .measures import (
+    ZERO,
+    DiscreteChannel,
+    Pmf,
+    Symbol,
+    check_alphabet,
+    exact_masses,
+    tau_max,
+    tau_max2,
+)
 
 
 class JointPmf:
@@ -56,20 +69,13 @@ class JointPmf:
         y_alphabet: Iterable[Symbol],
         mass: Mapping[tuple, object],
     ):
-        x_alphabet = tuple(x_alphabet)
-        y_alphabet = tuple(y_alphabet)
+        x_alphabet = check_alphabet(x_alphabet)
+        y_alphabet = check_alphabet(y_alphabet)
         xs, ys = set(x_alphabet), set(y_alphabet)
-        clean: dict[tuple, Fraction] = {}
-        for (x, y), raw in mass.items():
-            if x not in xs or y not in ys:
-                raise LeakboundError(f"mass at unknown cell {(x, y)!r}")
-            q = as_fraction(raw)
-            if q < 0:
-                raise LeakboundError(f"negative mass at {(x, y)!r}")
-            if q:
-                clean[(x, y)] = q
-        if sum(clean.values(), ZERO) != 1:
-            raise LeakboundError("joint masses must sum to exactly 1")
+        clean = exact_masses(
+            ((tuple(cell), q) for cell, q in mass.items()),
+            lambda cell: len(cell) == 2 and cell[0] in xs and cell[1] in ys,
+        )
         object.__setattr__(self, "x_alphabet", x_alphabet)
         object.__setattr__(self, "y_alphabet", y_alphabet)
         object.__setattr__(self, "mass", clean)
@@ -143,7 +149,7 @@ def _three_way_by_duplication(y_pmfs: Sequence[Pmf]) -> Coupling:
 
 
 def minimal_y_coupling(
-    y_pmfs: Sequence[Pmf], max_variables: int = DEFAULT_MAX_VARIABLES
+    y_pmfs: Sequence[Pmf], max_variables: int = DEFAULT_MAX_STATES
 ) -> Coupling:
     """A coupling attaining union mass tau_max with a pinned diagonal.
 

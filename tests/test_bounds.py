@@ -1,5 +1,6 @@
 """Bound machinery: closed forms, dominance, recursion, worked shapes."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -21,20 +22,20 @@ from leakbound import (
     PreconditionError,
     composite_channel,
     coupling_bound,
-    diamond_report,
     doeblin,
     doeblin_bound,
     exact_tau_max,
     query_report,
     recursive_bound,
-    relay_report,
     subadditivity_baseline,
     tau_max,
 )
 from leakbound.bayesnet import BayesNet, NodeSpec
+from leakbound.measures import log_fraction
 from leakbound.netfile import parse_network
 
 DELTAS = [Q(0), Q(1, 8), Q(1, 4), Q(3, 8), Q(1, 2)]
+FIXTURE_NETS = ["chain.json", "relay.json", "diamond.json", "random1.json", "random2.json"]
 
 
 class TestChainClosedForms:
@@ -420,17 +421,33 @@ class TestSingleWalk:
         assert failed >= 5
 
 
+def log_form(report):
+    """(tau_max_u, tau_max_v, correction) of a single-peel report: the
+    Doeblin bound reads tmu * tmv * correction, whose logarithm is
+    L(X -> V) + L(pa(U) -> U) + log(correction)."""
+    (step,) = report.trace
+    tmu = step.tau_max_u
+    tmv = report.subadditivity_value / tmu
+    return tmu, tmv, 1 - (tmu - 1) / tmu * step.penalty / tmv
+
+
+def log_form_value(report):
+    return sum(log_fraction(q) for q in log_form(report))
+
+
 class TestRelayReport:
+    """The relay X -> Y1, {X, Y1} -> Z, Z -> Y2, queried as X -> (Y1, Y2)
+    with one Doeblin peel of Y2 against V = {Y1}."""
+
     def test_quarter_noise_values(self):
         net = relay_net(Q(1, 4))
-        report = relay_report(net)
+        report = query_report(net, ["Y1", "Y2"], "doeblin")
         # tau_max factors are both 3/2 and tau(P_{Y1,Z|X}) = 1/2:
         # 9/4 - (1/2)(1/2) = 2
         assert report.doeblin_bound_value == 2
         assert report.subadditivity_value == Q(9, 4)
         assert report.exact_tau_max <= 2
-        # log form exp-checked in the rational domain inside the builder
-        assert report.log_form_bound == pytest.approx(math.log(2.0))
+        assert log_form_value(report) == pytest.approx(math.log(2.0))
 
     def test_constant_last_channel_reduces_to_first_leg(self):
         net = relay_net(Q(1, 4))
@@ -439,41 +456,73 @@ class TestRelayReport:
             else NodeSpec.make("Y2", 2, ["Z"], [["1/2", "1/2"], ["1/2", "1/2"]])
             for n in net.nodes
         ]
-        report = relay_report(BayesNet(nodes, "X"))
+        report = query_report(BayesNet(nodes, "X"), ["Y1", "Y2"], "doeblin")
         assert report.doeblin_bound_value == tau_max(
             composite_channel(net, ["Y1"])
         )
-        assert report.log_form_bound == pytest.approx(math.log(1.5))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(LeakboundError):
-            relay_report(chain_net(Q(1, 4), Q(1, 4)))
+        assert log_form_value(report) == pytest.approx(math.log(1.5))
 
     def test_soundness_across_noise_levels(self):
         for d in DELTAS[1:]:
-            report = relay_report(relay_net(d))
+            report = query_report(relay_net(d), ["Y1", "Y2"], "doeblin")
             assert report.doeblin_bound_value >= report.exact_tau_max
             assert report.subadditivity_value >= report.doeblin_bound_value
 
 
+class TestLogForm:
+    """Every single-peel Doeblin report factors exactly as
+    tau_max_u * tau_max_v * (1 - (tau_max_u - 1)/tau_max_u * penalty/tau_max_v)."""
+
+    @staticmethod
+    def check(net, targets):
+        report = query_report(net, targets, "doeblin")
+        if report.doeblin_bound_value is None:
+            return 0
+        tmu, tmv, correction = log_form(report)
+        assert tmu * tmv * correction == report.doeblin_bound_value
+        return 1
+
+    @pytest.mark.parametrize("name", FIXTURE_NETS)
+    def test_fixtures(self, name):
+        net = parse_network((Path(__file__).parent / "fixtures" / name).read_text())
+        ids = [nid for nid in net.node_ids() if nid != net.source]
+        checked = sum(
+            self.check(net, list(targets))
+            for k in range(2, len(ids) + 1)
+            for targets in itertools.combinations(ids, k)
+        )
+        assert checked >= 1
+
+    def test_seeded_couplable_nets(self):
+        rng = random.Random(93)
+        checked = 0
+        for _ in range(100):
+            net = rand_couplable_net(rng, rng.randrange(3, 7))
+            ids = [nid for nid in net.node_ids() if nid != net.source]
+            checked += self.check(net, rng.sample(ids, rng.randrange(2, len(ids) + 1)))
+        assert checked >= 80
+
+
 class TestDiamondReport:
+    """The diamond X -> Y1, {X, Y1} -> Y2, {Y1, Y2} -> Y3, queried as
+    X -> (Y1, Y2, Y3) with the full recursive peel."""
+
     def test_two_peel_matches_recursive(self):
         net = diamond_net(Q(1, 4))
-        report = diamond_report(net)
+        report = query_report(net, ["Y1", "Y2", "Y3"])
         value, _ = recursive_bound(net, ["Y1", "Y2", "Y3"])
         assert report.doeblin_bound_value == value
         assert report.exact_tau_max <= value <= report.subadditivity_value
+        # the second peel's parent set contains X, so its penalty vanishes
+        assert report.trace[1].penalty == 0
 
     def test_deterministic_channels_collapse(self):
         net = diamond_net(Q(0))
-        report = diamond_report(net)
+        report = query_report(net, ["Y1", "Y2", "Y3"])
         assert report.exact_tau_max == 2
         assert (
             report.exact_tau_max
             <= report.doeblin_bound_value
             <= report.subadditivity_value
         )
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(LeakboundError):
-            diamond_report(relay_net(Q(1, 4)))
+        assert report.trace[1].penalty == 0

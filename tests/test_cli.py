@@ -248,6 +248,21 @@ def test_malformed_file_exit_one(capsys, tmp_path, command, doc):
         assert code == 1 and "must be a list" in out
 
 
+@pytest.mark.parametrize("axis", ["x_alphabet", "y_alphabet"])
+def test_repeated_joint_symbol_exit_one(capsys, tmp_path, axis):
+    # Each matrix sums to 2. A repeated symbol maps two cells to one key,
+    # so without the alphabet check the collapsed law sums to 1 and passes.
+    half = [["1/2", "1/2"], ["1/2", "1/2"]]
+    doc = {"x_alphabet": ["0", "1"], "y_alphabet": ["a", "b"], "joints": [half, half]}
+    doc[axis] = [doc[axis][0]] * 2
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "couple", path, "--mode", "simul")
+    assert code == 1
+    assert "duplicate symbols" in err
+    assert "verified" not in out
+
+
 class TestSweep:
     def test_chain_singleton_rows(self, capsys):
         code, out, _ = run(

@@ -23,41 +23,44 @@ from leakbound import (
     tau_max2,
     union_mass,
 )
-from leakbound.lp import simplex_min
+from leakbound.lp import solve_sparse
 
 
 class TestSimplex:
+    """solve_sparse on hand-made systems; a column lists its (row, +-1)
+    entries and the solution holds the nonzero components."""
+
     def test_tiny_known_optimum(self):
         # min x1 + 2 x2  s.t.  x1 + x2 = 1
-        value, x = simplex_min([[Q(1), Q(1)]], [Q(1)], [Q(1), Q(2)])
-        assert value == 1 and x == [Q(1), Q(0)]
+        value, x = solve_sparse([[(0, 1)], [(0, 1)]], [Q(1), Q(2)], [Q(1)])
+        assert value == 1 and x == {0: Q(1)}
 
     def test_degenerate_equalities(self):
         # x1 + x2 = 1, x2 + x3 = 1, minimize x2 -> x2 = 0, x1 = x3 = 1
-        value, x = simplex_min(
-            [[Q(1), Q(1), Q(0)], [Q(0), Q(1), Q(1)]],
-            [Q(1), Q(1)],
+        value, x = solve_sparse(
+            [[(0, 1)], [(0, 1), (1, 1)], [(1, 1)]],
             [Q(0), Q(1), Q(0)],
+            [Q(1), Q(1)],
         )
-        assert value == 0 and x == [Q(1), Q(0), Q(1)]
+        assert value == 0 and x == {0: Q(1), 2: Q(1)}
 
     def test_unbounded_detected(self):
         # no constraints and a negative cost: the ray is unbounded
         from leakbound import LeakboundError
 
         with pytest.raises(LeakboundError):
-            simplex_min([], [], [Q(-1)])
+            solve_sparse([[]], [Q(-1)], [])
 
     def test_infeasible_detected(self):
         # x1 = 1 and x1 = 0 cannot both hold with one variable
         with pytest.raises(InfeasibleError):
-            simplex_min([[Q(1)], [Q(1)]], [Q(1), Q(0)], [Q(1)])
+            solve_sparse([[(0, 1), (1, 1)]], [Q(1)], [Q(1), Q(0)])
 
     def test_redundant_row_tolerated(self):
-        value, x = simplex_min(
-            [[Q(1), Q(1)], [Q(1), Q(1)]], [Q(1), Q(1)], [Q(2), Q(1)]
+        value, x = solve_sparse(
+            [[(0, 1), (1, 1)], [(0, 1), (1, 1)]], [Q(2), Q(1)], [Q(1), Q(1)]
         )
-        assert value == 1 and x == [Q(0), Q(1)]
+        assert value == 1 and x == {1: Q(1)}
 
 
 class TestMinUnionCoupling:

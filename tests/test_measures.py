@@ -7,7 +7,9 @@ import pytest
 from helpers import rand_channel, rand_pmf
 
 from leakbound import (
+    Coupling,
     DiscreteChannel,
+    JointPmf,
     LeakboundError,
     Pmf,
     doeblin,
@@ -52,6 +54,43 @@ class TestPmf:
         p = Pmf.from_values([1])
         with pytest.raises(AttributeError):
             p.alphabet = ("x",)
+
+
+def _uniform(alphabet):
+    return Pmf(alphabet, {"0": Q(1, 2), "1": Q(1, 2)})
+
+
+# Each builder turns (alphabet, symbol -> mass) into one validated law.
+VALIDATED = {
+    "Pmf": lambda alphabet, mass: Pmf(alphabet, mass),
+    "JointPmf-x": lambda alphabet, mass: JointPmf(
+        alphabet, ["y"], {(s, "y"): q for s, q in mass.items()}
+    ),
+    "JointPmf-y": lambda alphabet, mass: JointPmf(
+        ["x"], alphabet, {("x", s): q for s, q in mass.items()}
+    ),
+    "Coupling": lambda alphabet, mass: Coupling(
+        alphabet, 2, {(s, s): q for s, q in mass.items()}, [_uniform(alphabet)] * 2
+    ),
+}
+HALVES = {"0": Q(1, 2), "1": Q(1, 2)}
+MASS_FAULTS = {
+    "negative": (("0", "1"), {"0": Q(3, 2), "1": Q(-1, 2)}, LeakboundError, "negative"),
+    "unknown-cell": (("0", "1"), {"0": Q(1, 2), "2": Q(1, 2)}, LeakboundError, "unknown"),
+    "total": (("0", "1"), {"0": Q(1, 2), "1": Q(1, 4)}, LeakboundError, "sum to 3/4"),
+    "repeated-symbol": (("0", "1", "0"), HALVES, LeakboundError, "duplicate"),
+    "float": (("0", "1"), {"0": 0.5, "1": 0.5}, TypeError, "float"),
+}
+
+
+@pytest.mark.parametrize("fault", MASS_FAULTS)
+@pytest.mark.parametrize("kind", VALIDATED)
+def test_shared_mass_validation(kind, fault):
+    build = VALIDATED[kind]
+    build(("0", "1"), HALVES)  # the well-formed law builds
+    alphabet, mass, error, message = MASS_FAULTS[fault]
+    with pytest.raises(error, match=message):
+        build(alphabet, mass)
 
 
 class TestChannel:
