@@ -11,17 +11,46 @@ tau_max2 <= 1.
 The solver is a two-phase revised simplex over exact ``Fraction``
 arithmetic with sparse +-1 columns and an explicitly maintained basis
 inverse. Pricing is Dantzig's rule (most negative reduced cost, lowest
-column index on ties); whenever the objective stalls for longer than the
-constraint count the solver switches permanently to Bland's rule, which
-guarantees termination. Both rules and the ratio test (lowest basis id
-among minimum ratios) are deterministic, so identical inputs always give
+column id on ties); whenever the objective stalls for longer than the
+constraint count the solver switches permanently to Bland's rule (the
+lowest column id with a negative reduced cost), which guarantees
+termination. Both rules and the ratio test (lowest basis id among
+minimum ratios) are deterministic, so identical inputs always give
 identical optimal values and identical witnesses.
+
+The coupling LP never lists its |Y|^m tuple columns. A tuple's column id
+is the tuple of alphabet positions read as a base-|Y| number, so ids run
+in lexicographic order; the |Y| slack columns of the diagonal floor come
+after them. With duals y_0 (total mass) and y_i(s) (coordinate i takes
+symbol s; 0 for the last symbol, whose row is dropped), a tuple's
+reduced cost is |set(t)| - y_0 - sum_i y_i(t_i), and because the cost
+only counts distinct symbols
+
+    min_t |set(t)| - sum_i y_i(t_i)
+        = min_{S != {}, S ⊆ Y} |S| - sum_i max_{s in S} y_i(s).
+
+One pass over the subset bitmasks gives every coordinate's argmax in
+every S, arg[S] = better(arg[S - low], low): 2^|Y| m comparisons per
+pivot instead of |Y|^m reduced costs. The |Y| diagonal tuples (which
+carry the floor rows) and the slacks are listed and priced explicitly;
+for |S| >= 2 a constant argmax tuple is replaced by the best
+single-coordinate deviation inside S, so the subset pass prices exactly
+the non-constant tuples. A tuple has at most m distinct symbols, so only
+2 <= |S| <= m is priced. In phase 1 every real column costs 0, so only
+S = Y is priced. Ties go to the lowest symbol position per coordinate
+and to the lowest tuple id across subsets, so the entering column is the
+one a scan of all |Y|^m columns would pick: the pivots, and hence the
+witness, are those of the fully listed LP.
+
+Bland's rule and the drive-out of zero artificials after phase 1 still
+walk the tuples lazily in id order, then the slacks, and stop at the
+first hit. In the worst case that touches every column, so the variable
+guard still counts |Y|^m. No column outlives a solve.
 
 One marginal constraint per coordinate is implied by the others plus the
 total-mass constraint, so the last symbol's row of every marginal is
 dropped and a single sum-to-one row kept; this makes the system full row
-rank. Problem sizes are desk scale (|Y|^m variables); a guard refuses
-anything larger.
+rank.
 """
 
 from __future__ import annotations
@@ -29,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .couplings import Coupling
 from .errors import DEFAULT_MAX_STATES, CapacityError, InfeasibleError, LeakboundError
@@ -45,75 +74,97 @@ def solve_sparse(
     columns: Sequence[SparseCol],
     costs: Sequence[Fraction],
     rhs: Sequence[Fraction],
+    pricer=None,
 ) -> tuple[Fraction, dict[int, Fraction]]:
     """Minimize costs . x s.t. (sparse columns) x = rhs, x >= 0.
 
     Entries of the constraint matrix must be +-1 (all coupling systems
     are). Returns (optimal value, nonzero components of one optimal
-    vertex). Raises ``InfeasibleError`` when no nonnegative solution
-    exists.
+    vertex, keyed by column id). Raises ``InfeasibleError`` when no
+    nonnegative solution exists.
+
+    Without ``pricer`` the columns have ids 0 .. len(columns) - 1 and
+    every pivot prices them all. A ``pricer`` adds columns that are never
+    listed. It provides ``width`` (real column ids are 0 .. width - 1),
+    ``ids`` (the ids of the listed columns, in list order),
+    ``price(duals, phase1)`` (the unlisted column of most negative
+    reduced cost, lowest id on ties, as (reduced cost, id, column, cost),
+    or None when none is negative; real columns cost 0 in phase 1) and
+    ``scan()`` (every real column as (id, column, cost), lazily in id
+    order, for Bland's rule and the drive-out).
     """
     m = len(rhs)
-    n = len(columns)
     for b in rhs:
         if b < 0:
             raise LeakboundError("solve_sparse expects nonnegative right-hand sides")
+    listed = list(zip(pricer.ids if pricer else range(len(columns)), columns, costs))
+    width = pricer.width if pricer else len(listed)
+    scan = pricer.scan if pricer else lambda: iter(listed)
 
     binv = [[ONE if i == k else ZERO for k in range(m)] for i in range(m)]
-    basis = list(range(n, n + m))  # artificial j <-> row j - n
+    basis = list(range(width, width + m))  # artificial width + r <-> row r
+    bcost = [ZERO] * m  # phase-2 cost of each basic column
     xb = [Fraction(b) for b in rhs]
 
-    def direction(col: SparseCol) -> list[Fraction]:
-        d = []
-        for i in range(m):
-            row = binv[i]
-            total = ZERO
-            for r, s in col:
-                total = total + row[r] if s > 0 else total - row[r]
-            d.append(total)
-        return d
+    def dot(col: SparseCol, vec: list[Fraction]) -> Fraction:
+        total = ZERO
+        for r, s in col:
+            total = total + vec[r] if s > 0 else total - vec[r]
+        return total
 
-    def reduced_costs(cvec, width: int) -> list[Fraction]:
-        y = [ZERO] * m
+    def basic_cost(i: int, phase1: bool) -> Fraction:
+        if phase1:
+            return ONE if basis[i] >= width else ZERO
+        return bcost[i]
+
+    def objective(phase1: bool) -> Fraction:
+        return sum((basic_cost(i, phase1) * xb[i] for i in range(m)), ZERO)
+
+    def entering(phase1: bool, bland: bool):
+        y = [ZERO] * m  # duals: basic costs times the basis inverse
         for i in range(m):
-            cb = cvec[basis[i]]
+            cb = basic_cost(i, phase1)
             if cb:
-                row = binv[i]
-                for k in range(m):
-                    if row[k]:
-                        y[k] += cb * row[k]
-        out = []
-        for j in range(width):
-            r = cvec[j]
-            for row_idx, s in columns[j]:
-                r = r - y[row_idx] if s > 0 else r + y[row_idx]
-            out.append(r)
-        return out
+                for k, v in enumerate(binv[i]):
+                    if v:
+                        y[k] += cb * v
+        if bland:
+            for j, col, cost in scan():
+                if (ZERO if phase1 else cost) < dot(col, y):
+                    return j, col, cost
+            return None
+        best = None
+        for j, col, cost in listed:
+            r = (ZERO if phase1 else cost) - dot(col, y)
+            if r < 0 and (best is None or (r, j) < best[:2]):
+                best = (r, j, col, cost)
+        if pricer:
+            found = pricer.price(y, phase1)
+            if found and (best is None or found[:2] < best[:2]):
+                best = found
+        return None if best is None else best[1:]
 
-    def objective(cvec) -> Fraction:
-        return sum((cvec[basis[i]] * xb[i] for i in range(m)), ZERO)
+    def pivot(row: int, d: list[Fraction], j: int, cost: Fraction) -> None:
+        inv_piv = 1 / d[row]
+        binv[row] = [v * inv_piv for v in binv[row]]
+        prow = binv[row]
+        for i in range(m):
+            if i != row and d[i]:
+                f = d[i]
+                binv[i] = [a - f * b for a, b in zip(binv[i], prow)]
+        basis[row] = j
+        bcost[row] = cost
 
-    def optimize(cvec, width: int):
+    def optimize(phase1: bool) -> None:
         bland = False
         stall = 0
-        best = objective(cvec)
+        best = objective(phase1)
         while True:
-            reduced = reduced_costs(cvec, width)
-            enter = -1
-            if bland:
-                for j in range(width):
-                    if reduced[j] < 0:
-                        enter = j
-                        break
-            else:
-                most = ZERO
-                for j in range(width):
-                    if reduced[j] < most:
-                        most = reduced[j]
-                        enter = j
-            if enter < 0:
+            enter = entering(phase1, bland)
+            if enter is None:
                 return
-            d = direction(columns[enter])
+            j, col, cost = enter
+            d = [dot(col, row) for row in binv]
             theta = None
             leave = -1
             for i in range(m):
@@ -128,20 +179,12 @@ def solve_sparse(
                         leave = i
             if leave < 0:
                 raise LeakboundError("unbounded LP; coupling polytopes are bounded")
-            piv = d[leave]
-            inv_piv = 1 / piv
-            binv[leave] = [v * inv_piv for v in binv[leave]]
-            prow = binv[leave]
-            for i in range(m):
-                if i != leave and d[i]:
-                    f = d[i]
-                    binv[i] = [a - f * b for a, b in zip(binv[i], prow)]
             for i in range(m):
                 if i != leave:
                     xb[i] -= d[i] * theta
             xb[leave] = theta
-            basis[leave] = enter
-            now = objective(cvec)
+            pivot(leave, d, j, cost)
+            now = objective(phase1)
             if now < best:
                 best = now
                 stall = 0
@@ -151,43 +194,139 @@ def solve_sparse(
                     bland = True
 
     # Phase 1: artificials cost 1, everything else 0.
-    phase1 = [ZERO] * n + [ONE] * m
-    columns = list(columns) + [[(i, 1)] for i in range(m)]
-    optimize(phase1, n)
-    if objective(phase1) != 0:
-        raise InfeasibleError(f"phase 1 optimum {objective(phase1)} > 0")
+    optimize(phase1=True)
+    if objective(True) != 0:
+        raise InfeasibleError(f"phase 1 optimum {objective(True)} > 0")
 
     # Drive zero-valued artificials out of the basis. When no real column
     # can pivot in, the row is redundant; its artificial stays basic at
     # zero with zero phase-2 cost, which exact consistency keeps at zero.
     for i in range(m):
-        if basis[i] >= n:
-            for j in range(n):
-                row = binv[i]
-                entry = ZERO
-                for r, s in columns[j]:
-                    entry = entry + row[r] if s > 0 else entry - row[r]
-                if entry:
-                    d = direction(columns[j])
-                    piv = d[i]
-                    inv_piv = 1 / piv
-                    binv[i] = [v * inv_piv for v in binv[i]]
-                    prow = binv[i]
-                    for k in range(m):
-                        if k != i and d[k]:
-                            binv[k] = [a - d[k] * b for a, b in zip(binv[k], prow)]
-                    basis[i] = j
+        if basis[i] >= width:
+            for j, col, cost in scan():
+                if dot(col, binv[i]):
+                    pivot(i, [dot(col, row) for row in binv], j, cost)
                     break
 
-    phase2 = list(costs) + [ZERO] * m
-    optimize(phase2, n)
+    optimize(phase1=False)
 
-    solution: dict[int, Fraction] = {}
-    for i in range(m):
-        if basis[i] < n and xb[i]:
-            solution[basis[i]] = xb[i]
-    value = sum((costs[j] * v for j, v in solution.items()), ZERO)
+    solution = {basis[i]: xb[i] for i in range(m) if basis[i] < width and xb[i]}
+    value = sum((bcost[i] * xb[i] for i in range(m) if basis[i] < width), ZERO)
     return value, solution
+
+
+class _TupleColumns:
+    """The coupling LP's columns, built on demand (see the module doc).
+
+    Rows: 0 is total mass, ``row(i, k)`` says coordinate i takes symbol
+    position k < size - 1, and ``floor + k`` (diagonal floor only) holds
+    the floor of tuple (k, ..., k). ``columns``/``costs`` list the
+    diagonal tuples, then the slacks; ``ids`` are their column ids.
+    """
+
+    def __init__(self, m: int, size: int, floor: int | None):
+        self.m, self.size, self.floor = m, size, floor
+        self.n_tuples = size**m
+        self.width = self.n_tuples + (size if floor is not None else 0)
+        self.weights = [size ** (m - 1 - i) for i in range(m)]
+        step = sum(self.weights)  # id of (1, ..., 1)
+        self.ids = [k * step for k in range(size)]
+        self.columns = [self.column((k,) * m) for k in range(size)]
+        self.costs = [ONE] * size
+        if floor is not None:
+            self.ids += [self.n_tuples + k for k in range(size)]
+            self.columns += [self.slack(k) for k in range(size)]
+            self.costs += [ZERO] * size
+
+    def row(self, i: int, k: int) -> int:
+        return 1 + i * (self.size - 1) + k
+
+    def column(self, t: Sequence[int]) -> SparseCol:
+        col = [(0, 1)] + [(self.row(i, k), 1) for i, k in enumerate(t) if k < self.size - 1]
+        if self.floor is not None and len(set(t)) == 1:
+            col.append((self.floor + t[0], 1))
+        return col
+
+    def slack(self, k: int) -> SparseCol:
+        return [(self.floor + k, -1)]
+
+    def tuple_id(self, t: Sequence[int]) -> int:
+        return sum(k * w for k, w in zip(t, self.weights))
+
+    def decode(self, j: int) -> tuple[int, ...]:
+        return tuple(j // w % self.size for w in self.weights)
+
+    def scan(self) -> Iterator[tuple[int, SparseCol, Fraction]]:
+        return _lex_columns(self)
+
+    def price(self, y: list[Fraction], phase1: bool):
+        m, size = self.m, self.size
+        # gain[i][k]: dual of "coordinate i takes symbol k"
+        gain = [[y[self.row(i, k)] for k in range(size - 1)] + [ZERO] for i in range(m)]
+        # reduced cost of a tuple with c distinct symbols = limit[c] - gain
+        limit = [(0 if phase1 else c) - y[0] for c in range(m + 1)]
+        full = (1 << size) - 1
+        arg: list[list[int]] = [[]] * (full + 1)  # per-coordinate argmax in S
+        best = None
+        for mask in range(1, full + 1):
+            low = (mask & -mask).bit_length() - 1
+            rest = mask & (mask - 1)
+            if not rest:
+                arg[mask] = [low] * m  # a diagonal tuple: listed
+                continue
+            if not phase1 and mask.bit_count() > m:
+                continue  # no tuple has more distinct symbols
+            t = arg[mask] = [
+                low if g[low] >= g[k] else k for g, k in zip(gain, arg[rest])
+            ]
+            if phase1 and mask != full:
+                continue  # every real column costs 0: the argmax over Y wins
+            total = sum(g[k] for g, k in zip(gain, t))
+            cost = len(set(t))
+            if cost == 1:
+                # Deviating one coordinate costs 2 and loses gain, so skip
+                # S when even a lossless deviation could not enter.
+                r = limit[2] - total
+                if r >= 0 or (best is not None and r > best[0]):
+                    continue
+                t, total = self._deviate(t[0], mask, gain, total)
+                cost = 2
+            r = limit[cost] - total
+            if r < 0 and (best is None or r <= best[0]):
+                j = self.tuple_id(t)
+                if best is None or (r, j) < best[:2]:
+                    best = (r, j, t, cost)
+        if best is None:
+            return None
+        r, j, t, cost = best
+        return r, j, self.column(t), Fraction(cost)
+
+    def _deviate(self, s: int, mask: int, gain, total: Fraction):
+        """Best non-constant tuple inside ``mask`` when (s, ..., s) is the
+        argmax: move one coordinate to another symbol of the mask, losing
+        the least gain, lowest tuple id on ties."""
+        best = None
+        for i, g in enumerate(gain):
+            for k in range(self.size):
+                if k != s and mask >> k & 1:
+                    key = (g[s] - g[k], (k - s) * self.weights[i])
+                    if best is None or key < best[0]:
+                        best = (key, i, k)
+        (loss, _), i, k = best
+        t = [s] * self.m
+        t[i] = k
+        return t, total - loss
+
+
+def _lex_columns(space: _TupleColumns) -> Iterator[tuple[int, SparseCol, Fraction]]:
+    """Every real column of ``space`` in id order: the tuples
+    lexicographically, then the slacks. Lazy: a caller that stops at its
+    first hit builds only the columns before it."""
+    for j, t in enumerate(product(range(space.size), repeat=space.m)):
+        yield j, space.column(t), Fraction(len(set(t)))
+    if space.floor is not None:
+        for k in range(space.size):
+            yield space.n_tuples + k, space.slack(k), ZERO
 
 
 @dataclass(frozen=True)
@@ -212,48 +351,26 @@ def _coupling_lp(
     m = len(marginals)
     size = len(alphabet)
 
-    n_tuples = size**m
-    n_vars = n_tuples + (size if diagonal_floor else 0)
-    if n_vars > max_variables:
-        raise CapacityError(n_vars, max_variables, "LP variables")
-
     # Rows: one total-mass row, then per coordinate the first size-1
     # symbol constraints (the last is implied), then the diagonal floor.
-    def marg_row(i: int, y_idx: int) -> int:
-        return 1 + i * (size - 1) + y_idx
-
     n_marg_rows = 1 + m * (size - 1)
-    n_rows = n_marg_rows + (size if diagonal_floor else 0)
+    space = _TupleColumns(m, size, n_marg_rows if diagonal_floor else None)
+    if space.width > max_variables:
+        raise CapacityError(space.width, max_variables, "LP variables")
 
-    idx = {y: k for k, y in enumerate(alphabet)}
-    tuples = list(product(alphabet, repeat=m))  # lexicographic in alphabet order
-    columns: list[SparseCol] = []
-    costs: list[Fraction] = []
-    for t in tuples:
-        col: SparseCol = [(0, 1)]
-        for i, sym in enumerate(t):
-            k = idx[sym]
-            if k < size - 1:
-                col.append((marg_row(i, k), 1))
-        if diagonal_floor and all(sym == t[0] for sym in t):
-            col.append((n_marg_rows + idx[t[0]], 1))
-        columns.append(col)
-        costs.append(Fraction(len(set(t))))
-    if diagonal_floor:
-        for k in range(size):
-            columns.append([(n_marg_rows + k, -1)])
-            costs.append(ZERO)
-
-    rhs = [ONE] + [ZERO] * (n_rows - 1)
+    rhs = [ONE] + [ZERO] * (n_marg_rows - 1)
     for i in range(m):
         for k in range(size - 1):
-            rhs[marg_row(i, k)] = marginals[i][alphabet[k]]
+            rhs[space.row(i, k)] = marginals[i][alphabet[k]]
     if diagonal_floor:
-        for k, y in enumerate(alphabet):
-            rhs[n_marg_rows + k] = min(p[y] for p in marginals)
+        rhs += [min(p[y] for p in marginals) for y in alphabet]
 
-    value, solution = solve_sparse(columns, costs, rhs)
-    mass = {tuples[j]: v for j, v in solution.items() if j < n_tuples}
+    value, solution = solve_sparse(space.columns, space.costs, rhs, space)
+    mass = {
+        tuple(alphabet[k] for k in space.decode(j)): v
+        for j, v in solution.items()
+        if j < space.n_tuples
+    }
     witness = Coupling(alphabet, m, mass, marginals)
     target = tau_max(DiscreteChannel(marginals))
     return LpResult(
@@ -261,8 +378,6 @@ def _coupling_lp(
         witness=witness,
         achieves_tau_max=value == target,
     )
-
-
 def min_union_coupling(
     marginals: Sequence[Pmf], max_variables: int = DEFAULT_MAX_STATES
 ) -> LpResult:

@@ -3,11 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from helpers import wide_net
 
+import leakbound
 from leakbound.cli import main
 from leakbound.netfile import write_network
 
@@ -324,3 +328,17 @@ class TestSweep:
             num, den = r["doeblin_bound"].split("/")
             bnum, bden = r["exact"].split("/")
             assert int(num) * int(bden) >= int(bnum) * int(den)
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package as imported here, whether installed or on PYTHONPATH
+    src = str(Path(leakbound.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "leakbound", "couple",
+         "tests/fixtures/pmfs_cycle3.json", "--mode", "lp"],
+        cwd=FIXTURES.parent.parent, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "LP optimum  = 2/1" in proc.stdout

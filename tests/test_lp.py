@@ -1,9 +1,13 @@
 """The exact LP oracle: solver unit tests and coupling-polytope facts."""
 
 import random
+import sys
 from fractions import Fraction as Q
+from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
     rand_family,
     rand_family_tau_max2_gt1,
@@ -23,6 +27,7 @@ from leakbound import (
     tau_max2,
     union_mass,
 )
+from leakbound import lp
 from leakbound.lp import solve_sparse
 
 
@@ -211,3 +216,189 @@ def test_m3_equality_iff_tau_max2_le1():
         fam = rand_family_tau_max2_gt1(rng, 3, rng.choice([3, 4]))
         result = min_union_coupling(fam)
         assert result.optimal_value > tau_max(DiscreteChannel(fam))
+
+
+# The coupling LP written out in full, as the reference for the generated
+# columns: every m-tuple of alphabet positions in lexicographic order (its
+# list position is its column id), then the floor slacks.
+def full_coupling_lp(fam, floor):
+    m, size = len(fam), len(fam[0].alphabet)
+    n_marg = 1 + m * (size - 1)
+    columns, costs = [], []
+    for t in iproduct(range(size), repeat=m):
+        col = [(0, 1)] + [(1 + i * (size - 1) + k, 1)
+                          for i, k in enumerate(t) if k < size - 1]
+        if floor and len(set(t)) == 1:
+            col.append((n_marg + t[0], 1))
+        columns.append(col)
+        costs.append(Q(len(set(t))))
+    rhs = [Q(1)] + [p[y] for p in fam for y in p.alphabet[:-1]]
+    if floor:
+        columns += [[(n_marg + k, -1)] for k in range(size)]
+        costs += [Q(0)] * size
+        rhs += [min(p[y] for p in fam) for y in fam[0].alphabet]
+    return columns, costs, rhs
+
+
+def reference_lp(fam, floor):
+    """(optimal value, witness mass) of the fully listed LP."""
+    columns, costs, rhs = full_coupling_lp(fam, floor)
+    value, x = solve_sparse(columns, costs, rhs)
+    tuples = list(iproduct(fam[0].alphabet, repeat=len(fam)))
+    return value, {tuples[j]: v for j, v in x.items() if j < len(tuples)}
+
+
+def brute_price(space, y, phase1):
+    """(most negative reduced cost, lowest id attaining it) over every
+    real column, or None when no reduced cost is negative."""
+    best = None
+    for j, col, cost in lp._lex_columns(space):
+        r = (Q(0) if phase1 else cost) - sum(s * y[row] for row, s in col)
+        if r < 0 and (best is None or (r, j) < best):
+            best = (r, j)
+    return best
+
+
+def subset_price(space, y, phase1):
+    """What solve_sparse sees: the listed columns scanned, plus the
+    subset pricer's best unlisted column."""
+    best = None
+    for j, col, cost in zip(space.ids, space.columns, space.costs):
+        r = (Q(0) if phase1 else cost) - sum(s * y[row] for row, s in col)
+        if r < 0 and (best is None or (r, j) < best):
+            best = (r, j)
+    found = space.price(y, phase1)
+    if found is not None:
+        r, j, col, cost = found
+        t = space.decode(j)
+        assert col == space.column(t) and cost == len(set(t))
+        assert r == (Q(0) if phase1 else cost) - sum(s * y[row] for row, s in col)
+        if best is None or (r, j) < best:
+            best = (r, j)
+    return best
+
+
+def space_and_rows(m, size, floor):
+    n_marg = 1 + m * (size - 1)
+    space = lp._TupleColumns(m, size, n_marg if floor else None)
+    return space, n_marg + (size if floor else 0)
+
+
+class TestSubsetPricing:
+    """The subset pricer against a scan of all |Y|^m tuple columns plus
+    the slacks: same most negative reduced cost, same entering id, and
+    'no negative column' in both or neither."""
+
+    @pytest.mark.parametrize("floor", [False, True])
+    @pytest.mark.parametrize("phase1", [False, True])
+    def test_seeded_duals(self, phase1, floor):
+        rng = random.Random(41 + 2 * phase1 + floor)
+        outcomes = set()
+        for m in range(2, 6):
+            for size in range(1, 5):
+                space, n_rows = space_and_rows(m, size, floor)
+                n_marg = 1 + m * (size - 1)
+                for _ in range(12):
+                    # Few distinct marginal duals, so argmax and deviation
+                    # ties are common; floor duals reach below -1, where a
+                    # deviation from a constant argmax can beat the diagonal.
+                    den = rng.choice([1, 2, 3])
+                    y = [Q(rng.randint(-2 * den, 2 * den), den * m)
+                         for _ in range(n_marg)]
+                    y += [Q(rng.randint(-6, 2), 2) for _ in range(n_rows - n_marg)]
+                    want = brute_price(space, y, phase1)
+                    assert subset_price(space, y, phase1) == want
+                    outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("size, phase1, y, want", [
+        # Phase 1: both coordinates prefer symbol 0, so the argmax over Y
+        # is the constant (0, 0); the floor duals push both diagonals above
+        # the deviations (0, 1) and (1, 0), which tie at -3/2: take id 1.
+        (2, True, [Q(1, 2), Q(1), Q(1), Q(-3, 2), Q(-1, 2)], (Q(-3, 2), 1)),
+        # Phase 2: S = {0, 1} yields the deviation (1, 0), id 3, at -2; the
+        # lossless deviation (0, 2) of S = {0, 2} ties it with id 2, so a
+        # deviation whose bound equals the best so far must still be priced.
+        # Diagonals and slacks stay at -3/2 or above.
+        (3, False, [Q(3), Q(1), Q(1), Q(0), Q(-1), Q(-3, 2), Q(-1, 2), Q(-1, 2)],
+         (Q(-2), 2)),
+    ])
+    def test_tied_deviations_take_lowest_id(self, size, phase1, y, want):
+        space, _ = space_and_rows(2, size, floor=True)
+        assert brute_price(space, y, phase1) == want
+        assert subset_price(space, y, phase1) == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_generated_duals(self, data):
+        m = data.draw(st.integers(2, 5))
+        size = data.draw(st.integers(1, 4))
+        floor = data.draw(st.booleans())
+        phase1 = data.draw(st.booleans())
+        space, n_rows = space_and_rows(m, size, floor)
+        dual = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+        y = data.draw(st.lists(dual, min_size=n_rows, max_size=n_rows))
+        assert subset_price(space, y, phase1) == brute_price(space, y, phase1)
+
+
+def differential_families():
+    rng = random.Random(43)
+    cases = []
+    for m, size, count in [(2, 2, 4), (2, 3, 4), (2, 4, 4), (3, 2, 4), (3, 3, 4),
+                           (3, 4, 4), (4, 2, 3), (4, 3, 3), (4, 4, 2), (5, 2, 2),
+                           (5, 3, 2), (5, 4, 1)]:
+        for k in range(count):
+            couplable = k % 2 == 0 and (size >= m or (m, size) in {(3, 2), (4, 2), (4, 3)})
+            fam = (rand_family_tau_max2_le1(rng, m, size) if couplable
+                   else rand_family(rng, m, size))
+            cases.append(fam)
+    return cases
+
+
+@pytest.mark.parametrize("floor", [False, True])
+def test_generated_columns_match_full_lp(floor):
+    """min_union_coupling[_diag] against solve_sparse on the fully listed
+    columns: identical optimal values, and (since the pricer breaks ties
+    as a full scan does) identical witnesses; each witness is a valid
+    coupling whose union mass is the optimum, and repeats exactly."""
+    solver = min_union_coupling_diag if floor else min_union_coupling
+    solved = 0
+    for fam in differential_families():
+        try:
+            want_value, want_mass = reference_lp(fam, floor)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                solver(fam)
+            continue
+        result = solver(fam)
+        assert result.optimal_value == want_value
+        assert union_mass(result.witness) == want_value
+        assert dict(result.witness.mass) == want_mass
+        again = solver(fam)
+        assert again.optimal_value == want_value
+        assert again.witness.mass == result.witness.mass
+        solved += 1
+    assert solved >= 20
+
+
+@pytest.mark.parametrize("seed, m, size", [(3, 3, 4), (14, 3, 4), (72, 3, 4), (140, 4, 3)])
+def test_bland_switch_runs_and_matches_reference(monkeypatch, seed, m, size):
+    # These instances stall past rows + 4 pivots under Dantzig's rule, so
+    # the solver switches to Bland's rule, whose entering scan is the only
+    # caller of the lexicographic enumerator from ``entering`` (the other
+    # caller is the drive-out in ``solve_sparse`` itself).
+    callers = []
+    lex_columns = lp._lex_columns
+
+    def counting(space):
+        callers.append(sys._getframe(2).f_code.co_name)
+        return lex_columns(space)
+
+    monkeypatch.setattr(lp, "_lex_columns", counting)
+    fam = rand_family_tau_max2_le1(random.Random(seed), m, size)
+    result = min_union_coupling(fam)
+    assert "entering" in callers
+    monkeypatch.undo()
+    value, mass = reference_lp(fam, floor=False)
+    assert result.optimal_value == value
+    assert dict(result.witness.mass) == mass
