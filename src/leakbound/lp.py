@@ -29,23 +29,27 @@ only counts distinct symbols
     min_t |set(t)| - sum_i y_i(t_i)
         = min_{S != {}, S ⊆ Y} |S| - sum_i max_{s in S} y_i(s).
 
-One pass over the subset bitmasks gives every coordinate's argmax in
-every S, arg[S] = better(arg[S - low], low): 2^|Y| m comparisons per
-pivot instead of |Y|^m reduced costs. The |Y| diagonal tuples (which
-carry the floor rows) and the slacks are listed and priced explicitly;
-for |S| >= 2 a constant argmax tuple is replaced by the best
-single-coordinate deviation inside S, so the subset pass prices exactly
-the non-constant tuples. A tuple has at most m distinct symbols, so only
-2 <= |S| <= m is priced. In phase 1 every real column costs 0, so only
-S = Y is priced. Ties go to the lowest symbol position per coordinate
-and to the lowest tuple id across subsets, so the entering column is the
-one a scan of all |Y|^m columns would pick: the pivots, and hence the
-witness, are those of the fully listed LP.
+Each S is grown from S minus its top symbol, so every coordinate's
+argmax in S costs one comparison: better(arg[S - top], top). A tuple has
+at most m distinct symbols, so only 2 <= |S| <= m is visited, at most
+sum_{2<=k<=m} C(|Y|, k) <= |Y|^m subsets of m comparisons each: a pivot
+never prices more subsets than a full scan prices tuples, and the stack
+of partial subsets stays O(m |Y|). The |Y| diagonal tuples (which carry
+the floor rows) and the slacks are listed and priced explicitly; for
+|S| >= 2 a constant argmax tuple is replaced by the best
+single-coordinate deviation inside S, so the subsets price exactly the
+non-constant tuples. In phase 1 every real column costs 0, so the
+entering tuple is each coordinate's argmax over all of Y (or its best
+deviation), found directly. Ties go to the lowest symbol position per
+coordinate and to the lowest tuple id across subsets, so the entering
+column is the one a scan of all |Y|^m columns would pick: the pivots,
+and hence the witness, are those of the fully listed LP.
 
 Bland's rule and the drive-out of zero artificials after phase 1 still
 walk the tuples lazily in id order, then the slacks, and stop at the
 first hit. In the worst case that touches every column, so the variable
-guard still counts |Y|^m. No column outlives a solve.
+guard counts |Y|^m, which also bounds the subsets priced per pivot. No
+column outlives a solve.
 
 One marginal constraint per coordinate is implied by the others plus the
 total-mass constraint, so the last symbol's row of every marginal is
@@ -257,7 +261,14 @@ class _TupleColumns:
         return tuple(j // w % self.size for w in self.weights)
 
     def scan(self) -> Iterator[tuple[int, SparseCol, Fraction]]:
-        return _lex_columns(self)
+        """Every real column in id order: the tuples lexicographically,
+        then the slacks. Lazy: a caller that stops at its first hit
+        builds only the columns before it."""
+        for j, t in enumerate(product(range(self.size), repeat=self.m)):
+            yield j, self.column(t), Fraction(len(set(t)))
+        if self.floor is not None:
+            for k in range(self.size):
+                yield self.n_tuples + k, self.slack(k), ZERO
 
     def price(self, y: list[Fraction], phase1: bool):
         m, size = self.m, self.size
@@ -265,22 +276,10 @@ class _TupleColumns:
         gain = [[y[self.row(i, k)] for k in range(size - 1)] + [ZERO] for i in range(m)]
         # reduced cost of a tuple with c distinct symbols = limit[c] - gain
         limit = [(0 if phase1 else c) - y[0] for c in range(m + 1)]
-        full = (1 << size) - 1
-        arg: list[list[int]] = [[]] * (full + 1)  # per-coordinate argmax in S
         best = None
-        for mask in range(1, full + 1):
-            low = (mask & -mask).bit_length() - 1
-            rest = mask & (mask - 1)
-            if not rest:
-                arg[mask] = [low] * m  # a diagonal tuple: listed
-                continue
-            if not phase1 and mask.bit_count() > m:
-                continue  # no tuple has more distinct symbols
-            t = arg[mask] = [
-                low if g[low] >= g[k] else k for g, k in zip(gain, arg[rest])
-            ]
-            if phase1 and mask != full:
-                continue  # every real column costs 0: the argmax over Y wins
+
+        def consider(t: list[int], mask: int) -> None:
+            nonlocal best
             total = sum(g[k] for g, k in zip(gain, t))
             cost = len(set(t))
             if cost == 1:
@@ -288,7 +287,7 @@ class _TupleColumns:
                 # S when even a lossless deviation could not enter.
                 r = limit[2] - total
                 if r >= 0 or (best is not None and r > best[0]):
-                    continue
+                    return
                 t, total = self._deviate(t[0], mask, gain, total)
                 cost = 2
             r = limit[cost] - total
@@ -296,6 +295,26 @@ class _TupleColumns:
                 j = self.tuple_id(t)
                 if best is None or (r, j) < best[:2]:
                     best = (r, j, t, cost)
+
+        if phase1:
+            # Every real column costs 0: the per-coordinate argmax over Y
+            # (lowest position on ties) has the most gain.
+            if size > 1:
+                consider([max(range(size), key=lambda k: (g[k], -k)) for g in gain],
+                         (1 << size) - 1)
+        else:
+            # Grow each S from S minus its top symbol, so every S costs m
+            # comparisons; S above m symbols holds no tuple's symbol set.
+            # A singleton is a diagonal tuple, which is listed.
+            stack = [([k] * m, 1 << k, k, 1) for k in range(size)]
+            while stack:
+                arg, mask, top, count = stack.pop()
+                for k in range(top + 1, size):
+                    t = [a if g[a] >= g[k] else k for g, a in zip(gain, arg)]
+                    grown = mask | 1 << k
+                    consider(t, grown)
+                    if count + 1 < m:
+                        stack.append((t, grown, k, count + 1))
         if best is None:
             return None
         r, j, t, cost = best
@@ -316,17 +335,6 @@ class _TupleColumns:
         t = [s] * self.m
         t[i] = k
         return t, total - loss
-
-
-def _lex_columns(space: _TupleColumns) -> Iterator[tuple[int, SparseCol, Fraction]]:
-    """Every real column of ``space`` in id order: the tuples
-    lexicographically, then the slacks. Lazy: a caller that stops at its
-    first hit builds only the columns before it."""
-    for j, t in enumerate(product(range(space.size), repeat=space.m)):
-        yield j, space.column(t), Fraction(len(set(t)))
-    if space.floor is not None:
-        for k in range(space.size):
-            yield space.n_tuples + k, space.slack(k), ZERO
 
 
 @dataclass(frozen=True)
@@ -378,6 +386,8 @@ def _coupling_lp(
         witness=witness,
         achieves_tau_max=value == target,
     )
+
+
 def min_union_coupling(
     marginals: Sequence[Pmf], max_variables: int = DEFAULT_MAX_STATES
 ) -> LpResult:

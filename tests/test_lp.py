@@ -1,7 +1,6 @@
 """The exact LP oracle: solver unit tests and coupling-polytope facts."""
 
 import random
-import sys
 from fractions import Fraction as Q
 from itertools import product as iproduct
 
@@ -252,7 +251,7 @@ def brute_price(space, y, phase1):
     """(most negative reduced cost, lowest id attaining it) over every
     real column, or None when no reduced cost is negative."""
     best = None
-    for j, col, cost in lp._lex_columns(space):
+    for j, col, cost in space.scan():
         r = (Q(0) if phase1 else cost) - sum(s * y[row] for row, s in col)
         if r < 0 and (best is None or (r, j) < best):
             best = (r, j)
@@ -328,6 +327,34 @@ class TestSubsetPricing:
         assert brute_price(space, y, phase1) == want
         assert subset_price(space, y, phase1) == want
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_tuple_of_m_distinct_symbols(self, m):
+        # Coordinate i gains 2 only at symbol i, so (0, 1, ..., m-1), the
+        # one tuple with all m gains, enters at -m; every tuple on fewer
+        # symbols stays at -1 or above. Y has m + 1 symbols, so S = Y is
+        # not the set of any tuple.
+        space, n_rows = space_and_rows(m, m + 1, False)
+        y = [Q(0)] * n_rows
+        for i in range(m):
+            y[space.row(i, i)] = Q(2)
+        want = (Q(-m), space.tuple_id(range(m)))
+        assert brute_price(space, y, False) == want
+        assert subset_price(space, y, False) == want
+
+    @pytest.mark.parametrize("floor", [False, True])
+    @pytest.mark.parametrize("m, size", [(2, 24), (3, 9)])
+    def test_large_alphabet_few_marginals(self, m, size, floor):
+        # 2^|Y| far exceeds |Y|^m here; the pricer only visits the
+        # subsets of at most m symbols.
+        rng = random.Random(size)
+        space, n_rows = space_and_rows(m, size, floor)
+        n_marg = 1 + m * (size - 1)
+        for phase1 in (False, True):
+            for _ in range(3):
+                y = [Q(rng.randint(-4, 4), 2 * m) for _ in range(n_marg)]
+                y += [Q(rng.randint(-6, 2), 2) for _ in range(n_rows - n_marg)]
+                assert subset_price(space, y, phase1) == brute_price(space, y, phase1)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_generated_duals(self, data):
@@ -381,24 +408,36 @@ def test_generated_columns_match_full_lp(floor):
     assert solved >= 20
 
 
+@pytest.mark.parametrize("floor", [False, True])
+def test_large_alphabet_matches_full_lp(floor):
+    # m = 2 on 20 symbols: 400 tuple columns, 2^20 subsets of Y.
+    fam = rand_family(random.Random(20), 2, 20)
+    solver = min_union_coupling_diag if floor else min_union_coupling
+    result = solver(fam)
+    value, _ = reference_lp(fam, floor)
+    assert result.optimal_value == value
+    assert union_mass(result.witness) == value
+
+
 @pytest.mark.parametrize("seed, m, size", [(3, 3, 4), (14, 3, 4), (72, 3, 4), (140, 4, 3)])
 def test_bland_switch_runs_and_matches_reference(monkeypatch, seed, m, size):
     # These instances stall past rows + 4 pivots under Dantzig's rule, so
-    # the solver switches to Bland's rule, whose entering scan is the only
-    # caller of the lexicographic enumerator from ``entering`` (the other
-    # caller is the drive-out in ``solve_sparse`` itself).
-    callers = []
-    lex_columns = lp._lex_columns
+    # the solver switches to Bland's rule, which walks the columns in id
+    # order on every pivot. The only other walk is the drive-out after
+    # phase 1, at most once per row, so more walks than rows means
+    # Bland's rule ran.
+    walks = []
+    scan = lp._TupleColumns.scan
 
     def counting(space):
-        callers.append(sys._getframe(2).f_code.co_name)
-        return lex_columns(space)
+        walks.append(1)
+        return scan(space)
 
-    monkeypatch.setattr(lp, "_lex_columns", counting)
+    monkeypatch.setattr(lp._TupleColumns, "scan", counting)
     fam = rand_family_tau_max2_le1(random.Random(seed), m, size)
     result = min_union_coupling(fam)
-    assert "entering" in callers
     monkeypatch.undo()
+    assert len(walks) > 1 + m * (size - 1)
     value, mass = reference_lp(fam, floor=False)
     assert result.optimal_value == value
     assert dict(result.witness.mass) == mass
