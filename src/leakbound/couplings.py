@@ -19,6 +19,14 @@ Two explicit constructions live here:
   Any component whose weight is zero is dropped before its normalized
   factors are ever formed, so no 0/0 ratio is evaluated.
 
+The existence condition is decided in one place, ``choose_abc``, which
+refuses a negative slack with ``PreconditionError(FOUR_WAY_CONDITION,
+slack)``. ``build_n4_coupling`` reaches it through ``n4_mixture_weights``
+and does not check beforehand. ``n4_condition`` evaluates the same slack
+without building, for callers that only ask: the ``couple --mode n4``
+report, and ``simultaneous.coupling_feasibility`` for the V-side
+precondition of the bounds.
+
 Indices are 0-based throughout: rows are numbered 0..3 and the pair keys
 are frozensets of row indices.
 """
@@ -28,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstructionError, LeakboundError, PreconditionError
@@ -37,6 +46,7 @@ from .measures import (
     Pmf,
     Symbol,
     exact_masses,
+    push_forward,
     tau_max,
     tau_max2,
     tau_subset,
@@ -48,6 +58,9 @@ Pair = frozenset
 ANCHOR_PAIRS = (Pair({0, 1}), Pair({0, 2}), Pair({0, 3}))
 ALL_PAIRS = tuple(Pair(p) for p in combinations(range(4), 2))
 ALL_TRIPLES = tuple(frozenset(t) for t in combinations(range(4), 3))
+
+# The label of every refusal by the four-way existence condition.
+FOUR_WAY_CONDITION = "four-way pair-capacity condition"
 
 
 def complement_pair(pair: Pair) -> Pair:
@@ -86,9 +99,7 @@ class Coupling:
             lambda tup: len(tup) == arity and known.issuperset(tup),
         )
         for i, marg in enumerate(marginals):
-            got: dict[Symbol, Fraction] = {}
-            for tup, q in clean.items():
-                got[tup[i]] = got.get(tup[i], ZERO) + q
+            got = push_forward(clean, itemgetter(i))
             for y in alphabet:
                 if got.get(y, ZERO) != marg[y]:
                     raise LeakboundError(
@@ -300,7 +311,6 @@ class MixtureWeights:
 
     alpha: Mapping[Pair, Fraction]
     beta: Mapping[Pair, Fraction]
-    abc: tuple[Fraction, Fraction, Fraction]
     independent: Fraction
 
 
@@ -309,13 +319,12 @@ def choose_abc(ing: N4Ingredients) -> tuple[Fraction, Fraction, Fraction]:
     three pair-pairings, in the fixed order (01/23), (02/13), (03/12).
 
     Each share is capped by min of the two opposite-pair normalizers; the
-    existence condition guarantees the caps absorb the whole budget.
+    existence condition guarantees the caps absorb the whole budget;
+    a negative slack raises ``PreconditionError``.
     """
-    if ing.condition_slack() < 0:
-        raise PreconditionError(
-            "four-way coupling condition", ing.condition_slack(),
-            "pair-normalizer capacity falls short of tau_max2 - 1",
-        )
+    slack = ing.condition_slack()
+    if slack < 0:
+        raise PreconditionError(FOUR_WAY_CONDITION, slack)
     budget = ing.tau_max2 - 1
     if budget <= 0:
         return (Fraction(1), ZERO, ZERO)
@@ -349,7 +358,7 @@ def n4_mixture_weights(ing: N4Ingredients) -> MixtureWeights:
     for pair, value in beta.items():
         if value < 0:
             raise ConstructionError(f"negative beta weight {value} for pair {set(pair)}")
-    return MixtureWeights(alpha=alpha, beta=beta, abc=(a, b, c), independent=independent)
+    return MixtureWeights(alpha=alpha, beta=beta, independent=independent)
 
 
 def _weight_accounting(ing: N4Ingredients, w: MixtureWeights) -> Fraction:
@@ -375,12 +384,7 @@ def build_n4_coupling(pmfs: Sequence[Pmf]) -> Coupling:
     tau_max and has, for every subset I with |I| >= 2 and every symbol y,
     intersection probability P(all-of-I equal y) = min_{i in I} P_i(y).
     """
-    ok, ing = n4_condition(pmfs)
-    if not ok:
-        raise PreconditionError(
-            "four-way coupling condition", ing.condition_slack(),
-            f"tau_max2 = {ing.tau_max2}",
-        )
+    ing = n4_ingredients(pmfs)
     weights = n4_mixture_weights(ing)
     total = _weight_accounting(ing, weights)
     if total != 1:

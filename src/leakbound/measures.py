@@ -88,6 +88,15 @@ def exact_masses(
     return clean
 
 
+def push_forward(mass: Mapping, key: Callable[[Hashable], Hashable]) -> dict:
+    """The law of key(cell): masses of cells sharing a key, added up."""
+    out: dict = {}
+    for cell, q in mass.items():
+        k = key(cell)
+        out[k] = out.get(k, ZERO) + q
+    return out
+
+
 class Pmf:
     """A probability mass function over a finite ordered alphabet.
 

@@ -138,7 +138,8 @@ def parse_network(
         if not isinstance(raw, dict) or "id" not in raw or "alphabet" not in raw:
             raise NetworkFormatError(f"bad node entry {raw!r}")
         alphabet = raw["alphabet"]
-        if isinstance(alphabet, int):
+        # JSON true/false load as bool, a subclass of int: not a size.
+        if isinstance(alphabet, int) and not isinstance(alphabet, bool):
             if alphabet < 1:
                 raise NetworkFormatError(f"node {raw['id']}: empty alphabet")
             alphabet = [str(i) for i in range(alphabet)]

@@ -16,6 +16,19 @@ mixture weights cancel against the component normalizers, so the assembly
 below never divides by c_XY, c_Y - c_XY, or 1 - c_Y, and degenerate
 components simply contribute nothing.
 
+G2 and G3 differ only in the weight they give a Y-tuple t, so they are
+built as one table of weights: the tied tuple (y, ..., y) gets
+P_Ymin(y) - sum_x P_min(x, y) (G2), every untied tuple of H gets its mass
+(G3), and zero weights are dropped. Each entry t of weight w is spread
+over X-tuples as w * prod_i r_i(x_i | t_i), with r_i(. | y) the residual
+of source i above the cellwise floor, conditioned on y. The two parts
+never share a tuple because the pinned diagonal leaves H no mass on tied
+tuples, and neither meets G1: a tied X-tuple under a tied Y-tuple would
+need every source above the floor at one cell, yet some source attains
+it. So the support size is known before anything is built: the nonzero
+cells of P_min plus, per table entry, the product of the residual list
+lengths, read from the same lists that the assembly walks.
+
 The ingredient Y-coupling comes from the closed forms where available
 (m = 2 pair coupling, m = 3 via a duplicated-marginal four-way build,
 m = 4 four-way mixture) and otherwise from the diagonal-floored LP; all
@@ -28,9 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .couplings import (
+    FOUR_WAY_CONDITION,
     Coupling,
     build_n4_coupling,
     diagonal_mass,
@@ -53,6 +69,7 @@ from .measures import (
     Symbol,
     check_alphabet,
     exact_masses,
+    push_forward,
     tau_max,
     tau_max2,
 )
@@ -87,16 +104,10 @@ class JointPmf:
         return self.mass.get(tuple(cell), ZERO)
 
     def y_marginal(self) -> Pmf:
-        out: dict[Symbol, Fraction] = {}
-        for (x, y), q in self.mass.items():
-            out[y] = out.get(y, ZERO) + q
-        return Pmf(self.y_alphabet, out)
+        return Pmf(self.y_alphabet, push_forward(self.mass, itemgetter(1)))
 
     def x_marginal(self) -> Pmf:
-        out: dict[Symbol, Fraction] = {}
-        for (x, y), q in self.mass.items():
-            out[x] = out.get(x, ZERO) + q
-        return Pmf(self.x_alphabet, out)
+        return Pmf(self.x_alphabet, push_forward(self.mass, itemgetter(0)))
 
     def __eq__(self, other):
         if not isinstance(other, JointPmf):
@@ -123,7 +134,7 @@ def coupling_feasibility(y_pmfs: Sequence[Pmf]) -> tuple[bool, str, Fraction]:
         raise LeakboundError("need at least two marginals")
     if m == 4:
         ok, ing = n4_condition(y_pmfs)
-        return ok, "four-way pair-capacity condition", ing.condition_slack()
+        return ok, FOUR_WAY_CONDITION, ing.condition_slack()
     value = tau_max2(DiscreteChannel(y_pmfs))
     # For m = 2 the second maximum is the minimum, so this always passes.
     return value <= 1, "tau_max2 <= 1", value
@@ -141,10 +152,7 @@ def _three_way_by_duplication(y_pmfs: Sequence[Pmf]) -> Coupling:
     """
     p1, p2, p3 = y_pmfs
     four = build_n4_coupling([p1, p2, p3, p3])
-    mass: dict[tuple, Fraction] = {}
-    for (a, b, c, _), q in four.mass.items():
-        key = (a, b, c)
-        mass[key] = mass.get(key, ZERO) + q
+    mass = push_forward(four.mass, itemgetter(0, 1, 2))
     return Coupling(p1.alphabet, 3, mass, [p1, p2, p3])
 
 
@@ -156,12 +164,15 @@ def minimal_y_coupling(
     Dispatch: closed forms for m <= 4 (the m = 3 case reuses the
     four-way construction with a duplicated marginal), diagonal-floored
     LP beyond that. Raises ``PreconditionError`` when no route applies.
+    The condition is checked here only where the route does not decide
+    it: m = 2 always passes, and at m = 4 the four-way build refuses.
     """
     y_pmfs = tuple(y_pmfs)
     m = len(y_pmfs)
-    ok, label, value = coupling_feasibility(y_pmfs)
-    if not ok:
-        raise PreconditionError(label, value)
+    if m not in (2, 4):
+        ok, label, value = coupling_feasibility(y_pmfs)
+        if not ok:
+            raise PreconditionError(label, value)
     if m == 2:
         coupling = maximal_coupling_pair(*y_pmfs)
     elif m == 3:
@@ -203,17 +214,10 @@ class SimulCoupling:
 
     def source_marginal(self, i: int) -> dict[tuple, Fraction]:
         """Projection onto (X_i, Y_i) as a cell -> mass dict."""
-        out: dict[tuple, Fraction] = {}
-        for (xs, ys), q in self.mass.items():
-            cell = (xs[i], ys[i])
-            out[cell] = out.get(cell, ZERO) + q
-        return out
+        return push_forward(self.mass, lambda cell: (cell[0][i], cell[1][i]))
 
     def y_projection(self) -> dict[tuple, Fraction]:
-        out: dict[tuple, Fraction] = {}
-        for (xs, ys), q in self.mass.items():
-            out[ys] = out.get(ys, ZERO) + q
-        return out
+        return push_forward(self.mass, itemgetter(1))
 
     def validate(self) -> None:
         """Exact checks of every structural identity; raises on failure."""
@@ -264,91 +268,46 @@ def build_simultaneous_coupling(
     c_xy = sum(p_min.values(), ZERO)
     c_y = sum(p_ymin.values(), ZERO)
 
-    # Residual of source i above the cellwise floor, conditioned per y.
-    res_num: list[dict[tuple, Fraction]] = []
-    res_den: list[dict[Symbol, Fraction]] = []
-    for i, s in enumerate(sources):
-        num = {}
-        den: dict[Symbol, Fraction] = {y: ZERO for y in y_alphabet}
-        for x in x_alphabet:
-            for y in y_alphabet:
-                d = s[(x, y)] - p_min[(x, y)]
-                if d:
-                    num[(x, y)] = d
-                    den[y] += d
-        res_num.append(num)
-        res_den.append(den)
+    # residual[i][y]: source i above the cellwise floor, conditioned on y,
+    # as (x, weight) pairs in alphabet order.
+    residual = []
+    for s in sources:
+        lists = {}
+        for y in y_alphabet:
+            cells = [(x, d) for x in x_alphabet if (d := s[(x, y)] - p_min[(x, y)])]
+            den = sum((d for _, d in cells), ZERO)
+            lists[y] = [(x, d / den) for x, d in cells]
+        residual.append(lists)
 
-    def residual_support(i: int, y: Symbol) -> list[tuple[Symbol, Fraction]]:
-        den = res_den[i][y]
-        return [
-            (x, res_num[i][(x, y)] / den)
-            for x in x_alphabet
-            if (x, y) in res_num[i]
-        ]
+    # Y-tuple weights of G2 (tied tuples) and G3 (untied tuples of H).
+    weights = {
+        (y,) * m: p_ymin[y] - sum(p_min[(x, y)] for x in x_alphabet)
+        for y in y_alphabet
+    }
+    weights.update(
+        (ys, q) for ys, q in y_coupling.mass.items() if len(set(ys)) > 1
+    )
+    weights = {ys: w for ys, w in weights.items() if w}
+    for ys, w in weights.items():
+        if w < 0:
+            raise ConstructionError(f"negative weight {w} at Y-tuple {ys!r}")
 
-    # Capacity estimate before materializing anything.
-    est = sum(1 for q in p_min.values() if q)
-    for y in y_alphabet:
-        outer = p_ymin[y] - sum(p_min[(x, y)] for x in x_alphabet)
-        if outer:
-            cells = 1
-            for i in range(m):
-                cells *= sum(1 for x in x_alphabet if (x, y) in res_num[i])
-            est += cells
-    for y_tuple, q in y_coupling.mass.items():
-        if all(v == y_tuple[0] for v in y_tuple):
-            q = q - p_ymin[y_tuple[0]]
-        if q:
-            cells = 1
-            for i, y in enumerate(y_tuple):
-                cells *= sum(1 for x in x_alphabet if (x, y) in res_num[i])
-            est += cells
+    # The exact support size, before materializing anything.
+    est = sum(1 for q in p_min.values() if q) + sum(
+        prod(len(residual[i][y]) for i, y in enumerate(ys)) for ys in weights
+    )
     if est > max_states:
         raise CapacityError(est, max_states, "coupling support tuples")
 
-    mass: dict[tuple, Fraction] = {}
-
-    def add(xs: tuple, ys: tuple, q: Fraction):
-        if q < 0:
-            raise ConstructionError(f"negative mass {q} at {(xs, ys)!r}")
-        if q:
-            key = (xs, ys)
-            mass[key] = mass.get(key, ZERO) + q
-
     # G1: fully tied diagonal. Weight c_XY cancels the 1/c_XY normalizer.
-    for (x, y), q in p_min.items():
-        add((x,) * m, (y,) * m, q)
-
-    # G2: Y's tied at y, X's independent residuals; the outer factor
-    # P_Ymin(y) - sum_x P_min(x, y) is zero exactly when some residual
-    # denominator vanishes, so such y are skipped as a whole.
-    for y in y_alphabet:
-        outer = p_ymin[y] - sum(p_min[(x, y)] for x in x_alphabet)
-        if not outer:
-            continue
-        supports = [residual_support(i, y) for i in range(m)]
-        for combo in product(*supports):
-            q = outer
+    mass = {((x,) * m, (y,) * m): q for (x, y), q in p_min.items() if q}
+    # G2 and G3: every X-tuple drawn from the independent residuals.
+    for ys, w in weights.items():
+        for combo in product(*(residual[i][y] for i, y in enumerate(ys))):
+            q = w
             for _, weight in combo:
                 q *= weight
-            add(tuple(x for x, _ in combo), (y,) * m, q)
-
-    # G3: the ingredient coupling minus its diagonal floor, with X's from
-    # the per-coordinate residuals. The pinned diagonal makes H vanish on
-    # tied tuples, so G3 and G2 never overlap.
-    for y_tuple, q in y_coupling.mass.items():
-        h = q
-        if all(v == y_tuple[0] for v in y_tuple):
-            h = q - p_ymin[y_tuple[0]]
-        if not h:
-            continue
-        supports = [residual_support(i, y) for i, y in enumerate(y_tuple)]
-        for combo in product(*supports):
-            w = h
-            for _, weight in combo:
-                w *= weight
-            add(tuple(x for x, _ in combo), y_tuple, w)
+            mass[(tuple(x for x, _ in combo), ys)] = q
 
     built = SimulCoupling(
         sources=sources,

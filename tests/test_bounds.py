@@ -16,6 +16,8 @@ from helpers import (
     rand_net,
     relay_net,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakbound import (
     LeakboundError,
@@ -221,6 +223,39 @@ class TestDominance:
         tmu = tau_max(net.cpt("Y2"))
         tmv = tau_max(composite_channel(net, ["Y1"]))
         assert db == tmu * tmv
+
+
+@st.composite
+def bound_queries(draw):
+    """A source X and 2-4 nodes, each with one or two parents among the
+    earlier nodes and CPT rows of small integer weights (zeros allowed),
+    plus two or more targets, so that the recursion peels."""
+    n = draw(st.integers(3, 5))
+    sizes = [draw(st.integers(2, 3)) for _ in range(n)]
+    nodes = [NodeSpec.make("N0", sizes[0])]
+    for k in range(1, n):
+        parents = sorted(draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=2)))
+        rows = []
+        for _ in range(math.prod(sizes[p] for p in parents)):
+            weights = draw(st.lists(st.integers(0, 3), min_size=sizes[k],
+                                    max_size=sizes[k]).filter(any))
+            rows.append([Q(w, sum(weights)) for w in weights])
+        nodes.append(NodeSpec.make(f"N{k}", sizes[k], [f"N{p}" for p in parents], rows))
+    targets = draw(st.lists(st.sampled_from([f"N{k}" for k in range(1, n)]),
+                            min_size=2, max_size=n - 1, unique=True))
+    return BayesNet(nodes, "N0"), targets
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(bound_queries())
+def test_property_bound_chain(case):
+    # exact <= coupling <= doeblin <= baseline among the bounds that apply
+    net, targets = case
+    report = query_report(net, targets, method="recursive")
+    chain = [report.exact_tau_max, report.coupling_bound_value,
+             report.doeblin_bound_value, report.subadditivity_value]
+    present = [v for v in chain if v is not None]
+    assert present == sorted(present)
 
 
 class TestRecursive:

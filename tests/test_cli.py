@@ -252,6 +252,21 @@ def test_malformed_file_exit_one(capsys, tmp_path, command, doc):
         assert code == 1 and "must be a list" in out
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_alphabet_exit_one(capsys, tmp_path, flag):
+    # JSON booleans load as Python bools, which are ints: true once
+    # passed as an alphabet of size 1.
+    doc = {**NET_HEAD, "nodes": [
+        {"id": "X", "alphabet": flag, "parents": []},
+        {"id": "Y", "alphabet": 2, "parents": ["X"], "cpt": [["1/2", "1/2"]]}]}
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 1 and out == "parse error: node X: bad alphabet\n"
+    code, _, err = run(capsys, "measures", path, "--node", "Y")
+    assert code == 1 and err == "error: node X: bad alphabet\n"
+
+
 @pytest.mark.parametrize("axis", ["x_alphabet", "y_alphabet"])
 def test_repeated_joint_symbol_exit_one(capsys, tmp_path, axis):
     # Each matrix sums to 2. A repeated symbol maps two cells to one key,

@@ -1,10 +1,12 @@
 """Simultaneous couplings: joint preservation and minimal Y-union."""
 
+import json
 import random
 from fractions import Fraction as Q
 
 import pytest
 from helpers import rand_family_tau_max2_gt1, rand_family_tau_max2_le1, rand_partition
+from test_couplings import FAILING_FAMILY
 
 from leakbound import (
     CapacityError,
@@ -21,6 +23,7 @@ from leakbound import (
     tau_max,
     y_union_mass,
 )
+from leakbound.cli import main
 
 
 def rand_joint(rng, x_size, y_size, den=None):
@@ -146,6 +149,32 @@ class TestBuildGeneric:
         assert tau_max(y_channel(sources)) == 2
         assert y_union_mass(coupling) == 2
 
+    def test_m4_refusal_matches_feasibility_report(self, capsys, tmp_path):
+        # The four-way build decides the condition itself; its refusal
+        # must carry the label and slack that coupling_feasibility reports.
+        sources = sources_with_y_family(random.Random(56), FAILING_FAMILY)
+        ok, label, value = coupling_feasibility(FAILING_FAMILY)
+        assert not ok and value == Q(-1, 16)
+        with pytest.raises(PreconditionError) as err:
+            build_simultaneous_coupling(sources)
+        assert (err.value.condition, err.value.value) == (label, value)
+
+        xs, ys = sources[0].x_alphabet, sources[0].y_alphabet
+        doc = {
+            "x_alphabet": list(xs),
+            "y_alphabet": list(ys),
+            "joints": [[[str(s[(x, y)]) for y in ys] for x in xs] for s in sources],
+        }
+        path = tmp_path / "joints.json"
+        path.write_text(json.dumps(doc))
+        code = main(["couple", str(path), "--mode", "simul"])
+        out = capsys.readouterr()
+        assert code == 1
+        assert out.err == (
+            "error: precondition failed: four-way pair-capacity condition"
+            " (got -1/16)\n"
+        )
+
     def test_mixture_constants_ordered(self):
         rng = random.Random(50)
         for _ in range(10):
@@ -238,6 +267,24 @@ def test_m5_lp_fallback_route():
     coupling = build_simultaneous_coupling(sources)
     assert y_union_mass(coupling) == tau_max(y_channel(sources))
     assert coupling.y_projection() == dict(coupling.y_coupling.mass)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_capacity_estimate_is_exact(m):
+    # G1, G2 and G3 never share a key, so the estimate is the support size.
+    rng = random.Random(57 + m)
+    for _ in range(8):
+        x_size = rng.choice((2, 3))
+        if m == 2:
+            sources = [rand_joint(rng, x_size, 3) for _ in range(2)]
+        else:
+            fam = rand_family_tau_max2_le1(rng, m, 3)
+            sources = sources_with_y_family(rng, fam, x_size)
+        size = len(build_simultaneous_coupling(sources).mass)
+        assert len(build_simultaneous_coupling(sources, max_states=size).mass) == size
+        with pytest.raises(CapacityError) as err:
+            build_simultaneous_coupling(sources, max_states=size - 1)
+        assert err.value.requested == size
 
 
 def test_capacity_guard():
