@@ -24,7 +24,7 @@ import sys
 
 from . import bayesnet, bounds, netfile
 from .couplings import (
-    build_n4_coupling,
+    assemble_n4_coupling,
     n4_condition,
     union_mass,
     verify_intersection_property,
@@ -278,7 +278,7 @@ def cmd_couple(args) -> int:
         if not holds:
             print(f"tau_max2 = {format_fraction(ing.tau_max2)}; no construction")
             return EXIT_INVALID
-        coupling = build_n4_coupling(items)
+        coupling = assemble_n4_coupling(ing)
         got = union_mass(coupling)
         print("marginals OK (verified exactly)")
         print(f"union mass = {format_fraction(got)}; tau_max = {format_fraction(target)}"

@@ -25,7 +25,9 @@ slack)``. ``build_n4_coupling`` reaches it through ``n4_mixture_weights``
 and does not check beforehand. ``n4_condition`` evaluates the same slack
 without building, for callers that only ask: the ``couple --mode n4``
 report, and ``simultaneous.coupling_feasibility`` for the V-side
-precondition of the bounds.
+precondition of the bounds. A caller that asked first builds from the
+ingredients it holds with ``assemble_n4_coupling``, so they are computed
+once.
 
 Indices are 0-based throughout: rows are numbered 0..3 and the pair keys
 are frozensets of row indices.
@@ -384,7 +386,11 @@ def build_n4_coupling(pmfs: Sequence[Pmf]) -> Coupling:
     tau_max and has, for every subset I with |I| >= 2 and every symbol y,
     intersection probability P(all-of-I equal y) = min_{i in I} P_i(y).
     """
-    ing = n4_ingredients(pmfs)
+    return assemble_n4_coupling(n4_ingredients(pmfs))
+
+
+def assemble_n4_coupling(ing: N4Ingredients) -> Coupling:
+    """``build_n4_coupling`` from ingredients already computed."""
     weights = n4_mixture_weights(ing)
     total = _weight_accounting(ing, weights)
     if total != 1:

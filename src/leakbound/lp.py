@@ -8,15 +8,28 @@ triggers the event {some Y_i = y} once per distinct y it contains. The
 optimum is always >= tau_max of the marginals and equals it whenever
 tau_max2 <= 1.
 
-The solver is a two-phase revised simplex over exact ``Fraction``
-arithmetic with sparse +-1 columns and an explicitly maintained basis
-inverse. Pricing is Dantzig's rule (most negative reduced cost, lowest
-column id on ties); whenever the objective stalls for longer than the
-constraint count the solver switches permanently to Bland's rule (the
-lowest column id with a negative reduced cost), which guarantees
-termination. Both rules and the ratio test (lowest basis id among
-minimum ratios) are deterministic, so identical inputs always give
-identical optimal values and identical witnesses.
+The solver is a two-phase revised simplex with sparse +-1 columns and an
+explicitly maintained basis inverse, run on integers. The answers are
+still exact rationals: ``Fraction`` costs and right-hand sides come in,
+a ``Fraction`` optimum and ``Fraction`` solution entries go out, and the
+work in between is on integers. The right-hand side is scaled once by
+the LCM of its denominators and the costs by the LCM of theirs. The
+basis inverse is kept as B^-1 = A / D with an integer matrix A and
+D = |det B|, and the basic solution as integer numerators over D. A
+pivot on entry p of the entering column d = A a_j replaces row i by
+(p A_i - d_i A_r) / D, where the division is exact, and D by |p|
+(Edmonds 1967; Bareiss 1968). Ratios are compared by cross-
+multiplication, and reduced costs as integer numerators over the one
+common denominator; positive scaling changes no comparison, so the
+pivots are those of the same simplex on ``Fraction`` entries.
+
+Pricing is Dantzig's rule (most negative reduced cost, lowest column id
+on ties); whenever the objective stalls for longer than the constraint
+count the solver switches permanently to Bland's rule (the lowest column
+id with a negative reduced cost), which guarantees termination. Both
+rules and the ratio test (lowest basis id among minimum ratios) are
+deterministic, so identical inputs always give identical optimal values
+and identical witnesses.
 
 The coupling LP never lists its |Y|^m tuple columns. A tuple's column id
 is the tuple of alphabet positions read as a base-|Y| number, so ids run
@@ -43,7 +56,9 @@ entering tuple is each coordinate's argmax over all of Y (or its best
 deviation), found directly. Ties go to the lowest symbol position per
 coordinate and to the lowest tuple id across subsets, so the entering
 column is the one a scan of all |Y|^m columns would pick: the pivots,
-and hence the witness, are those of the fully listed LP.
+and hence the witness, are those of the fully listed LP. The pricer gets
+the duals as integer numerators over one denominator and compares
+reduced costs as numerators over it.
 
 Bland's rule and the drive-out of zero artificials after phase 1 still
 walk the tuples lazily in id order, then the slacks, and stop at the
@@ -62,6 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterator, Sequence
 
 from .couplings import Coupling
@@ -89,108 +105,128 @@ def solve_sparse(
 
     Without ``pricer`` the columns have ids 0 .. len(columns) - 1 and
     every pivot prices them all. A ``pricer`` adds columns that are never
-    listed. It provides ``width`` (real column ids are 0 .. width - 1),
-    ``ids`` (the ids of the listed columns, in list order),
-    ``price(duals, phase1)`` (the unlisted column of most negative
-    reduced cost, lowest id on ties, as (reduced cost, id, column, cost),
-    or None when none is negative; real columns cost 0 in phase 1) and
-    ``scan()`` (every real column as (id, column, cost), lazily in id
-    order, for Bland's rule and the drive-out).
+    listed, all of integer cost. It provides ``width`` (real column ids
+    are 0 .. width - 1), ``ids`` (the ids of the listed columns, in list
+    order), ``price(y, den, phase1)`` (the unlisted column of most
+    negative reduced cost, lowest id on ties, as (reduced cost times
+    ``den``, id, column, cost), or None when none is negative; the duals
+    are ``y[r] / den`` with integer ``y`` and ``den > 0``, and real
+    columns cost 0 in phase 1) and ``scan()`` (every real column as
+    (id, column, cost), lazily in id order, for Bland's rule and the
+    drive-out).
     """
     m = len(rhs)
     for b in rhs:
         if b < 0:
             raise LeakboundError("solve_sparse expects nonnegative right-hand sides")
-    listed = list(zip(pricer.ids if pricer else range(len(columns)), columns, costs))
+    # Scale rhs and costs to integers once; every pivot is then integer.
+    rhs_den = lcm(1, *(b.denominator for b in rhs))
+    cost_den = lcm(1, *(c.denominator for c in costs))
+
+    def scaled(c) -> int:
+        return c.numerator * (cost_den // c.denominator)
+
+    ids = pricer.ids if pricer else range(len(columns))
+    listed = [(j, col, scaled(c)) for j, col, c in zip(ids, columns, costs)]
     width = pricer.width if pricer else len(listed)
-    scan = pricer.scan if pricer else lambda: iter(listed)
 
-    binv = [[ONE if i == k else ZERO for k in range(m)] for i in range(m)]
+    def scan():
+        if not pricer:
+            return iter(listed)
+        return ((j, col, scaled(cost)) for j, col, cost in pricer.scan())
+
+    # B^-1 = binv / det and x_B = xb / (det * rhs_den), with integer binv
+    # and xb and det = |det B| > 0; basic costs are scaled by cost_den.
+    binv = [[int(i == k) for k in range(m)] for i in range(m)]
+    xb = [b.numerator * (rhs_den // b.denominator) for b in rhs]
+    det = 1
     basis = list(range(width, width + m))  # artificial width + r <-> row r
-    bcost = [ZERO] * m  # phase-2 cost of each basic column
-    xb = [Fraction(b) for b in rhs]
+    bcost = [0] * m
 
-    def dot(col: SparseCol, vec: list[Fraction]) -> Fraction:
-        total = ZERO
+    def dot(col: SparseCol, vec: list[int]) -> int:
+        total = 0
         for r, s in col:
             total = total + vec[r] if s > 0 else total - vec[r]
         return total
 
-    def basic_cost(i: int, phase1: bool) -> Fraction:
+    def basic_costs(phase1: bool) -> list[int]:
         if phase1:
-            return ONE if basis[i] >= width else ZERO
-        return bcost[i]
+            return [int(j >= width) for j in basis]
+        return bcost
 
-    def objective(phase1: bool) -> Fraction:
-        return sum((basic_cost(i, phase1) * xb[i] for i in range(m)), ZERO)
+    def objective(phase1: bool) -> int:
+        """c_B x_B times det * rhs_den (and cost_den in phase 2)."""
+        return sum(c * x for c, x in zip(basic_costs(phase1), xb) if c)
 
     def entering(phase1: bool, bland: bool):
-        y = [ZERO] * m  # duals: basic costs times the basis inverse
-        for i in range(m):
-            cb = basic_cost(i, phase1)
+        # Duals y / den with y = (basic costs) binv.
+        y = [0] * m
+        for cb, row in zip(basic_costs(phase1), binv):
             if cb:
-                for k, v in enumerate(binv[i]):
-                    if v:
-                        y[k] += cb * v
+                y = [a + cb * b for a, b in zip(y, row)]
+        den = det if phase1 else det * cost_den
         if bland:
             for j, col, cost in scan():
-                if (ZERO if phase1 else cost) < dot(col, y):
+                if (0 if phase1 else cost * det) < dot(col, y):
                     return j, col, cost
             return None
         best = None
         for j, col, cost in listed:
-            r = (ZERO if phase1 else cost) - dot(col, y)
+            r = (0 if phase1 else cost * det) - dot(col, y)
             if r < 0 and (best is None or (r, j) < best[:2]):
                 best = (r, j, col, cost)
         if pricer:
-            found = pricer.price(y, phase1)
+            found = pricer.price(y, den, phase1)
             if found and (best is None or found[:2] < best[:2]):
-                best = found
+                best = found[:3] + (scaled(found[3]),)
         return None if best is None else best[1:]
 
-    def pivot(row: int, d: list[Fraction], j: int, cost: Fraction) -> None:
-        inv_piv = 1 / d[row]
-        binv[row] = [v * inv_piv for v in binv[row]]
-        prow = binv[row]
+    def pivot(row: int, d: list[int], j: int, cost: int) -> None:
+        """Edmonds' fraction-free update; the division by det is exact.
+        xb is pivoted as one more column of binv."""
+        nonlocal det
+        p = d[row]
+        sign = 1 if p > 0 else -1
+        prow, xr = binv[row], xb[row]
         for i in range(m):
-            if i != row and d[i]:
+            if i == row:
+                if sign < 0:
+                    binv[i] = [-a for a in prow]
+                    xb[i] = -xr
+            elif d[i] or sign * p != det:  # else row i is unchanged
                 f = d[i]
-                binv[i] = [a - f * b for a, b in zip(binv[i], prow)]
+                binv[i] = [sign * (p * a - f * b) // det for a, b in zip(binv[i], prow)]
+                xb[i] = sign * (p * xb[i] - f * xr) // det
+        det = sign * p
         basis[row] = j
         bcost[row] = cost
 
     def optimize(phase1: bool) -> None:
         bland = False
         stall = 0
-        best = objective(phase1)
+        best, best_det = objective(phase1), det
         while True:
             enter = entering(phase1, bland)
             if enter is None:
                 return
             j, col, cost = enter
             d = [dot(col, row) for row in binv]
-            theta = None
             leave = -1
             for i in range(m):
                 if d[i] > 0:
-                    ratio = xb[i] / d[i]
-                    if (
-                        theta is None
-                        or ratio < theta
-                        or (ratio == theta and basis[i] < basis[leave])
-                    ):
-                        theta = ratio
+                    # xb[i] / d[i] against the smallest ratio so far
+                    if leave < 0:
+                        leave = i
+                        continue
+                    ours, theirs = xb[i] * d[leave], xb[leave] * d[i]
+                    if ours < theirs or (ours == theirs and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
                 raise LeakboundError("unbounded LP; coupling polytopes are bounded")
-            for i in range(m):
-                if i != leave:
-                    xb[i] -= d[i] * theta
-            xb[leave] = theta
             pivot(leave, d, j, cost)
             now = objective(phase1)
-            if now < best:
-                best = now
+            if now * best_det < best * det:
+                best, best_det = now, det
                 stall = 0
             else:
                 stall += 1
@@ -200,7 +236,8 @@ def solve_sparse(
     # Phase 1: artificials cost 1, everything else 0.
     optimize(phase1=True)
     if objective(True) != 0:
-        raise InfeasibleError(f"phase 1 optimum {objective(True)} > 0")
+        raise InfeasibleError(
+            f"phase 1 optimum {Fraction(objective(True), det * rhs_den)} > 0")
 
     # Drive zero-valued artificials out of the basis. When no real column
     # can pivot in, the row is redundant; its artificial stays basic at
@@ -214,9 +251,11 @@ def solve_sparse(
 
     optimize(phase1=False)
 
-    solution = {basis[i]: xb[i] for i in range(m) if basis[i] < width and xb[i]}
-    value = sum((bcost[i] * xb[i] for i in range(m) if basis[i] < width), ZERO)
-    return value, solution
+    scale = det * rhs_den
+    solution = {basis[i]: Fraction(xb[i], scale)
+                for i in range(m) if basis[i] < width and xb[i]}
+    value = sum(bcost[i] * xb[i] for i in range(m) if basis[i] < width)
+    return Fraction(value, scale * cost_den), solution
 
 
 class _TupleColumns:
@@ -236,11 +275,11 @@ class _TupleColumns:
         step = sum(self.weights)  # id of (1, ..., 1)
         self.ids = [k * step for k in range(size)]
         self.columns = [self.column((k,) * m) for k in range(size)]
-        self.costs = [ONE] * size
+        self.costs = [1] * size
         if floor is not None:
             self.ids += [self.n_tuples + k for k in range(size)]
             self.columns += [self.slack(k) for k in range(size)]
-            self.costs += [ZERO] * size
+            self.costs += [0] * size
 
     def row(self, i: int, k: int) -> int:
         return 1 + i * (self.size - 1) + k
@@ -260,22 +299,24 @@ class _TupleColumns:
     def decode(self, j: int) -> tuple[int, ...]:
         return tuple(j // w % self.size for w in self.weights)
 
-    def scan(self) -> Iterator[tuple[int, SparseCol, Fraction]]:
+    def scan(self) -> Iterator[tuple[int, SparseCol, int]]:
         """Every real column in id order: the tuples lexicographically,
         then the slacks. Lazy: a caller that stops at its first hit
         builds only the columns before it."""
         for j, t in enumerate(product(range(self.size), repeat=self.m)):
-            yield j, self.column(t), Fraction(len(set(t)))
+            yield j, self.column(t), len(set(t))
         if self.floor is not None:
             for k in range(self.size):
-                yield self.n_tuples + k, self.slack(k), ZERO
+                yield self.n_tuples + k, self.slack(k), 0
 
-    def price(self, y: list[Fraction], phase1: bool):
+    def price(self, y: list[int], den: int, phase1: bool):
+        """Reduced costs are compared as numerators over ``den``: the
+        duals are ``y[r] / den``."""
         m, size = self.m, self.size
         # gain[i][k]: dual of "coordinate i takes symbol k"
-        gain = [[y[self.row(i, k)] for k in range(size - 1)] + [ZERO] for i in range(m)]
+        gain = [[y[self.row(i, k)] for k in range(size - 1)] + [0] for i in range(m)]
         # reduced cost of a tuple with c distinct symbols = limit[c] - gain
-        limit = [(0 if phase1 else c) - y[0] for c in range(m + 1)]
+        limit = [(0 if phase1 else c * den) - y[0] for c in range(m + 1)]
         best = None
 
         def consider(t: list[int], mask: int) -> None:
@@ -318,9 +359,9 @@ class _TupleColumns:
         if best is None:
             return None
         r, j, t, cost = best
-        return r, j, self.column(t), Fraction(cost)
+        return r, j, self.column(t), cost
 
-    def _deviate(self, s: int, mask: int, gain, total: Fraction):
+    def _deviate(self, s: int, mask: int, gain, total: int):
         """Best non-constant tuple inside ``mask`` when (s, ..., s) is the
         argmax: move one coordinate to another symbol of the mask, losing
         the least gain, lowest tuple id on ties."""

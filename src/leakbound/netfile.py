@@ -13,7 +13,8 @@ A network file looks like:
     }
 
 Probabilities are exact strings: "num/den" or decimal literals ("0.25"
-parses to exactly 1/4). An integer alphabet n expands to "0".."n-1".
+parses to exactly 1/4). An integer alphabet n expands to "0".."n-1";
+the symbols of a listed alphabet are JSON strings or integers.
 ``write_network`` emits a canonical form (alphabets as explicit string
 lists, probabilities via Fraction's shortest representation), and
 parse-then-write is a fixed point on canonical files.
@@ -106,6 +107,15 @@ def _as_list(value, what: str) -> list:
     return value
 
 
+def _symbols(value, what: str) -> list[str]:
+    """An alphabet's symbols, which JSON gives as strings or integers;
+    booleans, null, floats, lists and objects are refused."""
+    for symbol in _as_list(value, what):
+        if isinstance(symbol, bool) or not isinstance(symbol, (str, int)):
+            raise NetworkFormatError(f"{what}: symbol {symbol!r} is not a string or integer")
+    return [str(symbol) for symbol in value]
+
+
 def _parse_entry(value, bindings: Mapping[str, Fraction] | None) -> Fraction:
     if bindings is not None and isinstance(value, str):
         try:
@@ -144,7 +154,7 @@ def parse_network(
                 raise NetworkFormatError(f"node {raw['id']}: empty alphabet")
             alphabet = [str(i) for i in range(alphabet)]
         elif isinstance(alphabet, list):
-            alphabet = [str(a) for a in alphabet]
+            alphabet = _symbols(alphabet, f"node {raw['id']}: alphabet")
         else:
             raise NetworkFormatError(f"node {raw['id']}: bad alphabet")
         where = f"node {raw['id']}:"
@@ -198,7 +208,7 @@ def parse_pmf_file(text: str):
     if "pmfs" in doc:
         if "alphabet" not in doc:
             raise NetworkFormatError('missing "alphabet"')
-        alphabet = [str(a) for a in _as_list(doc["alphabet"], '"alphabet"')]
+        alphabet = _symbols(doc["alphabet"], '"alphabet"')
         out = []
         for row in _as_list(doc["pmfs"], '"pmfs"'):
             values = [parse_probability(v) for v in _as_list(row, "pmf")]
@@ -212,8 +222,8 @@ def parse_pmf_file(text: str):
         for key in ("x_alphabet", "y_alphabet"):
             if key not in doc:
                 raise NetworkFormatError(f'missing "{key}"')
-        xs = [str(a) for a in _as_list(doc["x_alphabet"], '"x_alphabet"')]
-        ys = [str(a) for a in _as_list(doc["y_alphabet"], '"y_alphabet"')]
+        xs = _symbols(doc["x_alphabet"], '"x_alphabet"')
+        ys = _symbols(doc["y_alphabet"], '"y_alphabet"')
         out = []
         for matrix in _as_list(doc["joints"], '"joints"'):
             if len(_as_list(matrix, "joint matrix")) != len(xs):

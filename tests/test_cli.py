@@ -141,6 +141,35 @@ class TestCouple:
         assert "intersection property: OK" in out
         assert "0,0,2,2 : 1/4" in out
 
+    def test_n4_mode_computes_ingredients_once(self, capsys, monkeypatch):
+        # The slack line and the build share one ingredient computation;
+        # the report is the one the double computation printed.
+        from leakbound import couplings
+
+        calls = []
+        original = couplings.n4_ingredients
+
+        def counting(pmfs):
+            calls.append(1)
+            return original(pmfs)
+
+        monkeypatch.setattr(couplings, "n4_ingredients", counting)
+        code, out, _ = run(
+            capsys, "couple", FIXTURES / "pmfs_n4.json", "--mode", "n4", "--dump"
+        )
+        assert code == 0 and len(calls) == 1
+        assert out == (
+            "condition slack = 0/1 [holds]\n"
+            "marginals OK (verified exactly)\n"
+            "union mass = 2/1; tau_max = 2/1 [OK]\n"
+            "intersection property: OK\n"
+            "support size = 4\n"
+            "0,0,2,2 : 1/4\n"
+            "0,0,3,3 : 1/4\n"
+            "1,1,2,2 : 1/4\n"
+            "1,1,3,3 : 1/4\n"
+        )
+
     def test_lp_mode_strict_gap(self, capsys):
         code, out, _ = run(
             capsys, "couple", FIXTURES / "pmfs_cycle3.json", "--mode", "lp"

@@ -1,8 +1,13 @@
 """The exact LP oracle: solver unit tests and coupling-polytope facts."""
 
+import fractions
+import json
+import math
 import random
+import sys
 from fractions import Fraction as Q
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +70,157 @@ class TestSimplex:
             [[(0, 1), (1, 1)], [(0, 1), (1, 1)]], [Q(2), Q(1)], [Q(1), Q(1)]
         )
         assert value == 1 and x == {1: Q(1)}
+
+
+def row_reduce(rows):
+    """Pivot columns and reduced row echelon form of Fraction rows."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots, rows
+
+
+def vertex_enumeration_lp(columns, costs, rhs):
+    """min costs . x over {A x = rhs, x >= 0} by enumerating every basis:
+    the minimum over the feasible basic solutions, or None when there is
+    none. Pivot-free, so it does not share a line with solve_sparse.
+    Needs a bounded polytope (the systems below have a total-mass row)."""
+    dense = [[Q(0)] * len(columns) for _ in rhs]
+    for j, col in enumerate(columns):
+        for r, s in col:
+            dense[r][j] = Q(s)
+    k = len(row_reduce(dense)[0])
+    best = None
+    for subset in combinations(range(len(columns)), k):
+        pivots, reduced = row_reduce([[row[j] for j in subset] + [b]
+                                      for row, b in zip(dense, rhs)])
+        if pivots != list(range(k)):
+            continue  # a singular basis, or rhs outside its span
+        x = [reduced[i][k] for i in range(k)]
+        if min(x) >= 0:
+            value = sum((costs[j] * v for j, v in zip(subset, x)), Q(0))
+            best = value if best is None else min(best, value)
+    return best
+
+
+@st.composite
+def bounded_pm1_systems(draw):
+    """At most 4 rows and 8 columns of entries in {-1, 0, +1}; row 0 is
+    all ones (total mass), so the feasible region is bounded."""
+    n_rows = draw(st.integers(1, 4))
+    n_cols = draw(st.integers(1, 8))
+    columns = [
+        [(0, 1)] + [(r, s) for r in range(1, n_rows)
+                    for s in [draw(st.sampled_from([-1, 0, 1]))] if s]
+        for _ in range(n_cols)
+    ]
+    frac = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    costs = draw(st.lists(frac, min_size=n_cols, max_size=n_cols))
+    rhs = draw(st.lists(st.fractions(min_value=0, max_value=2, max_denominator=6),
+                        min_size=n_rows, max_size=n_rows))
+    return columns, costs, rhs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bounded_pm1_systems())
+def test_solver_matches_vertex_enumeration(system):
+    columns, costs, rhs = system
+    want = vertex_enumeration_lp(columns, costs, rhs)
+    if want is None:
+        with pytest.raises(InfeasibleError):
+            solve_sparse(columns, costs, rhs)
+        return
+    value, x = solve_sparse(columns, costs, rhs)
+    assert value == want
+    assert sum((costs[j] * v for j, v in x.items()), Q(0)) == value
+    for r, b in enumerate(rhs):
+        assert sum((s * x.get(j, 0) for j, col in enumerate(columns)
+                    for row, s in col if row == r), Q(0)) == b
+
+
+
+class SplitPricer:
+    """The pricer protocol in miniature: the even ids are listed, the odd
+    ids (of integer cost) are priced by a scan over integer duals."""
+
+    def __init__(self, columns, costs):
+        self.all = list(zip(range(len(columns)), columns, costs))
+        self.width = len(columns)
+        self.ids = list(range(0, self.width, 2))
+
+    def price(self, y, den, phase1):
+        best = None
+        for j, col, cost in self.all[1::2]:
+            r = (0 if phase1 else cost * den) - sum(s * y[row] for row, s in col)
+            if r < 0 and (best is None or (r, j) < best[:2]):
+                best = (r, j, col, cost)
+        return best
+
+    def scan(self):
+        return iter(self.all)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(bounded_pm1_systems())
+def test_pricer_gives_the_pivots_of_the_listed_lp(system):
+    # Listed costs with denominators scale the duals handed to the
+    # pricer; a wrong scale picks other entering columns.
+    columns, costs, rhs = system
+    costs = [c if j % 2 == 0 else Q(round(c)) for j, c in enumerate(costs)]
+    pricer = SplitPricer(columns, costs)
+    try:
+        want = solve_sparse(columns, costs, rhs)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            solve_sparse(columns[::2], costs[::2], rhs, pricer)
+        return
+    assert solve_sparse(columns[::2], costs[::2], rhs, pricer) == want
+
+
+
+LOOP_FUNCTIONS = {"optimize", "entering", "pivot", "objective", "dot",
+                  "basic_costs", "price", "consider", "_deviate"}
+
+
+@pytest.mark.parametrize("listed", [False, True])
+def test_pivot_loop_does_no_fraction_arithmetic(listed):
+    # Fractions are read when the input is scaled and built for the
+    # output; no call into the fractions module comes from the pivots,
+    # pricing, ratio test or objective.
+    fam = rand_family(random.Random(20), 2, 20)
+    from_loop = []
+
+    def profile(frame, event, arg):
+        if event != "call" or frame.f_code.co_filename != fractions.__file__:
+            return
+        caller = frame.f_back
+        while caller and caller.f_code.co_filename == fractions.__file__:
+            caller = caller.f_back
+        while caller and caller.f_code.co_filename != lp.__file__:
+            caller = caller.f_back
+        if caller and caller.f_code.co_name in LOOP_FUNCTIONS:
+            from_loop.append((caller.f_code.co_name, frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        if listed:
+            solve_sparse(*full_coupling_lp(fam, floor=True))
+        else:
+            min_union_coupling_diag(fam)
+    finally:
+        sys.setprofile(None)
+    assert from_loop == []
 
 
 class TestMinUnionCoupling:
@@ -266,10 +422,13 @@ def subset_price(space, y, phase1):
         r = (Q(0) if phase1 else cost) - sum(s * y[row] for row, s in col)
         if r < 0 and (best is None or (r, j) < best):
             best = (r, j)
-    found = space.price(y, phase1)
+    # The pricer takes the duals as integer numerators over one den.
+    den = math.lcm(1, *(v.denominator for v in y))
+    found = space.price([int(v * den) for v in y], den, phase1)
     if found is not None:
         r, j, col, cost = found
         t = space.decode(j)
+        r = Q(r, den)
         assert col == space.column(t) and cost == len(set(t))
         assert r == (Q(0) if phase1 else cost) - sum(s * y[row] for row, s in col)
         if best is None or (r, j) < best:
@@ -441,3 +600,33 @@ def test_bland_switch_runs_and_matches_reference(monkeypatch, seed, m, size):
     value, mass = reference_lp(fam, floor=False)
     assert result.optimal_value == value
     assert dict(result.witness.mass) == mass
+
+
+GOLDEN = Path(__file__).parent / "fixtures" / "lp_golden.json"
+
+
+@pytest.mark.parametrize("form", ["plain", "diag"])
+def test_frozen_answers_of_the_fraction_solver(form):
+    """Optimal values and witnesses recorded from the solver that pivoted
+    on Fractions (commit fe06a6a), before it was replaced by the integer
+    one: the differential families, two families per lp-benchmark shape
+    (m 4-5, |Y| 3-4) and rand_family(Random(20), 2, 20). The integer
+    pivots must be the same pivots, so every entry repeats exactly; None
+    records an InfeasibleError."""
+    solver = min_union_coupling_diag if form == "diag" else min_union_coupling
+    cases = json.loads(GOLDEN.read_text())
+    families = differential_families()
+    for case in cases:
+        fam = [Pmf.from_values([Q(v) for v in row], case["alphabet"]) for row in case["rows"]]
+        if case["name"].startswith("differential/"):
+            assert fam == families[int(case["name"].split("/")[1])], case["name"]
+        want = case[form]
+        if want is None:
+            with pytest.raises(InfeasibleError):
+                solver(fam)
+            continue
+        result = solver(fam)
+        assert str(result.optimal_value) == want["value"], case["name"]
+        got = [[list(t), str(q)] for t, q in sorted(result.witness.mass.items())]
+        assert got == want["mass"], case["name"]
+    assert sum(c["name"].startswith("differential/") for c in cases) == len(families)

@@ -80,6 +80,24 @@ class TestNetworkRoundTrip:
         )
         assert net.by_id["X"].alphabet == ("0", "1", "2")
 
+    @pytest.mark.parametrize("symbols", ["[true, false]", "[null, 1]", "[0.5, 1]", "[[0], 1]"])
+    def test_non_symbol_alphabet_entries_rejected(self, symbols):
+        # JSON strings and integers name symbols; str() of anything else
+        # ("True", "None") would pass for one.
+        with pytest.raises(NetworkFormatError, match="not a string or integer"):
+            parse_network(
+                '{"source": "X", "nodes": [{"id": "X", "alphabet": %s, "parents": []}]}'
+                % symbols
+            )
+        with pytest.raises(NetworkFormatError, match="not a string or integer"):
+            parse_pmf_file('{"alphabet": %s, "pmfs": [["1/2", "1/2"]]}' % symbols)
+
+    def test_mixed_string_and_integer_symbols_accepted(self):
+        net = parse_network(
+            '{"source": "X", "nodes": [{"id": "X", "alphabet": ["a", 1], "parents": []}]}'
+        )
+        assert net.by_id["X"].alphabet == ("a", "1")
+
     def test_bad_rowsum_parses_but_fails_validation(self):
         net = parse_network((FIXTURES / "bad_rowsum.json").read_text())
         assert any("9/10" in p for p in validate(net))
