@@ -62,12 +62,15 @@ from .measures import (
     total_variation,
 )
 from .simultaneous import (
+    Feasibility,
     JointPmf,
     SimulCoupling,
     build_simultaneous_coupling,
     coupling_feasibility,
+    coupling_penalty,
     f_quantity,
     minimal_y_coupling,
+    three_way_coupling,
     y_union_mass,
 )
 

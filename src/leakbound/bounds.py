@@ -9,8 +9,10 @@ into V), the composite leakage exponent obeys
 with two interchangeable penalties:
 
 * ``coupling_bound`` uses f = sum_v P(pa(U)-copies all equal, some
-  V-copy = v) computed under an explicitly built simultaneous coupling of
-  the per-source-value joints P_{V,pa(U)|X=i}; this is the tighter form.
+  V-copy = v) under the simultaneous coupling of the per-source-value
+  joints P_{V,pa(U)|X=i}; this is the tighter form. f is read off the
+  table of Y-tuple weights the coupling would be assembled from
+  (``simultaneous.coupling_penalty``), so the coupling is never built.
 * ``doeblin_bound`` replaces f by the Doeblin coefficient of the exact
   composite channel P_{V+pa(U)|X}, which lower-bounds every f, so its
   bound is never tighter than the coupling one.
@@ -48,10 +50,10 @@ from .measures import (
     tau_max2,
 )
 from .simultaneous import (
+    Feasibility,
     JointPmf,
-    build_simultaneous_coupling,
     coupling_feasibility,
-    f_quantity,
+    coupling_penalty,
 )
 
 
@@ -127,9 +129,11 @@ def _sources_for_coupling(
 
 def _checked_peel(
     net: BayesNet, v_set: Sequence[str], u: str, max_states: int
-) -> tuple[Fraction, DiscreteChannel, DiscreteChannel, tuple]:
-    """(tau_max_u, P_{V|X}, P_{V+pa(U)|X}, precondition records) for
-    peeling u off V; raises PreconditionError when a hypothesis fails."""
+) -> tuple[Fraction, DiscreteChannel, DiscreteChannel, tuple, Feasibility]:
+    """(tau_max_u, P_{V|X}, P_{V+pa(U)|X}, precondition records, V-side
+    verdict) for peeling u off V; raises PreconditionError when a
+    hypothesis fails. The verdict goes on to the coupling penalty, which
+    then decides nothing twice."""
     v_set = list(v_set)
     if not v_set:
         raise LeakboundError("V must be non-empty")
@@ -144,14 +148,18 @@ def _checked_peel(
         u_value is None or u_value <= 1,
     )
     v_channel = composite_channel(net, v_set, max_states=max_states)
-    ok_v, label, v_value = coupling_feasibility(list(v_channel.rows))
-    rec_v = (f"{label} for P_{{{'+'.join(sorted(v_set))}|X}}", str(v_value), ok_v)
+    verdict = coupling_feasibility(list(v_channel.rows))
+    rec_v = (
+        f"{verdict.label} for P_{{{'+'.join(sorted(v_set))}|X}}",
+        str(verdict.value),
+        verdict.ok,
+    )
     for name, value, ok in (rec_u, rec_v):
         if not ok:
             raise PreconditionError(name, Fraction(value))
     w_nodes = list(dict.fromkeys(v_set + list(net.by_id[u].parents)))
     w_channel = composite_channel(net, w_nodes, max_states=max_states)
-    return tmu, v_channel, w_channel, (rec_u, rec_v)
+    return tmu, v_channel, w_channel, (rec_u, rec_v), verdict
 
 
 def _penalty(
@@ -160,15 +168,16 @@ def _penalty(
     v_set: Sequence[str],
     u: str,
     w_channel: DiscreteChannel,
+    verdict: Feasibility,
     max_states: int,
 ) -> Fraction:
     """The Doeblin coefficient of P_{V+pa(U)|X}, or f under the
-    simultaneous coupling of its rows."""
+    simultaneous coupling of its rows, given the V-side verdict."""
     if method == "doeblin":
         return doeblin(w_channel)
     if method == "coupling":
         sources = _sources_for_coupling(net, v_set, u, w_channel)
-        return f_quantity(build_simultaneous_coupling(sources, max_states=max_states))
+        return coupling_penalty(sources, max_states, verdict)
     raise LeakboundError(f"unknown method {method!r}")
 
 
@@ -180,8 +189,10 @@ def _single_step(
     max_states: int,
 ) -> tuple[Fraction, Fraction, PeelStep]:
     """(bound, penalty-free product, step record) for peeling u off V."""
-    tmu, v_channel, w_channel, checks = _checked_peel(net, v_set, u, max_states)
-    penalty = _penalty(method, net, v_set, u, w_channel, max_states)
+    tmu, v_channel, w_channel, checks, verdict = _checked_peel(
+        net, v_set, u, max_states
+    )
+    penalty = _penalty(method, net, v_set, u, w_channel, verdict, max_states)
     tmv = tau_max(v_channel)
     step = PeelStep(u, tuple(v_set), (), tmu, penalty, checks)
     return tmu * tmv - (tmu - 1) * penalty, tmu * tmv, step
@@ -222,13 +233,13 @@ def _peel_plan(net: BayesNet, targets: Sequence[str]) -> list[str]:
 
 def _walk(
     net: BayesNet, targets: Sequence[str], method: str, max_states: int
-) -> tuple[list[PeelStep], list[DiscreteChannel], list[str]]:
+) -> tuple[list[PeelStep], list[tuple[DiscreteChannel, Feasibility]], list[str]]:
     """Walk the peel plan of ``recursive_bound`` once.
 
-    Returns the steps, the channel P_{V+pa(U)|X} of each step, and the
-    final singleton. Each step carries the method's penalty. For
-    ``baseline`` the hypotheses are skipped, the penalty is zero, and no
-    channel is computed. A precondition failure raises with the steps
+    Returns the steps, the channel P_{V+pa(U)|X} and the V-side verdict
+    of each step, and the final singleton. Each step carries the
+    method's penalty. For ``baseline`` the hypotheses are skipped, the
+    penalty is zero, and no channel is computed. A precondition failure raises with the steps
     before it in the error's ``trace`` attribute.
     """
     targets = list(dict.fromkeys(targets))
@@ -243,7 +254,7 @@ def _walk(
         raise LeakboundError(f"unknown method {method!r}")
 
     steps: list[PeelStep] = []
-    w_channels: list[DiscreteChannel] = []
+    peeled: list[tuple[DiscreteChannel, Feasibility]] = []
     current = _peel_plan(net, targets)
     while len(current) > 1:
         u = current[-1]
@@ -258,16 +269,18 @@ def _walk(
             step = PeelStep(u, tuple(v_set), adjoin, tau_max(net.cpt(u)), ZERO, ())
         else:
             try:
-                tmu, _, w_channel, checks = _checked_peel(net, v_set, u, max_states)
+                tmu, _, w_channel, checks, verdict = _checked_peel(
+                    net, v_set, u, max_states
+                )
             except PreconditionError as err:
                 err.trace = tuple(steps)
                 raise
-            penalty = _penalty(method, net, v_set, u, w_channel, max_states)
+            penalty = _penalty(method, net, v_set, u, w_channel, verdict, max_states)
             step = PeelStep(u, tuple(v_set), adjoin, tmu, penalty, checks)
-            w_channels.append(w_channel)
+            peeled.append((w_channel, verdict))
         steps.append(step)
         current = v_set
-    return steps, w_channels, current
+    return steps, peeled, current
 
 
 def _compose(last: Fraction, factors) -> Fraction:
@@ -328,8 +341,10 @@ def query_report(
     penalty, and takes the coupling penalties from the same channels
     afterwards; its values equal those of ``recursive_bound`` for both
     methods and of ``subadditivity_baseline``. The coupling penalty has
-    the same hypotheses as the V-side precondition, so it cannot fail once
-    the walk has passed.
+    the same hypotheses as the V-side precondition, whose verdict each
+    step hands on, and it builds no coupling support. So once the walk
+    has passed, it can fail only on the LP's variable limit, which
+    applies when the source has five or more values.
     """
     exact = exact_tau_max(net, targets, max_states=max_states)
     log: list[tuple[str, str, bool]] = []
@@ -350,11 +365,11 @@ def query_report(
 
     try:
         if method == "recursive":
-            steps, w_channels, last = _walk(net, targets, "doeblin", max_states)
+            steps, peeled, last = _walk(net, targets, "doeblin", max_states)
             exact_last = exact_tau_max(net, last, max_states=max_states)
             coupling_penalties = [
-                _penalty("coupling", net, s.v_set, s.u, w, max_states)
-                for s, w in zip(steps, w_channels)
+                _penalty("coupling", net, s.v_set, s.u, w, verdict, max_states)
+                for s, (w, verdict) in zip(steps, peeled)
             ]
             doeblin_value = _compose(
                 exact_last, [(s.tau_max_u, s.penalty) for s in steps]

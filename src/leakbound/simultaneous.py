@@ -29,11 +29,27 @@ it. So the support size is known before anything is built: the nonzero
 cells of P_min plus, per table entry, the product of the residual list
 lengths, read from the same lists that the assembly walks.
 
+The same table gives the bounds' penalty f = sum_y P(X_1 = ... = X_m,
+some Y_i = y) without the product supports: G1 adds c_XY, and entry t
+adds w(t) |set(t)| T(t) with T(t) = sum_x prod_i r_i(x | t_i), the mass
+its residuals put on tied X-tuples. ``coupling_penalty`` computes that
+and checks the table in closed form: source i is preserved iff the
+weights of the tuples with t_i = y add up to the residual total
+P_i(y) - sum_x P_min(x, y), at every y. ``build_simultaneous_coupling``
+assembles and validates the coupling itself, for ``couple --mode simul``
+and as the reference the penalty is tested against.
+
 The ingredient Y-coupling comes from the closed forms where available
-(m = 2 pair coupling, m = 3 via a duplicated-marginal four-way build,
-m = 4 four-way mixture) and otherwise from the diagonal-floored LP; all
-routes pin the diagonal to min_i P_{Y_i}(y), which is what keeps H
-nonnegative.
+(m = 2 pair coupling; m = 3 ``three_way_coupling``, the four-way mixture
+of (P_1, P_2, P_3, P_3) with the duplicate projected out, written
+directly; m = 4 four-way mixture) and otherwise from the
+diagonal-floored LP. All routes pin the diagonal to min_i P_{Y_i}(y),
+which is what keeps H nonnegative. The closed forms decide their own
+existence condition, and every route is checked to attain union mass
+tau_max with that diagonal. A caller that has already decided
+``coupling_feasibility`` passes the verdict, so the LP route does not
+check the condition again and the four-way route builds from the
+verdict's ingredients.
 """
 
 from __future__ import annotations
@@ -43,11 +59,13 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .couplings import (
     FOUR_WAY_CONDITION,
     Coupling,
+    N4Ingredients,
+    assemble_n4_coupling,
     build_n4_coupling,
     diagonal_mass,
     maximal_coupling_pair,
@@ -122,61 +140,129 @@ class JointPmf:
         return f"JointPmf(|X|={len(self.x_alphabet)}, |Y|={len(self.y_alphabet)})"
 
 
-def coupling_feasibility(y_pmfs: Sequence[Pmf]) -> tuple[bool, str, Fraction]:
-    """Whether a minimal coupling of these marginals is available.
+# The label of every refusal by tau_max2 <= 1.
+TAU_MAX2_CONDITION = "tau_max2 <= 1"
 
-    Returns (ok, condition label, exact value). For m != 4 the condition
-    is tau_max2 <= 1; for m = 4 the relaxed pair-normalizer condition is
-    used, which subsumes tau_max2 <= 1.
+
+class Feasibility(NamedTuple):
+    """Whether a minimal coupling of some marginals is available.
+
+    ``ok``, the condition's label and its exact value; at m = 4 also the
+    four-way ingredients the verdict was read from, so a build that
+    follows it need not compute them again.
+    """
+
+    ok: bool
+    label: str
+    value: Fraction
+    ingredients: N4Ingredients | None = None
+
+
+def coupling_feasibility(y_pmfs: Sequence[Pmf]) -> Feasibility:
+    """Decide the existence condition of a minimal coupling, exactly.
+
+    For m != 4 the condition is tau_max2 <= 1; for m = 4 the relaxed
+    pair-normalizer condition is used, which subsumes tau_max2 <= 1.
     """
     m = len(y_pmfs)
     if m < 2:
         raise LeakboundError("need at least two marginals")
     if m == 4:
         ok, ing = n4_condition(y_pmfs)
-        return ok, FOUR_WAY_CONDITION, ing.condition_slack()
+        return Feasibility(ok, FOUR_WAY_CONDITION, ing.condition_slack(), ing)
     value = tau_max2(DiscreteChannel(y_pmfs))
     # For m = 2 the second maximum is the minimum, so this always passes.
-    return value <= 1, "tau_max2 <= 1", value
+    return Feasibility(value <= 1, TAU_MAX2_CONDITION, value)
 
 
-def _three_way_by_duplication(y_pmfs: Sequence[Pmf]) -> Coupling:
-    """Minimal three-way coupling from the four-way construction.
+def three_way_coupling(p1: Pmf, p2: Pmf, p3: Pmf) -> Coupling:
+    """Minimal three-way coupling with a pinned diagonal, in closed form.
 
-    Duplicating the last marginal turns the trio into a four-family whose
-    existence condition is algebraically equivalent to tau_max2 of the
-    trio being at most 1 (the duplicated pair leaves a single active
-    pairing whose capacity is exactly the required budget). Projecting
-    the duplicate coordinate back out preserves the union mass, the
-    marginals, and the pinned diagonal.
+    It is the four-way mixture (``build_n4_coupling``) of (p1, p2, p3,
+    p3) with the duplicate coordinate projected out; only five of its
+    components survive. With
+    a, b, c the three masses at a symbol, r0 = (a - max(b, c))+ and
+    r1 = (b - max(a, c))+ the residuals of p1 and p2 (totals R0, R1), and
+    T01 = (min(a, b) - c)+, T23 = (c - max(a, b))+ (totals N01, N23):
+
+        (y, y, y)     min(a, b, c)
+        (y', y, y)    (min(b, c) - min(a, b, c))(y) * r0(y') / R0
+        (y, y', y)    (min(a, c) - min(a, b, c))(y) * r1(y') / R1
+        (y', y'', y)  (N23 - N01) / (R0 R1 N23) * T23(y) r0(y') r1(y'')
+        (y, y, y2)    T01(y) T23(y2) / N23
+
+    N23 - N01 = 1 - tau_max2, so the mixture exists iff tau_max2 <= 1;
+    otherwise ``PreconditionError(TAU_MAX2_CONDITION, tau_max2)``.
     """
-    p1, p2, p3 = y_pmfs
-    four = build_n4_coupling([p1, p2, p3, p3])
-    mass = push_forward(four.mass, itemgetter(0, 1, 2))
-    return Coupling(p1.alphabet, 3, mass, [p1, p2, p3])
+    alphabet = p1.alphabet
+    if p2.alphabet != alphabet or p3.alphabet != alphabet:
+        raise LeakboundError("the three-way coupling needs a shared alphabet")
+    t01, t23, r0, r1 = {}, {}, {}, {}
+    for y in alphabet:
+        a, b, c = p1[y], p2[y], p3[y]
+        for part, value in (
+            (t01, min(a, b) - c),
+            (t23, c - max(a, b)),
+            (r0, a - max(b, c)),
+            (r1, b - max(a, c)),
+        ):
+            if value > 0:
+                part[y] = value
+    n01, n23 = sum(t01.values(), ZERO), sum(t23.values(), ZERO)
+    if n23 < n01:
+        raise PreconditionError(TAU_MAX2_CONDITION, 1 + n01 - n23)
+    norm0, norm1 = sum(r0.values(), ZERO), sum(r1.values(), ZERO)
+
+    mass: dict[tuple, Fraction] = {}
+    for y in alphabet:
+        a, b, c = p1[y], p2[y], p3[y]
+        floor = min(a, b, c)
+        if floor:
+            mass[(y, y, y)] = floor
+        if tied := min(b, c) - floor:
+            for y0, q in r0.items():
+                mass[(y0, y, y)] = tied * q / norm0
+        if tied := min(a, c) - floor:
+            for y1, q in r1.items():
+                mass[(y, y1, y)] = tied * q / norm1
+    if n23 != n01:
+        scale = (n23 - n01) / (norm0 * norm1 * n23)
+        for y, t in t23.items():
+            for y0, q0 in r0.items():
+                for y1, q1 in r1.items():
+                    mass[(y0, y1, y)] = scale * t * q0 * q1
+    for y, t in t01.items():
+        for y2, t2 in t23.items():
+            mass[(y, y, y2)] = t * t2 / n23
+    return Coupling(alphabet, 3, mass, [p1, p2, p3])
 
 
 def minimal_y_coupling(
-    y_pmfs: Sequence[Pmf], max_variables: int = DEFAULT_MAX_STATES
+    y_pmfs: Sequence[Pmf],
+    max_variables: int = DEFAULT_MAX_STATES,
+    verdict: Feasibility | None = None,
 ) -> Coupling:
     """A coupling attaining union mass tau_max with a pinned diagonal.
 
-    Dispatch: closed forms for m <= 4 (the m = 3 case reuses the
-    four-way construction with a duplicated marginal), diagonal-floored
-    LP beyond that. Raises ``PreconditionError`` when no route applies.
-    The condition is checked here only where the route does not decide
-    it: m = 2 always passes, and at m = 4 the four-way build refuses.
+    Dispatch: closed forms for m <= 4, diagonal-floored LP beyond that.
+    Raises ``PreconditionError`` when no route applies. The closed forms
+    decide their own existence condition; only the LP route checks it
+    first, unless ``verdict``, the ``coupling_feasibility`` of these
+    marginals, is passed. At m = 4 the route builds from the verdict's
+    ingredients.
     """
     y_pmfs = tuple(y_pmfs)
     m = len(y_pmfs)
-    if m not in (2, 4):
-        ok, label, value = coupling_feasibility(y_pmfs)
-        if not ok:
-            raise PreconditionError(label, value)
+    if m >= 5 and verdict is None:
+        verdict = coupling_feasibility(y_pmfs)
+    if verdict is not None and not verdict.ok:
+        raise PreconditionError(verdict.label, verdict.value)
     if m == 2:
         coupling = maximal_coupling_pair(*y_pmfs)
     elif m == 3:
-        coupling = _three_way_by_duplication(y_pmfs)
+        coupling = three_way_coupling(*y_pmfs)
+    elif m == 4 and verdict is not None:
+        coupling = assemble_n4_coupling(verdict.ingredients)
     elif m == 4:
         coupling = build_n4_coupling(y_pmfs)
     else:
@@ -196,6 +282,99 @@ def minimal_y_coupling(
                 f"needs exactly {floor}"
             )
     return coupling
+
+
+@dataclass(frozen=True)
+class _MixtureTable:
+    """What the mixture is assembled from (see the module docstring).
+
+    ``residual[i][y]`` maps x to r_i(x | y), source i above the cellwise
+    floor conditioned on y, in alphabet order; ``totals[i][y]`` is the
+    unconditioned total P_i(y) - sum_x P_min(x, y). ``weights`` holds
+    the nonzero Y-tuple weights of G2 and G3.
+    """
+
+    y_coupling: Coupling
+    p_min: Mapping[tuple, Fraction]
+    c_y: Fraction
+    residual: tuple[Mapping[Symbol, Mapping[Symbol, Fraction]], ...]
+    totals: tuple[Mapping[Symbol, Fraction], ...]
+    weights: Mapping[tuple, Fraction]
+
+
+def _mixture_table(
+    sources: tuple[JointPmf, ...],
+    max_variables: int,
+    verdict: Feasibility | None = None,
+) -> _MixtureTable:
+    m = len(sources)
+    if m < 2:
+        raise LeakboundError("need at least two joint PMFs")
+    x_alphabet = sources[0].x_alphabet
+    y_alphabet = sources[0].y_alphabet
+    for s in sources:
+        if s.x_alphabet != x_alphabet or s.y_alphabet != y_alphabet:
+            raise LeakboundError("sources must share both alphabets")
+
+    y_marginals = [s.y_marginal() for s in sources]
+    y_coupling = minimal_y_coupling(y_marginals, max_variables, verdict)
+
+    p_min = {
+        (x, y): min(s[(x, y)] for s in sources)
+        for x in x_alphabet
+        for y in y_alphabet
+    }
+    p_ymin = {y: min(p[y] for p in y_marginals) for y in y_alphabet}
+
+    residual, totals = [], []
+    for s in sources:
+        lists, sums = {}, {}
+        for y in y_alphabet:
+            cells = [(x, d) for x in x_alphabet if (d := s[(x, y)] - p_min[(x, y)])]
+            den = sum((d for _, d in cells), ZERO)
+            lists[y] = {x: d / den for x, d in cells}
+            sums[y] = den
+        residual.append(lists)
+        totals.append(sums)
+
+    # Y-tuple weights of G2 (tied tuples) and G3 (untied tuples of H).
+    weights = {
+        (y,) * m: p_ymin[y] - sum(p_min[(x, y)] for x in x_alphabet)
+        for y in y_alphabet
+    }
+    weights.update(
+        (ys, q) for ys, q in y_coupling.mass.items() if len(set(ys)) > 1
+    )
+    weights = {ys: w for ys, w in weights.items() if w}
+    for ys, w in weights.items():
+        if w < 0:
+            raise ConstructionError(f"negative weight {w} at Y-tuple {ys!r}")
+    return _MixtureTable(
+        y_coupling=y_coupling,
+        p_min=p_min,
+        c_y=sum(p_ymin.values(), ZERO),
+        residual=tuple(residual),
+        totals=tuple(totals),
+        weights=weights,
+    )
+
+
+def _check_table_marginals(table: _MixtureTable) -> None:
+    """The closed form of ``SimulCoupling.validate`` on an unbuilt table.
+
+    The assembled coupling preserves source i iff, at every y, the
+    weights of the tuples t with t_i = y add up to the residual total of
+    source i at y; then every weighted tuple also meets nonempty residual
+    lists, and the total mass is c_XY + sum of the weights = 1.
+    """
+    for i, totals in enumerate(table.totals):
+        got = push_forward(table.weights, itemgetter(i))
+        for y, want in totals.items():
+            if got.get(y, ZERO) != want:
+                raise ConstructionError(
+                    f"table marginal {i} at {y!r} is {got.get(y, ZERO)}, "
+                    f"residual total {want}"
+                )
 
 
 @dataclass(frozen=True)
@@ -247,63 +426,22 @@ def build_simultaneous_coupling(
     of the fallback LP that builds the ingredient Y-coupling.
     """
     sources = tuple(sources)
+    table = _mixture_table(sources, max_states)
     m = len(sources)
-    if m < 2:
-        raise LeakboundError("need at least two joint PMFs")
-    x_alphabet = sources[0].x_alphabet
-    y_alphabet = sources[0].y_alphabet
-    for s in sources:
-        if s.x_alphabet != x_alphabet or s.y_alphabet != y_alphabet:
-            raise LeakboundError("sources must share both alphabets")
-
-    y_marginals = [s.y_marginal() for s in sources]
-    y_coupling = minimal_y_coupling(y_marginals, max_variables=max_states)
-
-    p_min = {
-        (x, y): min(s[(x, y)] for s in sources)
-        for x in x_alphabet
-        for y in y_alphabet
-    }
-    p_ymin = {y: min(p[y] for p in y_marginals) for y in y_alphabet}
-    c_xy = sum(p_min.values(), ZERO)
-    c_y = sum(p_ymin.values(), ZERO)
-
-    # residual[i][y]: source i above the cellwise floor, conditioned on y,
-    # as (x, weight) pairs in alphabet order.
-    residual = []
-    for s in sources:
-        lists = {}
-        for y in y_alphabet:
-            cells = [(x, d) for x in x_alphabet if (d := s[(x, y)] - p_min[(x, y)])]
-            den = sum((d for _, d in cells), ZERO)
-            lists[y] = [(x, d / den) for x, d in cells]
-        residual.append(lists)
-
-    # Y-tuple weights of G2 (tied tuples) and G3 (untied tuples of H).
-    weights = {
-        (y,) * m: p_ymin[y] - sum(p_min[(x, y)] for x in x_alphabet)
-        for y in y_alphabet
-    }
-    weights.update(
-        (ys, q) for ys, q in y_coupling.mass.items() if len(set(ys)) > 1
-    )
-    weights = {ys: w for ys, w in weights.items() if w}
-    for ys, w in weights.items():
-        if w < 0:
-            raise ConstructionError(f"negative weight {w} at Y-tuple {ys!r}")
+    residual = table.residual
 
     # The exact support size, before materializing anything.
-    est = sum(1 for q in p_min.values() if q) + sum(
-        prod(len(residual[i][y]) for i, y in enumerate(ys)) for ys in weights
+    est = sum(1 for q in table.p_min.values() if q) + sum(
+        prod(len(residual[i][y]) for i, y in enumerate(ys)) for ys in table.weights
     )
     if est > max_states:
         raise CapacityError(est, max_states, "coupling support tuples")
 
     # G1: fully tied diagonal. Weight c_XY cancels the 1/c_XY normalizer.
-    mass = {((x,) * m, (y,) * m): q for (x, y), q in p_min.items() if q}
+    mass = {((x,) * m, (y,) * m): q for (x, y), q in table.p_min.items() if q}
     # G2 and G3: every X-tuple drawn from the independent residuals.
-    for ys, w in weights.items():
-        for combo in product(*(residual[i][y] for i, y in enumerate(ys))):
+    for ys, w in table.weights.items():
+        for combo in product(*(residual[i][y].items() for i, y in enumerate(ys))):
             q = w
             for _, weight in combo:
                 q *= weight
@@ -312,12 +450,45 @@ def build_simultaneous_coupling(
     built = SimulCoupling(
         sources=sources,
         mass=mass,
-        c_xy=c_xy,
-        c_y=c_y,
-        y_coupling=y_coupling,
+        c_xy=sum(table.p_min.values(), ZERO),
+        c_y=table.c_y,
+        y_coupling=table.y_coupling,
     )
     built.validate()
     return built
+
+
+def coupling_penalty(
+    sources: Sequence[JointPmf],
+    max_variables: int = DEFAULT_MAX_STATES,
+    verdict: Feasibility | None = None,
+) -> Fraction:
+    """``f_quantity(build_simultaneous_coupling(sources))``, unbuilt.
+
+    Reads f = c_XY + sum_t w(t) |set(t)| T(t) off the mixture table, with
+    T(t) = sum_x prod_i r_i(x | t_i) the mass the residuals of the entry
+    t put on tied X-tuples. The table is checked by
+    ``_check_table_marginals`` instead of building and validating the
+    coupling, so no support-size limit applies. ``max_variables`` caps
+    the LP of the m >= 5 route and ``verdict`` is passed on to
+    ``minimal_y_coupling``.
+    """
+    table = _mixture_table(tuple(sources), max_variables, verdict)
+    _check_table_marginals(table)
+    f = sum(table.p_min.values(), ZERO)
+    for ys, w in table.weights.items():
+        first, *rest = (table.residual[i][y] for i, y in enumerate(ys))
+        tied = ZERO
+        for x, q in first.items():
+            for r in rest:
+                if x not in r:
+                    break
+                q *= r[x]
+            else:
+                tied += q
+        if tied:
+            f += w * len(set(ys)) * tied
+    return f
 
 
 def y_union_mass(coupling: SimulCoupling) -> Fraction:

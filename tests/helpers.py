@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from operator import itemgetter
 
-from leakbound import DiscreteChannel, Pmf, tau_max2
+from leakbound import Coupling, DiscreteChannel, Pmf, build_n4_coupling, tau_max2
 from leakbound.bayesnet import BayesNet, NodeSpec
+from leakbound.measures import push_forward
 
 DENOMINATORS = (6, 8, 10, 12, 16, 24)
 
@@ -105,6 +107,17 @@ def rand_family_tau_max2_gt1(rng: random.Random, m: int, size: int) -> list[Pmf]
         fam = rand_family(rng, m, size)
         if tau_max2(DiscreteChannel(fam)) > 1:
             return fam
+
+
+def three_way_by_duplication(y_pmfs) -> Coupling:
+    """Reference three-way coupling: the four-way construction of
+    (p1, p2, p3, p3), validated, with the duplicate coordinate projected
+    out. Its existence condition is equivalent to tau_max2 <= 1 of the
+    trio, and the projection keeps marginals, union mass and diagonal."""
+    p1, p2, p3 = y_pmfs
+    four = build_n4_coupling([p1, p2, p3, p3])
+    mass = push_forward(four.mass, itemgetter(0, 1, 2))
+    return Coupling(p1.alphabet, 3, mass, [p1, p2, p3])
 
 
 def bsc_rows(delta: Q) -> list[list[Q]]:

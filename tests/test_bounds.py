@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 from pathlib import Path
@@ -32,6 +33,7 @@ from leakbound import (
     subadditivity_baseline,
     tau_max,
 )
+from leakbound import bounds, couplings, simultaneous
 from leakbound.bayesnet import BayesNet, NodeSpec
 from leakbound.measures import log_fraction
 from leakbound.netfile import parse_network
@@ -256,6 +258,49 @@ def test_property_bound_chain(case):
              report.doeblin_bound_value, report.subadditivity_value]
     present = [v for v in chain if v is not None]
     assert present == sorted(present)
+
+
+class TestPenaltyWork:
+    """Per peel step, the V-side condition is decided once and the coupling
+    penalty is read off the ingredient table: no simultaneous coupling and
+    no four-way coupling is built."""
+
+    @staticmethod
+    def count(monkeypatch, module, name, counts):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    @pytest.mark.parametrize("x_size", [3, 4])
+    def test_calls_per_peel_step(self, monkeypatch, x_size):
+        net = rand_couplable_net(random.Random(0), 5, x_size=x_size)
+        targets = [nid for nid in net.node_ids() if nid != net.source]
+        counts = Counter()
+        for module, name in [
+            (couplings, "n4_ingredients"),
+            (bounds, "coupling_feasibility"),
+            (simultaneous, "coupling_feasibility"),
+            (simultaneous, "build_simultaneous_coupling"),
+            (simultaneous, "build_n4_coupling"),
+            (simultaneous, "assemble_n4_coupling"),
+            (simultaneous, "three_way_coupling"),
+        ]:
+            self.count(monkeypatch, module, name, counts)
+        report = query_report(net, targets)
+        steps = len(report.trace)
+        assert steps == 3 and report.coupling_bound_value is not None
+        assert counts["coupling_feasibility"] == steps
+        assert counts["build_simultaneous_coupling"] == 0
+        assert counts["build_n4_coupling"] == 0
+        if x_size == 4:
+            assert counts["n4_ingredients"] == counts["assemble_n4_coupling"] == steps
+        else:
+            assert counts["n4_ingredients"] == 0
+            assert counts["three_way_coupling"] == steps
 
 
 class TestRecursive:

@@ -4,12 +4,13 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from helpers import wide_net
+from helpers import rand_couplable_net, wide_net
 
 import leakbound
 from leakbound.cli import main
@@ -213,6 +214,31 @@ class TestCapacityAndOverrides:
             "--max-states", "3",
         )
         assert code == 2
+
+    def test_coupling_penalty_needs_no_support_limit(self, capsys, tmp_path):
+        # Every closure joint of this query fits in 32 states, while the
+        # simultaneous coupling of its first peel step would have 49
+        # support tuples. The penalty is read off the coupling's table and
+        # never builds that support, so the query answers under the small
+        # limit with the values it has under the default one.
+        rng = random.Random(17)
+        net = rand_couplable_net(rng, rng.randrange(3, 6))
+        path = tmp_path / "net.json"
+        path.write_text(write_network(net))
+        argv = ("bound", path, "--targets", "N3,N4", "--compare-exact")
+        code, default_out, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, err = run(capsys, *argv, "--max-states", "32")
+        assert code == 0, err
+        assert out == default_out
+        assert "coupling bound     = 23911114098581/2348764102656" in out
+
+    def test_simul_support_limit_still_refused(self, capsys):
+        args = ("couple", FIXTURES / "joints_pair.json", "--mode", "simul")
+        code, out, _ = run(capsys, *args, "--max-states", "3")
+        assert code == 0 and "support size = 3" in out
+        code, _, err = run(capsys, *args, "--max-states", "2")
+        assert code == 2 and "coupling support tuples" in err
 
     def test_unrelated_children_do_not_count(self, capsys, tmp_path):
         path = tmp_path / "wide.json"

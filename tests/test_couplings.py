@@ -9,7 +9,10 @@ from helpers import (
     rand_family,
     rand_family_tau_max2_le1,
     rand_pmf,
+    three_way_by_duplication,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakbound import (
     Coupling,
@@ -23,12 +26,15 @@ from leakbound import (
     make_q_ary_symmetric,
     maximal_coupling_pair,
     min_union_coupling,
+    min_union_coupling_diag,
     n4_condition,
     n4_ingredients,
     tau_max,
+    tau_max2,
     tau_pair,
     tau_subset,
     tau_trip,
+    three_way_coupling,
     total_variation,
     union_mass,
     verify_intersection_property,
@@ -283,6 +289,70 @@ class TestBuildN4:
             coupling = build_n4_coupling(fam)
             for y in fam[0].alphabet:
                 assert coupling.probability((y,) * 4) == min(p[y] for p in fam)
+
+
+@st.composite
+def sparse_trios(draw):
+    """Three PMFs on 2-7 symbols from small integer weights, mostly zero,
+    each optionally pulled toward a shared row so that families with
+    tau_max2 <= 1 are common."""
+    size = draw(st.integers(2, 7))
+    weight = st.sampled_from([0, 0, 0, 1, 2, 3])
+    base = draw(st.lists(weight, min_size=size, max_size=size).filter(any))
+    pull = draw(st.sampled_from([0, 1, 4]))
+    rows = []
+    for _ in range(3):
+        own = draw(st.lists(weight, min_size=size, max_size=size))
+        row = [pull * b + o for b, o in zip(base, own)]
+        if not any(row):
+            row = base
+        rows.append(Pmf.from_values([Q(v, sum(row)) for v in row], alphabet(size)))
+    return rows
+
+
+class TestThreeWay:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sparse_trios())
+    def test_matches_duplicated_four_way(self, fam):
+        # The closed form is the projected four-way mixture of (p1, p2,
+        # p3, p3): the same masses, and a refusal exactly when it refuses.
+        try:
+            reference = three_way_by_duplication(fam).mass
+        except PreconditionError:
+            reference = None
+        if reference is None:
+            with pytest.raises(PreconditionError) as err:
+                three_way_coupling(*fam)
+            assert err.value.condition == "tau_max2 <= 1"
+            assert err.value.value == tau_max2(DiscreteChannel(fam)) > 1
+        else:
+            assert three_way_coupling(*fam).mass == reference
+
+
+class TestClosedFormsAgainstPinnedLp:
+    """The m = 2, 3, 4 closed forms attain the optimum of the
+    diagonal-pinned LP, which is tau_max, with the same pinned diagonal."""
+
+    BUILD = {
+        2: lambda fam: maximal_coupling_pair(*fam),
+        3: lambda fam: three_way_coupling(*fam),
+        4: build_n4_coupling,
+    }
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_union_mass_and_diagonal(self, m):
+        rng = random.Random(31 + m)
+        for _ in range(12):
+            size = rng.choice([2, 3, 4, 5])
+            if m == 2:
+                fam = rand_family(rng, 2, size)
+            else:
+                fam = rand_family_tau_max2_le1(rng, m, size)
+            coupling = self.BUILD[m](fam)
+            lp_value = min_union_coupling_diag(fam).optimal_value
+            assert union_mass(coupling) == lp_value == tau_max(DiscreteChannel(fam))
+            for y in fam[0].alphabet:
+                assert coupling.probability((y,) * m) == min(p[y] for p in fam)
 
 
 class TestIntersectionProperty:

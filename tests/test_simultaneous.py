@@ -1,21 +1,34 @@
 """Simultaneous couplings: joint preservation and minimal Y-union."""
 
+import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
-from helpers import rand_family_tau_max2_gt1, rand_family_tau_max2_le1, rand_partition
+from helpers import (
+    rand_couplable_net,
+    rand_family_tau_max2_gt1,
+    rand_family_tau_max2_le1,
+    rand_net,
+    rand_partition,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_couplings import FAILING_FAMILY
 
 from leakbound import (
     CapacityError,
+    ConstructionError,
     DiscreteChannel,
     JointPmf,
     LeakboundError,
     PreconditionError,
     build_simultaneous_coupling,
     coupling_feasibility,
+    coupling_penalty,
     doeblin,
     f_quantity,
     min_union_coupling,
@@ -23,7 +36,10 @@ from leakbound import (
     tau_max,
     y_union_mass,
 )
+from leakbound import bounds
 from leakbound.cli import main
+from leakbound.netfile import parse_network
+from leakbound.simultaneous import _check_table_marginals, _mixture_table
 
 
 def rand_joint(rng, x_size, y_size, den=None):
@@ -84,7 +100,7 @@ class TestMinimalYCoupling:
 
     def test_feasibility_report(self):
         fam = rand_family_tau_max2_gt1(random.Random(42), 3, 3)
-        ok, label, value = coupling_feasibility(fam)
+        ok, label, value, _ = coupling_feasibility(fam)
         assert not ok and "tau_max2" in label and value > 1
 
 
@@ -153,7 +169,7 @@ class TestBuildGeneric:
         # The four-way build decides the condition itself; its refusal
         # must carry the label and slack that coupling_feasibility reports.
         sources = sources_with_y_family(random.Random(56), FAILING_FAMILY)
-        ok, label, value = coupling_feasibility(FAILING_FAMILY)
+        ok, label, value, _ = coupling_feasibility(FAILING_FAMILY)
         assert not ok and value == Q(-1, 16)
         with pytest.raises(PreconditionError) as err:
             build_simultaneous_coupling(sources)
@@ -292,3 +308,170 @@ def test_capacity_guard():
     sources = [rand_joint(rng, 3, 3, den=16) for _ in range(2)]
     with pytest.raises(CapacityError):
         build_simultaneous_coupling(sources, max_states=2)
+
+
+# The reference penalty: the coupling built, validated and summed.
+ROOMY = 10**7
+
+
+def built_penalty(sources):
+    return f_quantity(build_simultaneous_coupling(sources, max_states=ROOMY))
+
+
+def penalty_pairs(net, targets):
+    """(direct, with the walk's verdict, built) penalties of every peel
+    step of a recursive query whose preconditions all pass."""
+    try:
+        steps, peeled, _ = bounds._walk(net, targets, "doeblin", ROOMY)
+    except PreconditionError:
+        return []
+    out = []
+    for step, (w_channel, verdict) in zip(steps, peeled):
+        sources = bounds._sources_for_coupling(net, step.v_set, step.u, w_channel)
+        out.append((
+            coupling_penalty(sources),
+            coupling_penalty(sources, verdict=verdict),
+            built_penalty(sources),
+        ))
+    return out
+
+
+@st.composite
+def joint_families(draw):
+    """m = 2..5 joints on small alphabets from sparse integer weights.
+
+    Each joint is a shared joint plus its own weights, scaled so that the
+    shared part dominates more or less; or, in the "same Y" mode, the
+    shared Y-marginal split over X by the joint's own weights, which
+    keeps the Y-family couplable at every m.
+    """
+    m = draw(st.sampled_from([2, 3, 4, 5]))
+    x_size = draw(st.integers(2, 3 if m <= 3 else 2))
+    y_size = draw(st.integers(2, 4 if m <= 4 else 3))
+    xs = [str(i) for i in range(x_size)]
+    ys = [chr(ord("a") + i) for i in range(y_size)]
+    weights = st.lists(
+        st.sampled_from([0, 0, 1, 2, 3]), min_size=x_size * y_size,
+        max_size=x_size * y_size,
+    )
+    base = draw(weights.filter(any))
+    pull = draw(st.sampled_from([0, 3, 12, "same Y"]))
+    sources = []
+    for _ in range(m):
+        own = draw(weights)
+        if pull == "same Y":
+            mass = {}
+            for b, y in enumerate(ys):
+                col = [own[a * y_size + b] or 1 for a in range(x_size)]
+                py = Q(sum(base[a * y_size + b] for a in range(x_size)), sum(base))
+                mass.update(
+                    ((x, y), py * Q(w, sum(col))) for x, w in zip(xs, col)
+                )
+        else:
+            row = [pull * b + o for b, o in zip(base, own)]
+            row = row if any(row) else base
+            mass = {
+                (xs[k // y_size], ys[k % y_size]): Q(v, sum(row))
+                for k, v in enumerate(row)
+            }
+        sources.append(JointPmf(xs, ys, mass))
+    return sources
+
+
+class TestCouplingPenalty:
+    """``coupling_penalty`` equals f of the built coupling, exactly."""
+
+    FIXTURES = Path(__file__).parent / "fixtures"
+
+    @pytest.mark.parametrize(
+        "name", ["chain.json", "relay.json", "diamond.json", "random1.json", "random2.json"]
+    )
+    def test_fixture_nets(self, name):
+        net = parse_network((self.FIXTURES / name).read_text())
+        ids = [nid for nid in net.node_ids() if nid != net.source]
+        pairs = [
+            p
+            for k in range(2, len(ids) + 1)
+            for targets in itertools.combinations(ids, k)
+            for p in penalty_pairs(net, list(targets))
+        ]
+        assert pairs
+        for direct, given_verdict, built in pairs:
+            assert direct == given_verdict == built
+
+    def test_seeded_nets(self):
+        rng = random.Random(61)
+        compared = set()
+        for k in range(60):
+            if k % 2:
+                net = rand_couplable_net(rng, rng.randrange(3, 7), x_size=rng.choice((2, 3, 4)))
+            else:
+                net = rand_net(rng, n_nodes=rng.randrange(3, 6), max_alphabet=3)
+            ids = [nid for nid in net.node_ids() if nid != net.source]
+            targets = rng.sample(ids, rng.randrange(2, len(ids) + 1))
+            for direct, given_verdict, built in penalty_pairs(net, targets):
+                assert direct == given_verdict == built
+                compared.add(len(net.by_id[net.source].alphabet))
+        assert compared == {2, 3, 4}
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(joint_families())
+    def test_property_joints(self, sources):
+        # m = 5 takes the LP route. Both sides refuse an uncouplable
+        # Y-family alike.
+        try:
+            want = built_penalty(sources)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                coupling_penalty(sources)
+            return
+        assert coupling_penalty(sources) == want
+        verdict = coupling_feasibility([s.y_marginal() for s in sources])
+        assert coupling_penalty(sources, verdict=verdict) == want
+
+    def test_m5_lp_route(self):
+        rng = random.Random(55)
+        fam = rand_family_tau_max2_le1(rng, 5, 5)
+        sources = sources_with_y_family(rng, fam)
+        assert coupling_penalty(sources) == built_penalty(sources)
+
+    def test_no_support_limit(self):
+        # The penalty builds no support, so a limit that the build refuses
+        # does not apply to it.
+        rng = random.Random(54)
+        sources = [rand_joint(rng, 3, 3, den=16) for _ in range(2)]
+        with pytest.raises(CapacityError):
+            build_simultaneous_coupling(sources, max_states=2)
+        assert coupling_penalty(sources, max_variables=2) == built_penalty(sources)
+
+    def test_failing_verdict_refuses(self):
+        sources = sources_with_y_family(random.Random(56), FAILING_FAMILY)
+        verdict = coupling_feasibility(FAILING_FAMILY)
+        with pytest.raises(PreconditionError) as err:
+            coupling_penalty(sources, verdict=verdict)
+        assert (err.value.condition, err.value.value) == (verdict.label, verdict.value)
+
+
+class TestTableMarginals:
+    def sources(self):
+        rng = random.Random(62)
+        fam = rand_family_tau_max2_le1(rng, 3, 3)
+        return tuple(sources_with_y_family(rng, fam, x_size=3))
+
+    def test_sound_table_passes(self):
+        _check_table_marginals(_mixture_table(self.sources(), ROOMY))
+
+    def test_moved_weight_raises(self):
+        # Moving mass between two entries keeps the total but breaks a
+        # source's marginal, which the check must refuse.
+        table = _mixture_table(self.sources(), ROOMY)
+        (t1, w1), (t2, w2) = [
+            (t, w) for t, w in table.weights.items() if t[0] != t[1]
+        ][:2]
+        weights = dict(table.weights)
+        shift = min(w1, w2) / 2
+        weights[t1] = w1 + shift
+        weights[t2] = w2 - shift
+        broken = dataclasses.replace(table, weights=weights)
+        with pytest.raises(ConstructionError, match="table marginal"):
+            _check_table_marginals(broken)
