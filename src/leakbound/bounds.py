@@ -25,36 +25,31 @@ tau_max2(P_{V|X}) <= 1 or, when |X| = 4, the relaxed four-way condition.
 (the plain additive-leakage bound). Dropping penalties can only increase
 the value, so bounds here always satisfy
 coupling <= doeblin <= baseline on any accepted query.
+
+Every entry takes one route. The targets are checked and put in
+topological order once per query. ``_walk`` then checks the hypotheses
+of every peel step with ``_checked_step``, which also computes the
+Doeblin penalty (it cannot fail), and only then are the penalties mapped
+over the checked steps. So a failed hypothesis wins over an error of any
+coupling LP, whichever the method. A ``PreconditionError`` keeps the
+steps before the failure in its ``trace``, each carrying the Doeblin
+penalty whatever the method.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from math import prod
+from typing import NamedTuple, Sequence
 
 from .bayesnet import (
-    DEFAULT_MAX_STATES,
-    BayesNet,
-    composite_channel,
-    descendants,
-    topological_sort,
+    DEFAULT_MAX_STATES, BayesNet, composite_channel, descendants, topological_sort
 )
 from .errors import LeakboundError, PreconditionError
-from .measures import (
-    ZERO,
-    DiscreteChannel,
-    doeblin,
-    tau_max,
-    tau_max2,
-)
-from .simultaneous import (
-    Feasibility,
-    JointPmf,
-    coupling_feasibility,
-    coupling_penalty,
-)
+from .measures import ZERO, DiscreteChannel, doeblin, tau_max, tau_max2
+from .simultaneous import Feasibility, JointPmf, coupling_feasibility, coupling_penalty
 
 
 @dataclass(frozen=True)
@@ -83,9 +78,7 @@ class BoundReport:
 
     def gap(self, which: str) -> Fraction | None:
         value = getattr(self, f"{which}_value")
-        if value is None:
-            return None
-        return value - self.exact_tau_max
+        return None if value is None else value - self.exact_tau_max
 
 
 def _check_order(net: BayesNet, v_set: Sequence[str], u: str) -> None:
@@ -127,13 +120,25 @@ def _sources_for_coupling(
     return sources
 
 
-def _checked_peel(
-    net: BayesNet, v_set: Sequence[str], u: str, max_states: int
-) -> tuple[Fraction, DiscreteChannel, DiscreteChannel, tuple, Feasibility]:
-    """(tau_max_u, P_{V|X}, P_{V+pa(U)|X}, precondition records, V-side
-    verdict) for peeling u off V; raises PreconditionError when a
-    hypothesis fails. The verdict goes on to the coupling penalty, which
-    then decides nothing twice."""
+class _Checked(NamedTuple):
+    """A peel step whose hypotheses passed, with what its penalties need."""
+
+    step: PeelStep  # carries the Doeblin penalty
+    tau_max_v: Fraction
+    w_channel: DiscreteChannel
+    verdict: Feasibility
+
+
+def _checked_step(
+    net: BayesNet,
+    v_set: Sequence[str],
+    u: str,
+    adjoined: tuple[str, ...],
+    max_states: int,
+) -> _Checked:
+    """Check the hypotheses of peeling u off V; raises PreconditionError
+    when one fails. The V-side verdict goes on to the coupling penalty,
+    which then decides nothing twice."""
     v_set = list(v_set)
     if not v_set:
         raise LeakboundError("V must be non-empty")
@@ -159,43 +164,43 @@ def _checked_peel(
             raise PreconditionError(name, Fraction(value))
     w_nodes = list(dict.fromkeys(v_set + list(net.by_id[u].parents)))
     w_channel = composite_channel(net, w_nodes, max_states=max_states)
-    return tmu, v_channel, w_channel, (rec_u, rec_v), verdict
+    step = PeelStep(u, tuple(v_set), adjoined, tmu, doeblin(w_channel), (rec_u, rec_v))
+    return _Checked(step, tau_max(v_channel), w_channel, verdict)
 
 
-def _penalty(
-    method: str,
-    net: BayesNet,
-    v_set: Sequence[str],
-    u: str,
-    w_channel: DiscreteChannel,
-    verdict: Feasibility,
-    max_states: int,
-) -> Fraction:
-    """The Doeblin coefficient of P_{V+pa(U)|X}, or f under the
+def _with_penalty(
+    method: str, net: BayesNet, checked: Sequence[_Checked], max_states: int
+) -> list[PeelStep]:
+    """The checked steps carrying the penalty of ``method``: for "doeblin"
+    the Doeblin coefficient of P_{V+pa(U)|X}, for "coupling" f under the
     simultaneous coupling of its rows, given the V-side verdict."""
     if method == "doeblin":
-        return doeblin(w_channel)
-    if method == "coupling":
-        sources = _sources_for_coupling(net, v_set, u, w_channel)
-        return coupling_penalty(sources, max_states, verdict)
-    raise LeakboundError(f"unknown method {method!r}")
+        return [c.step for c in checked]
+    return [
+        replace(c.step, penalty=coupling_penalty(
+            _sources_for_coupling(net, c.step.v_set, c.step.u, c.w_channel),
+            max_states,
+            c.verdict,
+        ))
+        for c in checked
+    ]
 
 
-def _single_step(
-    net: BayesNet,
-    v_set: Sequence[str],
-    u: str,
-    method: str,
-    max_states: int,
-) -> tuple[Fraction, Fraction, PeelStep]:
-    """(bound, penalty-free product, step record) for peeling u off V."""
-    tmu, v_channel, w_channel, checks, verdict = _checked_peel(
-        net, v_set, u, max_states
-    )
-    penalty = _penalty(method, net, v_set, u, w_channel, verdict, max_states)
-    tmv = tau_max(v_channel)
-    step = PeelStep(u, tuple(v_set), (), tmu, penalty, checks)
-    return tmu * tmv - (tmu - 1) * penalty, tmu * tmv, step
+def _compose(base: Fraction, steps: Sequence[PeelStep]) -> Fraction:
+    """Fold the steps, first peel outermost, onto tau_max of the last
+    step's V (the exact value of the final singleton in a recursion)."""
+    value = base
+    for s in reversed(steps):
+        value = s.tau_max_u * value - (s.tau_max_u - 1) * s.penalty
+    return value
+
+
+def _single_bound(
+    method: str, net: BayesNet, v_set: Sequence[str], u: str, max_states: int
+) -> Fraction:
+    checked = _checked_step(net, v_set, u, (), max_states)
+    steps = _with_penalty(method, net, [checked], max_states)
+    return _compose(checked.tau_max_v, steps)
 
 
 def coupling_bound(
@@ -205,7 +210,7 @@ def coupling_bound(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Fraction:
     """Single-step bound with the simultaneous-coupling penalty f."""
-    return _single_step(net, v_set, u, "coupling", max_states)[0]
+    return _single_bound("coupling", net, v_set, u, max_states)
 
 
 def doeblin_bound(
@@ -215,7 +220,7 @@ def doeblin_bound(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Fraction:
     """Single-step bound with the Doeblin-coefficient penalty."""
-    return _single_step(net, v_set, u, "doeblin", max_states)[0]
+    return _single_bound("doeblin", net, v_set, u, max_states)
 
 
 def exact_tau_max(
@@ -225,71 +230,50 @@ def exact_tau_max(
     return tau_max(composite_channel(net, list(targets), max_states=max_states))
 
 
-def _peel_plan(net: BayesNet, targets: Sequence[str]) -> list[str]:
-    order = topological_sort(net)
-    position = {nid: k for k, nid in enumerate(order)}
-    return sorted(set(targets), key=position.get)
-
-
-def _walk(
-    net: BayesNet, targets: Sequence[str], method: str, max_states: int
-) -> tuple[list[PeelStep], list[tuple[DiscreteChannel, Feasibility]], list[str]]:
-    """Walk the peel plan of ``recursive_bound`` once.
-
-    Returns the steps, the channel P_{V+pa(U)|X} and the V-side verdict
-    of each step, and the final singleton. Each step carries the
-    method's penalty. For ``baseline`` the hypotheses are skipped, the
-    penalty is zero, and no channel is computed. A precondition failure raises with the steps
-    before it in the error's ``trace`` attribute.
-    """
+def _ordered(
+    net: BayesNet, targets: Sequence[str], source_ok: bool = False
+) -> tuple[list[str], dict[str, int]]:
+    """The query's targets, each once and checked, in topological order,
+    and the topological position of every node."""
     targets = list(dict.fromkeys(targets))
     if not targets:
         raise LeakboundError("empty target set")
     for t in targets:
         if t not in net.by_id:
             raise LeakboundError(f"unknown target node {t!r}")
-        if t == net.source:
+        if t == net.source and not source_ok:
             raise LeakboundError("the source cannot be a bound target")
-    if method not in ("doeblin", "coupling", "baseline"):
-        raise LeakboundError(f"unknown method {method!r}")
+    position = {nid: k for k, nid in enumerate(topological_sort(net))}
+    return sorted(targets, key=position.get), position
 
-    steps: list[PeelStep] = []
-    peeled: list[tuple[DiscreteChannel, Feasibility]] = []
-    current = _peel_plan(net, targets)
+
+def _plan(net: BayesNet, targets: Sequence[str]) -> tuple[list[tuple], list[str]]:
+    """The peel plan of ``recursive_bound``: (U, V, adjoined parents) per
+    step, and the final singleton."""
+    current, position = _ordered(net, targets)
+    plan = []
     while len(current) > 1:
-        u = current[-1]
-        v_set = current[:-1]
+        *rest, u = current
         adjoin = tuple(
-            p
-            for p in net.by_id[u].parents
-            if p not in set(v_set) and p != net.source
+            p for p in net.by_id[u].parents if p not in rest and p != net.source
         )
-        v_set = _peel_plan(net, v_set + list(adjoin))
-        if method == "baseline":
-            step = PeelStep(u, tuple(v_set), adjoin, tau_max(net.cpt(u)), ZERO, ())
-        else:
-            try:
-                tmu, _, w_channel, checks, verdict = _checked_peel(
-                    net, v_set, u, max_states
-                )
-            except PreconditionError as err:
-                err.trace = tuple(steps)
-                raise
-            penalty = _penalty(method, net, v_set, u, w_channel, verdict, max_states)
-            step = PeelStep(u, tuple(v_set), adjoin, tmu, penalty, checks)
-            peeled.append((w_channel, verdict))
-        steps.append(step)
-        current = v_set
-    return steps, peeled, current
+        current = sorted(set(rest).union(adjoin), key=position.get)
+        plan.append((u, current, adjoin))
+    return plan, current
 
 
-def _compose(last: Fraction, factors) -> Fraction:
-    """Fold (tau_max_u, penalty) pairs, first peel outermost, onto the
-    exact value of the final singleton."""
-    value = last
-    for tmu, penalty in reversed(factors):
-        value = tmu * value - (tmu - 1) * penalty
-    return value
+def _walk(net: BayesNet, plan: Sequence[tuple], max_states: int) -> list[_Checked]:
+    """Check every step of a peel plan. A precondition failure raises
+    with the steps before it, carrying the Doeblin penalty, in the
+    error's ``trace``."""
+    checked: list[_Checked] = []
+    for u, v_set, adjoin in plan:
+        try:
+            checked.append(_checked_step(net, v_set, u, adjoin, max_states))
+        except PreconditionError as err:
+            err.trace = tuple(c.step for c in checked)
+            raise
+    return checked
 
 
 def recursive_bound(
@@ -304,12 +288,22 @@ def recursive_bound(
     adjoined so the peeled node's parents stay inside the bounded set;
     adjoining bounds a superset of the original targets, which is sound
     because marginalization never increases tau_max. The final singleton
-    is evaluated exactly. On a precondition failure, the raised error
-    carries the partial trace in its ``trace`` attribute.
+    is evaluated exactly. Every step's hypotheses are checked before any
+    penalty is computed; on a precondition failure, the raised error
+    carries the partial trace in its ``trace`` attribute. The method
+    "baseline" checks no hypothesis and drops every penalty.
     """
-    steps, _, last = _walk(net, targets, method, max_states)
-    exact_last = exact_tau_max(net, last, max_states=max_states)
-    value = _compose(exact_last, [(s.tau_max_u, s.penalty) for s in steps])
+    plan, last = _plan(net, targets)
+    if method == "baseline":
+        steps = [
+            PeelStep(u, tuple(v_set), adjoin, tau_max(net.cpt(u)), ZERO, ())
+            for u, v_set, adjoin in plan
+        ]
+    elif method in ("doeblin", "coupling"):
+        steps = _with_penalty(method, net, _walk(net, plan, max_states), max_states)
+    else:
+        raise LeakboundError(f"unknown method {method!r}")
+    value = _compose(exact_tau_max(net, last, max_states=max_states), steps)
     return value, tuple(steps)
 
 
@@ -333,75 +327,46 @@ def query_report(
     """Evaluate one query and collect bounds, exact value, and checks.
 
     ``method`` is "recursive" (full peel with both penalties), "coupling"
-    or "doeblin" (single peel of the topologically last target). A
-    precondition failure marks the affected bounds None but the exact
-    value is always reported.
+    or "doeblin" (single peel of the topologically last target, with the
+    rest, the source allowed, as V). A precondition failure marks the
+    affected bounds None but the exact value is always reported. With a
+    single target nothing is peeled and every bound is the exact value.
 
-    The recursive report walks the peel plan once, with the Doeblin
-    penalty, and takes the coupling penalties from the same channels
-    afterwards; its values equal those of ``recursive_bound`` for both
-    methods and of ``subadditivity_baseline``. The coupling penalty has
-    the same hypotheses as the V-side precondition, whose verdict each
-    step hands on, and it builds no coupling support. So once the walk
-    has passed, it can fail only on the LP's variable limit, which
-    applies when the source has five or more values.
+    The recursive values equal those of ``recursive_bound`` for both
+    methods and of ``subadditivity_baseline``; the trace carries the
+    Doeblin penalty. Once the walk has passed, the coupling penalty can
+    fail only on the LP's variable limit (five or more source values).
     """
     exact = exact_tau_max(net, targets, max_states=max_states)
+    if method not in ("recursive", "coupling", "doeblin"):
+        raise LeakboundError(f"unknown method {method!r}")
+    values: dict[str, Fraction] = {}
     log: list[tuple[str, str, bool]] = []
-    coupling_value = doeblin_value = baseline_value = None
     trace: tuple[PeelStep, ...] = ()
-
-    plan = _peel_plan(net, targets)
-    if len(plan) == 1:
-        # Zero peels: every bound collapses to the exact value.
-        return BoundReport(
-            query=f"{net.source} -> {{{', '.join(plan)}}} [{method}]",
-            exact_tau_max=exact,
-            coupling_bound_value=exact,
-            doeblin_bound_value=exact,
-            subadditivity_value=exact,
-            precondition_log=(),
-        )
-
     try:
         if method == "recursive":
-            steps, peeled, last = _walk(net, targets, "doeblin", max_states)
-            exact_last = exact_tau_max(net, last, max_states=max_states)
-            coupling_penalties = [
-                _penalty("coupling", net, s.v_set, s.u, w, verdict, max_states)
-                for s, (w, verdict) in zip(steps, peeled)
-            ]
-            doeblin_value = _compose(
-                exact_last, [(s.tau_max_u, s.penalty) for s in steps]
-            )
-            coupling_value = _compose(
-                exact_last,
-                [(s.tau_max_u, p) for s, p in zip(steps, coupling_penalties)],
-            )
-            baseline_value = _compose(exact_last, [(s.tau_max_u, ZERO) for s in steps])
-            trace = tuple(steps)
-        elif method in ("coupling", "doeblin"):
-            value, baseline_value, step = _single_step(
-                net, plan[:-1], plan[-1], method, max_states
-            )
-            if method == "coupling":
-                coupling_value = value
-            else:
-                doeblin_value = value
-            trace = (step,)
+            checked = _walk(net, _plan(net, targets)[0], max_states)
         else:
-            raise LeakboundError(f"unknown method {method!r}")
+            (*v_set, u), _ = _ordered(net, targets, source_ok=True)
+            checked = [_checked_step(net, v_set, u, (), max_states)] if v_set else []
+        base = checked[-1].tau_max_v if checked else exact
+        both = method == "recursive" or not checked
+        names = ("coupling", "doeblin") if both else (method,)
+        peeled = {name: _with_penalty(name, net, checked, max_states) for name in names}
+        values = {name: _compose(base, steps) for name, steps in peeled.items()}
+        values["baseline"] = base * prod(c.step.tau_max_u for c in checked)
+        trace = tuple(peeled["doeblin" if method == "recursive" else method])
         for step in trace:
             log.extend(step.preconditions)
     except PreconditionError as err:
         log.append((err.condition, str(err.value), False))
 
     return BoundReport(
-        query=f"{net.source} -> {{{', '.join(sorted(targets))}}} [{method}]",
+        query=f"{net.source} -> {{{', '.join(sorted(set(targets)))}}} [{method}]",
         exact_tau_max=exact,
-        coupling_bound_value=coupling_value,
-        doeblin_bound_value=doeblin_value,
-        subadditivity_value=baseline_value,
+        coupling_bound_value=values.get("coupling"),
+        doeblin_bound_value=values.get("doeblin"),
+        subadditivity_value=values.get("baseline"),
         precondition_log=tuple(log),
         trace=trace,
     )

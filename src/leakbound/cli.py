@@ -74,15 +74,18 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _load_net(path: str, source: str | None):
-    net = netfile.parse_network(_read(path))
+def _load_net(text: str, source: str | None, bindings: dict | None = None):
+    """Parse, re-root and validate one network document; validation
+    problems name the parameter bindings they arise under."""
+    net = netfile.parse_network(text, bindings=bindings)
     if source is not None:
         if source not in net.by_id:
             raise NetworkFormatError(f"--source {source!r} is not a node")
         net = net.with_source(source)
     problems = bayesnet.validate(net)
     if problems:
-        raise NetworkFormatError("; ".join(problems))
+        where = "".join(f"{k}={v}: " for k, v in (bindings or {}).items())
+        raise NetworkFormatError(where + "; ".join(problems))
     return net
 
 
@@ -106,7 +109,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_measures(args) -> int:
-    net = _load_net(args.path, None)
+    net = _load_net(_read(args.path), None)
     if args.node not in net.by_id:
         print(f"unknown node {args.node!r}")
         return EXIT_INVALID
@@ -176,7 +179,7 @@ def _bound_rows(report: bounds.BoundReport) -> list[dict]:
 
 
 def cmd_bound(args) -> int:
-    net = _load_net(args.path, args.source)
+    net = _load_net(_read(args.path), args.source)
     targets = [t for t in args.targets.split(",") if t]
     report = bounds.query_report(
         net, targets, method=args.method, max_states=args.max_states
@@ -303,14 +306,7 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for value in values:
-        net = netfile.parse_network(text, bindings={args.param: value})
-        if args.source is not None:
-            net = net.with_source(args.source)
-        problems = bayesnet.validate(net)
-        if problems:
-            raise NetworkFormatError(
-                f"{args.param}={value}: " + "; ".join(problems)
-            )
+        net = _load_net(text, args.source, {args.param: value})
         report = bounds.query_report(
             net, targets, method="recursive", max_states=args.max_states
         )

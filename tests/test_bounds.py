@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakbound import (
+    CapacityError,
     LeakboundError,
     PreconditionError,
     composite_channel,
@@ -385,6 +386,16 @@ class TestRecursive:
         with pytest.raises(LeakboundError):
             recursive_bound(net, ["X", "Y1"])
 
+    def test_source_alone_not_a_target(self):
+        net = chain_net(Q(1, 4), Q(1, 4))
+        for call in (
+            lambda: recursive_bound(net, ["X"]),
+            lambda: subadditivity_baseline(net, ["X"]),
+            lambda: query_report(net, ["X"]),
+        ):
+            with pytest.raises(LeakboundError, match="source cannot be a bound target"):
+                call()
+
 
 class TestQueryReport:
     def test_recursive_report_complete(self):
@@ -405,6 +416,23 @@ class TestQueryReport:
             == report.coupling_bound_value
             == report.subadditivity_value
         )
+
+    @pytest.mark.parametrize("method", ["coupling", "doeblin"])
+    def test_single_peel_accepts_the_source(self, method):
+        net = chain_net(Q(1, 4), Q(1, 4))
+        alone = query_report(net, ["X"], method)
+        assert alone.exact_tau_max == 2 and alone.trace == ()
+        assert alone.coupling_bound_value == alone.doeblin_bound_value == 2
+        # Inside V the source stays: Y2 is peeled off V = {X, Y1}.
+        report = query_report(net, ["Y2", "X", "Y1"], method)
+        assert report.trace[0].u == "Y2" and report.trace[0].v_set == ("X", "Y1")
+
+    def test_query_lists_each_target_once(self):
+        net = chain_net(Q(1, 4), Q(1, 4))
+        for method in ("recursive", "coupling", "doeblin"):
+            report = query_report(net, ["Y2", "Y1", "Y2"], method)
+            assert report.query == f"X -> {{Y1, Y2}} [{method}]"
+        assert query_report(net, ["Y1", "Y1"]).query == "X -> {Y1} [recursive]"
 
     def test_inapplicable_still_reports_exact(self):
         net = BayesNet(
@@ -499,6 +527,67 @@ class TestSingleWalk:
                 assert len(got[3]) == 1 and got[3][0][2] is False
                 assert got[4] == ()
         assert failed >= 5
+
+
+class TestOneRoute:
+    """Every entry checks the whole peel plan before any penalty is
+    computed, and orders the targets once per query."""
+
+    @staticmethod
+    def error_order_net():
+        # Found by seeded search: the first peel (N4 off {N1, N2, N3})
+        # passes its checks, but its coupling LP (m = |X| = 5 copies of an
+        # 8-symbol V) needs 32,776 variables; the second peel fails
+        # tau_max2(P_{N3|pa}) <= 1. Inference fits 16 states.
+        rng = random.Random(98)
+        n_nodes = rng.randrange(4, 6)
+        noisy = rng.random() < 0.5
+        return rand_net(rng, n_nodes=n_nodes, max_alphabet=2, x_size=5, noisy=noisy)
+
+    def test_precondition_wins_over_coupling_capacity(self):
+        net = self.error_order_net()
+        targets = ["N1", "N2", "N3", "N4"]
+        with pytest.raises(PreconditionError) as err:
+            recursive_bound(net, targets, "coupling", max_states=16)
+        assert [s.u for s in err.value.trace] == ["N4"]
+        report = query_report(net, targets, max_states=16)
+        assert report.precondition_log == (
+            (err.value.condition, str(err.value.value), False),
+        )
+        # The first step's coupling LP alone is over the limit, so only
+        # checking the whole walk first lets the precondition win.
+        first = err.value.trace[0]
+        with pytest.raises(CapacityError):
+            coupling_bound(net, list(first.v_set), first.u, max_states=16)
+
+    def test_error_trace_carries_doeblin_penalty(self):
+        # Seeded: the first peel passes, with f = 1176649853/1788337920
+        # above its Doeblin coefficient 11/128; a later peel fails.
+        rng = random.Random(9)
+        net = rand_net(rng, n_nodes=rng.randrange(4, 6), noisy=False)
+        with pytest.raises(PreconditionError) as err:
+            recursive_bound(net, ["N1", "N2", "N3", "N4"], "coupling")
+        step = err.value.trace[0]
+        w = composite_channel(net, list(step.v_set) + list(net.by_id[step.u].parents))
+        assert step.penalty == doeblin(w) == Q(11, 128)
+
+    def test_one_topological_sort_per_query(self, monkeypatch):
+        net = rand_couplable_net(random.Random(0), 5, x_size=3)
+        targets = [nid for nid in net.node_ids() if nid != net.source]
+        calls = Counter()
+        original = bounds.topological_sort
+
+        def counting(net):
+            calls["sort"] += 1
+            return original(net)
+
+        monkeypatch.setattr(bounds, "topological_sort", counting)
+        for method in ("recursive", "coupling", "doeblin"):
+            report = query_report(net, targets, method)
+            assert report.trace and calls.pop("sort") == 1
+        for method in ("doeblin", "coupling", "baseline"):
+            _, trace = recursive_bound(net, targets, method)
+            assert len(trace) == 3 and calls.pop("sort") == 1
 
 
 def log_form(report):

@@ -100,6 +100,20 @@ class TestBound:
         )
         assert code == 0 and "doeblin bound      = 2/1" in out
 
+    def test_source_alone_refused_by_recursive(self, capsys):
+        path = FIXTURES / "relay.json"
+        code, out, err = run(capsys, "bound", path, "--targets", "X")
+        assert code == 1 and out == ""
+        assert err == "error: the source cannot be a bound target\n"
+        for method in ("coupling", "doeblin"):
+            code, out, _ = run(capsys, "bound", path, "--targets", "X", "--method", method)
+            assert code == 0 and "exact tau_max      = 2/1" in out
+
+    def test_repeated_targets_listed_once(self, capsys):
+        code, out, _ = run(capsys, "bound", FIXTURES / "chain.json", "--targets", "Y1,Y1,Y2")
+        assert code == 0
+        assert "query: X -> {Y1, Y2} [recursive]\n" in out
+
     def test_inapplicable_marked_and_exit_one(self, capsys, tmp_path):
         # three-cycle V channel: preconditions fail, exact still printed
         bad = {
@@ -398,6 +412,13 @@ class TestSweep:
             num, den = r["doeblin_bound"].split("/")
             bnum, bden = r["exact"].split("/")
             assert int(num) * int(bden) >= int(bnum) * int(den)
+
+
+    def test_unknown_source_named_like_bound(self, capsys):
+        for command, extra in (("bound", []), ("sweep", ["--param", "d", "--range", "0:1:1/2"])):
+            path = FIXTURES / ("chain.json" if command == "bound" else "chain_template.json")
+            code, out, err = run(capsys, command, path, "--targets", "Y2", "--source", "Q", *extra)
+            assert (code, out, err) == (1, "", "error: --source 'Q' is not a node\n")
 
 
 def test_python_dash_m_runs_the_cli():

@@ -403,6 +403,60 @@ def reference_lp(fam, floor):
     return value, {tuples[j]: v for j, v in x.items() if j < len(tuples)}
 
 
+def dual_certificate(columns, costs, rhs):
+    """A vector y with A^T y <= c that maximizes b . y: the dual of the
+    listed LP in standard form, y = y+ - y- plus one slack per primal
+    column, solved by ``solve_sparse``."""
+    n = len(rhs)
+    rows = [[] for _ in range(n)]
+    for j, col in enumerate(columns):
+        for r, sign in col:
+            rows[r].append((j, sign))
+    dual_columns = (
+        rows
+        + [[(j, -sign) for j, sign in row] for row in rows]
+        + [[(j, 1)] for j in range(len(columns))]
+    )
+    dual_costs = [-b for b in rhs] + list(rhs) + [Q(0)] * len(columns)
+    _, z = solve_sparse(dual_columns, dual_costs, costs)
+    return [z.get(r, 0) - z.get(n + r, 0) for r in range(n)]
+
+
+def certificate_families():
+    rng = random.Random(47)
+    cases = []
+    for m, size in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]:
+        cases += [rand_family_tau_max2_le1(rng, m, size) for _ in range(2)]
+        cases += [rand_family(rng, m, size) for _ in range(2)]
+    return cases
+
+
+@pytest.mark.parametrize("floor", [False, True])
+def test_exact_dual_certificate(floor):
+    # Weak duality: any y with A^T y <= c gives b . y <= c . x for every
+    # feasible x, so b . y equal to the reported optimum proves it optimal,
+    # whichever pivots produced y. Every one of the |Y|^m tuple columns
+    # (and every slack) is checked, not only those the pricer visited.
+    solver = min_union_coupling_diag if floor else min_union_coupling
+    above = 0
+    for fam in certificate_families():
+        m, size = len(fam), len(fam[0].alphabet)
+        columns, costs, rhs = full_coupling_lp(fam, floor)
+        assert len(columns) == size**m + (size if floor else 0)
+        y = dual_certificate(columns, costs, rhs)
+        for col, cost in zip(columns, costs):
+            assert sum(sign * y[r] for r, sign in col) <= cost
+        result = solver(fam)
+        assert sum(b * v for b, v in zip(rhs, y)) == result.optimal_value
+        # The witness is a coupling (marginals checked on construction)
+        # of that cost, and keeps the floor: it is primal feasible.
+        assert union_mass(result.witness) == result.optimal_value
+        for s in fam[0].alphabet if floor else ():
+            assert result.witness.probability((s,) * m) >= min(p[s] for p in fam)
+        above += result.optimal_value > tau_max(DiscreteChannel(fam))
+    assert above >= 1
+
+
 def brute_price(space, y, phase1):
     """(most negative reduced cost, lowest id attaining it) over every
     real column, or None when no reduced cost is negative."""

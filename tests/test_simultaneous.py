@@ -322,11 +322,11 @@ def penalty_pairs(net, targets):
     """(direct, with the walk's verdict, built) penalties of every peel
     step of a recursive query whose preconditions all pass."""
     try:
-        steps, peeled, _ = bounds._walk(net, targets, "doeblin", ROOMY)
+        checked = bounds._walk(net, bounds._plan(net, targets)[0], ROOMY)
     except PreconditionError:
         return []
     out = []
-    for step, (w_channel, verdict) in zip(steps, peeled):
+    for step, _, w_channel, verdict in checked:
         sources = bounds._sources_for_coupling(net, step.v_set, step.u, w_channel)
         out.append((
             coupling_penalty(sources),
