@@ -33,6 +33,7 @@ from .couplings import (
     maximal_coupling_pair,
     n4_condition,
     n4_ingredients,
+    three_way_coupling,
     union_mass,
     verify_intersection_property,
 )
@@ -70,7 +71,6 @@ from .simultaneous import (
     coupling_penalty,
     f_quantity,
     minimal_y_coupling,
-    three_way_coupling,
     y_union_mass,
 )
 

@@ -327,10 +327,11 @@ def query_report(
     """Evaluate one query and collect bounds, exact value, and checks.
 
     ``method`` is "recursive" (full peel with both penalties), "coupling"
-    or "doeblin" (single peel of the topologically last target, with the
-    rest, the source allowed, as V). A precondition failure marks the
-    affected bounds None but the exact value is always reported. With a
-    single target nothing is peeled and every bound is the exact value.
+    or "doeblin" (single peel of the topologically last target other than
+    the source, with the rest, the source allowed, as V). A precondition
+    failure marks the affected bounds None but the exact value is always
+    reported. With a single target, or the source alone, nothing is
+    peeled and every bound is the exact value.
 
     The recursive values equal those of ``recursive_bound`` for both
     methods and of ``subadditivity_baseline``; the trace carries the
@@ -347,8 +348,10 @@ def query_report(
         if method == "recursive":
             checked = _walk(net, _plan(net, targets)[0], max_states)
         else:
-            (*v_set, u), _ = _ordered(net, targets, source_ok=True)
-            checked = [_checked_step(net, v_set, u, (), max_states)] if v_set else []
+            ordered, _ = _ordered(net, targets, source_ok=True)
+            u = next((t for t in reversed(ordered) if t != net.source), None)
+            v_set = [t for t in ordered if t != u]
+            checked = [_checked_step(net, v_set, u, (), max_states)] if u and v_set else []
         base = checked[-1].tau_max_v if checked else exact
         both = method == "recursive" or not checked
         names = ("coupling", "doeblin") if both else (method,)

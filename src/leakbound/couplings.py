@@ -1,10 +1,20 @@
 """Couplings of PMFs on a shared alphabet and closed-form constructions.
 
-Two explicit constructions live here:
+Every closed form here is a mixture: a weighted sum of components, each
+a product of per-group factors over coordinate groups tied to one
+symbol. The closed forms only compute their ingredients and list their
+components; ``_mixture_coupling`` turns the components into tuple masses
+and owns every assembly rule, among them that a component of zero weight
+or with an empty factor is skipped before any normalizer is divided by,
+so no 0/0 ratio is evaluated. Besides the product ``independent_coupling``
+(a baseline), the closed forms are:
 
 * ``maximal_coupling_pair`` -- the classical two-variable maximal coupling
   (diagonal mass min{p, q}, residuals coupled independently), which attains
   union mass 1 + TV(p, q) = tau_max(p, q).
+
+* ``three_way_coupling`` -- the four-way mixture of (P_1, P_2, P_3, P_3)
+  with the duplicate projected out; it exists iff tau_max2 <= 1.
 
 * ``build_n4_coupling`` -- a four-variable mixture coupling that attains
   union mass tau_max(P_1, ..., P_4) whenever
@@ -16,11 +26,9 @@ Two explicit constructions live here:
   coordinate components, six two-free-coordinate components, three
   pair-of-tied-pairs components, and (when tau_max2 < 1) one component of
   four independent residuals absorbing the leftover weight 1 - tau_max2.
-  Any component whose weight is zero is dropped before its normalized
-  factors are ever formed, so no 0/0 ratio is evaluated.
 
-The existence condition is decided in one place, ``choose_abc``, which
-refuses a negative slack with ``PreconditionError(FOUR_WAY_CONDITION,
+The four-way existence condition is decided in one place, ``choose_abc``,
+which refuses a negative slack with ``PreconditionError(FOUR_WAY_CONDITION,
 slack)``. ``build_n4_coupling`` reaches it through ``n4_mixture_weights``
 and does not check beforehand. ``n4_condition`` evaluates the same slack
 without building, for callers that only ask: the ``couple --mode n4``
@@ -37,7 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -59,10 +68,11 @@ Pair = frozenset
 # The three pairings of {0,1,2,3} into two disjoint pairs, anchored at 0.
 ANCHOR_PAIRS = (Pair({0, 1}), Pair({0, 2}), Pair({0, 3}))
 ALL_PAIRS = tuple(Pair(p) for p in combinations(range(4), 2))
-ALL_TRIPLES = tuple(frozenset(t) for t in combinations(range(4), 3))
 
-# The label of every refusal by the four-way existence condition.
+# The labels of every refusal by the four-way existence condition and by
+# tau_max2 <= 1.
 FOUR_WAY_CONDITION = "four-way pair-capacity condition"
+TAU_MAX2_CONDITION = "tau_max2 <= 1"
 
 
 def complement_pair(pair: Pair) -> Pair:
@@ -140,25 +150,111 @@ def diagonal_mass(coupling: Coupling, sym: Symbol) -> Fraction:
     return coupling.probability((sym,) * coupling.arity)
 
 
+def _mixture_coupling(marginals: Sequence[Pmf], components: Iterable[tuple]) -> Coupling:
+    """Assemble a mixture coupling of ``marginals`` from its components.
+
+    A component is ``(weight, groups)`` and a group is ``(coordinates,
+    factor, norm)``; the component puts weight * prod_g factor_g(y_g) /
+    norm_g on the tuple whose coordinates in group g all equal y_g. Zero
+    factor entries are dropped, and a component of zero weight or with an
+    empty factor is skipped before any norm is divided by, so no 0/0 is
+    evaluated. A negative factor entry or weight / prod_g norm_g, the only
+    ways to a negative mass, raise ``ConstructionError``. Masses landing
+    on one tuple add up. The result is validated against ``marginals``.
+    """
+    marginals = tuple(marginals)
+    mass: dict[tuple, Fraction] = {}
+    for weight, groups in components:
+        if not weight:
+            continue
+        factors = [[(y, q) for y, q in factor.items() if q] for _, factor, _ in groups]
+        if not all(factors):
+            continue
+        scale = Fraction(weight) / prod(norm for _, _, norm in groups)
+        if scale < 0 or any(q < 0 for f in factors for _, q in f):
+            raise ConstructionError(f"negative mass in a component of weight {weight}")
+        if scale != 1:
+            factors[0] = [(y, scale * q) for y, q in factors[0]]
+        # The group that sets each coordinate's symbol.
+        owner = {c: g for g, (coords, _, _) in enumerate(groups) for c in coords}
+        pick = [owner[c] for c in range(len(marginals))]
+        for combo in product(*factors):
+            tup = tuple([combo[g][0] for g in pick])
+            q = combo[0][1]
+            for _, f in combo[1:]:
+                q *= f
+            mass[tup] = mass[tup] + q if tup in mass else q
+    return Coupling(marginals[0].alphabet, len(marginals), mass, marginals)
+
+
 def maximal_coupling_pair(p: Pmf, q: Pmf) -> Coupling:
     """Classical maximal coupling: tie min{p,q}, couple residuals
-    independently. Union mass equals 1 + TV(p, q) = tau_max(p, q)."""
+    independently. Union mass equals 1 + TV(p, q) = tau_max(p, q).
+
+    With omega = sum_y min{p,q}(y), the components are
+
+        (y, y)      min{p,q}(y)
+        (y1, y2)    (1 - omega) (p - min{p,q})(y1) (q - min{p,q})(y2) / (1 - omega)^2
+    """
     if p.alphabet != q.alphabet:
         raise LeakboundError("maximal coupling needs a shared alphabet")
     overlap = {y: min(p[y], q[y]) for y in p.alphabet}
-    omega = sum(overlap.values(), ZERO)
-    mass: dict[tuple, Fraction] = {}
-    for y, m in overlap.items():
-        if m:
-            mass[(y, y)] = m
-    if omega != 1:
-        rest = 1 - omega
-        left = {y: p[y] - overlap[y] for y in p.alphabet if p[y] > overlap[y]}
-        right = {y: q[y] - overlap[y] for y in q.alphabet if q[y] > overlap[y]}
-        for y1, a in left.items():
-            for y2, b in right.items():
-                mass[(y1, y2)] = mass.get((y1, y2), ZERO) + a * b / rest
-    return Coupling(p.alphabet, 2, mass, [p, q])
+    rest = 1 - sum(overlap.values(), ZERO)
+    left = {y: p[y] - overlap[y] for y in p.alphabet if p[y] > overlap[y]}
+    right = {y: q[y] - overlap[y] for y in q.alphabet if q[y] > overlap[y]}
+    return _mixture_coupling((p, q), [
+        (1, [((0, 1), overlap, 1)]),
+        (rest, [((0,), left, rest), ((1,), right, rest)]),
+    ])
+
+
+def three_way_coupling(p1: Pmf, p2: Pmf, p3: Pmf) -> Coupling:
+    """Minimal three-way coupling with a pinned diagonal, in closed form.
+
+    It is the four-way mixture (``build_n4_coupling``) of (p1, p2, p3,
+    p3) with the duplicate coordinate projected out; only five of its
+    components survive. With a, b, c the three masses at a symbol,
+    r0 = (a - max(b, c))+ and r1 = (b - max(a, c))+ the residuals of p1
+    and p2 (totals R0, R1), and T01 = (min(a, b) - c)+, T23 =
+    (c - max(a, b))+ (totals N01, N23):
+
+        (y, y, y)     min(a, b, c)
+        (y', y, y)    (min(b, c) - min(a, b, c))(y) * r0(y') / R0
+        (y, y', y)    (min(a, c) - min(a, b, c))(y) * r1(y') / R1
+        (y', y'', y)  (N23 - N01) * T23(y) / N23 * r0(y') / R0 * r1(y'') / R1
+        (y, y, y2)    N01 * T01(y) / N01 * T23(y2) / N23
+
+    N23 - N01 = 1 - tau_max2, so the mixture exists iff tau_max2 <= 1;
+    otherwise ``PreconditionError(TAU_MAX2_CONDITION, tau_max2)``.
+    """
+    alphabet = p1.alphabet
+    if p2.alphabet != alphabet or p3.alphabet != alphabet:
+        raise LeakboundError("the three-way coupling needs a shared alphabet")
+    floor, s12, s02, t01, t23, r0, r1 = ({} for _ in range(7))
+    for y in alphabet:
+        a, b, c = p1[y], p2[y], p3[y]
+        floor[y] = min(a, b, c)
+        s12[y] = min(b, c) - floor[y]
+        s02[y] = min(a, c) - floor[y]
+        for part, value in (
+            (t01, min(a, b) - c),
+            (t23, c - max(a, b)),
+            (r0, a - max(b, c)),
+            (r1, b - max(a, c)),
+        ):
+            if value > 0:
+                part[y] = value
+    n01, n23 = sum(t01.values(), ZERO), sum(t23.values(), ZERO)
+    if n23 < n01:
+        raise PreconditionError(TAU_MAX2_CONDITION, 1 + n01 - n23)
+    norm0, norm1 = sum(r0.values(), ZERO), sum(r1.values(), ZERO)
+    return _mixture_coupling((p1, p2, p3), [
+        (1, [((0, 1, 2), floor, 1)]),
+        (1, [((1, 2), s12, 1), ((0,), r0, norm0)]),
+        (1, [((0, 2), s02, 1), ((1,), r1, norm1)]),
+        (n23 - n01, [((2,), t23, n23), ((0,), r0, norm0), ((1,), r1, norm1)]),
+        (n01, [((0, 1), t01, n01), ((2,), t23, n23)]),
+    ])
 
 
 @dataclass(frozen=True)
@@ -191,14 +287,6 @@ class N4Ingredients:
     @property
     def alphabet(self):
         return self.pmfs[0].alphabet
-
-    @property
-    def tau_pair(self) -> Fraction:
-        return sum((self.tau_by_subset[p] for p in ALL_PAIRS), ZERO)
-
-    @property
-    def tau_trip(self) -> Fraction:
-        return sum((self.tau_by_subset[t] for t in ALL_TRIPLES), ZERO)
 
     def condition_slack(self) -> Fraction:
         """min{N01,N23} + min{N02,N13} + min{N03,N12} - (tau_max2 - 1).
@@ -390,88 +478,42 @@ def build_n4_coupling(pmfs: Sequence[Pmf]) -> Coupling:
 
 
 def assemble_n4_coupling(ing: N4Ingredients) -> Coupling:
-    """``build_n4_coupling`` from ingredients already computed."""
+    """``build_n4_coupling`` from ingredients already computed.
+
+    With r_i = r_num[i] / R_i the residual of row i, T_p = t[p] / N_p
+    that of pair p, and S_I = min_{i in I} P_i - P_min on a triple I
+    (total tau_I - tau), the components are, as weight: group factors
+
+        tau:            0123 P_min / tau
+        tau_I - tau:    I S_I / (tau_I - tau), the fourth coordinate r_i
+        beta[p]:        p T_p, the other two coordinates r_i and r_j
+        alpha[p]:       p T_p, complement T_comp(p)    (p anchored at 0)
+        independent:    r_0, r_1, r_2, r_3
+    """
     weights = n4_mixture_weights(ing)
     total = _weight_accounting(ing, weights)
     if total != 1:
         raise ConstructionError(f"mixture weights sum to {total}, expected 1")
 
-    alphabet = ing.alphabet
-    mass: dict[tuple, Fraction] = {}
+    def free(i):
+        return ((i,), ing.r_num[i], ing.r_norm[i])
 
-    def add(tup: tuple, q: Fraction):
-        if q < 0:
-            raise ConstructionError(f"negative mass {q} at tuple {tup!r}")
-        if q:
-            mass[tup] = mass.get(tup, ZERO) + q
+    def tied(pair):
+        return (pair, ing.t[pair], ing.n[pair])
 
-    # Fully tied diagonal: weight tau times P_min(y)/tau collapses to P_min.
-    for y, q in ing.p_min.items():
-        add((y, y, y, y), q)
-
-    # One free coordinate i, other three tied at y. The tied factor's
-    # normalizer tau_{jkl} - tau cancels against the component weight.
+    components = [(ing.tau, [((0, 1, 2, 3), ing.p_min, ing.tau)])]
     for i in range(4):
-        others = frozenset(set(range(4)) - {i})
-        tied_weight = ing.tau_by_subset[others] - ing.tau
-        if tied_weight == 0:
-            continue
-        norm_i = ing.r_norm[i]
-        rows = [ing.pmfs[j] for j in sorted(others)]
-        for y in alphabet:
-            tied = min(r[y] for r in rows) - ing.p_min[y]
-            if not tied:
-                continue
-            for yi, num in ing.r_num[i].items():
-                tup = [y, y, y, y]
-                tup[i] = yi
-                add(tuple(tup), tied * num / norm_i)
-
-    # Two free coordinates i < j, complement pair tied via T_kl/N_kl.
+        trio = tuple(j for j in range(4) if j != i)
+        s_trio = {y: min(ing.pmfs[j][y] for j in trio) - ing.p_min[y] for y in ing.alphabet}
+        w_trio = ing.tau_by_subset[frozenset(trio)] - ing.tau
+        components.append((w_trio, [(trio, s_trio, w_trio), free(i)]))
     for pair in ALL_PAIRS:
-        i, j = sorted(pair)
-        comp = complement_pair(pair)
-        k, l = sorted(comp)
-        wt = weights.beta[comp]
-        if wt == 0:
-            continue
-        scale = wt / (ing.r_norm[i] * ing.r_norm[j] * ing.n[comp])
-        for y, tval in ing.t[comp].items():
-            for yi, ai in ing.r_num[i].items():
-                for yj, aj in ing.r_num[j].items():
-                    tup = [y, y, y, y]
-                    tup[i] = yi
-                    tup[j] = yj
-                    add(tuple(tup), scale * tval * ai * aj)
-
-    # Two tied pairs: coordinates of `pair` at y, of the complement at y2.
+        i, j = sorted(complement_pair(pair))
+        components.append((weights.beta[pair], [tied(pair), free(i), free(j)]))
     for pair in ANCHOR_PAIRS:
-        wt = weights.alpha[pair]
-        if wt == 0:
-            continue
-        comp = complement_pair(pair)
-        scale = wt / (ing.n[pair] * ing.n[comp])
-        for y, tval in ing.t[pair].items():
-            for y2, tval2 in ing.t[comp].items():
-                tup = [None] * 4
-                for idx in pair:
-                    tup[idx] = y
-                for idx in comp:
-                    tup[idx] = y2
-                add(tuple(tup), scale * tval * tval2)
-
-    # Four independent residuals; absorbs 1 - tau_max2 when tau_max2 < 1.
-    if weights.independent:
-        scale = weights.independent
-        for norm in ing.r_norm:
-            scale /= norm
-        for y0, a0 in ing.r_num[0].items():
-            for y1, a1 in ing.r_num[1].items():
-                for y2, a2 in ing.r_num[2].items():
-                    for y3, a3 in ing.r_num[3].items():
-                        add((y0, y1, y2, y3), scale * a0 * a1 * a2 * a3)
-
-    return Coupling(alphabet, 4, mass, ing.pmfs)
+        components.append((weights.alpha[pair], [tied(pair), tied(complement_pair(pair))]))
+    components.append((weights.independent, [free(i) for i in range(4)]))
+    return _mixture_coupling(ing.pmfs, components)
 
 
 def intersection_violations(coupling: Coupling, pmfs: Sequence[Pmf]) -> list[tuple]:
@@ -508,17 +550,5 @@ def verify_intersection_property(coupling: Coupling, pmfs: Sequence[Pmf]) -> boo
 
 def independent_coupling(pmfs: Sequence[Pmf]) -> Coupling:
     """Product coupling; a baseline that generally has no special structure."""
-    pmfs = tuple(pmfs)
-    alphabet = pmfs[0].alphabet
-    mass: dict[tuple, Fraction] = {}
-
-    def rec(prefix: tuple, acc: Fraction, rest: tuple):
-        if not rest:
-            mass[prefix] = acc
-            return
-        head, *tail = rest
-        for y in head.support():
-            rec(prefix + (y,), acc * head[y], tuple(tail))
-
-    rec((), Fraction(1), pmfs)
-    return Coupling(alphabet, len(pmfs), mass, pmfs)
+    groups = [((i,), dict(p.items()), 1) for i, p in enumerate(pmfs)]
+    return _mixture_coupling(pmfs, [(1, groups)])

@@ -39,17 +39,16 @@ P_i(y) - sum_x P_min(x, y), at every y. ``build_simultaneous_coupling``
 assembles and validates the coupling itself, for ``couple --mode simul``
 and as the reference the penalty is tested against.
 
-The ingredient Y-coupling comes from the closed forms where available
-(m = 2 pair coupling; m = 3 ``three_way_coupling``, the four-way mixture
-of (P_1, P_2, P_3, P_3) with the duplicate projected out, written
-directly; m = 4 four-way mixture) and otherwise from the
-diagonal-floored LP. All routes pin the diagonal to min_i P_{Y_i}(y),
-which is what keeps H nonnegative. The closed forms decide their own
-existence condition, and every route is checked to attain union mass
-tau_max with that diagonal. A caller that has already decided
-``coupling_feasibility`` passes the verdict, so the LP route does not
-check the condition again and the four-way route builds from the
-verdict's ingredients.
+The ingredient Y-coupling comes from the closed forms in ``couplings``
+where available (m = 2 pair coupling; m = 3 ``three_way_coupling``;
+m = 4 four-way mixture), all assembled there by one mixture assembler
+that owns the no-0/0 rule, and otherwise from the diagonal-floored LP.
+All routes pin the diagonal to min_i P_{Y_i}(y), which is what keeps H
+nonnegative. The closed forms decide their own existence condition, and
+every route is checked to attain union mass tau_max with that diagonal.
+A caller that has already decided ``coupling_feasibility`` passes the
+verdict, so the LP route does not check the condition again and the
+four-way route builds from the verdict's ingredients.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .couplings import (
     FOUR_WAY_CONDITION,
+    TAU_MAX2_CONDITION,
     Coupling,
     N4Ingredients,
     assemble_n4_coupling,
@@ -70,6 +70,7 @@ from .couplings import (
     diagonal_mass,
     maximal_coupling_pair,
     n4_condition,
+    three_way_coupling,
     union_mass,
 )
 from .errors import (
@@ -140,10 +141,6 @@ class JointPmf:
         return f"JointPmf(|X|={len(self.x_alphabet)}, |Y|={len(self.y_alphabet)})"
 
 
-# The label of every refusal by tau_max2 <= 1.
-TAU_MAX2_CONDITION = "tau_max2 <= 1"
-
-
 class Feasibility(NamedTuple):
     """Whether a minimal coupling of some marginals is available.
 
@@ -173,68 +170,6 @@ def coupling_feasibility(y_pmfs: Sequence[Pmf]) -> Feasibility:
     value = tau_max2(DiscreteChannel(y_pmfs))
     # For m = 2 the second maximum is the minimum, so this always passes.
     return Feasibility(value <= 1, TAU_MAX2_CONDITION, value)
-
-
-def three_way_coupling(p1: Pmf, p2: Pmf, p3: Pmf) -> Coupling:
-    """Minimal three-way coupling with a pinned diagonal, in closed form.
-
-    It is the four-way mixture (``build_n4_coupling``) of (p1, p2, p3,
-    p3) with the duplicate coordinate projected out; only five of its
-    components survive. With
-    a, b, c the three masses at a symbol, r0 = (a - max(b, c))+ and
-    r1 = (b - max(a, c))+ the residuals of p1 and p2 (totals R0, R1), and
-    T01 = (min(a, b) - c)+, T23 = (c - max(a, b))+ (totals N01, N23):
-
-        (y, y, y)     min(a, b, c)
-        (y', y, y)    (min(b, c) - min(a, b, c))(y) * r0(y') / R0
-        (y, y', y)    (min(a, c) - min(a, b, c))(y) * r1(y') / R1
-        (y', y'', y)  (N23 - N01) / (R0 R1 N23) * T23(y) r0(y') r1(y'')
-        (y, y, y2)    T01(y) T23(y2) / N23
-
-    N23 - N01 = 1 - tau_max2, so the mixture exists iff tau_max2 <= 1;
-    otherwise ``PreconditionError(TAU_MAX2_CONDITION, tau_max2)``.
-    """
-    alphabet = p1.alphabet
-    if p2.alphabet != alphabet or p3.alphabet != alphabet:
-        raise LeakboundError("the three-way coupling needs a shared alphabet")
-    t01, t23, r0, r1 = {}, {}, {}, {}
-    for y in alphabet:
-        a, b, c = p1[y], p2[y], p3[y]
-        for part, value in (
-            (t01, min(a, b) - c),
-            (t23, c - max(a, b)),
-            (r0, a - max(b, c)),
-            (r1, b - max(a, c)),
-        ):
-            if value > 0:
-                part[y] = value
-    n01, n23 = sum(t01.values(), ZERO), sum(t23.values(), ZERO)
-    if n23 < n01:
-        raise PreconditionError(TAU_MAX2_CONDITION, 1 + n01 - n23)
-    norm0, norm1 = sum(r0.values(), ZERO), sum(r1.values(), ZERO)
-
-    mass: dict[tuple, Fraction] = {}
-    for y in alphabet:
-        a, b, c = p1[y], p2[y], p3[y]
-        floor = min(a, b, c)
-        if floor:
-            mass[(y, y, y)] = floor
-        if tied := min(b, c) - floor:
-            for y0, q in r0.items():
-                mass[(y0, y, y)] = tied * q / norm0
-        if tied := min(a, c) - floor:
-            for y1, q in r1.items():
-                mass[(y, y1, y)] = tied * q / norm1
-    if n23 != n01:
-        scale = (n23 - n01) / (norm0 * norm1 * n23)
-        for y, t in t23.items():
-            for y0, q0 in r0.items():
-                for y1, q1 in r1.items():
-                    mass[(y0, y1, y)] = scale * t * q0 * q1
-    for y, t in t01.items():
-        for y2, t2 in t23.items():
-            mass[(y, y, y2)] = t * t2 / n23
-    return Coupling(alphabet, 3, mass, [p1, p2, p3])
 
 
 def minimal_y_coupling(

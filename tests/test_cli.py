@@ -109,6 +109,29 @@ class TestBound:
             code, out, _ = run(capsys, "bound", path, "--targets", "X", "--method", method)
             assert code == 0 and "exact tau_max      = 2/1" in out
 
+    @pytest.mark.parametrize("method", ["coupling", "doeblin"])
+    def test_single_peel_never_peels_the_source(self, capsys, tmp_path, method):
+        # The root A sorts before the source X, so X is the topologically
+        # last target; the single peel takes A off instead.
+        doc = {
+            "format_version": 1,
+            "source": "X",
+            "nodes": [
+                {"id": "X", "alphabet": 2, "parents": []},
+                {"id": "A", "alphabet": 2, "parents": [], "cpt": [["1/3", "2/3"]]},
+                {"id": "Y", "alphabet": 2, "parents": ["A", "X"],
+                 "cpt": [["3/4", "1/4"], ["1/4", "3/4"], ["1/2", "1/2"], ["0", "1"]]},
+            ],
+        }
+        path = tmp_path / "roots.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "bound", path, "--targets", "A,X", "--method", method,
+            "--compare-exact",
+        )
+        assert (code, err) == (0, "")
+        assert "exact tau_max      = 2/1" in out and "soundness: OK" in out
+
     def test_repeated_targets_listed_once(self, capsys):
         code, out, _ = run(capsys, "bound", FIXTURES / "chain.json", "--targets", "Y1,Y1,Y2")
         assert code == 0

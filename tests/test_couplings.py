@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakbound import (
+    ConstructionError,
     Coupling,
     DiscreteChannel,
     LeakboundError,
@@ -39,7 +40,11 @@ from leakbound import (
     union_mass,
     verify_intersection_property,
 )
-from leakbound.couplings import intersection_violations, n4_mixture_weights
+from leakbound.couplings import (
+    _mixture_coupling,
+    intersection_violations,
+    n4_mixture_weights,
+)
 
 
 def pmf(values, letters=None):
@@ -88,6 +93,37 @@ class TestCouplingType:
         bad = {("0", "0"): Q(3, 2), ("1", "1"): Q(1, 2), ("0", "1"): Q(-1)}
         with pytest.raises(LeakboundError):
             Coupling("01", 2, bad, [p, p])
+
+
+class TestMixtureAssembler:
+    """The assembly rules every closed form goes through."""
+
+    HALF = {"0": Q(1, 2), "1": Q(1, 2)}
+    PRODUCT = (1, [((0,), HALF, 1), ((1,), HALF, 1)])
+
+    def assemble(self, *components):
+        uniform = pmf(["1/2", "1/2"])
+        return _mixture_coupling([uniform, uniform], components)
+
+    @pytest.mark.parametrize("skipped", [
+        (0, [((0, 1), {"0": Q(1)}, 0)]),
+        (Q(1, 2), [((0,), {}, 0), ((1,), {"0": Q(1)}, 1)]),
+        (Q(1, 2), [((0, 1), {"0": Q(0), "1": Q(0)}, 0)]),
+    ], ids=["zero-weight", "empty-factor", "all-zero-factor"])
+    def test_skipped_component_adds_nothing(self, skipped):
+        # Each skipped component has a zero norm: dividing by it would
+        # raise ZeroDivisionError.
+        got = self.assemble(self.PRODUCT, skipped)
+        assert got.mass == independent_coupling([pmf(["1/2", "1/2"])] * 2).mass
+
+    def test_masses_on_one_tuple_add_up(self):
+        quarter = (Q(1, 2), [((0,), self.HALF, 1), ((1,), self.HALF, 1)])
+        assert self.assemble(quarter, quarter).mass == self.assemble(self.PRODUCT).mass
+
+    def test_negative_factor_entry_raises(self):
+        bent = {"0": Q(-1, 4), "1": Q(5, 4)}
+        with pytest.raises(ConstructionError, match="negative mass"):
+            self.assemble((1, [((0, 1), bent, 1)]))
 
 
 class TestUnionMass:
@@ -148,8 +184,9 @@ class TestIngredients:
             fam = rand_family(rng, 4, 4)
             ing = n4_ingredients(fam)
             ch = DiscreteChannel(fam)
-            assert ing.tau_pair == tau_pair(ch)
-            assert ing.tau_trip == tau_trip(ch)
+            for size, measure in ((2, tau_pair), (3, tau_trip)):
+                subsets = [s for s in ing.tau_by_subset if len(s) == size]
+                assert sum(ing.tau_by_subset[s] for s in subsets) == measure(ch)
             for pair, tvals in ing.t.items():
                 assert all(v >= 0 for v in tvals.values())
                 assert ing.n[pair] == sum(tvals.values())
@@ -157,8 +194,9 @@ class TestIngredients:
     def test_max_min_identity(self):
         rng = random.Random(25)
         for _ in range(60):
-            ing = n4_ingredients(rand_family(rng, 4, 3))
-            assert ing.tau_max2 == ing.tau_pair - 2 * ing.tau_trip + 3 * ing.tau
+            fam = rand_family(rng, 4, 3)
+            ing, ch = n4_ingredients(fam), DiscreteChannel(fam)
+            assert ing.tau_max2 == tau_pair(ch) - 2 * tau_trip(ch) + 3 * ing.tau
 
 
 class TestCondition:
