@@ -48,6 +48,7 @@ from .errors import (
 from .lp import LpResult, min_union_coupling, min_union_coupling_diag
 from .measures import (
     DiscreteChannel,
+    JointPmf,
     MeasureSet,
     Pmf,
     doeblin,
@@ -64,7 +65,6 @@ from .measures import (
 )
 from .simultaneous import (
     Feasibility,
-    JointPmf,
     SimulCoupling,
     build_simultaneous_coupling,
     coupling_feasibility,

@@ -340,8 +340,7 @@ def composite_channel(
                 # Every parent of a closure node is in the closure, so the
                 # sub-network's CPTs are the network's: share their memo.
                 sub._memo = net._memo
-            joint = joint_distribution(sub, x, max_states=max_states)
-            net._memo[memo_key] = {a: joint[a] for a in joint.support()}
+            net._memo[memo_key] = joint_distribution(sub, x, max_states=max_states).mass
         mass: dict[tuple, Fraction] = {}
         for assign, q in net._memo[memo_key].items():
             key = tuple(

@@ -19,6 +19,8 @@ with two interchangeable penalties:
 
 Both require tau_max2(P_{U|pa(U)}) <= 1 and a couplable V-side: either
 tau_max2(P_{V|X}) <= 1 or, when |X| = 4, the relaxed four-way condition.
+A side with one row passes trivially: with |X| = 1 the one joint is its
+own coupling, f = 1, and every bound equals the exact value 1.
 
 ``recursive_bound`` peels the topologically last target node repeatedly;
 ``subadditivity_baseline`` is the same product with every penalty dropped
@@ -48,8 +50,8 @@ from .bayesnet import (
     DEFAULT_MAX_STATES, BayesNet, composite_channel, descendants, topological_sort
 )
 from .errors import LeakboundError, PreconditionError
-from .measures import ZERO, DiscreteChannel, doeblin, tau_max, tau_max2
-from .simultaneous import Feasibility, JointPmf, coupling_feasibility, coupling_penalty
+from .measures import ZERO, DiscreteChannel, JointPmf, doeblin, tau_max, tau_max2
+from .simultaneous import Feasibility, coupling_feasibility, coupling_penalty
 
 
 @dataclass(frozen=True)
@@ -111,11 +113,11 @@ def _sources_for_coupling(
     sources = []
     for row in w_channel.rows:
         mass: dict[tuple, Fraction] = {}
-        for w_value in row.support():
+        for w_value, q in row.mass.items():
             z = tuple(w_value[w_pos[p]] for p in parents)
             v = tuple(w_value[w_pos[t]] for t in v_ordered)
             key = (z, v)
-            mass[key] = mass.get(key, ZERO) + row[w_value]
+            mass[key] = mass.get(key, ZERO) + q
         sources.append(JointPmf(z_alphabet, v_alphabet, mass))
     return sources
 
@@ -127,6 +129,11 @@ class _Checked(NamedTuple):
     tau_max_v: Fraction
     w_channel: DiscreteChannel
     verdict: Feasibility
+
+
+def _record(name: str, value: Fraction | None, ok: bool) -> tuple[str, str, bool]:
+    """A precondition log entry; value None marks a one-row channel."""
+    return (name, "trivial (one row)" if value is None else str(value), ok)
 
 
 def _checked_step(
@@ -145,18 +152,17 @@ def _checked_step(
     _check_order(net, v_set, u)
     u_cpt = net.cpt(u)
     tmu = tau_max(u_cpt)
-    # tau_max2 of U's own CPT; a single-row CPT passes trivially.
+    # tau_max2 of U's own CPT; a single-row CPT passes trivially, and so
+    # does a single-row V-side, which is its own coupling.
     u_value = tau_max2(u_cpt) if u_cpt.n > 1 else None
-    rec_u = (
-        f"tau_max2(P_{{{u}|pa}}) <= 1",
-        "trivial (one row)" if u_value is None else str(u_value),
-        u_value is None or u_value <= 1,
+    rec_u = _record(
+        f"tau_max2(P_{{{u}|pa}}) <= 1", u_value, u_value is None or u_value <= 1
     )
     v_channel = composite_channel(net, v_set, max_states=max_states)
     verdict = coupling_feasibility(list(v_channel.rows))
-    rec_v = (
+    rec_v = _record(
         f"{verdict.label} for P_{{{'+'.join(sorted(v_set))}|X}}",
-        str(verdict.value),
+        verdict.value,
         verdict.ok,
     )
     for name, value, ok in (rec_u, rec_v):

@@ -21,6 +21,7 @@ import csv
 import functools
 import io
 import sys
+from typing import NamedTuple
 
 from . import bayesnet, bounds, netfile
 from .couplings import (
@@ -38,18 +39,13 @@ from .errors import (
 from .lp import min_union_coupling, min_union_coupling_diag
 from .measures import (
     DiscreteChannel,
-    Pmf,
+    JointPmf,
     format_fraction,
     log_fraction,
     measure_set,
     tau_max,
 )
-from .simultaneous import (
-    JointPmf,
-    build_simultaneous_coupling,
-    f_quantity,
-    y_union_mass,
-)
+from .simultaneous import build_simultaneous_coupling, f_quantity, y_union_mass
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -67,6 +63,27 @@ REPORT_COLUMNS = [
     "gap",
     "preconditions",
 ]
+BLANK_ROW = dict.fromkeys(REPORT_COLUMNS, "")
+
+
+class Bound(NamedTuple):
+    """One bound's names: its ``BoundReport`` field, its text label, its
+    CSV ``bound_method`` and its ``sweep`` column."""
+
+    field: str
+    label: str
+    method: str
+    column: str
+
+    def value(self, report: bounds.BoundReport):
+        return getattr(report, self.field)
+
+
+BOUNDS = (
+    Bound("coupling_bound_value", "coupling bound", "coupling", "coupling_bound"),
+    Bound("doeblin_bound_value", "doeblin bound", "doeblin", "doeblin_bound"),
+    Bound("subadditivity_value", "subadditivity", "subadditivity", "baseline"),
+)
 
 
 def _read(path: str) -> str:
@@ -135,19 +152,13 @@ def _measure_rows(net) -> list[dict]:
         if node.node_id == net.source or node.rows is None:
             continue
         ms = measure_set(net.cpt(node.node_id))
-        rows.append(
-            {
-                "node": node.node_id,
-                "tau": format_fraction(ms.tau),
-                "tau_max": format_fraction(ms.tau_max),
-                "tau_max2": "" if ms.tau_max2 is None else format_fraction(ms.tau_max2),
-                "bound_method": "",
-                "bound_value": "",
-                "exact_value": "",
-                "gap": "",
-                "preconditions": "",
-            }
-        )
+        rows.append({
+            **BLANK_ROW,
+            "node": node.node_id,
+            "tau": format_fraction(ms.tau),
+            "tau_max": format_fraction(ms.tau_max),
+            "tau_max2": "" if ms.tau_max2 is None else format_fraction(ms.tau_max2),
+        })
     return rows
 
 
@@ -157,24 +168,16 @@ def _bound_rows(report: bounds.BoundReport) -> list[dict]:
         f"{name}={value}:{'pass' if ok else 'FAIL'}"
         for name, value, ok in report.precondition_log
     )
-    for method, value in (
-        ("coupling", report.coupling_bound_value),
-        ("doeblin", report.doeblin_bound_value),
-        ("subadditivity", report.subadditivity_value),
-    ):
-        rows.append(
-            {
-                "node": "",
-                "tau": "",
-                "tau_max": "",
-                "tau_max2": "",
-                "bound_method": method,
-                "bound_value": "inapplicable" if value is None else format_fraction(value),
-                "exact_value": format_fraction(report.exact_tau_max),
-                "gap": "" if value is None else format_fraction(value - report.exact_tau_max),
-                "preconditions": check_text,
-            }
-        )
+    for bound in BOUNDS:
+        value = bound.value(report)
+        rows.append({
+            **BLANK_ROW,
+            "bound_method": bound.method,
+            "bound_value": "inapplicable" if value is None else format_fraction(value),
+            "exact_value": format_fraction(report.exact_tau_max),
+            "gap": "" if value is None else format_fraction(value - report.exact_tau_max),
+            "preconditions": check_text,
+        })
     return rows
 
 
@@ -196,29 +199,24 @@ def cmd_bound(args) -> int:
     else:
         sys.stdout.write(out.getvalue())
 
-    wanted = {
-        "recursive": ("coupling", "doeblin", "subadditivity"),
-        "coupling": ("coupling", "subadditivity"),
-        "doeblin": ("doeblin", "subadditivity"),
-    }[args.method]
-    shown = {
-        "coupling": ("coupling bound", report.coupling_bound_value),
-        "doeblin": ("doeblin bound", report.doeblin_bound_value),
-        "subadditivity": ("subadditivity", report.subadditivity_value),
-    }
+    # A single-peel method shows its own bound and the baseline.
+    shown = [
+        b for b in BOUNDS
+        if args.method == "recursive" or b.method in (args.method, "subadditivity")
+    ]
 
     print(f"query: {report.query}")
     print(f"exact tau_max      = {format_fraction(report.exact_tau_max)}")
     print(f"exact leakage      = {_fmt_log(log_fraction(report.exact_tau_max))}")
     inapplicable = False
-    for key in wanted:
-        label, value = shown[key]
+    for bound in shown:
+        value = bound.value(report)
         if value is None:
-            print(f"{label:<18} = inapplicable")
+            print(f"{bound.label:<18} = inapplicable")
             inapplicable = True
         else:
             print(
-                f"{label:<18} = {format_fraction(value)}"
+                f"{bound.label:<18} = {format_fraction(value)}"
                 f" (log {_fmt_log(log_fraction(value))})"
             )
     for name, value, ok in report.precondition_log:
@@ -226,12 +224,8 @@ def cmd_bound(args) -> int:
 
     if args.compare_exact:
         sound = all(
-            value is None or value >= report.exact_tau_max
-            for value in (
-                report.coupling_bound_value,
-                report.doeblin_bound_value,
-                report.subadditivity_value,
-            )
+            b.value(report) is None or b.value(report) >= report.exact_tau_max
+            for b in BOUNDS
         )
         print(f"soundness: {'OK' if sound else 'VIOLATED'}")
         if not sound:
@@ -260,7 +254,7 @@ def cmd_couple(args) -> int:
                 print(f"x={','.join(map(str, xs))} y={','.join(map(str, ys))} : {format_fraction(q)}")
         return EXIT_OK
 
-    if not items or not isinstance(items[0], Pmf):
+    if not items or isinstance(items[0], JointPmf):
         print(f'{args.mode} mode needs a "pmfs" document')
         return EXIT_INVALID
     channel = DiscreteChannel(items)
@@ -310,23 +304,13 @@ def cmd_sweep(args) -> int:
         report = bounds.query_report(
             net, targets, method="recursive", max_states=args.max_states
         )
-        rows.append(
-            {
-                args.param: str(value),
-                "exact": format_fraction(report.exact_tau_max),
-                "coupling_bound": ""
-                if report.coupling_bound_value is None
-                else format_fraction(report.coupling_bound_value),
-                "doeblin_bound": ""
-                if report.doeblin_bound_value is None
-                else format_fraction(report.doeblin_bound_value),
-                "baseline": ""
-                if report.subadditivity_value is None
-                else format_fraction(report.subadditivity_value),
-            }
-        )
+        row = {args.param: str(value), "exact": format_fraction(report.exact_tau_max)}
+        for bound in BOUNDS:
+            got = bound.value(report)
+            row[bound.column] = "" if got is None else format_fraction(got)
+        rows.append(row)
 
-    columns = [args.param, "exact", "coupling_bound", "doeblin_bound", "baseline"]
+    columns = [args.param, "exact", *(b.column for b in BOUNDS)]
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=columns)
     writer.writeheader()

@@ -196,12 +196,11 @@ def maximal_coupling_pair(p: Pmf, q: Pmf) -> Coupling:
         (y, y)      min{p,q}(y)
         (y1, y2)    (1 - omega) (p - min{p,q})(y1) (q - min{p,q})(y2) / (1 - omega)^2
     """
-    if p.alphabet != q.alphabet:
-        raise LeakboundError("maximal coupling needs a shared alphabet")
-    overlap = {y: min(p[y], q[y]) for y in p.alphabet}
+    alphabet = DiscreteChannel((p, q)).output_alphabet
+    overlap = {y: min(p[y], q[y]) for y in alphabet}
     rest = 1 - sum(overlap.values(), ZERO)
-    left = {y: p[y] - overlap[y] for y in p.alphabet if p[y] > overlap[y]}
-    right = {y: q[y] - overlap[y] for y in q.alphabet if q[y] > overlap[y]}
+    left = {y: p[y] - overlap[y] for y in alphabet if p[y] > overlap[y]}
+    right = {y: q[y] - overlap[y] for y in alphabet if q[y] > overlap[y]}
     return _mixture_coupling((p, q), [
         (1, [((0, 1), overlap, 1)]),
         (rest, [((0,), left, rest), ((1,), right, rest)]),
@@ -227,12 +226,10 @@ def three_way_coupling(p1: Pmf, p2: Pmf, p3: Pmf) -> Coupling:
     N23 - N01 = 1 - tau_max2, so the mixture exists iff tau_max2 <= 1;
     otherwise ``PreconditionError(TAU_MAX2_CONDITION, tau_max2)``.
     """
-    alphabet = p1.alphabet
-    if p2.alphabet != alphabet or p3.alphabet != alphabet:
-        raise LeakboundError("the three-way coupling needs a shared alphabet")
+    channel = DiscreteChannel((p1, p2, p3))
     floor, s12, s02, t01, t23, r0, r1 = ({} for _ in range(7))
-    for y in alphabet:
-        a, b, c = p1[y], p2[y], p3[y]
+    for y in channel.output_alphabet:
+        a, b, c = channel.column(y)
         floor[y] = min(a, b, c)
         s12[y] = min(b, c) - floor[y]
         s02[y] = min(a, c) - floor[y]
@@ -304,11 +301,8 @@ def n4_ingredients(pmfs: Sequence[Pmf]) -> N4Ingredients:
     pmfs = tuple(pmfs)
     if len(pmfs) != 4:
         raise LeakboundError("the four-way construction needs exactly 4 PMFs")
-    alphabet = pmfs[0].alphabet
-    for p in pmfs:
-        if p.alphabet != alphabet:
-            raise LeakboundError("all four PMFs must share one alphabet")
     channel = DiscreteChannel(pmfs)
+    alphabet = channel.output_alphabet
 
     tau_by_subset: dict[frozenset, Fraction] = {}
     for size in (2, 3, 4):

@@ -36,14 +36,12 @@ class PreconditionError(LeakboundError):
     ``value`` is the exact quantity that violated it.
     """
 
-    def __init__(self, condition: str, value=None, detail: str = ""):
+    def __init__(self, condition: str, value=None):
         self.condition = condition
         self.value = value
         msg = f"precondition failed: {condition}"
         if value is not None:
             msg += f" (got {value})"
-        if detail:
-            msg += f"; {detail}"
         super().__init__(msg)
 
 

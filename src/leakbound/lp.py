@@ -393,10 +393,8 @@ def _coupling_lp(
     marginals = tuple(marginals)
     if len(marginals) < 2:
         raise LeakboundError("a coupling needs at least two marginals")
-    alphabet = marginals[0].alphabet
-    for p in marginals:
-        if p.alphabet != alphabet:
-            raise LeakboundError("marginals must share one output alphabet")
+    channel = DiscreteChannel(marginals)
+    alphabet = channel.output_alphabet
     m = len(marginals)
     size = len(alphabet)
 
@@ -421,7 +419,7 @@ def _coupling_lp(
         if j < space.n_tuples
     }
     witness = Coupling(alphabet, m, mass, marginals)
-    target = tau_max(DiscreteChannel(marginals))
+    target = tau_max(channel)
     return LpResult(
         optimal_value=value,
         witness=witness,

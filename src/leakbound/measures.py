@@ -1,8 +1,22 @@
-"""Exact probability vectors, discrete channels, and leakage measures.
+"""Exact probability laws, discrete channels, and leakage measures.
 
 All probabilities are ``fractions.Fraction`` values and every operation in
 this module is exact; the only floating-point quantity produced anywhere is
 the logarithm taken at the reporting boundary (``maximal_leakage``).
+
+Every exact law of the package is validated here, by ``exact_masses``:
+
+* ``Pmf`` checks its alphabet and its masses (non-negative, exactly 1 in
+  total, only on known symbols). ``JointPmf`` is a ``Pmf`` whose alphabet
+  is the (x, y) cells of X x Y, so it is validated, looked up and
+  compared as one.
+* ``DiscreteChannel`` checks that a family of PMFs shares one alphabet.
+  It is the only such check: every routine that takes a family (the
+  closed-form couplings, the coupling LP, the simultaneous coupling)
+  builds a channel of it first.
+* ``couplings.Coupling``, a law over |Y|^m tuples that are never listed
+  as an alphabet, runs its masses through ``exact_masses`` as well and
+  checks them against its declared marginals.
 
 The scalar measures of a channel with rows P_1, ..., P_n over alphabet Y:
 
@@ -20,7 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import LeakboundError
@@ -100,20 +115,21 @@ def push_forward(mass: Mapping, key: Callable[[Hashable], Hashable]) -> dict:
 class Pmf:
     """A probability mass function over a finite ordered alphabet.
 
-    Masses are exact rationals in [0, 1] summing to exactly 1. Instances
-    are immutable after construction and safe to share across threads.
+    Masses are exact rationals in [0, 1] summing to exactly 1; ``mass``
+    maps each symbol of the support to its positive mass. Instances are
+    immutable after construction and safe to share across threads.
     """
 
-    __slots__ = ("alphabet", "_mass")
+    __slots__ = ("alphabet", "mass")
 
     def __init__(self, alphabet: Iterable[Symbol], mass: Mapping[Symbol, object]):
         alphabet = check_alphabet(alphabet)
         clean = exact_masses(mass.items(), set(alphabet).__contains__)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_mass", clean)
+        object.__setattr__(self, "mass", clean)
 
-    @classmethod
-    def from_values(cls, values: Sequence[object], alphabet: Iterable[Symbol] | None = None) -> "Pmf":
+    @staticmethod
+    def from_values(values: Sequence[object], alphabet: Iterable[Symbol] | None = None) -> "Pmf":
         """Build from a dense row of masses aligned with the alphabet."""
         if alphabet is None:
             alphabet = tuple(str(i) for i in range(len(values)))
@@ -122,35 +138,63 @@ class Pmf:
             raise LeakboundError(
                 f"row has {len(values)} entries for alphabet of size {len(alphabet)}"
             )
-        return cls(alphabet, dict(zip(alphabet, values)))
+        return Pmf(alphabet, dict(zip(alphabet, values)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Pmf is immutable")
 
     def __getitem__(self, sym: Symbol) -> Fraction:
-        return self._mass.get(sym, ZERO)
+        return self.mass.get(sym, ZERO)
 
     def items(self):
         """(symbol, mass) pairs in alphabet order, including zeros."""
-        return [(sym, self._mass.get(sym, ZERO)) for sym in self.alphabet]
+        return [(sym, self.mass.get(sym, ZERO)) for sym in self.alphabet]
 
     def support(self) -> list[Symbol]:
-        return [sym for sym in self.alphabet if sym in self._mass]
+        return [sym for sym in self.alphabet if sym in self.mass]
 
     def values(self) -> list[Fraction]:
-        return [self._mass.get(sym, ZERO) for sym in self.alphabet]
+        return [self.mass.get(sym, ZERO) for sym in self.alphabet]
 
     def __eq__(self, other):
         if not isinstance(other, Pmf):
             return NotImplemented
-        return self.alphabet == other.alphabet and self._mass == other._mass
+        return self.alphabet == other.alphabet and self.mass == other.mass
 
     def __hash__(self):
-        return hash((self.alphabet, frozenset(self._mass.items())))
+        return hash((self.alphabet, frozenset(self.mass.items())))
 
     def __repr__(self):
         body = ", ".join(f"{s!r}: {q}" for s, q in self.items())
         return f"Pmf({{{body}}})"
+
+
+class JointPmf(Pmf):
+    """An exact joint PMF over X x Y: a ``Pmf`` whose alphabet is the
+    (x, y) cells, x-major, so it is validated, looked up and compared as
+    one. The two axes are kept to split it into its marginals."""
+
+    __slots__ = ("x_alphabet", "y_alphabet")
+
+    def __init__(
+        self,
+        x_alphabet: Iterable[Symbol],
+        y_alphabet: Iterable[Symbol],
+        mass: Mapping[tuple, object],
+    ):
+        x_alphabet, y_alphabet = tuple(x_alphabet), tuple(y_alphabet)
+        super().__init__(product(x_alphabet, y_alphabet), mass)
+        object.__setattr__(self, "x_alphabet", x_alphabet)
+        object.__setattr__(self, "y_alphabet", y_alphabet)
+
+    def x_marginal(self) -> Pmf:
+        return Pmf(self.x_alphabet, push_forward(self.mass, itemgetter(0)))
+
+    def y_marginal(self) -> Pmf:
+        return Pmf(self.y_alphabet, push_forward(self.mass, itemgetter(1)))
+
+    def __repr__(self):
+        return f"JointPmf(|X|={len(self.x_alphabet)}, |Y|={len(self.y_alphabet)})"
 
 
 class DiscreteChannel:

@@ -33,8 +33,7 @@ from typing import Mapping
 
 from .bayesnet import BayesNet, NodeSpec
 from .errors import NetworkFormatError
-from .measures import Pmf
-from .simultaneous import JointPmf
+from .measures import JointPmf, Pmf
 
 FORMAT_VERSION = 1
 

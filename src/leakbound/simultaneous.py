@@ -49,6 +49,20 @@ every route is checked to attain union mass tau_max with that diagonal.
 A caller that has already decided ``coupling_feasibility`` passes the
 verdict, so the LP route does not check the condition again and the
 four-way route builds from the verdict's ingredients.
+
+One source is its own coupling: its one Y-marginal passes the condition
+with no value, the weight table is empty and f = 1. The penalty accepts
+it; ``build_simultaneous_coupling``, like the coupling LP, refuses fewer
+than two sources.
+
+Which type validates what: each source is a ``measures.JointPmf``,
+validated as a ``Pmf`` over its (x, y) cells when it is built. The table
+builds a ``DiscreteChannel`` of the sources, the one check that they
+share their cells, hence one X and one Y alphabet. The ingredient
+Y-coupling is a ``couplings.Coupling``, checked against the Y-marginals.
+``SimulCoupling.validate`` checks the assembled law: total mass, every
+source marginal and the Y-projection; ``coupling_penalty`` checks the
+table in closed form instead.
 """
 
 from __future__ import annotations
@@ -58,7 +72,7 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .couplings import (
     FOUR_WAY_CONDITION,
@@ -68,6 +82,7 @@ from .couplings import (
     assemble_n4_coupling,
     build_n4_coupling,
     diagonal_mass,
+    independent_coupling,
     maximal_coupling_pair,
     n4_condition,
     three_way_coupling,
@@ -84,61 +99,13 @@ from .lp import min_union_coupling_diag
 from .measures import (
     ZERO,
     DiscreteChannel,
+    JointPmf,
     Pmf,
     Symbol,
-    check_alphabet,
-    exact_masses,
     push_forward,
     tau_max,
     tau_max2,
 )
-
-
-class JointPmf:
-    """An exact joint PMF over a product alphabet X x Y."""
-
-    __slots__ = ("x_alphabet", "y_alphabet", "mass")
-
-    def __init__(
-        self,
-        x_alphabet: Iterable[Symbol],
-        y_alphabet: Iterable[Symbol],
-        mass: Mapping[tuple, object],
-    ):
-        x_alphabet = check_alphabet(x_alphabet)
-        y_alphabet = check_alphabet(y_alphabet)
-        xs, ys = set(x_alphabet), set(y_alphabet)
-        clean = exact_masses(
-            ((tuple(cell), q) for cell, q in mass.items()),
-            lambda cell: len(cell) == 2 and cell[0] in xs and cell[1] in ys,
-        )
-        object.__setattr__(self, "x_alphabet", x_alphabet)
-        object.__setattr__(self, "y_alphabet", y_alphabet)
-        object.__setattr__(self, "mass", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JointPmf is immutable")
-
-    def __getitem__(self, cell: tuple) -> Fraction:
-        return self.mass.get(tuple(cell), ZERO)
-
-    def y_marginal(self) -> Pmf:
-        return Pmf(self.y_alphabet, push_forward(self.mass, itemgetter(1)))
-
-    def x_marginal(self) -> Pmf:
-        return Pmf(self.x_alphabet, push_forward(self.mass, itemgetter(0)))
-
-    def __eq__(self, other):
-        if not isinstance(other, JointPmf):
-            return NotImplemented
-        return (
-            self.x_alphabet == other.x_alphabet
-            and self.y_alphabet == other.y_alphabet
-            and self.mass == other.mass
-        )
-
-    def __repr__(self):
-        return f"JointPmf(|X|={len(self.x_alphabet)}, |Y|={len(self.y_alphabet)})"
 
 
 class Feasibility(NamedTuple):
@@ -151,7 +118,7 @@ class Feasibility(NamedTuple):
 
     ok: bool
     label: str
-    value: Fraction
+    value: Fraction | None
     ingredients: N4Ingredients | None = None
 
 
@@ -160,14 +127,16 @@ def coupling_feasibility(y_pmfs: Sequence[Pmf]) -> Feasibility:
 
     For m != 4 the condition is tau_max2 <= 1; for m = 4 the relaxed
     pair-normalizer condition is used, which subsumes tau_max2 <= 1.
+    One marginal is its own coupling: it passes with value None, as
+    tau_max2 of one row is undefined.
     """
-    m = len(y_pmfs)
-    if m < 2:
-        raise LeakboundError("need at least two marginals")
-    if m == 4:
+    if len(y_pmfs) == 4:
         ok, ing = n4_condition(y_pmfs)
         return Feasibility(ok, FOUR_WAY_CONDITION, ing.condition_slack(), ing)
-    value = tau_max2(DiscreteChannel(y_pmfs))
+    channel = DiscreteChannel(y_pmfs)
+    if channel.n == 1:
+        return Feasibility(True, TAU_MAX2_CONDITION, None)
+    value = tau_max2(channel)
     # For m = 2 the second maximum is the minimum, so this always passes.
     return Feasibility(value <= 1, TAU_MAX2_CONDITION, value)
 
@@ -179,8 +148,8 @@ def minimal_y_coupling(
 ) -> Coupling:
     """A coupling attaining union mass tau_max with a pinned diagonal.
 
-    Dispatch: closed forms for m <= 4, diagonal-floored LP beyond that.
-    Raises ``PreconditionError`` when no route applies. The closed forms
+    Dispatch: one marginal is its own coupling, closed forms for
+    2 <= m <= 4, diagonal-floored LP beyond that. Raises ``PreconditionError`` when no route applies. The closed forms
     decide their own existence condition; only the LP route checks it
     first, unless ``verdict``, the ``coupling_feasibility`` of these
     marginals, is passed. At m = 4 the route builds from the verdict's
@@ -192,7 +161,9 @@ def minimal_y_coupling(
         verdict = coupling_feasibility(y_pmfs)
     if verdict is not None and not verdict.ok:
         raise PreconditionError(verdict.label, verdict.value)
-    if m == 2:
+    if m == 1:
+        coupling = independent_coupling(y_pmfs)
+    elif m == 2:
         coupling = maximal_coupling_pair(*y_pmfs)
     elif m == 3:
         coupling = three_way_coupling(*y_pmfs)
@@ -243,22 +214,14 @@ def _mixture_table(
     verdict: Feasibility | None = None,
 ) -> _MixtureTable:
     m = len(sources)
-    if m < 2:
-        raise LeakboundError("need at least two joint PMFs")
+    channel = DiscreteChannel(sources)  # one (x, y) cell alphabet
     x_alphabet = sources[0].x_alphabet
     y_alphabet = sources[0].y_alphabet
-    for s in sources:
-        if s.x_alphabet != x_alphabet or s.y_alphabet != y_alphabet:
-            raise LeakboundError("sources must share both alphabets")
 
     y_marginals = [s.y_marginal() for s in sources]
     y_coupling = minimal_y_coupling(y_marginals, max_variables, verdict)
 
-    p_min = {
-        (x, y): min(s[(x, y)] for s in sources)
-        for x in x_alphabet
-        for y in y_alphabet
-    }
+    p_min = {cell: min(channel.column(cell)) for cell in channel.output_alphabet}
     p_ymin = {y: min(p[y] for p in y_marginals) for y in y_alphabet}
 
     residual, totals = [], []
@@ -340,12 +303,9 @@ class SimulCoupling:
             raise ConstructionError(f"coupling mass sums to {total}")
         for i, src in enumerate(self.sources):
             got = self.source_marginal(i)
-            for x in src.x_alphabet:
-                for y in src.y_alphabet:
-                    if got.get((x, y), ZERO) != src[(x, y)]:
-                        raise ConstructionError(
-                            f"source {i} marginal mismatch at {(x, y)!r}"
-                        )
+            for cell in src.alphabet:
+                if got.get(cell, ZERO) != src[cell]:
+                    raise ConstructionError(f"source {i} marginal mismatch at {cell!r}")
         proj = self.y_projection()
         if proj != dict(self.y_coupling.mass):
             raise ConstructionError("Y-projection differs from ingredient coupling")
@@ -358,9 +318,12 @@ def build_simultaneous_coupling(
     """Assemble the three-part mixture described in the module docstring.
 
     ``max_states`` caps both the assembled support and the variable count
-    of the fallback LP that builds the ingredient Y-coupling.
+    of the fallback LP that builds the ingredient Y-coupling. Like the
+    coupling LP, it refuses fewer than two sources.
     """
     sources = tuple(sources)
+    if len(sources) < 2:
+        raise LeakboundError("need at least two joint PMFs")
     table = _mixture_table(sources, max_states)
     m = len(sources)
     residual = table.residual

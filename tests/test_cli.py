@@ -132,6 +132,21 @@ class TestBound:
         assert (code, err) == (0, "")
         assert "exact tau_max      = 2/1" in out and "soundness: OK" in out
 
+    @pytest.mark.parametrize("method", ["recursive", "coupling", "doeblin"])
+    def test_one_symbol_source_reported(self, capsys, method):
+        # Every V-side channel has one row, which is its own coupling, so
+        # each penalized bound equals the exact value 1.
+        code, out, err = run(
+            capsys, "bound", FIXTURES / "one_symbol_source.json", "--targets", "Y,Z",
+            "--method", method, "--compare-exact",
+        )
+        assert (code, err) == (0, "")
+        assert "exact tau_max      = 1/1\n" in out and "soundness: OK" in out
+        assert "|X}: trivial (one row) [pass]" in out
+        for name in ("coupling", "doeblin"):
+            if method in ("recursive", name):
+                assert f"{name + ' bound':<18} = 1/1 (log 0)\n" in out
+
     def test_repeated_targets_listed_once(self, capsys):
         code, out, _ = run(capsys, "bound", FIXTURES / "chain.json", "--targets", "Y1,Y1,Y2")
         assert code == 0
@@ -235,6 +250,11 @@ class TestCouple:
             capsys, "couple", FIXTURES / "joints_pair.json", "--mode", "n4"
         )
         assert code == 1
+        # A joint PMF is a Pmf, yet not a "pmfs" document.
+        code, out, _ = run(
+            capsys, "couple", FIXTURES / "joints_pair.json", "--mode", "lp"
+        )
+        assert (code, out) == (1, 'lp mode needs a "pmfs" document\n')
 
 
 class TestCapacityAndOverrides:

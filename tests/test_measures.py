@@ -12,16 +12,23 @@ from leakbound import (
     JointPmf,
     LeakboundError,
     Pmf,
+    build_simultaneous_coupling,
+    coupling_penalty,
     doeblin,
     make_erasure,
     make_q_ary_symmetric,
+    maximal_coupling_pair,
     maximal_leakage,
     measure_set,
+    min_union_coupling,
+    min_union_coupling_diag,
+    n4_ingredients,
     tau_max,
     tau_max2,
     tau_pair,
     tau_subset,
     tau_trip,
+    three_way_coupling,
     total_variation,
 )
 import math
@@ -49,6 +56,7 @@ class TestPmf:
         p = Pmf.from_values([Q(1), 0, 0])
         assert p.support() == ["0"]
         assert p["2"] == 0
+        assert p.mass == {"0": 1}
 
     def test_immutable(self):
         p = Pmf.from_values([1])
@@ -91,6 +99,37 @@ def test_shared_mass_validation(kind, fault):
     alphabet, mass, error, message = MASS_FAULTS[fault]
     with pytest.raises(error, match=message):
         build(alphabet, mass)
+
+
+P_AB = Pmf.from_values([Q(1, 2), Q(1, 2)], "ab")
+P_AC = Pmf.from_values([Q(1, 2), Q(1, 2)], "ac")
+
+
+def _diagonal_joint(xs, ys):
+    return JointPmf(xs, ys, {(xs[0], ys[0]): Q(1, 2), (xs[1], ys[1]): Q(1, 2)})
+
+
+# Every routine that takes a family of PMFs, given one member on another
+# alphabet; each leaves the check to DiscreteChannel.
+MIXED_FAMILIES = {
+    "pair": lambda: maximal_coupling_pair(P_AB, P_AC),
+    "three-way": lambda: three_way_coupling(P_AB, P_AB, P_AC),
+    "n4_ingredients": lambda: n4_ingredients([P_AB, P_AB, P_AC, P_AB]),
+    "lp": lambda: min_union_coupling([P_AB, P_AC]),
+    "lp-diag": lambda: min_union_coupling_diag([P_AB, P_AC, P_AB]),
+    "simultaneous": lambda: build_simultaneous_coupling(
+        [_diagonal_joint("01", "ab"), _diagonal_joint("01", "ac")]
+    ),
+    "penalty": lambda: coupling_penalty(
+        [_diagonal_joint("01", "ab"), _diagonal_joint("02", "ab")]
+    ),
+}
+
+
+@pytest.mark.parametrize("routine", MIXED_FAMILIES)
+def test_family_on_mixed_alphabets_refused(routine):
+    with pytest.raises(LeakboundError, match=r"row \d has a different output alphabet"):
+        MIXED_FAMILIES[routine]()
 
 
 class TestChannel:

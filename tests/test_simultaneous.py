@@ -25,6 +25,7 @@ from leakbound import (
     DiscreteChannel,
     JointPmf,
     LeakboundError,
+    Pmf,
     PreconditionError,
     build_simultaneous_coupling,
     coupling_feasibility,
@@ -81,6 +82,50 @@ class TestJointPmf:
         j = JointPmf("01", "ab", {("0", "a"): Q(1, 4), ("1", "b"): Q(3, 4)})
         assert j.y_marginal()["a"] == Q(1, 4)
         assert j.x_marginal()["1"] == Q(3, 4)
+
+    def test_is_a_pmf_over_its_cells(self):
+        j = JointPmf("01", "ab", {("0", "a"): Q(1, 4), ("1", "b"): Q(3, 4)})
+        assert isinstance(j, Pmf)
+        assert j.alphabet == (("0", "a"), ("0", "b"), ("1", "a"), ("1", "b"))
+        assert j.mass == {("0", "a"): Q(1, 4), ("1", "b"): Q(3, 4)}
+        assert j[("1", "a")] == 0
+        assert j.support() == [("0", "a"), ("1", "b")]
+        with pytest.raises(AttributeError):
+            j.x_alphabet = ("0",)
+
+    def test_equal_axes_and_masses_are_equal_and_hash_alike(self):
+        mass = {("0", "a"): Q(1, 4), ("1", "b"): Q(3, 4)}
+        first = JointPmf("01", "ab", mass)
+        second = JointPmf(["0", "1"], ("a", "b"), dict(reversed(list(mass.items()))))
+        assert first == second and hash(first) == hash(second)
+        assert first != JointPmf("01", "abc", mass)
+        assert first != JointPmf("10", "ab", mass)
+
+    def test_from_values_builds_no_joint(self):
+        # The inherited constructor cannot fill in the two axes.
+        p = JointPmf.from_values([Q(1, 2), Q(1, 2)], [("0", "a"), ("1", "a")])
+        assert type(p) is Pmf
+
+
+def _one_joint():
+    return JointPmf("01", "ab", {("0", "a"): Q(1, 4), ("0", "b"): Q(1, 4),
+                                 ("1", "b"): Q(1, 2)})
+
+
+class TestOneSource:
+    """One source value: its joint is its own coupling, and f = 1."""
+
+    def test_feasibility_passes_without_a_value(self):
+        verdict = coupling_feasibility([_one_joint().y_marginal()])
+        assert (verdict.ok, verdict.value) == (True, None)
+
+    def test_minimal_y_coupling_is_the_marginal(self):
+        p = _one_joint().y_marginal()
+        coupling = minimal_y_coupling([p])
+        assert coupling.mass == {(y,): q for y, q in p.mass.items()}
+
+    def test_penalty_is_one(self):
+        assert coupling_penalty([_one_joint()]) == 1
 
 
 class TestMinimalYCoupling:
