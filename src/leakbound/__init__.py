@@ -25,6 +25,7 @@ from .bounds import (
 )
 from .couplings import (
     Coupling,
+    Mixture,
     MixtureWeights,
     N4Ingredients,
     build_n4_coupling,

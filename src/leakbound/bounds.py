@@ -11,8 +11,8 @@ with two interchangeable penalties:
 * ``coupling_bound`` uses f = sum_v P(pa(U)-copies all equal, some
   V-copy = v) under the simultaneous coupling of the per-source-value
   joints P_{V,pa(U)|X=i}; this is the tighter form. f is read off the
-  table of Y-tuple weights the coupling would be assembled from
-  (``simultaneous.coupling_penalty``), so the coupling is never built.
+  mixture parts the coupling would be assembled from
+  (``simultaneous.coupling_penalty``), so no tuple of it is listed.
 * ``doeblin_bound`` replaces f by the Doeblin coefficient of the exact
   composite channel P_{V+pa(U)|X}, which lower-bounds every f, so its
   bound is never tighter than the coupling one.

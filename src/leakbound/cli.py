@@ -21,12 +21,13 @@ import csv
 import functools
 import io
 import sys
+from math import prod
 from typing import NamedTuple
 
 from . import bayesnet, bounds, netfile
 from .couplings import (
-    assemble_n4_coupling,
     n4_condition,
+    n4_mixture,
     union_mass,
     verify_intersection_property,
 )
@@ -275,7 +276,11 @@ def cmd_couple(args) -> int:
         if not holds:
             print(f"tau_max2 = {format_fraction(ing.tau_max2)}; no construction")
             return EXIT_INVALID
-        coupling = assemble_n4_coupling(ing)
+        mixture = n4_mixture(ing)
+        size = sum(prod(len(entries) for _, entries in part) for part in mixture.parts)
+        if size > args.max_states:
+            raise CapacityError(size, args.max_states, "coupling support tuples")
+        coupling = mixture.coupling()
         got = union_mass(coupling)
         print("marginals OK (verified exactly)")
         print(f"union mass = {format_fraction(got)}; tau_max = {format_fraction(target)}"

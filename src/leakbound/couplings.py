@@ -2,22 +2,31 @@
 
 Every closed form here is a mixture: a weighted sum of components, each
 a product of per-group factors over coordinate groups tied to one
-symbol. The closed forms only compute their ingredients and list their
-components; ``_mixture_coupling`` turns the components into tuple masses
-and owns every assembly rule, among them that a component of zero weight
-or with an empty factor is skipped before any normalizer is divided by,
-so no 0/0 ratio is evaluated. Besides the product ``independent_coupling``
-(a baseline), the closed forms are:
+symbol. The closed forms compute their ingredients and hand their
+components to ``_mixture``, which owns the rules: a component of zero
+weight or with an empty factor is skipped before any normalizer is
+divided by, so no 0/0 ratio is evaluated, and a negative mass is
+refused. The resulting ``Mixture`` lists its tuples only in
+``Mixture.coupling``; the bounds read their penalty off its parts
+(``simultaneous.coupling_penalty``). Besides the product
+``independent_coupling`` (a baseline), the closed forms, each named with
+the function of its parts, are the three below. In each, the groups of
+one component have pairwise disjoint factor supports (T_p > 0 needs both
+rows of the pair p strictly above the other two, r_i > 0 needs row i
+strictly above all the others), so a component of g groups puts mass
+only on tuples of exactly g distinct symbols.
 
-* ``maximal_coupling_pair`` -- the classical two-variable maximal coupling
-  (diagonal mass min{p, q}, residuals coupled independently), which attains
-  union mass 1 + TV(p, q) = tau_max(p, q).
+* ``maximal_coupling_pair`` (``pair_mixture``) -- the classical
+  two-variable maximal coupling (diagonal mass min{p, q}, residuals
+  coupled independently), which attains union mass 1 + TV(p, q) =
+  tau_max(p, q).
 
-* ``three_way_coupling`` -- the four-way mixture of (P_1, P_2, P_3, P_3)
-  with the duplicate projected out; it exists iff tau_max2 <= 1.
+* ``three_way_coupling`` (``three_way_mixture``) -- the four-way mixture
+  of (P_1, P_2, P_3, P_3) with the duplicate projected out; it exists iff
+  tau_max2 <= 1.
 
-* ``build_n4_coupling`` -- a four-variable mixture coupling that attains
-  union mass tau_max(P_1, ..., P_4) whenever
+* ``build_n4_coupling`` (``n4_mixture``) -- a four-variable mixture
+  coupling that attains union mass tau_max(P_1, ..., P_4) whenever
 
       min{N01,N23} + min{N02,N13} + min{N03,N12} >= tau_max2 - 1,
 
@@ -29,13 +38,12 @@ so no 0/0 ratio is evaluated. Besides the product ``independent_coupling``
 
 The four-way existence condition is decided in one place, ``choose_abc``,
 which refuses a negative slack with ``PreconditionError(FOUR_WAY_CONDITION,
-slack)``. ``build_n4_coupling`` reaches it through ``n4_mixture_weights``
-and does not check beforehand. ``n4_condition`` evaluates the same slack
+slack)``. ``n4_mixture`` reaches it through ``n4_mixture_weights`` and
+does not check beforehand. ``n4_condition`` evaluates the same slack
 without building, for callers that only ask: the ``couple --mode n4``
 report, and ``simultaneous.coupling_feasibility`` for the V-side
-precondition of the bounds. A caller that asked first builds from the
-ingredients it holds with ``assemble_n4_coupling``, so they are computed
-once.
+precondition of the bounds. A caller that asked first passes the
+ingredients it holds to ``n4_mixture``, so they are computed once.
 
 Indices are 0-based throughout: rows are numbered 0..3 and the pair keys
 are frozensets of row indices.
@@ -48,7 +56,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConstructionError, LeakboundError, PreconditionError
 from .measures import (
@@ -146,12 +154,36 @@ def union_mass(coupling: Coupling) -> Fraction:
     )
 
 
-def diagonal_mass(coupling: Coupling, sym: Symbol) -> Fraction:
-    return coupling.probability((sym,) * coupling.arity)
+class Mixture(NamedTuple):
+    """A closed-form coupling of ``marginals`` as its parts, unlisted.
+
+    A part is a tuple of groups ``(coordinates, entries)``, ``entries``
+    the nonzero ``(y, q)`` of the group's factor, the part's weight
+    folded into its first group. The part puts prod_g q_g(y_g) on the
+    tuple whose coordinates in group g all equal y_g.
+    """
+
+    marginals: tuple[Pmf, ...]
+    parts: tuple[tuple[tuple[tuple[int, ...], tuple[tuple[Symbol, Fraction], ...]], ...], ...]
+
+    def coupling(self) -> Coupling:
+        """List every tuple, adding up masses on one, and validate them."""
+        mass: dict[tuple, Fraction] = {}
+        for part in self.parts:
+            # The group that sets each coordinate's symbol.
+            owner = {c: g for g, (coords, _) in enumerate(part) for c in coords}
+            pick = [owner[c] for c in range(len(self.marginals))]
+            for combo in product(*(entries for _, entries in part)):
+                tup = tuple([combo[g][0] for g in pick])
+                q = combo[0][1]
+                for _, f in combo[1:]:
+                    q *= f
+                mass[tup] = mass[tup] + q if tup in mass else q
+        return Coupling(self.marginals[0].alphabet, len(self.marginals), mass, self.marginals)
 
 
-def _mixture_coupling(marginals: Sequence[Pmf], components: Iterable[tuple]) -> Coupling:
-    """Assemble a mixture coupling of ``marginals`` from its components.
+def _mixture(marginals: Sequence[Pmf], components: Iterable[tuple]) -> Mixture:
+    """The mixture of ``marginals`` with the given components.
 
     A component is ``(weight, groups)`` and a group is ``(coordinates,
     factor, norm)``; the component puts weight * prod_g factor_g(y_g) /
@@ -159,11 +191,9 @@ def _mixture_coupling(marginals: Sequence[Pmf], components: Iterable[tuple]) -> 
     factor entries are dropped, and a component of zero weight or with an
     empty factor is skipped before any norm is divided by, so no 0/0 is
     evaluated. A negative factor entry or weight / prod_g norm_g, the only
-    ways to a negative mass, raise ``ConstructionError``. Masses landing
-    on one tuple add up. The result is validated against ``marginals``.
+    ways to a negative mass, raise ``ConstructionError``.
     """
-    marginals = tuple(marginals)
-    mass: dict[tuple, Fraction] = {}
+    parts = []
     for weight, groups in components:
         if not weight:
             continue
@@ -175,20 +205,19 @@ def _mixture_coupling(marginals: Sequence[Pmf], components: Iterable[tuple]) -> 
             raise ConstructionError(f"negative mass in a component of weight {weight}")
         if scale != 1:
             factors[0] = [(y, scale * q) for y, q in factors[0]]
-        # The group that sets each coordinate's symbol.
-        owner = {c: g for g, (coords, _, _) in enumerate(groups) for c in coords}
-        pick = [owner[c] for c in range(len(marginals))]
-        for combo in product(*factors):
-            tup = tuple([combo[g][0] for g in pick])
-            q = combo[0][1]
-            for _, f in combo[1:]:
-                q *= f
-            mass[tup] = mass[tup] + q if tup in mass else q
-    return Coupling(marginals[0].alphabet, len(marginals), mass, marginals)
+        parts.append(tuple(
+            (tuple(coords), tuple(f)) for (coords, _, _), f in zip(groups, factors)
+        ))
+    return Mixture(tuple(marginals), tuple(parts))
 
 
 def maximal_coupling_pair(p: Pmf, q: Pmf) -> Coupling:
-    """Classical maximal coupling: tie min{p,q}, couple residuals
+    """Classical maximal coupling, listed from ``pair_mixture``."""
+    return pair_mixture(p, q).coupling()
+
+
+def pair_mixture(p: Pmf, q: Pmf) -> Mixture:
+    """The parts of the maximal coupling: tie min{p,q}, couple residuals
     independently. Union mass equals 1 + TV(p, q) = tau_max(p, q).
 
     With omega = sum_y min{p,q}(y), the components are
@@ -201,16 +230,20 @@ def maximal_coupling_pair(p: Pmf, q: Pmf) -> Coupling:
     rest = 1 - sum(overlap.values(), ZERO)
     left = {y: p[y] - overlap[y] for y in alphabet if p[y] > overlap[y]}
     right = {y: q[y] - overlap[y] for y in alphabet if q[y] > overlap[y]}
-    return _mixture_coupling((p, q), [
+    return _mixture((p, q), [
         (1, [((0, 1), overlap, 1)]),
         (rest, [((0,), left, rest), ((1,), right, rest)]),
     ])
 
 
 def three_way_coupling(p1: Pmf, p2: Pmf, p3: Pmf) -> Coupling:
-    """Minimal three-way coupling with a pinned diagonal, in closed form.
+    """Minimal three-way coupling, listed from ``three_way_mixture``."""
+    return three_way_mixture(p1, p2, p3).coupling()
 
-    It is the four-way mixture (``build_n4_coupling``) of (p1, p2, p3,
+
+def three_way_mixture(p1: Pmf, p2: Pmf, p3: Pmf) -> Mixture:
+    """Minimal three-way coupling with a pinned diagonal, in closed form:
+    the four-way mixture (``build_n4_coupling``) of (p1, p2, p3,
     p3) with the duplicate coordinate projected out; only five of its
     components survive. With a, b, c the three masses at a symbol,
     r0 = (a - max(b, c))+ and r1 = (b - max(a, c))+ the residuals of p1
@@ -245,7 +278,7 @@ def three_way_coupling(p1: Pmf, p2: Pmf, p3: Pmf) -> Coupling:
     if n23 < n01:
         raise PreconditionError(TAU_MAX2_CONDITION, 1 + n01 - n23)
     norm0, norm1 = sum(r0.values(), ZERO), sum(r1.values(), ZERO)
-    return _mixture_coupling((p1, p2, p3), [
+    return _mixture((p1, p2, p3), [
         (1, [((0, 1, 2), floor, 1)]),
         (1, [((1, 2), s12, 1), ((0,), r0, norm0)]),
         (1, [((0, 2), s02, 1), ((1,), r1, norm1)]),
@@ -468,11 +501,11 @@ def build_n4_coupling(pmfs: Sequence[Pmf]) -> Coupling:
     tau_max and has, for every subset I with |I| >= 2 and every symbol y,
     intersection probability P(all-of-I equal y) = min_{i in I} P_i(y).
     """
-    return assemble_n4_coupling(n4_ingredients(pmfs))
+    return n4_mixture(n4_ingredients(pmfs)).coupling()
 
 
-def assemble_n4_coupling(ing: N4Ingredients) -> Coupling:
-    """``build_n4_coupling`` from ingredients already computed.
+def n4_mixture(ing: N4Ingredients) -> Mixture:
+    """The parts of ``build_n4_coupling``, from its ingredients.
 
     With r_i = r_num[i] / R_i the residual of row i, T_p = t[p] / N_p
     that of pair p, and S_I = min_{i in I} P_i - P_min on a triple I
@@ -507,7 +540,7 @@ def assemble_n4_coupling(ing: N4Ingredients) -> Coupling:
     for pair in ANCHOR_PAIRS:
         components.append((weights.alpha[pair], [tied(pair), tied(complement_pair(pair))]))
     components.append((weights.independent, [free(i) for i in range(4)]))
-    return _mixture_coupling(ing.pmfs, components)
+    return _mixture(ing.pmfs, components)
 
 
 def intersection_violations(coupling: Coupling, pmfs: Sequence[Pmf]) -> list[tuple]:
@@ -545,4 +578,4 @@ def verify_intersection_property(coupling: Coupling, pmfs: Sequence[Pmf]) -> boo
 def independent_coupling(pmfs: Sequence[Pmf]) -> Coupling:
     """Product coupling; a baseline that generally has no special structure."""
     groups = [((i,), dict(p.items()), 1) for i, p in enumerate(pmfs)]
-    return _mixture_coupling(pmfs, [(1, groups)])
+    return _mixture(pmfs, [(1, groups)]).coupling()

@@ -16,53 +16,47 @@ mixture weights cancel against the component normalizers, so the assembly
 below never divides by c_XY, c_Y - c_XY, or 1 - c_Y, and degenerate
 components simply contribute nothing.
 
-G2 and G3 differ only in the weight they give a Y-tuple t, so they are
-built as one table of weights: the tied tuple (y, ..., y) gets
-P_Ymin(y) - sum_x P_min(x, y) (G2), every untied tuple of H gets its mass
-(G3), and zero weights are dropped. Each entry t of weight w is spread
-over X-tuples as w * prod_i r_i(x_i | t_i), with r_i(. | y) the residual
-of source i above the cellwise floor, conditioned on y. The two parts
-never share a tuple because the pinned diagonal leaves H no mass on tied
-tuples, and neither meets G1: a tied X-tuple under a tied Y-tuple would
-need every source above the floor at one cell, yet some source attains
-it. So the support size is known before anything is built: the nonzero
-cells of P_min plus, per table entry, the product of the residual list
-lengths, read from the same lists that the assembly walks.
+G2 and G3 differ only in the weight they give a Y-tuple t: the tied
+tuple (y, ..., y) gets P_Ymin(y) - sum_x P_min(x, y) (G2), every untied
+tuple of H its mass (G3). Each t of weight w is spread over X-tuples as
+w * prod_i r_i(x_i | t_i), with r_i(. | y) the residual of source i
+above the cellwise floor, conditioned on y. G2 and G3 never share a
+tuple because the pinned diagonal leaves H no mass on tied tuples, and
+neither meets G1: a tied X-tuple under a tied Y-tuple would need every
+source above the floor at one cell, yet some source attains it. So the
+support size is known before anything is listed: the nonzero cells of
+P_min plus, per weighted Y-tuple, the product of the residual list
+lengths.
 
-The same table gives the bounds' penalty f = sum_y P(X_1 = ... = X_m,
-some Y_i = y) without the product supports: G1 adds c_XY, and entry t
-adds w(t) |set(t)| T(t) with T(t) = sum_x prod_i r_i(x | t_i), the mass
-its residuals put on tied X-tuples. ``coupling_penalty`` computes that
-and checks the table in closed form: source i is preserved iff the
-weights of the tuples with t_i = y add up to the residual total
-P_i(y) - sum_x P_min(x, y), at every y. ``build_simultaneous_coupling``
-assembles and validates the coupling itself, for ``couple --mode simul``
-and as the reference the penalty is tested against.
+``minimal_y_coupling`` gives H as a ``couplings.Mixture``: a closed form
+at m = 2, 3, 4, else the diagonal-floored LP, whose witness becomes one
+part per tuple. Every route pins the diagonal to min_i P_{Y_i}(y), which
+keeps H nonnegative and off the tied tuples. ``_check_mixture`` checks
+the parts in closed form: disjoint group supports, the Y-marginals,
+union mass tau_max and the diagonal. Then every source is preserved:
+the weights of the tuples with t_i = y add up to the residual total of
+source i at y, P_i(y) - sum_x P_min(x, y). A caller that has decided
+``coupling_feasibility`` passes the verdict, which is not decided again.
 
-The ingredient Y-coupling comes from the closed forms in ``couplings``
-where available (m = 2 pair coupling; m = 3 ``three_way_coupling``;
-m = 4 four-way mixture), all assembled there by one mixture assembler
-that owns the no-0/0 rule, and otherwise from the diagonal-floored LP.
-All routes pin the diagonal to min_i P_{Y_i}(y), which is what keeps H
-nonnegative. The closed forms decide their own existence condition, and
-every route is checked to attain union mass tau_max with that diagonal.
-A caller that has already decided ``coupling_feasibility`` passes the
-verdict, so the LP route does not check the condition again and the
-four-way route builds from the verdict's ingredients.
+The bounds' penalty f = sum_y P(X_1 = ... = X_m, some Y_i = y) is read
+off the same parts, never their tuples. G1 adds c_XY. A part of g >= 2
+groups puts mass only on Y-tuples of g distinct symbols, so it adds
+g * sum_x prod_g sum_y q_g(y) prod_{i in g} r_i(x | y), and the G2
+weights add the same as one more part with a single group.
+``coupling_penalty`` computes that; ``build_simultaneous_coupling``
+lists and validates the coupling, for ``couple --mode simul`` and as the
+reference the penalty is tested against.
 
 One source is its own coupling: its one Y-marginal passes the condition
-with no value, the weight table is empty and f = 1. The penalty accepts
-it; ``build_simultaneous_coupling``, like the coupling LP, refuses fewer
-than two sources.
+with no value, the G2 weights are 0 and f = c_XY = 1. The penalty
+accepts it; ``build_simultaneous_coupling``, like the coupling LP,
+refuses fewer than two sources.
 
-Which type validates what: each source is a ``measures.JointPmf``,
-validated as a ``Pmf`` over its (x, y) cells when it is built. The table
-builds a ``DiscreteChannel`` of the sources, the one check that they
-share their cells, hence one X and one Y alphabet. The ingredient
-Y-coupling is a ``couplings.Coupling``, checked against the Y-marginals.
-``SimulCoupling.validate`` checks the assembled law: total mass, every
-source marginal and the Y-projection; ``coupling_penalty`` checks the
-table in closed form instead.
+Which type validates what: each source is a ``measures.JointPmf``, a
+``Pmf`` over its (x, y) cells; the ``DiscreteChannel`` of the sources
+checks that they share one X and one Y alphabet; ``SimulCoupling``
+checks the assembled law: total mass, every source marginal and the
+Y-projection.
 """
 
 from __future__ import annotations
@@ -78,15 +72,12 @@ from .couplings import (
     FOUR_WAY_CONDITION,
     TAU_MAX2_CONDITION,
     Coupling,
+    Mixture,
     N4Ingredients,
-    assemble_n4_coupling,
-    build_n4_coupling,
-    diagonal_mass,
-    independent_coupling,
-    maximal_coupling_pair,
     n4_condition,
-    three_way_coupling,
-    union_mass,
+    n4_mixture,
+    pair_mixture,
+    three_way_mixture,
 )
 from .errors import (
     DEFAULT_MAX_STATES,
@@ -141,71 +132,102 @@ def coupling_feasibility(y_pmfs: Sequence[Pmf]) -> Feasibility:
     return Feasibility(value <= 1, TAU_MAX2_CONDITION, value)
 
 
+def _tuple_part(tup: tuple, q: Fraction) -> tuple:
+    """One tuple of mass q as a mixture part: a group per distinct symbol."""
+    return tuple(
+        (tuple(i for i, s in enumerate(tup) if s == y), ((y, q if k == 0 else Fraction(1)),))
+        for k, y in enumerate(dict.fromkeys(tup))
+    )
+
+
+def _check_mixture(mixture: Mixture) -> None:
+    """Check a minimal pinned Y-coupling in closed form, off its parts.
+
+    Raises ``ConstructionError`` unless the groups of every part have
+    pairwise disjoint supports, every coordinate has its marginal, the
+    union mass sum_parts g * prod_g |q_g| is tau_max, and the diagonal,
+    which only one-group parts reach, is min_i P_i(y) at every y.
+    """
+    marginals = mixture.marginals
+    got = [{} for _ in marginals]
+    diagonal, union = {}, ZERO
+    for part in mixture.parts:
+        seen, totals = set(), []
+        for _, entries in part:
+            symbols = {y for y, _ in entries}
+            if seen & symbols:
+                raise ConstructionError(f"part with overlapping group supports at {seen & symbols}")
+            seen |= symbols
+            totals.append(sum((q for _, q in entries), ZERO))
+        union += len(part) * prod(totals)
+        for g, (coords, entries) in enumerate(part):
+            others = prod(totals[:g] + totals[g + 1:])
+            for y, q in entries:
+                for i in coords:
+                    got[i][y] = got[i].get(y, ZERO) + q * others
+                if len(part) == 1:
+                    diagonal[y] = diagonal.get(y, ZERO) + q
+    for i, p in enumerate(marginals):
+        if got[i] != p.mass:
+            raise ConstructionError(f"ingredient marginal {i} is {got[i]}, declared {p.mass}")
+    target = tau_max(DiscreteChannel(marginals))
+    if union != target:
+        raise ConstructionError(f"ingredient coupling union mass {union} != tau_max {target}")
+    for y in marginals[0].alphabet:
+        tied, floor = diagonal.get(y, ZERO), min(p[y] for p in marginals)
+        if tied != floor:
+            raise ConstructionError(f"ingredient diagonal at {y!r} is {tied}, needs {floor}")
+
+
 def minimal_y_coupling(
     y_pmfs: Sequence[Pmf],
     max_variables: int = DEFAULT_MAX_STATES,
     verdict: Feasibility | None = None,
-) -> Coupling:
+) -> Mixture:
     """A coupling attaining union mass tau_max with a pinned diagonal.
 
-    Dispatch: one marginal is its own coupling, closed forms for
-    2 <= m <= 4, diagonal-floored LP beyond that. Raises ``PreconditionError`` when no route applies. The closed forms
-    decide their own existence condition; only the LP route checks it
-    first, unless ``verdict``, the ``coupling_feasibility`` of these
-    marginals, is passed. At m = 4 the route builds from the verdict's
-    ingredients.
+    Dispatch: the closed forms for 2 <= m <= 4, the diagonal-floored LP
+    beyond that; the LP witness, and at m = 1 the one marginal, become
+    one part per tuple. Raises ``PreconditionError`` when no
+    route applies. The closed forms at m <= 3 decide their own existence
+    condition; at m >= 4 it is checked first, unless ``verdict``, the
+    ``coupling_feasibility`` of these marginals, is passed, and the
+    four-way route builds from the verdict's ingredients. The result is
+    checked by ``_check_mixture``.
     """
     y_pmfs = tuple(y_pmfs)
     m = len(y_pmfs)
-    if m >= 5 and verdict is None:
+    if m >= 4 and verdict is None:
         verdict = coupling_feasibility(y_pmfs)
     if verdict is not None and not verdict.ok:
         raise PreconditionError(verdict.label, verdict.value)
-    if m == 1:
-        coupling = independent_coupling(y_pmfs)
-    elif m == 2:
-        coupling = maximal_coupling_pair(*y_pmfs)
+    if m == 2:
+        mixture = pair_mixture(*y_pmfs)
     elif m == 3:
-        coupling = three_way_coupling(*y_pmfs)
-    elif m == 4 and verdict is not None:
-        coupling = assemble_n4_coupling(verdict.ingredients)
+        mixture = three_way_mixture(*y_pmfs)
     elif m == 4:
-        coupling = build_n4_coupling(y_pmfs)
+        mixture = n4_mixture(verdict.ingredients)
     else:
-        result = min_union_coupling_diag(y_pmfs, max_variables=max_variables)
-        coupling = result.witness
-    target = tau_max(DiscreteChannel(y_pmfs))
-    if union_mass(coupling) != target:
-        raise ConstructionError(
-            f"ingredient coupling union mass {union_mass(coupling)} != "
-            f"tau_max {target}"
+        mass = (
+            {(y,): q for y, q in y_pmfs[0].mass.items()} if m == 1
+            else min_union_coupling_diag(y_pmfs, max_variables=max_variables).witness.mass
         )
-    for y in y_pmfs[0].alphabet:
-        floor = min(p[y] for p in y_pmfs)
-        if diagonal_mass(coupling, y) != floor:
-            raise ConstructionError(
-                f"ingredient diagonal at {y!r} is {diagonal_mass(coupling, y)}, "
-                f"needs exactly {floor}"
-            )
-    return coupling
+        mixture = Mixture(y_pmfs, tuple(_tuple_part(t, q) for t, q in mass.items()))
+    _check_mixture(mixture)
+    return mixture
 
 
 @dataclass(frozen=True)
 class _MixtureTable:
-    """What the mixture is assembled from (see the module docstring).
+    """What the mixture is assembled from (see the module docstring):
+    the checked Y-coupling H, ``tied[y]`` the nonzero G2 weight of
+    (y, ..., y), and ``residual[i][y]`` mapping x to r_i(x | y)."""
 
-    ``residual[i][y]`` maps x to r_i(x | y), source i above the cellwise
-    floor conditioned on y, in alphabet order; ``totals[i][y]`` is the
-    unconditioned total P_i(y) - sum_x P_min(x, y). ``weights`` holds
-    the nonzero Y-tuple weights of G2 and G3.
-    """
-
-    y_coupling: Coupling
+    y_mixture: Mixture
+    tied: Mapping[Symbol, Fraction]
     p_min: Mapping[tuple, Fraction]
     c_y: Fraction
     residual: tuple[Mapping[Symbol, Mapping[Symbol, Fraction]], ...]
-    totals: tuple[Mapping[Symbol, Fraction], ...]
-    weights: Mapping[tuple, Fraction]
 
 
 def _mixture_table(
@@ -213,66 +235,27 @@ def _mixture_table(
     max_variables: int,
     verdict: Feasibility | None = None,
 ) -> _MixtureTable:
-    m = len(sources)
     channel = DiscreteChannel(sources)  # one (x, y) cell alphabet
     x_alphabet = sources[0].x_alphabet
     y_alphabet = sources[0].y_alphabet
 
     y_marginals = [s.y_marginal() for s in sources]
-    y_coupling = minimal_y_coupling(y_marginals, max_variables, verdict)
+    y_mixture = minimal_y_coupling(y_marginals, max_variables, verdict)
 
     p_min = {cell: min(channel.column(cell)) for cell in channel.output_alphabet}
     p_ymin = {y: min(p[y] for p in y_marginals) for y in y_alphabet}
 
-    residual, totals = [], []
+    residual = []
     for s in sources:
-        lists, sums = {}, {}
+        lists = {}
         for y in y_alphabet:
             cells = [(x, d) for x in x_alphabet if (d := s[(x, y)] - p_min[(x, y)])]
             den = sum((d for _, d in cells), ZERO)
             lists[y] = {x: d / den for x, d in cells}
-            sums[y] = den
         residual.append(lists)
-        totals.append(sums)
 
-    # Y-tuple weights of G2 (tied tuples) and G3 (untied tuples of H).
-    weights = {
-        (y,) * m: p_ymin[y] - sum(p_min[(x, y)] for x in x_alphabet)
-        for y in y_alphabet
-    }
-    weights.update(
-        (ys, q) for ys, q in y_coupling.mass.items() if len(set(ys)) > 1
-    )
-    weights = {ys: w for ys, w in weights.items() if w}
-    for ys, w in weights.items():
-        if w < 0:
-            raise ConstructionError(f"negative weight {w} at Y-tuple {ys!r}")
-    return _MixtureTable(
-        y_coupling=y_coupling,
-        p_min=p_min,
-        c_y=sum(p_ymin.values(), ZERO),
-        residual=tuple(residual),
-        totals=tuple(totals),
-        weights=weights,
-    )
-
-
-def _check_table_marginals(table: _MixtureTable) -> None:
-    """The closed form of ``SimulCoupling.validate`` on an unbuilt table.
-
-    The assembled coupling preserves source i iff, at every y, the
-    weights of the tuples t with t_i = y add up to the residual total of
-    source i at y; then every weighted tuple also meets nonempty residual
-    lists, and the total mass is c_XY + sum of the weights = 1.
-    """
-    for i, totals in enumerate(table.totals):
-        got = push_forward(table.weights, itemgetter(i))
-        for y, want in totals.items():
-            if got.get(y, ZERO) != want:
-                raise ConstructionError(
-                    f"table marginal {i} at {y!r} is {got.get(y, ZERO)}, "
-                    f"residual total {want}"
-                )
+    tied = {y: w for y in y_alphabet if (w := p_ymin[y] - sum(p_min[x, y] for x in x_alphabet))}
+    return _MixtureTable(y_mixture, tied, p_min, sum(p_ymin.values(), ZERO), tuple(residual))
 
 
 @dataclass(frozen=True)
@@ -327,10 +310,14 @@ def build_simultaneous_coupling(
     table = _mixture_table(sources, max_states)
     m = len(sources)
     residual = table.residual
+    y_coupling = table.y_mixture.coupling()
+    # Y-tuple weights of G2 (tied tuples) and G3 (untied tuples of H).
+    weights = {(y,) * m: w for y, w in table.tied.items()}
+    weights.update((ys, q) for ys, q in y_coupling.mass.items() if len(set(ys)) > 1)
 
     # The exact support size, before materializing anything.
     est = sum(1 for q in table.p_min.values() if q) + sum(
-        prod(len(residual[i][y]) for i, y in enumerate(ys)) for ys in table.weights
+        prod(len(residual[i][y]) for i, y in enumerate(ys)) for ys in weights
     )
     if est > max_states:
         raise CapacityError(est, max_states, "coupling support tuples")
@@ -338,7 +325,7 @@ def build_simultaneous_coupling(
     # G1: fully tied diagonal. Weight c_XY cancels the 1/c_XY normalizer.
     mass = {((x,) * m, (y,) * m): q for (x, y), q in table.p_min.items() if q}
     # G2 and G3: every X-tuple drawn from the independent residuals.
-    for ys, w in table.weights.items():
+    for ys, w in weights.items():
         for combo in product(*(residual[i][y].items() for i, y in enumerate(ys))):
             q = w
             for _, weight in combo:
@@ -350,7 +337,7 @@ def build_simultaneous_coupling(
         mass=mass,
         c_xy=sum(table.p_min.values(), ZERO),
         c_y=table.c_y,
-        y_coupling=table.y_coupling,
+        y_coupling=y_coupling,
     )
     built.validate()
     return built
@@ -363,29 +350,27 @@ def coupling_penalty(
 ) -> Fraction:
     """``f_quantity(build_simultaneous_coupling(sources))``, unbuilt.
 
-    Reads f = c_XY + sum_t w(t) |set(t)| T(t) off the mixture table, with
-    T(t) = sum_x prod_i r_i(x | t_i) the mass the residuals of the entry
-    t put on tied X-tuples. The table is checked by
-    ``_check_table_marginals`` instead of building and validating the
-    coupling, so no support-size limit applies. ``max_variables`` caps
-    the LP of the m >= 5 route and ``verdict`` is passed on to
+    Reads f = c_XY + sum_parts g * sum_x prod_g sum_y q_g(y) prod_{i in
+    g} r_i(x | y) off the parts of the ingredient Y-coupling with g >= 2
+    groups (G3) and the one-group part of the tied weights (G2). No
+    tuple is listed, so no support-size limit applies. ``max_variables``
+    caps the LP of the m >= 5 route and ``verdict`` is passed on to
     ``minimal_y_coupling``.
     """
-    table = _mixture_table(tuple(sources), max_variables, verdict)
-    _check_table_marginals(table)
+    sources = tuple(sources)
+    table = _mixture_table(sources, max_variables, verdict)
+    parts = [part for part in table.y_mixture.parts if len(part) > 1]
+    parts.append(((tuple(range(len(sources))), tuple(table.tied.items())),))
     f = sum(table.p_min.values(), ZERO)
-    for ys, w in table.weights.items():
-        first, *rest = (table.residual[i][y] for i, y in enumerate(ys))
-        tied = ZERO
-        for x, q in first.items():
-            for r in rest:
-                if x not in r:
-                    break
-                q *= r[x]
-            else:
-                tied += q
-        if tied:
-            f += w * len(set(ys)) * tied
+    for part in parts:
+        for x in sources[0].x_alphabet:
+            term = len(part)
+            for coords, entries in part:
+                term *= sum((
+                    q * prod(table.residual[i][y].get(x, ZERO) for i in coords)
+                    for y, q in entries
+                ), ZERO)
+            f += term
     return f
 
 

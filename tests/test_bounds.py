@@ -263,8 +263,8 @@ def test_property_bound_chain(case):
 
 class TestPenaltyWork:
     """Per peel step, the V-side condition is decided once and the coupling
-    penalty is read off the ingredient table: no simultaneous coupling and
-    no four-way coupling is built."""
+    penalty is read off the parts of the ingredient mixture: at |X| <= 4
+    no coupling of any kind is built."""
 
     @staticmethod
     def count(monkeypatch, module, name, counts):
@@ -286,9 +286,8 @@ class TestPenaltyWork:
             (bounds, "coupling_feasibility"),
             (simultaneous, "coupling_feasibility"),
             (simultaneous, "build_simultaneous_coupling"),
-            (simultaneous, "build_n4_coupling"),
-            (simultaneous, "assemble_n4_coupling"),
-            (simultaneous, "three_way_coupling"),
+            (simultaneous, "n4_mixture"),
+            (simultaneous, "three_way_mixture"),
         ]:
             self.count(monkeypatch, module, name, counts)
         report = query_report(net, targets)
@@ -296,12 +295,26 @@ class TestPenaltyWork:
         assert steps == 3 and report.coupling_bound_value is not None
         assert counts["coupling_feasibility"] == steps
         assert counts["build_simultaneous_coupling"] == 0
-        assert counts["build_n4_coupling"] == 0
         if x_size == 4:
-            assert counts["n4_ingredients"] == counts["assemble_n4_coupling"] == steps
+            assert counts["n4_ingredients"] == counts["n4_mixture"] == steps
         else:
             assert counts["n4_ingredients"] == 0
-            assert counts["three_way_coupling"] == steps
+            assert counts["three_way_mixture"] == steps
+
+    @pytest.mark.parametrize("x_size", [2, 3, 4])
+    def test_no_coupling_is_built(self, monkeypatch, x_size):
+        # The penalty lists no Y-tuple, so no ``Coupling`` is validated.
+        rng = random.Random(x_size)
+        counts = Counter()
+        self.count(monkeypatch, couplings.Coupling, "__init__", counts)
+        steps = 0
+        for _ in range(15):
+            net = rand_couplable_net(rng, rng.randrange(3, 7), x_size=x_size)
+            targets = [nid for nid in net.node_ids() if nid != net.source]
+            report = query_report(net, targets)
+            if report.coupling_bound_value is not None:
+                steps += len(report.trace)
+        assert steps > 0 and counts["__init__"] == 0
 
 
 class TestRecursive:

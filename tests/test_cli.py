@@ -18,6 +18,34 @@ from leakbound.netfile import write_network
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# `bound` on wide_v4.json, whose single peel step has a V-side of 288
+# values and a four-way Y-coupling of 259,308 tuples.
+WIDE_ARGV = (
+    "--targets", "X,N1,N2,N3,N4,N5,N6", "--method", "coupling", "--compare-exact",
+)
+WIDE_STDOUT = (
+    'query: X -> {N1, N2, N3, N4, N5, N6, X} [coupling]\n'
+    'exact tau_max      = 4/1\n'
+    'exact leakage      = 1.38629436112\n'
+    'coupling bound     = 34958385950587/6597069766656 (log 1.66753280556)\n'
+    'subadditivity      = 47/6 (log 2.05838813248)\n'
+    'precondition tau_max2(P_{N6|pa}) <= 1: 1/24 [pass]\n'
+    'precondition four-way pair-capacity condition for P_{N1+N2+N3+N4+N5+X|X}: 1 [pass]\n'
+    'soundness: OK\n'
+)
+WIDE_CSV = (
+    'node,tau,tau_max,tau_max2,bound_method,bound_value,exact_value,gap,preconditions\n'
+    'N1,3/4,21/16,1/1,,,,,\n'
+    'N2,3/4,43/32,1/1,,,,,\n'
+    'N3,0/1,2/1,1/1,,,,,\n'
+    'N4,5/8,11/8,1/1,,,,,\n'
+    'N5,7/8,9/8,1/1,,,,,\n'
+    'N6,1/24,47/24,1/24,,,,,\n'
+    ',,,,coupling,34958385950587/6597069766656,4/1,8570106883963/6597069766656,tau_max2(P_{N6|pa}) <= 1=1/24:pass; four-way pair-capacity condition for P_{N1+N2+N3+N4+N5+X|X}=1:pass\n'
+    ',,,,doeblin,inapplicable,4/1,,tau_max2(P_{N6|pa}) <= 1=1/24:pass; four-way pair-capacity condition for P_{N1+N2+N3+N4+N5+X|X}=1:pass\n'
+    ',,,,subadditivity,47/6,4/1,23/6,tau_max2(P_{N6|pa}) <= 1=1/24:pass; four-way pair-capacity condition for P_{N1+N2+N3+N4+N5+X|X}=1:pass\n'
+)
+
 
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
@@ -172,6 +200,17 @@ class TestBound:
         assert "inapplicable" in out
         assert "exact tau_max" in out
 
+    def test_wide_v_side_lists_no_y_tuple(self, capsys, tmp_path):
+        # The coupling penalty is read off the mixture's parts, so this
+        # query answers in well under a second.
+        out_csv = tmp_path / "out.csv"
+        code, out, _ = run(
+            capsys, "bound", FIXTURES / "wide_v4.json", *WIDE_ARGV, "--csv", out_csv
+        )
+        assert code == 0
+        assert out == WIDE_STDOUT
+        assert out_csv.read_text(encoding="utf-8") == WIDE_CSV
+
 
 def _targets(name):
     return {
@@ -295,6 +334,13 @@ class TestCapacityAndOverrides:
         code, out, _ = run(capsys, *args, "--max-states", "3")
         assert code == 0 and "support size = 3" in out
         code, _, err = run(capsys, *args, "--max-states", "2")
+        assert code == 2 and "coupling support tuples" in err
+
+    def test_n4_support_limit_refused(self, capsys):
+        args = ("couple", FIXTURES / "pmfs_n4.json", "--mode", "n4")
+        code, out, _ = run(capsys, *args, "--max-states", "4")
+        assert code == 0 and "support size = 4" in out
+        code, _, err = run(capsys, *args, "--max-states", "3")
         assert code == 2 and "coupling support tuples" in err
 
     def test_unrelated_children_do_not_count(self, capsys, tmp_path):

@@ -41,7 +41,7 @@ from leakbound import (
     verify_intersection_property,
 )
 from leakbound.couplings import (
-    _mixture_coupling,
+    _mixture,
     intersection_violations,
     n4_mixture_weights,
 )
@@ -103,7 +103,7 @@ class TestMixtureAssembler:
 
     def assemble(self, *components):
         uniform = pmf(["1/2", "1/2"])
-        return _mixture_coupling([uniform, uniform], components)
+        return _mixture([uniform, uniform], components).coupling()
 
     @pytest.mark.parametrize("skipped", [
         (0, [((0, 1), {"0": Q(1)}, 0)]),

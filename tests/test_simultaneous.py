@@ -1,10 +1,10 @@
 """Simultaneous couplings: joint preservation and minimal Y-union."""
 
-import dataclasses
 import itertools
 import json
 import random
 from fractions import Fraction as Q
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -35,12 +35,14 @@ from leakbound import (
     min_union_coupling,
     minimal_y_coupling,
     tau_max,
+    union_mass,
     y_union_mass,
 )
 from leakbound import bounds
 from leakbound.cli import main
+from leakbound.couplings import Mixture, _mixture, three_way_mixture
 from leakbound.netfile import parse_network
-from leakbound.simultaneous import _check_table_marginals, _mixture_table
+from leakbound.simultaneous import _check_mixture, _tuple_part
 
 
 def rand_joint(rng, x_size, y_size, den=None):
@@ -121,7 +123,7 @@ class TestOneSource:
 
     def test_minimal_y_coupling_is_the_marginal(self):
         p = _one_joint().y_marginal()
-        coupling = minimal_y_coupling([p])
+        coupling = minimal_y_coupling([p]).coupling()
         assert coupling.mass == {(y,): q for y, q in p.mass.items()}
 
     def test_penalty_is_one(self):
@@ -133,7 +135,7 @@ class TestMinimalYCoupling:
         rng = random.Random(40)
         for m in (2, 3, 4):
             fam = rand_family_tau_max2_le1(rng, m, 3)
-            coupling = minimal_y_coupling(fam)
+            coupling = minimal_y_coupling(fam).coupling()
             assert sum(
                 (q * len(set(t)) for t, q in coupling.mass.items()), Q(0)
             ) == min_union_coupling(fam).optimal_value
@@ -497,26 +499,53 @@ class TestCouplingPenalty:
         assert (err.value.condition, err.value.value) == (verdict.label, verdict.value)
 
 
-class TestTableMarginals:
-    def sources(self):
+class TestCheckMixture:
+    """``_check_mixture`` refuses every way a mixture can miss being a
+    minimal Y-coupling with a pinned diagonal."""
+
+    @staticmethod
+    def tuple_mixture(marginals, mass):
+        return Mixture(tuple(marginals), tuple(_tuple_part(t, q) for t, q in mass.items()))
+
+    def test_closed_forms_pass(self):
+        # The parts count the support exactly: each part has its own tie
+        # pattern, and its groups never share a symbol.
         rng = random.Random(62)
-        fam = rand_family_tau_max2_le1(rng, 3, 3)
-        return tuple(sources_with_y_family(rng, fam, x_size=3))
+        for m, size in ((2, 3), (3, 3), (4, 3), (4, 4), (5, 5)):
+            fam = rand_family_tau_max2_le1(rng, m, size)
+            mixture = minimal_y_coupling(fam)
+            _check_mixture(mixture)
+            size = sum(prod(len(entries) for _, entries in part) for part in mixture.parts)
+            assert size == len(mixture.coupling().mass)
 
-    def test_sound_table_passes(self):
-        _check_table_marginals(_mixture_table(self.sources(), ROOMY))
+    def test_moved_mass_raises(self):
+        # Moving mass between two untied parts of two symbols keeps the
+        # total, the union mass and the diagonal, but breaks a marginal.
+        fam = rand_family_tau_max2_le1(random.Random(62), 3, 3)
+        mass = dict(three_way_mixture(*fam).coupling().mass)
+        t1, t2 = [t for t in sorted(mass) if len(set(t)) == 2][:2]
+        shift = min(mass[t1], mass[t2]) / 2
+        mass[t1] += shift
+        mass[t2] -= shift
+        with pytest.raises(ConstructionError, match="marginal"):
+            _check_mixture(self.tuple_mixture(fam, mass))
 
-    def test_moved_weight_raises(self):
-        # Moving mass between two entries keeps the total but breaks a
-        # source's marginal, which the check must refuse.
-        table = _mixture_table(self.sources(), ROOMY)
-        (t1, w1), (t2, w2) = [
-            (t, w) for t, w in table.weights.items() if t[0] != t[1]
-        ][:2]
-        weights = dict(table.weights)
-        shift = min(w1, w2) / 2
-        weights[t1] = w1 + shift
-        weights[t2] = w2 - shift
-        broken = dataclasses.replace(table, weights=weights)
-        with pytest.raises(ConstructionError, match="table marginal"):
-            _check_table_marginals(broken)
+    def test_overlapping_groups_raise(self):
+        # Two independent uniform coordinates have the right marginals,
+        # but their groups share both symbols.
+        half = {"0": Q(1, 2), "1": Q(1, 2)}
+        uniform = Pmf("01", half)
+        mixture = _mixture([uniform, uniform], [(1, [((0,), half, 1), ((1,), half, 1)])])
+        with pytest.raises(ConstructionError, match="overlapping"):
+            _check_mixture(mixture)
+
+    def test_diagonal_off_the_floor_raises(self):
+        # A minimal coupling of this family need not pin its diagonal: the
+        # plain LP's witness attains tau_max with every marginal, yet puts
+        # less than the floor on ("0", "0", "0").
+        fam = rand_family_tau_max2_le1(random.Random(17), 3, 3)
+        witness = min_union_coupling(fam).witness
+        assert union_mass(witness) == tau_max(DiscreteChannel(fam))
+        with pytest.raises(ConstructionError, match="diagonal at '0'"):
+            _check_mixture(self.tuple_mixture(fam, witness.mass))
+        _check_mixture(minimal_y_coupling(fam))
