@@ -163,13 +163,13 @@ def _measure_rows(net) -> list[dict]:
     return rows
 
 
-def _bound_rows(report: bounds.BoundReport) -> list[dict]:
+def _bound_rows(report: bounds.BoundReport, shown: list[Bound]) -> list[dict]:
     rows = []
     check_text = "; ".join(
         f"{name}={value}:{'pass' if ok else 'FAIL'}"
         for name, value, ok in report.precondition_log
     )
-    for bound in BOUNDS:
+    for bound in shown:
         value = bound.value(report)
         rows.append({
             **BLANK_ROW,
@@ -188,8 +188,14 @@ def cmd_bound(args) -> int:
     report = bounds.query_report(
         net, targets, method=args.method, max_states=args.max_states
     )
+    # A single-peel method shows, in the report and the CSV, its own bound
+    # and the baseline.
+    shown = [
+        b for b in BOUNDS
+        if args.method == "recursive" or b.method in (args.method, "subadditivity")
+    ]
 
-    rows = _measure_rows(net) + _bound_rows(report)
+    rows = _measure_rows(net) + _bound_rows(report, shown)
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=REPORT_COLUMNS)
     writer.writeheader()
@@ -199,12 +205,6 @@ def cmd_bound(args) -> int:
             handle.write(out.getvalue())
     else:
         sys.stdout.write(out.getvalue())
-
-    # A single-peel method shows its own bound and the baseline.
-    shown = [
-        b for b in BOUNDS
-        if args.method == "recursive" or b.method in (args.method, "subadditivity")
-    ]
 
     print(f"query: {report.query}")
     print(f"exact tau_max      = {format_fraction(report.exact_tau_max)}")

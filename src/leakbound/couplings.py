@@ -35,6 +35,11 @@ only on tuples of exactly g distinct symbols.
   coordinate components, six two-free-coordinate components, three
   pair-of-tied-pairs components, and (when tau_max2 < 1) one component of
   four independent residuals absorbing the leftover weight 1 - tau_max2.
+  ``n4_ingredients`` reads each column (P_0(y), ..., P_3(y)) once and
+  ranks its entries: the minimum over a row subset is the entry of its
+  lowest-ranked row (``RANKED``), so every tau_I, tau_max (top entry),
+  tau_max2 (second entry), residual and pair residual accumulate in one
+  pass over the alphabet.
 
 The four-way existence condition is decided in one place, ``choose_abc``,
 which refuses a negative slack with ``PreconditionError(FOUR_WAY_CONDITION,
@@ -53,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import prod
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -66,9 +71,6 @@ from .measures import (
     Symbol,
     exact_masses,
     push_forward,
-    tau_max,
-    tau_max2,
-    tau_subset,
 )
 
 Pair = frozenset
@@ -85,6 +87,22 @@ TAU_MAX2_CONDITION = "tau_max2 <= 1"
 
 def complement_pair(pair: Pair) -> Pair:
     return Pair(set(range(4)) - set(pair))
+
+
+# Every row subset of size >= 2, in the key order of ``tau_by_subset``;
+# the pairs come first, in the order of ``ALL_PAIRS``.
+SUBSETS = tuple(frozenset(s) for size in (2, 3, 4) for s in combinations(range(4), size))
+# Per pair p of ``ALL_PAIRS``, the indices in ``SUBSETS`` of p plus k and
+# of p plus l, {k, l} the complement of p.
+PAIR_TRIPLES = tuple(
+    tuple(SUBSETS.index(p | {k}) for k in sorted(complement_pair(p))) for p in ALL_PAIRS
+)
+# For each ranking of the four rows (ascending, ties by row), the rank of
+# every subset's lowest-ranked row: the subset's minimum is that entry.
+RANKED = {
+    order: tuple(min(order.index(i) for i in subset) for subset in SUBSETS)
+    for order in permutations(range(4))
+}
 
 
 class Coupling:
@@ -193,20 +211,28 @@ def _mixture(marginals: Sequence[Pmf], components: Iterable[tuple]) -> Mixture:
     evaluated. A negative factor entry or weight / prod_g norm_g, the only
     ways to a negative mass, raise ``ConstructionError``.
     """
+    # Each distinct factor is filtered and sign-checked once per call; the
+    # entry holds the factor, so its id is not reused while the call runs.
+    prepared: dict[int, tuple] = {}
     parts = []
     for weight, groups in components:
         if not weight:
             continue
-        factors = [[(y, q) for y, q in factor.items() if q] for _, factor, _ in groups]
-        if not all(factors):
+        for _, factor, _ in groups:
+            if id(factor) not in prepared:
+                kept = tuple((y, q) for y, q in factor.items() if q)
+                prepared[id(factor)] = (factor, kept, any(q < 0 for _, q in kept))
+        factors = [prepared[id(factor)][1:] for _, factor, _ in groups]
+        if not all(kept for kept, _ in factors):
             continue
         scale = Fraction(weight) / prod(norm for _, _, norm in groups)
-        if scale < 0 or any(q < 0 for f in factors for _, q in f):
+        if scale < 0 or any(negative for _, negative in factors):
             raise ConstructionError(f"negative mass in a component of weight {weight}")
+        entries = [kept for kept, _ in factors]
         if scale != 1:
-            factors[0] = [(y, scale * q) for y, q in factors[0]]
+            entries[0] = tuple((y, scale * q) for y, q in entries[0])
         parts.append(tuple(
-            (tuple(coords), tuple(f)) for (coords, _, _), f in zip(groups, factors)
+            (tuple(coords), f) for (coords, _, _), f in zip(groups, entries)
         ))
     return Mixture(tuple(marginals), tuple(parts))
 
@@ -289,18 +315,21 @@ def three_way_mixture(p1: Pmf, p2: Pmf, p3: Pmf) -> Mixture:
 
 @dataclass(frozen=True)
 class N4Ingredients:
-    """Every scalar and per-symbol quantity the four-PMF mixture needs.
+    """Every scalar and per-symbol quantity the four-PMF mixture needs,
+    from one pass over the columns, each ranked once.
 
-    ``tau_by_subset`` maps each row subset of size >= 2 to tau_I.
-    ``r_num[i]`` is the unnormalized residual of row i (the part of P_i
-    strictly above the other three rows) and ``r_norm[i]`` its total,
-    computed by the symmetric inclusion-exclusion pattern
+    ``tau_by_subset`` maps each row subset of size >= 2 to tau_I, the sum
+    of the entries of its lowest-ranked row. ``r_num[i]`` is the
+    unnormalized residual of row i (top entry minus second, where row i is
+    the strict column maximum) and ``r_norm[i]`` its total, computed by the
+    symmetric inclusion-exclusion pattern, which must equal sum r_num[i]:
 
         N_Ri = 1 - sum_{j != i} tau_ij + sum_{j<k != i} tau_ijk - tau.
 
-    ``t[{i,j}]`` is the pair residual
+    ``t[{i,j}]`` is the pair residual, from the ranked minima, never < 0,
         T_ij(y) = min(P_i,P_j) - min(P_i,P_j,P_k) - min(P_i,P_j,P_l) + P_min
     (equivalently max{0, min(P_i,P_j) - max(P_k,P_l)}), with total N_ij.
+    A column whose four terms cancel pairwise is skipped.
     """
 
     pmfs: tuple[Pmf, Pmf, Pmf, Pmf]
@@ -337,77 +366,54 @@ def n4_ingredients(pmfs: Sequence[Pmf]) -> N4Ingredients:
     channel = DiscreteChannel(pmfs)
     alphabet = channel.output_alphabet
 
-    tau_by_subset: dict[frozenset, Fraction] = {}
-    for size in (2, 3, 4):
-        for subset in combinations(range(4), size):
-            tau_by_subset[frozenset(subset)] = tau_subset(channel, subset)
+    sums = [ZERO] * len(SUBSETS)
+    top = second = ZERO
+    p_min: dict[Symbol, Fraction] = {}
+    r_num: tuple[dict[Symbol, Fraction], ...] = ({}, {}, {}, {})
+    t: dict[Pair, dict[Symbol, Fraction]] = {pair: {} for pair in ALL_PAIRS}
+    for y in alphabet:
+        col = channel.column(y)
+        order = tuple(sorted(range(4), key=col.__getitem__))
+        s = [col[i] for i in order]
+        low = RANKED[order]
+        for k, rank in enumerate(low):
+            if s[rank]:
+                sums[k] += s[rank]
+        p_min[y] = s[0]
+        top += s[3]
+        second += s[2]
+        if s[3] > s[2]:
+            r_num[order[3]][y] = s[3] - s[2]
+        for pair, a, (k, l) in zip(ALL_PAIRS, low, PAIR_TRIPLES):
+            b, c = low[k], low[l]
+            if (b, c) in ((a, 0), (0, a)):
+                continue  # the four terms of T cancel pairwise
+            val = s[a] - s[b] - s[c] + s[0]
+            if val < 0:
+                i, j = sorted(pair)
+                raise ConstructionError(f"pair residual T_{i}{j}({y!r}) = {val} < 0")
+            if val:
+                t[pair][y] = val
+    tau_by_subset = dict(zip(SUBSETS, sums))
     tau = tau_by_subset[frozenset(range(4))]
 
-    p_min = {y: min(p[y] for p in pmfs) for y in alphabet}
-
-    r_num: list[dict[Symbol, Fraction]] = []
-    r_norm: list[Fraction] = []
-    for i in range(4):
-        others = [p for k, p in enumerate(pmfs) if k != i]
-        num = {}
-        for y in alphabet:
-            excess = pmfs[i][y] - min(pmfs[i][y], max(o[y] for o in others))
-            if excess:
-                num[y] = excess
-        norm = (
-            1
-            - sum((tau_by_subset[Pair({i, j})] for j in range(4) if j != i), ZERO)
-            + sum(
-                (
-                    tau_by_subset[frozenset({i, j, k})]
-                    for j, k in combinations([x for x in range(4) if x != i], 2)
-                ),
-                ZERO,
-            )
-            - tau
-        )
-        total = sum(num.values(), ZERO)
+    # N_Ri = 1 - sum over the subsets I holding i of (-1)^|I| tau_I.
+    r_norm = tuple(
+        1 - sum(((-1) ** len(I) * tau_by_subset[I] for I in SUBSETS if i in I), ZERO)
+        for i in range(4)
+    )
+    for i, norm in enumerate(r_norm):
+        total = sum(r_num[i].values(), ZERO)
         if total != norm:
-            # Would indicate the inclusion-exclusion pattern is wrong for
-            # this family; abort loudly rather than construct garbage.
             raise ConstructionError(
                 f"residual normalizer mismatch for row {i}: "
                 f"sum of numerators {total} != {norm}"
             )
-        r_num.append(num)
-        r_norm.append(norm)
-
-    t: dict[Pair, dict[Symbol, Fraction]] = {}
-    n: dict[Pair, Fraction] = {}
-    for pair in ALL_PAIRS:
-        i, j = sorted(pair)
-        k, l = sorted(complement_pair(pair))
-        tij = {}
-        for y in alphabet:
-            val = (
-                min(pmfs[i][y], pmfs[j][y])
-                - min(pmfs[i][y], pmfs[j][y], pmfs[k][y])
-                - min(pmfs[i][y], pmfs[j][y], pmfs[l][y])
-                + p_min[y]
-            )
-            if val < 0:
-                raise ConstructionError(f"pair residual T_{i}{j}({y!r}) = {val} < 0")
-            if val:
-                tij[y] = val
-        t[pair] = tij
-        n[pair] = sum(tij.values(), ZERO)
 
     return N4Ingredients(
-        pmfs=pmfs,
-        tau=tau,
-        tau_max=tau_max(channel),
-        tau_max2=tau_max2(channel),
-        tau_by_subset=tau_by_subset,
-        p_min=p_min,
-        r_num=tuple(r_num),
-        r_norm=tuple(r_norm),
-        t=t,
-        n=n,
+        pmfs=pmfs, tau=tau, tau_max=top, tau_max2=second, tau_by_subset=tau_by_subset,
+        p_min=p_min, r_num=r_num, r_norm=r_norm, t=t,
+        n={pair: sum(t[pair].values(), ZERO) for pair in ALL_PAIRS},
     )
 
 
@@ -458,11 +464,7 @@ def n4_mixture_weights(ing: N4Ingredients) -> MixtureWeights:
     a, b, c = choose_abc(ing)
     budget = ing.tau_max2 - 1
     if budget >= 0:
-        alpha = {
-            ANCHOR_PAIRS[0]: a * budget,
-            ANCHOR_PAIRS[1]: b * budget,
-            ANCHOR_PAIRS[2]: c * budget,
-        }
+        alpha = {p: share * budget for p, share in zip(ANCHOR_PAIRS, (a, b, c))}
         independent = ZERO
     else:
         alpha = {p: ZERO for p in ANCHOR_PAIRS}
@@ -479,17 +481,9 @@ def n4_mixture_weights(ing: N4Ingredients) -> MixtureWeights:
 
 
 def _weight_accounting(ing: N4Ingredients, w: MixtureWeights) -> Fraction:
-    tied_three = sum(
-        (ing.tau_by_subset[frozenset(set(range(4)) - {i})] - ing.tau for i in range(4)),
-        ZERO,
-    )
-    return (
-        ing.tau
-        + tied_three
-        + sum(w.beta.values(), ZERO)
-        + sum(w.alpha.values(), ZERO)
-        + w.independent
-    )
+    tied_three = sum((ing.tau_by_subset[s] - ing.tau for s in SUBSETS if len(s) == 3), ZERO)
+    return (ing.tau + tied_three + sum(w.beta.values(), ZERO)
+            + sum(w.alpha.values(), ZERO) + w.independent)
 
 
 def build_n4_coupling(pmfs: Sequence[Pmf]) -> Coupling:
@@ -546,23 +540,29 @@ def n4_mixture(ing: N4Ingredients) -> Mixture:
 def intersection_violations(coupling: Coupling, pmfs: Sequence[Pmf]) -> list[tuple]:
     """All (subset, symbol, got, want) where the coupling's probability of
     the selected coordinates all equalling the symbol differs from the
-    minimum of the selected marginals."""
+    minimum of the selected marginals, subsets by size, then symbols in
+    alphabet order."""
     pmfs = tuple(pmfs)
     m = coupling.arity
     if len(pmfs) != m:
         raise LeakboundError("need one PMF per coupling coordinate")
+    # One pass over the support: a tuple's mass counts for every subset of
+    # the coordinates that hold one symbol.
+    tied: dict[tuple, Fraction] = {}
+    for tup, q in coupling.mass.items():
+        coords: dict[Symbol, list[int]] = {}
+        for i, y in enumerate(tup):
+            coords.setdefault(y, []).append(i)
+        for y, held in coords.items():
+            for size in range(2, len(held) + 1):
+                for subset in combinations(held, size):
+                    key = (subset, y)
+                    tied[key] = tied[key] + q if key in tied else q
     out = []
     for size in range(2, m + 1):
         for subset in combinations(range(m), size):
             for y in coupling.alphabet:
-                got = sum(
-                    (
-                        q
-                        for tup, q in coupling.mass.items()
-                        if all(tup[i] == y for i in subset)
-                    ),
-                    ZERO,
-                )
+                got = tied.get((subset, y), ZERO)
                 want = min(pmfs[i][y] for i in subset)
                 if got != want:
                     out.append((subset, y, got, want))

@@ -9,11 +9,23 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 from operator import itemgetter
 
-from leakbound import Coupling, DiscreteChannel, Pmf, build_n4_coupling, tau_max2
+from leakbound import (
+    ConstructionError,
+    Coupling,
+    DiscreteChannel,
+    LeakboundError,
+    Pmf,
+    build_n4_coupling,
+    tau_max,
+    tau_max2,
+    tau_subset,
+)
 from leakbound.bayesnet import BayesNet, NodeSpec
-from leakbound.measures import push_forward
+from leakbound.couplings import ALL_PAIRS, N4Ingredients, Pair, complement_pair
+from leakbound.measures import ZERO, push_forward
 
 DENOMINATORS = (6, 8, 10, 12, 16, 24)
 
@@ -118,6 +130,111 @@ def three_way_by_duplication(y_pmfs) -> Coupling:
     four = build_n4_coupling([p1, p2, p3, p3])
     mass = push_forward(four.mass, itemgetter(0, 1, 2))
     return Coupling(p1.alphabet, 3, mass, [p1, p2, p3])
+
+
+def reference_n4_ingredients(pmfs) -> N4Ingredients:
+    """Reference four-way ingredients, one quantity at a time: 11
+    ``tau_subset`` scans, every pair and triple minimum re-derived for T_ij,
+    and ``tau_max`` / ``tau_max2`` scans of their own."""
+    pmfs = tuple(pmfs)
+    if len(pmfs) != 4:
+        raise LeakboundError("the four-way construction needs exactly 4 PMFs")
+    channel = DiscreteChannel(pmfs)
+    alphabet = channel.output_alphabet
+
+    tau_by_subset = {}
+    for size in (2, 3, 4):
+        for subset in combinations(range(4), size):
+            tau_by_subset[frozenset(subset)] = tau_subset(channel, subset)
+    tau = tau_by_subset[frozenset(range(4))]
+
+    p_min = {y: min(p[y] for p in pmfs) for y in alphabet}
+
+    r_num, r_norm = [], []
+    for i in range(4):
+        others = [p for k, p in enumerate(pmfs) if k != i]
+        num = {}
+        for y in alphabet:
+            excess = pmfs[i][y] - min(pmfs[i][y], max(o[y] for o in others))
+            if excess:
+                num[y] = excess
+        norm = (
+            1
+            - sum((tau_by_subset[Pair({i, j})] for j in range(4) if j != i), ZERO)
+            + sum(
+                (
+                    tau_by_subset[frozenset({i, j, k})]
+                    for j, k in combinations([x for x in range(4) if x != i], 2)
+                ),
+                ZERO,
+            )
+            - tau
+        )
+        total = sum(num.values(), ZERO)
+        if total != norm:
+            raise ConstructionError(
+                f"residual normalizer mismatch for row {i}: "
+                f"sum of numerators {total} != {norm}"
+            )
+        r_num.append(num)
+        r_norm.append(norm)
+
+    t, n = {}, {}
+    for pair in ALL_PAIRS:
+        i, j = sorted(pair)
+        k, l = sorted(complement_pair(pair))
+        tij = {}
+        for y in alphabet:
+            val = (
+                min(pmfs[i][y], pmfs[j][y])
+                - min(pmfs[i][y], pmfs[j][y], pmfs[k][y])
+                - min(pmfs[i][y], pmfs[j][y], pmfs[l][y])
+                + p_min[y]
+            )
+            if val < 0:
+                raise ConstructionError(f"pair residual T_{i}{j}({y!r}) = {val} < 0")
+            if val:
+                tij[y] = val
+        t[pair] = tij
+        n[pair] = sum(tij.values(), ZERO)
+
+    return N4Ingredients(
+        pmfs=pmfs,
+        tau=tau,
+        tau_max=tau_max(channel),
+        tau_max2=tau_max2(channel),
+        tau_by_subset=tau_by_subset,
+        p_min=p_min,
+        r_num=tuple(r_num),
+        r_norm=tuple(r_norm),
+        t=t,
+        n=n,
+    )
+
+
+def reference_intersection_violations(coupling: Coupling, pmfs) -> list[tuple]:
+    """Reference intersection check: one scan of the whole support per
+    (subset, symbol) pair."""
+    pmfs = tuple(pmfs)
+    m = coupling.arity
+    if len(pmfs) != m:
+        raise LeakboundError("need one PMF per coupling coordinate")
+    out = []
+    for size in range(2, m + 1):
+        for subset in combinations(range(m), size):
+            for y in coupling.alphabet:
+                got = sum(
+                    (
+                        q
+                        for tup, q in coupling.mass.items()
+                        if all(tup[i] == y for i in subset)
+                    ),
+                    ZERO,
+                )
+                want = min(pmfs[i][y] for i in subset)
+                if got != want:
+                    out.append((subset, y, got, want))
+    return out
 
 
 def bsc_rows(delta: Q) -> list[list[Q]]:

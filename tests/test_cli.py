@@ -42,7 +42,6 @@ WIDE_CSV = (
     'N5,7/8,9/8,1/1,,,,,\n'
     'N6,1/24,47/24,1/24,,,,,\n'
     ',,,,coupling,34958385950587/6597069766656,4/1,8570106883963/6597069766656,tau_max2(P_{N6|pa}) <= 1=1/24:pass; four-way pair-capacity condition for P_{N1+N2+N3+N4+N5+X|X}=1:pass\n'
-    ',,,,doeblin,inapplicable,4/1,,tau_max2(P_{N6|pa}) <= 1=1/24:pass; four-way pair-capacity condition for P_{N1+N2+N3+N4+N5+X|X}=1:pass\n'
     ',,,,subadditivity,47/6,4/1,23/6,tau_max2(P_{N6|pa}) <= 1=1/24:pass; four-way pair-capacity condition for P_{N1+N2+N3+N4+N5+X|X}=1:pass\n'
 )
 
@@ -174,6 +173,29 @@ class TestBound:
         for name in ("coupling", "doeblin"):
             if method in ("recursive", name):
                 assert f"{name + ' bound':<18} = 1/1 (log 0)\n" in out
+
+    @pytest.mark.parametrize("method", ["recursive", "coupling", "doeblin"])
+    def test_csv_lists_the_bounds_shown(self, capsys, tmp_path, method):
+        # A single peel computes its own bound and the baseline only; the
+        # CSV lists no row for the bound it did not compute.
+        out_csv = tmp_path / "out.csv"
+        code, out, _ = run(
+            capsys, "bound", FIXTURES / "one_symbol_source.json", "--targets", "Y,Z",
+            "--method", method, "--csv", out_csv,
+        )
+        assert code == 0
+        with out_csv.open(encoding="utf-8", newline="") as handle:
+            listed = [row["bound_method"] for row in csv.DictReader(handle)
+                      if row["bound_method"]]
+        shown = {
+            "recursive": ["coupling", "doeblin", "subadditivity"],
+            "coupling": ["coupling", "subadditivity"],
+            "doeblin": ["doeblin", "subadditivity"],
+        }[method]
+        assert listed == shown
+        assert "inapplicable" not in out_csv.read_text(encoding="utf-8")
+        for name in ("coupling bound", "doeblin bound", "subadditivity"):
+            assert (f"{name:<18} = " in out) == (name.split()[0] in shown)
 
     def test_repeated_targets_listed_once(self, capsys):
         code, out, _ = run(capsys, "bound", FIXTURES / "chain.json", "--targets", "Y1,Y1,Y2")

@@ -1,6 +1,8 @@
 """Coupling data type, pair coupling, and the four-way mixture build."""
 
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -9,6 +11,8 @@ from helpers import (
     rand_family,
     rand_family_tau_max2_le1,
     rand_pmf,
+    reference_intersection_violations,
+    reference_n4_ingredients,
     three_way_by_duplication,
 )
 from hypothesis import given, settings
@@ -40,6 +44,7 @@ from leakbound import (
     union_mass,
     verify_intersection_property,
 )
+from leakbound import couplings, measures
 from leakbound.couplings import (
     _mixture,
     intersection_violations,
@@ -197,6 +202,82 @@ class TestIngredients:
             fam = rand_family(rng, 4, 3)
             ing, ch = n4_ingredients(fam), DiscreteChannel(fam)
             assert ing.tau_max2 == tau_pair(ch) - 2 * tau_trip(ch) + 3 * ing.tau
+
+
+@st.composite
+def tied_families(draw, m=4):
+    """m PMFs on 1-7 symbols over a small denominator, so zero entries and
+    equal column entries are common, with one row often copied onto another."""
+    size = draw(st.integers(1, 7))
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    rows = []
+    for _ in range(m):
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=size - 1,
+                                    max_size=size - 1)))
+        rows.append([Q(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])])
+    if draw(st.booleans()):
+        src, dst = draw(st.permutations(range(m)))[:2]
+        rows[dst] = list(rows[src])
+    return [Pmf.from_values(r, alphabet(size)) for r in rows]
+
+
+def field_items(ing):
+    """Every ``N4Ingredients`` field, each mapping as its item list, so that
+    the repr fixes values, their types and dict insertion order."""
+    def items(value):
+        if isinstance(value, dict):
+            return [(key, items(v)) for key, v in value.items()]
+        if isinstance(value, tuple):
+            return tuple(items(v) for v in value)
+        return value
+    return repr([(f.name, items(getattr(ing, f.name))) for f in dataclasses.fields(ing)])
+
+
+class TestIngredientsAgainstReference:
+    """The ranked column pass against the quantity-at-a-time reference."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(tied_families())
+    def test_every_field_and_order(self, fam):
+        assert field_items(n4_ingredients(fam)) == field_items(reference_n4_ingredients(fam))
+
+    @staticmethod
+    def count(monkeypatch, module, name, counts):
+        original = getattr(measures, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting, raising=False)
+
+    def test_no_tau_scans(self, monkeypatch):
+        want = field_items(reference_n4_ingredients(SEARCHED_FAMILY))
+        counts = Counter()
+        for name in ("tau_subset", "tau_max", "tau_max2"):
+            for module in (measures, couplings):
+                self.count(monkeypatch, module, name, counts)
+        assert field_items(n4_ingredients(SEARCHED_FAMILY)) == want
+        assert counts == Counter()
+
+    @staticmethod
+    def break_ranks(monkeypatch, edit):
+        broken = {order: edit(low) for order, low in couplings.RANKED.items()}
+        monkeypatch.setattr(couplings, "RANKED", broken)
+
+    def test_normalizer_mismatch_refused(self, monkeypatch):
+        # The full set read at the top rank makes tau = tau_max; the pairs
+        # and triples, and so every T, stay right.
+        self.break_ranks(monkeypatch, lambda low: low[:10] + (3,))
+        with pytest.raises(ConstructionError, match="residual normalizer mismatch"):
+            n4_ingredients(SEARCHED_FAMILY)
+
+    def test_negative_pair_residual_refused(self, monkeypatch):
+        # Triples read at the top rank: T of the two lowest rows turns
+        # negative in the first column that is not constant.
+        self.break_ranks(monkeypatch, lambda low: low[:6] + (3, 3, 3, 3) + low[10:])
+        with pytest.raises(ConstructionError, match="pair residual T_"):
+            n4_ingredients(SEARCHED_FAMILY)
 
 
 class TestCondition:
@@ -404,6 +485,35 @@ class TestIntersectionProperty:
         coupling = independent_coupling(fam)
         violations = intersection_violations(coupling, fam)
         assert violations  # e.g. P(Y1 = Y2 = "0") = 1/4 != min = 1/2
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 4).flatmap(tied_families))
+    def test_independent_against_reference(self, fam):
+        coupling = independent_coupling(fam)
+        got = intersection_violations(coupling, fam)
+        assert got == reference_intersection_violations(coupling, fam)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_moved_mass_against_reference(self, seed):
+        # Swap coordinate 0 between a diagonal tuple u = (y,)*4 and a tuple
+        # v with another symbol there and v[1:] != u[1:]: every marginal is
+        # kept, and P(all four equal y) drops.
+        rng = random.Random(40 + seed)
+        while True:
+            fam = rand_family_tau_max2_le1(rng, 4, rng.choice([4, 5]))
+            mass = dict(build_n4_coupling(fam).mass)
+            pairs = [(u, v) for u in mass if len(set(u)) == 1
+                     for v in mass if v[0] != u[0] and v[1:] != u[1:]]
+            if pairs:
+                break
+        u, v = pairs[0]
+        moved = min(mass[u], mass[v])
+        for old, new in ((u, (v[0], *u[1:])), (v, (u[0], *v[1:]))):
+            mass[old] -= moved
+            mass[new] = mass.get(new, 0) + moved
+        coupling = Coupling(fam[0].alphabet, 4, mass, fam)
+        got = intersection_violations(coupling, fam)
+        assert got and got == reference_intersection_violations(coupling, fam)
 
     def test_diagonal_of_identical_pmfs(self):
         p = pmf(["1/3", "2/3"])
