@@ -10,6 +10,7 @@ from .bayesnet import (
     BayesNet,
     NodeSpec,
     composite_channel,
+    composite_joints,
     joint_distribution,
     topological_sort,
     validate,

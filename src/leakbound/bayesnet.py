@@ -10,9 +10,10 @@ and inference always conditions on its value.
 ``BayesNet`` deliberately stores raw rational rows rather than validated
 channel objects so that ``validate`` can report every defect of an
 ill-formed file (bad row sums, arity mismatches, cycles) instead of
-throwing at the first one. The validated CPT channels, and the joints
-that ``composite_channel`` enumerates, are memoized on the instance as
-they are first needed; both depend only on the nodes, which never change.
+throwing at the first one. The validated CPT channels, and the closure
+joints that ``composite_channel`` and ``composite_joints`` project, are
+memoized on the instance as they are first needed; both depend only on
+the nodes, which never change.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import DEFAULT_MAX_STATES, CapacityError, LeakboundError
-from .measures import ZERO, DiscreteChannel, Pmf, as_fraction
+from .measures import ZERO, DiscreteChannel, JointPmf, Pmf, as_fraction, push_forward
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class BayesNet:
         self.by_id: Mapping[str, NodeSpec] = {n.node_id: n for n in nodes}
         # ("cpt", node) -> validated channel; ("joint", closure, x) -> the
         # support masses of the closure's joint given source value x, keyed
-        # like joint_distribution's output (see composite_channel).
+        # like joint_distribution's output (see _projected).
         self._memo: dict[tuple, object] = {}
 
     def node_ids(self) -> list[str]:
@@ -75,9 +76,7 @@ class BayesNet:
 
     def parent_configs(self, node_id: str) -> list[tuple[str, ...]]:
         """Parent-value tuples in lexicographic declared-parent order."""
-        node = self.by_id[node_id]
-        alphabets = [self.by_id[p].alphabet for p in node.parents]
-        return list(product(*alphabets)) if alphabets else [()]
+        return _alphabet(self, self.by_id[node_id].parents)
 
     def cpt(self, node_id: str) -> DiscreteChannel:
         """The node's CPT as a channel; raises on structural defects."""
@@ -292,8 +291,55 @@ def joint_distribution(
     mass = {}
     for assign, weight in partial.items():
         mass[tuple(assign[k] for k in decl_pos)] = weight
-    alphabet = list(product(*(net.by_id[nid].alphabet for nid in non_source)))
-    return Pmf(alphabet, mass)
+    return Pmf(_alphabet(net, non_source), mass)
+
+
+def _declared(net: BayesNet, node_ids: Sequence[str]) -> list[str]:
+    """The nodes, each once and checked, sorted into declaration order."""
+    for nid in node_ids:
+        if nid not in net.by_id:
+            raise LeakboundError(f"unknown target node {nid!r}")
+    wanted = set(node_ids)
+    return [nid for nid in net.node_ids() if nid in wanted]
+
+
+def _alphabet(net: BayesNet, node_ids: Sequence[str]) -> list[tuple]:
+    """The nodes' value tuples, lexicographic in the order given."""
+    return list(product(*(net.by_id[nid].alphabet for nid in node_ids)))
+
+
+def _projected(
+    net: BayesNet, node_ids: Sequence[str], max_states: int
+) -> list[dict[tuple, Fraction]]:
+    """Per source value, the law of the value tuple over ``node_ids``
+    (repeats allowed; the source's coordinate is its value). Only their
+    ancestral closure is enumerated, since no other node changes that
+    law; ``max_states`` bounds its states, and its joint is memoized on
+    ``net`` per source value, so calls that share a closure enumerate it
+    once. Callers that skip ``validate`` get CPT and graph errors only
+    for nodes inside the closure."""
+    closure = ancestral_closure(net, node_ids)
+    non_source = [nid for nid in closure if nid != net.source]
+    _check_states(net, non_source, max_states)
+    ns_pos = {nid: k for k, nid in enumerate(non_source)}
+    picks = [ns_pos.get(nid) for nid in node_ids]  # None at the source
+
+    sub = None
+    laws = []
+    for x in net.by_id[net.source].alphabet:
+        memo_key = ("joint", closure, x)
+        if memo_key not in net._memo:
+            if sub is None:
+                sub = BayesNet([net.by_id[nid] for nid in closure], net.source)
+                # Every parent of a closure node is in the closure, so the
+                # sub-network's CPTs are the network's: share their memo.
+                sub._memo = net._memo
+            net._memo[memo_key] = joint_distribution(sub, x, max_states=max_states).mass
+        laws.append(push_forward(
+            net._memo[memo_key],
+            lambda assign: tuple(x if k is None else assign[k] for k in picks),
+        ))
+    return laws
 
 
 def composite_channel(
@@ -306,46 +352,32 @@ def composite_channel(
     Output symbols are value tuples over the target nodes sorted into
     declaration order (so the result is independent of the order the
     caller lists them in). The source itself may appear as a target; its
-    coordinate is then a point mass at the conditioning value.
-
-    Only the ancestral closure of the targets and the source is
-    enumerated, since no other node changes the targets' law, and
-    ``max_states`` bounds the closure's states. Each closure joint is
-    memoized on ``net`` per source value, so calls that share a closure
-    enumerate it once. Callers that skip ``validate`` therefore get CPT
-    and graph errors only for nodes inside the closure.
+    coordinate is then a point mass at the conditioning value. Only the
+    targets' ancestral closure is enumerated (see ``_projected``).
     """
-    targets = list(dict.fromkeys(targets))
-    for t in targets:
-        if t not in net.by_id:
-            raise LeakboundError(f"unknown target node {t!r}")
-    decl = net.node_ids()
-    ordered = [nid for nid in decl if nid in set(targets)]
+    ordered = _declared(net, targets)
     if not ordered:
         raise LeakboundError("empty target set")
+    out_alphabet = _alphabet(net, ordered)
+    rows = [Pmf(out_alphabet, law) for law in _projected(net, ordered, max_states)]
+    return DiscreteChannel(rows, net.by_id[net.source].alphabet)
 
-    closure = ancestral_closure(net, ordered)
-    non_source = [nid for nid in closure if nid != net.source]
-    _check_states(net, non_source, max_states)
-    ns_pos = {nid: k for k, nid in enumerate(non_source)}
-    out_alphabet = list(product(*(net.by_id[nid].alphabet for nid in ordered)))
 
-    sub = None
-    rows = []
-    for x in net.by_id[net.source].alphabet:
-        memo_key = ("joint", closure, x)
-        if memo_key not in net._memo:
-            if sub is None:
-                sub = BayesNet([net.by_id[nid] for nid in closure], net.source)
-                # Every parent of a closure node is in the closure, so the
-                # sub-network's CPTs are the network's: share their memo.
-                sub._memo = net._memo
-            net._memo[memo_key] = joint_distribution(sub, x, max_states=max_states).mass
-        mass: dict[tuple, Fraction] = {}
-        for assign, q in net._memo[memo_key].items():
-            key = tuple(
-                x if nid == net.source else assign[ns_pos[nid]] for nid in ordered
-            )
-            mass[key] = mass.get(key, ZERO) + q
-        rows.append(Pmf(out_alphabet, mass))
+def composite_joints(
+    net: BayesNet,
+    x_nodes: Sequence[str],
+    y_nodes: Sequence[str],
+    max_states: int = DEFAULT_MAX_STATES,
+) -> DiscreteChannel:
+    """P(x_nodes, y_nodes | source): one ``JointPmf`` row per source value.
+
+    A cell is (x-values, y-values), each part in declaration order; the
+    node sets may overlap, and either may be empty.
+    """
+    xs, ys = _declared(net, x_nodes), _declared(net, y_nodes)
+    x_alphabet, y_alphabet, k = _alphabet(net, xs), _alphabet(net, ys), len(xs)
+    rows = [
+        JointPmf(x_alphabet, y_alphabet, {(t[:k], t[k:]): q for t, q in law.items()})
+        for law in _projected(net, xs + ys, max_states)
+    ]
     return DiscreteChannel(rows, net.by_id[net.source].alphabet)

@@ -10,12 +10,13 @@ with two interchangeable penalties:
 
 * ``coupling_bound`` uses f = sum_v P(pa(U)-copies all equal, some
   V-copy = v) under the simultaneous coupling of the per-source-value
-  joints P_{V,pa(U)|X=i}; this is the tighter form. f is read off the
-  mixture parts the coupling would be assembled from
+  joints P_{pa(U),V|X=i} (``bayesnet.composite_joints``, the one place
+  that knows the node-tuple layout); this is the tighter form. f is read
+  off the mixture parts the coupling would be assembled from
   (``simultaneous.coupling_penalty``), so no tuple of it is listed.
-* ``doeblin_bound`` replaces f by the Doeblin coefficient of the exact
-  composite channel P_{V+pa(U)|X}, which lower-bounds every f, so its
-  bound is never tighter than the coupling one.
+* ``doeblin_bound`` replaces f by the Doeblin coefficient of the same
+  joints, which lower-bounds every f, so its bound is never tighter
+  than the coupling one.
 
 Both require tau_max2(P_{U|pa(U)}) <= 1 and a couplable V-side: either
 tau_max2(P_{V|X}) <= 1 or, when |X| = 4, the relaxed four-way condition.
@@ -42,15 +43,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
 from math import prod
 from typing import NamedTuple, Sequence
 
 from .bayesnet import (
-    DEFAULT_MAX_STATES, BayesNet, composite_channel, descendants, topological_sort
+    DEFAULT_MAX_STATES, BayesNet, composite_channel, composite_joints, descendants,
+    topological_sort,
 )
 from .errors import LeakboundError, PreconditionError
-from .measures import ZERO, DiscreteChannel, JointPmf, doeblin, tau_max, tau_max2
+from .measures import ZERO, DiscreteChannel, doeblin, tau_max, tau_max2
 from .simultaneous import Feasibility, coupling_feasibility, coupling_penalty
 
 
@@ -94,40 +95,12 @@ def _check_order(net: BayesNet, v_set: Sequence[str], u: str) -> None:
         )
 
 
-def _sources_for_coupling(
-    net: BayesNet, v_set: Sequence[str], u: str, w_channel: DiscreteChannel
-) -> list[JointPmf]:
-    """The joints P_{V, pa(U) | X = i} split out of the rows of
-    w_channel = P_{V+pa(U)|X}: x-part = parent values of U, y-part = V
-    values, one JointPmf per source value."""
-    parents = list(net.by_id[u].parents)
-    decl = net.node_ids()
-    w_nodes = set(v_set) | set(parents)
-    ordered = [nid for nid in decl if nid in w_nodes]
-    w_pos = {nid: k for k, nid in enumerate(ordered)}
-    v_ordered = [nid for nid in decl if nid in set(v_set)]
-
-    z_alphabet = list(product(*(net.by_id[p].alphabet for p in parents)))
-    v_alphabet = list(product(*(net.by_id[t].alphabet for t in v_ordered)))
-
-    sources = []
-    for row in w_channel.rows:
-        mass: dict[tuple, Fraction] = {}
-        for w_value, q in row.mass.items():
-            z = tuple(w_value[w_pos[p]] for p in parents)
-            v = tuple(w_value[w_pos[t]] for t in v_ordered)
-            key = (z, v)
-            mass[key] = mass.get(key, ZERO) + q
-        sources.append(JointPmf(z_alphabet, v_alphabet, mass))
-    return sources
-
-
 class _Checked(NamedTuple):
     """A peel step whose hypotheses passed, with what its penalties need."""
 
     step: PeelStep  # carries the Doeblin penalty
     tau_max_v: Fraction
-    w_channel: DiscreteChannel
+    joints: DiscreteChannel  # P_{pa(U),V|X}: a JointPmf row per source value
     verdict: Feasibility
 
 
@@ -168,26 +141,21 @@ def _checked_step(
     for name, value, ok in (rec_u, rec_v):
         if not ok:
             raise PreconditionError(name, Fraction(value))
-    w_nodes = list(dict.fromkeys(v_set + list(net.by_id[u].parents)))
-    w_channel = composite_channel(net, w_nodes, max_states=max_states)
-    step = PeelStep(u, tuple(v_set), adjoined, tmu, doeblin(w_channel), (rec_u, rec_v))
-    return _Checked(step, tau_max(v_channel), w_channel, verdict)
+    joints = composite_joints(net, net.by_id[u].parents, v_set, max_states)
+    step = PeelStep(u, tuple(v_set), adjoined, tmu, doeblin(joints), (rec_u, rec_v))
+    return _Checked(step, tau_max(v_channel), joints, verdict)
 
 
 def _with_penalty(
-    method: str, net: BayesNet, checked: Sequence[_Checked], max_states: int
+    method: str, checked: Sequence[_Checked], max_states: int
 ) -> list[PeelStep]:
     """The checked steps carrying the penalty of ``method``: for "doeblin"
-    the Doeblin coefficient of P_{V+pa(U)|X}, for "coupling" f under the
+    the Doeblin coefficient of P_{pa(U),V|X}, for "coupling" f under the
     simultaneous coupling of its rows, given the V-side verdict."""
     if method == "doeblin":
         return [c.step for c in checked]
     return [
-        replace(c.step, penalty=coupling_penalty(
-            _sources_for_coupling(net, c.step.v_set, c.step.u, c.w_channel),
-            max_states,
-            c.verdict,
-        ))
+        replace(c.step, penalty=coupling_penalty(c.joints.rows, max_states, c.verdict))
         for c in checked
     ]
 
@@ -205,7 +173,7 @@ def _single_bound(
     method: str, net: BayesNet, v_set: Sequence[str], u: str, max_states: int
 ) -> Fraction:
     checked = _checked_step(net, v_set, u, (), max_states)
-    steps = _with_penalty(method, net, [checked], max_states)
+    steps = _with_penalty(method, [checked], max_states)
     return _compose(checked.tau_max_v, steps)
 
 
@@ -306,7 +274,7 @@ def recursive_bound(
             for u, v_set, adjoin in plan
         ]
     elif method in ("doeblin", "coupling"):
-        steps = _with_penalty(method, net, _walk(net, plan, max_states), max_states)
+        steps = _with_penalty(method, _walk(net, plan, max_states), max_states)
     else:
         raise LeakboundError(f"unknown method {method!r}")
     value = _compose(exact_tau_max(net, last, max_states=max_states), steps)
@@ -361,7 +329,7 @@ def query_report(
         base = checked[-1].tau_max_v if checked else exact
         both = method == "recursive" or not checked
         names = ("coupling", "doeblin") if both else (method,)
-        peeled = {name: _with_penalty(name, net, checked, max_states) for name in names}
+        peeled = {name: _with_penalty(name, checked, max_states) for name in names}
         values = {name: _compose(base, steps) for name, steps in peeled.items()}
         values["baseline"] = base * prod(c.step.tau_max_u for c in checked)
         trace = tuple(peeled["doeblin" if method == "recursive" else method])

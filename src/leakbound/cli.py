@@ -163,6 +163,19 @@ def _measure_rows(net) -> list[dict]:
     return rows
 
 
+def _write_csv(rows: list[dict], columns: list[str], path: str | None) -> None:
+    """The rows as CSV with a header, to ``path`` or else to stdout."""
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=columns)
+    writer.writeheader()
+    writer.writerows(rows)
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(out.getvalue())
+    else:
+        sys.stdout.write(out.getvalue())
+
+
 def _bound_rows(report: bounds.BoundReport, shown: list[Bound]) -> list[dict]:
     rows = []
     check_text = "; ".join(
@@ -194,17 +207,7 @@ def cmd_bound(args) -> int:
         b for b in BOUNDS
         if args.method == "recursive" or b.method in (args.method, "subadditivity")
     ]
-
-    rows = _measure_rows(net) + _bound_rows(report, shown)
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=REPORT_COLUMNS)
-    writer.writeheader()
-    writer.writerows(rows)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(out.getvalue())
-    else:
-        sys.stdout.write(out.getvalue())
+    _write_csv(_measure_rows(net) + _bound_rows(report, shown), REPORT_COLUMNS, args.csv)
 
     print(f"query: {report.query}")
     print(f"exact tau_max      = {format_fraction(report.exact_tau_max)}")
@@ -315,17 +318,9 @@ def cmd_sweep(args) -> int:
             row[bound.column] = "" if got is None else format_fraction(got)
         rows.append(row)
 
-    columns = [args.param, "exact", *(b.column for b in BOUNDS)]
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=columns)
-    writer.writeheader()
-    writer.writerows(rows)
+    _write_csv(rows, [args.param, "exact", *(b.column for b in BOUNDS)], args.out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(out.getvalue())
         print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        sys.stdout.write(out.getvalue())
     return EXIT_OK
 
 

@@ -128,9 +128,8 @@ class Coupling:
             raise LeakboundError("coupling arity must be >= 1")
         if len(marginals) != arity:
             raise LeakboundError("need one declared marginal per coordinate")
-        for p in marginals:
-            if p.alphabet != alphabet:
-                raise LeakboundError("declared marginal on a different alphabet")
+        if DiscreteChannel(marginals).output_alphabet != alphabet:
+            raise LeakboundError("declared marginal on a different alphabet")
         known = set(alphabet)
         clean = exact_masses(
             ((tuple(tup), q) for tup, q in mass.items()),

@@ -12,8 +12,8 @@ Every exact law of the package is validated here, by ``exact_masses``:
   compared as one.
 * ``DiscreteChannel`` checks that a family of PMFs shares one alphabet.
   It is the only such check: every routine that takes a family (the
-  closed-form couplings, the coupling LP, the simultaneous coupling)
-  builds a channel of it first.
+  closed-form couplings, the coupling LP, the simultaneous coupling,
+  ``Coupling``'s marginals) builds a channel of it first.
 * ``couplings.Coupling``, a law over |Y|^m tuples that are never listed
   as an alphabet, runs its masses through ``exact_masses`` as well and
   checks them against its declared marginals.

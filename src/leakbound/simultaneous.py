@@ -192,13 +192,16 @@ def minimal_y_coupling(
     route applies. The closed forms at m <= 3 decide their own existence
     condition; at m >= 4 it is checked first, unless ``verdict``, the
     ``coupling_feasibility`` of these marginals, is passed, and the
-    four-way route builds from the verdict's ingredients. The result is
-    checked by ``_check_mixture``.
+    four-way route builds from the verdict's ingredients, which must be
+    those of ``y_pmfs``. The result is checked by ``_check_mixture``.
     """
     y_pmfs = tuple(y_pmfs)
     m = len(y_pmfs)
     if m >= 4 and verdict is None:
         verdict = coupling_feasibility(y_pmfs)
+    ingredients = verdict and verdict.ingredients
+    if ingredients is not None and ingredients.pmfs != y_pmfs:
+        raise LeakboundError("the verdict was decided on other marginals")
     if verdict is not None and not verdict.ok:
         raise PreconditionError(verdict.label, verdict.value)
     if m == 2:

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, product
 from operator import itemgetter
 
 from leakbound import (
     ConstructionError,
     Coupling,
     DiscreteChannel,
+    JointPmf,
     LeakboundError,
     Pmf,
     build_n4_coupling,
@@ -23,7 +24,7 @@ from leakbound import (
     tau_max2,
     tau_subset,
 )
-from leakbound.bayesnet import BayesNet, NodeSpec
+from leakbound.bayesnet import BayesNet, NodeSpec, composite_channel
 from leakbound.couplings import ALL_PAIRS, N4Ingredients, Pair, complement_pair
 from leakbound.measures import ZERO, push_forward
 
@@ -381,3 +382,33 @@ def rand_net(
         nodes.append(NodeSpec.make(f"N{k}", size, parents, rows))
         sizes[f"N{k}"] = size
     return BayesNet(nodes, "X")
+
+
+def sources_for_coupling(
+    net: BayesNet, v_set, u: str, max_states: int
+) -> list[JointPmf]:
+    """Reference for ``composite_joints(net, pa(U), V)``: the joints
+    P_{pa(U), V | X = i} split out of the rows of the composite channel
+    P_{V+pa(U)|X}. The x-part is U's parent values in U's declared parent
+    order, the y-part V's values; one JointPmf per source value."""
+    parents = list(net.by_id[u].parents)
+    decl = net.node_ids()
+    w_nodes = set(v_set) | set(parents)
+    ordered = [nid for nid in decl if nid in w_nodes]
+    w_pos = {nid: k for k, nid in enumerate(ordered)}
+    v_ordered = [nid for nid in decl if nid in set(v_set)]
+    w_channel = composite_channel(net, ordered, max_states=max_states)
+
+    z_alphabet = list(product(*(net.by_id[p].alphabet for p in parents)))
+    v_alphabet = list(product(*(net.by_id[t].alphabet for t in v_ordered)))
+
+    sources = []
+    for row in w_channel.rows:
+        mass: dict[tuple, Q] = {}
+        for w_value, q in row.mass.items():
+            z = tuple(w_value[w_pos[p]] for p in parents)
+            v = tuple(w_value[w_pos[t]] for t in v_ordered)
+            key = (z, v)
+            mass[key] = mass.get(key, ZERO) + q
+        sources.append(JointPmf(z_alphabet, v_alphabet, mass))
+    return sources

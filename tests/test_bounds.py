@@ -301,6 +301,19 @@ class TestPenaltyWork:
             assert counts["n4_ingredients"] == 0
             assert counts["three_way_mixture"] == steps
 
+    def test_inference_calls_per_peel_step(self, monkeypatch):
+        # One composite_channel call for the exact value and one per V-side;
+        # both penalties of a step read its one composite_joints channel.
+        net = rand_couplable_net(random.Random(0), 5, x_size=3)
+        targets = [nid for nid in net.node_ids() if nid != net.source]
+        counts = Counter()
+        for name in ("composite_channel", "composite_joints"):
+            self.count(monkeypatch, bounds, name, counts)
+        steps = len(query_report(net, targets).trace)
+        assert steps == 3
+        assert counts["composite_channel"] == steps + 1
+        assert counts["composite_joints"] == steps
+
     @pytest.mark.parametrize("x_size", [2, 3, 4])
     def test_no_coupling_is_built(self, monkeypatch, x_size):
         # The penalty lists no Y-tuple, so no ``Coupling`` is validated.

@@ -1,0 +1,151 @@
+"""``composite_joints`` against the split of the flat channel it replaced.
+
+A peel step reads both penalties off P_{pa(U),V|X}, one ``JointPmf`` per
+source value. The reference, ``helpers.sources_for_coupling``, enumerates
+the flat channel P_{V+pa(U)|X} and splits each of its tuples into a
+(pa(U), V) cell, with pa(U) in U's declared parent order. Once the
+x coordinates are put in declaration order, the two are equal laws, and
+the Doeblin and coupling penalties read off them are exactly equal.
+"""
+
+import itertools
+import random
+from fractions import Fraction as Q
+from pathlib import Path
+
+import pytest
+from helpers import rand_couplable_net, rand_net, sources_for_coupling
+
+from leakbound import bounds
+from leakbound.bayesnet import BayesNet, NodeSpec, composite_channel, composite_joints
+from leakbound.errors import CapacityError, LeakboundError, PreconditionError
+from leakbound.measures import doeblin
+from leakbound.netfile import parse_network
+from leakbound.simultaneous import coupling_penalty
+
+FIXTURES = Path(__file__).parent / "fixtures"
+ROOMY = 10**7
+
+
+def peel_steps(net, targets):
+    """(U, V) of every step of the recursion on the targets other than
+    the source, and of the single peel, whose V may hold the source."""
+    steps = []
+    if set(targets) - {net.source}:
+        plan, _ = bounds._plan(net, [t for t in targets if t != net.source])
+        steps += [(u, v_set) for u, v_set, _ in plan]
+    ordered, _ = bounds._ordered(net, targets, source_ok=True)
+    u = next((t for t in reversed(ordered) if t != net.source), None)
+    if u is not None and len(ordered) > 1:
+        steps.append((u, [t for t in ordered if t != u]))
+    return steps
+
+
+def penalty(sources):
+    """f of the sources, or the type of the error both routes must raise."""
+    try:
+        return coupling_penalty(sources, ROOMY)
+    except (PreconditionError, CapacityError) as err:
+        return type(err)
+
+
+def check_step(net, u, v_set):
+    parents = net.by_id[u].parents
+    joints = composite_joints(net, parents, v_set, ROOMY)
+    reference = sources_for_coupling(net, v_set, u, ROOMY)
+    position = {nid: k for k, nid in enumerate(net.node_ids())}
+    order = sorted(range(len(parents)), key=lambda k: position[parents[k]])
+
+    def declared(z):
+        return tuple(z[k] for k in order)
+
+    assert joints.input_alphabet == net.by_id[net.source].alphabet
+    assert len(joints.rows) == len(reference)
+    for got, want in zip(joints.rows, reference):
+        assert got.y_alphabet == want.y_alphabet
+        assert sorted(got.x_alphabet) == sorted(map(declared, want.x_alphabet))
+        assert got.mass == {(declared(z), v): q for (z, v), q in want.mass.items()}
+    flat = composite_channel(net, [*v_set, *parents], max_states=ROOMY)
+    assert doeblin(joints) == doeblin(flat)
+    assert penalty(joints.rows) == penalty(reference)
+
+
+def shapes_net(x_size):
+    """X -> A -> B <- X with B's parents declared (A, X); C <- (P, A); P and
+    Z parentless. Covers a V holding the source (B over X, A), a
+    parentless U (Z over P), and a parent outside V's closure (C over A)."""
+    half = [Q(1, 2), Q(1, 2)]
+    noisy = [[Q(3, 4), Q(1, 4)], [Q(1, 4), Q(3, 4)]]
+    a_rows = [[Q(1 + k, x_size + 2), Q(x_size + 1 - k, x_size + 2)] for k in range(x_size)]
+    b_rows = [[Q(1 + k % 3, 4), Q(3 - k % 3, 4)] for k in range(2 * x_size)]
+    return BayesNet([
+        NodeSpec.make("X", x_size),
+        NodeSpec.make("A", 2, ["X"], a_rows),
+        NodeSpec.make("B", 2, ["A", "X"], b_rows),
+        NodeSpec.make("P", 2, [], [[Q(1, 3), Q(2, 3)]]),
+        NodeSpec.make("C", 2, ["P", "A"], noisy * 2),
+        NodeSpec.make("Z", 2, [], [half]),
+    ], "X")
+
+
+@pytest.mark.parametrize("x_size", [1, 2, 3])
+@pytest.mark.parametrize("targets, step", [
+    (["X", "A", "B"], ("B", ["X", "A"])),  # the source inside V
+    (["P", "Z"], ("Z", ["P"])),  # a parentless U
+    (["A", "C"], ("C", ["A"])),  # pa(C) reaches P, outside V's closure
+])
+def test_shapes(x_size, targets, step):
+    net = shapes_net(x_size)
+    assert step in peel_steps(net, targets)
+    check_step(net, *step)
+
+
+@pytest.mark.parametrize(
+    "name", ["chain.json", "relay.json", "diamond.json", "random1.json",
+             "random2.json", "one_symbol_source.json"],
+)
+def test_fixture_nets(name):
+    net = parse_network((FIXTURES / name).read_text())
+    checked = 0
+    for k in range(2, len(net.nodes) + 1):
+        for targets in itertools.combinations(net.node_ids(), k):
+            for u, v_set in peel_steps(net, list(targets)):
+                check_step(net, u, v_set)
+                checked += 1
+    assert checked
+
+
+def test_wide_fixture():
+    net = parse_network((FIXTURES / "wide_v4.json").read_text())
+    targets = ["X", "N1", "N2", "N3", "N4", "N5", "N6"]
+    for u, v_set in peel_steps(net, targets):
+        check_step(net, u, v_set)
+
+
+def test_seeded_nets():
+    rng = random.Random(14)
+    sizes = set()
+    for k in range(40):
+        if k % 2:
+            net = rand_couplable_net(rng, rng.randrange(3, 7), x_size=rng.choice((2, 3, 4)))
+        else:
+            net = rand_net(rng, n_nodes=rng.randrange(3, 6), max_alphabet=3)
+        targets = rng.sample(net.node_ids(), rng.randrange(2, len(net.nodes) + 1))
+        for u, v_set in peel_steps(net, targets):
+            check_step(net, u, v_set)
+            sizes.add(len(net.by_id[net.source].alphabet))
+    assert sizes == {2, 3, 4}
+
+
+def test_unknown_node_refused():
+    net = shapes_net(2)
+    with pytest.raises(LeakboundError, match="unknown target node"):
+        composite_joints(net, ["A"], ["nope"])
+
+
+def test_closure_state_guard():
+    # The closure of {B} is X, A, B: 4 non-source states, as for the channel.
+    net = shapes_net(2)
+    with pytest.raises(CapacityError):
+        composite_joints(net, ["A"], ["B"], max_states=3)
+    assert composite_joints(net, ["A"], ["B"], max_states=4).n == 2

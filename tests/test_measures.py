@@ -123,6 +123,9 @@ MIXED_FAMILIES = {
     "penalty": lambda: coupling_penalty(
         [_diagonal_joint("01", "ab"), _diagonal_joint("02", "ab")]
     ),
+    "coupling": lambda: Coupling(
+        "ab", 2, {("a", "a"): Q(1, 2), ("b", "b"): Q(1, 2)}, [P_AB, P_AC]
+    ),
 }
 
 
@@ -130,6 +133,11 @@ MIXED_FAMILIES = {
 def test_family_on_mixed_alphabets_refused(routine):
     with pytest.raises(LeakboundError, match=r"row \d has a different output alphabet"):
         MIXED_FAMILIES[routine]()
+
+
+def test_coupling_declared_alphabet_must_be_the_marginals():
+    with pytest.raises(LeakboundError, match="declared marginal on a different alphabet"):
+        Coupling("ac", 2, {("a", "a"): Q(1, 2), ("c", "c"): Q(1, 2)}, [P_AB, P_AB])
 
 
 class TestChannel:

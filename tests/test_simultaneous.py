@@ -373,8 +373,8 @@ def penalty_pairs(net, targets):
     except PreconditionError:
         return []
     out = []
-    for step, _, w_channel, verdict in checked:
-        sources = bounds._sources_for_coupling(net, step.v_set, step.u, w_channel)
+    for _, _, joints, verdict in checked:
+        sources = joints.rows
         out.append((
             coupling_penalty(sources),
             coupling_penalty(sources, verdict=verdict),
@@ -497,6 +497,19 @@ class TestCouplingPenalty:
         with pytest.raises(PreconditionError) as err:
             coupling_penalty(sources, verdict=verdict)
         assert (err.value.condition, err.value.value) == (verdict.label, verdict.value)
+
+    def test_verdict_on_other_marginals_refused(self):
+        # A four-way verdict carries the ingredients it was read from, so
+        # one decided on another family would build that family's coupling.
+        rng = random.Random(57)
+        mine, other = (rand_family_tau_max2_le1(rng, 4, 3) for _ in range(2))
+        verdict = coupling_feasibility(other)
+        assert verdict.ok and tuple(mine) != verdict.ingredients.pmfs
+        with pytest.raises(LeakboundError, match="other marginals"):
+            minimal_y_coupling(mine, verdict=verdict)
+        with pytest.raises(LeakboundError, match="other marginals"):
+            coupling_penalty(sources_with_y_family(rng, mine), verdict=verdict)
+        assert minimal_y_coupling(mine, verdict=coupling_feasibility(mine)).marginals == tuple(mine)
 
 
 class TestCheckMixture:
