@@ -290,9 +290,6 @@ def cmd_couple(args) -> int:
               f" [{'OK' if got == target else 'MISMATCH'}]")
         ok = verify_intersection_property(coupling, items)
         print(f"intersection property: {'OK' if ok else 'VIOLATED'}")
-    else:
-        print(f"unknown mode {args.mode!r}")
-        return EXIT_INVALID
 
     print(f"support size = {len(coupling.mass)}")
     if args.dump:
@@ -303,7 +300,7 @@ def cmd_couple(args) -> int:
 
 def cmd_sweep(args) -> int:
     text = _read(args.path)
-    values = netfile.parse_range(args.range)
+    values = netfile.parse_range(args.range, args.max_states)
     targets = [t for t in args.targets.split(",") if t]
 
     rows = []
@@ -350,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=DEFAULT_MAX_STATES,
             help="state/variable budget for exact enumerations; inference "
-            "counts the states of the targets' ancestral closure (default 1e6)",
+            "counts the states of the targets' ancestral closure, sweep its "
+            "values (default 1e6)",
         )
 
     p = sub.add_parser("bound", help="bound the composite leakage exponent")

@@ -61,7 +61,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConstructionError, LeakboundError, PreconditionError
 from .measures import (
@@ -92,6 +92,7 @@ def complement_pair(pair: Pair) -> Pair:
 # Every row subset of size >= 2, in the key order of ``tau_by_subset``;
 # the pairs come first, in the order of ``ALL_PAIRS``.
 SUBSETS = tuple(frozenset(s) for size in (2, 3, 4) for s in combinations(range(4), size))
+TRIPLES = slice(6, 10)  # where the triples sit in ``SUBSETS``, after the six pairs
 # Per pair p of ``ALL_PAIRS``, the indices in ``SUBSETS`` of p plus k and
 # of p plus l, {k, l} the complement of p.
 PAIR_TRIPLES = tuple(
@@ -187,16 +188,21 @@ class Mixture(NamedTuple):
         """List every tuple, adding up masses on one, and validate them."""
         mass: dict[tuple, Fraction] = {}
         for part in self.parts:
-            # The group that sets each coordinate's symbol.
-            owner = {c: g for g, (coords, _) in enumerate(part) for c in coords}
-            pick = [owner[c] for c in range(len(self.marginals))]
-            for combo in product(*(entries for _, entries in part)):
-                tup = tuple([combo[g][0] for g in pick])
-                q = combo[0][1]
-                for _, f in combo[1:]:
-                    q *= f
+            for tup, q in _list_part(part, len(self.marginals)):
                 mass[tup] = mass[tup] + q if tup in mass else q
         return Coupling(self.marginals[0].alphabet, len(self.marginals), mass, self.marginals)
+
+
+def _list_part(part: tuple, arity: int) -> Iterator[tuple[tuple, Fraction]]:
+    """Every (tuple, mass) that one mixture part puts mass on."""
+    # The group that sets each coordinate's symbol.
+    owner = {c: g for g, (coords, _) in enumerate(part) for c in coords}
+    pick = [owner[c] for c in range(arity)]
+    for combo in product(*(entries for _, entries in part)):
+        q = combo[0][1]
+        for _, f in combo[1:]:
+            q *= f
+        yield tuple([combo[g][0] for g in pick]), q
 
 
 def _mixture(marginals: Sequence[Pmf], components: Iterable[tuple]) -> Mixture:
@@ -328,7 +334,9 @@ class N4Ingredients:
     ``t[{i,j}]`` is the pair residual, from the ranked minima, never < 0,
         T_ij(y) = min(P_i,P_j) - min(P_i,P_j,P_k) - min(P_i,P_j,P_l) + P_min
     (equivalently max{0, min(P_i,P_j) - max(P_k,P_l)}), with total N_ij.
-    A column whose four terms cancel pairwise is skipped.
+    A column whose four terms cancel pairwise is skipped. ``s_trio[I]``
+    is S_I = min_{i in I} P_i - P_min on each triple I, its nonzero
+    entries, with total tau_I - tau.
     """
 
     pmfs: tuple[Pmf, Pmf, Pmf, Pmf]
@@ -341,6 +349,7 @@ class N4Ingredients:
     r_norm: tuple[Fraction, Fraction, Fraction, Fraction]
     t: Mapping[Pair, Mapping[Symbol, Fraction]]
     n: Mapping[Pair, Fraction]
+    s_trio: Mapping[frozenset, Mapping[Symbol, Fraction]]
 
     @property
     def alphabet(self):
@@ -370,6 +379,7 @@ def n4_ingredients(pmfs: Sequence[Pmf]) -> N4Ingredients:
     p_min: dict[Symbol, Fraction] = {}
     r_num: tuple[dict[Symbol, Fraction], ...] = ({}, {}, {}, {})
     t: dict[Pair, dict[Symbol, Fraction]] = {pair: {} for pair in ALL_PAIRS}
+    s_trio: dict[frozenset, dict[Symbol, Fraction]] = {trio: {} for trio in SUBSETS[TRIPLES]}
     for y in alphabet:
         col = channel.column(y)
         order = tuple(sorted(range(4), key=col.__getitem__))
@@ -383,6 +393,9 @@ def n4_ingredients(pmfs: Sequence[Pmf]) -> N4Ingredients:
         second += s[2]
         if s[3] > s[2]:
             r_num[order[3]][y] = s[3] - s[2]
+        for trio, rank in zip(s_trio, low[TRIPLES]):
+            if s[rank] > s[0]:
+                s_trio[trio][y] = s[rank] - s[0]
         for pair, a, (k, l) in zip(ALL_PAIRS, low, PAIR_TRIPLES):
             b, c = low[k], low[l]
             if (b, c) in ((a, 0), (0, a)):
@@ -412,7 +425,7 @@ def n4_ingredients(pmfs: Sequence[Pmf]) -> N4Ingredients:
     return N4Ingredients(
         pmfs=pmfs, tau=tau, tau_max=top, tau_max2=second, tau_by_subset=tau_by_subset,
         p_min=p_min, r_num=r_num, r_norm=r_norm, t=t,
-        n={pair: sum(t[pair].values(), ZERO) for pair in ALL_PAIRS},
+        n={pair: sum(t[pair].values(), ZERO) for pair in ALL_PAIRS}, s_trio=s_trio,
     )
 
 
@@ -524,9 +537,8 @@ def n4_mixture(ing: N4Ingredients) -> Mixture:
     components = [(ing.tau, [((0, 1, 2, 3), ing.p_min, ing.tau)])]
     for i in range(4):
         trio = tuple(j for j in range(4) if j != i)
-        s_trio = {y: min(ing.pmfs[j][y] for j in trio) - ing.p_min[y] for y in ing.alphabet}
         w_trio = ing.tau_by_subset[frozenset(trio)] - ing.tau
-        components.append((w_trio, [(trio, s_trio, w_trio), free(i)]))
+        components.append((w_trio, [(trio, ing.s_trio[frozenset(trio)], w_trio), free(i)]))
     for pair in ALL_PAIRS:
         i, j = sorted(complement_pair(pair))
         components.append((weights.beta[pair], [tied(pair), free(i), free(j)]))

@@ -278,8 +278,9 @@ def tau_max2(channel: DiscreteChannel) -> Fraction:
 
 
 def doeblin(channel: DiscreteChannel) -> Fraction:
-    """Doeblin coefficient: sum over outputs of the column minimum."""
-    return sum((min(channel.column(y)) for y in channel.output_alphabet), ZERO)
+    """Doeblin coefficient: sum over outputs of the column minimum, which
+    is nonzero only on the first row's support."""
+    return sum((min(channel.column(y)) for y in channel.rows[0].mass), ZERO)
 
 
 def tau_subset(channel: DiscreteChannel, subset: Iterable[int]) -> Fraction:

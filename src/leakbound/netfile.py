@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .bayesnet import BayesNet, NodeSpec
-from .errors import NetworkFormatError
+from .errors import DEFAULT_MAX_STATES, CapacityError, NetworkFormatError
 from .measures import JointPmf, Pmf
 
 FORMAT_VERSION = 1
@@ -242,8 +242,12 @@ def parse_pmf_file(text: str):
     raise NetworkFormatError('expected a "pmfs" or "joints" document')
 
 
-def parse_range(text: str) -> list[Fraction]:
-    """"start:stop:step" as inclusive exact values, e.g. "0:1/2:1/8"."""
+def parse_range(text: str, max_values: int = DEFAULT_MAX_STATES) -> list[Fraction]:
+    """"start:stop:step" as inclusive exact values, e.g. "0:1/2:1/8".
+
+    The values are counted before any is listed, and more than
+    ``max_values`` of them raise ``CapacityError``.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise NetworkFormatError(f"range {text!r} is not start:stop:step")
@@ -253,11 +257,9 @@ def parse_range(text: str) -> list[Fraction]:
         raise NetworkFormatError(f"bad range {text!r}: {err}") from None
     if step <= 0:
         raise NetworkFormatError("range step must be positive")
-    values = []
-    current = start
-    while current <= stop:
-        values.append(current)
-        current += step
-    if not values:
+    count = (stop - start) // step + 1
+    if count <= 0:
         raise NetworkFormatError(f"range {text!r} is empty")
-    return values
+    if count > max_values:
+        raise CapacityError(count, max_values, "sweep values")
+    return [start + k * step for k in range(count)]

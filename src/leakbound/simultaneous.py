@@ -16,17 +16,17 @@ mixture weights cancel against the component normalizers, so the assembly
 below never divides by c_XY, c_Y - c_XY, or 1 - c_Y, and degenerate
 components simply contribute nothing.
 
-G2 and G3 differ only in the weight they give a Y-tuple t: the tied
-tuple (y, ..., y) gets P_Ymin(y) - sum_x P_min(x, y) (G2), every untied
-tuple of H its mass (G3). Each t of weight w is spread over X-tuples as
-w * prod_i r_i(x_i | t_i), with r_i(. | y) the residual of source i
-above the cellwise floor, conditioned on y. G2 and G3 never share a
-tuple because the pinned diagonal leaves H no mass on tied tuples, and
-neither meets G1: a tied X-tuple under a tied Y-tuple would need every
-source above the floor at one cell, yet some source attains it. So the
+G2 and G3 are mixture parts (``couplings.Mixture``) of Y-tuple weights:
+G3 is H's parts of two or more groups, which reach untied tuples only,
+and G2 one part, a group of every coordinate giving (y, ..., y) the
+weight P_Ymin(y) - sum_x P_min(x, y). A tuple t of weight w is spread
+over X-tuples as w * prod_i r_i(x_i | t_i), r_i(. | y) the residual of
+source i above the cellwise floor, given y. No two parts share a Y-tuple
+(H's closed-form parts each tie their own partition of the coordinates,
+its LP parts are distinct tuples), and none meets G1, which would need
+every source above the floor at a cell some source attains. So the
 support size is known before anything is listed: the nonzero cells of
-P_min plus, per weighted Y-tuple, the product of the residual list
-lengths.
+P_min plus, per part, prod_g sum_{y in g} prod_{i in g} |r_i(. | y)|.
 
 ``minimal_y_coupling`` gives H as a ``couplings.Mixture``: a closed form
 at m = 2, 3, 4, else the diagonal-floored LP, whose witness becomes one
@@ -39,12 +39,12 @@ source i at y, P_i(y) - sum_x P_min(x, y). A caller that has decided
 ``coupling_feasibility`` passes the verdict, which is not decided again.
 
 The bounds' penalty f = sum_y P(X_1 = ... = X_m, some Y_i = y) is read
-off the same parts, never their tuples. G1 adds c_XY. A part of g >= 2
+off the same parts, never their tuples. G1 adds c_XY, and a part of g
 groups puts mass only on Y-tuples of g distinct symbols, so it adds
-g * sum_x prod_g sum_y q_g(y) prod_{i in g} r_i(x | y), and the G2
-weights add the same as one more part with a single group.
+g * sum_x prod_g sum_y q_g(y) prod_{i in g} r_i(x | y).
 ``coupling_penalty`` computes that; ``build_simultaneous_coupling``
-lists and validates the coupling, for ``couple --mode simul`` and as the
+counts the support off the parts, and only under its limit lists and
+validates the coupling, for ``couple --mode simul`` and as the
 reference the penalty is tested against.
 
 One source is its own coupling: its one Y-marginal passes the condition
@@ -74,6 +74,7 @@ from .couplings import (
     Coupling,
     Mixture,
     N4Ingredients,
+    _list_part,
     n4_condition,
     n4_mixture,
     pair_mixture,
@@ -223,11 +224,11 @@ def minimal_y_coupling(
 @dataclass(frozen=True)
 class _MixtureTable:
     """What the mixture is assembled from (see the module docstring):
-    the checked Y-coupling H, ``tied[y]`` the nonzero G2 weight of
-    (y, ..., y), and ``residual[i][y]`` mapping x to r_i(x | y)."""
+    the checked Y-coupling H, ``parts`` the G2/G3 Y-weights as mixture
+    parts, and ``residual[i][y]`` mapping x to r_i(x | y)."""
 
     y_mixture: Mixture
-    tied: Mapping[Symbol, Fraction]
+    parts: Sequence[tuple]
     p_min: Mapping[tuple, Fraction]
     c_y: Fraction
     residual: tuple[Mapping[Symbol, Mapping[Symbol, Fraction]], ...]
@@ -245,20 +246,24 @@ def _mixture_table(
     y_marginals = [s.y_marginal() for s in sources]
     y_mixture = minimal_y_coupling(y_marginals, max_variables, verdict)
 
-    p_min = {cell: min(channel.column(cell)) for cell in channel.output_alphabet}
+    # Only a cell in the first source's support has a nonzero minimum.
+    p_min = {cell: min(channel.column(cell)) for cell in sources[0].mass}
     p_ymin = {y: min(p[y] for p in y_marginals) for y in y_alphabet}
 
     residual = []
     for s in sources:
         lists = {}
         for y in y_alphabet:
-            cells = [(x, d) for x in x_alphabet if (d := s[(x, y)] - p_min[(x, y)])]
+            cells = [(x, d) for x in x_alphabet if (d := s[(x, y)] - p_min.get((x, y), ZERO))]
             den = sum((d for _, d in cells), ZERO)
             lists[y] = {x: d / den for x, d in cells}
         residual.append(lists)
 
-    tied = {y: w for y in y_alphabet if (w := p_ymin[y] - sum(p_min[x, y] for x in x_alphabet))}
-    return _MixtureTable(y_mixture, tied, p_min, sum(p_ymin.values(), ZERO), tuple(residual))
+    floor = push_forward(p_min, itemgetter(1))  # sum_x P_min(x, y)
+    tied = tuple((y, w) for y in y_alphabet if (w := p_ymin[y] - floor.get(y, ZERO)))
+    parts = [part for part in y_mixture.parts if len(part) > 1]
+    parts.append(((tuple(range(len(sources))), tied),))
+    return _MixtureTable(y_mixture, parts, p_min, sum(p_ymin.values(), ZERO), tuple(residual))
 
 
 @dataclass(frozen=True)
@@ -303,9 +308,10 @@ def build_simultaneous_coupling(
 ) -> SimulCoupling:
     """Assemble the three-part mixture described in the module docstring.
 
-    ``max_states`` caps both the assembled support and the variable count
-    of the fallback LP that builds the ingredient Y-coupling. Like the
-    coupling LP, it refuses fewer than two sources.
+    ``max_states`` caps both the assembled support, counted off the G2/G3
+    parts before any tuple is listed, and the variable count of the
+    fallback LP that builds the ingredient Y-coupling. Like the coupling
+    LP, it refuses fewer than two sources.
     """
     sources = tuple(sources)
     if len(sources) < 2:
@@ -313,14 +319,11 @@ def build_simultaneous_coupling(
     table = _mixture_table(sources, max_states)
     m = len(sources)
     residual = table.residual
-    y_coupling = table.y_mixture.coupling()
-    # Y-tuple weights of G2 (tied tuples) and G3 (untied tuples of H).
-    weights = {(y,) * m: w for y, w in table.tied.items()}
-    weights.update((ys, q) for ys, q in y_coupling.mass.items() if len(set(ys)) > 1)
 
     # The exact support size, before materializing anything.
     est = sum(1 for q in table.p_min.values() if q) + sum(
-        prod(len(residual[i][y]) for i, y in enumerate(ys)) for ys in weights
+        prod(sum(prod(len(residual[i][y]) for i in c) for y, _ in e) for c, e in part)
+        for part in table.parts
     )
     if est > max_states:
         raise CapacityError(est, max_states, "coupling support tuples")
@@ -328,19 +331,20 @@ def build_simultaneous_coupling(
     # G1: fully tied diagonal. Weight c_XY cancels the 1/c_XY normalizer.
     mass = {((x,) * m, (y,) * m): q for (x, y), q in table.p_min.items() if q}
     # G2 and G3: every X-tuple drawn from the independent residuals.
-    for ys, w in weights.items():
-        for combo in product(*(residual[i][y].items() for i, y in enumerate(ys))):
-            q = w
-            for _, weight in combo:
-                q *= weight
-            mass[(tuple(x for x, _ in combo), ys)] = q
+    for part in table.parts:
+        for ys, w in _list_part(part, m):
+            for combo in product(*(residual[i][y].items() for i, y in enumerate(ys))):
+                q = w
+                for _, weight in combo:
+                    q *= weight
+                mass[(tuple(x for x, _ in combo), ys)] = q
 
     built = SimulCoupling(
         sources=sources,
         mass=mass,
         c_xy=sum(table.p_min.values(), ZERO),
         c_y=table.c_y,
-        y_coupling=y_coupling,
+        y_coupling=table.y_mixture.coupling(),
     )
     built.validate()
     return built
@@ -354,18 +358,15 @@ def coupling_penalty(
     """``f_quantity(build_simultaneous_coupling(sources))``, unbuilt.
 
     Reads f = c_XY + sum_parts g * sum_x prod_g sum_y q_g(y) prod_{i in
-    g} r_i(x | y) off the parts of the ingredient Y-coupling with g >= 2
-    groups (G3) and the one-group part of the tied weights (G2). No
-    tuple is listed, so no support-size limit applies. ``max_variables``
+    g} r_i(x | y) off the G2/G3 parts of ``_mixture_table``. No tuple is
+    listed, so no support-size limit applies. ``max_variables``
     caps the LP of the m >= 5 route and ``verdict`` is passed on to
     ``minimal_y_coupling``.
     """
     sources = tuple(sources)
     table = _mixture_table(sources, max_variables, verdict)
-    parts = [part for part in table.y_mixture.parts if len(part) > 1]
-    parts.append(((tuple(range(len(sources))), tuple(table.tied.items())),))
     f = sum(table.p_min.values(), ZERO)
-    for part in parts:
+    for part in table.parts:
         for x in sources[0].x_alphabet:
             term = len(part)
             for coords, entries in part:

@@ -135,8 +135,9 @@ def three_way_by_duplication(y_pmfs) -> Coupling:
 
 def reference_n4_ingredients(pmfs) -> N4Ingredients:
     """Reference four-way ingredients, one quantity at a time: 11
-    ``tau_subset`` scans, every pair and triple minimum re-derived for T_ij,
-    and ``tau_max`` / ``tau_max2`` scans of their own."""
+    ``tau_subset`` scans, every pair and triple minimum re-derived for T_ij
+    and for the trio factors S_I, and ``tau_max`` / ``tau_max2`` scans of
+    their own."""
     pmfs = tuple(pmfs)
     if len(pmfs) != 4:
         raise LeakboundError("the four-way construction needs exactly 4 PMFs")
@@ -199,6 +200,13 @@ def reference_n4_ingredients(pmfs) -> N4Ingredients:
         t[pair] = tij
         n[pair] = sum(tij.values(), ZERO)
 
+    s_trio = {}
+    for trio in combinations(range(4), 3):
+        s_trio[frozenset(trio)] = {
+            y: excess for y in alphabet
+            if (excess := min(pmfs[j][y] for j in trio) - p_min[y])
+        }
+
     return N4Ingredients(
         pmfs=pmfs,
         tau=tau,
@@ -210,6 +218,7 @@ def reference_n4_ingredients(pmfs) -> N4Ingredients:
         r_norm=tuple(r_norm),
         t=t,
         n=n,
+        s_trio=s_trio,
     )
 
 

@@ -121,6 +121,11 @@ class TestSingleStep:
         with pytest.raises(LeakboundError):
             doeblin_bound(net, ["Y2"], "Y1")  # path Y1 -> Y2 exists
 
+    def test_peeled_node_in_v_rejected(self):
+        net = chain_net(Q(1, 4), Q(1, 4))
+        with pytest.raises(LeakboundError, match="peeled node 'Y2' may not belong to V"):
+            coupling_bound(net, ["Y1", "Y2"], "Y2")
+
     def test_precondition_failure_names_value(self):
         # a three-row V-channel with tau_max2 > 1 cannot be coupled
         net = BayesNet(

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from helpers import rand_couplable_net, wide_net
+from test_couplings import FAILING_FAMILY
 
 import leakbound
 from leakbound.cli import main
@@ -83,6 +84,10 @@ class TestMeasures:
     def test_unknown_node(self, capsys):
         code, out, _ = run(capsys, "measures", FIXTURES / "chain.json", "--node", "W")
         assert code == 1
+
+    def test_source_node_refused(self, capsys):
+        code, out, _ = run(capsys, "measures", FIXTURES / "chain.json", "--node", "X")
+        assert (code, out) == (1, "the source node carries no distribution\n")
 
 
 class TestBound:
@@ -306,6 +311,21 @@ class TestCouple:
         assert "[OK]" in out
         assert "f quantity" in out
 
+    def test_n4_mode_failing_condition(self, capsys, tmp_path):
+        # The four-way condition fails: the report gives the slack and
+        # tau_max2, builds nothing and exits 1.
+        path = tmp_path / "failing.json"
+        path.write_text(json.dumps({
+            "alphabet": ["0", "1", "2", "3"],
+            "pmfs": [[str(q) for q in p.values()] for p in FAILING_FAMILY],
+        }))
+        code, out, _ = run(capsys, "couple", path, "--mode", "n4")
+        assert (code, out) == (
+            1,
+            "condition slack = -1/16 [fails]\n"
+            "tau_max2 = 19/16; no construction\n",
+        )
+
     def test_mode_document_mismatch(self, capsys):
         code, out, _ = run(
             capsys, "couple", FIXTURES / "joints_pair.json", "--mode", "n4"
@@ -524,6 +544,33 @@ class TestSweep:
             bnum, bden = r["exact"].split("/")
             assert int(num) * int(bden) >= int(bnum) * int(den)
 
+
+    def test_range_counted_before_listing(self, capsys, monkeypatch):
+        # 10^9 + 1 values exceed the default budget of 10^6: the range is
+        # refused before any value is listed or any network is loaded.
+        from leakbound import cli
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("a sweep value was evaluated")
+
+        monkeypatch.setattr(cli, "_load_net", no_load)
+        code, out, err = run(
+            capsys, "sweep", FIXTURES / "chain_template.json",
+            "--param", "d", "--range", "0:1:1/1000000000", "--targets", "Y2",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "capacity: refusing to enumerate 1000000001 sweep values (limit 1000000); "
+            "raise the limit explicitly if this is intentional\n"
+        )
+
+    def test_range_limit_is_max_states(self, capsys):
+        argv = ("sweep", FIXTURES / "chain_template.json", "--param", "d",
+                "--range", "0:1/2:1/8", "--targets", "Y2")
+        code, out, _ = run(capsys, *argv, "--max-states", "5")
+        assert code == 0 and len(out.splitlines()) == 6
+        code, _, err = run(capsys, *argv, "--max-states", "4")
+        assert code == 2 and "5 sweep values (limit 4)" in err
 
     def test_unknown_source_named_like_bound(self, capsys):
         for command, extra in (("bound", []), ("sweep", ["--param", "d", "--range", "0:1:1/2"])):

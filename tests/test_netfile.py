@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from leakbound import NetworkFormatError, validate
+from leakbound import CapacityError, NetworkFormatError, validate
 from leakbound.netfile import (
     eval_rational_expression,
     parse_network,
@@ -143,3 +143,14 @@ class TestRange:
     def test_not_three_parts(self):
         with pytest.raises(NetworkFormatError):
             parse_range("0:1")
+
+    def test_stop_between_values_and_empty(self):
+        assert parse_range("0:1/2:1/3") == [Q(0), Q(1, 3)]
+        with pytest.raises(NetworkFormatError, match="empty"):
+            parse_range("1:1/2:1")
+
+    def test_counted_against_the_limit(self):
+        assert len(parse_range("0:1/2:1/8", 5)) == 5
+        with pytest.raises(CapacityError) as err:
+            parse_range("0:1/2:1/8", 4)
+        assert (err.value.requested, err.value.limit) == (5, 4)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from math import prod
 from pathlib import Path
@@ -38,10 +39,11 @@ from leakbound import (
     union_mass,
     y_union_mass,
 )
-from leakbound import bounds
+from leakbound import bounds, simultaneous
+from leakbound.bayesnet import composite_joints
 from leakbound.cli import main
 from leakbound.couplings import Mixture, _mixture, three_way_mixture
-from leakbound.netfile import parse_network
+from leakbound.netfile import parse_network, parse_pmf_file
 from leakbound.simultaneous import _check_mixture, _tuple_part
 
 
@@ -357,10 +359,95 @@ def test_capacity_guard():
         build_simultaneous_coupling(sources, max_states=2)
 
 
-# The reference penalty: the coupling built, validated and summed.
+# A support limit that no test here reaches.
 ROOMY = 10**7
 
+# tests/fixtures/wide_v4_joints.json is the V-side of the single peel of
+# wide_v4.json (U = N6, pa(U) = {N5}, V = {X, N1, ..., N5}): the rows of
+# composite_joints(net, ["N5"], WIDE_V), one joint per source value, with
+# each cell's node values, one character each, joined into one symbol and
+# every mass written as str(Fraction). The first test below regenerates it.
+WIDE_FIXTURES = Path(__file__).parent / "fixtures"
+WIDE_V = ["X", "N1", "N2", "N3", "N4", "N5"]
+WIDE_REFUSAL = (
+    "capacity: refusing to enumerate 259308 coupling support tuples (limit 1000); "
+    "raise the limit explicitly if this is intentional\n"
+)
 
+
+def wide_v_side():
+    net = parse_network((WIDE_FIXTURES / "wide_v4.json").read_text(encoding="utf-8"))
+    return composite_joints(net, ["N5"], WIDE_V).rows
+
+
+class TestSupportCountedFirst:
+    """The build counts its support off the G2/G3 parts and refuses a
+    large one before listing any tuple."""
+
+    def test_fixture_is_the_single_peel_v_side(self):
+        relabelled = [
+            JointPmf(
+                ["".join(x) for x in row.x_alphabet],
+                ["".join(y) for y in row.y_alphabet],
+                {("".join(x), "".join(y)): q for (x, y), q in row.mass.items()},
+            )
+            for row in wide_v_side()
+        ]
+        text = (WIDE_FIXTURES / "wide_v4_joints.json").read_text(encoding="utf-8")
+        assert parse_pmf_file(text) == relabelled
+
+    def test_refused_before_any_tuple_is_listed(self, monkeypatch):
+        counts = Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(simultaneous, "_list_part")
+        counted(Mixture, "coupling")
+        with pytest.raises(CapacityError) as err:
+            build_simultaneous_coupling(wide_v_side(), max_states=1000)
+        assert (err.value.requested, err.value.limit) == (259308, 1000)
+        assert counts == Counter()
+
+    def test_cli_refusal(self, capsys):
+        code = main(["couple", str(WIDE_FIXTURES / "wide_v4_joints.json"),
+                     "--mode", "simul", "--max-states", "1000"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", WIDE_REFUSAL)
+
+    def test_one_part_list(self, monkeypatch):
+        # The build and the penalty read the one G2/G3 part list; the build
+        # lists each part once, and H once more for ``y_coupling``.
+        rng = random.Random(58)
+        fam = rand_family_tau_max2_le1(rng, 3, 3)
+        sources = tuple(sources_with_y_family(rng, fam, 3))
+        table = simultaneous._mixture_table(sources, ROOMY)
+        listed, built = Counter(), Counter()
+        original_list, original_coupling = simultaneous._list_part, Mixture.coupling
+
+        def list_part(part, arity):
+            listed[part] += 1
+            return original_list(part, arity)
+
+        def coupling(mixture):
+            built[mixture] += 1
+            return original_coupling(mixture)
+
+        monkeypatch.setattr(simultaneous, "_list_part", list_part)
+        monkeypatch.setattr(Mixture, "coupling", coupling)
+        coupling_built = build_simultaneous_coupling(sources, max_states=ROOMY)
+        assert listed == Counter(table.parts)
+        assert built == Counter([table.y_mixture])
+        assert f_quantity(coupling_built) == coupling_penalty(sources, ROOMY)
+
+
+# The reference penalty: the coupling built, validated and summed.
 def built_penalty(sources):
     return f_quantity(build_simultaneous_coupling(sources, max_states=ROOMY))
 
