@@ -30,7 +30,6 @@ from .couplings import (
     MixtureWeights,
     N4Ingredients,
     build_n4_coupling,
-    choose_abc,
     independent_coupling,
     maximal_coupling_pair,
     n4_condition,

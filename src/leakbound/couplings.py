@@ -41,13 +41,13 @@ only on tuples of exactly g distinct symbols.
   tau_max2 (second entry), residual and pair residual accumulate in one
   pass over the alphabet.
 
-The four-way existence condition is decided in one place, ``choose_abc``,
-which refuses a negative slack with ``PreconditionError(FOUR_WAY_CONDITION,
-slack)``. ``n4_mixture`` reaches it through ``n4_mixture_weights`` and
-does not check beforehand. ``n4_condition`` evaluates the same slack
-without building, for callers that only ask: the ``couple --mode n4``
-report, and ``simultaneous.coupling_feasibility`` for the V-side
-precondition of the bounds. A caller that asked first passes the
+The four-way existence condition is decided in one place,
+``n4_mixture_weights``, which refuses a negative slack with
+``PreconditionError(FOUR_WAY_CONDITION, slack)``. ``n4_mixture`` reaches
+it there and does not check beforehand. ``n4_condition`` evaluates the
+same slack without building, for callers that only ask: the ``couple
+--mode n4`` report, and ``simultaneous.coupling_feasibility`` for the
+V-side precondition of the bounds. A caller that asked first passes the
 ingredients it holds to ``n4_mixture``, so they are computed once.
 
 Indices are 0-based throughout: rows are numbered 0..3 and the pair keys
@@ -449,38 +449,24 @@ class MixtureWeights:
     independent: Fraction
 
 
-def choose_abc(ing: N4Ingredients) -> tuple[Fraction, Fraction, Fraction]:
-    """Deterministic greedy split of the budget tau_max2 - 1 across the
-    three pair-pairings, in the fixed order (01/23), (02/13), (03/12).
+def n4_mixture_weights(ing: N4Ingredients) -> MixtureWeights:
+    """The mixture weights, alpha split greedily in the fixed order
+    (01/23), (02/13), (03/12): each alpha_p = min(left, N_p, N_comp(p))
+    out of the budget left = max(tau_max2 - 1, 0).
 
-    Each share is capped by min of the two opposite-pair normalizers; the
-    existence condition guarantees the caps absorb the whole budget;
-    a negative slack raises ``PreconditionError``.
+    A negative slack raises ``PreconditionError``; otherwise the existence
+    condition guarantees the caps absorb the whole budget.
     """
     slack = ing.condition_slack()
     if slack < 0:
         raise PreconditionError(FOUR_WAY_CONDITION, slack)
-    budget = ing.tau_max2 - 1
-    if budget <= 0:
-        return (Fraction(1), ZERO, ZERO)
-    caps = [min(ing.n[p], ing.n[complement_pair(p)]) for p in ANCHOR_PAIRS]
-    a = min(Fraction(1), caps[0] / budget)
-    b = min(1 - a, caps[1] / budget)
-    c = 1 - a - b
-    if c * budget > caps[2]:
-        raise ConstructionError("greedy split exceeded the third capacity")
-    return (a, b, c)
-
-
-def n4_mixture_weights(ing: N4Ingredients) -> MixtureWeights:
-    a, b, c = choose_abc(ing)
-    budget = ing.tau_max2 - 1
-    if budget >= 0:
-        alpha = {p: share * budget for p, share in zip(ANCHOR_PAIRS, (a, b, c))}
-        independent = ZERO
-    else:
-        alpha = {p: ZERO for p in ANCHOR_PAIRS}
-        independent = -budget
+    left = max(ing.tau_max2 - 1, ZERO)
+    alpha = {}
+    for p in ANCHOR_PAIRS:
+        alpha[p] = min(left, ing.n[p], ing.n[complement_pair(p)])
+        left -= alpha[p]
+    if left:
+        raise ConstructionError(f"pair capacities leave {left} of the budget unspent")
     beta = {}
     for anchored in ANCHOR_PAIRS:
         other = complement_pair(anchored)
@@ -489,7 +475,7 @@ def n4_mixture_weights(ing: N4Ingredients) -> MixtureWeights:
     for pair, value in beta.items():
         if value < 0:
             raise ConstructionError(f"negative beta weight {value} for pair {set(pair)}")
-    return MixtureWeights(alpha=alpha, beta=beta, independent=independent)
+    return MixtureWeights(alpha=alpha, beta=beta, independent=max(1 - ing.tau_max2, ZERO))
 
 
 def _weight_accounting(ing: N4Ingredients, w: MixtureWeights) -> Fraction:

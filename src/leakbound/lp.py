@@ -441,7 +441,10 @@ def min_union_coupling_diag(
 
     Since any coupling also satisfies mass(y,...,y) <= min_i P_i(y), the
     floor pins the diagonal exactly; this is the ingredient shape the
-    simultaneous construction needs. Raises ``InfeasibleError`` when no
-    coupling has a full diagonal.
+    simultaneous construction needs. Such a coupling always exists, so the
+    floor never makes the LP infeasible: tie min_i P_i(y) on each
+    (y, ..., y) and couple the residuals P_i - min_j P_j independently; at
+    each y a row attaining the minimum has residual 0, so no further mass
+    lands on (y, ..., y).
     """
     return _coupling_lp(marginals, diagonal_floor=True, max_variables=max_variables)

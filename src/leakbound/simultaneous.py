@@ -21,9 +21,13 @@ G3 is H's parts of two or more groups, which reach untied tuples only,
 and G2 one part, a group of every coordinate giving (y, ..., y) the
 weight P_Ymin(y) - sum_x P_min(x, y). A tuple t of weight w is spread
 over X-tuples as w * prod_i r_i(x_i | t_i), r_i(. | y) the residual of
-source i above the cellwise floor, given y. No two parts share a Y-tuple
-(H's closed-form parts each tie their own partition of the coordinates,
-its LP parts are distinct tuples), and none meets G1, which would need
+source i above the cellwise floor, given y:
+
+    r_i(x | y) = (P_i(x, y) - P_min(x, y)) / (P_i(y) - sum_x P_min(x, y)),
+
+the normalizer read off the marginal. No two parts share a Y-tuple (H's
+closed-form parts each tie their own partition of the coordinates, its
+LP parts are distinct tuples), and none meets G1, which would need
 every source above the floor at a cell some source attains. So the
 support size is known before anything is listed: the nonzero cells of
 P_min plus, per part, prod_g sum_{y in g} prod_{i in g} |r_i(. | y)|.
@@ -240,7 +244,6 @@ def _mixture_table(
     verdict: Feasibility | None = None,
 ) -> _MixtureTable:
     channel = DiscreteChannel(sources)  # one (x, y) cell alphabet
-    x_alphabet = sources[0].x_alphabet
     y_alphabet = sources[0].y_alphabet
 
     y_marginals = [s.y_marginal() for s in sources]
@@ -249,17 +252,17 @@ def _mixture_table(
     # Only a cell in the first source's support has a nonzero minimum.
     p_min = {cell: min(channel.column(cell)) for cell in sources[0].mass}
     p_ymin = {y: min(p[y] for p in y_marginals) for y in y_alphabet}
+    floor = push_forward(p_min, itemgetter(1))  # sum_x P_min(x, y)
 
     residual = []
-    for s in sources:
-        lists = {}
-        for y in y_alphabet:
-            cells = [(x, d) for x in x_alphabet if (d := s[(x, y)] - p_min.get((x, y), ZERO))]
-            den = sum((d for _, d in cells), ZERO)
-            lists[y] = {x: d / den for x, d in cells}
+    for s, p in zip(sources, y_marginals):
+        rest = {y: q - floor.get(y, ZERO) for y, q in p.mass.items()}
+        lists = {y: {} for y in y_alphabet}
+        for (x, y), q in s.mass.items():
+            if d := q - p_min.get((x, y), ZERO):
+                lists[y][x] = d / rest[y]
         residual.append(lists)
 
-    floor = push_forward(p_min, itemgetter(1))  # sum_x P_min(x, y)
     tied = tuple((y, w) for y in y_alphabet if (w := p_ymin[y] - floor.get(y, ZERO)))
     parts = [part for part in y_mixture.parts if len(part) > 1]
     parts.append(((tuple(range(len(sources))), tied),))
@@ -288,16 +291,21 @@ class SimulCoupling:
         return push_forward(self.mass, itemgetter(1))
 
     def validate(self) -> None:
-        """Exact checks of every structural identity; raises on failure."""
-        total = sum(self.mass.values(), ZERO)
+        """Exact checks of every structural identity, off one pass over the
+        support; raises on failure."""
+        marginals = [{} for _ in self.sources]
+        proj = {}
+        for (xs, ys), q in self.mass.items():
+            proj[ys] = proj.get(ys, ZERO) + q
+            for got, cell in zip(marginals, zip(xs, ys)):
+                got[cell] = got.get(cell, ZERO) + q
+        total = sum(proj.values(), ZERO)
         if total != 1:
             raise ConstructionError(f"coupling mass sums to {total}")
-        for i, src in enumerate(self.sources):
-            got = self.source_marginal(i)
+        for i, (src, got) in enumerate(zip(self.sources, marginals)):
             for cell in src.alphabet:
                 if got.get(cell, ZERO) != src[cell]:
                     raise ConstructionError(f"source {i} marginal mismatch at {cell!r}")
-        proj = self.y_projection()
         if proj != dict(self.y_coupling.mass):
             raise ConstructionError("Y-projection differs from ingredient coupling")
 

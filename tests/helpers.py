@@ -18,14 +18,23 @@ from leakbound import (
     DiscreteChannel,
     JointPmf,
     LeakboundError,
+    MixtureWeights,
     Pmf,
+    PreconditionError,
     build_n4_coupling,
     tau_max,
     tau_max2,
     tau_subset,
 )
 from leakbound.bayesnet import BayesNet, NodeSpec, composite_channel
-from leakbound.couplings import ALL_PAIRS, N4Ingredients, Pair, complement_pair
+from leakbound.couplings import (
+    ALL_PAIRS,
+    ANCHOR_PAIRS,
+    FOUR_WAY_CONDITION,
+    N4Ingredients,
+    Pair,
+    complement_pair,
+)
 from leakbound.measures import ZERO, push_forward
 
 DENOMINATORS = (6, 8, 10, 12, 16, 24)
@@ -220,6 +229,67 @@ def reference_n4_ingredients(pmfs) -> N4Ingredients:
         n=n,
         s_trio=s_trio,
     )
+
+
+def reference_choose_abc(ing: N4Ingredients) -> tuple[Q, Q, Q]:
+    """Reference four-way budget split: the shares (a, b, c) of the budget
+    tau_max2 - 1 taken greedily in the order (01/23), (02/13), (03/12),
+    each share capped by its pairing's capacity divided by the budget."""
+    slack = ing.condition_slack()
+    if slack < 0:
+        raise PreconditionError(FOUR_WAY_CONDITION, slack)
+    budget = ing.tau_max2 - 1
+    if budget <= 0:
+        return (Q(1), ZERO, ZERO)
+    caps = [min(ing.n[p], ing.n[complement_pair(p)]) for p in ANCHOR_PAIRS]
+    a = min(Q(1), caps[0] / budget)
+    b = min(1 - a, caps[1] / budget)
+    c = 1 - a - b
+    if c * budget > caps[2]:
+        raise ConstructionError("greedy split exceeded the third capacity")
+    return (a, b, c)
+
+
+def reference_n4_mixture_weights(ing: N4Ingredients) -> MixtureWeights:
+    """Reference mixture weights: each alpha is its ``reference_choose_abc``
+    share times the budget tau_max2 - 1 (0 below tau_max2 = 1, where the
+    independent component takes 1 - tau_max2)."""
+    a, b, c = reference_choose_abc(ing)
+    budget = ing.tau_max2 - 1
+    if budget >= 0:
+        alpha = {p: share * budget for p, share in zip(ANCHOR_PAIRS, (a, b, c))}
+        independent = ZERO
+    else:
+        alpha = {p: ZERO for p in ANCHOR_PAIRS}
+        independent = -budget
+    beta = {}
+    for anchored in ANCHOR_PAIRS:
+        other = complement_pair(anchored)
+        beta[anchored] = ing.n[anchored] - alpha[anchored]
+        beta[other] = ing.n[other] - alpha[anchored]
+    for pair, value in beta.items():
+        if value < 0:
+            raise ConstructionError(f"negative beta weight {value} for pair {set(pair)}")
+    return MixtureWeights(alpha=alpha, beta=beta, independent=independent)
+
+
+def reference_residuals(sources) -> tuple[dict, ...]:
+    """Reference r_i(x | y) of the simultaneous coupling: per source and
+    symbol y, a scan over X of P_i(x, y) - min_j P_j(x, y), each nonzero
+    entry divided by the sum of the scanned entries."""
+    x_alphabet, y_alphabet = sources[0].x_alphabet, sources[0].y_alphabet
+    residual = []
+    for s in sources:
+        lists = {}
+        for y in y_alphabet:
+            cells = [
+                (x, d) for x in x_alphabet
+                if (d := s[(x, y)] - min(t[(x, y)] for t in sources))
+            ]
+            den = sum((d for _, d in cells), ZERO)
+            lists[y] = {x: d / den for x, d in cells}
+        residual.append(lists)
+    return tuple(residual)
 
 
 def reference_intersection_violations(coupling: Coupling, pmfs) -> list[tuple]:

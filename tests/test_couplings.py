@@ -9,10 +9,12 @@ import pytest
 from helpers import (
     alphabet,
     rand_family,
+    rand_family_tau_max2_gt1,
     rand_family_tau_max2_le1,
     rand_pmf,
     reference_intersection_violations,
     reference_n4_ingredients,
+    reference_n4_mixture_weights,
     three_way_by_duplication,
 )
 from hypothesis import given, settings
@@ -26,7 +28,6 @@ from leakbound import (
     Pmf,
     PreconditionError,
     build_n4_coupling,
-    choose_abc,
     independent_coupling,
     make_q_ary_symmetric,
     maximal_coupling_pair,
@@ -46,7 +47,10 @@ from leakbound import (
 )
 from leakbound import couplings, measures
 from leakbound.couplings import (
+    ANCHOR_PAIRS,
+    FOUR_WAY_CONDITION,
     _mixture,
+    complement_pair,
     intersection_violations,
     n4_mixture_weights,
 )
@@ -325,25 +329,76 @@ class TestCondition:
         assert ing.condition_slack() == Q(-1, 16)
 
 
-class TestChooseAbc:
+class TestGreedySplit:
+    """``n4_mixture_weights`` splits tau_max2 - 1 over the anchored pairs."""
+
     def test_zero_budget(self):
         fam = rand_family_tau_max2_le1(random.Random(27), 4, 4)
-        a, b, c = choose_abc(n4_ingredients(fam))
-        assert (a, b, c) == (1, 0, 0)
+        ing = n4_ingredients(fam)
+        weights = n4_mixture_weights(ing)
+        assert all(v == 0 for v in weights.alpha.values())
+        assert weights.independent == 1 - ing.tau_max2
 
     def test_condition_failure_raises(self):
-        with pytest.raises(PreconditionError):
-            choose_abc(n4_ingredients(FAILING_FAMILY))
+        with pytest.raises(PreconditionError) as err:
+            n4_mixture_weights(n4_ingredients(FAILING_FAMILY))
+        assert (err.value.condition, err.value.value) == (FOUR_WAY_CONDITION, Q(-1, 16))
 
     def test_caps_respected_on_feasible_instances(self):
         for fam in (SEARCHED_FAMILY, PAIRED_FAMILY):
             ing = n4_ingredients(fam)
-            a, b, c = choose_abc(ing)
-            assert a + b + c == 1 and min(a, b, c) >= 0
             weights = n4_mixture_weights(ing)
-            assert all(v >= 0 for v in weights.alpha.values())
+            for p in ANCHOR_PAIRS:
+                assert 0 <= weights.alpha[p] <= min(ing.n[p], ing.n[complement_pair(p)])
             assert all(v >= 0 for v in weights.beta.values())
             assert sum(weights.alpha.values()) == ing.tau_max2 - 1
+            assert weights.independent == 0
+
+
+def weights_or_refusal(weigh, ing):
+    """The weights' items, fixing values, types and key order, or the
+    refusal's (type, condition, value)."""
+    try:
+        w = weigh(ing)
+    except PreconditionError as err:
+        return (PreconditionError, err.condition, err.value)
+    return repr((list(w.alpha.items()), list(w.beta.items()), w.independent))
+
+
+class TestMixtureWeightsAgainstReference:
+    """The direct greedy split against shares of the budget times the budget."""
+
+    @staticmethod
+    def compare(fam):
+        ing = n4_ingredients(fam)
+        got = weights_or_refusal(n4_mixture_weights, ing)
+        assert got == weights_or_refusal(reference_n4_mixture_weights, ing)
+        return ing, got
+
+    def test_seeded_families(self):
+        rng = random.Random(28)
+        families = [SEARCHED_FAMILY, FAILING_FAMILY]
+        # The three orderings of the paired family put its one nonzero
+        # pair capacity on each pairing in turn; the other two are zero.
+        families += [[PAIRED_FAMILY[i] for i in order]
+                     for order in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 2, 3, 1))]
+        for size in (2, 3, 4, 5):
+            families += [rand_family_tau_max2_le1(rng, 4, size) for _ in range(8)]
+            families += [rand_family_tau_max2_gt1(rng, 4, size) for _ in range(8)]
+        seen = Counter()
+        for fam in families:
+            ing, got = self.compare(fam)
+            caps = [min(ing.n[p], ing.n[complement_pair(p)]) for p in ANCHOR_PAIRS]
+            refused = isinstance(got, tuple)
+            seen["refused" if refused else (ing.tau_max2 > 1) - (ing.tau_max2 < 1)] += 1
+            if not refused and ing.tau_max2 > 1 and 0 in caps:
+                seen["zero capacity"] += 1
+        assert all(seen[key] for key in (-1, 0, 1, "refused", "zero capacity")), seen
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(tied_families())
+    def test_property_families(self, fam):
+        self.compare(fam)
 
 
 class TestBuildN4:

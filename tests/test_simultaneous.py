@@ -1,5 +1,6 @@
 """Simultaneous couplings: joint preservation and minimal Y-union."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -15,6 +16,7 @@ from helpers import (
     rand_family_tau_max2_le1,
     rand_net,
     rand_partition,
+    reference_residuals,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,7 @@ from leakbound import (
     coupling_penalty,
     doeblin,
     f_quantity,
+    independent_coupling,
     min_union_coupling,
     minimal_y_coupling,
     tau_max,
@@ -649,3 +652,87 @@ class TestCheckMixture:
         with pytest.raises(ConstructionError, match="diagonal at '0'"):
             _check_mixture(self.tuple_mixture(fam, witness.mass))
         _check_mixture(minimal_y_coupling(fam))
+
+
+class TestResidualsAgainstReference:
+    """r_i(. | y) normalized by P_i(y) - sum_x P_min(x, y) against the scan
+    over X normalized by the sum of its entries."""
+
+    @staticmethod
+    def compare(sources):
+        """The residuals, equal to the reference's; None if the Y-family
+        is not couplable."""
+        try:
+            residual = simultaneous._mixture_table(tuple(sources), ROOMY).residual
+        except PreconditionError:
+            return None
+        assert residual == reference_residuals(sources)
+        return residual
+
+    def test_shared_column_and_zero_cells(self):
+        # Every source has the same column at "a", so every residual there
+        # is 0; each source's own cells are sparse.
+        rng = random.Random(63)
+        compared = 0
+        for m in (2, 3, 4):
+            for _ in range(10):
+                xs, ys = "012", "abc"
+                shared = rand_partition(rng, 3, 4)
+                weight = Q(rng.randrange(1, 4), 4)
+                sources = []
+                for _ in range(m):
+                    own = rand_partition(rng, 6, 2)
+                    mass = {(x, "a"): weight * q for x, q in zip(xs, shared)}
+                    cells = [(x, y) for x in xs for y in ys[1:]]
+                    mass.update((cell, (1 - weight) * q) for cell, q in zip(cells, own))
+                    sources.append(JointPmf(xs, ys, mass))
+                residual = self.compare(sources)
+                if residual is not None:
+                    compared += 1
+                    assert all(r["a"] == {} for r in residual)
+                    assert all(len(s.mass) < len(s.alphabet) for s in sources)
+        assert compared >= 20
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(joint_families())
+    def test_property_joints(self, sources):
+        self.compare(sources)
+
+    def test_wide_fixture(self):
+        text = (WIDE_FIXTURES / "wide_v4_joints.json").read_text(encoding="utf-8")
+        assert self.compare(parse_pmf_file(text)) is not None
+
+
+class TestValidateRefusals:
+    """``SimulCoupling.validate`` refuses each broken identity with its
+    message, checked in order: total, source marginals, Y-projection."""
+
+    @staticmethod
+    def built():
+        text = (WIDE_FIXTURES / "joints_pair.json").read_text(encoding="utf-8")
+        return build_simultaneous_coupling(parse_pmf_file(text))
+
+    def test_moved_mass_breaks_a_source_marginal(self):
+        coupling = self.built()
+        mass = dict(coupling.mass)
+        t1, t2 = sorted(mass)[:2]
+        shift = min(mass[t1], mass[t2]) / 2
+        mass[t1] -= shift
+        mass[t2] += shift
+        with pytest.raises(ConstructionError) as err:
+            dataclasses.replace(coupling, mass=mass).validate()
+        assert str(err.value) == "source 1 marginal mismatch at ('0', 'a')"
+
+    def test_halved_mass_breaks_the_total(self):
+        coupling = self.built()
+        halved = {key: q / 2 for key, q in coupling.mass.items()}
+        with pytest.raises(ConstructionError) as err:
+            dataclasses.replace(coupling, mass=halved).validate()
+        assert str(err.value) == "coupling mass sums to 1/2"
+
+    def test_other_y_coupling_breaks_the_projection(self):
+        coupling = self.built()
+        other = independent_coupling(coupling.y_coupling.marginals)
+        with pytest.raises(ConstructionError) as err:
+            dataclasses.replace(coupling, y_coupling=other).validate()
+        assert str(err.value) == "Y-projection differs from ingredient coupling"
