@@ -14,6 +14,14 @@ throwing at the first one. The validated CPT channels, and the closure
 joints that ``composite_channel`` and ``composite_joints`` project, are
 memoized on the instance as they are first needed; both depend only on
 the nodes, which never change.
+
+Inference runs on integers. A closure joint given one source value is
+enumerated as integer numerators over den, the product of the closure
+nodes' CPT denominators (each the LCM of its CPT's masses, read off the
+channel's integer view), so den is the same for every source value. The
+memo holds (den, {value tuple: numerator}) for the support only; a
+projection adds numerators, and each projected cell becomes one
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
-from .errors import DEFAULT_MAX_STATES, CapacityError, LeakboundError
-from .measures import ZERO, DiscreteChannel, JointPmf, Pmf, as_fraction, push_forward
+from .errors import DEFAULT_MAX_STATES, CapacityError, LeakboundError, exact_str
+from .measures import DiscreteChannel, JointPmf, Pmf, _over_lcm, as_fraction
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,8 @@ class BayesNet:
         self.source = source
         self.by_id: Mapping[str, NodeSpec] = {n.node_id: n for n in nodes}
         # ("cpt", node) -> validated channel; ("joint", closure, x) -> the
-        # support masses of the closure's joint given source value x, keyed
-        # like joint_distribution's output (see _projected).
+        # closure's joint given source value x as (den, {value tuple:
+        # numerator}), the output of _joint_numerators (see _projected).
         self._memo: dict[tuple, object] = {}
 
     def node_ids(self) -> list[str]:
@@ -147,10 +155,11 @@ def validate(net: BayesNet) -> list[str]:
                     f"alphabet of size {len(node.alphabet)}"
                 )
                 continue
-            if any(v < 0 or v > 1 for v in row):
+            den, nums = _over_lcm(row)
+            if any(v < 0 or v > den for v in nums):
                 problems.append(f"node {node.node_id} row {r}: entry outside [0, 1]")
-            total = sum(row, ZERO)
-            if total != 1:
+            if sum(nums) != den:
+                total = exact_str(Fraction(sum(nums), den))
                 problems.append(f"node {node.node_id} row {r}: sums to {total}")
     return problems
 
@@ -247,6 +256,48 @@ def _check_states(net: BayesNet, node_ids: Sequence[str], max_states: int) -> No
             raise CapacityError(total_states, max_states, "joint states")
 
 
+def _joint_numerators(net: BayesNet, source_value: str) -> tuple[int, dict]:
+    """The joint of all non-source nodes given the source's value, as
+    (den, {value tuple: numerator}) with value tuples in declaration order
+    and only positive numerators. den is the product of the nodes' CPT
+    denominators (see ``DiscreteChannel._integer_view``), so it does not
+    depend on the source value."""
+    non_source = [n.node_id for n in net.nodes if n.node_id != net.source]
+    order = [nid for nid in topological_sort(net) if nid != net.source]
+    cpts = {nid: net.cpt(nid) for nid in non_source}
+    row_index = {
+        nid: {cfg: k for k, cfg in enumerate(net.parent_configs(nid))}
+        for nid in non_source
+    }
+
+    # Extend partial assignments (keyed in topo order) one node at a time;
+    # zero-probability branches are pruned as they appear.
+    den = 1
+    partial: dict[tuple, int] = {(): 1}
+    pos = {nid: k for k, nid in enumerate(order)}
+    for nid in order:
+        node = net.by_id[nid]
+        node_den, columns = cpts[nid]._integer_view()
+        den *= node_den
+        supports = [
+            [(value, columns[value][k]) for value in row.mass]
+            for k, row in enumerate(cpts[nid].rows)
+        ]
+        grown: dict[tuple, int] = {}
+        for assign, weight in partial.items():
+            cfg = tuple(
+                source_value if p == net.source else assign[pos[p]]
+                for p in node.parents
+            )
+            for value, num in supports[row_index[nid][cfg]]:
+                grown[assign + (value,)] = weight * num
+        partial = grown
+
+    # Re-map from topo order to declaration order.
+    decl_pos = [pos[nid] for nid in non_source]
+    return den, {tuple(assign[k] for k in decl_pos): w for assign, w in partial.items()}
+
+
 def joint_distribution(
     net: BayesNet, source_value: str, max_states: int = DEFAULT_MAX_STATES
 ) -> Pmf:
@@ -260,37 +311,8 @@ def joint_distribution(
         raise LeakboundError(f"{source_value!r} not in the source alphabet")
     non_source = [n.node_id for n in net.nodes if n.node_id != net.source]
     _check_states(net, non_source, max_states)
-
-    order = [nid for nid in topological_sort(net) if nid != net.source]
-    cpts = {nid: net.cpt(nid) for nid in non_source}
-    row_index = {
-        nid: {cfg: k for k, cfg in enumerate(net.parent_configs(nid))}
-        for nid in non_source
-    }
-
-    # Extend partial assignments (keyed in topo order) one node at a time;
-    # zero-probability branches are pruned as they appear.
-    partial: dict[tuple, Fraction] = {(): Fraction(1)}
-    pos = {nid: k for k, nid in enumerate(order)}
-    for nid in order:
-        node = net.by_id[nid]
-        cpt = cpts[nid]
-        grown: dict[tuple, Fraction] = {}
-        for assign, weight in partial.items():
-            cfg = tuple(
-                source_value if p == net.source else assign[pos[p]]
-                for p in node.parents
-            )
-            row = cpt.row(row_index[nid][cfg])
-            for value in row.support():
-                grown[assign + (value,)] = weight * row[value]
-        partial = grown
-
-    # Re-map from topo order to declaration order.
-    decl_pos = [pos[nid] for nid in non_source]
-    mass = {}
-    for assign, weight in partial.items():
-        mass[tuple(assign[k] for k in decl_pos)] = weight
+    den, nums = _joint_numerators(net, source_value)
+    mass = {assign: Fraction(num, den) for assign, num in nums.items()}
     return Pmf(_alphabet(net, non_source), mass)
 
 
@@ -315,9 +337,9 @@ def _projected(
     (repeats allowed; the source's coordinate is its value). Only their
     ancestral closure is enumerated, since no other node changes that
     law; ``max_states`` bounds its states, and its joint is memoized on
-    ``net`` per source value, so calls that share a closure enumerate it
-    once. Callers that skip ``validate`` get CPT and graph errors only
-    for nodes inside the closure."""
+    ``net`` per source value as integer numerators, so calls that share a
+    closure enumerate it once. Callers that skip ``validate`` get CPT and
+    graph errors only for nodes inside the closure."""
     closure = ancestral_closure(net, node_ids)
     non_source = [nid for nid in closure if nid != net.source]
     _check_states(net, non_source, max_states)
@@ -334,11 +356,13 @@ def _projected(
                 # Every parent of a closure node is in the closure, so the
                 # sub-network's CPTs are the network's: share their memo.
                 sub._memo = net._memo
-            net._memo[memo_key] = joint_distribution(sub, x, max_states=max_states).mass
-        laws.append(push_forward(
-            net._memo[memo_key],
-            lambda assign: tuple(x if k is None else assign[k] for k in picks),
-        ))
+            net._memo[memo_key] = _joint_numerators(sub, x)
+        den, nums = net._memo[memo_key]
+        projected: dict[tuple, int] = {}
+        for assign, num in nums.items():
+            cell = tuple(x if k is None else assign[k] for k in picks)
+            projected[cell] = projected.get(cell, 0) + num
+        laws.append({cell: Fraction(num, den) for cell, num in projected.items()})
     return laws
 
 

@@ -8,6 +8,27 @@ exit 1, capacity refusals exit 2, I/O problems exit 3.
 # variables, coupling support tuples.
 DEFAULT_MAX_STATES = 10**6
 
+# CPython's default limit on the digits of an int converted to or from a
+# string (sys.int_info.default_max_str_digits): str() of a longer int
+# raises ValueError, and so does Fraction("num/den") with a longer part.
+MAX_DIGITS = 4300
+DIGITS_EXCEEDED = 10**MAX_DIGITS  # the least integer of more digits
+
+
+def exact_str(value) -> str:
+    """str() of an int or Fraction for a message. An integer of more than
+    MAX_DIGITS digits is written as its bit length, so that building the
+    message never raises."""
+
+    def digits(n: int) -> str:
+        if -DIGITS_EXCEEDED < n < DIGITS_EXCEEDED:
+            return str(n)
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+    if value.denominator == 1:
+        return digits(value.numerator)
+    return f"{digits(value.numerator)}/{digits(value.denominator)}"
+
 
 class LeakboundError(Exception):
     """Base class for all package errors."""
@@ -24,7 +45,7 @@ class CapacityError(LeakboundError):
         self.requested = requested
         self.limit = limit
         super().__init__(
-            f"refusing to enumerate {requested} {what} (limit {limit}); "
+            f"refusing to enumerate {exact_str(requested)} {what} (limit {limit}); "
             f"raise the limit explicitly if this is intentional"
         )
 

@@ -4,7 +4,12 @@ All probabilities are ``fractions.Fraction`` values and every operation in
 this module is exact; the only floating-point quantity produced anywhere is
 the logarithm taken at the reporting boundary (``maximal_leakage``).
 
-Every exact law of the package is validated here, by ``exact_masses``:
+Every exact law of the package is validated here, by ``exact_masses``. It
+reads each mass's sign off its numerator, adds masses only where a cell
+repeats, and checks the total on integers: with L the least common
+denominator of the masses, sum_cells num * (L / den) == L (``_over_lcm``
+is the only code that forms these numerators). A ``Fraction`` total is
+built only for the error message.
 
 * ``Pmf`` checks its alphabet and its masses (non-negative, exactly 1 in
   total, only on known symbols). ``JointPmf`` is a ``Pmf`` whose alphabet
@@ -27,6 +32,12 @@ The scalar measures of a channel with rows P_1, ..., P_n over alphabet Y:
 
 ``max2`` counts ties with multiplicity: it is the second entry of the
 column sorted in descending order, so two equal maxima give max2 = max.
+
+They are computed on the channel's integer view: every mass of every row
+as a numerator over one L, kept per column for the union of the rows'
+supports (a column outside every support adds 0 to each sum). The view is
+built on first use and kept, since a channel never changes. Each measure
+adds integers and builds one ``Fraction(total, L)``.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .errors import LeakboundError
+from .errors import LeakboundError, exact_str
 
 Symbol = Hashable
 
@@ -79,6 +90,15 @@ def check_alphabet(alphabet: Iterable[Symbol]) -> tuple:
     return alphabet
 
 
+def _over_lcm(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """The values as integer numerators over their least common
+    denominator L: returns (L, [q * L for q in values])."""
+    values = list(values)
+    dens = [q.denominator for q in values]
+    den = math.lcm(*dens)
+    return den, [q.numerator * (den // d) for q, d in zip(values, dens)]
+
+
 def exact_masses(
     cells: Iterable[tuple[Hashable, object]], known: Callable[[Hashable], bool]
 ) -> dict:
@@ -86,20 +106,23 @@ def exact_masses(
 
     Coerces each mass to ``Fraction``, rejects cells for which ``known``
     is false and negative masses, adds up repeated cells, drops zeros, and
-    requires a total of exactly 1. Returns cell -> positive mass.
+    requires a total of exactly 1, checked on integer numerators over the
+    masses' common denominator. Returns cell -> positive mass.
     """
     clean: dict = {}
     for cell, raw in cells:
         if not known(cell):
             raise LeakboundError(f"mass at unknown cell {cell!r}")
         q = as_fraction(raw)
-        if q < 0:
-            raise LeakboundError(f"negative mass {q} at {cell!r}")
-        if q:
-            clean[cell] = clean.get(cell, ZERO) + q
-    total = sum(clean.values(), ZERO)
-    if total != 1:
-        raise LeakboundError(f"masses sum to {total}, expected exactly 1")
+        num = q.numerator
+        if num < 0:
+            raise LeakboundError(f"negative mass {exact_str(q)} at {cell!r}")
+        if num:
+            clean[cell] = clean[cell] + q if cell in clean else q
+    den, nums = _over_lcm(clean.values())
+    if sum(nums) != den:
+        total = Fraction(sum(nums), den)
+        raise LeakboundError(f"masses sum to {exact_str(total)}, expected exactly 1")
     return clean
 
 
@@ -204,7 +227,7 @@ class DiscreteChannel:
     alphabet labels the rows and defaults to "0", "1", ....
     """
 
-    __slots__ = ("input_alphabet", "rows")
+    __slots__ = ("input_alphabet", "rows", "_view")
 
     def __init__(self, rows: Sequence[Pmf], input_alphabet: Iterable[Symbol] | None = None):
         rows = tuple(rows)
@@ -248,6 +271,27 @@ class DiscreteChannel:
     def column(self, sym: Symbol) -> list[Fraction]:
         return [row[sym] for row in self.rows]
 
+    def _integer_view(self) -> tuple[int, dict]:
+        """(L, columns): L is the least common denominator of every mass,
+        and columns maps each symbol in some row's support to its column
+        as integer numerators over L, one per row (0 off the row's
+        support). Computed on first use and kept."""
+        try:
+            return self._view
+        except AttributeError:
+            pass
+        den, nums = _over_lcm(q for row in self.rows for q in row.mass.values())
+        n, numerator = len(self.rows), iter(nums)
+        columns: dict = {}
+        for i, row in enumerate(self.rows):
+            for sym in row.mass:
+                if sym not in columns:
+                    columns[sym] = [0] * n
+                columns[sym][i] = next(numerator)
+        view = (den, {sym: tuple(col) for sym, col in columns.items()})
+        object.__setattr__(self, "_view", view)
+        return view
+
     def __eq__(self, other):
         if not isinstance(other, DiscreteChannel):
             return NotImplemented
@@ -259,7 +303,8 @@ class DiscreteChannel:
 
 def tau_max(channel: DiscreteChannel) -> Fraction:
     """Leakage exponent: sum over outputs of the column maximum."""
-    return sum((max(channel.column(y)) for y in channel.output_alphabet), ZERO)
+    den, columns = channel._integer_view()
+    return Fraction(sum(map(max, columns.values())), den)
 
 
 def tau_max2(channel: DiscreteChannel) -> Fraction:
@@ -270,47 +315,43 @@ def tau_max2(channel: DiscreteChannel) -> Fraction:
     """
     if channel.n < 2:
         raise LeakboundError("tau_max2 needs at least two rows")
-    total = ZERO
-    for y in channel.output_alphabet:
-        col = sorted(channel.column(y), reverse=True)
-        total += col[1]
-    return total
+    den, columns = channel._integer_view()
+    return Fraction(sum(sorted(col)[-2] for col in columns.values()), den)
 
 
 def doeblin(channel: DiscreteChannel) -> Fraction:
-    """Doeblin coefficient: sum over outputs of the column minimum, which
-    is nonzero only on the first row's support."""
-    return sum((min(channel.column(y)) for y in channel.rows[0].mass), ZERO)
+    """Doeblin coefficient: sum over outputs of the column minimum."""
+    den, columns = channel._integer_view()
+    return Fraction(sum(map(min, columns.values())), den)
 
 
-def tau_subset(channel: DiscreteChannel, subset: Iterable[int]) -> Fraction:
-    """sum_y min over the selected rows; subset indexes rows from 0."""
+def _subset_numerator(channel: DiscreteChannel, subset: Iterable[int]) -> int:
+    """tau_I of the rows in ``subset``, as a numerator over the view's L."""
     idx = sorted(set(subset))
     if not idx:
         raise LeakboundError("tau_subset needs a non-empty index set")
     for i in idx:
         if not 0 <= i < channel.n:
             raise LeakboundError(f"row index {i} out of range for n={channel.n}")
-    rows = [channel.rows[i] for i in idx]
-    return sum(
-        (min(row[y] for row in rows) for y in channel.output_alphabet), ZERO
-    )
+    columns = channel._integer_view()[1].values()
+    return sum(min(col[i] for i in idx) for col in columns)
+
+
+def tau_subset(channel: DiscreteChannel, subset: Iterable[int]) -> Fraction:
+    """sum_y min over the selected rows; subset indexes rows from 0."""
+    return Fraction(_subset_numerator(channel, subset), channel._integer_view()[0])
 
 
 def tau_pair(channel: DiscreteChannel) -> Fraction:
     """Sum of tau_I over all two-element row subsets."""
-    return sum(
-        (tau_subset(channel, pair) for pair in combinations(range(channel.n), 2)),
-        ZERO,
-    )
+    total = sum(_subset_numerator(channel, p) for p in combinations(range(channel.n), 2))
+    return Fraction(total, channel._integer_view()[0])
 
 
 def tau_trip(channel: DiscreteChannel) -> Fraction:
     """Sum of tau_I over all three-element row subsets."""
-    return sum(
-        (tau_subset(channel, tri) for tri in combinations(range(channel.n), 3)),
-        ZERO,
-    )
+    total = sum(_subset_numerator(channel, t) for t in combinations(range(channel.n), 3))
+    return Fraction(total, channel._integer_view()[0])
 
 
 def maximal_leakage(channel: DiscreteChannel) -> float:

@@ -28,28 +28,86 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 from fractions import Fraction
 from typing import Mapping
 
 from .bayesnet import BayesNet, NodeSpec
-from .errors import DEFAULT_MAX_STATES, CapacityError, NetworkFormatError
+from .errors import (
+    DEFAULT_MAX_STATES,
+    DIGITS_EXCEEDED,
+    MAX_DIGITS,
+    CapacityError,
+    NetworkFormatError,
+)
 from .measures import JointPmf, Pmf
 
 FORMAT_VERSION = 1
 
+# A decimal literal with an exponent: sign, integer digits, fraction
+# digits, exponent (underscores as Fraction accepts them).
+_EXPONENT_FORM = re.compile(
+    r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?e([-+]?[\d_]+)\s*", re.IGNORECASE
+)
+
+
+def _too_long(text: str) -> NetworkFormatError:
+    return NetworkFormatError(
+        f"{text} has a numerator or denominator of more than {MAX_DIGITS} digits"
+    )
+
+
+def _within_digits(value: Fraction, text: str) -> Fraction:
+    """The value, refused when its numerator or denominator has more than
+    MAX_DIGITS digits, CPython's limit for int-to-string conversion."""
+    if not -DIGITS_EXCEEDED < value.numerator < DIGITS_EXCEEDED or (
+        value.denominator >= DIGITS_EXCEEDED
+    ):
+        raise _too_long(text)
+    return value
+
+
+def _literal(text: str) -> Fraction:
+    """Fraction(text), refused before it is expanded when its exact
+    numerator or denominator would have more than MAX_DIGITS digits.
+
+    Fraction already refuses such digit strings, but expands an exponent:
+    "1e-10000000" builds 10**10000000 first. For a nonzero mantissa of m
+    digits, f of them after the point, and exponent e, the value is
+    M * 10**(e - f) with 0 < M < 10**m: a numerator of at least 10**(e - f)
+    when e >= f, and a reduced denominator above 10**(f - e - m) when
+    e < f. Either bound past MAX_DIGITS refuses the literal unexpanded;
+    otherwise the expansion costs no more than the digits the literal
+    holds, and the value itself is checked.
+    """
+    form = _EXPONENT_FORM.fullmatch(text)
+    if form:
+        whole, frac, exp = (part.replace("_", "") for part in form.groups(""))
+        if not (whole + frac).strip("0"):  # 0 whatever the exponent
+            return Fraction(text[: form.start(3)] + "0" + text[form.end(3) :])
+        try:
+            shift = int(exp) - len(frac)
+        except ValueError:  # an exponent of more than MAX_DIGITS digits
+            shift = None
+        if shift is None or max(shift, -shift - len(whole + frac)) >= MAX_DIGITS:
+            raise _too_long(repr(text))
+    return _within_digits(Fraction(text), repr(text))
+
 
 def parse_probability(text) -> Fraction:
-    """Exact parse of "3/4", "0.25", 1, etc.; floats are refused."""
+    """Exact parse of "3/4", "0.25", 1, etc.; floats are refused, and so
+    is a value whose numerator or denominator has more than MAX_DIGITS
+    digits."""
     if isinstance(text, bool):
         raise NetworkFormatError(f"bad probability {text!r}")
     if isinstance(text, int):
-        return Fraction(text)
+        return _within_digits(Fraction(text), "integer")
     if isinstance(text, float):
         raise NetworkFormatError(
             f"float probability {text!r}: quote it as a string to keep it exact"
         )
     try:
-        return Fraction(str(text))
+        return _literal(str(text))
     except (ValueError, ZeroDivisionError) as err:
         raise NetworkFormatError(f"bad probability {text!r}: {err}") from None
 
@@ -118,9 +176,9 @@ def _symbols(value, what: str) -> list[str]:
 def _parse_entry(value, bindings: Mapping[str, Fraction] | None) -> Fraction:
     if bindings is not None and isinstance(value, str):
         try:
-            return Fraction(value)
+            return _literal(value)
         except (ValueError, ZeroDivisionError):
-            return eval_rational_expression(value, bindings)
+            return _within_digits(eval_rational_expression(value, bindings), repr(value))
     return parse_probability(value)
 
 
@@ -132,7 +190,7 @@ def parse_network(
     arity mismatches) are left for ``bayesnet.validate`` to report."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an over-long JSON integer
         raise NetworkFormatError(f"not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise NetworkFormatError("top level must be an object")
@@ -199,7 +257,7 @@ def parse_pmf_file(text: str):
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an over-long JSON integer
         raise NetworkFormatError(f"not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise NetworkFormatError("top level must be an object")
@@ -252,7 +310,7 @@ def parse_range(text: str, max_values: int = DEFAULT_MAX_STATES) -> list[Fractio
     if len(parts) != 3:
         raise NetworkFormatError(f"range {text!r} is not start:stop:step")
     try:
-        start, stop, step = (Fraction(p) for p in parts)
+        start, stop, step = (_literal(p) for p in parts)
     except (ValueError, ZeroDivisionError) as err:
         raise NetworkFormatError(f"bad range {text!r}: {err}") from None
     if step <= 0:

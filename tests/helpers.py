@@ -26,7 +26,12 @@ from leakbound import (
     tau_max2,
     tau_subset,
 )
-from leakbound.bayesnet import BayesNet, NodeSpec, composite_channel
+from leakbound.bayesnet import (
+    BayesNet,
+    NodeSpec,
+    composite_channel,
+    topological_sort,
+)
 from leakbound.couplings import (
     ALL_PAIRS,
     ANCHOR_PAIRS,
@@ -35,7 +40,8 @@ from leakbound.couplings import (
     Pair,
     complement_pair,
 )
-from leakbound.measures import ZERO, push_forward
+from leakbound.errors import DEFAULT_MAX_STATES, CapacityError
+from leakbound.measures import ZERO, as_fraction, push_forward
 
 DENOMINATORS = (6, 8, 10, 12, 16, 24)
 
@@ -491,3 +497,92 @@ def sources_for_coupling(
             mass[key] = mass.get(key, ZERO) + q
         sources.append(JointPmf(z_alphabet, v_alphabet, mass))
     return sources
+
+
+# The Fraction code that the integer kernels replaced, kept as references
+# for the differential tests: every sum, maximum and minimum is taken on
+# Fractions, column by column over the whole output alphabet.
+
+
+def reference_exact_masses(cells, known) -> dict:
+    clean: dict = {}
+    for cell, raw in cells:
+        if not known(cell):
+            raise LeakboundError(f"mass at unknown cell {cell!r}")
+        q = as_fraction(raw)
+        if q < 0:
+            raise LeakboundError(f"negative mass {q} at {cell!r}")
+        if q:
+            clean[cell] = clean.get(cell, ZERO) + q
+    total = sum(clean.values(), ZERO)
+    if total != 1:
+        raise LeakboundError(f"masses sum to {total}, expected exactly 1")
+    return clean
+
+
+def reference_tau_max(channel: DiscreteChannel) -> Q:
+    return sum((max(channel.column(y)) for y in channel.output_alphabet), ZERO)
+
+
+def reference_tau_max2(channel: DiscreteChannel) -> Q:
+    total = ZERO
+    for y in channel.output_alphabet:
+        col = sorted(channel.column(y), reverse=True)
+        total += col[1]
+    return total
+
+
+def reference_doeblin(channel: DiscreteChannel) -> Q:
+    return sum((min(channel.column(y)) for y in channel.rows[0].mass), ZERO)
+
+
+def reference_tau_subset(channel: DiscreteChannel, subset) -> Q:
+    rows = [channel.rows[i] for i in sorted(set(subset))]
+    return sum(
+        (min(row[y] for row in rows) for y in channel.output_alphabet), ZERO
+    )
+
+
+def reference_joint_distribution(
+    net: BayesNet, source_value: str, max_states: int = DEFAULT_MAX_STATES
+) -> Pmf:
+    """The joint of every non-source node given the source's value, over
+    their full product alphabet, enumerated in Fraction arithmetic."""
+    src = net.by_id[net.source]
+    if source_value not in src.alphabet:
+        raise LeakboundError(f"{source_value!r} not in the source alphabet")
+    non_source = [n.node_id for n in net.nodes if n.node_id != net.source]
+    states = 1
+    for nid in non_source:
+        states *= len(net.by_id[nid].alphabet)
+        if states > max_states:
+            raise CapacityError(states, max_states, "joint states")
+
+    order = [nid for nid in topological_sort(net) if nid != net.source]
+    cpts = {nid: net.cpt(nid) for nid in non_source}
+    row_index = {
+        nid: {cfg: k for k, cfg in enumerate(net.parent_configs(nid))}
+        for nid in non_source
+    }
+    partial: dict[tuple, Q] = {(): Q(1)}
+    pos = {nid: k for k, nid in enumerate(order)}
+    for nid in order:
+        node = net.by_id[nid]
+        cpt = cpts[nid]
+        grown: dict[tuple, Q] = {}
+        for assign, weight in partial.items():
+            cfg = tuple(
+                source_value if p == net.source else assign[pos[p]]
+                for p in node.parents
+            )
+            row = cpt.row(row_index[nid][cfg])
+            for value in row.support():
+                grown[assign + (value,)] = weight * row[value]
+        partial = grown
+
+    decl_pos = [pos[nid] for nid in non_source]
+    mass = {}
+    for assign, weight in partial.items():
+        mass[tuple(assign[k] for k in decl_pos)] = weight
+    alphabet = list(product(*(net.by_id[nid].alphabet for nid in non_source)))
+    return Pmf(alphabet, mass)

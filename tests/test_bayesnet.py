@@ -1,10 +1,20 @@
 """Network validation, ordering, and exact inference."""
 
+import fractions
 import random
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
-from helpers import chain_net, diamond_net, rand_net
+from helpers import (
+    chain_net,
+    diamond_net,
+    rand_net,
+    reference_doeblin,
+    reference_tau_max,
+    reference_tau_max2,
+)
 
 from leakbound import (
     CapacityError,
@@ -15,7 +25,11 @@ from leakbound import (
     topological_sort,
     validate,
 )
-from leakbound.bayesnet import BayesNet, NodeSpec
+from leakbound.bayesnet import BayesNet, NodeSpec, composite_joints
+from leakbound.measures import doeblin, tau_max2
+from leakbound.netfile import parse_network
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def identity_rows(size):
@@ -47,6 +61,17 @@ class TestValidate:
         )
         problems = validate(net)
         assert any("Y row 0" in p and "9/10" in p for p in problems)
+
+    def test_row_entries_outside_unit_interval(self):
+        rows = [["2", "0"], ["3/2", "-1/2"], ["1/3", "2/3"]]
+        net = BayesNet(
+            [NodeSpec.make("X", 3), NodeSpec.make("Y", 2, ["X"], rows)], "X"
+        )
+        assert validate(net) == [
+            "node Y row 0: entry outside [0, 1]",
+            "node Y row 0: sums to 2",
+            "node Y row 1: entry outside [0, 1]",
+        ]
 
     def test_row_count_mismatch(self):
         net = BayesNet(
@@ -207,3 +232,37 @@ class TestCompositeChannel:
             assert tau_max(composite_channel(net, sub[:1])) <= tau_max(
                 composite_channel(net, sub)
             )
+
+
+# Reading a Fraction's numerator or denominator calls a property of the
+# fractions module; building one calls __new__. Any other call into it is
+# Fraction arithmetic or comparison (_add, _mul, _richcmp, ...).
+FRACTION_READS = {"__new__", "numerator", "denominator"}
+
+
+def test_inference_and_measures_do_no_fraction_arithmetic():
+    # The CPTs are validated, the closures enumerated and projected, and
+    # the column measures taken on integer numerators over one common
+    # denominator; a Fraction is built only for each output value.
+    net = parse_network((FIXTURES / "diamond.json").read_text())
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            if frame.f_code.co_name not in FRACTION_READS:
+                calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        channel = composite_channel(net, ["Y1", "Y2", "Y3"])
+        joints = composite_joints(net, ["Y1", "Y2"], ["Y3"])
+        values = [tau_max(channel), tau_max2(channel), doeblin(channel), doeblin(joints)]
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert values == [
+        reference_tau_max(channel),
+        reference_tau_max2(channel),
+        reference_doeblin(channel),
+        reference_doeblin(joints),
+    ]

@@ -11,6 +11,7 @@ with a message, never in an exception escaping ``main``.
 import copy
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -193,3 +194,61 @@ def test_malformed_input_exits_with_a_message(name, argv, mutate, capsys, tmp_pa
             failures.append((i, what, code, message[-200:]))
     assert not failures, failures
     assert len(kinds) >= 5
+
+
+# Two coprime denominators of 2,201 digits: a row of 1/A and 1/B sums to
+# a fraction whose denominator has 4,401 digits, more than str() writes.
+BIG_A, BIG_B = 10**2200 + 1, 10**2200 + 3
+
+
+def _chain_with_row(row) -> str:
+    doc = json.loads((FIXTURES / "chain.json").read_text())
+    doc["nodes"][1]["cpt"][0] = row
+    return json.dumps(doc)
+
+
+def _template_with_entry(entry) -> str:
+    doc = json.loads((FIXTURES / "chain_template.json").read_text())
+    doc["nodes"][1]["cpt"][0] = [entry, "1 - d"]
+    return json.dumps(doc)
+
+
+SWEEP = ["sweep", "--param", "d", "--targets", "Y1,Y2", "--range"]
+# (document text, argv after the path, exit code, a fragment of the message)
+OVERSIZED = {
+    "exponent-validate": (_chain_with_row(["1e-10000000", "1"]), ["validate"], 1,
+                          "more than 4300 digits"),
+    "exponent-bound": (_chain_with_row(["1e-3000000", "1"]),
+                       ["bound", "--targets", "Y1,Y2"], 1, "more than 4300 digits"),
+    "exponent-template": (_template_with_entry("1e-99999999"), SWEEP + ["0:1/2:1/4"], 1,
+                          "more than 4300 digits"),
+    "json-integer": (_chain_with_row(["N", "1"]).replace('"N"', "1" * 5000),
+                     ["validate"], 1, "not valid JSON"),
+    "row-sum": (_chain_with_row([f"1/{BIG_A}", f"1/{BIG_B}"]), ["validate"], 1,
+                "-bit integer>"),
+    "mass-sum": (json.dumps({"alphabet": ["a", "b"],
+                             "pmfs": [[f"1/{BIG_A}", f"1/{BIG_B}"]] * 2}),
+                 ["couple", "--mode", "lp"], 1, "masses sum to"),
+    "range-step": ((FIXTURES / "chain_template.json").read_text(),
+                   SWEEP + ["0:1:1e-5000"], 1, "more than 4300 digits"),
+    "range-count": ((FIXTURES / "chain_template.json").read_text(),
+                    SWEEP + ["0:9e4299:1e-4299"], 2, "-bit integer> sweep values"),
+}
+
+
+@pytest.mark.parametrize("case", OVERSIZED)
+def test_oversized_numbers_exit_with_a_message(case, capsys, tmp_path):
+    # A literal that would expand to more than 4300 digits is refused
+    # before it is expanded; a computed value that long is abbreviated in
+    # the message instead of raising from str().
+    text, argv, expected, fragment = OVERSIZED[case]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    code = main([argv[0], str(path)] + argv[1:])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr()
+    message = out.out + out.err
+    assert code == expected, message[-300:]
+    assert fragment in message and "Traceback" not in message
+    assert elapsed < 1, elapsed

@@ -2,9 +2,20 @@
 
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
-from helpers import rand_channel, rand_pmf
+from helpers import (
+    rand_channel,
+    rand_pmf,
+    reference_doeblin,
+    reference_exact_masses,
+    reference_tau_max,
+    reference_tau_max2,
+    reference_tau_subset,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakbound import (
     Coupling,
@@ -31,6 +42,7 @@ from leakbound import (
     three_way_coupling,
     total_variation,
 )
+from leakbound.measures import exact_masses
 import math
 
 
@@ -99,6 +111,16 @@ def test_shared_mass_validation(kind, fault):
     alphabet, mass, error, message = MASS_FAULTS[fault]
     with pytest.raises(error, match=message):
         build(alphabet, mass)
+
+
+def test_mass_messages_abbreviate_long_integers():
+    # str() of an int of more than 4300 digits raises; the message gives
+    # its bit length instead.
+    tiny = Q(1, 10**5000)
+    with pytest.raises(LeakboundError, match=r"^negative mass -1/<16610-bit integer> at '1'$"):
+        Pmf.from_values([1 + tiny, -tiny])
+    with pytest.raises(LeakboundError, match=r"^masses sum to <16610-bit integer>/<16610-bit"):
+        Pmf.from_values([Q(1, 2), Q(1, 2) + tiny])
 
 
 P_AB = Pmf.from_values([Q(1, 2), Q(1, 2)], "ab")
@@ -345,3 +367,99 @@ def test_measure_set_single_row():
     ms = measure_set(channel([Q(1, 2), Q(1, 2)]))
     assert ms.tau_max2 is None
     assert ms.tau == ms.tau_max == 1
+
+
+@st.composite
+def exact_channels(draw):
+    """1-4 rows over 1-5 symbols: rows with zero entries and ties (small
+    weights, or a row repeating an earlier one permuted), rows with
+    disjoint supports, or entries over denominators up to 10**6 with the
+    rest of the row's mass on its last support symbol."""
+    n, size = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["small", "ties", "disjoint", "coprime"]))
+    alphabet = tuple(str(k) for k in range(size))
+    rows = []
+    for i in range(n):
+        if kind == "ties" and rows and draw(st.booleans()):
+            base, perm = draw(st.sampled_from(rows)), draw(st.permutations(alphabet))
+            rows.append(Pmf(alphabet, dict(zip(perm, base.values()))))
+            continue
+        if kind == "disjoint" and alphabet[i::n]:
+            support = list(alphabet[i::n])
+        else:
+            support = draw(st.lists(st.sampled_from(alphabet), min_size=1, unique=True))
+        k = len(support)
+        if kind == "coprime":
+            masses = []
+            for _ in range(k - 1):
+                den = draw(st.integers(1, 10**6))
+                masses.append(Q(draw(st.integers(0, den // k)), den))
+            masses.append(1 - sum(masses, Q(0)))
+        else:
+            weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+            masses = [Q(w, sum(weights)) for w in weights]
+        rows.append(Pmf(alphabet, dict(zip(support, masses))))
+    return DiscreteChannel(rows)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(exact_channels())
+def test_measures_match_fraction_reference(ch):
+    assert tau_max(ch) == reference_tau_max(ch)
+    assert doeblin(ch) == reference_doeblin(ch)
+    if ch.n >= 2:
+        assert tau_max2(ch) == reference_tau_max2(ch)
+    subsets = [s for r in range(1, ch.n + 1) for s in combinations(range(ch.n), r)]
+    for subset in subsets:
+        assert tau_subset(ch, subset) == reference_tau_subset(ch, subset)
+    for size, total in ((2, tau_pair(ch)), (3, tau_trip(ch))):
+        want = sum((reference_tau_subset(ch, s) for s in subsets if len(s) == size), Q(0))
+        assert total == want
+
+
+CELLS = ("a", "b", "c")
+
+
+@st.composite
+def mass_lists(draw):
+    """(cell, mass) lists: a law on CELLS, its masses possibly split
+    across repeated cells, then possibly one fault: an unknown cell, a
+    negative mass, a total other than 1, or a float."""
+    support = draw(st.lists(st.sampled_from(CELLS), min_size=1, unique=True))
+    masses = []
+    for _ in support[:-1]:
+        den = draw(st.sampled_from([4, 7, 10, 97, 10007, 999983]))
+        masses.append(Q(draw(st.integers(0, den // len(support))), den))
+    masses.append(1 - sum(masses, Q(0)))
+    pairs = []
+    for cell, q in zip(support, masses):
+        if draw(st.booleans()):
+            part = q * draw(st.sampled_from([Q(0), Q(1, 3), Q(1, 2), Q(1)]))
+            pairs += [(cell, part), (cell, q - part)]
+        else:
+            pairs.append((cell, draw(st.sampled_from([q, str(q)]))))
+    fault = draw(st.sampled_from(["none", "unknown", "negative", "total", "float"]))
+    at = draw(st.integers(0, len(pairs)))
+    if fault == "unknown":
+        pairs.insert(at, ("z", Q(0)))
+    elif fault == "negative":
+        pairs.insert(at, (draw(st.sampled_from(CELLS)), Q(-1, draw(st.integers(1, 10**6)))))
+    elif fault == "total":
+        pairs.insert(at, (draw(st.sampled_from(CELLS)), Q(1, draw(st.integers(1, 10**6)))))
+    elif fault == "float":
+        pairs.insert(at, (draw(st.sampled_from(CELLS)), 0.5))
+    return pairs
+
+
+def _outcome(validate, pairs):
+    try:
+        return list(validate(pairs, set(CELLS).__contains__).items())
+    except (LeakboundError, TypeError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(mass_lists())
+def test_exact_masses_match_fraction_reference(pairs):
+    # Same law in the same order, or the same error with the same message.
+    assert _outcome(exact_masses, pairs) == _outcome(reference_exact_masses, pairs)

@@ -38,6 +38,27 @@ class TestParseProbability:
         with pytest.raises(NetworkFormatError):
             parse_probability("one half")
 
+    @pytest.mark.parametrize("text", [
+        "1e-4300", "1e4300", "2.5e-4301", "1e-10000000", "-7e99999999",
+        "0.5e-" + "9" * 5000, "0." + "0" * 4299 + "1",
+    ])
+    def test_over_4300_digits_refused(self, text):
+        # Refused before 10**|exponent| is built: each takes microseconds.
+        with pytest.raises(NetworkFormatError, match="more than 4300 digits"):
+            parse_probability(text)
+
+    @pytest.mark.parametrize("text", [
+        "1e-4299", "1e4299", "10e-4300", "2.5e-4300", "1" + "0" * 4000 + "e-8000",
+        "2.5e-3", "1.e2", ".5E+1", " 3e-1 ", "-1e-5", "0e-99999999", "-0.0e99999999",
+    ])
+    def test_exponents_within_the_limit_match_fraction(self, text):
+        assert parse_probability(text) == Q(text.replace("99999999", "0"))
+
+    def test_large_json_integer_refused(self):
+        with pytest.raises(NetworkFormatError, match="more than 4300 digits"):
+            parse_probability(10**4300)
+        assert parse_probability(10**4300 - 1) == 10**4300 - 1
+
 
 class TestExpressions:
     def test_arithmetic(self):
@@ -111,6 +132,12 @@ class TestNetworkRoundTrip:
         net = parse_network(text, bindings={"d": Q(1, 8)})
         assert net.by_id["Y1"].rows[0][0] == Q(7, 8)
 
+    def test_template_value_over_4300_digits_refused(self):
+        text = (FIXTURES / "chain_template.json").read_text().replace('"d"', '"d * d"', 1)
+        assert parse_network(text, bindings={"d": Q(1, 10**2000)})
+        with pytest.raises(NetworkFormatError, match="'d \\* d' has a numerator"):
+            parse_network(text, bindings={"d": Q(1, 10**2200)})
+
     def test_template_without_binding_rejected(self):
         text = (FIXTURES / "chain_template.json").read_text()
         with pytest.raises(NetworkFormatError):
@@ -148,6 +175,14 @@ class TestRange:
         assert parse_range("0:1/2:1/3") == [Q(0), Q(1, 3)]
         with pytest.raises(NetworkFormatError, match="empty"):
             parse_range("1:1/2:1")
+
+    def test_literal_over_4300_digits_refused(self):
+        with pytest.raises(NetworkFormatError, match="more than 4300 digits"):
+            parse_range("0:1:1e-5000")
+
+    def test_count_over_4300_digits_abbreviated(self):
+        with pytest.raises(CapacityError, match=r"enumerate <28566-bit integer> sweep"):
+            parse_range("0:9e4299:1e-4299")
 
     def test_counted_against_the_limit(self):
         assert len(parse_range("0:1/2:1/8", 5)) == 5

@@ -1,10 +1,12 @@
 """Query-scoped inference against the whole-network oracle.
 
 ``composite_channel`` enumerates only the ancestral closure of its
-targets and memoizes each closure joint on the net. The oracle here
-enumerates the joint of every non-source node with ``joint_distribution``
-on a fresh copy of the net and marginalizes it in the test; the two must
-agree exactly.
+targets, on integer numerators, and memoizes each closure joint on the
+net. The oracle here enumerates the joint of every non-source node with
+the Fraction enumerator it replaced (``reference_joint_distribution``) on
+a fresh copy of the net and marginalizes it in the test; the two must
+agree exactly. ``joint_distribution`` itself is compared with the same
+reference.
 """
 
 import random
@@ -13,7 +15,12 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
-from helpers import rand_couplable_net, rand_net, wide_net
+from helpers import (
+    rand_couplable_net,
+    rand_net,
+    reference_joint_distribution,
+    wide_net,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +48,7 @@ def oracle(net: BayesNet, targets) -> DiscreteChannel:
     rows = []
     for x in full.by_id[full.source].alphabet:
         mass: dict[tuple, Q] = {}
-        for assign, q in joint_distribution(full, x).items():
+        for assign, q in reference_joint_distribution(full, x).items():
             value = dict(zip(non_source, assign), **{full.source: x})
             key = tuple(value[nid] for nid in ordered)
             mass[key] = mass.get(key, Q(0)) + q
@@ -55,10 +62,20 @@ def all_target_sets(net: BayesNet):
         yield from combinations(ids, size)
 
 
+def assert_same_joints(net: BayesNet):
+    """joint_distribution equals the Fraction enumerator on every source
+    value, including the order in which it lists the support."""
+    for x in net.by_id[net.source].alphabet:
+        got = joint_distribution(BayesNet(net.nodes, net.source), x)
+        want = reference_joint_distribution(BayesNet(net.nodes, net.source), x)
+        assert got == want and list(got.mass) == list(want.mass), x
+
+
 @pytest.mark.parametrize("name", NETWORKS + TEMPLATES)
 def test_fixtures_every_target_set(name):
     text = (FIXTURES / name).read_text()
     net = parse_network(text, bindings={"d": Q(1, 8)} if name in TEMPLATES else None)
+    assert_same_joints(net)
     for targets in all_target_sets(net):
         assert composite_channel(net, list(targets)) == oracle(net, targets), targets
 
@@ -79,14 +96,18 @@ def test_seeded_networks():
             if j % 3 == 0:
                 targets.append(net.source)
             assert composite_channel(net, targets) == oracle(net, targets)
+        if k % 10 == 0:
+            assert_same_joints(net)
 
 
 @st.composite
 def small_dags(draw):
     """2-5 nodes with random parents among earlier nodes, CPT rows with
-    zeros allowed, the source any parentless node, and declaration order
+    zeros allowed (weights up to 3, or up to 10**6 for large coprime
+    denominators), the source any parentless node, and declaration order
     shuffled away from topological order."""
     n = draw(st.integers(2, 5))
+    top = draw(st.sampled_from([3, 10**6]))
     sizes = [draw(st.integers(1, 3)) for _ in range(n)]
     parents = [sorted(draw(st.sets(st.integers(0, k - 1), max_size=2))) if k else []
                for k in range(n)]
@@ -101,7 +122,7 @@ def small_dags(draw):
                 n_rows *= sizes[p]
             rows = []
             for _ in range(n_rows):
-                weights = draw(st.lists(st.integers(0, 3), min_size=sizes[k],
+                weights = draw(st.lists(st.integers(0, top), min_size=sizes[k],
                                         max_size=sizes[k]).filter(any))
                 rows.append([Q(w, sum(weights)) for w in weights])
         nodes.append(NodeSpec.make(f"N{k}", sizes[k], [f"N{p}" for p in parents[k]], rows))
@@ -116,6 +137,7 @@ def small_dags(draw):
 def test_property_small_dags(case):
     net, targets = case
     assert composite_channel(net, targets) == oracle(net, targets)
+    assert_same_joints(net)
 
 
 class TestCapacityGuard:
