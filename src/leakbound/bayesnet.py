@@ -10,18 +10,17 @@ and inference always conditions on its value.
 ``BayesNet`` deliberately stores raw rational rows rather than validated
 channel objects so that ``validate`` can report every defect of an
 ill-formed file (bad row sums, arity mismatches, cycles) instead of
-throwing at the first one. The validated CPT channels, and the closure
-joints that ``composite_channel`` and ``composite_joints`` project, are
-memoized on the instance as they are first needed; both depend only on
-the nodes, which never change.
+throwing at the first one. The validated CPT channels, and one joint per
+ancestral closure that ``composite_channel``, ``composite_joints`` and
+``joint_distribution`` project, are memoized on the instance as they are
+first needed; both depend only on the nodes, which never change.
 
-Inference runs on integers. A closure joint given one source value is
-enumerated as integer numerators over den, the product of the closure
-nodes' CPT denominators (each the LCM of its CPT's masses, read off the
-channel's integer view), so den is the same for every source value. The
-memo holds (den, {value tuple: numerator}) for the support only; a
-projection adds numerators, and each projected cell becomes one
-``Fraction``.
+Inference runs on integers. A closure is walked once for every source
+value, the source being its first coordinate, as integer numerators over
+den, the product of the closure nodes' CPT denominators (each the LCM of
+its CPT's masses, read off the channel's integer view). The memo holds
+the support only; a projection adds numerators, and each projected cell
+becomes one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -74,9 +73,8 @@ class BayesNet:
         self.nodes = nodes
         self.source = source
         self.by_id: Mapping[str, NodeSpec] = {n.node_id: n for n in nodes}
-        # ("cpt", node) -> validated channel; ("joint", closure, x) -> the
-        # closure's joint given source value x as (den, {value tuple:
-        # numerator}), the output of _joint_numerators (see _projected).
+        # ("cpt", node) -> validated channel; ("joint", closure) -> the
+        # closure's joint for every source value, as _enumerate returns it.
         self._memo: dict[tuple, object] = {}
 
     def node_ids(self) -> list[str]:
@@ -247,55 +245,37 @@ def ancestral_closure(net: BayesNet, node_ids: Sequence[str]) -> tuple[str, ...]
     return tuple(nid for nid in net.node_ids() if nid in keep)
 
 
-def _check_states(net: BayesNet, node_ids: Sequence[str], max_states: int) -> None:
-    """Refuse a joint over these nodes with more than max_states states."""
-    total_states = 1
-    for nid in node_ids:
-        total_states *= len(net.by_id[nid].alphabet)
-        if total_states > max_states:
-            raise CapacityError(total_states, max_states, "joint states")
+def _enumerate(net: BayesNet, closure: tuple[str, ...]) -> tuple[tuple, int, dict]:
+    """The closure's joint for every source value at once, as (coordinates,
+    den, {value tuple: numerator}). The coordinates are the source, then
+    the other closure nodes in topological order; only positive numerators
+    are kept, each source value's support in one run, in the order the walk
+    reaches it. den is the product of the nodes' CPT denominators (see
+    ``DiscreteChannel._integer_view``). Every parent of a closure node is
+    in the closure, so its CPTs are the network's."""
+    sub = BayesNet([net.by_id[nid] for nid in closure], net.source)
+    order = [net.source, *(nid for nid in topological_sort(sub) if nid != net.source)]
+    cpts = {nid: net.cpt(nid) for nid in closure if nid != net.source}
 
-
-def _joint_numerators(net: BayesNet, source_value: str) -> tuple[int, dict]:
-    """The joint of all non-source nodes given the source's value, as
-    (den, {value tuple: numerator}) with value tuples in declaration order
-    and only positive numerators. den is the product of the nodes' CPT
-    denominators (see ``DiscreteChannel._integer_view``), so it does not
-    depend on the source value."""
-    non_source = [n.node_id for n in net.nodes if n.node_id != net.source]
-    order = [nid for nid in topological_sort(net) if nid != net.source]
-    cpts = {nid: net.cpt(nid) for nid in non_source}
-    row_index = {
-        nid: {cfg: k for k, cfg in enumerate(net.parent_configs(nid))}
-        for nid in non_source
-    }
-
-    # Extend partial assignments (keyed in topo order) one node at a time;
-    # zero-probability branches are pruned as they appear.
+    # Extend partial assignments one node at a time; zero-probability
+    # branches are pruned as they appear.
     den = 1
-    partial: dict[tuple, int] = {(): 1}
-    pos = {nid: k for k, nid in enumerate(order)}
-    for nid in order:
-        node = net.by_id[nid]
-        node_den, columns = cpts[nid]._integer_view()
+    partial: dict[tuple, int] = {(x,): 1 for x in net.by_id[net.source].alphabet}
+    for nid in order[1:]:
+        cpt = cpts[nid]
+        node_den, columns = cpt._integer_view()
         den *= node_den
-        supports = [
-            [(value, columns[value][k]) for value in row.mass]
-            for k, row in enumerate(cpts[nid].rows)
-        ]
+        supports = {
+            cfg: [(value, columns[value][k]) for value in row.mass]
+            for k, (cfg, row) in enumerate(zip(cpt.input_alphabet, cpt.rows))
+        }
+        at = [order.index(p) for p in net.by_id[nid].parents]
         grown: dict[tuple, int] = {}
         for assign, weight in partial.items():
-            cfg = tuple(
-                source_value if p == net.source else assign[pos[p]]
-                for p in node.parents
-            )
-            for value, num in supports[row_index[nid][cfg]]:
+            for value, num in supports[tuple(assign[k] for k in at)]:
                 grown[assign + (value,)] = weight * num
         partial = grown
-
-    # Re-map from topo order to declaration order.
-    decl_pos = [pos[nid] for nid in non_source]
-    return den, {tuple(assign[k] for k in decl_pos): w for assign, w in partial.items()}
+    return tuple(order), den, partial
 
 
 def joint_distribution(
@@ -304,16 +284,15 @@ def joint_distribution(
     """Exact joint over all non-source nodes, given the source's value.
 
     The returned Pmf is over value tuples aligned with the non-source
-    nodes in declaration order.
+    nodes in declaration order. It is the projection of the whole
+    network's closure (see ``_projected``).
     """
-    src = net.by_id[net.source]
-    if source_value not in src.alphabet:
+    alphabet = net.by_id[net.source].alphabet
+    if source_value not in alphabet:
         raise LeakboundError(f"{source_value!r} not in the source alphabet")
-    non_source = [n.node_id for n in net.nodes if n.node_id != net.source]
-    _check_states(net, non_source, max_states)
-    den, nums = _joint_numerators(net, source_value)
-    mass = {assign: Fraction(num, den) for assign, num in nums.items()}
-    return Pmf(_alphabet(net, non_source), mass)
+    non_source = [nid for nid in net.node_ids() if nid != net.source]
+    law = _projected(net, non_source, max_states)[alphabet.index(source_value)]
+    return Pmf(_alphabet(net, non_source), law)
 
 
 def _declared(net: BayesNet, node_ids: Sequence[str]) -> list[str]:
@@ -334,36 +313,30 @@ def _projected(
     net: BayesNet, node_ids: Sequence[str], max_states: int
 ) -> list[dict[tuple, Fraction]]:
     """Per source value, the law of the value tuple over ``node_ids``
-    (repeats allowed; the source's coordinate is its value). Only their
-    ancestral closure is enumerated, since no other node changes that
-    law; ``max_states`` bounds its states, and its joint is memoized on
-    ``net`` per source value as integer numerators, so calls that share a
-    closure enumerate it once. Callers that skip ``validate`` get CPT and
-    graph errors only for nodes inside the closure."""
+    (repeats allowed, the source among them). Only their ancestral closure
+    is enumerated, since no other node changes that law; ``max_states``
+    bounds its states, and its joint for every source value is memoized on
+    ``net`` under the closure, so calls that share a closure enumerate it
+    once. Callers that skip ``validate`` get CPT and graph errors only for
+    nodes inside the closure."""
     closure = ancestral_closure(net, node_ids)
-    non_source = [nid for nid in closure if nid != net.source]
-    _check_states(net, non_source, max_states)
-    ns_pos = {nid: k for k, nid in enumerate(non_source)}
-    picks = [ns_pos.get(nid) for nid in node_ids]  # None at the source
-
-    sub = None
-    laws = []
-    for x in net.by_id[net.source].alphabet:
-        memo_key = ("joint", closure, x)
-        if memo_key not in net._memo:
-            if sub is None:
-                sub = BayesNet([net.by_id[nid] for nid in closure], net.source)
-                # Every parent of a closure node is in the closure, so the
-                # sub-network's CPTs are the network's: share their memo.
-                sub._memo = net._memo
-            net._memo[memo_key] = _joint_numerators(sub, x)
-        den, nums = net._memo[memo_key]
-        projected: dict[tuple, int] = {}
-        for assign, num in nums.items():
-            cell = tuple(x if k is None else assign[k] for k in picks)
-            projected[cell] = projected.get(cell, 0) + num
-        laws.append({cell: Fraction(num, den) for cell, num in projected.items()})
-    return laws
+    states = 1
+    for nid in closure:
+        if nid != net.source:
+            states *= len(net.by_id[nid].alphabet)
+            if states > max_states:
+                raise CapacityError(states, max_states, "joint states")
+    key = ("joint", closure)
+    if key not in net._memo:
+        net._memo[key] = _enumerate(net, closure)
+    order, den, nums = net._memo[key]
+    picks = [order.index(nid) for nid in node_ids]
+    laws: dict[str, dict[tuple, int]] = {x: {} for x in net.by_id[net.source].alphabet}
+    for assign, num in nums.items():
+        law = laws[assign[0]]
+        cell = tuple(assign[k] for k in picks)
+        law[cell] = law.get(cell, 0) + num
+    return [{cell: Fraction(num, den) for cell, num in law.items()} for law in laws.values()]
 
 
 def composite_channel(

@@ -50,7 +50,7 @@ from .bayesnet import (
     DEFAULT_MAX_STATES, BayesNet, composite_channel, composite_joints, descendants,
     topological_sort,
 )
-from .errors import LeakboundError, PreconditionError
+from .errors import LeakboundError, PreconditionError, output_str
 from .measures import ZERO, DiscreteChannel, doeblin, tau_max, tau_max2
 from .simultaneous import Feasibility, coupling_feasibility, coupling_penalty
 
@@ -106,7 +106,7 @@ class _Checked(NamedTuple):
 
 def _record(name: str, value: Fraction | None, ok: bool) -> tuple[str, str, bool]:
     """A precondition log entry; value None marks a one-row channel."""
-    return (name, "trivial (one row)" if value is None else str(value), ok)
+    return (name, "trivial (one row)" if value is None else output_str(value), ok)
 
 
 def _checked_step(

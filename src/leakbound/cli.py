@@ -36,6 +36,7 @@ from .errors import (
     CapacityError,
     LeakboundError,
     NetworkFormatError,
+    output_str,
 )
 from .lp import min_union_coupling, min_union_coupling_diag
 from .measures import (
@@ -136,14 +137,15 @@ def cmd_measures(args) -> int:
         return EXIT_INVALID
     channel = net.cpt(args.node)
     ms = measure_set(channel)
-    print(f"node {args.node} ({channel.n} rows, {len(channel.output_alphabet)} outputs)")
-    print(f"tau       = {format_fraction(ms.tau)}")
-    print(f"tau_max   = {format_fraction(ms.tau_max)}")
-    if ms.tau_max2 is None:
-        print("tau_max2  = undefined (single row)")
-    else:
-        print(f"tau_max2  = {format_fraction(ms.tau_max2)}")
-    print(f"leakage   = {_fmt_log(ms.leakage_log)}")
+    tau2 = "undefined (single row)" if ms.tau_max2 is None else format_fraction(ms.tau_max2)
+    lines = [
+        f"node {args.node} ({channel.n} rows, {len(channel.output_alphabet)} outputs)",
+        f"tau       = {format_fraction(ms.tau)}",
+        f"tau_max   = {format_fraction(ms.tau_max)}",
+        f"tau_max2  = {tau2}",
+        f"leakage   = {_fmt_log(ms.leakage_log)}",
+    ]
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -309,7 +311,7 @@ def cmd_sweep(args) -> int:
         report = bounds.query_report(
             net, targets, method="recursive", max_states=args.max_states
         )
-        row = {args.param: str(value), "exact": format_fraction(report.exact_tau_max)}
+        row = {args.param: output_str(value), "exact": format_fraction(report.exact_tau_max)}
         for bound in BOUNDS:
             got = bound.value(report)
             row[bound.column] = "" if got is None else format_fraction(got)

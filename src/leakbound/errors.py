@@ -50,6 +50,25 @@ class CapacityError(LeakboundError):
         )
 
 
+class OutputTooLongError(CapacityError):
+    """An exact output with an integer of more than MAX_DIGITS digits,
+    which str() cannot write and which is never abbreviated."""
+
+    def __init__(self, n: int):
+        self.requested, self.limit = n, MAX_DIGITS
+        msg = f"refusing to write {exact_str(n)} in an exact output (limit {MAX_DIGITS} digits)"
+        LeakboundError.__init__(self, msg)
+
+
+def output_str(value) -> str:
+    """str() of an int or Fraction written out as an exact value; raises
+    OutputTooLongError for a numerator or denominator past MAX_DIGITS."""
+    for n in (value.numerator, value.denominator):
+        if not -DIGITS_EXCEEDED < n < DIGITS_EXCEEDED:
+            raise OutputTooLongError(n)
+    return str(value)
+
+
 class PreconditionError(LeakboundError):
     """A bound or coupling precondition fails; carries the offending value.
 
@@ -62,7 +81,7 @@ class PreconditionError(LeakboundError):
         self.value = value
         msg = f"precondition failed: {condition}"
         if value is not None:
-            msg += f" (got {value})"
+            msg += f" (got {exact_str(value)})"
         super().__init__(msg)
 
 

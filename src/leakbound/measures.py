@@ -4,12 +4,13 @@ All probabilities are ``fractions.Fraction`` values and every operation in
 this module is exact; the only floating-point quantity produced anywhere is
 the logarithm taken at the reporting boundary (``maximal_leakage``).
 
-Every exact law of the package is validated here, by ``exact_masses``. It
-reads each mass's sign off its numerator, adds masses only where a cell
-repeats, and checks the total on integers: with L the least common
-denominator of the masses, sum_cells num * (L / den) == L (``_over_lcm``
-is the only code that forms these numerators). A ``Fraction`` total is
-built only for the error message.
+Every ``Pmf``, ``JointPmf`` and ``couplings.Coupling`` is validated here,
+by ``exact_masses`` (``simultaneous`` checks its own couplings). It reads
+each mass's sign off its numerator, adds masses only where a cell repeats,
+and checks the total on integers: with L the least common denominator of
+the masses, sum_cells num * (L / den) == L (``_over_lcm`` is the only code
+that forms these numerators). A ``Fraction`` total is built only for the
+error message.
 
 * ``Pmf`` checks its alphabet and its masses (non-negative, exactly 1 in
   total, only on known symbols). ``JointPmf`` is a ``Pmf`` whose alphabet
@@ -49,7 +50,7 @@ from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .errors import LeakboundError, exact_str
+from .errors import LeakboundError, exact_str, output_str
 
 Symbol = Hashable
 
@@ -69,8 +70,9 @@ def as_fraction(value) -> Fraction:
 
 
 def format_fraction(q: Fraction) -> str:
-    """Render as num/den, always with an explicit denominator."""
-    return f"{q.numerator}/{q.denominator}"
+    """num/den, always with an explicit denominator (``errors.output_str``)."""
+    text = output_str(q)
+    return text if q.denominator != 1 else f"{text}/1"
 
 
 def log_fraction(q: Fraction) -> float:

@@ -90,6 +90,7 @@ from .errors import (
     ConstructionError,
     LeakboundError,
     PreconditionError,
+    exact_str,
 )
 from .lp import min_union_coupling_diag
 from .measures import (
@@ -291,11 +292,13 @@ class SimulCoupling:
         return push_forward(self.mass, itemgetter(1))
 
     def validate(self) -> None:
-        """Exact checks of every structural identity, off one pass over the
-        support; raises on failure."""
+        """Exact checks of every mass's sign and every structural
+        identity, off one pass over the support; raises on failure."""
         marginals = [{} for _ in self.sources]
         proj = {}
         for (xs, ys), q in self.mass.items():
+            if q < 0:
+                raise ConstructionError(f"negative mass {exact_str(q)} at {(xs, ys)!r}")
             proj[ys] = proj.get(ys, ZERO) + q
             for got, cell in zip(marginals, zip(xs, ys)):
                 got[cell] = got.get(cell, ZERO) + q

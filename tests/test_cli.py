@@ -482,6 +482,49 @@ def test_repeated_joint_symbol_exit_one(capsys, tmp_path, axis):
     assert "verified" not in out
 
 
+class TestOverlongOutput:
+    """An exact value whose numerator or denominator passes 4300 digits
+    cannot be written by str() and is never abbreviated: it is refused
+    with exit 2 and one message, and nothing else is written."""
+
+    # Two coprime 2,201-digit denominators: the file is valid, but Y1's
+    # measures and every bound on Y1, Y2 have 4,401-digit denominators.
+    A, B = 10**2200 + 1, 10**2200 + 3
+    REFUSED = ("capacity: refusing to write <14617-bit integer> in an exact output "
+               "(limit 4300 digits)\n")
+
+    @classmethod
+    def net(cls, tmp_path):
+        doc = json.loads((FIXTURES / "chain.json").read_text())
+        doc["nodes"][1]["cpt"] = [[f"1/{cls.A}", f"{cls.A - 1}/{cls.A}"],
+                                  [f"1/{cls.B}", f"{cls.B - 1}/{cls.B}"]]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_measures(self, capsys, tmp_path):
+        path = self.net(tmp_path)
+        assert run(capsys, "validate", path)[0] == 0
+        assert run(capsys, "measures", path, "--node", "Y1") == (2, "", self.REFUSED)
+
+    def test_bound_writes_no_csv(self, capsys, tmp_path):
+        path, out_csv = self.net(tmp_path), tmp_path / "report.csv"
+        for extra in ([], ["--compare-exact"], ["--method", "doeblin"], ["--csv", out_csv]):
+            got = run(capsys, "bound", path, "--targets", "Y1,Y2", *extra)
+            assert got == (2, "", self.REFUSED), extra
+        assert not out_csv.exists()
+
+    def test_sweep_writes_no_csv(self, capsys, tmp_path):
+        # d = 1/A puts A**2 in the denominator of P(Y2 | X).
+        out_csv = tmp_path / "sweep.csv"
+        got = run(capsys, "sweep", FIXTURES / "chain_template.json", "--param", "d",
+                  "--range", f"1/{self.A}:1/{self.A}:1", "--targets", "Y1,Y2",
+                  "--out", out_csv)
+        assert got[:2] == (2, "") and got[2].startswith("capacity: refusing to write <")
+        assert got[2].endswith("-bit integer> in an exact output (limit 4300 digits)\n")
+        assert not out_csv.exists()
+
+
 class TestSweep:
     def test_chain_singleton_rows(self, capsys):
         code, out, _ = run(

@@ -18,11 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakbound import (
+    CapacityError,
     Coupling,
     DiscreteChannel,
     JointPmf,
     LeakboundError,
     Pmf,
+    PreconditionError,
     build_simultaneous_coupling,
     coupling_penalty,
     doeblin,
@@ -42,7 +44,8 @@ from leakbound import (
     three_way_coupling,
     total_variation,
 )
-from leakbound.measures import exact_masses
+from leakbound.errors import output_str
+from leakbound.measures import exact_masses, format_fraction
 import math
 
 
@@ -121,6 +124,22 @@ def test_mass_messages_abbreviate_long_integers():
         Pmf.from_values([1 + tiny, -tiny])
     with pytest.raises(LeakboundError, match=r"^masses sum to <16610-bit integer>/<16610-bit"):
         Pmf.from_values([Q(1, 2), Q(1, 2) + tiny])
+    assert str(PreconditionError("c <= 1", 1 + tiny)) == (
+        "precondition failed: c <= 1 (got <16610-bit integer>/<16610-bit integer>)"
+    )
+
+
+def test_exact_outputs_refuse_long_integers():
+    # An exact output cannot be abbreviated: past 4300 digits it is
+    # refused with a CapacityError (the CLI's exit 2) instead.
+    assert format_fraction(Q(10**4300 - 1, 2)) == f"{10**4300 - 1}/2"
+    assert format_fraction(Q(-2)) == "-2/1"
+    assert output_str(Q(-2)) == "-2" and output_str(Q(1, 10**4299)) == f"1/{10**4299}"
+    for value in (Q(10**4300, 3), Q(-(10**4300), 3), Q(1, 3 * 10**4300)):
+        for write in (format_fraction, output_str):
+            with pytest.raises(CapacityError, match=r"^refusing to write -?<\d+-bit integer> "
+                                                    r"in an exact output \(limit 4300 digits\)$"):
+                write(value)
 
 
 P_AB = Pmf.from_values([Q(1, 2), Q(1, 2)], "ab")

@@ -30,8 +30,10 @@ from leakbound import (
     Pmf,
     composite_channel,
     joint_distribution,
+    query_report,
 )
-from leakbound.bayesnet import BayesNet, NodeSpec
+from leakbound import bayesnet
+from leakbound.bayesnet import BayesNet, NodeSpec, ancestral_closure
 from leakbound.netfile import parse_network
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -163,3 +165,49 @@ class TestCapacityGuard:
         with pytest.raises(CapacityError):
             composite_channel(net, targets, max_states=17)
         assert composite_channel(net, targets, max_states=18) == first
+
+
+class TestOneWalkPerClosure:
+    """The enumerator walks each ancestral closure once, for every source
+    value at once; each later projection of it reads the memo."""
+
+    @staticmethod
+    def spy(monkeypatch, name, closure_of):
+        """Record the closure of every call of ``bayesnet.<name>``."""
+        seen, real = [], getattr(bayesnet, name)
+
+        def wrapped(net, nodes, *rest):
+            seen.append(closure_of(net, nodes))
+            return real(net, nodes, *rest)
+
+        monkeypatch.setattr(bayesnet, name, wrapped)
+        return seen
+
+    def test_recursive_query_walks_each_closure_once(self, monkeypatch):
+        walked = self.spy(monkeypatch, "_enumerate", lambda net, closure: closure)
+        asked = self.spy(monkeypatch, "_projected", ancestral_closure)
+        rng, repeats = random.Random(18), 0
+        for _ in range(40):
+            net = rand_couplable_net(rng, rng.randrange(4, 9))
+            ids = net.node_ids()
+            targets = rng.sample(ids[1:], rng.randrange(2, min(4, len(ids) - 1) + 1))
+            walked.clear()
+            asked.clear()
+            query_report(net, targets, method="recursive")
+            assert sorted(walked) == sorted(set(asked)), targets
+            repeats += len(asked) - len(walked)
+        assert repeats > 0  # some closures were asked for more than once
+
+    def test_joint_distribution_after_the_channel_walks_nothing(self, monkeypatch):
+        walked = self.spy(monkeypatch, "_enumerate", lambda net, closure: closure)
+        rng = random.Random(19)
+        nets = [parse_network((FIXTURES / name).read_text()) for name in NETWORKS]
+        nets += [rand_couplable_net(rng, rng.randrange(3, 8)) for _ in range(20)]
+        for net in nets:
+            walked.clear()
+            non_source = [nid for nid in net.node_ids() if nid != net.source]
+            channel = composite_channel(net, non_source)
+            assert len(walked) == 1
+            for x, row in zip(net.by_id[net.source].alphabet, channel.rows):
+                assert joint_distribution(net, x).mass == row.mass
+            assert len(walked) == 1

@@ -705,7 +705,8 @@ class TestResidualsAgainstReference:
 
 class TestValidateRefusals:
     """``SimulCoupling.validate`` refuses each broken identity with its
-    message, checked in order: total, source marginals, Y-projection."""
+    message, checked in order: signs, total, source marginals,
+    Y-projection."""
 
     @staticmethod
     def built():
@@ -729,6 +730,27 @@ class TestValidateRefusals:
         with pytest.raises(ConstructionError) as err:
             dataclasses.replace(coupling, mass=halved).validate()
         assert str(err.value) == "coupling mass sums to 1/2"
+
+    def test_negative_mass_refused(self):
+        # Moving 2 * min(q_a, q_b) off the tuples ((0,0),(a,a)) and
+        # ((1,1),(a,a)) onto ((1,0),(a,a)) and ((0,1),(a,a)) keeps the
+        # total, both source marginals and the Y-projection, but leaves
+        # both first tuples negative.
+        doc = {"x_alphabet": ["0", "1"], "y_alphabet": ["a", "b"],
+               "joints": [[["1/8", "1/8"], ["1/4", "1/2"]], [["1/4", "1/8"], ["1/8", "1/2"]]]}
+        coupling = build_simultaneous_coupling(parse_pmf_file(json.dumps(doc)))
+        mass = dict(coupling.mass)
+        q_a, q_b = mass[(("0", "0"), ("a", "a"))], mass[(("1", "1"), ("a", "a"))]
+        shift = 2 * min(q_a, q_b)
+        for xs, sign in ((("0", "0"), -1), (("1", "1"), -1), (("1", "0"), 1), (("0", "1"), 1)):
+            mass[(xs, ("a", "a"))] = mass.get((xs, ("a", "a")), Q(0)) + sign * shift
+        moved = dataclasses.replace(coupling, mass=mass)
+        assert sum(mass.values()) == 1 and moved.y_projection() == coupling.y_projection()
+        for i in range(2):
+            assert moved.source_marginal(i) == coupling.source_marginal(i)
+        with pytest.raises(ConstructionError) as err:
+            moved.validate()
+        assert str(err.value) == "negative mass -1/8 at (('0', '0'), ('a', 'a'))"
 
     def test_other_y_coupling_breaks_the_projection(self):
         coupling = self.built()
