@@ -19,8 +19,8 @@ Inference runs on integers. A closure is walked once for every source
 value, the source being its first coordinate, as integer numerators over
 den, the product of the closure nodes' CPT denominators (each the LCM of
 its CPT's masses, read off the channel's integer view). The memo holds
-the support only; a projection adds numerators, and each projected cell
-becomes one ``Fraction``.
+the support only; a projection adds numerators, and its caller builds
+one ``Fraction`` for each projected cell it keeps.
 """
 
 from __future__ import annotations
@@ -291,8 +291,9 @@ def joint_distribution(
     if source_value not in alphabet:
         raise LeakboundError(f"{source_value!r} not in the source alphabet")
     non_source = [nid for nid in net.node_ids() if nid != net.source]
-    law = _projected(net, non_source, max_states)[alphabet.index(source_value)]
-    return Pmf(_alphabet(net, non_source), law)
+    den, laws = _projected(net, non_source, max_states)
+    law = laws[alphabet.index(source_value)]
+    return Pmf(_alphabet(net, non_source), {cell: Fraction(num, den) for cell, num in law.items()})
 
 
 def _declared(net: BayesNet, node_ids: Sequence[str]) -> list[str]:
@@ -311,9 +312,10 @@ def _alphabet(net: BayesNet, node_ids: Sequence[str]) -> list[tuple]:
 
 def _projected(
     net: BayesNet, node_ids: Sequence[str], max_states: int
-) -> list[dict[tuple, Fraction]]:
-    """Per source value, the law of the value tuple over ``node_ids``
-    (repeats allowed, the source among them). Only their ancestral closure
+) -> tuple[int, list[dict[tuple, int]]]:
+    """(den, per source value the law of the value tuple over
+    ``node_ids`` as integer numerators over den); repeats are allowed
+    in ``node_ids``, the source among them. Only their ancestral closure
     is enumerated, since no other node changes that law; ``max_states``
     bounds its states, and its joint for every source value is memoized on
     ``net`` under the closure, so calls that share a closure enumerate it
@@ -336,7 +338,7 @@ def _projected(
         law = laws[assign[0]]
         cell = tuple(assign[k] for k in picks)
         law[cell] = law.get(cell, 0) + num
-    return [{cell: Fraction(num, den) for cell, num in law.items()} for law in laws.values()]
+    return den, list(laws.values())
 
 
 def composite_channel(
@@ -356,7 +358,11 @@ def composite_channel(
     if not ordered:
         raise LeakboundError("empty target set")
     out_alphabet = _alphabet(net, ordered)
-    rows = [Pmf(out_alphabet, law) for law in _projected(net, ordered, max_states)]
+    den, laws = _projected(net, ordered, max_states)
+    rows = [
+        Pmf(out_alphabet, {cell: Fraction(num, den) for cell, num in law.items()})
+        for law in laws
+    ]
     return DiscreteChannel(rows, net.by_id[net.source].alphabet)
 
 
@@ -373,8 +379,12 @@ def composite_joints(
     """
     xs, ys = _declared(net, x_nodes), _declared(net, y_nodes)
     x_alphabet, y_alphabet, k = _alphabet(net, xs), _alphabet(net, ys), len(xs)
+    den, laws = _projected(net, xs + ys, max_states)
     rows = [
-        JointPmf(x_alphabet, y_alphabet, {(t[:k], t[k:]): q for t, q in law.items()})
-        for law in _projected(net, xs + ys, max_states)
+        JointPmf(
+            x_alphabet, y_alphabet,
+            {(t[:k], t[k:]): Fraction(num, den) for t, num in law.items()},
+        )
+        for law in laws
     ]
     return DiscreteChannel(rows, net.by_id[net.source].alphabet)

@@ -155,7 +155,7 @@ def _with_penalty(
     if method == "doeblin":
         return [c.step for c in checked]
     return [
-        replace(c.step, penalty=coupling_penalty(c.joints.rows, max_states, c.verdict))
+        replace(c.step, penalty=coupling_penalty(c.joints, max_states, c.verdict))
         for c in checked
     ]
 

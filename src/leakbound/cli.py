@@ -9,8 +9,8 @@
     leakbound sweep NET.json --param d --range 0:1/2:1/8 --targets Y2
                     [--source X] [--out OUT.csv]
 
-Exit codes: 0 success, 1 validation or precondition failure, 2 capacity
-refused, 3 I/O failure. Rationals print as num/den; logarithms with 12
+Exit codes: 0 success, 1 usage, validation or precondition failure, 2
+capacity refused, 3 I/O failure. Rationals print as num/den; logarithms with 12
 significant digits.
 """
 
@@ -282,7 +282,7 @@ def cmd_couple(args) -> int:
             print(f"tau_max2 = {format_fraction(ing.tau_max2)}; no construction")
             return EXIT_INVALID
         mixture = n4_mixture(ing)
-        size = sum(prod(len(entries) for _, entries in part) for part in mixture.parts)
+        size = sum(prod(len(entries) for _, entries in groups) for _, groups in mixture.parts)
         if size > args.max_states:
             raise CapacityError(size, args.max_states, "coupling support tuples")
         coupling = mixture.coupling()
@@ -323,11 +323,27 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (a missing or malformed option) is invalid input:
+    argparse's message, then exit 1, as exit 2 means a capacity refusal."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 # Built once per process: parse_args returns a fresh Namespace on every
 # call and leaves the parser unchanged, so in-process callers share it.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leakbound",
         description="Exact leakage measures, couplings, and bounds for "
         "discrete Bayesian networks",
@@ -346,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_capacity(sp):
         sp.add_argument(
             "--max-states",
-            type=int,
+            type=positive_int,
             default=DEFAULT_MAX_STATES,
             help="state/variable budget for exact enumerations; inference "
             "counts the states of the targets' ancestral closure, sweep its "
@@ -390,7 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # after -h (0) or a usage error (1)
+        return stop.code
     try:
         return args.fn(args)
     except OSError as err:

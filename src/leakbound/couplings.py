@@ -8,7 +8,17 @@ weight or with an empty factor is skipped before any normalizer is
 divided by, so no 0/0 ratio is evaluated, and a negative mass is
 refused. The resulting ``Mixture`` lists its tuples only in
 ``Mixture.coupling``; the bounds read their penalty off its parts
-(``simultaneous.coupling_penalty``). Besides the product
+(``simultaneous.coupling_penalty``).
+
+The mixtures are built on integers. Every weight, factor entry and norm
+is a numerator over one common denominator: the marginals' integer view
+(``DiscreteChannel._integer_view``) for the pair and three-way forms,
+whose ``_pair_parts`` and ``_three_way_parts`` take that view directly,
+and the LCM of the four-way ingredients for ``n4_mixture``
+(``n4_ingredients`` and the mixture weights stay on ``Fraction``). A
+part is ``(den, groups)``, its integer entries over its own denominator,
+so a ``Fraction`` is built only when ``Mixture.coupling`` lists a tuple.
+Besides the product
 ``independent_coupling`` (a baseline), the closed forms, each named with
 the function of its parts, are the three below. In each, the groups of
 one component have pairwise disjoint factor supports (T_p > 0 needs both
@@ -59,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import prod
+from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -175,46 +185,54 @@ def union_mass(coupling: Coupling) -> Fraction:
 class Mixture(NamedTuple):
     """A closed-form coupling of ``marginals`` as its parts, unlisted.
 
-    A part is a tuple of groups ``(coordinates, entries)``, ``entries``
-    the nonzero ``(y, q)`` of the group's factor, the part's weight
-    folded into its first group. The part puts prod_g q_g(y_g) on the
-    tuple whose coordinates in group g all equal y_g.
+    A part is ``(den, groups)``: a positive integer and a tuple of groups
+    ``(coordinates, entries)``, ``entries`` the nonzero ``(y, e)`` of the
+    group's factor as integers, the part's weight folded into its first
+    group. The part puts prod_g e_g(y_g) / den on the tuple whose
+    coordinates in group g all equal y_g.
     """
 
     marginals: tuple[Pmf, ...]
-    parts: tuple[tuple[tuple[tuple[int, ...], tuple[tuple[Symbol, Fraction], ...]], ...], ...]
+    parts: tuple[tuple[int, tuple[tuple[tuple[int, ...], tuple[tuple[Symbol, int], ...]], ...]], ...]
 
     def coupling(self) -> Coupling:
-        """List every tuple, adding up masses on one, and validate them."""
+        """List every tuple as one ``Fraction``, adding up masses on one
+        tuple, and validate them."""
         mass: dict[tuple, Fraction] = {}
         for part in self.parts:
-            for tup, q in _list_part(part, len(self.marginals)):
+            for tup, num in _list_part(part, len(self.marginals)):
+                q = Fraction(num, part[0])
                 mass[tup] = mass[tup] + q if tup in mass else q
         return Coupling(self.marginals[0].alphabet, len(self.marginals), mass, self.marginals)
 
 
-def _list_part(part: tuple, arity: int) -> Iterator[tuple[tuple, Fraction]]:
-    """Every (tuple, mass) that one mixture part puts mass on."""
+def _list_part(part: tuple, arity: int) -> Iterator[tuple[tuple, int]]:
+    """Every (tuple, numerator over the part's den) that one mixture part
+    puts mass on."""
+    _, groups = part
     # The group that sets each coordinate's symbol.
-    owner = {c: g for g, (coords, _) in enumerate(part) for c in coords}
+    owner = {c: g for g, (coords, _) in enumerate(groups) for c in coords}
     pick = [owner[c] for c in range(arity)]
-    for combo in product(*(entries for _, entries in part)):
-        q = combo[0][1]
-        for _, f in combo[1:]:
-            q *= f
-        yield tuple([combo[g][0] for g in pick]), q
+    for combo in product(*(entries for _, entries in groups)):
+        num = combo[0][1]
+        for _, e in combo[1:]:
+            num *= e
+        yield tuple([combo[g][0] for g in pick]), num
 
 
-def _mixture(marginals: Sequence[Pmf], components: Iterable[tuple]) -> Mixture:
-    """The mixture of ``marginals`` with the given components.
+def _mixture(components: Iterable[tuple], den: int = 1) -> tuple:
+    """The parts of the mixture with the given components.
 
     A component is ``(weight, groups)`` and a group is ``(coordinates,
-    factor, norm)``; the component puts weight * prod_g factor_g(y_g) /
-    norm_g on the tuple whose coordinates in group g all equal y_g. Zero
-    factor entries are dropped, and a component of zero weight or with an
-    empty factor is skipped before any norm is divided by, so no 0/0 is
-    evaluated. A negative factor entry or weight / prod_g norm_g, the only
-    ways to a negative mass, raise ``ConstructionError``.
+    factor, norm)``; the weight, the factor entries and the norm are
+    integer numerators over ``den``, and the component puts
+    (weight / den) * prod_g factor_g(y_g) / norm_g on the tuple whose
+    coordinates in group g all equal y_g. Zero factor entries are dropped,
+    and a component of zero weight or with an empty factor is skipped
+    before any norm is divided by, so no 0/0 is evaluated. A negative
+    factor entry or weight / prod_g norm_g, the only ways to a negative
+    mass, raise ``ConstructionError``. The part's denominator is den *
+    prod_g norm_g, reduced against the weight.
     """
     # Each distinct factor is filtered and sign-checked once per call; the
     # entry holds the factor, so its id is not reused while the call runs.
@@ -230,16 +248,20 @@ def _mixture(marginals: Sequence[Pmf], components: Iterable[tuple]) -> Mixture:
         factors = [prepared[id(factor)][1:] for _, factor, _ in groups]
         if not all(kept for kept, _ in factors):
             continue
-        scale = Fraction(weight) / prod(norm for _, _, norm in groups)
-        if scale < 0 or any(negative for _, negative in factors):
-            raise ConstructionError(f"negative mass in a component of weight {weight}")
+        part_den = den * prod(norm for _, _, norm in groups)
+        if (weight < 0) != (part_den < 0) or any(negative for _, negative in factors):
+            raise ConstructionError(
+                f"negative mass in a component of weight {Fraction(weight, den)}"
+            )
+        common = gcd(weight, part_den)
+        weight, part_den = abs(weight) // common, abs(part_den) // common
         entries = [kept for kept, _ in factors]
-        if scale != 1:
-            entries[0] = tuple((y, scale * q) for y, q in entries[0])
-        parts.append(tuple(
+        if weight != 1:
+            entries[0] = tuple((y, weight * q) for y, q in entries[0])
+        parts.append((part_den, tuple(
             (tuple(coords), f) for (coords, _, _), f in zip(groups, entries)
-        ))
-    return Mixture(tuple(marginals), tuple(parts))
+        )))
+    return tuple(parts)
 
 
 def maximal_coupling_pair(p: Pmf, q: Pmf) -> Coupling:
@@ -256,15 +278,20 @@ def pair_mixture(p: Pmf, q: Pmf) -> Mixture:
         (y, y)      min{p,q}(y)
         (y1, y2)    (1 - omega) (p - min{p,q})(y1) (q - min{p,q})(y2) / (1 - omega)^2
     """
-    alphabet = DiscreteChannel((p, q)).output_alphabet
-    overlap = {y: min(p[y], q[y]) for y in alphabet}
-    rest = 1 - sum(overlap.values(), ZERO)
-    left = {y: p[y] - overlap[y] for y in alphabet if p[y] > overlap[y]}
-    right = {y: q[y] - overlap[y] for y in alphabet if q[y] > overlap[y]}
-    return _mixture((p, q), [
-        (1, [((0, 1), overlap, 1)]),
+    return Mixture((p, q), _pair_parts(*DiscreteChannel((p, q))._integer_view()))
+
+
+def _pair_parts(den: int, columns: Mapping[Symbol, tuple[int, int]]) -> tuple:
+    """``pair_mixture``'s parts from the two marginals as integer
+    numerators over ``den`` (``DiscreteChannel._integer_view``)."""
+    overlap = {y: min(col) for y, col in columns.items()}
+    rest = den - sum(overlap.values())
+    left = {y: a - b for y, (a, b) in columns.items() if a > b}
+    right = {y: b - a for y, (a, b) in columns.items() if b > a}
+    return _mixture([
+        (den, [((0, 1), overlap, den)]),
         (rest, [((0,), left, rest), ((1,), right, rest)]),
-    ])
+    ], den)
 
 
 def three_way_coupling(p1: Pmf, p2: Pmf, p3: Pmf) -> Coupling:
@@ -291,9 +318,14 @@ def three_way_mixture(p1: Pmf, p2: Pmf, p3: Pmf) -> Mixture:
     otherwise ``PreconditionError(TAU_MAX2_CONDITION, tau_max2)``.
     """
     channel = DiscreteChannel((p1, p2, p3))
+    return Mixture((p1, p2, p3), _three_way_parts(*channel._integer_view()))
+
+
+def _three_way_parts(den: int, columns: Mapping[Symbol, tuple[int, int, int]]) -> tuple:
+    """``three_way_mixture``'s parts from the three marginals as integer
+    numerators over ``den`` (``DiscreteChannel._integer_view``)."""
     floor, s12, s02, t01, t23, r0, r1 = ({} for _ in range(7))
-    for y in channel.output_alphabet:
-        a, b, c = channel.column(y)
+    for y, (a, b, c) in columns.items():
         floor[y] = min(a, b, c)
         s12[y] = min(b, c) - floor[y]
         s02[y] = min(a, c) - floor[y]
@@ -305,17 +337,17 @@ def three_way_mixture(p1: Pmf, p2: Pmf, p3: Pmf) -> Mixture:
         ):
             if value > 0:
                 part[y] = value
-    n01, n23 = sum(t01.values(), ZERO), sum(t23.values(), ZERO)
+    n01, n23 = sum(t01.values()), sum(t23.values())
     if n23 < n01:
-        raise PreconditionError(TAU_MAX2_CONDITION, 1 + n01 - n23)
-    norm0, norm1 = sum(r0.values(), ZERO), sum(r1.values(), ZERO)
-    return _mixture((p1, p2, p3), [
-        (1, [((0, 1, 2), floor, 1)]),
-        (1, [((1, 2), s12, 1), ((0,), r0, norm0)]),
-        (1, [((0, 2), s02, 1), ((1,), r1, norm1)]),
+        raise PreconditionError(TAU_MAX2_CONDITION, Fraction(den + n01 - n23, den))
+    norm0, norm1 = sum(r0.values()), sum(r1.values())
+    return _mixture([
+        (den, [((0, 1, 2), floor, den)]),
+        (den, [((1, 2), s12, den), ((0,), r0, norm0)]),
+        (den, [((0, 2), s02, den), ((1,), r1, norm1)]),
         (n23 - n01, [((2,), t23, n23), ((0,), r0, norm0), ((1,), r1, norm1)]),
         (n01, [((0, 1), t01, n01), ((2,), t23, n23)]),
-    ])
+    ], den)
 
 
 @dataclass(frozen=True)
@@ -513,25 +545,43 @@ def n4_mixture(ing: N4Ingredients) -> Mixture:
     total = _weight_accounting(ing, weights)
     if total != 1:
         raise ConstructionError(f"mixture weights sum to {total}, expected 1")
+    w_trio = {trio: ing.tau_by_subset[trio] - ing.tau for trio in ing.s_trio}
+    scalars = (ing.tau, weights.independent, *ing.r_norm, *ing.n.values(), *w_trio.values(),
+               *weights.alpha.values(), *weights.beta.values())
+    factors = (ing.p_min, *ing.r_num, *ing.t.values(), *ing.s_trio.values())
+
+    # Every weight, factor entry and norm as a numerator over their LCM.
+    den = lcm(*(q.denominator for q in scalars),
+              *(q.denominator for factor in factors for q in factor.values()))
+
+    def over(q):
+        return q.numerator * (den // q.denominator)
+
+    def ints(factor):
+        return {y: over(q) for y, q in factor.items()}
+
+    r_num = [ints(f) for f in ing.r_num]
+    t = {pair: ints(f) for pair, f in ing.t.items()}
 
     def free(i):
-        return ((i,), ing.r_num[i], ing.r_norm[i])
+        return ((i,), r_num[i], over(ing.r_norm[i]))
 
     def tied(pair):
-        return (pair, ing.t[pair], ing.n[pair])
+        return (pair, t[pair], over(ing.n[pair]))
 
-    components = [(ing.tau, [((0, 1, 2, 3), ing.p_min, ing.tau)])]
+    tau = over(ing.tau)
+    components = [(tau, [((0, 1, 2, 3), ints(ing.p_min), tau)])]
     for i in range(4):
-        trio = tuple(j for j in range(4) if j != i)
-        w_trio = ing.tau_by_subset[frozenset(trio)] - ing.tau
-        components.append((w_trio, [(trio, ing.s_trio[frozenset(trio)], w_trio), free(i)]))
+        trio = frozenset(j for j in range(4) if j != i)
+        w = over(w_trio[trio])
+        components.append((w, [(tuple(sorted(trio)), ints(ing.s_trio[trio]), w), free(i)]))
     for pair in ALL_PAIRS:
         i, j = sorted(complement_pair(pair))
-        components.append((weights.beta[pair], [tied(pair), free(i), free(j)]))
+        components.append((over(weights.beta[pair]), [tied(pair), free(i), free(j)]))
     for pair in ANCHOR_PAIRS:
-        components.append((weights.alpha[pair], [tied(pair), tied(complement_pair(pair))]))
-    components.append((weights.independent, [free(i) for i in range(4)]))
-    return _mixture(ing.pmfs, components)
+        components.append((over(weights.alpha[pair]), [tied(pair), tied(complement_pair(pair))]))
+    components.append((over(weights.independent), [free(i) for i in range(4)]))
+    return Mixture(ing.pmfs, _mixture(components, den))
 
 
 def intersection_violations(coupling: Coupling, pmfs: Sequence[Pmf]) -> list[tuple]:
@@ -574,5 +624,7 @@ def verify_intersection_property(coupling: Coupling, pmfs: Sequence[Pmf]) -> boo
 
 def independent_coupling(pmfs: Sequence[Pmf]) -> Coupling:
     """Product coupling; a baseline that generally has no special structure."""
-    groups = [((i,), dict(p.items()), 1) for i, p in enumerate(pmfs)]
-    return _mixture(pmfs, [(1, groups)]).coupling()
+    pmfs = tuple(pmfs)
+    den, columns = DiscreteChannel(pmfs)._integer_view()
+    groups = [((i,), {y: col[i] for y, col in columns.items()}, den) for i in range(len(pmfs))]
+    return Mixture(pmfs, _mixture([(den, groups)], den)).coupling()

@@ -42,14 +42,27 @@ the weights of the tuples with t_i = y add up to the residual total of
 source i at y, P_i(y) - sum_x P_min(x, y). A caller that has decided
 ``coupling_feasibility`` passes the verdict, which is not decided again.
 
+Everything is computed on integers, in one pass over the integer view
+of the joints' channel (``DiscreteChannel._integer_view``, each (x, y)
+cell as numerators over one L; the bounds' walk has built it already,
+for the Doeblin penalty): P_min, the floor sum_x P_min(x, y), the
+Y-marginals, and d_i(x, y) = P_i(x, y) - P_min(x, y) with its total
+rest_i(y) = P_i(y) - floor(y), so r_i = d_i / rest_i. H's closed forms
+read the Y-marginal numerators; the four-way route and the LP take
+``Pmf``s built from them. A part is ``(den, groups)``, integer entries
+over one denominator (see ``couplings``); the checks cross-multiply over
+the LCM of the part denominators.
+
 The bounds' penalty f = sum_y P(X_1 = ... = X_m, some Y_i = y) is read
 off the same parts, never their tuples. G1 adds c_XY, and a part of g
 groups puts mass only on Y-tuples of g distinct symbols, so it adds
-g * sum_x prod_g sum_y q_g(y) prod_{i in g} r_i(x | y).
-``coupling_penalty`` computes that; ``build_simultaneous_coupling``
-counts the support off the parts, and only under its limit lists and
-validates the coupling, for ``couple --mode simul`` and as the
-reference the penalty is tested against.
+g * sum_x prod_g sum_y q_g(y) prod_{i in g} r_i(x | y); each group's sum
+is N_g(x) / M_g, M_g the LCM of prod_{i in g} rest_i(y) over its y (a y
+where some rest_i(y) is 0 adds nothing). ``coupling_penalty`` builds one
+``Fraction``, for f. ``build_simultaneous_coupling`` counts the support
+off the parts, and only under its limit lists the coupling, one
+``Fraction`` per tuple, and validates it, for ``couple --mode simul``
+and as the reference the penalty is tested against.
 
 One source is its own coupling: its one Y-marginal passes the condition
 with no value, the G2 weights are 0 and f = c_XY = 1. The penalty
@@ -68,7 +81,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
@@ -79,10 +92,10 @@ from .couplings import (
     Mixture,
     N4Ingredients,
     _list_part,
+    _pair_parts,
+    _three_way_parts,
     n4_condition,
     n4_mixture,
-    pair_mixture,
-    three_way_mixture,
 )
 from .errors import (
     DEFAULT_MAX_STATES,
@@ -100,7 +113,6 @@ from .measures import (
     Pmf,
     Symbol,
     push_forward,
-    tau_max,
     tau_max2,
 )
 
@@ -138,51 +150,79 @@ def coupling_feasibility(y_pmfs: Sequence[Pmf]) -> Feasibility:
     return Feasibility(value <= 1, TAU_MAX2_CONDITION, value)
 
 
-def _tuple_part(tup: tuple, q: Fraction) -> tuple:
-    """One tuple of mass q as a mixture part: a group per distinct symbol."""
-    return tuple(
-        (tuple(i for i, s in enumerate(tup) if s == y), ((y, q if k == 0 else Fraction(1)),))
+def _tuple_part(tup: tuple, num: int, den: int) -> tuple:
+    """One tuple of mass num / den as a mixture part: a group per distinct
+    symbol."""
+    return (den, tuple(
+        (tuple(i for i, s in enumerate(tup) if s == y), ((y, num if k == 0 else 1),))
         for k, y in enumerate(dict.fromkeys(tup))
+    ))
+
+
+def _y_marginals(view: tuple[int, Mapping], alphabet: tuple) -> tuple[Pmf, ...]:
+    """The marginals whose integer view (``DiscreteChannel._integer_view``)
+    is ``view``, as ``Pmf``s over ``alphabet``."""
+    den, columns = view
+    m = len(next(iter(columns.values())))
+    return tuple(
+        Pmf(alphabet, {y: Fraction(col[i], den) for y, col in columns.items() if col[i]})
+        for i in range(m)
     )
 
 
-def _check_mixture(mixture: Mixture) -> None:
+def _check_mixture(parts: Sequence[tuple], view: tuple[int, Mapping], alphabet: tuple) -> None:
     """Check a minimal pinned Y-coupling in closed form, off its parts.
 
-    Raises ``ConstructionError`` unless the groups of every part have
-    pairwise disjoint supports, every coordinate has its marginal, the
-    union mass sum_parts g * prod_g |q_g| is tau_max, and the diagonal,
-    which only one-group parts reach, is min_i P_i(y) at every y.
+    ``view`` holds the marginals as integer numerators over one
+    denominator (``DiscreteChannel._integer_view``). Raises
+    ``ConstructionError`` unless the groups of every part have pairwise
+    disjoint supports, every coordinate has its marginal, the union mass
+    sum_parts g * prod_g |q_g| is tau_max, and the diagonal, which only
+    one-group parts reach, is min_i P_i(y) at every y of ``alphabet``.
+    The parts' sums are taken over the LCM of their denominators and
+    compared cross-multiplied; a ``Fraction`` is built only for a message.
     """
-    marginals = mixture.marginals
-    got = [{} for _ in marginals]
-    diagonal, union = {}, ZERO
-    for part in mixture.parts:
+    den, columns = view
+    scale = lcm(*(part_den for part_den, _ in parts))
+    got = [{} for _ in next(iter(columns.values()))]
+    diagonal, union = {}, 0
+    for part_den, groups in parts:
+        lift = scale // part_den
         seen, totals = set(), []
-        for _, entries in part:
+        for _, entries in groups:
             symbols = {y for y, _ in entries}
             if seen & symbols:
                 raise ConstructionError(f"part with overlapping group supports at {seen & symbols}")
             seen |= symbols
-            totals.append(sum((q for _, q in entries), ZERO))
-        union += len(part) * prod(totals)
-        for g, (coords, entries) in enumerate(part):
-            others = prod(totals[:g] + totals[g + 1:])
-            for y, q in entries:
+            totals.append(sum(e for _, e in entries))
+        union += len(groups) * prod(totals) * lift
+        for g, (coords, entries) in enumerate(groups):
+            others = prod(totals[:g] + totals[g + 1:]) * lift
+            for y, e in entries:
                 for i in coords:
-                    got[i][y] = got[i].get(y, ZERO) + q * others
-                if len(part) == 1:
-                    diagonal[y] = diagonal.get(y, ZERO) + q
-    for i, p in enumerate(marginals):
-        if got[i] != p.mass:
-            raise ConstructionError(f"ingredient marginal {i} is {got[i]}, declared {p.mass}")
-    target = tau_max(DiscreteChannel(marginals))
-    if union != target:
-        raise ConstructionError(f"ingredient coupling union mass {union} != tau_max {target}")
-    for y in marginals[0].alphabet:
-        tied, floor = diagonal.get(y, ZERO), min(p[y] for p in marginals)
-        if tied != floor:
-            raise ConstructionError(f"ingredient diagonal at {y!r} is {tied}, needs {floor}")
+                    got[i][y] = got[i].get(y, 0) + e * others
+                if len(groups) == 1:
+                    diagonal[y] = diagonal.get(y, 0) + e * lift
+    for i, marginal in enumerate(got):
+        declared = {y: col[i] for y, col in columns.items() if col[i]}
+        if marginal.keys() != declared.keys() or any(
+            q * den != declared[y] * scale for y, q in marginal.items()
+        ):
+            shown = {y: Fraction(q, scale) for y, q in marginal.items()}
+            want = {y: Fraction(declared[y], den) for y in alphabet if y in declared}
+            raise ConstructionError(f"ingredient marginal {i} is {shown}, declared {want}")
+    target = sum(map(max, columns.values()))
+    if union * den != target * scale:
+        raise ConstructionError(
+            f"ingredient coupling union mass {Fraction(union, scale)}"
+            f" != tau_max {Fraction(target, den)}"
+        )
+    for y in alphabet:
+        tied, floor = diagonal.get(y, 0), min(columns[y]) if y in columns else 0
+        if tied * den != floor * scale:
+            raise ConstructionError(
+                f"ingredient diagonal at {y!r} is {Fraction(tied, scale)}, needs {Fraction(floor, den)}"
+            )
 
 
 def minimal_y_coupling(
@@ -202,72 +242,100 @@ def minimal_y_coupling(
     those of ``y_pmfs``. The result is checked by ``_check_mixture``.
     """
     y_pmfs = tuple(y_pmfs)
-    m = len(y_pmfs)
-    if m >= 4 and verdict is None:
-        verdict = coupling_feasibility(y_pmfs)
+    view = DiscreteChannel(y_pmfs)._integer_view()
+    parts = _minimal_parts(view, y_pmfs[0].alphabet, max_variables, verdict, y_pmfs)
+    return Mixture(y_pmfs, parts)
+
+
+def _minimal_parts(
+    view: tuple[int, Mapping],
+    alphabet: tuple,
+    max_variables: int,
+    verdict: Feasibility | None,
+    y_pmfs: tuple[Pmf, ...] | None = None,
+) -> tuple:
+    """The checked parts of ``minimal_y_coupling``, read off the
+    marginals' integer view. The routes at m >= 4 take the marginals as
+    ``Pmf``s: ``y_pmfs`` when given, else built from the view."""
+    den, columns = view
+    m = len(next(iter(columns.values())))
+    if m >= 4:
+        y_pmfs = y_pmfs or _y_marginals(view, alphabet)
+        if verdict is None:
+            verdict = coupling_feasibility(y_pmfs)
     ingredients = verdict and verdict.ingredients
     if ingredients is not None and ingredients.pmfs != y_pmfs:
         raise LeakboundError("the verdict was decided on other marginals")
     if verdict is not None and not verdict.ok:
         raise PreconditionError(verdict.label, verdict.value)
-    if m == 2:
-        mixture = pair_mixture(*y_pmfs)
+    if m == 1:
+        parts = tuple(_tuple_part((y,), col[0], den) for y, col in columns.items())
+    elif m == 2:
+        parts = _pair_parts(den, columns)
     elif m == 3:
-        mixture = three_way_mixture(*y_pmfs)
+        parts = _three_way_parts(den, columns)
     elif m == 4:
-        mixture = n4_mixture(verdict.ingredients)
+        parts = n4_mixture(verdict.ingredients).parts
     else:
-        mass = (
-            {(y,): q for y, q in y_pmfs[0].mass.items()} if m == 1
-            else min_union_coupling_diag(y_pmfs, max_variables=max_variables).witness.mass
+        witness = min_union_coupling_diag(y_pmfs, max_variables=max_variables).witness
+        parts = tuple(
+            _tuple_part(t, q.numerator, q.denominator) for t, q in witness.mass.items()
         )
-        mixture = Mixture(y_pmfs, tuple(_tuple_part(t, q) for t, q in mass.items()))
-    _check_mixture(mixture)
-    return mixture
+    _check_mixture(parts, view, alphabet)
+    return parts
 
 
 @dataclass(frozen=True)
 class _MixtureTable:
-    """What the mixture is assembled from (see the module docstring):
-    the checked Y-coupling H, ``parts`` the G2/G3 Y-weights as mixture
-    parts, and ``residual[i][y]`` mapping x to r_i(x | y)."""
+    """What the mixture is assembled from (see the module docstring), as
+    integer numerators over ``den``, the joints' common denominator:
+    ``y_view`` the Y-marginals in the layout of
+    ``DiscreteChannel._integer_view``, ``y_parts`` the checked parts of
+    H, ``parts`` the G2/G3 Y-weights as mixture parts, ``p_min`` the
+    nonzero cellwise minima, ``residual[i][y]`` mapping x to d_i(x, y) =
+    P_i(x, y) - P_min(x, y) where it is nonzero, and ``rest[i][y]`` =
+    P_i(y) - sum_x P_min(x, y), so that r_i(x | y) = d_i(x, y) / rest_i(y)."""
 
-    y_mixture: Mixture
+    den: int
+    y_view: tuple[int, Mapping[Symbol, tuple[int, ...]]]
+    y_parts: tuple
     parts: Sequence[tuple]
-    p_min: Mapping[tuple, Fraction]
-    c_y: Fraction
-    residual: tuple[Mapping[Symbol, Mapping[Symbol, Fraction]], ...]
+    p_min: Mapping[tuple, int]
+    residual: tuple[Mapping[Symbol, Mapping[Symbol, int]], ...]
+    rest: tuple[Mapping[Symbol, int], ...]
 
 
 def _mixture_table(
-    sources: tuple[JointPmf, ...],
+    joints: DiscreteChannel,
     max_variables: int,
     verdict: Feasibility | None = None,
 ) -> _MixtureTable:
-    channel = DiscreteChannel(sources)  # one (x, y) cell alphabet
-    y_alphabet = sources[0].y_alphabet
+    """The table of ``joints``, a channel of ``JointPmf`` rows, read off
+    its integer view in one pass over the cells."""
+    den, cells = joints._integer_view()
+    m = joints.n
+    p_min, floor, y_columns = {}, {}, {}
+    residual = tuple({} for _ in range(m))
+    for (x, y), col in cells.items():
+        low = min(col)
+        if low:
+            p_min[(x, y)] = low
+            floor[y] = floor.get(y, 0) + low
+        if y not in y_columns:
+            y_columns[y] = [0] * m
+        total = y_columns[y]
+        for i, q in enumerate(col):
+            total[i] += q
+            if q != low:
+                residual[i].setdefault(y, {})[x] = q - low
+    y_view = (den, {y: tuple(col) for y, col in y_columns.items()})
+    y_parts = _minimal_parts(y_view, joints.rows[0].y_alphabet, max_variables, verdict)
 
-    y_marginals = [s.y_marginal() for s in sources]
-    y_mixture = minimal_y_coupling(y_marginals, max_variables, verdict)
-
-    # Only a cell in the first source's support has a nonzero minimum.
-    p_min = {cell: min(channel.column(cell)) for cell in sources[0].mass}
-    p_ymin = {y: min(p[y] for p in y_marginals) for y in y_alphabet}
-    floor = push_forward(p_min, itemgetter(1))  # sum_x P_min(x, y)
-
-    residual = []
-    for s, p in zip(sources, y_marginals):
-        rest = {y: q - floor.get(y, ZERO) for y, q in p.mass.items()}
-        lists = {y: {} for y in y_alphabet}
-        for (x, y), q in s.mass.items():
-            if d := q - p_min.get((x, y), ZERO):
-                lists[y][x] = d / rest[y]
-        residual.append(lists)
-
-    tied = tuple((y, w) for y in y_alphabet if (w := p_ymin[y] - floor.get(y, ZERO)))
-    parts = [part for part in y_mixture.parts if len(part) > 1]
-    parts.append(((tuple(range(len(sources))), tied),))
-    return _MixtureTable(y_mixture, parts, p_min, sum(p_ymin.values(), ZERO), tuple(residual))
+    rest = tuple({y: col[i] - floor.get(y, 0) for y, col in y_columns.items()} for i in range(m))
+    tied = tuple((y, w) for y, col in y_columns.items() if (w := min(col) - floor.get(y, 0)))
+    parts = [part for part in y_parts if len(part[1]) > 1]
+    parts.append((den, ((tuple(range(m)), tied),)))
+    return _MixtureTable(den, y_view, y_parts, parts, p_min, residual, rest)
 
 
 @dataclass(frozen=True)
@@ -327,66 +395,98 @@ def build_simultaneous_coupling(
     sources = tuple(sources)
     if len(sources) < 2:
         raise LeakboundError("need at least two joint PMFs")
-    table = _mixture_table(sources, max_states)
-    m = len(sources)
-    residual = table.residual
+    table = _mixture_table(DiscreteChannel(sources), max_states)
+    m, den = len(sources), table.den
+    residual, rest = table.residual, table.rest
 
     # The exact support size, before materializing anything.
-    est = sum(1 for q in table.p_min.values() if q) + sum(
-        prod(sum(prod(len(residual[i][y]) for i in c) for y, _ in e) for c, e in part)
-        for part in table.parts
+    est = len(table.p_min) + sum(
+        prod(sum(prod(len(residual[i][y]) for i in c) for y, _ in e) for c, e in groups)
+        for _, groups in table.parts
     )
     if est > max_states:
         raise CapacityError(est, max_states, "coupling support tuples")
 
     # G1: fully tied diagonal. Weight c_XY cancels the 1/c_XY normalizer.
-    mass = {((x,) * m, (y,) * m): q for (x, y), q in table.p_min.items() if q}
-    # G2 and G3: every X-tuple drawn from the independent residuals.
+    mass = {((x,) * m, (y,) * m): Fraction(q, den) for (x, y), q in table.p_min.items()}
+    # G2 and G3: every X-tuple drawn from the independent residuals, a
+    # tuple of weight w / part_den spread as w * prod_i d_i(x_i, y_i) over
+    # part_den * prod_i rest_i(y_i).
     for part in table.parts:
         for ys, w in _list_part(part, m):
+            norm = part[0] * prod(rest[i][y] for i, y in enumerate(ys))
             for combo in product(*(residual[i][y].items() for i, y in enumerate(ys))):
                 q = w
-                for _, weight in combo:
-                    q *= weight
-                mass[(tuple(x for x, _ in combo), ys)] = q
+                for _, d in combo:
+                    q *= d
+                mass[(tuple(x for x, _ in combo), ys)] = Fraction(q, norm)
 
+    y_marginals = _y_marginals(table.y_view, sources[0].y_alphabet)
     built = SimulCoupling(
         sources=sources,
         mass=mass,
-        c_xy=sum(table.p_min.values(), ZERO),
-        c_y=table.c_y,
-        y_coupling=table.y_mixture.coupling(),
+        c_xy=Fraction(sum(table.p_min.values()), den),
+        c_y=Fraction(sum(map(min, table.y_view[1].values())), den),
+        y_coupling=Mixture(y_marginals, table.y_parts).coupling(),
     )
     built.validate()
     return built
 
 
+def _group_sums(table: _MixtureTable, coords: tuple[int, ...], entries: tuple) -> tuple[int, dict]:
+    """(M, {x: N(x)}) with N(x) / M = sum_y e(y) prod_{i in coords} r_i(x | y)
+    over the group's entries: each y adds e(y) prod_i d_i(x, y) times
+    M / prod_i rest_i(y), M the LCM of those products. A y where some
+    rest_i(y) is 0 adds nothing, as every d_i(., y) is 0 there."""
+    rest, residual = table.rest, table.residual
+    terms = [(y, e, norm) for y, e in entries if (norm := prod(rest[i][y] for i in coords))]
+    common = lcm(*(norm for _, _, norm in terms))
+    first, *others = coords
+    sums: dict = {}
+    for y, e, norm in terms:
+        k = e * (common // norm)
+        lists = [residual[i][y] for i in others]
+        for x, d in residual[first][y].items():
+            for r in lists:
+                d *= r.get(x, 0)
+            if d:
+                sums[x] = sums.get(x, 0) + k * d
+    return common, sums
+
+
 def coupling_penalty(
-    sources: Sequence[JointPmf],
+    sources: Sequence[JointPmf] | DiscreteChannel,
     max_variables: int = DEFAULT_MAX_STATES,
     verdict: Feasibility | None = None,
 ) -> Fraction:
     """``f_quantity(build_simultaneous_coupling(sources))``, unbuilt.
 
     Reads f = c_XY + sum_parts g * sum_x prod_g sum_y q_g(y) prod_{i in
-    g} r_i(x | y) off the G2/G3 parts of ``_mixture_table``. No tuple is
-    listed, so no support-size limit applies. ``max_variables``
-    caps the LP of the m >= 5 route and ``verdict`` is passed on to
-    ``minimal_y_coupling``.
+    g} r_i(x | y) off the G2/G3 parts of ``_mixture_table``, in integers:
+    each part adds g * sum_x prod_g N_g(x) over part_den * prod_g M_g
+    (``_group_sums``), and one ``Fraction`` is built at the end. No tuple
+    is listed, so no support-size limit applies. ``sources`` may be the
+    channel of the joints, whose integer view is then reused.
+    ``max_variables`` caps the LP of the m >= 5 route and ``verdict`` is
+    passed on to the Y-coupling, as in ``minimal_y_coupling``.
     """
-    sources = tuple(sources)
+    if not isinstance(sources, DiscreteChannel):
+        sources = DiscreteChannel(tuple(sources))
     table = _mixture_table(sources, max_variables, verdict)
-    f = sum(table.p_min.values(), ZERO)
-    for part in table.parts:
-        for x in sources[0].x_alphabet:
-            term = len(part)
-            for coords, entries in part:
-                term *= sum((
-                    q * prod(table.residual[i][y].get(x, ZERO) for i in coords)
-                    for y, q in entries
-                ), ZERO)
-            f += term
-    return f
+    num, den = sum(table.p_min.values()), table.den
+    for part_den, groups in table.parts:
+        common = None
+        for coords, entries in groups:
+            group_den, sums = _group_sums(table, coords, entries)
+            part_den *= group_den
+            common = sums if common is None else {
+                x: v * sums[x] for x, v in common.items() if x in sums
+            }
+        term = len(groups) * sum(common.values())
+        if term:
+            both = lcm(den, part_den)
+            num, den = num * (both // den) + term * (both // part_den), both
+    return Fraction(num, den)
 
 
 def y_union_mass(coupling: SimulCoupling) -> Fraction:

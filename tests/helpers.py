@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 from itertools import combinations, product
+from math import prod
 from operator import itemgetter
 
 from leakbound import (
@@ -22,6 +23,8 @@ from leakbound import (
     Pmf,
     PreconditionError,
     build_n4_coupling,
+    coupling_feasibility,
+    min_union_coupling_diag,
     tau_max,
     tau_max2,
     tau_subset,
@@ -36,9 +39,11 @@ from leakbound.couplings import (
     ALL_PAIRS,
     ANCHOR_PAIRS,
     FOUR_WAY_CONDITION,
+    TAU_MAX2_CONDITION,
     N4Ingredients,
     Pair,
     complement_pair,
+    n4_mixture_weights,
 )
 from leakbound.errors import DEFAULT_MAX_STATES, CapacityError
 from leakbound.measures import ZERO, as_fraction, push_forward
@@ -586,3 +591,208 @@ def reference_joint_distribution(
         mass[tuple(assign[k] for k in decl_pos)] = weight
     alphabet = list(product(*(net.by_id[nid].alphabet for nid in non_source)))
     return Pmf(alphabet, mass)
+
+
+# The Fraction code of the mixture closed forms, their check and the
+# coupling penalty, which the integer parts replaced; kept as references.
+# A reference part is a tuple of groups (coordinates, ((y, q), ...)), q a
+# Fraction, the part's weight folded into its first group.
+
+
+def reference_mixture(components) -> tuple:
+    """The parts of components (weight, [(coordinates, factor, norm)]),
+    every quantity a Fraction, with the assembler's skip and sign rules."""
+    parts = []
+    for weight, groups in components:
+        if not weight:
+            continue
+        factors = [tuple((y, q) for y, q in factor.items() if q) for _, factor, _ in groups]
+        if not all(factors):
+            continue
+        scale = Q(weight)
+        for _, _, norm in groups:
+            scale /= norm
+        if scale < 0 or any(q < 0 for f in factors for _, q in f):
+            raise ConstructionError(f"negative mass in a component of weight {weight}")
+        if scale != 1:
+            factors[0] = tuple((y, scale * q) for y, q in factors[0])
+        parts.append(tuple((tuple(coords), f) for (coords, _, _), f in zip(groups, factors)))
+    return tuple(parts)
+
+
+def reference_mass(parts, arity: int) -> dict:
+    """Every tuple the reference parts put mass on, masses added up."""
+    mass = {}
+    for part in parts:
+        owner = {c: g for g, (coords, _) in enumerate(part) for c in coords}
+        for combo in product(*(entries for _, entries in part)):
+            q = Q(1)
+            for _, f in combo:
+                q *= f
+            tup = tuple(combo[owner[c]][0] for c in range(arity))
+            mass[tup] = mass.get(tup, ZERO) + q
+    return mass
+
+
+def reference_pair_mixture(p: Pmf, q: Pmf) -> tuple:
+    alphabet = DiscreteChannel((p, q)).output_alphabet
+    overlap = {y: min(p[y], q[y]) for y in alphabet}
+    rest = 1 - sum(overlap.values(), ZERO)
+    left = {y: p[y] - overlap[y] for y in alphabet if p[y] > overlap[y]}
+    right = {y: q[y] - overlap[y] for y in alphabet if q[y] > overlap[y]}
+    return reference_mixture([
+        (1, [((0, 1), overlap, 1)]),
+        (rest, [((0,), left, rest), ((1,), right, rest)]),
+    ])
+
+
+def reference_three_way_mixture(p1: Pmf, p2: Pmf, p3: Pmf) -> tuple:
+    channel = DiscreteChannel((p1, p2, p3))
+    floor, s12, s02, t01, t23, r0, r1 = ({} for _ in range(7))
+    for y in channel.output_alphabet:
+        a, b, c = channel.column(y)
+        floor[y] = min(a, b, c)
+        s12[y] = min(b, c) - floor[y]
+        s02[y] = min(a, c) - floor[y]
+        for part, value in (
+            (t01, min(a, b) - c), (t23, c - max(a, b)),
+            (r0, a - max(b, c)), (r1, b - max(a, c)),
+        ):
+            if value > 0:
+                part[y] = value
+    n01, n23 = sum(t01.values(), ZERO), sum(t23.values(), ZERO)
+    if n23 < n01:
+        raise PreconditionError(TAU_MAX2_CONDITION, 1 + n01 - n23)
+    norm0, norm1 = sum(r0.values(), ZERO), sum(r1.values(), ZERO)
+    return reference_mixture([
+        (1, [((0, 1, 2), floor, 1)]),
+        (1, [((1, 2), s12, 1), ((0,), r0, norm0)]),
+        (1, [((0, 2), s02, 1), ((1,), r1, norm1)]),
+        (n23 - n01, [((2,), t23, n23), ((0,), r0, norm0), ((1,), r1, norm1)]),
+        (n01, [((0, 1), t01, n01), ((2,), t23, n23)]),
+    ])
+
+
+def reference_n4_mixture(ing: N4Ingredients) -> tuple:
+    weights = n4_mixture_weights(ing)
+
+    def free(i):
+        return ((i,), ing.r_num[i], ing.r_norm[i])
+
+    def tied(pair):
+        return (pair, ing.t[pair], ing.n[pair])
+
+    components = [(ing.tau, [((0, 1, 2, 3), ing.p_min, ing.tau)])]
+    for i in range(4):
+        trio = tuple(j for j in range(4) if j != i)
+        w_trio = ing.tau_by_subset[frozenset(trio)] - ing.tau
+        components.append((w_trio, [(trio, ing.s_trio[frozenset(trio)], w_trio), free(i)]))
+    for pair in ALL_PAIRS:
+        i, j = sorted(complement_pair(pair))
+        components.append((weights.beta[pair], [tied(pair), free(i), free(j)]))
+    for pair in ANCHOR_PAIRS:
+        components.append((weights.alpha[pair], [tied(pair), tied(complement_pair(pair))]))
+    components.append((weights.independent, [free(i) for i in range(4)]))
+    return reference_mixture(components)
+
+
+def reference_check_mixture(marginals, parts) -> None:
+    """The closed-form check of a minimal pinned Y-coupling, on Fractions."""
+    got = [{} for _ in marginals]
+    diagonal, union = {}, ZERO
+    for part in parts:
+        seen, totals = set(), []
+        for _, entries in part:
+            symbols = {y for y, _ in entries}
+            if seen & symbols:
+                raise ConstructionError(f"part with overlapping group supports at {seen & symbols}")
+            seen |= symbols
+            totals.append(sum((q for _, q in entries), ZERO))
+        union += len(part) * prod(totals)
+        for g, (coords, entries) in enumerate(part):
+            others = prod(totals[:g] + totals[g + 1:])
+            for y, q in entries:
+                for i in coords:
+                    got[i][y] = got[i].get(y, ZERO) + q * others
+                if len(part) == 1:
+                    diagonal[y] = diagonal.get(y, ZERO) + q
+    for i, p in enumerate(marginals):
+        if got[i] != p.mass:
+            raise ConstructionError(f"ingredient marginal {i} is {got[i]}, declared {p.mass}")
+    target = tau_max(DiscreteChannel(marginals))
+    if union != target:
+        raise ConstructionError(f"ingredient coupling union mass {union} != tau_max {target}")
+    for y in marginals[0].alphabet:
+        tied, floor = diagonal.get(y, ZERO), min(p[y] for p in marginals)
+        if tied != floor:
+            raise ConstructionError(f"ingredient diagonal at {y!r} is {tied}, needs {floor}")
+
+
+def reference_minimal_y_coupling(y_pmfs, max_variables=DEFAULT_MAX_STATES, verdict=None) -> tuple:
+    """The reference parts of a minimal pinned Y-coupling, checked."""
+    y_pmfs = tuple(y_pmfs)
+    m = len(y_pmfs)
+    if m >= 4 and verdict is None:
+        verdict = coupling_feasibility(y_pmfs)
+    ingredients = verdict and verdict.ingredients
+    if ingredients is not None and ingredients.pmfs != y_pmfs:
+        raise LeakboundError("the verdict was decided on other marginals")
+    if verdict is not None and not verdict.ok:
+        raise PreconditionError(verdict.label, verdict.value)
+    if m == 2:
+        parts = reference_pair_mixture(*y_pmfs)
+    elif m == 3:
+        parts = reference_three_way_mixture(*y_pmfs)
+    elif m == 4:
+        parts = reference_n4_mixture(verdict.ingredients)
+    else:
+        mass = (
+            {(y,): q for y, q in y_pmfs[0].mass.items()} if m == 1
+            else min_union_coupling_diag(y_pmfs, max_variables=max_variables).witness.mass
+        )
+        parts = tuple(
+            tuple(
+                (tuple(i for i, s in enumerate(t) if s == y), ((y, q if k == 0 else Q(1)),))
+                for k, y in enumerate(dict.fromkeys(t))
+            )
+            for t, q in mass.items()
+        )
+    reference_check_mixture(y_pmfs, parts)
+    return parts
+
+
+def reference_coupling_penalty(sources, max_variables=DEFAULT_MAX_STATES, verdict=None) -> Q:
+    """f of the simultaneous coupling read off its G2/G3 parts, every
+    residual r_i(x | y) a Fraction."""
+    sources = tuple(sources)
+    channel = DiscreteChannel(sources)
+    y_alphabet = sources[0].y_alphabet
+    y_marginals = [s.y_marginal() for s in sources]
+    y_parts = reference_minimal_y_coupling(y_marginals, max_variables, verdict)
+
+    p_min = {cell: min(channel.column(cell)) for cell in sources[0].mass}
+    p_ymin = {y: min(p[y] for p in y_marginals) for y in y_alphabet}
+    floor = push_forward(p_min, itemgetter(1))
+    residual = []
+    for s, p in zip(sources, y_marginals):
+        rest = {y: q - floor.get(y, ZERO) for y, q in p.mass.items()}
+        lists = {y: {} for y in y_alphabet}
+        for (x, y), q in s.mass.items():
+            if d := q - p_min.get((x, y), ZERO):
+                lists[y][x] = d / rest[y]
+        residual.append(lists)
+    tied = tuple((y, w) for y in y_alphabet if (w := p_ymin[y] - floor.get(y, ZERO)))
+    parts = [part for part in y_parts if len(part) > 1]
+    parts.append(((tuple(range(len(sources))), tied),))
+
+    f = sum(p_min.values(), ZERO)
+    for part in parts:
+        for x in sources[0].x_alphabet:
+            term = len(part)
+            for coords, entries in part:
+                term *= sum((
+                    q * prod(residual[i][y].get(x, ZERO) for i in coords)
+                    for y, q in entries
+                ), ZERO)
+            f += term
+    return f

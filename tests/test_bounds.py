@@ -292,7 +292,7 @@ class TestPenaltyWork:
             (simultaneous, "coupling_feasibility"),
             (simultaneous, "build_simultaneous_coupling"),
             (simultaneous, "n4_mixture"),
-            (simultaneous, "three_way_mixture"),
+            (simultaneous, "_three_way_parts"),
         ]:
             self.count(monkeypatch, module, name, counts)
         report = query_report(net, targets)
@@ -304,7 +304,7 @@ class TestPenaltyWork:
             assert counts["n4_ingredients"] == counts["n4_mixture"] == steps
         else:
             assert counts["n4_ingredients"] == 0
-            assert counts["three_way_mixture"] == steps
+            assert counts["_three_way_parts"] == steps
 
     def test_inference_calls_per_peel_step(self, monkeypatch):
         # One composite_channel call for the exact value and one per V-side;

@@ -634,3 +634,45 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "LP optimum  = 2/1" in proc.stdout
+
+
+class TestUsageErrors:
+    """A usage error exits 1 with argparse's message on stderr; exit 2 is
+    left to capacity refusals, and ``-h`` still exits 0."""
+
+    CHAIN = FIXTURES / "chain.json"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bound", CHAIN), "the following arguments are required: --targets"),
+        (("bound", CHAIN, "--targets", "Y1,Y2", "--method", "best"),
+         "argument --method: invalid choice: 'best'"),
+        (("bound", CHAIN, "--targets", "Y1,Y2", "--max-states", "abc"),
+         "argument --max-states: invalid positive_int value: 'abc'"),
+        (("bound", CHAIN, "--targets", "Y1,Y2", "--max-states", "0"),
+         "argument --max-states: must be at least 1, got 0"),
+        (("sweep", CHAIN, "--param", "d", "--range", "0:1:1/2", "--targets", "Y2",
+          "--max-states", "-5"), "argument --max-states: must be at least 1, got -5"),
+        (("couple", FIXTURES / "pmfs_n4.json", "--mode", "n3"),
+         "argument --mode: invalid choice: 'n3'"),
+        (("frobnicate",), "argument command: invalid choice: 'frobnicate'"),
+        ((), "the following arguments are required: command"),
+    ], ids=["missing-targets", "bad-method", "max-states-abc", "max-states-0",
+            "max-states-negative", "bad-mode", "bad-command", "no-command"])
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: leakbound")
+        assert f": error: {message}" in err.splitlines()[-1]
+
+    def test_smallest_budget_is_accepted(self, capsys):
+        # --max-states 1 is a valid budget: the query is refused for
+        # capacity (exit 2), not as a usage error.
+        code, _, err = run(capsys, "bound", self.CHAIN, "--targets", "Y1,Y2",
+                           "--max-states", "1")
+        assert code == 2 and err.startswith("capacity:")
+
+    @pytest.mark.parametrize("argv", [("-h",), ("bound", "-h")])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: leakbound")

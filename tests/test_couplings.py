@@ -13,8 +13,13 @@ from helpers import (
     rand_family_tau_max2_le1,
     rand_pmf,
     reference_intersection_violations,
+    reference_mass,
+    reference_mixture,
     reference_n4_ingredients,
+    reference_n4_mixture,
     reference_n4_mixture_weights,
+    reference_pair_mixture,
+    reference_three_way_mixture,
     three_way_by_duplication,
 )
 from hypothesis import given, settings
@@ -48,11 +53,15 @@ from leakbound import (
 from leakbound import couplings, measures
 from leakbound.couplings import (
     ANCHOR_PAIRS,
+    Mixture,
     FOUR_WAY_CONDITION,
     _mixture,
     complement_pair,
     intersection_violations,
+    n4_mixture,
     n4_mixture_weights,
+    pair_mixture,
+    three_way_mixture,
 )
 
 
@@ -105,19 +114,20 @@ class TestCouplingType:
 
 
 class TestMixtureAssembler:
-    """The assembly rules every closed form goes through."""
+    """The assembly rules every closed form goes through: weights, factor
+    entries and norms are integer numerators over one denominator."""
 
-    HALF = {"0": Q(1, 2), "1": Q(1, 2)}
-    PRODUCT = (1, [((0,), HALF, 1), ((1,), HALF, 1)])
+    HALF = {"0": 1, "1": 1}
+    PRODUCT = (2, [((0,), HALF, 2), ((1,), HALF, 2)])
 
     def assemble(self, *components):
         uniform = pmf(["1/2", "1/2"])
-        return _mixture([uniform, uniform], components).coupling()
+        return Mixture((uniform, uniform), _mixture(components, 2)).coupling()
 
     @pytest.mark.parametrize("skipped", [
-        (0, [((0, 1), {"0": Q(1)}, 0)]),
-        (Q(1, 2), [((0,), {}, 0), ((1,), {"0": Q(1)}, 1)]),
-        (Q(1, 2), [((0, 1), {"0": Q(0), "1": Q(0)}, 0)]),
+        (0, [((0, 1), {"0": 2}, 0)]),
+        (1, [((0,), {}, 0), ((1,), {"0": 2}, 2)]),
+        (1, [((0, 1), {"0": 0, "1": 0}, 0)]),
     ], ids=["zero-weight", "empty-factor", "all-zero-factor"])
     def test_skipped_component_adds_nothing(self, skipped):
         # Each skipped component has a zero norm: dividing by it would
@@ -126,13 +136,13 @@ class TestMixtureAssembler:
         assert got.mass == independent_coupling([pmf(["1/2", "1/2"])] * 2).mass
 
     def test_masses_on_one_tuple_add_up(self):
-        quarter = (Q(1, 2), [((0,), self.HALF, 1), ((1,), self.HALF, 1)])
+        quarter = (1, [((0,), self.HALF, 2), ((1,), self.HALF, 2)])
         assert self.assemble(quarter, quarter).mass == self.assemble(self.PRODUCT).mass
 
     def test_negative_factor_entry_raises(self):
-        bent = {"0": Q(-1, 4), "1": Q(5, 4)}
+        bent = {"0": -1, "1": 5}
         with pytest.raises(ConstructionError, match="negative mass"):
-            self.assemble((1, [((0, 1), bent, 1)]))
+            self.assemble((2, [((0, 1), bent, 4)]))
 
 
 class TestUnionMass:
@@ -586,3 +596,89 @@ class TestIntersectionProperty:
                 if len({t[i] for i in subset}) == 1
             )
             assert total == tau_subset(ch, subset)
+
+
+@st.composite
+def closed_form_families(draw):
+    """m = 2, 3 or 4 PMFs on 1-4 symbols of one kind: small weights (zero
+    entries and ties), rows pulled toward a shared row (so the three- and
+    four-way conditions often hold), disjoint supports, or masses over
+    denominators up to 10**6 with the rest of the row on its last support
+    symbol."""
+    m, size = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["small", "pulled", "disjoint", "coprime"]))
+    symbols = alphabet(size)
+    weight = st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=size, max_size=size)
+    base = draw(weight.filter(any))
+    rows = []
+    for i in range(m):
+        if kind == "coprime":
+            support = draw(st.lists(st.sampled_from(symbols), min_size=1, unique=True))
+            masses = []
+            for _ in support[1:]:
+                den = draw(st.integers(1, 10**6))
+                masses.append(Q(draw(st.integers(0, den // len(support))), den))
+            masses.append(1 - sum(masses, Q(0)))
+            rows.append(Pmf(symbols, dict(zip(support, masses))))
+            continue
+        own = draw(weight)
+        if kind == "pulled":
+            own = [6 * b + o for b, o in zip(base, own)]
+        elif kind == "disjoint":
+            own = [o if k % m == i else 0 for k, o in enumerate(own)]
+        own = own if any(own) else base
+        rows.append(Pmf.from_values([Q(w, sum(own)) for w in own], symbols))
+    return rows
+
+
+def listed_or_refused(build, m):
+    """The masses a mixture lists, or the type, message and value of its
+    refusal."""
+    try:
+        built = build()
+    except LeakboundError as err:
+        return type(err).__name__, str(err), getattr(err, "value", None)
+    return built.coupling().mass if isinstance(built, Mixture) else reference_mass(built, m)
+
+
+class TestMixturesAgainstReference:
+    """Each closed form's integer parts list the masses, or raise the
+    refusal, of its ``Fraction`` reference (``helpers.reference_*``)."""
+
+    FORMS = {
+        2: (lambda fam: pair_mixture(*fam), lambda fam: reference_pair_mixture(*fam)),
+        3: (lambda fam: three_way_mixture(*fam), lambda fam: reference_three_way_mixture(*fam)),
+        4: (lambda fam: n4_mixture(n4_ingredients(fam)),
+            lambda fam: reference_n4_mixture(n4_ingredients(fam))),
+    }
+
+    def compare(self, fam):
+        form, reference = self.FORMS[len(fam)]
+        want = listed_or_refused(lambda: reference(fam), len(fam))
+        assert listed_or_refused(lambda: form(fam), len(fam)) == want
+        return want
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(closed_form_families())
+    def test_property_families(self, fam):
+        self.compare(fam)
+
+    def test_seeded_builds_and_refusals(self):
+        rng = random.Random(66)
+        seen = Counter()
+        for m in (2, 3, 4):
+            for _ in range(20):
+                for fam in (rand_family(rng, m, rng.randint(2, 4)),
+                            rand_family_tau_max2_le1(rng, m, rng.randint(3, 4))):
+                    built = isinstance(self.compare(fam), dict)
+                    seen[m, built] += 1
+        assert seen[2, True] and seen[3, True] and seen[4, True]
+        assert seen[3, False] and seen[4, False]
+        assert self.compare(FAILING_FAMILY)[0] == "PreconditionError"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(closed_form_families())
+    def test_independent_coupling(self, fam):
+        groups = [((i,), dict(p.items()), 1) for i, p in enumerate(fam)]
+        want = reference_mass(reference_mixture([(1, groups)]), len(fam))
+        assert independent_coupling(fam).mass == want

@@ -1,9 +1,11 @@
 """Simultaneous couplings: joint preservation and minimal Y-union."""
 
 import dataclasses
+import fractions
 import itertools
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as Q
 from math import prod
@@ -16,6 +18,10 @@ from helpers import (
     rand_family_tau_max2_le1,
     rand_net,
     rand_partition,
+    reference_check_mixture,
+    reference_coupling_penalty,
+    reference_mass,
+    reference_minimal_y_coupling,
     reference_residuals,
 )
 from hypothesis import given, settings
@@ -430,7 +436,7 @@ class TestSupportCountedFirst:
         rng = random.Random(58)
         fam = rand_family_tau_max2_le1(rng, 3, 3)
         sources = tuple(sources_with_y_family(rng, fam, 3))
-        table = simultaneous._mixture_table(sources, ROOMY)
+        table = simultaneous._mixture_table(DiscreteChannel(sources), ROOMY)
         listed, built = Counter(), Counter()
         original_list, original_coupling = simultaneous._list_part, Mixture.coupling
 
@@ -439,14 +445,14 @@ class TestSupportCountedFirst:
             return original_list(part, arity)
 
         def coupling(mixture):
-            built[mixture] += 1
+            built[mixture.parts] += 1
             return original_coupling(mixture)
 
         monkeypatch.setattr(simultaneous, "_list_part", list_part)
         monkeypatch.setattr(Mixture, "coupling", coupling)
         coupling_built = build_simultaneous_coupling(sources, max_states=ROOMY)
         assert listed == Counter(table.parts)
-        assert built == Counter([table.y_mixture])
+        assert built == Counter([table.y_parts])
         assert f_quantity(coupling_built) == coupling_penalty(sources, ROOMY)
 
 
@@ -608,7 +614,31 @@ class TestCheckMixture:
 
     @staticmethod
     def tuple_mixture(marginals, mass):
-        return Mixture(tuple(marginals), tuple(_tuple_part(t, q) for t, q in mass.items()))
+        parts = tuple(_tuple_part(t, q.numerator, q.denominator) for t, q in mass.items())
+        return Mixture(tuple(marginals), parts)
+
+    @staticmethod
+    def check(mixture):
+        """``_check_mixture`` on the mixture's parts; it passes or refuses
+        with the message of ``helpers.reference_check_mixture``, which
+        checks the parts with the part's denominator folded into its first
+        group, on Fractions."""
+        view = DiscreteChannel(mixture.marginals)._integer_view()
+        folded = tuple(
+            tuple(
+                (coords, tuple((y, Q(e, den) if g == 0 else Q(e)) for y, e in entries))
+                for g, (coords, entries) in enumerate(groups)
+            )
+            for den, groups in mixture.parts
+        )
+        try:
+            reference_check_mixture(mixture.marginals, folded)
+        except ConstructionError as err:
+            with pytest.raises(ConstructionError) as got:
+                _check_mixture(mixture.parts, view, mixture.marginals[0].alphabet)
+            assert str(got.value) == str(err)
+            raise
+        _check_mixture(mixture.parts, view, mixture.marginals[0].alphabet)
 
     def test_closed_forms_pass(self):
         # The parts count the support exactly: each part has its own tie
@@ -617,8 +647,8 @@ class TestCheckMixture:
         for m, size in ((2, 3), (3, 3), (4, 3), (4, 4), (5, 5)):
             fam = rand_family_tau_max2_le1(rng, m, size)
             mixture = minimal_y_coupling(fam)
-            _check_mixture(mixture)
-            size = sum(prod(len(entries) for _, entries in part) for part in mixture.parts)
+            self.check(mixture)
+            size = sum(prod(len(entries) for _, entries in groups) for _, groups in mixture.parts)
             assert size == len(mixture.coupling().mass)
 
     def test_moved_mass_raises(self):
@@ -631,16 +661,16 @@ class TestCheckMixture:
         mass[t1] += shift
         mass[t2] -= shift
         with pytest.raises(ConstructionError, match="marginal"):
-            _check_mixture(self.tuple_mixture(fam, mass))
+            self.check(self.tuple_mixture(fam, mass))
 
     def test_overlapping_groups_raise(self):
         # Two independent uniform coordinates have the right marginals,
         # but their groups share both symbols.
-        half = {"0": Q(1, 2), "1": Q(1, 2)}
-        uniform = Pmf("01", half)
-        mixture = _mixture([uniform, uniform], [(1, [((0,), half, 1), ((1,), half, 1)])])
+        uniform = Pmf("01", {"0": Q(1, 2), "1": Q(1, 2)})
+        half = {"0": 1, "1": 1}
+        parts = _mixture([(2, [((0,), half, 2), ((1,), half, 2)])], 2)
         with pytest.raises(ConstructionError, match="overlapping"):
-            _check_mixture(mixture)
+            self.check(Mixture((uniform, uniform), parts))
 
     def test_diagonal_off_the_floor_raises(self):
         # A minimal coupling of this family need not pin its diagonal: the
@@ -650,8 +680,8 @@ class TestCheckMixture:
         witness = min_union_coupling(fam).witness
         assert union_mass(witness) == tau_max(DiscreteChannel(fam))
         with pytest.raises(ConstructionError, match="diagonal at '0'"):
-            _check_mixture(self.tuple_mixture(fam, witness.mass))
-        _check_mixture(minimal_y_coupling(fam))
+            self.check(self.tuple_mixture(fam, witness.mass))
+        self.check(minimal_y_coupling(fam))
 
 
 class TestResidualsAgainstReference:
@@ -663,9 +693,16 @@ class TestResidualsAgainstReference:
         """The residuals, equal to the reference's; None if the Y-family
         is not couplable."""
         try:
-            residual = simultaneous._mixture_table(tuple(sources), ROOMY).residual
+            table = simultaneous._mixture_table(DiscreteChannel(sources), ROOMY)
         except PreconditionError:
             return None
+        residual = tuple(
+            {
+                y: {x: Q(d, table.rest[i][y]) for x, d in table.residual[i].get(y, {}).items()}
+                for y in sources[0].y_alphabet
+            }
+            for i in range(len(sources))
+        )
         assert residual == reference_residuals(sources)
         return residual
 
@@ -758,3 +795,195 @@ class TestValidateRefusals:
         with pytest.raises(ConstructionError) as err:
             dataclasses.replace(coupling, y_coupling=other).validate()
         assert str(err.value) == "Y-projection differs from ingredient coupling"
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type, message and value of its refusal."""
+    try:
+        return fn(*args)
+    except LeakboundError as err:
+        return type(err).__name__, str(err), getattr(err, "value", None)
+
+
+KINDS = ("small", "pulled", "disjoint", "floor", "coprime")
+
+
+def rand_penalty_joints(rng, m, kind):
+    """m joints P_{X,Y} of one kind: "small" weights (zero cells, ties),
+    "pulled" toward a shared joint, "disjoint" cell supports, "floor" (source
+    0 at the cellwise minimum on the whole column "a", so its rest_0("a")
+    is 0), or "coprime" masses over denominators up to 10**6. Alphabets
+    stay small at m = 5, where the Y-coupling is the LP's witness."""
+    xs = tuple(str(i) for i in range(rng.randint(1, 3 if m <= 3 else 2)))
+    ys = tuple("abcd"[: rng.randint(1, 4 if m <= 3 else 3 if m == 4 else 2)])
+    cells = list(itertools.product(xs, ys))
+
+    def weights(k):
+        while not any(w := [rng.choice((0, 0, 1, 2, 3)) for _ in range(k)]):
+            pass
+        return w
+
+    if kind == "floor":
+        shape, floor = weights(len(xs)), Q(rng.randint(1, 5), 6) if len(ys) > 1 else Q(1)
+        sources = []
+        for i in range(m):
+            share = floor if i == 0 else floor + (1 - floor) * Q(rng.randint(0, 4), 4)
+            mass = {(x, "a"): share * Q(w, sum(shape)) for x, w in zip(xs, shape)}
+            rest = [(x, y) for x in xs for y in ys[1:]]
+            if share < 1:
+                own = weights(len(rest))
+                mass.update((cell, (1 - share) * Q(w, sum(own))) for cell, w in zip(rest, own))
+            sources.append(JointPmf(xs, ys, mass))
+        return sources
+    base = weights(len(cells))
+    sources = []
+    for i in range(m):
+        if kind == "coprime":
+            support = rng.sample(cells, rng.randint(1, len(cells)))
+            masses = []
+            for _ in support[1:]:
+                den = rng.randint(1, 10**6)
+                masses.append(Q(rng.randint(0, den // len(support)), den))
+            masses.append(1 - sum(masses, Q(0)))
+            sources.append(JointPmf(xs, ys, dict(zip(support, masses))))
+            continue
+        own = weights(len(cells))
+        if kind == "pulled":
+            row = [12 * b + o for b, o in zip(base, own)]
+        elif kind == "disjoint":
+            row = [o if k % m == i else 0 for k, o in enumerate(own)]
+        else:
+            row = own
+        row = row if any(row) else base
+        sources.append(JointPmf(xs, ys, {c: Q(w, sum(row)) for c, w in zip(cells, row)}))
+    return sources
+
+
+@st.composite
+def penalty_joints(draw):
+    m, kind, seed = draw(st.integers(1, 5)), draw(st.sampled_from(KINDS)), draw(st.integers(0))
+    return rand_penalty_joints(random.Random(seed), m, kind)
+
+
+class TestPenaltyAgainstReference:
+    """The integer penalty and Y-couplings against the ``Fraction`` code
+    they replaced (``helpers.reference_*``), with exact equality."""
+
+    @staticmethod
+    def compare(sources):
+        """Asserts that the penalty, or its refusal, is the reference's from
+        the joints, from their channel and with the walk's verdict, and is
+        f of the built coupling; returns the reference outcome."""
+        want = outcome(reference_coupling_penalty, sources)
+        assert outcome(coupling_penalty, sources) == want
+        joints = DiscreteChannel(sources)
+        assert outcome(coupling_penalty, joints) == want
+        if isinstance(want, Q):
+            verdict = coupling_feasibility([s.y_marginal() for s in sources])
+            assert coupling_penalty(joints, ROOMY, verdict) == want
+            if len(sources) >= 2:
+                assert built_penalty(sources) == want
+        return want
+
+    @staticmethod
+    def compare_y_couplings(y_pmfs):
+        """``minimal_y_coupling`` lists the reference's masses, or refuses
+        alike."""
+        m = len(y_pmfs)
+        want = outcome(lambda: reference_mass(reference_minimal_y_coupling(y_pmfs), m))
+        assert outcome(lambda: minimal_y_coupling(y_pmfs).coupling().mass) == want
+        return want
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(penalty_joints())
+    def test_property_joints(self, sources):
+        self.compare(sources)
+        self.compare_y_couplings([s.y_marginal() for s in sources])
+
+    def test_every_kind(self):
+        # Each kind at every m, with the features it is meant to have.
+        rng = random.Random(64)
+        seen = Counter()
+        for m in range(1, 6):
+            for kind in KINDS:
+                for _ in range(6 if m < 5 else 2):
+                    sources = rand_penalty_joints(rng, m, kind)
+                    want = self.compare(sources)
+                    self.compare_y_couplings([s.y_marginal() for s in sources])
+                    if not isinstance(want, Q):
+                        seen["refused", m] += 1
+                        continue
+                    seen["built", m] += 1
+                    table = simultaneous._mixture_table(DiscreteChannel(sources), ROOMY)
+                    seen["zero rest"] += any(
+                        rest[y] == 0 and table.y_view[1][y][i]
+                        for i, rest in enumerate(table.rest) for y in rest
+                    )
+                    seen["disjoint"] += m > 1 and not table.p_min
+                    seen["coprime"] += table.den > 10**6
+        for m in range(1, 6):
+            assert seen["built", m]
+        for m in (3, 4, 5):
+            assert seen["refused", m]
+        assert seen["zero rest"] and seen["disjoint"] and seen["coprime"]
+
+    def test_wide_fixture(self):
+        text = (WIDE_FIXTURES / "wide_v4_joints.json").read_text(encoding="utf-8")
+        sources = parse_pmf_file(text)
+        assert coupling_penalty(sources) == reference_coupling_penalty(sources)
+
+    @pytest.mark.parametrize("case", ["three-way", "four-way", "other marginals", "m >= 5"])
+    def test_refusals(self, case):
+        rng = random.Random(65)
+        verdict = None
+        if case == "three-way":
+            fam = rand_family_tau_max2_gt1(rng, 3, 3)
+        elif case == "four-way":
+            fam = FAILING_FAMILY
+        elif case == "other marginals":
+            fam = rand_family_tau_max2_le1(rng, 4, 3)
+            verdict = coupling_feasibility(rand_family_tau_max2_le1(rng, 4, 3))
+        else:
+            fam = rand_family_tau_max2_gt1(rng, 5, 2)
+        want = outcome(reference_minimal_y_coupling, fam, ROOMY, verdict)
+        assert want[0] in ("PreconditionError", "LeakboundError")
+        assert outcome(minimal_y_coupling, fam, ROOMY, verdict) == want
+        sources = sources_with_y_family(rng, fam)
+        assert outcome(coupling_penalty, sources, ROOMY, verdict) == want
+        assert outcome(reference_coupling_penalty, sources, ROOMY, verdict) == want
+
+
+FRACTION_READS = {"__new__", "numerator", "denominator"}
+
+
+@pytest.mark.parametrize("name, v_set, u", [
+    ("diamond.json", ["X"], "Y3"),
+    ("diamond.json", ["Y1", "Y2"], "Y3"),
+    ("coprime3.json", ["X"], "Y3"),
+    ("coprime3.json", ["X", "Y1"], "Y3"),
+    ("coprime3.json", ["Y1"], "Y3"),
+])
+def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u):
+    # At |X| = 2 and 3 the penalty reads the joints' integer view, takes
+    # the pair or three-way Y-coupling, checks it and sums f on integers;
+    # a Fraction is built only for f. With the source in V, the X-copies
+    # never agree on a cell, so f is all G2/G3 mass and exceeds the
+    # Doeblin coefficient, 0.
+    net = parse_network((WIDE_FIXTURES / name).read_text())
+    checked = [bounds._checked_step(net, v_set, u, (), ROOMY)]
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            if frame.f_code.co_name not in FRACTION_READS:
+                calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        (step,) = bounds._with_penalty("coupling", checked, ROOMY)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    joints = checked[0].joints
+    assert step.penalty == reference_coupling_penalty(joints.rows)
+    assert step.penalty > doeblin(joints) if "X" in v_set else step.penalty >= doeblin(joints)
