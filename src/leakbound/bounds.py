@@ -122,6 +122,8 @@ def _checked_step(
     v_set = list(v_set)
     if not v_set:
         raise LeakboundError("V must be non-empty")
+    if u not in net.by_id:
+        raise LeakboundError(f"unknown target node {u!r}")
     _check_order(net, v_set, u)
     u_cpt = net.cpt(u)
     tmu = tau_max(u_cpt)
@@ -312,9 +314,9 @@ def query_report(
     Doeblin penalty. Once the walk has passed, the coupling penalty can
     fail only on the LP's variable limit (five or more source values).
     """
-    exact = exact_tau_max(net, targets, max_states=max_states)
     if method not in ("recursive", "coupling", "doeblin"):
         raise LeakboundError(f"unknown method {method!r}")
+    exact = exact_tau_max(net, targets, max_states=max_states)
     values: dict[str, Fraction] = {}
     log: list[tuple[str, str, bool]] = []
     trace: tuple[PeelStep, ...] = ()

@@ -46,6 +46,7 @@ from .measures import (
     log_fraction,
     measure_set,
     tau_max,
+    tau_max2,
 )
 from .simultaneous import build_simultaneous_coupling, f_quantity, y_union_mass
 
@@ -279,7 +280,7 @@ def cmd_couple(args) -> int:
         print(f"condition slack = {format_fraction(ing.condition_slack())}"
               f" [{'holds' if holds else 'fails'}]")
         if not holds:
-            print(f"tau_max2 = {format_fraction(ing.tau_max2)}; no construction")
+            print(f"tau_max2 = {format_fraction(tau_max2(channel))}; no construction")
             return EXIT_INVALID
         mixture = n4_mixture(ing)
         size = sum(prod(len(entries) for _, entries in groups) for _, groups in mixture.parts)

@@ -11,14 +11,14 @@ refused. The resulting ``Mixture`` lists its tuples only in
 (``simultaneous.coupling_penalty``).
 
 The mixtures are built on integers. Every weight, factor entry and norm
-is a numerator over one common denominator: the marginals' integer view
-(``DiscreteChannel._integer_view``) for the pair and three-way forms,
-whose ``_pair_parts`` and ``_three_way_parts`` take that view directly,
-and the LCM of the four-way ingredients for ``n4_mixture``
-(``n4_ingredients`` and the mixture weights stay on ``Fraction``). A
-part is ``(den, groups)``, its integer entries over its own denominator,
-so a ``Fraction`` is built only when ``Mixture.coupling`` lists a tuple.
-Besides the product
+is a numerator over the common denominator of the marginals' integer
+view (``DiscreteChannel._integer_view``): ``_pair_parts`` and
+``_three_way_parts`` take that view directly, and ``n4_ingredients``
+reads it into the ``N4Ingredients`` and ``MixtureWeights`` that
+``n4_mixture`` takes. A part is ``(den, groups)``, its integer entries
+over its own denominator, so a ``Fraction`` is built only for a
+message, for ``N4Ingredients.condition_slack`` and when
+``Mixture.coupling`` lists a tuple. Besides the product
 ``independent_coupling`` (a baseline), the closed forms, each named with
 the function of its parts, are the three below. In each, the groups of
 one component have pairwise disjoint factor supports (T_p > 0 needs both
@@ -69,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -355,11 +355,14 @@ class N4Ingredients:
     """Every scalar and per-symbol quantity the four-PMF mixture needs,
     from one pass over the columns, each ranked once.
 
-    ``tau_by_subset`` maps each row subset of size >= 2 to tau_I, the sum
-    of the entries of its lowest-ranked row. ``r_num[i]`` is the
-    unnormalized residual of row i (top entry minus second, where row i is
-    the strict column maximum) and ``r_norm[i]`` its total, computed by the
-    symmetric inclusion-exclusion pattern, which must equal sum r_num[i]:
+    Every quantity is an integer numerator over ``den``, the denominator
+    of the integer ``columns`` it was read from (the marginals'
+    ``DiscreteChannel._integer_view``). ``tau_by_subset`` maps each row
+    subset of size >= 2 to tau_I, the sum of the entries of its
+    lowest-ranked row. ``r_num[i]`` is the unnormalized residual of row i
+    (top entry minus second, where row i is the strict column maximum)
+    and ``r_norm[i]`` its total, computed by the symmetric
+    inclusion-exclusion pattern, which must equal sum r_num[i]:
 
         N_Ri = 1 - sum_{j != i} tau_ij + sum_{j<k != i} tau_ijk - tau.
 
@@ -368,35 +371,32 @@ class N4Ingredients:
     (equivalently max{0, min(P_i,P_j) - max(P_k,P_l)}), with total N_ij.
     A column whose four terms cancel pairwise is skipped. ``s_trio[I]``
     is S_I = min_{i in I} P_i - P_min on each triple I, its nonzero
-    entries, with total tau_I - tau.
+    entries, with total tau_I - tau. Each map runs in alphabet order over
+    the union of the rows' supports, the only columns that add to a sum.
     """
 
     pmfs: tuple[Pmf, Pmf, Pmf, Pmf]
-    tau: Fraction
-    tau_max: Fraction
-    tau_max2: Fraction
-    tau_by_subset: Mapping[frozenset, Fraction]
-    p_min: Mapping[Symbol, Fraction]
-    r_num: tuple[Mapping[Symbol, Fraction], ...]
-    r_norm: tuple[Fraction, Fraction, Fraction, Fraction]
-    t: Mapping[Pair, Mapping[Symbol, Fraction]]
-    n: Mapping[Pair, Fraction]
-    s_trio: Mapping[frozenset, Mapping[Symbol, Fraction]]
+    den: int
+    columns: Mapping[Symbol, tuple[int, int, int, int]]
+    tau: int
+    tau_max: int
+    tau_max2: int
+    tau_by_subset: Mapping[frozenset, int]
+    p_min: Mapping[Symbol, int]
+    r_num: tuple[Mapping[Symbol, int], ...]
+    r_norm: tuple[int, int, int, int]
+    t: Mapping[Pair, Mapping[Symbol, int]]
+    n: Mapping[Pair, int]
+    s_trio: Mapping[frozenset, Mapping[Symbol, int]]
 
-    @property
-    def alphabet(self):
-        return self.pmfs[0].alphabet
+    def _slack(self) -> int:
+        cap = sum(min(self.n[p], self.n[complement_pair(p)]) for p in ANCHOR_PAIRS)
+        return cap - (self.tau_max2 - self.den)
 
     def condition_slack(self) -> Fraction:
-        """min{N01,N23} + min{N02,N13} + min{N03,N12} - (tau_max2 - 1).
-
-        The mixture exists iff this is >= 0.
-        """
-        cap = sum(
-            (min(self.n[p], self.n[complement_pair(p)]) for p in ANCHOR_PAIRS),
-            ZERO,
-        )
-        return cap - (self.tau_max2 - 1)
+        """min{N01,N23} + min{N02,N13} + min{N03,N12} - (tau_max2 - 1), >= 0
+        iff the mixture exists; ``_slack`` is its numerator over ``den``."""
+        return Fraction(self._slack(), self.den)
 
 
 def n4_ingredients(pmfs: Sequence[Pmf]) -> N4Ingredients:
@@ -404,22 +404,23 @@ def n4_ingredients(pmfs: Sequence[Pmf]) -> N4Ingredients:
     if len(pmfs) != 4:
         raise LeakboundError("the four-way construction needs exactly 4 PMFs")
     channel = DiscreteChannel(pmfs)
-    alphabet = channel.output_alphabet
+    den, columns = channel._integer_view()
 
-    sums = [ZERO] * len(SUBSETS)
-    top = second = ZERO
-    p_min: dict[Symbol, Fraction] = {}
-    r_num: tuple[dict[Symbol, Fraction], ...] = ({}, {}, {}, {})
-    t: dict[Pair, dict[Symbol, Fraction]] = {pair: {} for pair in ALL_PAIRS}
-    s_trio: dict[frozenset, dict[Symbol, Fraction]] = {trio: {} for trio in SUBSETS[TRIPLES]}
-    for y in alphabet:
-        col = channel.column(y)
+    sums = [0] * len(SUBSETS)
+    top = second = 0
+    p_min: dict[Symbol, int] = {}
+    r_num: tuple[dict[Symbol, int], ...] = ({}, {}, {}, {})
+    t: dict[Pair, dict[Symbol, int]] = {pair: {} for pair in ALL_PAIRS}
+    s_trio: dict[frozenset, dict[Symbol, int]] = {trio: {} for trio in SUBSETS[TRIPLES]}
+    for y in channel.output_alphabet:
+        col = columns.get(y)
+        if col is None:
+            continue  # a column outside every support adds 0 to each sum
         order = tuple(sorted(range(4), key=col.__getitem__))
         s = [col[i] for i in order]
         low = RANKED[order]
         for k, rank in enumerate(low):
-            if s[rank]:
-                sums[k] += s[rank]
+            sums[k] += s[rank]
         p_min[y] = s[0]
         top += s[3]
         second += s[2]
@@ -435,7 +436,7 @@ def n4_ingredients(pmfs: Sequence[Pmf]) -> N4Ingredients:
             val = s[a] - s[b] - s[c] + s[0]
             if val < 0:
                 i, j = sorted(pair)
-                raise ConstructionError(f"pair residual T_{i}{j}({y!r}) = {val} < 0")
+                raise ConstructionError(f"pair residual T_{i}{j}({y!r}) = {Fraction(val, den)} < 0")
             if val:
                 t[pair][y] = val
     tau_by_subset = dict(zip(SUBSETS, sums))
@@ -443,42 +444,43 @@ def n4_ingredients(pmfs: Sequence[Pmf]) -> N4Ingredients:
 
     # N_Ri = 1 - sum over the subsets I holding i of (-1)^|I| tau_I.
     r_norm = tuple(
-        1 - sum(((-1) ** len(I) * tau_by_subset[I] for I in SUBSETS if i in I), ZERO)
+        den - sum((-1) ** len(I) * tau_by_subset[I] for I in SUBSETS if i in I)
         for i in range(4)
     )
     for i, norm in enumerate(r_norm):
-        total = sum(r_num[i].values(), ZERO)
+        total = sum(r_num[i].values())
         if total != norm:
             raise ConstructionError(
                 f"residual normalizer mismatch for row {i}: "
-                f"sum of numerators {total} != {norm}"
+                f"sum of numerators {Fraction(total, den)} != {Fraction(norm, den)}"
             )
 
     return N4Ingredients(
-        pmfs=pmfs, tau=tau, tau_max=top, tau_max2=second, tau_by_subset=tau_by_subset,
-        p_min=p_min, r_num=r_num, r_norm=r_norm, t=t,
-        n={pair: sum(t[pair].values(), ZERO) for pair in ALL_PAIRS}, s_trio=s_trio,
+        pmfs=pmfs, den=den, columns=columns, tau=tau, tau_max=top, tau_max2=second,
+        tau_by_subset=tau_by_subset, p_min=p_min, r_num=r_num, r_norm=r_norm, t=t,
+        n={pair: sum(t[pair].values()) for pair in ALL_PAIRS}, s_trio=s_trio,
     )
 
 
 def n4_condition(pmfs: Sequence[Pmf]) -> tuple[bool, N4Ingredients]:
     """Evaluate the existence condition for the four-way mixture, exactly."""
     ing = n4_ingredients(pmfs)
-    return ing.condition_slack() >= 0, ing
+    return ing._slack() >= 0, ing
 
 
 @dataclass(frozen=True)
 class MixtureWeights:
-    """Weights of the four-way mixture.
+    """Weights of the four-way mixture, integer numerators over ``den``.
 
     ``alpha`` is keyed by the three anchored pairs {0,1}, {0,2}, {0,3};
     ``beta`` by all six pairs; ``independent`` is the weight of the
     all-residuals-independent component (positive only when tau_max2 < 1).
     """
 
-    alpha: Mapping[Pair, Fraction]
-    beta: Mapping[Pair, Fraction]
-    independent: Fraction
+    den: int
+    alpha: Mapping[Pair, int]
+    beta: Mapping[Pair, int]
+    independent: int
 
 
 def n4_mixture_weights(ing: N4Ingredients) -> MixtureWeights:
@@ -489,16 +491,16 @@ def n4_mixture_weights(ing: N4Ingredients) -> MixtureWeights:
     A negative slack raises ``PreconditionError``; otherwise the existence
     condition guarantees the caps absorb the whole budget.
     """
-    slack = ing.condition_slack()
-    if slack < 0:
-        raise PreconditionError(FOUR_WAY_CONDITION, slack)
-    left = max(ing.tau_max2 - 1, ZERO)
+    den = ing.den
+    if ing._slack() < 0:
+        raise PreconditionError(FOUR_WAY_CONDITION, ing.condition_slack())
+    left = max(ing.tau_max2 - den, 0)
     alpha = {}
     for p in ANCHOR_PAIRS:
         alpha[p] = min(left, ing.n[p], ing.n[complement_pair(p)])
         left -= alpha[p]
     if left:
-        raise ConstructionError(f"pair capacities leave {left} of the budget unspent")
+        raise ConstructionError(f"pair capacities leave {Fraction(left, den)} of the budget unspent")
     beta = {}
     for anchored in ANCHOR_PAIRS:
         other = complement_pair(anchored)
@@ -506,14 +508,8 @@ def n4_mixture_weights(ing: N4Ingredients) -> MixtureWeights:
         beta[other] = ing.n[other] - alpha[anchored]
     for pair, value in beta.items():
         if value < 0:
-            raise ConstructionError(f"negative beta weight {value} for pair {set(pair)}")
-    return MixtureWeights(alpha=alpha, beta=beta, independent=max(1 - ing.tau_max2, ZERO))
-
-
-def _weight_accounting(ing: N4Ingredients, w: MixtureWeights) -> Fraction:
-    tied_three = sum((ing.tau_by_subset[s] - ing.tau for s in SUBSETS if len(s) == 3), ZERO)
-    return (ing.tau + tied_three + sum(w.beta.values(), ZERO)
-            + sum(w.alpha.values(), ZERO) + w.independent)
+            raise ConstructionError(f"negative beta weight {Fraction(value, den)} for pair {set(pair)}")
+    return MixtureWeights(den, alpha, beta, independent=max(den - ing.tau_max2, 0))
 
 
 def build_n4_coupling(pmfs: Sequence[Pmf]) -> Coupling:
@@ -542,46 +538,29 @@ def n4_mixture(ing: N4Ingredients) -> Mixture:
         independent:    r_0, r_1, r_2, r_3
     """
     weights = n4_mixture_weights(ing)
-    total = _weight_accounting(ing, weights)
-    if total != 1:
-        raise ConstructionError(f"mixture weights sum to {total}, expected 1")
-    w_trio = {trio: ing.tau_by_subset[trio] - ing.tau for trio in ing.s_trio}
-    scalars = (ing.tau, weights.independent, *ing.r_norm, *ing.n.values(), *w_trio.values(),
-               *weights.alpha.values(), *weights.beta.values())
-    factors = (ing.p_min, *ing.r_num, *ing.t.values(), *ing.s_trio.values())
-
-    # Every weight, factor entry and norm as a numerator over their LCM.
-    den = lcm(*(q.denominator for q in scalars),
-              *(q.denominator for factor in factors for q in factor.values()))
-
-    def over(q):
-        return q.numerator * (den // q.denominator)
-
-    def ints(factor):
-        return {y: over(q) for y, q in factor.items()}
-
-    r_num = [ints(f) for f in ing.r_num]
-    t = {pair: ints(f) for pair, f in ing.t.items()}
+    total = (ing.tau + sum(ing.tau_by_subset[s] - ing.tau for s in SUBSETS[TRIPLES])
+             + sum(weights.beta.values()) + sum(weights.alpha.values()) + weights.independent)
+    if total != ing.den:
+        raise ConstructionError(f"mixture weights sum to {Fraction(total, ing.den)}, expected 1")
 
     def free(i):
-        return ((i,), r_num[i], over(ing.r_norm[i]))
+        return ((i,), ing.r_num[i], ing.r_norm[i])
 
     def tied(pair):
-        return (pair, t[pair], over(ing.n[pair]))
+        return (pair, ing.t[pair], ing.n[pair])
 
-    tau = over(ing.tau)
-    components = [(tau, [((0, 1, 2, 3), ints(ing.p_min), tau)])]
+    components = [(ing.tau, [((0, 1, 2, 3), ing.p_min, ing.tau)])]
     for i in range(4):
         trio = frozenset(j for j in range(4) if j != i)
-        w = over(w_trio[trio])
-        components.append((w, [(tuple(sorted(trio)), ints(ing.s_trio[trio]), w), free(i)]))
+        w = ing.tau_by_subset[trio] - ing.tau
+        components.append((w, [(tuple(sorted(trio)), ing.s_trio[trio], w), free(i)]))
     for pair in ALL_PAIRS:
         i, j = sorted(complement_pair(pair))
-        components.append((over(weights.beta[pair]), [tied(pair), free(i), free(j)]))
+        components.append((weights.beta[pair], [tied(pair), free(i), free(j)]))
     for pair in ANCHOR_PAIRS:
-        components.append((over(weights.alpha[pair]), [tied(pair), tied(complement_pair(pair))]))
-    components.append((over(weights.independent), [free(i) for i in range(4)]))
-    return Mixture(ing.pmfs, _mixture(components, den))
+        components.append((weights.alpha[pair], [tied(pair), tied(complement_pair(pair))]))
+    components.append((weights.independent, [free(i) for i in range(4)]))
+    return Mixture(ing.pmfs, _mixture(components, ing.den))
 
 
 def intersection_violations(coupling: Coupling, pmfs: Sequence[Pmf]) -> list[tuple]:

@@ -48,10 +48,11 @@ cell as numerators over one L; the bounds' walk has built it already,
 for the Doeblin penalty): P_min, the floor sum_x P_min(x, y), the
 Y-marginals, and d_i(x, y) = P_i(x, y) - P_min(x, y) with its total
 rest_i(y) = P_i(y) - floor(y), so r_i = d_i / rest_i. H's closed forms
-read the Y-marginal numerators; the four-way route and the LP take
-``Pmf``s built from them. A part is ``(den, groups)``, integer entries
-over one denominator (see ``couplings``); the checks cross-multiply over
-the LCM of the part denominators.
+read the Y-marginal numerators, and a four-way verdict is matched to
+them cross-multiplied; ``Pmf``s are built from them only to decide a
+condition without a verdict, and for the LP. A part is ``(den,
+groups)``, integer entries over one denominator (see ``couplings``); the
+checks cross-multiply over the LCM of the part denominators.
 
 The bounds' penalty f = sum_y P(X_1 = ... = X_m, some Y_i = y) is read
 off the same parts, never their tuples. G1 adds c_XY, and a part of g
@@ -238,8 +239,8 @@ def minimal_y_coupling(
     route applies. The closed forms at m <= 3 decide their own existence
     condition; at m >= 4 it is checked first, unless ``verdict``, the
     ``coupling_feasibility`` of these marginals, is passed, and the
-    four-way route builds from the verdict's ingredients, which must be
-    those of ``y_pmfs``. The result is checked by ``_check_mixture``.
+    four-way route builds from the verdict's ingredients, which must have
+    been read from the law of ``y_pmfs``. The result is checked by ``_check_mixture``.
     """
     y_pmfs = tuple(y_pmfs)
     view = DiscreteChannel(y_pmfs)._integer_view()
@@ -255,16 +256,20 @@ def _minimal_parts(
     y_pmfs: tuple[Pmf, ...] | None = None,
 ) -> tuple:
     """The checked parts of ``minimal_y_coupling``, read off the
-    marginals' integer view. The routes at m >= 4 take the marginals as
-    ``Pmf``s: ``y_pmfs`` when given, else built from the view."""
+    marginals' integer view, which a verdict's four-way ingredients must
+    equal cross-multiplied. Deciding the condition at m >= 4 and the LP
+    take ``Pmf``s: ``y_pmfs`` when given, else built from the view."""
     den, columns = view
     m = len(next(iter(columns.values())))
-    if m >= 4:
+    if m > 4 or (m == 4 and verdict is None):
         y_pmfs = y_pmfs or _y_marginals(view, alphabet)
         if verdict is None:
             verdict = coupling_feasibility(y_pmfs)
-    ingredients = verdict and verdict.ingredients
-    if ingredients is not None and ingredients.pmfs != y_pmfs:
+    ing = verdict and verdict.ingredients
+    if ing is not None and not (columns.keys() == ing.columns.keys() and all(
+        [q * ing.den for q in col] == [q * den for q in ing.columns[y]]
+        for y, col in columns.items()
+    )):
         raise LeakboundError("the verdict was decided on other marginals")
     if verdict is not None and not verdict.ok:
         raise PreconditionError(verdict.label, verdict.value)
@@ -275,7 +280,7 @@ def _minimal_parts(
     elif m == 3:
         parts = _three_way_parts(den, columns)
     elif m == 4:
-        parts = n4_mixture(verdict.ingredients).parts
+        parts = n4_mixture(ing).parts
     else:
         witness = min_union_coupling_diag(y_pmfs, max_variables=max_variables).witness
         parts = tuple(

@@ -8,10 +8,12 @@ against them are therefore stable.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations, product
 from math import prod
 from operator import itemgetter
+from typing import NamedTuple
 
 from leakbound import (
     ConstructionError,
@@ -19,7 +21,6 @@ from leakbound import (
     DiscreteChannel,
     JointPmf,
     LeakboundError,
-    MixtureWeights,
     Pmf,
     PreconditionError,
     build_n4_coupling,
@@ -40,10 +41,8 @@ from leakbound.couplings import (
     ANCHOR_PAIRS,
     FOUR_WAY_CONDITION,
     TAU_MAX2_CONDITION,
-    N4Ingredients,
     Pair,
     complement_pair,
-    n4_mixture_weights,
 )
 from leakbound.errors import DEFAULT_MAX_STATES, CapacityError
 from leakbound.measures import ZERO, as_fraction, push_forward
@@ -153,11 +152,42 @@ def three_way_by_duplication(y_pmfs) -> Coupling:
     return Coupling(p1.alphabet, 3, mass, [p1, p2, p3])
 
 
-def reference_n4_ingredients(pmfs) -> N4Ingredients:
+@dataclass(frozen=True)
+class ReferenceN4Ingredients:
+    """The fields of ``couplings.N4Ingredients`` as ``Fraction``s, not
+    numerators over a common denominator, and without the integer
+    columns."""
+
+    pmfs: tuple
+    tau: Q
+    tau_max: Q
+    tau_max2: Q
+    tau_by_subset: dict
+    p_min: dict
+    r_num: tuple
+    r_norm: tuple
+    t: dict
+    n: dict
+    s_trio: dict
+
+    def condition_slack(self) -> Q:
+        cap = sum((min(self.n[p], self.n[complement_pair(p)]) for p in ANCHOR_PAIRS), ZERO)
+        return cap - (self.tau_max2 - 1)
+
+
+class ReferenceWeights(NamedTuple):
+    """The fields of ``couplings.MixtureWeights`` as ``Fraction``s."""
+
+    alpha: dict
+    beta: dict
+    independent: Q
+
+
+def reference_n4_ingredients(pmfs) -> ReferenceN4Ingredients:
     """Reference four-way ingredients, one quantity at a time: 11
     ``tau_subset`` scans, every pair and triple minimum re-derived for T_ij
     and for the trio factors S_I, and ``tau_max`` / ``tau_max2`` scans of
-    their own."""
+    their own. P_min is listed on the symbols some row puts mass on."""
     pmfs = tuple(pmfs)
     if len(pmfs) != 4:
         raise LeakboundError("the four-way construction needs exactly 4 PMFs")
@@ -227,13 +257,13 @@ def reference_n4_ingredients(pmfs) -> N4Ingredients:
             if (excess := min(pmfs[j][y] for j in trio) - p_min[y])
         }
 
-    return N4Ingredients(
+    return ReferenceN4Ingredients(
         pmfs=pmfs,
         tau=tau,
         tau_max=tau_max(channel),
         tau_max2=tau_max2(channel),
         tau_by_subset=tau_by_subset,
-        p_min=p_min,
+        p_min={y: q for y, q in p_min.items() if any(p[y] for p in pmfs)},
         r_num=tuple(r_num),
         r_norm=tuple(r_norm),
         t=t,
@@ -242,7 +272,7 @@ def reference_n4_ingredients(pmfs) -> N4Ingredients:
     )
 
 
-def reference_choose_abc(ing: N4Ingredients) -> tuple[Q, Q, Q]:
+def reference_choose_abc(ing: ReferenceN4Ingredients) -> tuple[Q, Q, Q]:
     """Reference four-way budget split: the shares (a, b, c) of the budget
     tau_max2 - 1 taken greedily in the order (01/23), (02/13), (03/12),
     each share capped by its pairing's capacity divided by the budget."""
@@ -261,7 +291,7 @@ def reference_choose_abc(ing: N4Ingredients) -> tuple[Q, Q, Q]:
     return (a, b, c)
 
 
-def reference_n4_mixture_weights(ing: N4Ingredients) -> MixtureWeights:
+def reference_n4_mixture_weights(ing: ReferenceN4Ingredients) -> ReferenceWeights:
     """Reference mixture weights: each alpha is its ``reference_choose_abc``
     share times the budget tau_max2 - 1 (0 below tau_max2 = 1, where the
     independent component takes 1 - tau_max2)."""
@@ -281,7 +311,7 @@ def reference_n4_mixture_weights(ing: N4Ingredients) -> MixtureWeights:
     for pair, value in beta.items():
         if value < 0:
             raise ConstructionError(f"negative beta weight {value} for pair {set(pair)}")
-    return MixtureWeights(alpha=alpha, beta=beta, independent=independent)
+    return ReferenceWeights(alpha=alpha, beta=beta, independent=independent)
 
 
 def reference_residuals(sources) -> tuple[dict, ...]:
@@ -673,8 +703,8 @@ def reference_three_way_mixture(p1: Pmf, p2: Pmf, p3: Pmf) -> tuple:
     ])
 
 
-def reference_n4_mixture(ing: N4Ingredients) -> tuple:
-    weights = n4_mixture_weights(ing)
+def reference_n4_mixture(ing: ReferenceN4Ingredients) -> tuple:
+    weights = reference_n4_mixture_weights(ing)
 
     def free(i):
         return ((i,), ing.r_num[i], ing.r_norm[i])
@@ -744,7 +774,7 @@ def reference_minimal_y_coupling(y_pmfs, max_variables=DEFAULT_MAX_STATES, verdi
     elif m == 3:
         parts = reference_three_way_mixture(*y_pmfs)
     elif m == 4:
-        parts = reference_n4_mixture(verdict.ingredients)
+        parts = reference_n4_mixture(reference_n4_ingredients(y_pmfs))
     else:
         mass = (
             {(y,): q for y, q in y_pmfs[0].mass.items()} if m == 1

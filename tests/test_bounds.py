@@ -121,6 +121,12 @@ class TestSingleStep:
         with pytest.raises(LeakboundError):
             doeblin_bound(net, ["Y2"], "Y1")  # path Y1 -> Y2 exists
 
+    @pytest.mark.parametrize("single", [coupling_bound, doeblin_bound])
+    def test_unknown_peeled_node_rejected(self, single):
+        net = parse_network((Path(__file__).parent / "fixtures" / "chain.json").read_text())
+        with pytest.raises(LeakboundError, match="^unknown target node 'nope'$"):
+            single(net, ["Y1"], "nope")
+
     def test_peeled_node_in_v_rejected(self):
         net = chain_net(Q(1, 4), Q(1, 4))
         with pytest.raises(LeakboundError, match="peeled node 'Y2' may not belong to V"):
@@ -457,6 +463,16 @@ class TestQueryReport:
         # Inside V the source stays: Y2 is peeled off V = {X, Y1}.
         report = query_report(net, ["Y2", "X", "Y1"], method)
         assert report.trace[0].u == "Y2" and report.trace[0].v_set == ("X", "Y1")
+
+    def test_unknown_method_checked_first(self, monkeypatch):
+        # The method is refused before any inference, so the one-state
+        # limit that the exact value would exceed is never reached.
+        net = chain_net(Q(1, 4), Q(1, 4))
+        monkeypatch.setattr(bounds, "composite_channel", None)
+        with pytest.raises(LeakboundError) as err:
+            query_report(net, ["Y1", "Y2"], method="bogus", max_states=1)
+        assert type(err.value) is LeakboundError
+        assert str(err.value) == "unknown method 'bogus'"
 
     def test_query_lists_each_target_once(self):
         net = chain_net(Q(1, 4), Q(1, 4))

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 from helpers import (
+    ReferenceN4Ingredients,
     alphabet,
     rand_family,
     rand_family_tau_max2_gt1,
@@ -205,7 +206,7 @@ class TestIngredients:
             ch = DiscreteChannel(fam)
             for size, measure in ((2, tau_pair), (3, tau_trip)):
                 subsets = [s for s in ing.tau_by_subset if len(s) == size]
-                assert sum(ing.tau_by_subset[s] for s in subsets) == measure(ch)
+                assert Q(sum(ing.tau_by_subset[s] for s in subsets), ing.den) == measure(ch)
             for pair, tvals in ing.t.items():
                 assert all(v >= 0 for v in tvals.values())
                 assert ing.n[pair] == sum(tvals.values())
@@ -215,7 +216,7 @@ class TestIngredients:
         for _ in range(60):
             fam = rand_family(rng, 4, 3)
             ing, ch = n4_ingredients(fam), DiscreteChannel(fam)
-            assert ing.tau_max2 == tau_pair(ch) - 2 * tau_trip(ch) + 3 * ing.tau
+            assert Q(ing.tau_max2 - 3 * ing.tau, ing.den) == tau_pair(ch) - 2 * tau_trip(ch)
 
 
 @st.composite
@@ -235,25 +236,66 @@ def tied_families(draw, m=4):
     return [Pmf.from_values(r, alphabet(size)) for r in rows]
 
 
-def field_items(ing):
-    """Every ``N4Ingredients`` field, each mapping as its item list, so that
-    the repr fixes values, their types and dict insertion order."""
+@st.composite
+def n4_families(draw):
+    """Four PMFs: ``tied_families`` or the four-row kinds of
+    ``closed_form_families`` (masses over coprime denominators up to 10**6
+    among them), often with a symbol outside every support put in at a
+    random place of the alphabet."""
+    fam = draw(st.one_of(tied_families(), closed_form_families(m=4)))
+    if draw(st.booleans()):
+        symbols = list(fam[0].alphabet)
+        symbols.insert(draw(st.integers(0, len(symbols))), "z")
+        fam = [Pmf(symbols, p.mass) for p in fam]
+    return fam
+
+
+def field_items(ing, den=None):
+    """Every field of the ``Fraction`` reference ingredients, each mapping
+    as its item list, so that the repr fixes values, their types and dict
+    insertion order. Given ``den``, every number must be an integer and
+    is shown as a ``Fraction`` over ``den``."""
     def items(value):
         if isinstance(value, dict):
             return [(key, items(v)) for key, v in value.items()]
         if isinstance(value, tuple):
             return tuple(items(v) for v in value)
-        return value
-    return repr([(f.name, items(getattr(ing, f.name))) for f in dataclasses.fields(ing)])
+        if den is None or isinstance(value, Pmf):
+            return value
+        assert type(value) is int, value
+        return Q(value, den)
+    return repr([(f.name, items(getattr(ing, f.name)))
+                 for f in dataclasses.fields(ReferenceN4Ingredients)])
+
+
+def integer_items(ing):
+    """``field_items`` of the integer ingredients, over their ``den``."""
+    return field_items(ing, ing.den)
 
 
 class TestIngredientsAgainstReference:
     """The ranked column pass against the quantity-at-a-time reference."""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(tied_families())
+    @given(n4_families())
     def test_every_field_and_order(self, fam):
-        assert field_items(n4_ingredients(fam)) == field_items(reference_n4_ingredients(fam))
+        ing = n4_ingredients(fam)
+        assert integer_items(ing) == field_items(reference_n4_ingredients(fam))
+        assert ing.columns == DiscreteChannel(fam)._integer_view()[1]
+
+    def test_outside_symbol_and_coprime_denominators(self):
+        # "z" is outside every support and adds no key; the rows'
+        # denominators are pairwise coprime, so den is their product.
+        fam = [Pmf(("a", "z", "b", "c"), mass) for mass in (
+            {"a": Q(5, 7), "b": Q(1, 7), "c": Q(1, 7)},
+            {"a": Q(2, 11), "b": Q(8, 11), "c": Q(1, 11)},
+            {"a": Q(1, 97), "b": Q(6, 97), "c": Q(90, 97)},
+            {"a": Q(1, 10007), "b": Q(5000, 10007), "c": Q(5006, 10007)},
+        )]
+        ing = n4_ingredients(fam)
+        assert ing.den == 7 * 11 * 97 * 10007
+        assert list(ing.p_min) == ["a", "b", "c"]
+        assert integer_items(ing) == field_items(reference_n4_ingredients(fam))
 
     @staticmethod
     def count(monkeypatch, module, name, counts):
@@ -271,7 +313,7 @@ class TestIngredientsAgainstReference:
         for name in ("tau_subset", "tau_max", "tau_max2"):
             for module in (measures, couplings):
                 self.count(monkeypatch, module, name, counts)
-        assert field_items(n4_ingredients(SEARCHED_FAMILY)) == want
+        assert integer_items(n4_ingredients(SEARCHED_FAMILY)) == want
         assert counts == Counter()
 
     @staticmethod
@@ -301,23 +343,23 @@ class TestCondition:
             fam = rand_family_tau_max2_le1(rng, 4, rng.choice([2, 3, 4, 5]))
             holds, ing = n4_condition(fam)
             assert holds
-            assert all(v >= 0 for v in ing.n.values())
+            assert all(type(v) is int and v >= 0 for v in ing.n.values())
 
     def test_disjoint_point_masses(self):
         fam = [pmf([1, 0, 0, 0]), pmf([0, 1, 0, 0]), pmf([0, 0, 1, 0]), pmf([0, 0, 0, 1])]
         holds, ing = n4_condition(fam)
-        assert holds and ing.tau_max2 == 0 and ing.tau_max == 4
+        assert holds and ing.tau_max2 == 0 and ing.tau_max == 4 * ing.den
 
     def test_searched_family_holds_above_one(self):
         holds, ing = n4_condition(SEARCHED_FAMILY)
         assert holds
-        assert ing.tau_max2 == Q(7, 6)
+        assert (ing.den, ing.tau_max2) == (12, 14)
         assert ing.condition_slack() == Q(1, 12)
 
     def test_paired_family_boundary(self):
         holds, ing = n4_condition(PAIRED_FAMILY)
         assert holds
-        assert ing.tau_max2 == 2
+        assert ing.tau_max2 == 2 * ing.den
         assert ing.condition_slack() == 0
 
     def test_four_cycle_sits_on_boundary(self):
@@ -329,14 +371,15 @@ class TestCondition:
             pmf(["1/2", "0", "0", "1/2"]),
         ]
         holds, ing = n4_condition(fam)
-        assert ing.tau_max2 == 2
+        assert ing.tau_max2 == 2 * ing.den
         assert holds and ing.condition_slack() == 0
 
     def test_frozen_violating_family(self):
         holds, ing = n4_condition(FAILING_FAMILY)
         assert not holds
-        assert ing.tau_max2 == Q(19, 16)
-        assert ing.condition_slack() == Q(-1, 16)
+        assert (ing.den, ing.tau_max2) == (16, 19)
+        slack = ing.condition_slack()
+        assert type(slack) is Q and slack == Q(-1, 16)
 
 
 class TestGreedySplit:
@@ -346,8 +389,9 @@ class TestGreedySplit:
         fam = rand_family_tau_max2_le1(random.Random(27), 4, 4)
         ing = n4_ingredients(fam)
         weights = n4_mixture_weights(ing)
+        assert weights.den == ing.den
         assert all(v == 0 for v in weights.alpha.values())
-        assert weights.independent == 1 - ing.tau_max2
+        assert weights.independent == ing.den - ing.tau_max2
 
     def test_condition_failure_raises(self):
         with pytest.raises(PreconditionError) as err:
@@ -361,28 +405,40 @@ class TestGreedySplit:
             for p in ANCHOR_PAIRS:
                 assert 0 <= weights.alpha[p] <= min(ing.n[p], ing.n[complement_pair(p)])
             assert all(v >= 0 for v in weights.beta.values())
-            assert sum(weights.alpha.values()) == ing.tau_max2 - 1
+            assert sum(weights.alpha.values()) == ing.tau_max2 - ing.den
             assert weights.independent == 0
 
 
 def weights_or_refusal(weigh, ing):
-    """The weights' items, fixing values, types and key order, or the
-    refusal's (type, condition, value)."""
+    """The weights' items as ``Fraction``s, fixing values, types and key
+    order, or the refusal's (type, condition, value). Integer weights are
+    shown over their ``den``."""
     try:
         w = weigh(ing)
     except PreconditionError as err:
         return (PreconditionError, err.condition, err.value)
-    return repr((list(w.alpha.items()), list(w.beta.items()), w.independent))
+    den = getattr(w, "den", None)
+
+    def shown(value):
+        if den is None:
+            return value
+        assert type(value) is int, value
+        return Q(value, den)
+
+    return repr(([(p, shown(v)) for p, v in w.alpha.items()],
+                 [(p, shown(v)) for p, v in w.beta.items()], shown(w.independent)))
 
 
 class TestMixtureWeightsAgainstReference:
-    """The direct greedy split against shares of the budget times the budget."""
+    """The direct greedy split on integers against shares of the budget
+    times the budget, on the ``Fraction`` reference ingredients."""
 
     @staticmethod
     def compare(fam):
         ing = n4_ingredients(fam)
         got = weights_or_refusal(n4_mixture_weights, ing)
-        assert got == weights_or_refusal(reference_n4_mixture_weights, ing)
+        want = weights_or_refusal(reference_n4_mixture_weights, reference_n4_ingredients(fam))
+        assert got == want
         return ing, got
 
     def test_seeded_families(self):
@@ -400,13 +456,14 @@ class TestMixtureWeightsAgainstReference:
             ing, got = self.compare(fam)
             caps = [min(ing.n[p], ing.n[complement_pair(p)]) for p in ANCHOR_PAIRS]
             refused = isinstance(got, tuple)
-            seen["refused" if refused else (ing.tau_max2 > 1) - (ing.tau_max2 < 1)] += 1
-            if not refused and ing.tau_max2 > 1 and 0 in caps:
+            above = (ing.tau_max2 > ing.den) - (ing.tau_max2 < ing.den)
+            seen["refused" if refused else above] += 1
+            if not refused and above == 1 and 0 in caps:
                 seen["zero capacity"] += 1
         assert all(seen[key] for key in (-1, 0, 1, "refused", "zero capacity")), seen
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(tied_families())
+    @given(n4_families())
     def test_property_families(self, fam):
         self.compare(fam)
 
@@ -599,13 +656,13 @@ class TestIntersectionProperty:
 
 
 @st.composite
-def closed_form_families(draw):
-    """m = 2, 3 or 4 PMFs on 1-4 symbols of one kind: small weights (zero
-    entries and ties), rows pulled toward a shared row (so the three- and
-    four-way conditions often hold), disjoint supports, or masses over
-    denominators up to 10**6 with the rest of the row on its last support
-    symbol."""
-    m, size = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+def closed_form_families(draw, m=None):
+    """m = 2, 3 or 4 PMFs (``m`` when given) on 1-4 symbols of one kind:
+    small weights (zero entries and ties), rows pulled toward a shared row
+    (so the three- and four-way conditions often hold), disjoint supports,
+    or masses over denominators up to 10**6 with the rest of the row on
+    its last support symbol."""
+    m, size = m or draw(st.integers(2, 4)), draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["small", "pulled", "disjoint", "coprime"]))
     symbols = alphabet(size)
     weight = st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=size, max_size=size)
@@ -649,7 +706,7 @@ class TestMixturesAgainstReference:
         2: (lambda fam: pair_mixture(*fam), lambda fam: reference_pair_mixture(*fam)),
         3: (lambda fam: three_way_mixture(*fam), lambda fam: reference_three_way_mixture(*fam)),
         4: (lambda fam: n4_mixture(n4_ingredients(fam)),
-            lambda fam: reference_n4_mixture(n4_ingredients(fam))),
+            lambda fam: reference_n4_mixture(reference_n4_ingredients(fam))),
     }
 
     def compare(self, fam):
@@ -658,8 +715,8 @@ class TestMixturesAgainstReference:
         assert listed_or_refused(lambda: form(fam), len(fam)) == want
         return want
 
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(closed_form_families())
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(closed_form_families(), n4_families()))
     def test_property_families(self, fam):
         self.compare(fam)
 

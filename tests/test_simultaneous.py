@@ -607,6 +607,18 @@ class TestCouplingPenalty:
             coupling_penalty(sources_with_y_family(rng, mine), verdict=verdict)
         assert minimal_y_coupling(mine, verdict=coupling_feasibility(mine)).marginals == tuple(mine)
 
+    def test_verdict_on_the_same_law_over_another_denominator(self, monkeypatch):
+        # The walk decides the verdict on P_{V|X}, whose common denominator
+        # differs from the joints'; the laws are equal, so it is accepted,
+        # and no Y-marginal is built to match it.
+        rng = random.Random(58)
+        sources = sources_with_y_family(rng, rand_family_tau_max2_le1(rng, 4, 3), x_size=3)
+        want = coupling_penalty(sources)
+        verdict = coupling_feasibility([s.y_marginal() for s in sources])
+        assert DiscreteChannel(sources)._integer_view()[0] != verdict.ingredients.den
+        monkeypatch.setattr(simultaneous, "_y_marginals", None)
+        assert coupling_penalty(sources, verdict=verdict) == want
+
 
 class TestCheckMixture:
     """``_check_mixture`` refuses every way a mixture can miss being a
@@ -962,15 +974,20 @@ FRACTION_READS = {"__new__", "numerator", "denominator"}
     ("coprime3.json", ["X"], "Y3"),
     ("coprime3.json", ["X", "Y1"], "Y3"),
     ("coprime3.json", ["Y1"], "Y3"),
+    ("wide_v4.json", ["X", "N1", "N2", "N3", "N4", "N5"], "N6"),
+    ("coprime4.json", ["X"], "Y3"),
+    ("coprime4.json", ["Y1", "Y2"], "Y3"),
 ])
-def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u):
-    # At |X| = 2 and 3 the penalty reads the joints' integer view, takes
-    # the pair or three-way Y-coupling, checks it and sums f on integers;
-    # a Fraction is built only for f. With the source in V, the X-copies
-    # never agree on a cell, so f is all G2/G3 mass and exceeds the
-    # Doeblin coefficient, 0.
+def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u, monkeypatch):
+    # At |X| = 2, 3 and 4 the penalty reads the joints' integer view, takes
+    # the pair, three-way or four-way Y-coupling, checks it and sums f on
+    # integers; a Fraction is built only for f. At |X| = 4 the walk's
+    # verdict is matched to the view, so no Y-marginal Pmf is built. With
+    # the source in V, the X-copies never agree on a cell, so f is all
+    # G2/G3 mass and exceeds the Doeblin coefficient, 0.
     net = parse_network((WIDE_FIXTURES / name).read_text())
     checked = [bounds._checked_step(net, v_set, u, (), ROOMY)]
+    monkeypatch.setattr(simultaneous, "_y_marginals", None)
     calls = []
 
     def profile(frame, event, arg):
