@@ -32,10 +32,10 @@ coupling <= doeblin <= baseline on any accepted query.
 Every entry takes one route. The targets are checked and put in
 topological order once per query. ``_walk`` then checks the hypotheses
 of every peel step with ``_checked_step``, which also computes the
-Doeblin penalty (it cannot fail), and only then are the penalties mapped
-over the checked steps. So a failed hypothesis wins over an error of any
-coupling LP, whichever the method. A ``PreconditionError`` keeps the
-steps before the failure in its ``trace``, each carrying the Doeblin
+Doeblin penalty, and only then are the penalties mapped over the checked
+steps, which cannot fail: the coupling penalty takes a closed-form
+Y-coupling at every |X| and solves no LP. A ``PreconditionError`` keeps
+the steps before the failure in its ``trace``, each carrying the Doeblin
 penalty whatever the method.
 """
 
@@ -148,16 +148,14 @@ def _checked_step(
     return _Checked(step, tau_max(v_channel), joints, verdict)
 
 
-def _with_penalty(
-    method: str, checked: Sequence[_Checked], max_states: int
-) -> list[PeelStep]:
+def _with_penalty(method: str, checked: Sequence[_Checked]) -> list[PeelStep]:
     """The checked steps carrying the penalty of ``method``: for "doeblin"
     the Doeblin coefficient of P_{pa(U),V|X}, for "coupling" f under the
     simultaneous coupling of its rows, given the V-side verdict."""
     if method == "doeblin":
         return [c.step for c in checked]
     return [
-        replace(c.step, penalty=coupling_penalty(c.joints, max_states, c.verdict))
+        replace(c.step, penalty=coupling_penalty(c.joints, c.verdict))
         for c in checked
     ]
 
@@ -175,7 +173,7 @@ def _single_bound(
     method: str, net: BayesNet, v_set: Sequence[str], u: str, max_states: int
 ) -> Fraction:
     checked = _checked_step(net, v_set, u, (), max_states)
-    steps = _with_penalty(method, [checked], max_states)
+    steps = _with_penalty(method, [checked])
     return _compose(checked.tau_max_v, steps)
 
 
@@ -276,7 +274,7 @@ def recursive_bound(
             for u, v_set, adjoin in plan
         ]
     elif method in ("doeblin", "coupling"):
-        steps = _with_penalty(method, _walk(net, plan, max_states), max_states)
+        steps = _with_penalty(method, _walk(net, plan, max_states))
     else:
         raise LeakboundError(f"unknown method {method!r}")
     value = _compose(exact_tau_max(net, last, max_states=max_states), steps)
@@ -311,8 +309,7 @@ def query_report(
 
     The recursive values equal those of ``recursive_bound`` for both
     methods and of ``subadditivity_baseline``; the trace carries the
-    Doeblin penalty. Once the walk has passed, the coupling penalty can
-    fail only on the LP's variable limit (five or more source values).
+    Doeblin penalty. Once the walk has passed, neither penalty can fail.
     """
     if method not in ("recursive", "coupling", "doeblin"):
         raise LeakboundError(f"unknown method {method!r}")
@@ -331,7 +328,7 @@ def query_report(
         base = checked[-1].tau_max_v if checked else exact
         both = method == "recursive" or not checked
         names = ("coupling", "doeblin") if both else (method,)
-        peeled = {name: _with_penalty(name, checked, max_states) for name in names}
+        peeled = {name: _with_penalty(name, checked) for name in names}
         values = {name: _compose(base, steps) for name, steps in peeled.items()}
         values["baseline"] = base * prod(c.step.tau_max_u for c in checked)
         trace = tuple(peeled["doeblin" if method == "recursive" else method])

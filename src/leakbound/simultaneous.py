@@ -27,20 +27,20 @@ source i above the cellwise floor, given y:
 
 the normalizer read off the marginal. No two parts share a Y-tuple (H's
 closed-form parts each tie their own partition of the coordinates, its
-LP parts are distinct tuples), and none meets G1, which would need
+interval parts are distinct tuples), and none meets G1, which would need
 every source above the floor at a cell some source attains. So the
 support size is known before anything is listed: the nonzero cells of
 P_min plus, per part, prod_g sum_{y in g} prod_{i in g} |r_i(. | y)|.
 
 ``minimal_y_coupling`` gives H as a ``couplings.Mixture``: a closed form
-at m = 2, 3, 4, else the diagonal-floored LP, whose witness becomes one
-part per tuple. Every route pins the diagonal to min_i P_{Y_i}(y), which
-keeps H nonnegative and off the tied tuples. ``_check_mixture`` checks
-the parts in closed form: disjoint group supports, the Y-marginals,
-union mass tau_max and the diagonal. Then every source is preserved:
-the weights of the tuples with t_i = y add up to the residual total of
-source i at y, P_i(y) - sum_x P_min(x, y). A caller that has decided
-``coupling_feasibility`` passes the verdict, which is not decided again.
+at m = 2, 3, 4, else the interval coupling (``_interval_parts``), one
+part per tuple; no route solves an LP. Every route pins the diagonal to
+min_i P_{Y_i}(y), which keeps H nonnegative and off the tied tuples.
+``_check_mixture`` checks the parts: disjoint group supports, the
+Y-marginals, union mass tau_max and the diagonal. Then every source is
+preserved: the weights of the tuples with t_i = y add up to the residual
+total of source i at y, P_i(y) - sum_x P_min(x, y). A caller that has
+decided ``coupling_feasibility`` passes the verdict, not decided again.
 
 Everything is computed on integers, in one pass over the integer view
 of the joints' channel (``DiscreteChannel._integer_view``, each (x, y)
@@ -49,10 +49,10 @@ for the Doeblin penalty): P_min, the floor sum_x P_min(x, y), the
 Y-marginals, and d_i(x, y) = P_i(x, y) - P_min(x, y) with its total
 rest_i(y) = P_i(y) - floor(y), so r_i = d_i / rest_i. H's closed forms
 read the Y-marginal numerators, and a four-way verdict is matched to
-them cross-multiplied; ``Pmf``s are built from them only to decide a
-condition without a verdict, and for the LP. A part is ``(den,
-groups)``, integer entries over one denominator (see ``couplings``); the
-checks cross-multiply over the LCM of the part denominators.
+them cross-multiplied; ``Pmf``s are built from them only to decide the
+four-way condition without a verdict. A part is ``(den, groups)``,
+integer entries over one denominator (see ``couplings``); the checks
+cross-multiply over the LCM of the part denominators.
 
 The bounds' penalty f = sum_y P(X_1 = ... = X_m, some Y_i = y) is read
 off the same parts, never their tuples. G1 adds c_XY, and a part of g
@@ -106,7 +106,9 @@ from .errors import (
     PreconditionError,
     exact_str,
 )
-from .lp import min_union_coupling_diag
+# Unused: test_wrappers_are_installed_everywhere_and_removed_cleanly in
+# bench/test_bench.py asserts this binding.
+from .lp import min_union_coupling_diag  # noqa: F401
 from .measures import (
     ZERO,
     DiscreteChannel,
@@ -158,6 +160,52 @@ def _tuple_part(tup: tuple, num: int, den: int) -> tuple:
         (tuple(i for i, s in enumerate(tup) if s == y), ((y, num if k == 0 else 1),))
         for k, y in enumerate(dict.fromkeys(tup))
     ))
+
+
+def _interval_parts(den: int, columns: Mapping[Symbol, tuple[int, ...]], m: int) -> tuple:
+    """A minimal pinned Y-coupling of m marginals (integer numerators over
+    ``den``) laid out on [0, den): each symbol y gets a core of length
+    max2(y), the second largest entry of its column (0 at m = 1). There
+    every row but y's argmax (the lowest row on a tie) holds y on a prefix
+    of length P_i(y), and the argmax row on the whole core; each argmax
+    row then pours its excess into its own free gaps, in order. Only the
+    argmax row holds y outside y's core, so the union mass is tau_max and
+    the diagonal min_i P_i(y). Each cell between breakpoints is one tuple
+    (equal ones merged), at most 2m|Y| + 2. Refuses with
+    ``PreconditionError(TAU_MAX2_CONDITION, tau_max2)`` when the cores do
+    not fit, that is when tau_max2 > 1."""
+    cores, end = [], 0
+    for y, col in columns.items():
+        arg = col.index(max(col))
+        core = max(col[:arg] + col[arg + 1:], default=0)
+        cores.append((y, col, arg, end, core))
+        end += core
+    if end > den:
+        raise PreconditionError(TAU_MAX2_CONDITION, Fraction(end, den))
+    # Per row, the symbol it holds from each of its segment starts on.
+    starts, gaps = [{} for _ in range(m)], [[] for _ in range(m)]
+    for y, col, arg, at, core in cores:
+        for i, q in enumerate(col):
+            held = core if i == arg else q
+            if held:
+                starts[i][at] = y
+            gaps[i].append((at + held, at + core))
+    for i, row_gaps in enumerate(gaps):
+        pours = ((y, col[i] - core) for y, col, arg, _, core in cores if arg == i and col[i] > core)
+        left = 0
+        for lo, hi in row_gaps + [(end, den)]:
+            while lo < hi:
+                if not left:
+                    y, left = next(pours)
+                starts[i][lo] = y
+                step = min(left, hi - lo)
+                lo, left = lo + step, left - step
+    cuts = sorted({at for row in starts for at in row})
+    labels, mass = (None,) * m, {}
+    for lo, hi in zip(cuts, cuts[1:] + [den]):
+        labels = tuple(row.get(lo, y) for row, y in zip(starts, labels))
+        mass[labels] = mass.get(labels, 0) + hi - lo
+    return tuple(_tuple_part(tup, w, den) for tup, w in mass.items())
 
 
 def _y_marginals(view: tuple[int, Mapping], alphabet: tuple) -> tuple[Pmf, ...]:
@@ -226,45 +274,39 @@ def _check_mixture(parts: Sequence[tuple], view: tuple[int, Mapping], alphabet: 
             )
 
 
-def minimal_y_coupling(
-    y_pmfs: Sequence[Pmf],
-    max_variables: int = DEFAULT_MAX_STATES,
-    verdict: Feasibility | None = None,
-) -> Mixture:
+def minimal_y_coupling(y_pmfs: Sequence[Pmf], verdict: Feasibility | None = None) -> Mixture:
     """A coupling attaining union mass tau_max with a pinned diagonal.
 
-    Dispatch: the closed forms for 2 <= m <= 4, the diagonal-floored LP
-    beyond that; the LP witness, and at m = 1 the one marginal, become
-    one part per tuple. Raises ``PreconditionError`` when no
-    route applies. The closed forms at m <= 3 decide their own existence
-    condition; at m >= 4 it is checked first, unless ``verdict``, the
-    ``coupling_feasibility`` of these marginals, is passed, and the
-    four-way route builds from the verdict's ingredients, which must have
-    been read from the law of ``y_pmfs``. The result is checked by ``_check_mixture``.
+    Dispatch: the pair, three-way and four-way closed forms at m = 2, 3,
+    4, else the interval coupling (at m = 1 the one marginal). Raises
+    ``PreconditionError`` when no route applies. Only the four-way route
+    has its condition checked first, unless ``verdict``, the
+    ``coupling_feasibility`` of these marginals, is passed; it then builds
+    from the verdict's ingredients, which must have been read from the
+    law of ``y_pmfs``. The result is checked by ``_check_mixture``.
     """
     y_pmfs = tuple(y_pmfs)
     view = DiscreteChannel(y_pmfs)._integer_view()
-    parts = _minimal_parts(view, y_pmfs[0].alphabet, max_variables, verdict, y_pmfs)
+    parts = _minimal_parts(view, y_pmfs[0].alphabet, verdict)
     return Mixture(y_pmfs, parts)
 
 
 def _minimal_parts(
-    view: tuple[int, Mapping],
-    alphabet: tuple,
-    max_variables: int,
-    verdict: Feasibility | None,
-    y_pmfs: tuple[Pmf, ...] | None = None,
+    view: tuple[int, Mapping], alphabet: tuple, verdict: Feasibility | None
 ) -> tuple:
     """The checked parts of ``minimal_y_coupling``, read off the
     marginals' integer view, which a verdict's four-way ingredients must
-    equal cross-multiplied. Deciding the condition at m >= 4 and the LP
-    take ``Pmf``s: ``y_pmfs`` when given, else built from the view."""
+    equal cross-multiplied. Only deciding the four-way condition takes
+    ``Pmf``s, built from the view.
+
+    Soundness at m >= 5: any minimal pinned Y-coupling gives a valid
+    penalty f, and the interval coupling is one. The LP route it replaced
+    took whichever vertex the simplex reached, so f was never tied to one.
+    """
     den, columns = view
     m = len(next(iter(columns.values())))
-    if m > 4 or (m == 4 and verdict is None):
-        y_pmfs = y_pmfs or _y_marginals(view, alphabet)
-        if verdict is None:
-            verdict = coupling_feasibility(y_pmfs)
+    if m == 4 and verdict is None:
+        verdict = coupling_feasibility(_y_marginals(view, alphabet))
     ing = verdict and verdict.ingredients
     if ing is not None and not (columns.keys() == ing.columns.keys() and all(
         [q * ing.den for q in col] == [q * den for q in ing.columns[y]]
@@ -273,19 +315,14 @@ def _minimal_parts(
         raise LeakboundError("the verdict was decided on other marginals")
     if verdict is not None and not verdict.ok:
         raise PreconditionError(verdict.label, verdict.value)
-    if m == 1:
-        parts = tuple(_tuple_part((y,), col[0], den) for y, col in columns.items())
-    elif m == 2:
+    if m == 2:
         parts = _pair_parts(den, columns)
     elif m == 3:
         parts = _three_way_parts(den, columns)
     elif m == 4:
         parts = n4_mixture(ing).parts
     else:
-        witness = min_union_coupling_diag(y_pmfs, max_variables=max_variables).witness
-        parts = tuple(
-            _tuple_part(t, q.numerator, q.denominator) for t, q in witness.mass.items()
-        )
+        parts = _interval_parts(den, columns, m)
     _check_mixture(parts, view, alphabet)
     return parts
 
@@ -310,11 +347,7 @@ class _MixtureTable:
     rest: tuple[Mapping[Symbol, int], ...]
 
 
-def _mixture_table(
-    joints: DiscreteChannel,
-    max_variables: int,
-    verdict: Feasibility | None = None,
-) -> _MixtureTable:
+def _mixture_table(joints: DiscreteChannel, verdict: Feasibility | None = None) -> _MixtureTable:
     """The table of ``joints``, a channel of ``JointPmf`` rows, read off
     its integer view in one pass over the cells."""
     den, cells = joints._integer_view()
@@ -334,7 +367,7 @@ def _mixture_table(
             if q != low:
                 residual[i].setdefault(y, {})[x] = q - low
     y_view = (den, {y: tuple(col) for y, col in y_columns.items()})
-    y_parts = _minimal_parts(y_view, joints.rows[0].y_alphabet, max_variables, verdict)
+    y_parts = _minimal_parts(y_view, joints.rows[0].y_alphabet, verdict)
 
     rest = tuple({y: col[i] - floor.get(y, 0) for y, col in y_columns.items()} for i in range(m))
     tied = tuple((y, w) for y, col in y_columns.items() if (w := min(col) - floor.get(y, 0)))
@@ -392,15 +425,14 @@ def build_simultaneous_coupling(
 ) -> SimulCoupling:
     """Assemble the three-part mixture described in the module docstring.
 
-    ``max_states`` caps both the assembled support, counted off the G2/G3
-    parts before any tuple is listed, and the variable count of the
-    fallback LP that builds the ingredient Y-coupling. Like the coupling
-    LP, it refuses fewer than two sources.
+    ``max_states`` caps the assembled support, counted off the G2/G3
+    parts before any tuple is listed. Like the coupling LP, it refuses
+    fewer than two sources.
     """
     sources = tuple(sources)
     if len(sources) < 2:
         raise LeakboundError("need at least two joint PMFs")
-    table = _mixture_table(DiscreteChannel(sources), max_states)
+    table = _mixture_table(DiscreteChannel(sources))
     m, den = len(sources), table.den
     residual, rest = table.residual, table.rest
 
@@ -460,9 +492,7 @@ def _group_sums(table: _MixtureTable, coords: tuple[int, ...], entries: tuple) -
 
 
 def coupling_penalty(
-    sources: Sequence[JointPmf] | DiscreteChannel,
-    max_variables: int = DEFAULT_MAX_STATES,
-    verdict: Feasibility | None = None,
+    sources: Sequence[JointPmf] | DiscreteChannel, verdict: Feasibility | None = None
 ) -> Fraction:
     """``f_quantity(build_simultaneous_coupling(sources))``, unbuilt.
 
@@ -470,14 +500,14 @@ def coupling_penalty(
     g} r_i(x | y) off the G2/G3 parts of ``_mixture_table``, in integers:
     each part adds g * sum_x prod_g N_g(x) over part_den * prod_g M_g
     (``_group_sums``), and one ``Fraction`` is built at the end. No tuple
-    is listed, so no support-size limit applies. ``sources`` may be the
+    is listed, so no size limit applies. ``sources`` may be the
     channel of the joints, whose integer view is then reused.
-    ``max_variables`` caps the LP of the m >= 5 route and ``verdict`` is
-    passed on to the Y-coupling, as in ``minimal_y_coupling``.
+    ``verdict`` is passed on to the Y-coupling, as in
+    ``minimal_y_coupling``.
     """
     if not isinstance(sources, DiscreteChannel):
         sources = DiscreteChannel(tuple(sources))
-    table = _mixture_table(sources, max_variables, verdict)
+    table = _mixture_table(sources, verdict)
     num, den = sum(table.p_min.values()), table.den
     for part_den, groups in table.parts:
         common = None

@@ -427,19 +427,26 @@ def rand_couplable_net(
 
     Parent sets are capped so CPTs never have more than four rows, which
     is the range the couplable-family generator covers: one parent of any
-    size, or two binary parents.
+    size, or two binary parents. An ``x_size`` of 5 or more takes its own
+    branch: every node has one parent and an alphabet at least as large
+    as its parent's, so that each CPT, with |X| or more rows, is drawn
+    from the generator's dominant-symbol branch.
     """
     x_size = x_size or rng.choice((2, 3, 4))
     nodes = [NodeSpec.make("X", x_size)]
     sizes = {"X": x_size}
     for k in range(1, n_nodes):
-        size = rng.choice((2, 3))
         candidates = [n.node_id for n in nodes]
-        binary = [c for c in candidates if sizes[c] == 2]
-        if len(binary) >= 2 and rng.random() < 0.4:
-            parents = rng.sample(binary, 2)
-        else:
+        if x_size >= 5:
             parents = [rng.choice(candidates)]
+            size = sizes[parents[0]] + rng.choice((0, 0, 1))
+        else:
+            size = rng.choice((2, 3))
+            binary = [c for c in candidates if sizes[c] == 2]
+            if len(binary) >= 2 and rng.random() < 0.4:
+                parents = rng.sample(binary, 2)
+            else:
+                parents = [rng.choice(candidates)]
         n_rows = 1
         for p in parents:
             n_rows *= sizes[p]

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakbound import (
-    CapacityError,
     LeakboundError,
     PreconditionError,
     composite_channel,
@@ -34,7 +33,7 @@ from leakbound import (
     subadditivity_baseline,
     tau_max,
 )
-from leakbound import bounds, couplings, simultaneous
+from leakbound import bounds, couplings, lp, simultaneous
 from leakbound.bayesnet import BayesNet, NodeSpec
 from leakbound.measures import log_fraction
 from leakbound.netfile import parse_network
@@ -231,6 +230,27 @@ class TestDominance:
         assert doeblin(composite_channel(net, ["Y1"])) > 0
         assert db < tmu * tmv
 
+    def test_seeded_nets_with_five_or_six_source_values(self):
+        # Every peel step couples |X| = 5 or 6 V-side rows, so the coupling
+        # penalty takes the interval Y-coupling.
+        rng = random.Random(71)
+        passed = tighter = 0
+        for _ in range(60):
+            net = rand_couplable_net(rng, rng.randrange(3, 7), x_size=rng.choice((5, 6)))
+            ids = [nid for nid in net.node_ids() if nid != net.source]
+            targets = rng.sample(ids, rng.randrange(2, min(4, len(ids)) + 1))
+            report = query_report(net, targets)
+            if report.coupling_bound_value is None:
+                continue
+            passed += 1
+            assert (
+                report.exact_tau_max <= report.coupling_bound_value
+                <= report.doeblin_bound_value <= report.subadditivity_value
+            )
+            _, trace = recursive_bound(net, targets, "coupling")
+            tighter += any(c.penalty > d.penalty for c, d in zip(trace, report.trace))
+        assert passed >= 50 and tighter
+
     def test_zero_penalty_matches_baseline(self):
         net = diamond_net(Q(1, 4))
         db = doeblin_bound(net, ["Y1"], "Y2")
@@ -275,7 +295,7 @@ def test_property_bound_chain(case):
 class TestPenaltyWork:
     """Per peel step, the V-side condition is decided once and the coupling
     penalty is read off the parts of the ingredient mixture: at |X| <= 4
-    no coupling of any kind is built."""
+    no coupling of any kind is built, and at no |X| is an LP solved."""
 
     @staticmethod
     def count(monkeypatch, module, name, counts):
@@ -287,7 +307,7 @@ class TestPenaltyWork:
 
         monkeypatch.setattr(module, name, counting)
 
-    @pytest.mark.parametrize("x_size", [3, 4])
+    @pytest.mark.parametrize("x_size", [3, 4, 5])
     def test_calls_per_peel_step(self, monkeypatch, x_size):
         net = rand_couplable_net(random.Random(0), 5, x_size=x_size)
         targets = [nid for nid in net.node_ids() if nid != net.source]
@@ -299,18 +319,21 @@ class TestPenaltyWork:
             (simultaneous, "build_simultaneous_coupling"),
             (simultaneous, "n4_mixture"),
             (simultaneous, "_three_way_parts"),
+            (simultaneous, "_interval_parts"),
+            (lp, "solve_sparse"),
         ]:
             self.count(monkeypatch, module, name, counts)
         report = query_report(net, targets)
         steps = len(report.trace)
         assert steps == 3 and report.coupling_bound_value is not None
         assert counts["coupling_feasibility"] == steps
-        assert counts["build_simultaneous_coupling"] == 0
+        assert counts["build_simultaneous_coupling"] == counts["solve_sparse"] == 0
         if x_size == 4:
             assert counts["n4_ingredients"] == counts["n4_mixture"] == steps
         else:
             assert counts["n4_ingredients"] == 0
-            assert counts["_three_way_parts"] == steps
+            route = "_three_way_parts" if x_size == 3 else "_interval_parts"
+            assert counts[route] == steps
 
     def test_inference_calls_per_peel_step(self, monkeypatch):
         # One composite_channel call for the exact value and one per V-side;
@@ -583,9 +606,9 @@ class TestOneRoute:
     @staticmethod
     def error_order_net():
         # Found by seeded search: the first peel (N4 off {N1, N2, N3})
-        # passes its checks, but its coupling LP (m = |X| = 5 copies of an
-        # 8-symbol V) needs 32,776 variables; the second peel fails
-        # tau_max2(P_{N3|pa}) <= 1. Inference fits 16 states.
+        # passes its checks, with m = |X| = 5 copies of an 8-symbol V (a
+        # coupling LP over them would need 32,776 variables); the second
+        # peel fails tau_max2(P_{N3|pa}) <= 1. Inference fits 16 states.
         rng = random.Random(98)
         n_nodes = rng.randrange(4, 6)
         noisy = rng.random() < 0.5
@@ -601,11 +624,13 @@ class TestOneRoute:
         assert report.precondition_log == (
             (err.value.condition, str(err.value.value), False),
         )
-        # The first step's coupling LP alone is over the limit, so only
-        # checking the whole walk first lets the precondition win.
+        # The first step alone has a coupling bound: its m = 5 Y-coupling
+        # is the interval coupling, which no LP variable limit refuses.
         first = err.value.trace[0]
-        with pytest.raises(CapacityError):
-            coupling_bound(net, list(first.v_set), first.u, max_states=16)
+        v_set = list(first.v_set)
+        value = coupling_bound(net, v_set, first.u, max_states=16)
+        exact = exact_tau_max(net, v_set + [first.u], max_states=16)
+        assert exact <= value <= doeblin_bound(net, v_set, first.u, max_states=16)
 
     def test_error_trace_carries_doeblin_penalty(self):
         # Seeded: the first peel passes, with f = 1176649853/1788337920

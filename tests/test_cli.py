@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,22 @@ class TestBound:
         assert code == 0
         assert out == WIDE_STDOUT
         assert out_csv.read_text(encoding="utf-8") == WIDE_CSV
+
+    def test_five_valued_source_solves_no_lp(self, capsys):
+        # The first peel couples |X| = 5 rows over the 25 values of
+        # (N1, N2); an LP over those tuples would have 25**5 + 25 =
+        # 9,765,650 variables. The interval Y-coupling answers instead.
+        code, out, err = run(
+            capsys, "bound", FIXTURES / "star5.json", "--targets", "N1,N2,N3",
+            "--compare-exact",
+        )
+        assert (code, err) == (0, "")
+        assert "exact tau_max      = 97837/20736\n" in out
+        assert "coupling bound     = 61063195/663552 (log 4.52205736753)\n" in out
+        assert "doeblin bound      = 122568107/1327104 (log 4.52566772645)\n" in out
+        assert "precondition tau_max2 <= 1 for P_{N1+N2|X}: 2579/10368 [pass]\n" in out
+        assert "soundness: OK" in out
+        assert Q(61063195, 663552) < Q(122568107, 1327104)
 
 
 def _targets(name):

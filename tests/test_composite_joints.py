@@ -44,8 +44,8 @@ def peel_steps(net, targets):
 def penalty(sources):
     """f of the sources, or the type of the error both routes must raise."""
     try:
-        return coupling_penalty(sources, ROOMY)
-    except (PreconditionError, CapacityError) as err:
+        return coupling_penalty(sources)
+    except PreconditionError as err:
         return type(err)
 
 

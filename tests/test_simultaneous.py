@@ -43,6 +43,7 @@ from leakbound import (
     f_quantity,
     independent_coupling,
     min_union_coupling,
+    min_union_coupling_diag,
     minimal_y_coupling,
     tau_max,
     union_mass,
@@ -51,7 +52,7 @@ from leakbound import (
 from leakbound import bounds, simultaneous
 from leakbound.bayesnet import composite_joints
 from leakbound.cli import main
-from leakbound.couplings import Mixture, _mixture, three_way_mixture
+from leakbound.couplings import Mixture, _list_part, _mixture, three_way_mixture
 from leakbound.netfile import parse_network, parse_pmf_file
 from leakbound.simultaneous import _check_mixture, _tuple_part
 
@@ -332,9 +333,9 @@ class TestFQuantity:
         assert f_quantity(coupling) == diag
 
 
-def test_m5_lp_fallback_route():
-    # beyond four sources the ingredient coupling comes from the
-    # diagonal-pinned LP; joints and the minimal union must still be exact
+def test_m5_interval_build():
+    # beyond four sources the ingredient coupling is the interval
+    # coupling; joints and the minimal union must still be exact
     rng = random.Random(55)
     fam = rand_family_tau_max2_le1(rng, 5, 5)
     sources = sources_with_y_family(rng, fam)
@@ -436,7 +437,7 @@ class TestSupportCountedFirst:
         rng = random.Random(58)
         fam = rand_family_tau_max2_le1(rng, 3, 3)
         sources = tuple(sources_with_y_family(rng, fam, 3))
-        table = simultaneous._mixture_table(DiscreteChannel(sources), ROOMY)
+        table = simultaneous._mixture_table(DiscreteChannel(sources))
         listed, built = Counter(), Counter()
         original_list, original_coupling = simultaneous._list_part, Mixture.coupling
 
@@ -453,7 +454,7 @@ class TestSupportCountedFirst:
         coupling_built = build_simultaneous_coupling(sources, max_states=ROOMY)
         assert listed == Counter(table.parts)
         assert built == Counter([table.y_parts])
-        assert f_quantity(coupling_built) == coupling_penalty(sources, ROOMY)
+        assert f_quantity(coupling_built) == coupling_penalty(sources)
 
 
 # The reference penalty: the coupling built, validated and summed.
@@ -560,7 +561,7 @@ class TestCouplingPenalty:
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(joint_families())
     def test_property_joints(self, sources):
-        # m = 5 takes the LP route. Both sides refuse an uncouplable
+        # m = 5 takes the interval route. Both sides refuse an uncouplable
         # Y-family alike.
         try:
             want = built_penalty(sources)
@@ -572,7 +573,7 @@ class TestCouplingPenalty:
         verdict = coupling_feasibility([s.y_marginal() for s in sources])
         assert coupling_penalty(sources, verdict=verdict) == want
 
-    def test_m5_lp_route(self):
+    def test_m5_interval_route(self):
         rng = random.Random(55)
         fam = rand_family_tau_max2_le1(rng, 5, 5)
         sources = sources_with_y_family(rng, fam)
@@ -585,7 +586,7 @@ class TestCouplingPenalty:
         sources = [rand_joint(rng, 3, 3, den=16) for _ in range(2)]
         with pytest.raises(CapacityError):
             build_simultaneous_coupling(sources, max_states=2)
-        assert coupling_penalty(sources, max_variables=2) == built_penalty(sources)
+        assert coupling_penalty(sources) == built_penalty(sources)
 
     def test_failing_verdict_refuses(self):
         sources = sources_with_y_family(random.Random(56), FAILING_FAMILY)
@@ -705,7 +706,7 @@ class TestResidualsAgainstReference:
         """The residuals, equal to the reference's; None if the Y-family
         is not couplable."""
         try:
-            table = simultaneous._mixture_table(DiscreteChannel(sources), ROOMY)
+            table = simultaneous._mixture_table(DiscreteChannel(sources))
         except PreconditionError:
             return None
         residual = tuple(
@@ -817,6 +818,25 @@ def outcome(fn, *args):
         return type(err).__name__, str(err), getattr(err, "value", None)
 
 
+def unique_minimal_coupling(y_pmfs) -> bool:
+    """Whether m >= 5 marginals on at most two support symbols have one
+    minimal Y-coupling with a pinned diagonal (always so below m = 5, where
+    the reference builds the same closed forms).
+
+    On one symbol the coupling is a point mass. On two, a and b, the
+    pinned diagonal leaves max_i P_i(a) - min_i P_i(a) on the untied
+    tuples, and there a row at the minimum holds b and a row at the
+    maximum holds a. So the coupling is unique iff at most one row lies
+    strictly between; two such rows could be coupled in many ways."""
+    _, columns = DiscreteChannel(y_pmfs)._integer_view()
+    if len(y_pmfs) < 5 or len(columns) == 1:
+        return True
+    if len(columns) > 2:
+        return False
+    col = next(iter(columns.values()))
+    return sum(min(col) < q < max(col) for q in col) <= 1
+
+
 KINDS = ("small", "pulled", "disjoint", "floor", "coprime")
 
 
@@ -824,8 +844,11 @@ def rand_penalty_joints(rng, m, kind):
     """m joints P_{X,Y} of one kind: "small" weights (zero cells, ties),
     "pulled" toward a shared joint, "disjoint" cell supports, "floor" (source
     0 at the cellwise minimum on the whole column "a", so its rest_0("a")
-    is 0), or "coprime" masses over denominators up to 10**6. Alphabets
-    stay small at m = 5, where the Y-coupling is the LP's witness."""
+    is 0), or "coprime" masses over denominators up to 10**6. At m = 5
+    the reference's Y-coupling is the LP's witness, which equals the
+    interval coupling only where the minimal coupling is unique; the Y
+    alphabet stays at two symbols there, where ``unique_minimal_coupling``
+    decides that."""
     xs = tuple(str(i) for i in range(rng.randint(1, 3 if m <= 3 else 2)))
     ys = tuple("abcd"[: rng.randint(1, 4 if m <= 3 else 3 if m == 4 else 2)])
     cells = list(itertools.product(xs, ys))
@@ -885,14 +908,20 @@ class TestPenaltyAgainstReference:
     def compare(sources):
         """Asserts that the penalty, or its refusal, is the reference's from
         the joints, from their channel and with the walk's verdict, and is
-        f of the built coupling; returns the reference outcome."""
+        f of the built coupling; returns the reference outcome. Where the
+        minimal Y-coupling is not unique, the reference's LP vertex may
+        give another f, and the penalty is compared with the rest only."""
         want = outcome(reference_coupling_penalty, sources)
-        assert outcome(coupling_penalty, sources) == want
+        got = outcome(coupling_penalty, sources)
+        if isinstance(want, Q) and not unique_minimal_coupling([s.y_marginal() for s in sources]):
+            assert isinstance(got, Q)
+            want = got
+        assert got == want
         joints = DiscreteChannel(sources)
         assert outcome(coupling_penalty, joints) == want
         if isinstance(want, Q):
             verdict = coupling_feasibility([s.y_marginal() for s in sources])
-            assert coupling_penalty(joints, ROOMY, verdict) == want
+            assert coupling_penalty(joints, verdict) == want
             if len(sources) >= 2:
                 assert built_penalty(sources) == want
         return want
@@ -900,9 +929,13 @@ class TestPenaltyAgainstReference:
     @staticmethod
     def compare_y_couplings(y_pmfs):
         """``minimal_y_coupling`` lists the reference's masses, or refuses
-        alike."""
+        alike; where the minimal coupling is not unique, its parts pass
+        the reference check instead."""
         m = len(y_pmfs)
         want = outcome(lambda: reference_mass(reference_minimal_y_coupling(y_pmfs), m))
+        if isinstance(want, dict) and not unique_minimal_coupling(y_pmfs):
+            TestCheckMixture.check(minimal_y_coupling(y_pmfs))
+            return want
         assert outcome(lambda: minimal_y_coupling(y_pmfs).coupling().mass) == want
         return want
 
@@ -926,7 +959,7 @@ class TestPenaltyAgainstReference:
                         seen["refused", m] += 1
                         continue
                     seen["built", m] += 1
-                    table = simultaneous._mixture_table(DiscreteChannel(sources), ROOMY)
+                    table = simultaneous._mixture_table(DiscreteChannel(sources))
                     seen["zero rest"] += any(
                         rest[y] == 0 and table.y_view[1][y][i]
                         for i, rest in enumerate(table.rest) for y in rest
@@ -959,10 +992,134 @@ class TestPenaltyAgainstReference:
             fam = rand_family_tau_max2_gt1(rng, 5, 2)
         want = outcome(reference_minimal_y_coupling, fam, ROOMY, verdict)
         assert want[0] in ("PreconditionError", "LeakboundError")
-        assert outcome(minimal_y_coupling, fam, ROOMY, verdict) == want
+        assert outcome(minimal_y_coupling, fam, verdict) == want
         sources = sources_with_y_family(rng, fam)
-        assert outcome(coupling_penalty, sources, ROOMY, verdict) == want
+        assert outcome(coupling_penalty, sources, verdict) == want
         assert outcome(reference_coupling_penalty, sources, ROOMY, verdict) == want
+
+
+INTERVAL_KINDS = ("dominant", "coprime", "boundary", "free")
+
+
+def rand_interval_family(rng, m, size, kind, outside=False):
+    """m marginals on ``size`` symbols, plus a symbol "z" outside every
+    support if ``outside``. "dominant" rows put weight >= 1 - 1/m on a
+    symbol of their own and the rest on small integer weights, so
+    tau_max2 <= 1; "coprime" does the same with weights over denominators
+    up to 10**6. Both need size >= m, and fall back to "free" otherwise.
+    "boundary" rows are two copies of one row and rows pulled from it
+    toward distinct symbols of their own, so tau_max2 = 1 exactly and
+    the copies tie for the column maximum. "free" rows are small integer
+    weights, with zeros and ties, and mostly fail tau_max2 <= 1."""
+    symbols = [str(k) for k in range(size)]
+
+    def weights():
+        while not any(w := [rng.choice((0, 0, 1, 2, 3)) for _ in symbols]):
+            pass
+        return [Q(v, sum(w)) for v in w]
+
+    if kind in ("dominant", "coprime") and size >= m:
+        spots = rng.sample(range(size), m)
+        rows = []
+        for spot in spots:
+            den = rng.randint(10**5, 10**6) if kind == "coprime" else rng.choice((8, 12, 16, 24))
+            lam = Q(rng.randint(-(-(m - 1) * den // m), den), den)
+            rows.append([lam * (k == spot) + (1 - lam) * q for k, q in enumerate(weights())])
+    elif kind == "boundary":
+        base = weights()
+        spots = rng.sample(range(size), min(size, m - 2))
+        rows = [base, base]
+        for i in range(m - 2):
+            lam = Q(rng.randint(0, 4), 4) if i < len(spots) else 0
+            rows.append([(1 - lam) * q + (lam if i < len(spots) and k == spots[i] else 0)
+                         for k, q in enumerate(base)])
+        rng.shuffle(rows)
+    else:
+        rows = [weights() for _ in range(m)]
+    if outside:
+        symbols, rows = symbols + ["z"], [row + [Q(0)] for row in rows]
+    return [Pmf.from_values(row, symbols) for row in rows]
+
+
+@st.composite
+def interval_families(draw):
+    m, size = draw(st.integers(5, 7)), draw(st.integers(1, 7))
+    kind, seed, outside = draw(st.sampled_from(INTERVAL_KINDS)), draw(st.integers(0)), draw(st.booleans())
+    return rand_interval_family(random.Random(seed), m, size, kind, outside)
+
+
+class TestIntervalParts:
+    """The interval coupling at m >= 5: a checked minimal Y-coupling with a
+    pinned diagonal on at most 2m|Y| + 2 distinct tuples, refused exactly
+    when ``coupling_feasibility`` refuses."""
+
+    @staticmethod
+    def check(fam):
+        """``{"refused"}``, or the family's features once every check has
+        passed."""
+        m = len(fam)
+        verdict = coupling_feasibility(fam)
+        den, columns = DiscreteChannel(fam)._integer_view()
+        try:
+            mixture = minimal_y_coupling(fam)
+        except PreconditionError as err:
+            assert not verdict.ok
+            assert (err.condition, err.value) == (verdict.label, verdict.value)
+            return {"refused"}
+        assert verdict.ok
+        TestCheckMixture.check(mixture)
+        listed = [tup for part in mixture.parts for tup, _ in _list_part(part, m)]
+        assert len(listed) == len(set(listed)) == len(mixture.parts) <= 2 * m * len(columns) + 2
+        # A column of zeros adds no breakpoint.
+        zero = dict(columns, z=(0,) * m)
+        assert simultaneous._interval_parts(den, zero, m) == mixture.parts
+        features = {"built"}
+        if len(fam[0].alphabet) ** m <= 729:
+            lp_value = min_union_coupling_diag(fam).optimal_value
+            assert union_mass(mixture.coupling()) == lp_value == tau_max(DiscreteChannel(fam))
+            features.add("lp")
+        if any(col.count(max(col)) > 1 for col in columns.values()):
+            features.add("tie")
+        if verdict.value == 1:
+            features.add("tau_max2 = 1")
+        if den > 10**6:
+            features.add("coprime")
+        if len(columns) < len(fam[0].alphabet):
+            features.add("outside")
+        return features
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(interval_families())
+    def test_property_families(self, fam):
+        self.check(fam)
+
+    def test_seeded_families(self):
+        rng = random.Random(66)
+        seen = Counter()
+        for m in (5, 6, 7):
+            for size in range(1, 8):
+                for kind in INTERVAL_KINDS:
+                    for outside in (False, True):
+                        fam = rand_interval_family(rng, m, size, kind, outside)
+                        seen.update(self.check(fam))
+        assert seen["built"] > 60 and seen["refused"] > 20
+        for feature in ("lp", "tie", "tau_max2 = 1", "coprime", "outside"):
+            assert seen[feature]
+
+    def test_worked_layout(self):
+        # Cores [0, 2), [2, 3), [3, 4) of "a", "b", "c" on [0, 4). Row 0,
+        # the argmax of "a", pours its excess into [2, 4); rows 1 and 2, the
+        # argmaxes of "b" and "c", pour theirs into the gaps they leave in
+        # the other cores. Only [0, 1) is tied, at min_i P_i("a") = 1/4.
+        rows = {"a": (4, 1, 1, 2, 2), "b": (0, 3, 0, 1, 1), "c": (0, 0, 3, 1, 1)}
+        parts = simultaneous._interval_parts(4, rows, 5)
+        listed = {tup: (num, den) for den, groups in parts for tup, num in _list_part((den, groups), 5)}
+        assert listed == {
+            ("a", "a", "a", "a", "a"): (1, 4),
+            ("a", "b", "c", "a", "a"): (1, 4),
+            ("a", "b", "c", "b", "b"): (1, 4),
+            ("a", "b", "c", "c", "c"): (1, 4),
+        }
 
 
 FRACTION_READS = {"__new__", "numerator", "denominator"}
@@ -977,14 +1134,15 @@ FRACTION_READS = {"__new__", "numerator", "denominator"}
     ("wide_v4.json", ["X", "N1", "N2", "N3", "N4", "N5"], "N6"),
     ("coprime4.json", ["X"], "Y3"),
     ("coprime4.json", ["Y1", "Y2"], "Y3"),
+    ("star5.json", ["N1"], "N3"),
 ])
 def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u, monkeypatch):
-    # At |X| = 2, 3 and 4 the penalty reads the joints' integer view, takes
-    # the pair, three-way or four-way Y-coupling, checks it and sums f on
-    # integers; a Fraction is built only for f. At |X| = 4 the walk's
-    # verdict is matched to the view, so no Y-marginal Pmf is built. With
-    # the source in V, the X-copies never agree on a cell, so f is all
-    # G2/G3 mass and exceeds the Doeblin coefficient, 0.
+    # At |X| = 2, 3, 4 and 5 the penalty reads the joints' integer view,
+    # takes the pair, three-way, four-way or interval Y-coupling, checks it
+    # and sums f on integers; a Fraction is built only for f. At |X| = 4
+    # the walk's verdict is matched to the view, so no Y-marginal Pmf is
+    # built. With the source in V, the X-copies never agree on a cell, so
+    # f is all G2/G3 mass and exceeds the Doeblin coefficient, 0.
     net = parse_network((WIDE_FIXTURES / name).read_text())
     checked = [bounds._checked_step(net, v_set, u, (), ROOMY)]
     monkeypatch.setattr(simultaneous, "_y_marginals", None)
@@ -997,7 +1155,7 @@ def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u, monkeypatc
 
     sys.setprofile(profile)
     try:
-        (step,) = bounds._with_penalty("coupling", checked, ROOMY)
+        (step,) = bounds._with_penalty("coupling", checked)
     finally:
         sys.setprofile(None)
     assert calls == []
