@@ -6,7 +6,7 @@ stdout, stderr and written CSV that the run produced when the record was
 taken. Paths appear as ``{fixtures}`` and ``{tmp}``. The cases are
 
 * ``bound --compare-exact --csv`` for every target subset and all three
-  methods of the seven network fixtures, except the source alone under
+  methods of the eleven network fixtures, except the source alone under
   the recursive method, which the recursion refuses (tested in
   ``test_bounds.py`` and ``test_cli.py``);
 * seeded generated networks with |X| = 2..5, each at the default and at
@@ -38,7 +38,8 @@ from leakbound.netfile import network_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
-NETS = ["bad_rowsum", "chain", "cyclic", "diamond", "random1", "random2", "relay"]
+NETS = ["bad_rowsum", "chain", "coprime", "coprime3", "coprime4", "cyclic", "diamond", "random1",
+        "random2", "relay", "star5"]
 PMF_FILES = ["joints_pair", "pmfs_cycle3", "pmfs_n4"]
 
 
