@@ -17,10 +17,10 @@ first needed; both depend only on the nodes, which never change.
 
 Inference runs on integers. A closure is walked once for every source
 value, the source being its first coordinate, as integer numerators over
-den, the product of the closure nodes' CPT denominators (each the LCM of
-its CPT's masses, read off the channel's integer view). The memo holds
-the support only; a projection adds numerators, and its caller builds
-one ``Fraction`` for each projected cell it keeps.
+den, the product of the closure nodes' CPT denominators. The memo holds
+the support only; a projection adds numerators into one column per cell,
+and the channels are built from those columns
+(``DiscreteChannel.from_law``), so no ``Fraction`` is built for a cell.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import DEFAULT_MAX_STATES, CapacityError, LeakboundError, exact_str
-from .measures import DiscreteChannel, JointPmf, Pmf, _over_lcm, as_fraction
+from .measures import DiscreteChannel, Pmf, _over_lcm, as_fraction
 
 
 @dataclass(frozen=True)
@@ -250,9 +250,9 @@ def _enumerate(net: BayesNet, closure: tuple[str, ...]) -> tuple[tuple, int, dic
     den, {value tuple: numerator}). The coordinates are the source, then
     the other closure nodes in topological order; only positive numerators
     are kept, each source value's support in one run, in the order the walk
-    reaches it. den is the product of the nodes' CPT denominators (see
-    ``DiscreteChannel._integer_view``). Every parent of a closure node is
-    in the closure, so its CPTs are the network's."""
+    reaches it. den is the product of the nodes' CPT denominators
+    (``DiscreteChannel.den``). Every parent of a closure node is in the
+    closure, so its CPTs are the network's."""
     sub = BayesNet([net.by_id[nid] for nid in closure], net.source)
     order = [net.source, *(nid for nid in topological_sort(sub) if nid != net.source)]
     cpts = {nid: net.cpt(nid) for nid in closure if nid != net.source}
@@ -263,11 +263,12 @@ def _enumerate(net: BayesNet, closure: tuple[str, ...]) -> tuple[tuple, int, dic
     partial: dict[tuple, int] = {(x,): 1 for x in net.by_id[net.source].alphabet}
     for nid in order[1:]:
         cpt = cpts[nid]
-        node_den, columns = cpt._integer_view()
-        den *= node_den
+        den *= cpt.den
+        # Each row's support in alphabet order, the order the walk extends in.
+        columns = [(value, cpt.columns[value]) for value in cpt.axes[0] if value in cpt.columns]
         supports = {
-            cfg: [(value, columns[value][k]) for value in row.mass]
-            for k, (cfg, row) in enumerate(zip(cpt.input_alphabet, cpt.rows))
+            cfg: [(value, col[k]) for value, col in columns if col[k]]
+            for k, cfg in enumerate(cpt.input_alphabet)
         }
         at = [order.index(p) for p in net.by_id[nid].parents]
         grown: dict[tuple, int] = {}
@@ -291,9 +292,11 @@ def joint_distribution(
     if source_value not in alphabet:
         raise LeakboundError(f"{source_value!r} not in the source alphabet")
     non_source = [nid for nid in net.node_ids() if nid != net.source]
-    den, laws = _projected(net, non_source, max_states)
-    law = laws[alphabet.index(source_value)]
-    return Pmf(_alphabet(net, non_source), {cell: Fraction(num, den) for cell, num in law.items()})
+    # The source coordinate keeps each source value's cells in walk order.
+    den, columns = _projected(net, [net.source, *non_source], max_states)
+    i = alphabet.index(source_value)
+    mass = {cell[1:]: Fraction(col[i], den) for cell, col in columns.items() if cell[0] == source_value}
+    return Pmf(_alphabet(net, non_source), mass)
 
 
 def _declared(net: BayesNet, node_ids: Sequence[str]) -> list[str]:
@@ -312,9 +315,10 @@ def _alphabet(net: BayesNet, node_ids: Sequence[str]) -> list[tuple]:
 
 def _projected(
     net: BayesNet, node_ids: Sequence[str], max_states: int
-) -> tuple[int, list[dict[tuple, int]]]:
-    """(den, per source value the law of the value tuple over
-    ``node_ids`` as integer numerators over den); repeats are allowed
+) -> tuple[int, dict[tuple, list[int]]]:
+    """The law of the value tuple over ``node_ids`` given the source, as
+    (den, columns) for ``DiscreteChannel.from_law``, columns in order of
+    first appearance, source value by source value; repeats are allowed
     in ``node_ids``, the source among them. Only their ancestral closure
     is enumerated, since no other node changes that law; ``max_states``
     bounds its states, and its joint for every source value is memoized on
@@ -333,12 +337,16 @@ def _projected(
         net._memo[key] = _enumerate(net, closure)
     order, den, nums = net._memo[key]
     picks = [order.index(nid) for nid in node_ids]
-    laws: dict[str, dict[tuple, int]] = {x: {} for x in net.by_id[net.source].alphabet}
+    source = net.by_id[net.source].alphabet
+    row = {x: i for i, x in enumerate(source)}
+    columns: dict[tuple, list[int]] = {}
     for assign, num in nums.items():
-        law = laws[assign[0]]
         cell = tuple(assign[k] for k in picks)
-        law[cell] = law.get(cell, 0) + num
-    return den, list(laws.values())
+        col = columns.get(cell)
+        if col is None:
+            col = columns[cell] = [0] * len(source)
+        col[row[assign[0]]] += num
+    return den, columns
 
 
 def composite_channel(
@@ -357,13 +365,9 @@ def composite_channel(
     ordered = _declared(net, targets)
     if not ordered:
         raise LeakboundError("empty target set")
-    out_alphabet = _alphabet(net, ordered)
-    den, laws = _projected(net, ordered, max_states)
-    rows = [
-        Pmf(out_alphabet, {cell: Fraction(num, den) for cell, num in law.items()})
-        for law in laws
-    ]
-    return DiscreteChannel(rows, net.by_id[net.source].alphabet)
+    den, columns = _projected(net, ordered, max_states)
+    source = net.by_id[net.source].alphabet
+    return DiscreteChannel.from_law(den, columns, (_alphabet(net, ordered),), source)
 
 
 def composite_joints(
@@ -378,13 +382,9 @@ def composite_joints(
     node sets may overlap, and either may be empty.
     """
     xs, ys = _declared(net, x_nodes), _declared(net, y_nodes)
-    x_alphabet, y_alphabet, k = _alphabet(net, xs), _alphabet(net, ys), len(xs)
-    den, laws = _projected(net, xs + ys, max_states)
-    rows = [
-        JointPmf(
-            x_alphabet, y_alphabet,
-            {(t[:k], t[k:]): Fraction(num, den) for t, num in law.items()},
-        )
-        for law in laws
-    ]
-    return DiscreteChannel(rows, net.by_id[net.source].alphabet)
+    k = len(xs)
+    den, columns = _projected(net, xs + ys, max_states)
+    return DiscreteChannel.from_law(
+        den, {(t[:k], t[k:]): col for t, col in columns.items()},
+        (_alphabet(net, xs), _alphabet(net, ys)), net.by_id[net.source].alphabet,
+    )

@@ -100,7 +100,7 @@ class _Checked(NamedTuple):
 
     step: PeelStep  # carries the Doeblin penalty
     tau_max_v: Fraction
-    joints: DiscreteChannel  # P_{pa(U),V|X}: a JointPmf row per source value
+    joints: DiscreteChannel  # P_{pa(U),V|X}, over the (pa(U), V) cells
     verdict: Feasibility
 
 
@@ -134,7 +134,7 @@ def _checked_step(
         f"tau_max2(P_{{{u}|pa}}) <= 1", u_value, u_value is None or u_value <= 1
     )
     v_channel = composite_channel(net, v_set, max_states=max_states)
-    verdict = coupling_feasibility(list(v_channel.rows))
+    verdict = coupling_feasibility(v_channel)
     rec_v = _record(
         f"{verdict.label} for P_{{{'+'.join(sorted(v_set))}|X}}",
         verdict.value,

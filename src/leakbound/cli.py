@@ -276,7 +276,7 @@ def cmd_couple(args) -> int:
         print("achieves tau_max" if result.achieves_tau_max
               else "optimum exceeds tau_max (no minimal coupling at this arity)")
     elif args.mode == "n4":
-        holds, ing = n4_condition(items)
+        holds, ing = n4_condition(channel)
         print(f"condition slack = {format_fraction(ing.condition_slack())}"
               f" [{'holds' if holds else 'fails'}]")
         if not holds:

@@ -11,9 +11,9 @@ refused. The resulting ``Mixture`` lists its tuples only in
 (``simultaneous.coupling_penalty``).
 
 The mixtures are built on integers. Every weight, factor entry and norm
-is a numerator over the common denominator of the marginals' integer
-view (``DiscreteChannel._integer_view``): ``_pair_parts`` and
-``_three_way_parts`` take that view directly, and ``n4_ingredients``
+is a numerator over the common denominator of the marginals' law
+(``DiscreteChannel.den`` and ``.columns``): ``_pair_parts`` and
+``_three_way_parts`` take that law directly, and ``n4_ingredients``
 reads it into the ``N4Ingredients`` and ``MixtureWeights`` that
 ``n4_mixture`` takes. A part is ``(den, groups)``, its integer entries
 over its own denominator, so a ``Fraction`` is built only for a
@@ -139,7 +139,8 @@ class Coupling:
             raise LeakboundError("coupling arity must be >= 1")
         if len(marginals) != arity:
             raise LeakboundError("need one declared marginal per coordinate")
-        if DiscreteChannel(marginals).output_alphabet != alphabet:
+        if any(marginal.alphabet != alphabet for marginal in marginals):
+            DiscreteChannel(marginals)  # refuses marginals on mixed alphabets
             raise LeakboundError("declared marginal on a different alphabet")
         known = set(alphabet)
         clean = exact_masses(
@@ -183,7 +184,7 @@ def union_mass(coupling: Coupling) -> Fraction:
 
 
 class Mixture(NamedTuple):
-    """A closed-form coupling of ``marginals`` as its parts, unlisted.
+    """A closed-form coupling of the channel ``marginals`` as its parts, unlisted.
 
     A part is ``(den, groups)``: a positive integer and a tuple of groups
     ``(coordinates, entries)``, ``entries`` the nonzero ``(y, e)`` of the
@@ -192,18 +193,19 @@ class Mixture(NamedTuple):
     coordinates in group g all equal y_g.
     """
 
-    marginals: tuple[Pmf, ...]
+    marginals: DiscreteChannel
     parts: tuple[tuple[int, tuple[tuple[tuple[int, ...], tuple[tuple[Symbol, int], ...]], ...]], ...]
 
     def coupling(self) -> Coupling:
         """List every tuple as one ``Fraction``, adding up masses on one
         tuple, and validate them."""
+        arity = self.marginals.n
         mass: dict[tuple, Fraction] = {}
         for part in self.parts:
-            for tup, num in _list_part(part, len(self.marginals)):
+            for tup, num in _list_part(part, arity):
                 q = Fraction(num, part[0])
                 mass[tup] = mass[tup] + q if tup in mass else q
-        return Coupling(self.marginals[0].alphabet, len(self.marginals), mass, self.marginals)
+        return Coupling(self.marginals.output_alphabet, arity, mass, self.marginals.rows)
 
 
 def _list_part(part: tuple, arity: int) -> Iterator[tuple[tuple, int]]:
@@ -278,12 +280,13 @@ def pair_mixture(p: Pmf, q: Pmf) -> Mixture:
         (y, y)      min{p,q}(y)
         (y1, y2)    (1 - omega) (p - min{p,q})(y1) (q - min{p,q})(y2) / (1 - omega)^2
     """
-    return Mixture((p, q), _pair_parts(*DiscreteChannel((p, q))._integer_view()))
+    channel = DiscreteChannel((p, q))
+    return Mixture(channel, _pair_parts(channel.den, channel.columns))
 
 
 def _pair_parts(den: int, columns: Mapping[Symbol, tuple[int, int]]) -> tuple:
     """``pair_mixture``'s parts from the two marginals as integer
-    numerators over ``den`` (``DiscreteChannel._integer_view``)."""
+    numerators over ``den`` (``DiscreteChannel.columns``)."""
     overlap = {y: min(col) for y, col in columns.items()}
     rest = den - sum(overlap.values())
     left = {y: a - b for y, (a, b) in columns.items() if a > b}
@@ -318,12 +321,12 @@ def three_way_mixture(p1: Pmf, p2: Pmf, p3: Pmf) -> Mixture:
     otherwise ``PreconditionError(TAU_MAX2_CONDITION, tau_max2)``.
     """
     channel = DiscreteChannel((p1, p2, p3))
-    return Mixture((p1, p2, p3), _three_way_parts(*channel._integer_view()))
+    return Mixture(channel, _three_way_parts(channel.den, channel.columns))
 
 
 def _three_way_parts(den: int, columns: Mapping[Symbol, tuple[int, int, int]]) -> tuple:
     """``three_way_mixture``'s parts from the three marginals as integer
-    numerators over ``den`` (``DiscreteChannel._integer_view``)."""
+    numerators over ``den`` (``DiscreteChannel.columns``)."""
     floor, s12, s02, t01, t23, r0, r1 = ({} for _ in range(7))
     for y, (a, b, c) in columns.items():
         floor[y] = min(a, b, c)
@@ -355,14 +358,14 @@ class N4Ingredients:
     """Every scalar and per-symbol quantity the four-PMF mixture needs,
     from one pass over the columns, each ranked once.
 
-    Every quantity is an integer numerator over ``den``, the denominator
-    of the integer ``columns`` it was read from (the marginals'
-    ``DiscreteChannel._integer_view``). ``tau_by_subset`` maps each row
-    subset of size >= 2 to tau_I, the sum of the entries of its
-    lowest-ranked row. ``r_num[i]`` is the unnormalized residual of row i
-    (top entry minus second, where row i is the strict column maximum)
-    and ``r_norm[i]`` its total, computed by the symmetric
-    inclusion-exclusion pattern, which must equal sum r_num[i]:
+    Every quantity is an integer numerator over ``channel.den``, the
+    denominator of the law of the four marginals it was read from.
+    ``tau_by_subset`` maps each row subset of size >= 2 to tau_I, the sum
+    of the entries of its lowest-ranked row. ``r_num[i]`` is the
+    unnormalized residual of row i (top entry minus second, where row i is
+    the strict column maximum) and ``r_norm[i]`` its total, computed by
+    the symmetric inclusion-exclusion pattern, which must equal sum
+    r_num[i]:
 
         N_Ri = 1 - sum_{j != i} tau_ij + sum_{j<k != i} tau_ijk - tau.
 
@@ -375,9 +378,7 @@ class N4Ingredients:
     the union of the rows' supports, the only columns that add to a sum.
     """
 
-    pmfs: tuple[Pmf, Pmf, Pmf, Pmf]
-    den: int
-    columns: Mapping[Symbol, tuple[int, int, int, int]]
+    channel: DiscreteChannel
     tau: int
     tau_max: int
     tau_max2: int
@@ -391,20 +392,19 @@ class N4Ingredients:
 
     def _slack(self) -> int:
         cap = sum(min(self.n[p], self.n[complement_pair(p)]) for p in ANCHOR_PAIRS)
-        return cap - (self.tau_max2 - self.den)
+        return cap - (self.tau_max2 - self.channel.den)
 
     def condition_slack(self) -> Fraction:
         """min{N01,N23} + min{N02,N13} + min{N03,N12} - (tau_max2 - 1), >= 0
         iff the mixture exists; ``_slack`` is its numerator over ``den``."""
-        return Fraction(self._slack(), self.den)
+        return Fraction(self._slack(), self.channel.den)
 
 
-def n4_ingredients(pmfs: Sequence[Pmf]) -> N4Ingredients:
-    pmfs = tuple(pmfs)
-    if len(pmfs) != 4:
+def n4_ingredients(pmfs: Sequence[Pmf] | DiscreteChannel) -> N4Ingredients:
+    channel = pmfs if isinstance(pmfs, DiscreteChannel) else DiscreteChannel(pmfs)
+    if channel.n != 4:
         raise LeakboundError("the four-way construction needs exactly 4 PMFs")
-    channel = DiscreteChannel(pmfs)
-    den, columns = channel._integer_view()
+    den, columns = channel.den, channel.columns
 
     sums = [0] * len(SUBSETS)
     top = second = 0
@@ -456,13 +456,13 @@ def n4_ingredients(pmfs: Sequence[Pmf]) -> N4Ingredients:
             )
 
     return N4Ingredients(
-        pmfs=pmfs, den=den, columns=columns, tau=tau, tau_max=top, tau_max2=second,
+        channel=channel, tau=tau, tau_max=top, tau_max2=second,
         tau_by_subset=tau_by_subset, p_min=p_min, r_num=r_num, r_norm=r_norm, t=t,
         n={pair: sum(t[pair].values()) for pair in ALL_PAIRS}, s_trio=s_trio,
     )
 
 
-def n4_condition(pmfs: Sequence[Pmf]) -> tuple[bool, N4Ingredients]:
+def n4_condition(pmfs: Sequence[Pmf] | DiscreteChannel) -> tuple[bool, N4Ingredients]:
     """Evaluate the existence condition for the four-way mixture, exactly."""
     ing = n4_ingredients(pmfs)
     return ing._slack() >= 0, ing
@@ -491,7 +491,7 @@ def n4_mixture_weights(ing: N4Ingredients) -> MixtureWeights:
     A negative slack raises ``PreconditionError``; otherwise the existence
     condition guarantees the caps absorb the whole budget.
     """
-    den = ing.den
+    den = ing.channel.den
     if ing._slack() < 0:
         raise PreconditionError(FOUR_WAY_CONDITION, ing.condition_slack())
     left = max(ing.tau_max2 - den, 0)
@@ -540,8 +540,8 @@ def n4_mixture(ing: N4Ingredients) -> Mixture:
     weights = n4_mixture_weights(ing)
     total = (ing.tau + sum(ing.tau_by_subset[s] - ing.tau for s in SUBSETS[TRIPLES])
              + sum(weights.beta.values()) + sum(weights.alpha.values()) + weights.independent)
-    if total != ing.den:
-        raise ConstructionError(f"mixture weights sum to {Fraction(total, ing.den)}, expected 1")
+    if total != ing.channel.den:
+        raise ConstructionError(f"mixture weights sum to {Fraction(total, ing.channel.den)}, expected 1")
 
     def free(i):
         return ((i,), ing.r_num[i], ing.r_norm[i])
@@ -560,7 +560,7 @@ def n4_mixture(ing: N4Ingredients) -> Mixture:
     for pair in ANCHOR_PAIRS:
         components.append((weights.alpha[pair], [tied(pair), tied(complement_pair(pair))]))
     components.append((weights.independent, [free(i) for i in range(4)]))
-    return Mixture(ing.pmfs, _mixture(components, ing.den))
+    return Mixture(ing.channel, _mixture(components, ing.channel.den))
 
 
 def intersection_violations(coupling: Coupling, pmfs: Sequence[Pmf]) -> list[tuple]:
@@ -603,7 +603,7 @@ def verify_intersection_property(coupling: Coupling, pmfs: Sequence[Pmf]) -> boo
 
 def independent_coupling(pmfs: Sequence[Pmf]) -> Coupling:
     """Product coupling; a baseline that generally has no special structure."""
-    pmfs = tuple(pmfs)
-    den, columns = DiscreteChannel(pmfs)._integer_view()
-    groups = [((i,), {y: col[i] for y, col in columns.items()}, den) for i in range(len(pmfs))]
-    return Mixture(pmfs, _mixture([(den, groups)], den)).coupling()
+    channel = DiscreteChannel(pmfs)
+    den = channel.den
+    groups = [((i,), {y: col[i] for y, col in channel.columns.items()}, den) for i in range(channel.n)]
+    return Mixture(channel, _mixture([(den, groups)], den)).coupling()

@@ -16,10 +16,11 @@ error message.
   total, only on known symbols). ``JointPmf`` is a ``Pmf`` whose alphabet
   is the (x, y) cells of X x Y, so it is validated, looked up and
   compared as one.
-* ``DiscreteChannel`` checks that a family of PMFs shares one alphabet.
-  It is the only such check: every routine that takes a family (the
-  closed-form couplings, the coupling LP, the simultaneous coupling,
-  ``Coupling``'s marginals) builds a channel of it first.
+* ``DiscreteChannel`` holds a family's law on integers. Built from rows,
+  it checks that they share one alphabet, the only such check: every
+  routine that takes a family (the closed-form couplings, the coupling
+  LP, the simultaneous coupling, ``Coupling`` off its alphabet) builds a
+  channel of it first. ``from_law`` checks a law given on integers.
 * ``couplings.Coupling``, a law over |Y|^m tuples that are never listed
   as an alphabet, runs its masses through ``exact_masses`` as well and
   checks them against its declared marginals.
@@ -34,11 +35,10 @@ The scalar measures of a channel with rows P_1, ..., P_n over alphabet Y:
 ``max2`` counts ties with multiplicity: it is the second entry of the
 column sorted in descending order, so two equal maxima give max2 = max.
 
-They are computed on the channel's integer view: every mass of every row
-as a numerator over one L, kept per column for the union of the rows'
-supports (a column outside every support adds 0 to each sum). The view is
-built on first use and kept, since a channel never changes. Each measure
-adds integers and builds one ``Fraction(total, L)``.
+They are computed on the channel's law (``DiscreteChannel.den`` and
+``.columns``), which keeps a column for the union of the rows' supports
+only (a column outside every support adds 0 to each sum). Each measure
+adds integers and builds one ``Fraction(total, den)``.
 """
 
 from __future__ import annotations
@@ -225,35 +225,82 @@ class JointPmf(Pmf):
 class DiscreteChannel:
     """A row-stochastic conditional distribution P(y|x) for finite x, y.
 
-    Rows are ``Pmf`` objects sharing one output alphabet; the input
-    alphabet labels the rows and defaults to "0", "1", ....
+    Its law: ``den``, the least common denominator of every mass, and
+    ``columns``, mapping each output symbol in some row's support to its
+    numerators over ``den``, one per row, in order of first appearance,
+    row by row. ``axes`` is the output alphabet as given: ``(Y,)``, or
+    ``(X, Y)`` for rows over the (x, y) cells. The input alphabet labels
+    the rows, "0", "1", ... by default. ``row`` and ``rows`` build the
+    ``Pmf`` (``JointPmf``) rows from the law when asked.
     """
 
-    __slots__ = ("input_alphabet", "rows", "_view")
+    __slots__ = ("input_alphabet", "axes", "den", "columns")
 
     def __init__(self, rows: Sequence[Pmf], input_alphabet: Iterable[Symbol] | None = None):
+        """The channel of validated rows that share one alphabet."""
         rows = tuple(rows)
         if not rows:
             raise LeakboundError("channel needs at least one row")
-        out = rows[0].alphabet
-        for k, row in enumerate(rows):
-            if row.alphabet != out:
-                raise LeakboundError(f"row {k} has a different output alphabet")
+        first = rows[0]
+        den, nums = _over_lcm(q for row in rows for q in row.mass.values())
+        numerator, columns, n = iter(nums), {}, len(rows)
+        for i, row in enumerate(rows):
+            if row.alphabet != first.alphabet:
+                raise LeakboundError(f"row {i} has a different output alphabet")
+            for sym in row.mass:
+                columns.setdefault(sym, [0] * n)[i] = next(numerator)
+        axes = (first.x_alphabet, first.y_alphabet) if isinstance(first, JointPmf) else (first.alphabet,)
+        self._hold(input_alphabet, n, axes, den, {sym: tuple(c) for sym, c in columns.items()})
+
+    @classmethod
+    def from_law(cls, den: int, columns: Mapping[Symbol, Sequence[int]],
+                 axes: Sequence[Iterable[Symbol]], input_alphabet: Iterable[Symbol]) -> "DiscreteChannel":
+        """The channel whose law is ``columns`` over ``den`` (see the
+        class), one row per input symbol, checked on integers: every column
+        has one entry per row and none negative, every row sums to ``den``,
+        and every symbol is on the axes (over two axes, an (x, y) cell).
+        All-zero columns are dropped, and ``den`` is reduced by its gcd with
+        every entry, so it is the least common denominator of the masses."""
+        axes = tuple(map(check_alphabet, axes))
+        on = [set(axis) for axis in axes]
+        input_alphabet = tuple(input_alphabet)
+        n = len(input_alphabet)
+        if not n:
+            raise LeakboundError("channel needs at least one row")
+        if den < 1:
+            raise LeakboundError(f"denominator {den} is not positive")
+        common, law = math.gcd(den, *(q for col in columns.values() for q in col)), {}
+        for sym, col in columns.items():
+            if not (sym in on[0] if len(on) == 1 else type(sym) is tuple and len(sym) == 2
+                    and sym[0] in on[0] and sym[1] in on[1]):
+                raise LeakboundError(f"mass at unknown cell {sym!r}")
+            if len(col) != n:
+                raise LeakboundError(f"column {sym!r} has {len(col)} entries for {n} rows")
+            if min(col) < 0:
+                raise LeakboundError(f"negative mass {exact_str(Fraction(min(col), den))} at {sym!r}")
+            if any(col):
+                law[sym] = tuple([q // common for q in col]) if common > 1 else tuple(col)
+        den //= common
+        for i, total in enumerate(list(map(sum, zip(*law.values()))) or [0] * n):
+            if total != den:
+                raise LeakboundError(f"row {i} masses sum to {exact_str(Fraction(total, den))}, expected exactly 1")
+        return cls.__new__(cls)._hold(input_alphabet, n, axes, den, law)
+
+    def _hold(self, input_alphabet, n: int, axes: tuple, den: int, columns: dict):
         if input_alphabet is None:
-            input_alphabet = (str(i) for i in range(len(rows)))
+            input_alphabet = (str(i) for i in range(n))
         input_alphabet = check_alphabet(input_alphabet)
-        if len(input_alphabet) != len(rows):
+        if len(input_alphabet) != n:
             raise LeakboundError("input alphabet size does not match row count")
-        object.__setattr__(self, "input_alphabet", input_alphabet)
-        object.__setattr__(self, "rows", rows)
+        for name, value in zip(self.__slots__, (input_alphabet, axes, den, columns)):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def from_rows(cls, raw_rows: Sequence[Sequence[object]],
                   output_alphabet: Iterable[Symbol] | None = None,
                   input_alphabet: Iterable[Symbol] | None = None) -> "DiscreteChannel":
-        if output_alphabet is None and raw_rows:
-            output_alphabet = tuple(str(i) for i in range(len(raw_rows[0])))
-        out = tuple(output_alphabet)
+        out = None if output_alphabet is None else tuple(output_alphabet)
         return cls([Pmf.from_values(r, out) for r in raw_rows], input_alphabet)
 
     def __setattr__(self, name, value):
@@ -261,43 +308,26 @@ class DiscreteChannel:
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.input_alphabet)
 
     @property
-    def output_alphabet(self):
-        return self.rows[0].alphabet
+    def output_alphabet(self) -> tuple:
+        """The output symbols; over two axes the (x, y) cells, x-major."""
+        return self.axes[0] if len(self.axes) == 1 else tuple(product(*self.axes))
 
     def row(self, i: int) -> Pmf:
-        return self.rows[i]
+        """Row i, a ``Pmf`` (a ``JointPmf`` over two axes) built from the law."""
+        mass = {sym: Fraction(col[i], self.den) for sym, col in self.columns.items() if col[i]}
+        return Pmf(self.axes[0], mass) if len(self.axes) == 1 else JointPmf(*self.axes, mass)
 
-    def column(self, sym: Symbol) -> list[Fraction]:
-        return [row[sym] for row in self.rows]
-
-    def _integer_view(self) -> tuple[int, dict]:
-        """(L, columns): L is the least common denominator of every mass,
-        and columns maps each symbol in some row's support to its column
-        as integer numerators over L, one per row (0 off the row's
-        support). Computed on first use and kept."""
-        try:
-            return self._view
-        except AttributeError:
-            pass
-        den, nums = _over_lcm(q for row in self.rows for q in row.mass.values())
-        n, numerator = len(self.rows), iter(nums)
-        columns: dict = {}
-        for i, row in enumerate(self.rows):
-            for sym in row.mass:
-                if sym not in columns:
-                    columns[sym] = [0] * n
-                columns[sym][i] = next(numerator)
-        view = (den, {sym: tuple(col) for sym, col in columns.items()})
-        object.__setattr__(self, "_view", view)
-        return view
+    @property
+    def rows(self) -> tuple[Pmf, ...]:
+        return tuple(map(self.row, range(self.n)))
 
     def __eq__(self, other):
         if not isinstance(other, DiscreteChannel):
             return NotImplemented
-        return self.input_alphabet == other.input_alphabet and self.rows == other.rows
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __repr__(self):
         return f"DiscreteChannel(n={self.n}, outputs={len(self.output_alphabet)})"
@@ -305,8 +335,7 @@ class DiscreteChannel:
 
 def tau_max(channel: DiscreteChannel) -> Fraction:
     """Leakage exponent: sum over outputs of the column maximum."""
-    den, columns = channel._integer_view()
-    return Fraction(sum(map(max, columns.values())), den)
+    return Fraction(sum(map(max, channel.columns.values())), channel.den)
 
 
 def tau_max2(channel: DiscreteChannel) -> Fraction:
@@ -317,43 +346,40 @@ def tau_max2(channel: DiscreteChannel) -> Fraction:
     """
     if channel.n < 2:
         raise LeakboundError("tau_max2 needs at least two rows")
-    den, columns = channel._integer_view()
-    return Fraction(sum(sorted(col)[-2] for col in columns.values()), den)
+    return Fraction(sum(sorted(col)[-2] for col in channel.columns.values()), channel.den)
 
 
 def doeblin(channel: DiscreteChannel) -> Fraction:
     """Doeblin coefficient: sum over outputs of the column minimum."""
-    den, columns = channel._integer_view()
-    return Fraction(sum(map(min, columns.values())), den)
+    return Fraction(sum(map(min, channel.columns.values())), channel.den)
 
 
 def _subset_numerator(channel: DiscreteChannel, subset: Iterable[int]) -> int:
-    """tau_I of the rows in ``subset``, as a numerator over the view's L."""
+    """tau_I of the rows in ``subset``, as a numerator over the law's den."""
     idx = sorted(set(subset))
     if not idx:
         raise LeakboundError("tau_subset needs a non-empty index set")
     for i in idx:
         if not 0 <= i < channel.n:
             raise LeakboundError(f"row index {i} out of range for n={channel.n}")
-    columns = channel._integer_view()[1].values()
-    return sum(min(col[i] for i in idx) for col in columns)
+    return sum(min(col[i] for i in idx) for col in channel.columns.values())
 
 
 def tau_subset(channel: DiscreteChannel, subset: Iterable[int]) -> Fraction:
     """sum_y min over the selected rows; subset indexes rows from 0."""
-    return Fraction(_subset_numerator(channel, subset), channel._integer_view()[0])
+    return Fraction(_subset_numerator(channel, subset), channel.den)
 
 
 def tau_pair(channel: DiscreteChannel) -> Fraction:
     """Sum of tau_I over all two-element row subsets."""
     total = sum(_subset_numerator(channel, p) for p in combinations(range(channel.n), 2))
-    return Fraction(total, channel._integer_view()[0])
+    return Fraction(total, channel.den)
 
 
 def tau_trip(channel: DiscreteChannel) -> Fraction:
     """Sum of tau_I over all three-element row subsets."""
     total = sum(_subset_numerator(channel, t) for t in combinations(range(channel.n), 3))
-    return Fraction(total, channel._integer_view()[0])
+    return Fraction(total, channel.den)
 
 
 def maximal_leakage(channel: DiscreteChannel) -> float:

@@ -42,17 +42,15 @@ preserved: the weights of the tuples with t_i = y add up to the residual
 total of source i at y, P_i(y) - sum_x P_min(x, y). A caller that has
 decided ``coupling_feasibility`` passes the verdict, not decided again.
 
-Everything is computed on integers, in one pass over the integer view
-of the joints' channel (``DiscreteChannel._integer_view``, each (x, y)
-cell as numerators over one L; the bounds' walk has built it already,
-for the Doeblin penalty): P_min, the floor sum_x P_min(x, y), the
-Y-marginals, and d_i(x, y) = P_i(x, y) - P_min(x, y) with its total
-rest_i(y) = P_i(y) - floor(y), so r_i = d_i / rest_i. H's closed forms
-read the Y-marginal numerators, and a four-way verdict is matched to
-them cross-multiplied; ``Pmf``s are built from them only to decide the
-four-way condition without a verdict. A part is ``(den, groups)``,
-integer entries over one denominator (see ``couplings``); the checks
-cross-multiply over the LCM of the part denominators.
+Everything is computed on integers, in one pass over the law of the
+joints' channel (``DiscreteChannel.columns``, each (x, y) cell as
+numerators over one den, as inference built it): P_min, the floor sum_x
+P_min(x, y), the Y-marginals, and d_i(x, y) = P_i(x, y) - P_min(x, y)
+with its total rest_i(y) = P_i(y) - floor(y), so r_i = d_i / rest_i. H's
+closed forms read the law of the Y-marginals' channel, which a four-way
+verdict must share. A part is ``(den, groups)``, integer entries over one
+denominator (see ``couplings``); the checks cross-multiply over the LCM
+of the part denominators.
 
 The bounds' penalty f = sum_y P(X_1 = ... = X_m, some Y_i = y) is read
 off the same parts, never their tuples. G1 adds c_XY, and a part of g
@@ -115,6 +113,7 @@ from .measures import (
     JointPmf,
     Pmf,
     Symbol,
+    doeblin,
     push_forward,
     tau_max2,
 )
@@ -134,7 +133,7 @@ class Feasibility(NamedTuple):
     ingredients: N4Ingredients | None = None
 
 
-def coupling_feasibility(y_pmfs: Sequence[Pmf]) -> Feasibility:
+def coupling_feasibility(y_pmfs: Sequence[Pmf] | DiscreteChannel) -> Feasibility:
     """Decide the existence condition of a minimal coupling, exactly.
 
     For m != 4 the condition is tau_max2 <= 1; for m = 4 the relaxed
@@ -142,10 +141,10 @@ def coupling_feasibility(y_pmfs: Sequence[Pmf]) -> Feasibility:
     One marginal is its own coupling: it passes with value None, as
     tau_max2 of one row is undefined.
     """
-    if len(y_pmfs) == 4:
-        ok, ing = n4_condition(y_pmfs)
+    channel = y_pmfs if isinstance(y_pmfs, DiscreteChannel) else DiscreteChannel(y_pmfs)
+    if channel.n == 4:
+        ok, ing = n4_condition(channel)
         return Feasibility(ok, FOUR_WAY_CONDITION, ing.condition_slack(), ing)
-    channel = DiscreteChannel(y_pmfs)
     if channel.n == 1:
         return Feasibility(True, TAU_MAX2_CONDITION, None)
     value = tau_max2(channel)
@@ -208,32 +207,20 @@ def _interval_parts(den: int, columns: Mapping[Symbol, tuple[int, ...]], m: int)
     return tuple(_tuple_part(tup, w, den) for tup, w in mass.items())
 
 
-def _y_marginals(view: tuple[int, Mapping], alphabet: tuple) -> tuple[Pmf, ...]:
-    """The marginals whose integer view (``DiscreteChannel._integer_view``)
-    is ``view``, as ``Pmf``s over ``alphabet``."""
-    den, columns = view
-    m = len(next(iter(columns.values())))
-    return tuple(
-        Pmf(alphabet, {y: Fraction(col[i], den) for y, col in columns.items() if col[i]})
-        for i in range(m)
-    )
+def _check_mixture(parts: Sequence[tuple], marginals: DiscreteChannel) -> None:
+    """Check a minimal pinned Y-coupling of ``marginals`` in closed form,
+    off its parts and the marginals' law.
 
-
-def _check_mixture(parts: Sequence[tuple], view: tuple[int, Mapping], alphabet: tuple) -> None:
-    """Check a minimal pinned Y-coupling in closed form, off its parts.
-
-    ``view`` holds the marginals as integer numerators over one
-    denominator (``DiscreteChannel._integer_view``). Raises
-    ``ConstructionError`` unless the groups of every part have pairwise
-    disjoint supports, every coordinate has its marginal, the union mass
-    sum_parts g * prod_g |q_g| is tau_max, and the diagonal, which only
-    one-group parts reach, is min_i P_i(y) at every y of ``alphabet``.
-    The parts' sums are taken over the LCM of their denominators and
-    compared cross-multiplied; a ``Fraction`` is built only for a message.
+    Raises ``ConstructionError`` unless the groups of every part have
+    pairwise disjoint supports, every coordinate has its marginal, the
+    union mass sum_parts g * prod_g |q_g| is tau_max, and the diagonal,
+    which only one-group parts reach, is min_i P_i(y) at every output
+    symbol. The sums are compared cross-multiplied over the LCM of the
+    part denominators; a ``Fraction`` is built only for a message.
     """
-    den, columns = view
+    den, columns, alphabet = marginals.den, marginals.columns, marginals.output_alphabet
     scale = lcm(*(part_den for part_den, _ in parts))
-    got = [{} for _ in next(iter(columns.values()))]
+    got = [{} for _ in range(marginals.n)]
     diagonal, union = {}, 0
     for part_den, groups in parts:
         lift = scale // part_den
@@ -285,33 +272,23 @@ def minimal_y_coupling(y_pmfs: Sequence[Pmf], verdict: Feasibility | None = None
     from the verdict's ingredients, which must have been read from the
     law of ``y_pmfs``. The result is checked by ``_check_mixture``.
     """
-    y_pmfs = tuple(y_pmfs)
-    view = DiscreteChannel(y_pmfs)._integer_view()
-    parts = _minimal_parts(view, y_pmfs[0].alphabet, verdict)
-    return Mixture(y_pmfs, parts)
+    channel = DiscreteChannel(y_pmfs)
+    return Mixture(channel, _minimal_parts(channel, verdict))
 
 
-def _minimal_parts(
-    view: tuple[int, Mapping], alphabet: tuple, verdict: Feasibility | None
-) -> tuple:
+def _minimal_parts(marginals: DiscreteChannel, verdict: Feasibility | None) -> tuple:
     """The checked parts of ``minimal_y_coupling``, read off the
-    marginals' integer view, which a verdict's four-way ingredients must
-    equal cross-multiplied. Only deciding the four-way condition takes
-    ``Pmf``s, built from the view.
+    marginals' law, which a verdict's four-way ingredients must share.
 
     Soundness at m >= 5: any minimal pinned Y-coupling gives a valid
     penalty f, and the interval coupling is one. The LP route it replaced
     took whichever vertex the simplex reached, so f was never tied to one.
     """
-    den, columns = view
-    m = len(next(iter(columns.values())))
+    den, columns, m = marginals.den, marginals.columns, marginals.n
     if m == 4 and verdict is None:
-        verdict = coupling_feasibility(_y_marginals(view, alphabet))
+        verdict = coupling_feasibility(marginals)
     ing = verdict and verdict.ingredients
-    if ing is not None and not (columns.keys() == ing.columns.keys() and all(
-        [q * ing.den for q in col] == [q * den for q in ing.columns[y]]
-        for y, col in columns.items()
-    )):
+    if ing is not None and (ing.channel.den, ing.channel.columns) != (den, columns):
         raise LeakboundError("the verdict was decided on other marginals")
     if verdict is not None and not verdict.ok:
         raise PreconditionError(verdict.label, verdict.value)
@@ -323,7 +300,7 @@ def _minimal_parts(
         parts = n4_mixture(ing).parts
     else:
         parts = _interval_parts(den, columns, m)
-    _check_mixture(parts, view, alphabet)
+    _check_mixture(parts, marginals)
     return parts
 
 
@@ -331,15 +308,15 @@ def _minimal_parts(
 class _MixtureTable:
     """What the mixture is assembled from (see the module docstring), as
     integer numerators over ``den``, the joints' common denominator:
-    ``y_view`` the Y-marginals in the layout of
-    ``DiscreteChannel._integer_view``, ``y_parts`` the checked parts of
-    H, ``parts`` the G2/G3 Y-weights as mixture parts, ``p_min`` the
-    nonzero cellwise minima, ``residual[i][y]`` mapping x to d_i(x, y) =
-    P_i(x, y) - P_min(x, y) where it is nonzero, and ``rest[i][y]`` =
-    P_i(y) - sum_x P_min(x, y), so that r_i(x | y) = d_i(x, y) / rest_i(y)."""
+    ``y_marginals`` the channel of the Y-marginals (over its own den),
+    ``y_parts`` the checked parts of H, ``parts`` the G2/G3 Y-weights as
+    mixture parts, ``p_min`` the nonzero cellwise minima,
+    ``residual[i][y]`` mapping x to d_i(x, y) = P_i(x, y) - P_min(x, y)
+    where it is nonzero, and ``rest[i][y]`` = P_i(y) - sum_x P_min(x, y),
+    so that r_i(x | y) = d_i(x, y) / rest_i(y)."""
 
     den: int
-    y_view: tuple[int, Mapping[Symbol, tuple[int, ...]]]
+    y_marginals: DiscreteChannel
     y_parts: tuple
     parts: Sequence[tuple]
     p_min: Mapping[tuple, int]
@@ -348,10 +325,9 @@ class _MixtureTable:
 
 
 def _mixture_table(joints: DiscreteChannel, verdict: Feasibility | None = None) -> _MixtureTable:
-    """The table of ``joints``, a channel of ``JointPmf`` rows, read off
-    its integer view in one pass over the cells."""
-    den, cells = joints._integer_view()
-    m = joints.n
+    """The table of ``joints``, a channel over (x, y) cells, read off its
+    law in one pass over the cells."""
+    den, cells, m = joints.den, joints.columns, joints.n
     p_min, floor, y_columns = {}, {}, {}
     residual = tuple({} for _ in range(m))
     for (x, y), col in cells.items():
@@ -359,21 +335,19 @@ def _mixture_table(joints: DiscreteChannel, verdict: Feasibility | None = None) 
         if low:
             p_min[(x, y)] = low
             floor[y] = floor.get(y, 0) + low
-        if y not in y_columns:
-            y_columns[y] = [0] * m
-        total = y_columns[y]
+        total = y_columns.setdefault(y, [0] * m)
         for i, q in enumerate(col):
             total[i] += q
             if q != low:
                 residual[i].setdefault(y, {})[x] = q - low
-    y_view = (den, {y: tuple(col) for y, col in y_columns.items()})
-    y_parts = _minimal_parts(y_view, joints.rows[0].y_alphabet, verdict)
+    y_marginals = DiscreteChannel.from_law(den, y_columns, joints.axes[1:], joints.input_alphabet)
+    y_parts = _minimal_parts(y_marginals, verdict)
 
     rest = tuple({y: col[i] - floor.get(y, 0) for y, col in y_columns.items()} for i in range(m))
     tied = tuple((y, w) for y, col in y_columns.items() if (w := min(col) - floor.get(y, 0)))
     parts = [part for part in y_parts if len(part[1]) > 1]
     parts.append((den, ((tuple(range(m)), tied),)))
-    return _MixtureTable(den, y_view, y_parts, parts, p_min, residual, rest)
+    return _MixtureTable(den, y_marginals, y_parts, parts, p_min, residual, rest)
 
 
 @dataclass(frozen=True)
@@ -458,13 +432,12 @@ def build_simultaneous_coupling(
                     q *= d
                 mass[(tuple(x for x, _ in combo), ys)] = Fraction(q, norm)
 
-    y_marginals = _y_marginals(table.y_view, sources[0].y_alphabet)
     built = SimulCoupling(
         sources=sources,
         mass=mass,
         c_xy=Fraction(sum(table.p_min.values()), den),
-        c_y=Fraction(sum(map(min, table.y_view[1].values())), den),
-        y_coupling=Mixture(y_marginals, table.y_parts).coupling(),
+        c_y=doeblin(table.y_marginals),
+        y_coupling=Mixture(table.y_marginals, table.y_parts).coupling(),
     )
     built.validate()
     return built
@@ -501,12 +474,12 @@ def coupling_penalty(
     each part adds g * sum_x prod_g N_g(x) over part_den * prod_g M_g
     (``_group_sums``), and one ``Fraction`` is built at the end. No tuple
     is listed, so no size limit applies. ``sources`` may be the
-    channel of the joints, whose integer view is then reused.
+    channel of the joints, whose law is then read as it is.
     ``verdict`` is passed on to the Y-coupling, as in
     ``minimal_y_coupling``.
     """
     if not isinstance(sources, DiscreteChannel):
-        sources = DiscreteChannel(tuple(sources))
+        sources = DiscreteChannel(sources)
     table = _mixture_table(sources, verdict)
     num, den = sum(table.p_min.values()), table.den
     for part_den, groups in table.parts:

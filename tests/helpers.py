@@ -155,10 +155,9 @@ def three_way_by_duplication(y_pmfs) -> Coupling:
 @dataclass(frozen=True)
 class ReferenceN4Ingredients:
     """The fields of ``couplings.N4Ingredients`` as ``Fraction``s, not
-    numerators over a common denominator, and without the integer
-    columns."""
+    numerators over a common denominator."""
 
-    pmfs: tuple
+    channel: DiscreteChannel
     tau: Q
     tau_max: Q
     tau_max2: Q
@@ -258,7 +257,7 @@ def reference_n4_ingredients(pmfs) -> ReferenceN4Ingredients:
         }
 
     return ReferenceN4Ingredients(
-        pmfs=pmfs,
+        channel=channel,
         tau=tau,
         tau_max=tau_max(channel),
         tau_max2=tau_max2(channel),
@@ -546,6 +545,12 @@ def sources_for_coupling(
 # Fractions, column by column over the whole output alphabet.
 
 
+def refuse_pmf(self, *args, **kwargs):
+    """Stands in for ``Pmf.__init__`` where a test asserts that no ``Pmf``
+    is built."""
+    raise AssertionError("a Pmf was built")
+
+
 def reference_exact_masses(cells, known) -> dict:
     clean: dict = {}
     for cell, raw in cells:
@@ -562,24 +567,29 @@ def reference_exact_masses(cells, known) -> dict:
     return clean
 
 
+def fraction_columns(channel: DiscreteChannel) -> dict:
+    """Each output symbol's column of the channel's rows, as Fractions."""
+    rows = channel.rows
+    return {y: [row[y] for row in rows] for y in channel.output_alphabet}
+
+
 def reference_tau_max(channel: DiscreteChannel) -> Q:
-    return sum((max(channel.column(y)) for y in channel.output_alphabet), ZERO)
+    return sum((max(col) for col in fraction_columns(channel).values()), ZERO)
 
 
 def reference_tau_max2(channel: DiscreteChannel) -> Q:
     total = ZERO
-    for y in channel.output_alphabet:
-        col = sorted(channel.column(y), reverse=True)
-        total += col[1]
+    for col in fraction_columns(channel).values():
+        total += sorted(col, reverse=True)[1]
     return total
 
 
 def reference_doeblin(channel: DiscreteChannel) -> Q:
-    return sum((min(channel.column(y)) for y in channel.rows[0].mass), ZERO)
+    return sum((min(col) for col in fraction_columns(channel).values()), ZERO)
 
 
 def reference_tau_subset(channel: DiscreteChannel, subset) -> Q:
-    rows = [channel.rows[i] for i in sorted(set(subset))]
+    rows = [channel.row(i) for i in sorted(set(subset))]
     return sum(
         (min(row[y] for row in rows) for y in channel.output_alphabet), ZERO
     )
@@ -684,10 +694,8 @@ def reference_pair_mixture(p: Pmf, q: Pmf) -> tuple:
 
 
 def reference_three_way_mixture(p1: Pmf, p2: Pmf, p3: Pmf) -> tuple:
-    channel = DiscreteChannel((p1, p2, p3))
     floor, s12, s02, t01, t23, r0, r1 = ({} for _ in range(7))
-    for y in channel.output_alphabet:
-        a, b, c = channel.column(y)
+    for y, (a, b, c) in fraction_columns(DiscreteChannel((p1, p2, p3))).items():
         floor[y] = min(a, b, c)
         s12[y] = min(b, c) - floor[y]
         s02[y] = min(a, c) - floor[y]
@@ -765,14 +773,77 @@ def reference_check_mixture(marginals, parts) -> None:
             raise ConstructionError(f"ingredient diagonal at {y!r} is {tied}, needs {floor}")
 
 
+def reference_interval_parts(y_pmfs) -> tuple:
+    """The interval coupling of ``simultaneous._interval_parts`` as
+    reference parts, one per tuple, laid out on [0, 1] in Fractions.
+
+    Every row gets an explicit list of (start, end, symbol) segments: in
+    the columns' order of first appearance, row by row, symbol y gets a
+    core of length max2(y); the argmax row (lowest on a tie) holds y on the
+    whole core and every other row on a prefix of length P_i(y). Each
+    argmax row then fills the gaps it left free, in order, with its
+    excesses P_i(y) - max2(y). A tuple is read off every cell between two
+    segment ends. Refuses as the interval coupling does when the cores
+    overrun 1, that is when tau_max2 > 1."""
+    y_pmfs = tuple(y_pmfs)
+    m = len(y_pmfs)
+    columns: dict = {}
+    for i, p in enumerate(y_pmfs):
+        for y, q in p.mass.items():
+            columns.setdefault(y, [ZERO] * m)[i] = q
+    segments = [[] for _ in range(m)]
+    excesses = [[] for _ in range(m)]
+    end = ZERO
+    for y, col in columns.items():
+        arg = col.index(max(col))
+        core = max((q for i, q in enumerate(col) if i != arg), default=ZERO)
+        for i, q in enumerate(col):
+            if held := (core if i == arg else q):
+                segments[i].append((end, end + held, y))
+        if col[arg] > core:
+            excesses[arg].append((y, col[arg] - core))
+        end += core
+    if end > 1:
+        raise PreconditionError(TAU_MAX2_CONDITION, end)
+    for segs, pours in zip(segments, excesses):
+        gaps, at = [], ZERO
+        for lo, hi, _ in sorted(segs) + [(Q(1), Q(1), None)]:
+            if at < lo:
+                gaps.append([at, lo])
+            at = max(at, hi)
+        for y, left in pours:
+            while left:
+                gap = gaps[0]
+                step = min(left, gap[1] - gap[0])
+                segs.append((gap[0], gap[0] + step, y))
+                gap[0] += step
+                left -= step
+                if gap[0] == gap[1]:
+                    gaps.pop(0)
+    cuts = sorted({bound for segs in segments for lo, hi, _ in segs for bound in (lo, hi)})
+    mass: dict = {}
+    for lo, hi in zip(cuts, cuts[1:]):
+        tup = tuple(next(y for a, b, y in segs if a <= lo < b) for segs in segments)
+        mass[tup] = mass.get(tup, ZERO) + hi - lo
+    return tuple(
+        tuple(
+            (tuple(i for i, s in enumerate(t) if s == y), ((y, q if k == 0 else Q(1)),))
+            for k, y in enumerate(dict.fromkeys(t))
+        )
+        for t, q in mass.items()
+    )
+
+
 def reference_minimal_y_coupling(y_pmfs, max_variables=DEFAULT_MAX_STATES, verdict=None) -> tuple:
-    """The reference parts of a minimal pinned Y-coupling, checked."""
+    """The reference parts of a minimal pinned Y-coupling, checked; at
+    m >= 5 the interval coupling's union mass must also be the optimum of
+    the diagonal-pinned LP."""
     y_pmfs = tuple(y_pmfs)
     m = len(y_pmfs)
     if m >= 4 and verdict is None:
         verdict = coupling_feasibility(y_pmfs)
     ingredients = verdict and verdict.ingredients
-    if ingredients is not None and ingredients.pmfs != y_pmfs:
+    if ingredients is not None and ingredients.channel.rows != y_pmfs:
         raise LeakboundError("the verdict was decided on other marginals")
     if verdict is not None and not verdict.ok:
         raise PreconditionError(verdict.label, verdict.value)
@@ -783,18 +854,13 @@ def reference_minimal_y_coupling(y_pmfs, max_variables=DEFAULT_MAX_STATES, verdi
     elif m == 4:
         parts = reference_n4_mixture(reference_n4_ingredients(y_pmfs))
     else:
-        mass = (
-            {(y,): q for y, q in y_pmfs[0].mass.items()} if m == 1
-            else min_union_coupling_diag(y_pmfs, max_variables=max_variables).witness.mass
-        )
-        parts = tuple(
-            tuple(
-                (tuple(i for i, s in enumerate(t) if s == y), ((y, q if k == 0 else Q(1)),))
-                for k, y in enumerate(dict.fromkeys(t))
-            )
-            for t, q in mass.items()
-        )
+        parts = reference_interval_parts(y_pmfs)
     reference_check_mixture(y_pmfs, parts)
+    if m >= 5:
+        union = sum((q * len(set(t)) for t, q in reference_mass(parts, m).items()), ZERO)
+        optimum = min_union_coupling_diag(y_pmfs, max_variables=max_variables).optimal_value
+        if union != optimum:
+            raise ConstructionError(f"interval union mass {union} != LP optimum {optimum}")
     return parts
 
 
@@ -802,12 +868,12 @@ def reference_coupling_penalty(sources, max_variables=DEFAULT_MAX_STATES, verdic
     """f of the simultaneous coupling read off its G2/G3 parts, every
     residual r_i(x | y) a Fraction."""
     sources = tuple(sources)
-    channel = DiscreteChannel(sources)
+    columns = fraction_columns(DiscreteChannel(sources))
     y_alphabet = sources[0].y_alphabet
     y_marginals = [s.y_marginal() for s in sources]
     y_parts = reference_minimal_y_coupling(y_marginals, max_variables, verdict)
 
-    p_min = {cell: min(channel.column(cell)) for cell in sources[0].mass}
+    p_min = {cell: min(columns[cell]) for cell in sources[0].mass}
     p_ymin = {y: min(p[y] for p in y_marginals) for y in y_alphabet}
     floor = push_forward(p_min, itemgetter(1))
     residual = []

@@ -127,8 +127,8 @@ def _check_four_way(fam):
         + sum(weights.alpha.values())
         + weights.independent
     )
-    if weights.den != ing.den or total != ing.den:
-        return f"weights sum to {Q(total, ing.den)} over {weights.den}"
+    if weights.den != ing.channel.den or total != ing.channel.den:
+        return f"weights sum to {Q(total, ing.channel.den)} over {weights.den}"
     return None
 
 
@@ -147,7 +147,7 @@ def test_criterion_2_four_way_construction():
         holds, ing = n4_condition(fam)
         if holds:
             families.append(fam)
-            if ing.tau_max2 > ing.den:
+            if ing.tau_max2 > ing.channel.den:
                 relaxed += 1
     # frozen regression instances with tau_max2 > 1 (searched / handcrafted)
     searched = [

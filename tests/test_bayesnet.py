@@ -14,11 +14,13 @@ from helpers import (
     reference_doeblin,
     reference_tau_max,
     reference_tau_max2,
+    refuse_pmf,
 )
 
 from leakbound import (
     CapacityError,
     LeakboundError,
+    Pmf,
     composite_channel,
     joint_distribution,
     tau_max,
@@ -266,3 +268,34 @@ def test_inference_and_measures_do_no_fraction_arithmetic():
         reference_doeblin(channel),
         reference_doeblin(joints),
     ]
+
+
+@pytest.mark.parametrize("name, targets, x_nodes", [
+    ("diamond.json", ["Y1", "Y2", "Y3"], ["Y1", "Y2"]),
+    ("coprime4.json", ["X", "Y1", "Y2", "Y3"], ["Y1", "Y2"]),
+    ("star5.json", ["X", "N1", "N2", "N3"], ["N1"]),
+])
+def test_inference_builds_no_fraction_until_rows_are_read(name, targets, x_nodes, monkeypatch):
+    # With the CPTs built, the channels are made from the enumerated
+    # integer numerators: no Fraction and no Pmf until a caller reads rows.
+    net = parse_network((FIXTURES / name).read_text())
+    for nid in net.node_ids():
+        if nid != net.source:
+            net.cpt(nid)
+    monkeypatch.setattr(Pmf, "__init__", refuse_pmf)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        channel = composite_channel(net, targets)
+        joints = composite_joints(net, x_nodes, targets)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    monkeypatch.undo()
+    assert channel.rows[0].alphabet == channel.output_alphabet
+    assert joints.rows[0].y_alphabet == joints.axes[1]

@@ -15,6 +15,7 @@ from helpers import (
     diamond_net,
     rand_couplable_net,
     rand_net,
+    refuse_pmf,
     relay_net,
 )
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from leakbound import (
     LeakboundError,
+    Pmf,
     PreconditionError,
     composite_channel,
     coupling_bound,
@@ -334,6 +336,30 @@ class TestPenaltyWork:
             assert counts["n4_ingredients"] == 0
             route = "_three_way_parts" if x_size == 3 else "_interval_parts"
             assert counts[route] == steps
+
+    @pytest.mark.parametrize("name, targets, method", [
+        ("diamond.json", ["Y1", "Y2", "Y3"], "recursive"),
+        ("coprime3.json", ["Y1", "Y2", "Y3"], "recursive"),
+        ("coprime3.json", ["X", "Y3"], "coupling"),
+        ("coprime4.json", ["Y1", "Y2", "Y3"], "recursive"),
+        ("coprime4.json", ["X", "Y3"], "coupling"),
+        ("star5.json", ["N1", "N2", "N3"], "recursive"),
+        ("star5.json", ["X", "N3"], "coupling"),
+    ])
+    def test_warm_query_builds_no_pmf(self, monkeypatch, name, targets, method):
+        # Once the CPTs are built, inference, the measures, the V-side
+        # verdict and both penalties run on the channels' integer laws at
+        # |X| = 2, 3, 4 and 5: no Pmf row is built for any channel.
+        text = (Path(__file__).parent / "fixtures" / name).read_text()
+        want = query_report(parse_network(text), targets, method)
+        net = parse_network(text)
+        for nid in net.node_ids():
+            if nid != net.source:
+                net.cpt(nid)
+        monkeypatch.setattr(Pmf, "__init__", refuse_pmf)
+        got = query_report(net, targets, method)
+        monkeypatch.undo()
+        assert got == want and got.coupling_bound_value is not None
 
     def test_inference_calls_per_peel_step(self, monkeypatch):
         # One composite_channel call for the exact value and one per V-side;

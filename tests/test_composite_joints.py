@@ -6,6 +6,10 @@ the flat channel P_{V+pa(U)|X} and splits each of its tuples into a
 (pa(U), V) cell, with pa(U) in U's declared parent order. Once the
 x coordinates are put in declaration order, the two are equal laws, and
 the Doeblin and coupling penalties read off them are exactly equal.
+
+Both channels are built from integer numerators (``DiscreteChannel.
+from_law``); each must equal the channel of its own ``Pmf`` rows, with
+the same denominator and the same columns in the same order.
 """
 
 import itertools
@@ -16,7 +20,7 @@ from pathlib import Path
 import pytest
 from helpers import rand_couplable_net, rand_net, sources_for_coupling
 
-from leakbound import bounds
+from leakbound import DiscreteChannel, bounds
 from leakbound.bayesnet import BayesNet, NodeSpec, composite_channel, composite_joints
 from leakbound.errors import CapacityError, LeakboundError, PreconditionError
 from leakbound.measures import doeblin
@@ -49,6 +53,16 @@ def penalty(sources):
         return type(err)
 
 
+def assert_rebuilt_alike(channel):
+    """The channel equals the one rebuilt from its rows: same den, same
+    columns in the same order, equal rows."""
+    rows = channel.rows
+    rebuilt = DiscreteChannel(rows, channel.input_alphabet)
+    assert rebuilt.den == channel.den
+    assert list(rebuilt.columns.items()) == list(channel.columns.items())
+    assert rebuilt.rows == rows and rebuilt == channel
+
+
 def check_step(net, u, v_set):
     parents = net.by_id[u].parents
     joints = composite_joints(net, parents, v_set, ROOMY)
@@ -66,6 +80,8 @@ def check_step(net, u, v_set):
         assert sorted(got.x_alphabet) == sorted(map(declared, want.x_alphabet))
         assert got.mass == {(declared(z), v): q for (z, v), q in want.mass.items()}
     flat = composite_channel(net, [*v_set, *parents], max_states=ROOMY)
+    assert_rebuilt_alike(joints)
+    assert_rebuilt_alike(flat)
     assert doeblin(joints) == doeblin(flat)
     assert penalty(joints.rows) == penalty(reference)
 
@@ -102,13 +118,15 @@ def test_shapes(x_size, targets, step):
 
 @pytest.mark.parametrize(
     "name", ["chain.json", "relay.json", "diamond.json", "random1.json",
-             "random2.json", "one_symbol_source.json"],
+             "random2.json", "one_symbol_source.json", "coprime.json", "coprime3.json",
+             "coprime4.json", "star5.json"],
 )
 def test_fixture_nets(name):
     net = parse_network((FIXTURES / name).read_text())
     checked = 0
-    for k in range(2, len(net.nodes) + 1):
+    for k in range(1, len(net.nodes) + 1):
         for targets in itertools.combinations(net.node_ids(), k):
+            assert_rebuilt_alike(composite_channel(net, targets, ROOMY))
             for u, v_set in peel_steps(net, list(targets)):
                 check_step(net, u, v_set)
                 checked += 1

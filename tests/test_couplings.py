@@ -123,7 +123,7 @@ class TestMixtureAssembler:
 
     def assemble(self, *components):
         uniform = pmf(["1/2", "1/2"])
-        return Mixture((uniform, uniform), _mixture(components, 2)).coupling()
+        return Mixture(DiscreteChannel((uniform, uniform)), _mixture(components, 2)).coupling()
 
     @pytest.mark.parametrize("skipped", [
         (0, [((0, 1), {"0": 2}, 0)]),
@@ -206,7 +206,7 @@ class TestIngredients:
             ch = DiscreteChannel(fam)
             for size, measure in ((2, tau_pair), (3, tau_trip)):
                 subsets = [s for s in ing.tau_by_subset if len(s) == size]
-                assert Q(sum(ing.tau_by_subset[s] for s in subsets), ing.den) == measure(ch)
+                assert Q(sum(ing.tau_by_subset[s] for s in subsets), ing.channel.den) == measure(ch)
             for pair, tvals in ing.t.items():
                 assert all(v >= 0 for v in tvals.values())
                 assert ing.n[pair] == sum(tvals.values())
@@ -216,7 +216,7 @@ class TestIngredients:
         for _ in range(60):
             fam = rand_family(rng, 4, 3)
             ing, ch = n4_ingredients(fam), DiscreteChannel(fam)
-            assert Q(ing.tau_max2 - 3 * ing.tau, ing.den) == tau_pair(ch) - 2 * tau_trip(ch)
+            assert Q(ing.tau_max2 - 3 * ing.tau, ing.channel.den) == tau_pair(ch) - 2 * tau_trip(ch)
 
 
 @st.composite
@@ -260,6 +260,8 @@ def field_items(ing, den=None):
             return [(key, items(v)) for key, v in value.items()]
         if isinstance(value, tuple):
             return tuple(items(v) for v in value)
+        if isinstance(value, DiscreteChannel):
+            return value.rows
         if den is None or isinstance(value, Pmf):
             return value
         assert type(value) is int, value
@@ -270,7 +272,7 @@ def field_items(ing, den=None):
 
 def integer_items(ing):
     """``field_items`` of the integer ingredients, over their ``den``."""
-    return field_items(ing, ing.den)
+    return field_items(ing, ing.channel.den)
 
 
 class TestIngredientsAgainstReference:
@@ -281,7 +283,7 @@ class TestIngredientsAgainstReference:
     def test_every_field_and_order(self, fam):
         ing = n4_ingredients(fam)
         assert integer_items(ing) == field_items(reference_n4_ingredients(fam))
-        assert ing.columns == DiscreteChannel(fam)._integer_view()[1]
+        assert ing.channel == DiscreteChannel(fam)
 
     def test_outside_symbol_and_coprime_denominators(self):
         # "z" is outside every support and adds no key; the rows'
@@ -293,7 +295,7 @@ class TestIngredientsAgainstReference:
             {"a": Q(1, 10007), "b": Q(5000, 10007), "c": Q(5006, 10007)},
         )]
         ing = n4_ingredients(fam)
-        assert ing.den == 7 * 11 * 97 * 10007
+        assert ing.channel.den == 7 * 11 * 97 * 10007
         assert list(ing.p_min) == ["a", "b", "c"]
         assert integer_items(ing) == field_items(reference_n4_ingredients(fam))
 
@@ -348,18 +350,18 @@ class TestCondition:
     def test_disjoint_point_masses(self):
         fam = [pmf([1, 0, 0, 0]), pmf([0, 1, 0, 0]), pmf([0, 0, 1, 0]), pmf([0, 0, 0, 1])]
         holds, ing = n4_condition(fam)
-        assert holds and ing.tau_max2 == 0 and ing.tau_max == 4 * ing.den
+        assert holds and ing.tau_max2 == 0 and ing.tau_max == 4 * ing.channel.den
 
     def test_searched_family_holds_above_one(self):
         holds, ing = n4_condition(SEARCHED_FAMILY)
         assert holds
-        assert (ing.den, ing.tau_max2) == (12, 14)
+        assert (ing.channel.den, ing.tau_max2) == (12, 14)
         assert ing.condition_slack() == Q(1, 12)
 
     def test_paired_family_boundary(self):
         holds, ing = n4_condition(PAIRED_FAMILY)
         assert holds
-        assert ing.tau_max2 == 2 * ing.den
+        assert ing.tau_max2 == 2 * ing.channel.den
         assert ing.condition_slack() == 0
 
     def test_four_cycle_sits_on_boundary(self):
@@ -371,13 +373,13 @@ class TestCondition:
             pmf(["1/2", "0", "0", "1/2"]),
         ]
         holds, ing = n4_condition(fam)
-        assert ing.tau_max2 == 2 * ing.den
+        assert ing.tau_max2 == 2 * ing.channel.den
         assert holds and ing.condition_slack() == 0
 
     def test_frozen_violating_family(self):
         holds, ing = n4_condition(FAILING_FAMILY)
         assert not holds
-        assert (ing.den, ing.tau_max2) == (16, 19)
+        assert (ing.channel.den, ing.tau_max2) == (16, 19)
         slack = ing.condition_slack()
         assert type(slack) is Q and slack == Q(-1, 16)
 
@@ -389,9 +391,9 @@ class TestGreedySplit:
         fam = rand_family_tau_max2_le1(random.Random(27), 4, 4)
         ing = n4_ingredients(fam)
         weights = n4_mixture_weights(ing)
-        assert weights.den == ing.den
+        assert weights.den == ing.channel.den
         assert all(v == 0 for v in weights.alpha.values())
-        assert weights.independent == ing.den - ing.tau_max2
+        assert weights.independent == ing.channel.den - ing.tau_max2
 
     def test_condition_failure_raises(self):
         with pytest.raises(PreconditionError) as err:
@@ -405,7 +407,7 @@ class TestGreedySplit:
             for p in ANCHOR_PAIRS:
                 assert 0 <= weights.alpha[p] <= min(ing.n[p], ing.n[complement_pair(p)])
             assert all(v >= 0 for v in weights.beta.values())
-            assert sum(weights.alpha.values()) == ing.tau_max2 - ing.den
+            assert sum(weights.alpha.values()) == ing.tau_max2 - ing.channel.den
             assert weights.independent == 0
 
 
@@ -456,7 +458,7 @@ class TestMixtureWeightsAgainstReference:
             ing, got = self.compare(fam)
             caps = [min(ing.n[p], ing.n[complement_pair(p)]) for p in ANCHOR_PAIRS]
             refused = isinstance(got, tuple)
-            above = (ing.tau_max2 > ing.den) - (ing.tau_max2 < ing.den)
+            above = (ing.tau_max2 > ing.channel.den) - (ing.tau_max2 < ing.channel.den)
             seen["refused" if refused else above] += 1
             if not refused and above == 1 and 0 in caps:
                 seen["zero capacity"] += 1

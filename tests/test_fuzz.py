@@ -5,7 +5,8 @@ invalid (a field dropped, retyped or duplicated, a probability that is
 not a number or is negative, a row of the wrong length, an unknown
 parent, a cycle, a boolean alphabet) and runs ``bound``, ``sweep`` or
 ``couple`` on it in-process. Every run must end in exit code 1, 2 or 3
-with a message, never in an exception escaping ``main``.
+with a message, never in an exception escaping ``main``. So must a
+``bound`` whose inference hands the channel a broken integer law.
 """
 
 import copy
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from leakbound import bayesnet
 from leakbound.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -194,6 +196,43 @@ def test_malformed_input_exits_with_a_message(name, argv, mutate, capsys, tmp_pa
             failures.append((i, what, code, message[-200:]))
     assert not failures, failures
     assert len(kinds) >= 5
+
+
+def _first_column(columns: dict, edit) -> dict:
+    """The law with its first column edited."""
+    first = next(iter(columns))
+    return {**columns, first: edit(list(columns[first]))}
+
+
+# A fault in the integer law that inference hands to
+# ``DiscreteChannel.from_law``: (edit of the columns, message fragment).
+BROKEN_LAWS = {
+    "negative": (lambda cols: _first_column(cols, lambda col: [-1] + col[1:]),
+                 "negative mass -1/"),
+    "row-sum": (lambda cols: _first_column(cols, lambda col: [col[0] + 1] + col[1:]),
+                "row 0 masses sum to "),
+    "unknown": (lambda cols: {**cols, ("ghost",): [1] * len(next(iter(cols.values())))},
+                "mass at unknown cell ('ghost',)"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_LAWS)
+def test_broken_integer_law_exits_with_a_message(case, monkeypatch, capsys):
+    # The channel checks a law given on integers as it checks Pmf rows: a
+    # fault ends in exit 1 with the refusal's message, not a traceback.
+    edit, fragment = BROKEN_LAWS[case]
+    projected = bayesnet._projected
+
+    def broken(*args):
+        den, columns = projected(*args)
+        return den, edit(columns)
+
+    monkeypatch.setattr(bayesnet, "_projected", broken)
+    code = main(["bound", str(FIXTURES / "chain.json"), "--targets", "Y1,Y2"])
+    out = capsys.readouterr()
+    message = out.out + out.err
+    assert code == 1, message
+    assert fragment in message and "Traceback" not in message
 
 
 # Two coprime denominators of 2,201 digits: a row of 1/A and 1/B sums to

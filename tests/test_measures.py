@@ -193,6 +193,67 @@ class TestChannel:
         with pytest.raises(LeakboundError):
             DiscreteChannel([a], input_alphabet=["x", "y"])
 
+    @pytest.mark.parametrize("build", [
+        lambda: DiscreteChannel([]),
+        lambda: DiscreteChannel.from_rows([]),
+        lambda: DiscreteChannel.from_rows([], ["a"]),
+        lambda: DiscreteChannel.from_law(1, {}, (("a",),), ()),
+    ], ids=["rows", "from_rows", "from_rows-alphabet", "from_law"])
+    def test_no_rows_refused(self, build):
+        with pytest.raises(LeakboundError, match="channel needs at least one row"):
+            build()
+
+    def test_law_of_rows(self):
+        # den is the least common denominator; the columns hold the union
+        # of the supports, in order of first appearance, row by row.
+        rows = [Pmf("abc", {"c": Q(1, 2), "a": Q(1, 2)}), Pmf("abc", {"b": Q(1, 3), "a": Q(2, 3)})]
+        ch = DiscreteChannel(rows, ["x", "y"])
+        assert ch.den == 6 and ch.axes == (("a", "b", "c"),) and ch.n == 2
+        assert list(ch.columns.items()) == [("c", (3, 0)), ("a", (3, 4)), ("b", (0, 2))]
+        assert ch.rows == tuple(rows) and ch.row(1) == rows[1]
+        assert DiscreteChannel.from_law(6, ch.columns, ch.axes, ["x", "y"]) == ch
+
+    def test_law_of_joint_rows(self):
+        rows = [JointPmf("01", "ab", {("0", "a"): Q(1, 4), ("1", "b"): Q(3, 4)}),
+                JointPmf("01", "ab", {("1", "a"): Q(1)})]
+        ch = DiscreteChannel(rows)
+        assert ch.axes == (("0", "1"), ("a", "b")) and ch.input_alphabet == ("0", "1")
+        assert ch.output_alphabet == (("0", "a"), ("0", "b"), ("1", "a"), ("1", "b"))
+        assert all(type(row) is JointPmf for row in ch.rows) and ch.rows == tuple(rows)
+        assert ch.rows[0].y_marginal() == rows[0].y_marginal()
+
+    def test_law_reduced_to_least_denominator(self):
+        # Inference hands over numerators over the product of the CPT
+        # denominators; the channel keeps the least one, so the measures,
+        # the rows and equality do not depend on it.
+        columns = {"a": (2, 6), "b": (4, 0), "z": (0, 0)}
+        small = DiscreteChannel.from_law(3, {"a": (1, 3), "b": (2, 0)}, ["abz"], "xy")
+        for scale in (1, 2, 7, 10**30):
+            big = DiscreteChannel.from_law(6 * scale, {
+                y: tuple(q * scale for q in col) for y, col in columns.items()
+            }, ["abz"], "xy")
+            assert big == small and big.den == 3 and list(big.columns) == ["a", "b"]
+            assert big.rows == small.rows
+            assert measure_set(big) == measure_set(small)
+
+    @pytest.mark.parametrize("columns, axes, message", [
+        ({"a": (1, -1), "b": (1, 3)}, ["ab"], "negative mass -1/2 at 'a'"),
+        ({"a": (1, 0), "b": (0, 1)}, ["ab"], "row 0 masses sum to 1/2, expected exactly 1"),
+        ({"a": (1, 2), "b": (1, 1)}, ["ab"], "row 1 masses sum to 3/2, expected exactly 1"),
+        ({"a": (2, 2), "c": (0, 0)}, ["ab"], "mass at unknown cell 'c'"),
+        ({("0", "a"): (2, 1), ("1", "c"): (0, 1)}, ["01", "ab"], r"mass at unknown cell \('1', 'c'\)"),
+        ({"ab": (2, 2)}, ["01", "ab"], "mass at unknown cell 'ab'"),
+        ({"a": (2, 2, 0)}, ["ab"], "column 'a' has 3 entries for 2 rows"),
+    ], ids=["negative", "row-sum-low", "row-sum-high", "unknown", "unknown-cell",
+            "not-a-cell", "column-length"])
+    def test_law_refusals(self, columns, axes, message):
+        with pytest.raises(LeakboundError, match=f"^{message}$"):
+            DiscreteChannel.from_law(2, columns, axes, "xy")
+
+    def test_law_needs_a_positive_denominator(self):
+        with pytest.raises(LeakboundError, match="denominator 0 is not positive"):
+            DiscreteChannel.from_law(0, {"a": (0,)}, ["ab"], "x")
+
 
 class TestTauMax:
     def test_identical_rows(self):
@@ -206,7 +267,7 @@ class TestTauMax:
         # direct formula q * (1 - delta) for delta <= 1 - 1/q,
         # cross-checked against the column-wise maximum sum
         assert tau_max(ch) == Q(3, 2)
-        by_columns = sum(max(ch.column(y)) for y in ch.output_alphabet)
+        by_columns = sum(max(row[y] for row in ch.rows) for y in ch.output_alphabet)
         assert by_columns == Q(3, 2)
 
 

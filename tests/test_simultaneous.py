@@ -20,9 +20,11 @@ from helpers import (
     rand_partition,
     reference_check_mixture,
     reference_coupling_penalty,
+    reference_interval_parts,
     reference_mass,
     reference_minimal_y_coupling,
     reference_residuals,
+    refuse_pmf,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -601,24 +603,26 @@ class TestCouplingPenalty:
         rng = random.Random(57)
         mine, other = (rand_family_tau_max2_le1(rng, 4, 3) for _ in range(2))
         verdict = coupling_feasibility(other)
-        assert verdict.ok and tuple(mine) != verdict.ingredients.pmfs
+        assert verdict.ok and tuple(mine) != verdict.ingredients.channel.rows
         with pytest.raises(LeakboundError, match="other marginals"):
             minimal_y_coupling(mine, verdict=verdict)
         with pytest.raises(LeakboundError, match="other marginals"):
             coupling_penalty(sources_with_y_family(rng, mine), verdict=verdict)
-        assert minimal_y_coupling(mine, verdict=coupling_feasibility(mine)).marginals == tuple(mine)
+        mixture = minimal_y_coupling(mine, verdict=coupling_feasibility(mine))
+        assert mixture.marginals.rows == tuple(mine)
 
     def test_verdict_on_the_same_law_over_another_denominator(self, monkeypatch):
         # The walk decides the verdict on P_{V|X}, whose common denominator
         # differs from the joints'; the laws are equal, so it is accepted,
-        # and no Y-marginal is built to match it.
+        # and no Y-marginal Pmf is built to match it.
         rng = random.Random(58)
         sources = sources_with_y_family(rng, rand_family_tau_max2_le1(rng, 4, 3), x_size=3)
         want = coupling_penalty(sources)
         verdict = coupling_feasibility([s.y_marginal() for s in sources])
-        assert DiscreteChannel(sources)._integer_view()[0] != verdict.ingredients.den
-        monkeypatch.setattr(simultaneous, "_y_marginals", None)
-        assert coupling_penalty(sources, verdict=verdict) == want
+        joints = DiscreteChannel(sources)
+        assert joints.den != verdict.ingredients.channel.den
+        monkeypatch.setattr(Pmf, "__init__", refuse_pmf)
+        assert coupling_penalty(joints, verdict=verdict) == want
 
 
 class TestCheckMixture:
@@ -628,7 +632,7 @@ class TestCheckMixture:
     @staticmethod
     def tuple_mixture(marginals, mass):
         parts = tuple(_tuple_part(t, q.numerator, q.denominator) for t, q in mass.items())
-        return Mixture(tuple(marginals), parts)
+        return Mixture(DiscreteChannel(marginals), parts)
 
     @staticmethod
     def check(mixture):
@@ -636,7 +640,6 @@ class TestCheckMixture:
         with the message of ``helpers.reference_check_mixture``, which
         checks the parts with the part's denominator folded into its first
         group, on Fractions."""
-        view = DiscreteChannel(mixture.marginals)._integer_view()
         folded = tuple(
             tuple(
                 (coords, tuple((y, Q(e, den) if g == 0 else Q(e)) for y, e in entries))
@@ -645,13 +648,13 @@ class TestCheckMixture:
             for den, groups in mixture.parts
         )
         try:
-            reference_check_mixture(mixture.marginals, folded)
+            reference_check_mixture(mixture.marginals.rows, folded)
         except ConstructionError as err:
             with pytest.raises(ConstructionError) as got:
-                _check_mixture(mixture.parts, view, mixture.marginals[0].alphabet)
+                _check_mixture(mixture.parts, mixture.marginals)
             assert str(got.value) == str(err)
             raise
-        _check_mixture(mixture.parts, view, mixture.marginals[0].alphabet)
+        _check_mixture(mixture.parts, mixture.marginals)
 
     def test_closed_forms_pass(self):
         # The parts count the support exactly: each part has its own tie
@@ -683,7 +686,7 @@ class TestCheckMixture:
         half = {"0": 1, "1": 1}
         parts = _mixture([(2, [((0,), half, 2), ((1,), half, 2)])], 2)
         with pytest.raises(ConstructionError, match="overlapping"):
-            self.check(Mixture((uniform, uniform), parts))
+            self.check(Mixture(DiscreteChannel((uniform, uniform)), parts))
 
     def test_diagonal_off_the_floor_raises(self):
         # A minimal coupling of this family need not pin its diagonal: the
@@ -818,25 +821,6 @@ def outcome(fn, *args):
         return type(err).__name__, str(err), getattr(err, "value", None)
 
 
-def unique_minimal_coupling(y_pmfs) -> bool:
-    """Whether m >= 5 marginals on at most two support symbols have one
-    minimal Y-coupling with a pinned diagonal (always so below m = 5, where
-    the reference builds the same closed forms).
-
-    On one symbol the coupling is a point mass. On two, a and b, the
-    pinned diagonal leaves max_i P_i(a) - min_i P_i(a) on the untied
-    tuples, and there a row at the minimum holds b and a row at the
-    maximum holds a. So the coupling is unique iff at most one row lies
-    strictly between; two such rows could be coupled in many ways."""
-    _, columns = DiscreteChannel(y_pmfs)._integer_view()
-    if len(y_pmfs) < 5 or len(columns) == 1:
-        return True
-    if len(columns) > 2:
-        return False
-    col = next(iter(columns.values()))
-    return sum(min(col) < q < max(col) for q in col) <= 1
-
-
 KINDS = ("small", "pulled", "disjoint", "floor", "coprime")
 
 
@@ -844,13 +828,11 @@ def rand_penalty_joints(rng, m, kind):
     """m joints P_{X,Y} of one kind: "small" weights (zero cells, ties),
     "pulled" toward a shared joint, "disjoint" cell supports, "floor" (source
     0 at the cellwise minimum on the whole column "a", so its rest_0("a")
-    is 0), or "coprime" masses over denominators up to 10**6. At m = 5
-    the reference's Y-coupling is the LP's witness, which equals the
-    interval coupling only where the minimal coupling is unique; the Y
-    alphabet stays at two symbols there, where ``unique_minimal_coupling``
-    decides that."""
+    is 0), or "coprime" masses over denominators up to 10**6. From m = 4
+    on the Y alphabet has at most three symbols, which keeps the
+    reference's LP at m = 5 small."""
     xs = tuple(str(i) for i in range(rng.randint(1, 3 if m <= 3 else 2)))
-    ys = tuple("abcd"[: rng.randint(1, 4 if m <= 3 else 3 if m == 4 else 2)])
+    ys = tuple("abcd"[: rng.randint(1, 4 if m <= 3 else 3)])
     cells = list(itertools.product(xs, ys))
 
     def weights(k):
@@ -908,15 +890,9 @@ class TestPenaltyAgainstReference:
     def compare(sources):
         """Asserts that the penalty, or its refusal, is the reference's from
         the joints, from their channel and with the walk's verdict, and is
-        f of the built coupling; returns the reference outcome. Where the
-        minimal Y-coupling is not unique, the reference's LP vertex may
-        give another f, and the penalty is compared with the rest only."""
+        f of the built coupling; returns the reference outcome."""
         want = outcome(reference_coupling_penalty, sources)
-        got = outcome(coupling_penalty, sources)
-        if isinstance(want, Q) and not unique_minimal_coupling([s.y_marginal() for s in sources]):
-            assert isinstance(got, Q)
-            want = got
-        assert got == want
+        assert outcome(coupling_penalty, sources) == want
         joints = DiscreteChannel(sources)
         assert outcome(coupling_penalty, joints) == want
         if isinstance(want, Q):
@@ -929,13 +905,9 @@ class TestPenaltyAgainstReference:
     @staticmethod
     def compare_y_couplings(y_pmfs):
         """``minimal_y_coupling`` lists the reference's masses, or refuses
-        alike; where the minimal coupling is not unique, its parts pass
-        the reference check instead."""
+        alike."""
         m = len(y_pmfs)
         want = outcome(lambda: reference_mass(reference_minimal_y_coupling(y_pmfs), m))
-        if isinstance(want, dict) and not unique_minimal_coupling(y_pmfs):
-            TestCheckMixture.check(minimal_y_coupling(y_pmfs))
-            return want
         assert outcome(lambda: minimal_y_coupling(y_pmfs).coupling().mass) == want
         return want
 
@@ -961,7 +933,7 @@ class TestPenaltyAgainstReference:
                     seen["built", m] += 1
                     table = simultaneous._mixture_table(DiscreteChannel(sources))
                     seen["zero rest"] += any(
-                        rest[y] == 0 and table.y_view[1][y][i]
+                        rest[y] == 0 and table.y_marginals.columns[y][i]
                         for i, rest in enumerate(table.rest) for y in rest
                     )
                     seen["disjoint"] += m > 1 and not table.p_min
@@ -1051,7 +1023,8 @@ def interval_families(draw):
 class TestIntervalParts:
     """The interval coupling at m >= 5: a checked minimal Y-coupling with a
     pinned diagonal on at most 2m|Y| + 2 distinct tuples, refused exactly
-    when ``coupling_feasibility`` refuses."""
+    when ``coupling_feasibility`` refuses, and tuple for tuple the layout
+    of ``helpers.reference_interval_parts``."""
 
     @staticmethod
     def check(fam):
@@ -1059,15 +1032,19 @@ class TestIntervalParts:
         passed."""
         m = len(fam)
         verdict = coupling_feasibility(fam)
-        den, columns = DiscreteChannel(fam)._integer_view()
+        channel = DiscreteChannel(fam)
+        den, columns = channel.den, channel.columns
         try:
             mixture = minimal_y_coupling(fam)
         except PreconditionError as err:
             assert not verdict.ok
             assert (err.condition, err.value) == (verdict.label, verdict.value)
+            with pytest.raises(PreconditionError):
+                reference_interval_parts(fam)
             return {"refused"}
         assert verdict.ok
         TestCheckMixture.check(mixture)
+        assert mixture.coupling().mass == reference_mass(reference_interval_parts(fam), m)
         listed = [tup for part in mixture.parts for tup, _ in _list_part(part, m)]
         assert len(listed) == len(set(listed)) == len(mixture.parts) <= 2 * m * len(columns) + 2
         # A column of zeros adds no breakpoint.
@@ -1137,15 +1114,15 @@ FRACTION_READS = {"__new__", "numerator", "denominator"}
     ("star5.json", ["N1"], "N3"),
 ])
 def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u, monkeypatch):
-    # At |X| = 2, 3, 4 and 5 the penalty reads the joints' integer view,
-    # takes the pair, three-way, four-way or interval Y-coupling, checks it
-    # and sums f on integers; a Fraction is built only for f. At |X| = 4
-    # the walk's verdict is matched to the view, so no Y-marginal Pmf is
-    # built. With the source in V, the X-copies never agree on a cell, so
-    # f is all G2/G3 mass and exceeds the Doeblin coefficient, 0.
+    # At |X| = 2, 3, 4 and 5 the penalty reads the joints' law, takes the
+    # pair, three-way, four-way or interval Y-coupling, checks it and sums
+    # f on integers; a Fraction is built only for f, and no Pmf at all: at
+    # |X| = 4 the walk's verdict is matched to the Y-marginals' law. With
+    # the source in V, the X-copies never agree on a cell, so f is all
+    # G2/G3 mass and exceeds the Doeblin coefficient, 0.
     net = parse_network((WIDE_FIXTURES / name).read_text())
     checked = [bounds._checked_step(net, v_set, u, (), ROOMY)]
-    monkeypatch.setattr(simultaneous, "_y_marginals", None)
+    monkeypatch.setattr(Pmf, "__init__", refuse_pmf)
     calls = []
 
     def profile(frame, event, arg):
@@ -1159,6 +1136,7 @@ def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u, monkeypatc
     finally:
         sys.setprofile(None)
     assert calls == []
+    monkeypatch.undo()
     joints = checked[0].joints
     assert step.penalty == reference_coupling_penalty(joints.rows)
     assert step.penalty > doeblin(joints) if "X" in v_set else step.penalty >= doeblin(joints)
