@@ -98,8 +98,21 @@ class BayesNet:
                 f"node {node_id!r} has {len(node.rows)} rows for "
                 f"{len(configs)} parent configurations"
             )
-        rows = [Pmf.from_values(r, node.alphabet) for r in node.rows]
-        channel = self._memo[key] = DiscreteChannel(rows, configs)
+        for row in node.rows:
+            if len(row) != len(node.alphabet):
+                raise LeakboundError(
+                    f"row has {len(row)} entries for alphabet of size {len(node.alphabet)}"
+                )
+        # The law straight from the rows, no Pmf built: numerators over the
+        # least common denominator, a column per symbol in order of first
+        # appearance, row by row; from_law checks signs and row sums.
+        den, nums = _over_lcm(q for row in node.rows for q in row)
+        numerator, columns = iter(nums), {}
+        for i in range(len(node.rows)):
+            for sym in node.alphabet:
+                if num := next(numerator):
+                    columns.setdefault(sym, [0] * len(node.rows))[i] = num
+        channel = self._memo[key] = DiscreteChannel.from_law(den, columns, (node.alphabet,), configs)
         return channel
 
     def with_source(self, source: str) -> "BayesNet":

@@ -33,10 +33,11 @@ Every entry takes one route. The targets are checked and put in
 topological order once per query. ``_walk`` then checks the hypotheses
 of every peel step with ``_checked_step``, which also computes the
 Doeblin penalty, and only then are the penalties mapped over the checked
-steps, which cannot fail: the coupling penalty takes a closed-form
-Y-coupling at every |X| and solves no LP. A ``PreconditionError`` keeps
-the steps before the failure in its ``trace``, each carrying the Doeblin
-penalty whatever the method.
+steps, which cannot fail: the coupling penalty takes the four-way
+Y-coupling at |X| = 4 and the interval Y-coupling at every other |X|,
+and solves no LP. A ``PreconditionError`` keeps the steps before the
+failure in its ``trace``, each carrying the Doeblin penalty whatever the
+method.
 """
 
 from __future__ import annotations

@@ -1,50 +1,51 @@
 """Couplings of PMFs on a shared alphabet and closed-form constructions.
 
-Every closed form here is a mixture: a weighted sum of components, each
-a product of per-group factors over coordinate groups tied to one
-symbol. The closed forms compute their ingredients and hand their
-components to ``_mixture``, which owns the rules: a component of zero
-weight or with an empty factor is skipped before any normalizer is
-divided by, so no 0/0 ratio is evaluated, and a negative mass is
-refused. The resulting ``Mixture`` lists its tuples only in
-``Mixture.coupling``; the bounds read their penalty off its parts
-(``simultaneous.coupling_penalty``).
+Every closed form here is a mixture: a weighted sum of parts, each a
+product of per-group factors over coordinate groups tied to one symbol.
+The four-way form computes its ingredients and hands its components to
+``_mixture``, which owns the rules: a component of zero weight or with
+an empty factor is skipped before any normalizer is divided by, so no
+0/0 ratio is evaluated, and a negative mass is refused. The interval
+coupling lays out its tuples directly, one part each. The resulting
+``Mixture`` lists its tuples only in ``Mixture.coupling``; the bounds
+read their penalty off its parts (``simultaneous.coupling_penalty``).
 
 The mixtures are built on integers. Every weight, factor entry and norm
 is a numerator over the common denominator of the marginals' law
-(``DiscreteChannel.den`` and ``.columns``): ``_pair_parts`` and
-``_three_way_parts`` take that law directly, and ``n4_ingredients``
-reads it into the ``N4Ingredients`` and ``MixtureWeights`` that
-``n4_mixture`` takes. A part is ``(den, groups)``, its integer entries
-over its own denominator, so a ``Fraction`` is built only for a
-message, for ``N4Ingredients.condition_slack`` and when
-``Mixture.coupling`` lists a tuple. Besides the product
-``independent_coupling`` (a baseline), the closed forms, each named with
-the function of its parts, are the three below. In each, the groups of
-one component have pairwise disjoint factor supports (T_p > 0 needs both
-rows of the pair p strictly above the other two, r_i > 0 needs row i
-strictly above all the others), so a component of g groups puts mass
-only on tuples of exactly g distinct symbols.
+(``DiscreteChannel.den`` and ``.columns``): ``_interval_parts`` takes
+that law directly, and ``n4_ingredients`` reads it into the
+``N4Ingredients`` and ``MixtureWeights`` that ``n4_mixture`` takes. A
+part is ``(den, groups)``, its integer entries over its own denominator,
+so a ``Fraction`` is built only for a message, for
+``N4Ingredients.condition_slack`` and when ``Mixture.coupling`` lists a
+tuple. Besides the product ``independent_coupling`` (a baseline), there
+are two closed forms, each a minimal coupling with a pinned diagonal
+(P(all coordinates equal y) = min_i P_i(y)). In each, the groups of one
+part have pairwise disjoint factor supports (an interval part is one
+tuple; in the four-way form, T_p > 0 needs both rows of the pair p
+strictly above the other two, r_i > 0 needs row i strictly above all the
+others), so a part of g groups puts mass only on tuples of exactly g
+distinct symbols.
 
-* ``maximal_coupling_pair`` (``pair_mixture``) -- the classical
-  two-variable maximal coupling (diagonal mass min{p, q}, residuals
-  coupled independently), which attains union mass 1 + TV(p, q) =
-  tau_max(p, q).
-
-* ``three_way_coupling`` (``three_way_mixture``) -- the four-way mixture
-  of (P_1, P_2, P_3, P_3) with the duplicate projected out; it exists iff
-  tau_max2 <= 1.
+* ``_interval_parts``, the interval coupling of m marginals, which
+  exists iff tau_max2 <= 1: every row holds each symbol on subintervals
+  of [0, 1), laid out so that rows overlap on y only inside y's core,
+  one part per tuple. It has the full intersection property (every
+  subset I of two or more coordinates ties on y with mass
+  min_{i in I} P_i(y)). ``maximal_coupling_pair`` (m = 2, union mass
+  1 + TV(p, q)) and ``three_way_coupling`` (m = 3) list it.
 
 * ``build_n4_coupling`` (``n4_mixture``) -- a four-variable mixture
   coupling that attains union mass tau_max(P_1, ..., P_4) whenever
 
       min{N01,N23} + min{N02,N13} + min{N03,N12} >= tau_max2 - 1,
 
-  where N_ij are the pair-residual normalizers defined below. The mixture
-  is a convex combination of: a fully tied diagonal, four one-free-
-  coordinate components, six two-free-coordinate components, three
-  pair-of-tied-pairs components, and (when tau_max2 < 1) one component of
-  four independent residuals absorbing the leftover weight 1 - tau_max2.
+  where N_ij are the pair-residual normalizers defined below, a condition
+  that tau_max2 <= 1 implies. The mixture is a convex combination of: a
+  fully tied diagonal, four one-free-coordinate components, six
+  two-free-coordinate components, three pair-of-tied-pairs components,
+  and (when tau_max2 < 1) one component of four independent residuals
+  absorbing the leftover weight 1 - tau_max2.
   ``n4_ingredients`` reads each column (P_0(y), ..., P_3(y)) once and
   ranks its entries: the minimum over a row subset is the entry of its
   lowest-ranked row (``RANKED``), so every tau_I, tau_max (top entry),
@@ -266,91 +267,78 @@ def _mixture(components: Iterable[tuple], den: int = 1) -> tuple:
     return tuple(parts)
 
 
+def _tuple_part(tup: tuple, num: int, den: int) -> tuple:
+    """One tuple of mass num / den as a mixture part: a group per distinct
+    symbol."""
+    return (den, tuple(
+        (tuple(i for i, s in enumerate(tup) if s == y), ((y, num if k == 0 else 1),))
+        for k, y in enumerate(dict.fromkeys(tup))
+    ))
+
+
+def _interval_parts(den: int, columns: Mapping[Symbol, tuple[int, ...]], m: int) -> tuple:
+    """A minimal pinned Y-coupling of m marginals (integer numerators over
+    ``den``) laid out on [0, den): each symbol y gets a core of length
+    max2(y), the second largest entry of its column (0 at m = 1). There
+    every row but y's argmax (the lowest row on a tie) holds y on a prefix
+    of length P_i(y), and the argmax row on the whole core; each argmax
+    row then pours its excess into its own free gaps, in order. Only the
+    argmax row holds y outside y's core, so the union mass is tau_max and
+    the diagonal min_i P_i(y). Each cell between breakpoints is one tuple
+    (equal ones merged), at most 2m|Y| + 2. Refuses with
+    ``PreconditionError(TAU_MAX2_CONDITION, tau_max2)`` when the cores do
+    not fit, that is when tau_max2 > 1."""
+    cores, end = [], 0
+    for y, col in columns.items():
+        arg = col.index(max(col))
+        core = max(col[:arg] + col[arg + 1:], default=0)
+        cores.append((y, col, arg, end, core))
+        end += core
+    if end > den:
+        raise PreconditionError(TAU_MAX2_CONDITION, Fraction(end, den))
+    # Per row, the symbol it holds from each of its segment starts on.
+    starts, gaps = [{} for _ in range(m)], [[] for _ in range(m)]
+    for y, col, arg, at, core in cores:
+        for i, q in enumerate(col):
+            held = core if i == arg else q
+            if held:
+                starts[i][at] = y
+            gaps[i].append((at + held, at + core))
+    for i, row_gaps in enumerate(gaps):
+        pours = ((y, col[i] - core) for y, col, arg, _, core in cores if arg == i and col[i] > core)
+        left = 0
+        for lo, hi in row_gaps + [(end, den)]:
+            while lo < hi:
+                if not left:
+                    y, left = next(pours)
+                starts[i][lo] = y
+                step = min(left, hi - lo)
+                lo, left = lo + step, left - step
+    cuts = sorted({at for row in starts for at in row})
+    labels, mass = (None,) * m, {}
+    for lo, hi in zip(cuts, cuts[1:] + [den]):
+        labels = tuple(row.get(lo, y) for row, y in zip(starts, labels))
+        mass[labels] = mass.get(labels, 0) + hi - lo
+    return tuple(_tuple_part(tup, w, den) for tup, w in mass.items())
+
+
 def maximal_coupling_pair(p: Pmf, q: Pmf) -> Coupling:
-    """Classical maximal coupling, listed from ``pair_mixture``."""
-    return pair_mixture(p, q).coupling()
-
-
-def pair_mixture(p: Pmf, q: Pmf) -> Mixture:
-    """The parts of the maximal coupling: tie min{p,q}, couple residuals
-    independently. Union mass equals 1 + TV(p, q) = tau_max(p, q).
-
-    With omega = sum_y min{p,q}(y), the components are
-
-        (y, y)      min{p,q}(y)
-        (y1, y2)    (1 - omega) (p - min{p,q})(y1) (q - min{p,q})(y2) / (1 - omega)^2
-    """
-    channel = DiscreteChannel((p, q))
-    return Mixture(channel, _pair_parts(channel.den, channel.columns))
-
-
-def _pair_parts(den: int, columns: Mapping[Symbol, tuple[int, int]]) -> tuple:
-    """``pair_mixture``'s parts from the two marginals as integer
-    numerators over ``den`` (``DiscreteChannel.columns``)."""
-    overlap = {y: min(col) for y, col in columns.items()}
-    rest = den - sum(overlap.values())
-    left = {y: a - b for y, (a, b) in columns.items() if a > b}
-    right = {y: b - a for y, (a, b) in columns.items() if b > a}
-    return _mixture([
-        (den, [((0, 1), overlap, den)]),
-        (rest, [((0,), left, rest), ((1,), right, rest)]),
-    ], den)
+    """A maximal coupling of two PMFs: the interval coupling, whose
+    diagonal carries min{p, q} and whose union mass is 1 + TV(p, q) =
+    tau_max(p, q)."""
+    return _interval_coupling((p, q))
 
 
 def three_way_coupling(p1: Pmf, p2: Pmf, p3: Pmf) -> Coupling:
-    """Minimal three-way coupling, listed from ``three_way_mixture``."""
-    return three_way_mixture(p1, p2, p3).coupling()
+    """A minimal three-way coupling with a pinned diagonal: the interval
+    coupling, which has the full intersection property; it exists iff
+    tau_max2 <= 1."""
+    return _interval_coupling((p1, p2, p3))
 
 
-def three_way_mixture(p1: Pmf, p2: Pmf, p3: Pmf) -> Mixture:
-    """Minimal three-way coupling with a pinned diagonal, in closed form:
-    the four-way mixture (``build_n4_coupling``) of (p1, p2, p3,
-    p3) with the duplicate coordinate projected out; only five of its
-    components survive. With a, b, c the three masses at a symbol,
-    r0 = (a - max(b, c))+ and r1 = (b - max(a, c))+ the residuals of p1
-    and p2 (totals R0, R1), and T01 = (min(a, b) - c)+, T23 =
-    (c - max(a, b))+ (totals N01, N23):
-
-        (y, y, y)     min(a, b, c)
-        (y', y, y)    (min(b, c) - min(a, b, c))(y) * r0(y') / R0
-        (y, y', y)    (min(a, c) - min(a, b, c))(y) * r1(y') / R1
-        (y', y'', y)  (N23 - N01) * T23(y) / N23 * r0(y') / R0 * r1(y'') / R1
-        (y, y, y2)    N01 * T01(y) / N01 * T23(y2) / N23
-
-    N23 - N01 = 1 - tau_max2, so the mixture exists iff tau_max2 <= 1;
-    otherwise ``PreconditionError(TAU_MAX2_CONDITION, tau_max2)``.
-    """
-    channel = DiscreteChannel((p1, p2, p3))
-    return Mixture(channel, _three_way_parts(channel.den, channel.columns))
-
-
-def _three_way_parts(den: int, columns: Mapping[Symbol, tuple[int, int, int]]) -> tuple:
-    """``three_way_mixture``'s parts from the three marginals as integer
-    numerators over ``den`` (``DiscreteChannel.columns``)."""
-    floor, s12, s02, t01, t23, r0, r1 = ({} for _ in range(7))
-    for y, (a, b, c) in columns.items():
-        floor[y] = min(a, b, c)
-        s12[y] = min(b, c) - floor[y]
-        s02[y] = min(a, c) - floor[y]
-        for part, value in (
-            (t01, min(a, b) - c),
-            (t23, c - max(a, b)),
-            (r0, a - max(b, c)),
-            (r1, b - max(a, c)),
-        ):
-            if value > 0:
-                part[y] = value
-    n01, n23 = sum(t01.values()), sum(t23.values())
-    if n23 < n01:
-        raise PreconditionError(TAU_MAX2_CONDITION, Fraction(den + n01 - n23, den))
-    norm0, norm1 = sum(r0.values()), sum(r1.values())
-    return _mixture([
-        (den, [((0, 1, 2), floor, den)]),
-        (den, [((1, 2), s12, den), ((0,), r0, norm0)]),
-        (den, [((0, 2), s02, den), ((1,), r1, norm1)]),
-        (n23 - n01, [((2,), t23, n23), ((0,), r0, norm0), ((1,), r1, norm1)]),
-        (n01, [((0, 1), t01, n01), ((2,), t23, n23)]),
-    ], den)
+def _interval_coupling(pmfs: Sequence[Pmf]) -> Coupling:
+    channel = DiscreteChannel(pmfs)
+    return Mixture(channel, _interval_parts(channel.den, channel.columns, channel.n)).coupling()
 
 
 @dataclass(frozen=True)

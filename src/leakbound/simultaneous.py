@@ -26,28 +26,29 @@ source i above the cellwise floor, given y:
     r_i(x | y) = (P_i(x, y) - P_min(x, y)) / (P_i(y) - sum_x P_min(x, y)),
 
 the normalizer read off the marginal. No two parts share a Y-tuple (H's
-closed-form parts each tie their own partition of the coordinates, its
+four-way parts each tie their own partition of the coordinates, its
 interval parts are distinct tuples), and none meets G1, which would need
 every source above the floor at a cell some source attains. So the
 support size is known before anything is listed: the nonzero cells of
 P_min plus, per part, prod_g sum_{y in g} prod_{i in g} |r_i(. | y)|.
 
-``minimal_y_coupling`` gives H as a ``couplings.Mixture``: a closed form
-at m = 2, 3, 4, else the interval coupling (``_interval_parts``), one
-part per tuple; no route solves an LP. Every route pins the diagonal to
-min_i P_{Y_i}(y), which keeps H nonnegative and off the tied tuples.
-``_check_mixture`` checks the parts: disjoint group supports, the
-Y-marginals, union mass tau_max and the diagonal. Then every source is
-preserved: the weights of the tuples with t_i = y add up to the residual
-total of source i at y, P_i(y) - sum_x P_min(x, y). A caller that has
-decided ``coupling_feasibility`` passes the verdict, not decided again.
+``minimal_y_coupling`` gives H as a ``couplings.Mixture``: the four-way
+mixture at m = 4, the interval coupling (``_interval_parts``, one part
+per tuple) at every other m; no route solves an LP. Both pin the
+diagonal to min_i P_{Y_i}(y), which keeps H nonnegative and off the
+tied tuples. ``_check_mixture`` checks the parts: disjoint group
+supports, the Y-marginals, union mass tau_max and the diagonal. Then
+every source is preserved: the weights of the tuples with t_i = y add up
+to the residual total of source i at y, P_i(y) - sum_x P_min(x, y). A
+caller that has decided ``coupling_feasibility`` passes the verdict, not
+decided again.
 
 Everything is computed on integers, in one pass over the law of the
 joints' channel (``DiscreteChannel.columns``, each (x, y) cell as
 numerators over one den, as inference built it): P_min, the floor sum_x
 P_min(x, y), the Y-marginals, and d_i(x, y) = P_i(x, y) - P_min(x, y)
-with its total rest_i(y) = P_i(y) - floor(y), so r_i = d_i / rest_i. H's
-closed forms read the law of the Y-marginals' channel, which a four-way
+with its total rest_i(y) = P_i(y) - floor(y), so r_i = d_i / rest_i. H
+is read off the law of the Y-marginals' channel, which a four-way
 verdict must share. A part is ``(den, groups)``, integer entries over one
 denominator (see ``couplings``); the checks cross-multiply over the LCM
 of the part denominators.
@@ -90,9 +91,8 @@ from .couplings import (
     Coupling,
     Mixture,
     N4Ingredients,
+    _interval_parts,
     _list_part,
-    _pair_parts,
-    _three_way_parts,
     n4_condition,
     n4_mixture,
 )
@@ -152,61 +152,6 @@ def coupling_feasibility(y_pmfs: Sequence[Pmf] | DiscreteChannel) -> Feasibility
     return Feasibility(value <= 1, TAU_MAX2_CONDITION, value)
 
 
-def _tuple_part(tup: tuple, num: int, den: int) -> tuple:
-    """One tuple of mass num / den as a mixture part: a group per distinct
-    symbol."""
-    return (den, tuple(
-        (tuple(i for i, s in enumerate(tup) if s == y), ((y, num if k == 0 else 1),))
-        for k, y in enumerate(dict.fromkeys(tup))
-    ))
-
-
-def _interval_parts(den: int, columns: Mapping[Symbol, tuple[int, ...]], m: int) -> tuple:
-    """A minimal pinned Y-coupling of m marginals (integer numerators over
-    ``den``) laid out on [0, den): each symbol y gets a core of length
-    max2(y), the second largest entry of its column (0 at m = 1). There
-    every row but y's argmax (the lowest row on a tie) holds y on a prefix
-    of length P_i(y), and the argmax row on the whole core; each argmax
-    row then pours its excess into its own free gaps, in order. Only the
-    argmax row holds y outside y's core, so the union mass is tau_max and
-    the diagonal min_i P_i(y). Each cell between breakpoints is one tuple
-    (equal ones merged), at most 2m|Y| + 2. Refuses with
-    ``PreconditionError(TAU_MAX2_CONDITION, tau_max2)`` when the cores do
-    not fit, that is when tau_max2 > 1."""
-    cores, end = [], 0
-    for y, col in columns.items():
-        arg = col.index(max(col))
-        core = max(col[:arg] + col[arg + 1:], default=0)
-        cores.append((y, col, arg, end, core))
-        end += core
-    if end > den:
-        raise PreconditionError(TAU_MAX2_CONDITION, Fraction(end, den))
-    # Per row, the symbol it holds from each of its segment starts on.
-    starts, gaps = [{} for _ in range(m)], [[] for _ in range(m)]
-    for y, col, arg, at, core in cores:
-        for i, q in enumerate(col):
-            held = core if i == arg else q
-            if held:
-                starts[i][at] = y
-            gaps[i].append((at + held, at + core))
-    for i, row_gaps in enumerate(gaps):
-        pours = ((y, col[i] - core) for y, col, arg, _, core in cores if arg == i and col[i] > core)
-        left = 0
-        for lo, hi in row_gaps + [(end, den)]:
-            while lo < hi:
-                if not left:
-                    y, left = next(pours)
-                starts[i][lo] = y
-                step = min(left, hi - lo)
-                lo, left = lo + step, left - step
-    cuts = sorted({at for row in starts for at in row})
-    labels, mass = (None,) * m, {}
-    for lo, hi in zip(cuts, cuts[1:] + [den]):
-        labels = tuple(row.get(lo, y) for row, y in zip(starts, labels))
-        mass[labels] = mass.get(labels, 0) + hi - lo
-    return tuple(_tuple_part(tup, w, den) for tup, w in mass.items())
-
-
 def _check_mixture(parts: Sequence[tuple], marginals: DiscreteChannel) -> None:
     """Check a minimal pinned Y-coupling of ``marginals`` in closed form,
     off its parts and the marginals' law.
@@ -264,10 +209,10 @@ def _check_mixture(parts: Sequence[tuple], marginals: DiscreteChannel) -> None:
 def minimal_y_coupling(y_pmfs: Sequence[Pmf], verdict: Feasibility | None = None) -> Mixture:
     """A coupling attaining union mass tau_max with a pinned diagonal.
 
-    Dispatch: the pair, three-way and four-way closed forms at m = 2, 3,
-    4, else the interval coupling (at m = 1 the one marginal). Raises
-    ``PreconditionError`` when no route applies. Only the four-way route
-    has its condition checked first, unless ``verdict``, the
+    Two routes, by m alone: the four-way mixture at m = 4, the interval
+    coupling at every other m (at m = 1 the one marginal). Raises
+    ``PreconditionError`` when the route's condition fails. Only the
+    four-way route has its condition checked first, unless ``verdict``, the
     ``coupling_feasibility`` of these marginals, is passed; it then builds
     from the verdict's ingredients, which must have been read from the
     law of ``y_pmfs``. The result is checked by ``_check_mixture``.
@@ -280,9 +225,11 @@ def _minimal_parts(marginals: DiscreteChannel, verdict: Feasibility | None) -> t
     """The checked parts of ``minimal_y_coupling``, read off the
     marginals' law, which a verdict's four-way ingredients must share.
 
-    Soundness at m >= 5: any minimal pinned Y-coupling gives a valid
-    penalty f, and the interval coupling is one. The LP route it replaced
-    took whichever vertex the simplex reached, so f was never tied to one.
+    Soundness at every m: any minimal pinned Y-coupling gives a valid
+    penalty f, so the route may pick any one, and f is tied to none in
+    particular. At m = 4 the four-way mixture also covers families past
+    tau_max2 <= 1; at every other m the interval coupling exists exactly
+    when tau_max2 <= 1, the V-side condition there.
     """
     den, columns, m = marginals.den, marginals.columns, marginals.n
     if m == 4 and verdict is None:
@@ -292,14 +239,7 @@ def _minimal_parts(marginals: DiscreteChannel, verdict: Feasibility | None) -> t
         raise LeakboundError("the verdict was decided on other marginals")
     if verdict is not None and not verdict.ok:
         raise PreconditionError(verdict.label, verdict.value)
-    if m == 2:
-        parts = _pair_parts(den, columns)
-    elif m == 3:
-        parts = _three_way_parts(den, columns)
-    elif m == 4:
-        parts = n4_mixture(ing).parts
-    else:
-        parts = _interval_parts(den, columns, m)
+    parts = n4_mixture(ing).parts if m == 4 else _interval_parts(den, columns, m)
     _check_mixture(parts, marginals)
     return parts
 

@@ -681,43 +681,6 @@ def reference_mass(parts, arity: int) -> dict:
     return mass
 
 
-def reference_pair_mixture(p: Pmf, q: Pmf) -> tuple:
-    alphabet = DiscreteChannel((p, q)).output_alphabet
-    overlap = {y: min(p[y], q[y]) for y in alphabet}
-    rest = 1 - sum(overlap.values(), ZERO)
-    left = {y: p[y] - overlap[y] for y in alphabet if p[y] > overlap[y]}
-    right = {y: q[y] - overlap[y] for y in alphabet if q[y] > overlap[y]}
-    return reference_mixture([
-        (1, [((0, 1), overlap, 1)]),
-        (rest, [((0,), left, rest), ((1,), right, rest)]),
-    ])
-
-
-def reference_three_way_mixture(p1: Pmf, p2: Pmf, p3: Pmf) -> tuple:
-    floor, s12, s02, t01, t23, r0, r1 = ({} for _ in range(7))
-    for y, (a, b, c) in fraction_columns(DiscreteChannel((p1, p2, p3))).items():
-        floor[y] = min(a, b, c)
-        s12[y] = min(b, c) - floor[y]
-        s02[y] = min(a, c) - floor[y]
-        for part, value in (
-            (t01, min(a, b) - c), (t23, c - max(a, b)),
-            (r0, a - max(b, c)), (r1, b - max(a, c)),
-        ):
-            if value > 0:
-                part[y] = value
-    n01, n23 = sum(t01.values(), ZERO), sum(t23.values(), ZERO)
-    if n23 < n01:
-        raise PreconditionError(TAU_MAX2_CONDITION, 1 + n01 - n23)
-    norm0, norm1 = sum(r0.values(), ZERO), sum(r1.values(), ZERO)
-    return reference_mixture([
-        (1, [((0, 1, 2), floor, 1)]),
-        (1, [((1, 2), s12, 1), ((0,), r0, norm0)]),
-        (1, [((0, 2), s02, 1), ((1,), r1, norm1)]),
-        (n23 - n01, [((2,), t23, n23), ((0,), r0, norm0), ((1,), r1, norm1)]),
-        (n01, [((0, 1), t01, n01), ((2,), t23, n23)]),
-    ])
-
-
 def reference_n4_mixture(ing: ReferenceN4Ingredients) -> tuple:
     weights = reference_n4_mixture_weights(ing)
 
@@ -774,7 +737,7 @@ def reference_check_mixture(marginals, parts) -> None:
 
 
 def reference_interval_parts(y_pmfs) -> tuple:
-    """The interval coupling of ``simultaneous._interval_parts`` as
+    """The interval coupling of ``couplings._interval_parts`` as
     reference parts, one per tuple, laid out on [0, 1] in Fractions.
 
     Every row gets an explicit list of (start, end, symbol) segments: in
@@ -847,11 +810,7 @@ def reference_minimal_y_coupling(y_pmfs, max_variables=DEFAULT_MAX_STATES, verdi
         raise LeakboundError("the verdict was decided on other marginals")
     if verdict is not None and not verdict.ok:
         raise PreconditionError(verdict.label, verdict.value)
-    if m == 2:
-        parts = reference_pair_mixture(*y_pmfs)
-    elif m == 3:
-        parts = reference_three_way_mixture(*y_pmfs)
-    elif m == 4:
+    if m == 4:
         parts = reference_n4_mixture(reference_n4_ingredients(y_pmfs))
     else:
         parts = reference_interval_parts(y_pmfs)

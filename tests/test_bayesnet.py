@@ -19,6 +19,7 @@ from helpers import (
 
 from leakbound import (
     CapacityError,
+    DiscreteChannel,
     LeakboundError,
     Pmf,
     composite_channel,
@@ -103,6 +104,48 @@ class TestValidate:
             "X",
         )
         assert any("source" in p for p in validate(net))
+
+
+NETWORK_FIXTURES = ["chain", "coprime", "coprime3", "coprime4", "diamond", "one_symbol_source",
+                    "random1", "random2", "relay", "star5", "wide_v4"]
+
+
+class TestCpt:
+    """``BayesNet.cpt`` reads a node's rows straight into an integer law."""
+
+    @pytest.mark.parametrize("name", NETWORK_FIXTURES)
+    def test_is_the_channel_of_its_pmf_rows(self, name):
+        # The same den, the same columns in the same order (first
+        # appearance, row by row) and the same rows as the channel of the
+        # node's rows built as Pmfs.
+        net = parse_network((FIXTURES / f"{name}.json").read_text())
+        for node in net.nodes:
+            if node.node_id == net.source:
+                continue
+            cpt = net.cpt(node.node_id)
+            rows = tuple(Pmf.from_values(row, node.alphabet) for row in node.rows)
+            want = DiscreteChannel(rows, net.parent_configs(node.node_id))
+            assert cpt.den == want.den
+            assert list(cpt.columns.items()) == list(want.columns.items())
+            assert cpt == want and cpt.rows == rows
+
+    @staticmethod
+    def refusal(rows):
+        """The message ``cpt`` refuses Y's rows with, ``validate`` not run."""
+        net = BayesNet([NodeSpec.make("X", 2), NodeSpec.make("Y", 2, ["X"], rows)], "X")
+        with pytest.raises(LeakboundError) as err:
+            net.cpt("Y")
+        return str(err.value)
+
+    def test_short_row_refused(self):
+        assert self.refusal([["1/2", "1/2"], ["1"]]) == "row has 1 entries for alphabet of size 2"
+
+    def test_negative_entry_refused(self):
+        assert self.refusal([["1/2", "1/2"], ["3/2", "-1/2"]]) == "negative mass -1/2 at '1'"
+
+    def test_bad_row_sum_refused(self):
+        message = self.refusal([["1/2", "1/2"], ["3/5", "3/10"]])
+        assert message == "row 1 masses sum to 9/10, expected exactly 1"
 
 
 class TestTopologicalSort:

@@ -294,6 +294,18 @@ def test_property_bound_chain(case):
     assert present == sorted(present)
 
 
+# A recursive and a coupling query at each source size |X| = 2, 3, 4, 5.
+QUERIES_AT_EVERY_X = [
+    ("diamond.json", ["Y1", "Y2", "Y3"], "recursive"),
+    ("coprime3.json", ["Y1", "Y2", "Y3"], "recursive"),
+    ("coprime3.json", ["X", "Y3"], "coupling"),
+    ("coprime4.json", ["Y1", "Y2", "Y3"], "recursive"),
+    ("coprime4.json", ["X", "Y3"], "coupling"),
+    ("star5.json", ["N1", "N2", "N3"], "recursive"),
+    ("star5.json", ["X", "N3"], "coupling"),
+]
+
+
 class TestPenaltyWork:
     """Per peel step, the V-side condition is decided once and the coupling
     penalty is read off the parts of the ingredient mixture: at |X| <= 4
@@ -309,7 +321,7 @@ class TestPenaltyWork:
 
         monkeypatch.setattr(module, name, counting)
 
-    @pytest.mark.parametrize("x_size", [3, 4, 5])
+    @pytest.mark.parametrize("x_size", [2, 3, 4, 5])
     def test_calls_per_peel_step(self, monkeypatch, x_size):
         net = rand_couplable_net(random.Random(0), 5, x_size=x_size)
         targets = [nid for nid in net.node_ids() if nid != net.source]
@@ -320,7 +332,6 @@ class TestPenaltyWork:
             (simultaneous, "coupling_feasibility"),
             (simultaneous, "build_simultaneous_coupling"),
             (simultaneous, "n4_mixture"),
-            (simultaneous, "_three_way_parts"),
             (simultaneous, "_interval_parts"),
             (lp, "solve_sparse"),
         ]:
@@ -332,34 +343,39 @@ class TestPenaltyWork:
         assert counts["build_simultaneous_coupling"] == counts["solve_sparse"] == 0
         if x_size == 4:
             assert counts["n4_ingredients"] == counts["n4_mixture"] == steps
+            assert counts["_interval_parts"] == 0
         else:
-            assert counts["n4_ingredients"] == 0
-            route = "_three_way_parts" if x_size == 3 else "_interval_parts"
-            assert counts[route] == steps
+            assert counts["n4_ingredients"] == counts["n4_mixture"] == 0
+            assert counts["_interval_parts"] == steps
 
-    @pytest.mark.parametrize("name, targets, method", [
-        ("diamond.json", ["Y1", "Y2", "Y3"], "recursive"),
-        ("coprime3.json", ["Y1", "Y2", "Y3"], "recursive"),
-        ("coprime3.json", ["X", "Y3"], "coupling"),
-        ("coprime4.json", ["Y1", "Y2", "Y3"], "recursive"),
-        ("coprime4.json", ["X", "Y3"], "coupling"),
-        ("star5.json", ["N1", "N2", "N3"], "recursive"),
-        ("star5.json", ["X", "N3"], "coupling"),
-    ])
-    def test_warm_query_builds_no_pmf(self, monkeypatch, name, targets, method):
-        # Once the CPTs are built, inference, the measures, the V-side
-        # verdict and both penalties run on the channels' integer laws at
-        # |X| = 2, 3, 4 and 5: no Pmf row is built for any channel.
+    @staticmethod
+    def query_without_pmf(monkeypatch, name, targets, method, warm):
+        """The report with ``Pmf.__init__`` refused equals the one built
+        freely; ``warm`` builds every CPT before the refusal."""
         text = (Path(__file__).parent / "fixtures" / name).read_text()
         want = query_report(parse_network(text), targets, method)
         net = parse_network(text)
-        for nid in net.node_ids():
-            if nid != net.source:
-                net.cpt(nid)
+        if warm:
+            for nid in net.node_ids():
+                if nid != net.source:
+                    net.cpt(nid)
         monkeypatch.setattr(Pmf, "__init__", refuse_pmf)
         got = query_report(net, targets, method)
         monkeypatch.undo()
         assert got == want and got.coupling_bound_value is not None
+
+    @pytest.mark.parametrize("name, targets, method", QUERIES_AT_EVERY_X)
+    def test_warm_query_builds_no_pmf(self, monkeypatch, name, targets, method):
+        # Once the CPTs are built, inference, the measures, the V-side
+        # verdict and both penalties run on the channels' integer laws at
+        # |X| = 2, 3, 4 and 5: no Pmf row is built for any channel.
+        self.query_without_pmf(monkeypatch, name, targets, method, warm=True)
+
+    @pytest.mark.parametrize("name, targets, method", QUERIES_AT_EVERY_X)
+    def test_cold_query_builds_no_pmf(self, monkeypatch, name, targets, method):
+        # The CPTs are read from the file's rows into integer laws, so a
+        # query on a freshly parsed network builds no Pmf either.
+        self.query_without_pmf(monkeypatch, name, targets, method, warm=False)
 
     def test_inference_calls_per_peel_step(self, monkeypatch):
         # One composite_channel call for the exact value and one per V-side;

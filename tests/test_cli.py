@@ -371,12 +371,13 @@ class TestCapacityAndOverrides:
         assert code == 2
 
     def test_coupling_penalty_needs_no_support_limit(self, capsys, tmp_path):
-        # Every closure joint of this query fits in 32 states, while the
-        # simultaneous coupling of its first peel step would have 49
-        # support tuples. The penalty is read off the coupling's table and
-        # never builds that support, so the query answers under the small
-        # limit with the values it has under the default one.
-        rng = random.Random(17)
+        # Every closure joint of this query fits in 32 states (it needs
+        # 24), while the simultaneous coupling of its first peel step, on
+        # the interval Y-coupling of three rows, would have 34 support
+        # tuples. The penalty is read off the coupling's table and never
+        # builds that support, so the query answers under the small limit
+        # with the values it has under the default one.
+        rng = random.Random(322)
         net = rand_couplable_net(rng, rng.randrange(3, 6))
         path = tmp_path / "net.json"
         path.write_text(write_network(net))
@@ -386,7 +387,7 @@ class TestCapacityAndOverrides:
         code, out, err = run(capsys, *argv, "--max-states", "32")
         assert code == 0, err
         assert out == default_out
-        assert "coupling bound     = 23911114098581/2348764102656" in out
+        assert "coupling bound     = 213691/36864" in out
 
     def test_simul_support_limit_still_refused(self, capsys):
         args = ("couple", FIXTURES / "joints_pair.json", "--mode", "simul")

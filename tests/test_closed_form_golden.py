@@ -4,11 +4,11 @@
 closed form: the form, its input rows, and either the exact masses it
 built (sorted by tuple, each as ``[tuple, "num/den"]``) or the refusal it
 raised (``[condition, "value"]``). The forms are ``maximal_coupling_pair``
-(m = 2), ``three_way_coupling`` (m = 3), ``build_n4_coupling`` (m = 4)
-and ``independent_coupling`` (m = 2..4), on seeded families with
-|Y| = 2..5: dense rows, sparse rows, rows built to pass tau_max2 <= 1 and
-rows drawn to fail it, so that both builds and refusals of the three- and
-four-way forms occur.
+(m = 2) and ``three_way_coupling`` (m = 3), both the interval coupling,
+``build_n4_coupling`` (m = 4) and ``independent_coupling`` (m = 2..4),
+on seeded families with |Y| = 2..5: dense rows, sparse rows, rows built
+to pass tau_max2 <= 1 and rows drawn to fail it, so that both builds and
+refusals of the three- and four-way forms occur.
 
 Re-record (only for an intended output change) with
 ``PYTHONPATH=src python tests/test_closed_form_golden.py``.

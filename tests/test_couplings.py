@@ -14,13 +14,12 @@ from helpers import (
     rand_family_tau_max2_le1,
     rand_pmf,
     reference_intersection_violations,
+    reference_interval_parts,
     reference_mass,
     reference_mixture,
     reference_n4_ingredients,
     reference_n4_mixture,
     reference_n4_mixture_weights,
-    reference_pair_mixture,
-    reference_three_way_mixture,
     three_way_by_duplication,
 )
 from hypothesis import given, settings
@@ -56,13 +55,12 @@ from leakbound.couplings import (
     ANCHOR_PAIRS,
     Mixture,
     FOUR_WAY_CONDITION,
+    _interval_parts,
     _mixture,
     complement_pair,
     intersection_violations,
     n4_mixture,
     n4_mixture_weights,
-    pair_mixture,
-    three_way_mixture,
 )
 
 
@@ -556,20 +554,24 @@ def sparse_trios(draw):
 class TestThreeWay:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(sparse_trios())
-    def test_matches_duplicated_four_way(self, fam):
-        # The closed form is the projected four-way mixture of (p1, p2,
-        # p3, p3): the same masses, and a refusal exactly when it refuses.
+    def test_refuses_with_the_duplicated_four_way(self, fam):
+        # The three-way coupling is the interval coupling: it exists
+        # exactly when the four-way mixture of (p1, p2, p3, p3) does, with
+        # the same union mass, and lists the layout of the Fraction
+        # reference.
         try:
-            reference = three_way_by_duplication(fam).mass
+            duplicated = three_way_by_duplication(fam)
         except PreconditionError:
-            reference = None
-        if reference is None:
+            duplicated = None
+        if duplicated is None:
             with pytest.raises(PreconditionError) as err:
                 three_way_coupling(*fam)
             assert err.value.condition == "tau_max2 <= 1"
             assert err.value.value == tau_max2(DiscreteChannel(fam)) > 1
         else:
-            assert three_way_coupling(*fam).mass == reference
+            coupling = three_way_coupling(*fam)
+            assert coupling.mass == reference_mass(reference_interval_parts(fam), 3)
+            assert union_mass(coupling) == union_mass(duplicated)
 
 
 class TestClosedFormsAgainstPinnedLp:
@@ -639,6 +641,27 @@ class TestIntersectionProperty:
         got = intersection_violations(coupling, fam)
         assert got and got == reference_intersection_violations(coupling, fam)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([2, 3, 5, 6]).flatmap(
+        lambda m: st.one_of(tied_families(m), closed_form_families(m))))
+    def test_interval_coupling_has_it(self, fam):
+        # Every row holds y on a prefix of y's core, the argmax row on all
+        # of it, and only the argmax row holds y outside the core: every
+        # subset of two or more rows ties on y with mass min_i P_i(y).
+        try:
+            coupling = interval_mixture(fam).coupling()
+        except PreconditionError:
+            assert tau_max2(DiscreteChannel(fam)) > 1
+            return
+        assert verify_intersection_property(coupling, fam)
+
+    def test_interval_coupling_has_it_on_seeded_families(self):
+        rng = random.Random(67)
+        for m in (2, 3, 5, 6):
+            for size in range(m, m + 3):
+                fam = rand_family_tau_max2_le1(rng, m, size)
+                assert verify_intersection_property(interval_mixture(fam).coupling(), fam)
+
     def test_diagonal_of_identical_pmfs(self):
         p = pmf(["1/3", "2/3"])
         coupling = build_n4_coupling([p, p, p, p])
@@ -690,6 +713,11 @@ def closed_form_families(draw, m=None):
     return rows
 
 
+def interval_mixture(fam) -> Mixture:
+    channel = DiscreteChannel(fam)
+    return Mixture(channel, _interval_parts(channel.den, channel.columns, channel.n))
+
+
 def listed_or_refused(build, m):
     """The masses a mixture lists, or the type, message and value of its
     refusal."""
@@ -702,11 +730,12 @@ def listed_or_refused(build, m):
 
 class TestMixturesAgainstReference:
     """Each closed form's integer parts list the masses, or raise the
-    refusal, of its ``Fraction`` reference (``helpers.reference_*``)."""
+    refusal, of its ``Fraction`` reference (``helpers.reference_*``): the
+    interval coupling at m = 2, 3, the four-way mixture at m = 4."""
 
     FORMS = {
-        2: (lambda fam: pair_mixture(*fam), lambda fam: reference_pair_mixture(*fam)),
-        3: (lambda fam: three_way_mixture(*fam), lambda fam: reference_three_way_mixture(*fam)),
+        2: (interval_mixture, reference_interval_parts),
+        3: (interval_mixture, reference_interval_parts),
         4: (lambda fam: n4_mixture(n4_ingredients(fam)),
             lambda fam: reference_n4_mixture(reference_n4_ingredients(fam))),
     }

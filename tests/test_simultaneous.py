@@ -54,9 +54,9 @@ from leakbound import (
 from leakbound import bounds, simultaneous
 from leakbound.bayesnet import composite_joints
 from leakbound.cli import main
-from leakbound.couplings import Mixture, _list_part, _mixture, three_way_mixture
+from leakbound.couplings import Mixture, _interval_parts, _list_part, _mixture, _tuple_part
 from leakbound.netfile import parse_network, parse_pmf_file
-from leakbound.simultaneous import _check_mixture, _tuple_part
+from leakbound.simultaneous import _check_mixture
 
 
 def rand_joint(rng, x_size, y_size, den=None):
@@ -671,7 +671,7 @@ class TestCheckMixture:
         # Moving mass between two untied parts of two symbols keeps the
         # total, the union mass and the diagonal, but breaks a marginal.
         fam = rand_family_tau_max2_le1(random.Random(62), 3, 3)
-        mass = dict(three_way_mixture(*fam).coupling().mass)
+        mass = dict(minimal_y_coupling(fam).coupling().mass)
         t1, t2 = [t for t in sorted(mass) if len(set(t)) == 2][:2]
         shift = min(mass[t1], mass[t2]) / 2
         mass[t1] += shift
@@ -1015,16 +1015,16 @@ def rand_interval_family(rng, m, size, kind, outside=False):
 
 @st.composite
 def interval_families(draw):
-    m, size = draw(st.integers(5, 7)), draw(st.integers(1, 7))
+    m, size = draw(st.sampled_from((2, 3, 5, 6, 7))), draw(st.integers(1, 7))
     kind, seed, outside = draw(st.sampled_from(INTERVAL_KINDS)), draw(st.integers(0)), draw(st.booleans())
     return rand_interval_family(random.Random(seed), m, size, kind, outside)
 
 
 class TestIntervalParts:
-    """The interval coupling at m >= 5: a checked minimal Y-coupling with a
-    pinned diagonal on at most 2m|Y| + 2 distinct tuples, refused exactly
-    when ``coupling_feasibility`` refuses, and tuple for tuple the layout
-    of ``helpers.reference_interval_parts``."""
+    """The interval coupling at every m but 4: a checked minimal
+    Y-coupling with a pinned diagonal on at most 2m|Y| + 2 distinct
+    tuples, refused exactly when ``coupling_feasibility`` refuses, and
+    tuple for tuple the layout of ``helpers.reference_interval_parts``."""
 
     @staticmethod
     def check(fam):
@@ -1049,7 +1049,7 @@ class TestIntervalParts:
         assert len(listed) == len(set(listed)) == len(mixture.parts) <= 2 * m * len(columns) + 2
         # A column of zeros adds no breakpoint.
         zero = dict(columns, z=(0,) * m)
-        assert simultaneous._interval_parts(den, zero, m) == mixture.parts
+        assert _interval_parts(den, zero, m) == mixture.parts
         features = {"built"}
         if len(fam[0].alphabet) ** m <= 729:
             lp_value = min_union_coupling_diag(fam).optimal_value
@@ -1073,7 +1073,7 @@ class TestIntervalParts:
     def test_seeded_families(self):
         rng = random.Random(66)
         seen = Counter()
-        for m in (5, 6, 7):
+        for m in (2, 3, 5, 6, 7):
             for size in range(1, 8):
                 for kind in INTERVAL_KINDS:
                     for outside in (False, True):
@@ -1089,7 +1089,7 @@ class TestIntervalParts:
         # argmaxes of "b" and "c", pour theirs into the gaps they leave in
         # the other cores. Only [0, 1) is tied, at min_i P_i("a") = 1/4.
         rows = {"a": (4, 1, 1, 2, 2), "b": (0, 3, 0, 1, 1), "c": (0, 0, 3, 1, 1)}
-        parts = simultaneous._interval_parts(4, rows, 5)
+        parts = _interval_parts(4, rows, 5)
         listed = {tup: (num, den) for den, groups in parts for tup, num in _list_part((den, groups), 5)}
         assert listed == {
             ("a", "a", "a", "a", "a"): (1, 4),
@@ -1115,11 +1115,11 @@ FRACTION_READS = {"__new__", "numerator", "denominator"}
 ])
 def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u, monkeypatch):
     # At |X| = 2, 3, 4 and 5 the penalty reads the joints' law, takes the
-    # pair, three-way, four-way or interval Y-coupling, checks it and sums
-    # f on integers; a Fraction is built only for f, and no Pmf at all: at
-    # |X| = 4 the walk's verdict is matched to the Y-marginals' law. With
-    # the source in V, the X-copies never agree on a cell, so f is all
-    # G2/G3 mass and exceeds the Doeblin coefficient, 0.
+    # four-way Y-coupling at |X| = 4 and the interval one otherwise, checks
+    # it and sums f on integers; a Fraction is built only for f, and no Pmf
+    # at all: at |X| = 4 the walk's verdict is matched to the Y-marginals'
+    # law. With the source in V, the X-copies never agree on a cell, so f
+    # is all G2/G3 mass and exceeds the Doeblin coefficient, 0.
     net = parse_network((WIDE_FIXTURES / name).read_text())
     checked = [bounds._checked_step(net, v_set, u, (), ROOMY)]
     monkeypatch.setattr(Pmf, "__init__", refuse_pmf)
