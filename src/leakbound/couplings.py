@@ -70,18 +70,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd, prod
-from operator import itemgetter
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import ConstructionError, LeakboundError, PreconditionError
+from .errors import ConstructionError, LeakboundError, PreconditionError, exact_str
 from .measures import (
     ZERO,
     DiscreteChannel,
     Pmf,
     Symbol,
+    _over_lcm,
     exact_masses,
-    push_forward,
 )
 
 Pair = frozenset
@@ -120,46 +119,65 @@ RANKED = {
 class Coupling:
     """A joint PMF over m copies of one alphabet with declared marginals.
 
-    Construction checks, exactly: non-negative masses summing to 1, and
-    for every coordinate i the projection onto coordinate i equals the
-    declared i-th marginal.
+    Construction checks, exactly: non-negative masses summing to 1
+    (``exact_masses``), and for every coordinate i the projection onto
+    coordinate i equals the declared i-th marginal. ``marginals`` is one
+    ``Pmf`` per coordinate or their ``DiscreteChannel``; each projection
+    is summed on integer numerators over the masses' common denominator
+    and cross-multiplied against the marginals' law, so no marginal
+    ``Pmf`` is built or looked up.
     """
 
-    __slots__ = ("alphabet", "arity", "mass", "marginals")
+    __slots__ = ("alphabet", "arity", "mass", "law")
 
     def __init__(
         self,
         alphabet: Iterable[Symbol],
         arity: int,
         mass: Mapping[tuple, object],
-        marginals: Sequence[Pmf],
+        marginals: Sequence[Pmf] | DiscreteChannel,
     ):
         alphabet = tuple(alphabet)
-        marginals = tuple(marginals)
         if arity < 1:
             raise LeakboundError("coupling arity must be >= 1")
-        if len(marginals) != arity:
+        if not isinstance(marginals, DiscreteChannel):
+            marginals = tuple(marginals)
+            if len(marginals) != arity:
+                raise LeakboundError("need one declared marginal per coordinate")
+            # Refuses marginals on mixed alphabets.
+            marginals = DiscreteChannel(marginals)
+        elif marginals.n != arity:
             raise LeakboundError("need one declared marginal per coordinate")
-        if any(marginal.alphabet != alphabet for marginal in marginals):
-            DiscreteChannel(marginals)  # refuses marginals on mixed alphabets
+        if marginals.output_alphabet != alphabet:
             raise LeakboundError("declared marginal on a different alphabet")
         known = set(alphabet)
         clean = exact_masses(
             ((tuple(tup), q) for tup, q in mass.items()),
             lambda tup: len(tup) == arity and known.issuperset(tup),
         )
-        for i, marg in enumerate(marginals):
-            got = push_forward(clean, itemgetter(i))
+        scale, nums = _over_lcm(clean.values())
+        got = [{} for _ in range(arity)]
+        for tup, num in zip(clean, nums):
+            for marginal, y in zip(got, tup):
+                marginal[y] = marginal.get(y, 0) + num
+        den, columns = marginals.den, marginals.columns
+        for i, marginal in enumerate(got):
             for y in alphabet:
-                if got.get(y, ZERO) != marg[y]:
+                have, want = marginal.get(y, 0), columns[y][i] if y in columns else 0
+                if have * den != want * scale:
                     raise LeakboundError(
-                        f"coordinate {i} marginal at {y!r} is "
-                        f"{got.get(y, ZERO)}, declared {marg[y]}"
+                        f"coordinate {i} marginal at {y!r} is {exact_str(Fraction(have, scale))}"
+                        f", declared {exact_str(Fraction(want, den))}"
                     )
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "mass", clean)
-        object.__setattr__(self, "marginals", marginals)
+        object.__setattr__(self, "law", marginals)
+
+    @property
+    def marginals(self) -> tuple[Pmf, ...]:
+        """The declared marginals, built from their law when asked."""
+        return self.law.rows
 
     def __setattr__(self, name, value):
         raise AttributeError("Coupling is immutable")
@@ -198,15 +216,18 @@ class Mixture(NamedTuple):
     parts: tuple[tuple[int, tuple[tuple[tuple[int, ...], tuple[tuple[Symbol, int], ...]], ...]], ...]
 
     def coupling(self) -> Coupling:
-        """List every tuple as one ``Fraction``, adding up masses on one
-        tuple, and validate them."""
+        """List every tuple, adding up its numerators over the LCM of the
+        part denominators, as one ``Fraction``, and validate them against
+        the marginals' law."""
         arity = self.marginals.n
-        mass: dict[tuple, Fraction] = {}
+        scale = lcm(*(part_den for part_den, _ in self.parts))
+        nums: dict[tuple, int] = {}
         for part in self.parts:
+            lift = scale // part[0]
             for tup, num in _list_part(part, arity):
-                q = Fraction(num, part[0])
-                mass[tup] = mass[tup] + q if tup in mass else q
-        return Coupling(self.marginals.output_alphabet, arity, mass, self.marginals.rows)
+                nums[tup] = nums.get(tup, 0) + num * lift
+        mass = {tup: Fraction(num, scale) for tup, num in nums.items()}
+        return Coupling(self.marginals.output_alphabet, arity, mass, self.marginals)
 
 
 def _list_part(part: tuple, arity: int) -> Iterator[tuple[tuple, int]]:
@@ -560,10 +581,15 @@ def intersection_violations(coupling: Coupling, pmfs: Sequence[Pmf]) -> list[tup
     m = coupling.arity
     if len(pmfs) != m:
         raise LeakboundError("need one PMF per coupling coordinate")
-    # One pass over the support: a tuple's mass counts for every subset of
-    # the coordinates that hold one symbol.
-    tied: dict[tuple, Fraction] = {}
-    for tup, q in coupling.mass.items():
+    # The masses and the PMFs as integer numerators, each over its own
+    # least common denominator. One pass over the support: a tuple's mass
+    # counts for every subset of the coordinates that hold one symbol.
+    scale, nums = _over_lcm(coupling.mass.values())
+    den, pmf_nums = _over_lcm(q for pmf in pmfs for q in pmf.mass.values())
+    numerator = iter(pmf_nums)
+    laws = [{y: next(numerator) for y in pmf.mass} for pmf in pmfs]
+    tied: dict[tuple, int] = {}
+    for tup, num in zip(coupling.mass, nums):
         coords: dict[Symbol, list[int]] = {}
         for i, y in enumerate(tup):
             coords.setdefault(y, []).append(i)
@@ -571,15 +597,15 @@ def intersection_violations(coupling: Coupling, pmfs: Sequence[Pmf]) -> list[tup
             for size in range(2, len(held) + 1):
                 for subset in combinations(held, size):
                     key = (subset, y)
-                    tied[key] = tied[key] + q if key in tied else q
+                    tied[key] = tied.get(key, 0) + num
     out = []
     for size in range(2, m + 1):
         for subset in combinations(range(m), size):
             for y in coupling.alphabet:
-                got = tied.get((subset, y), ZERO)
-                want = min(pmfs[i][y] for i in subset)
-                if got != want:
-                    out.append((subset, y, got, want))
+                got = tied.get((subset, y), 0)
+                want = min(laws[i].get(y, 0) for i in subset)
+                if got * den != want * scale:
+                    out.append((subset, y, Fraction(got, scale), Fraction(want, den)))
     return out
 
 

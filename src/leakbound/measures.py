@@ -5,12 +5,14 @@ this module is exact; the only floating-point quantity produced anywhere is
 the logarithm taken at the reporting boundary (``maximal_leakage``).
 
 Every ``Pmf``, ``JointPmf`` and ``couplings.Coupling`` is validated here,
-by ``exact_masses`` (``simultaneous`` checks its own couplings). It reads
-each mass's sign off its numerator, adds masses only where a cell repeats,
-and checks the total on integers: with L the least common denominator of
-the masses, sum_cells num * (L / den) == L (``_over_lcm`` is the only code
-that forms these numerators). A ``Fraction`` total is built only for the
-error message.
+by ``exact_masses``. It reads each mass's sign off its numerator, adds
+masses only where a cell repeats, and checks the total on integers: with
+L the least common denominator of the masses, sum_cells num * (L / den)
+== L (``_over_lcm`` is the only code that forms these numerators). A
+``Fraction`` total is built only for the error message. The checks of
+the listed couplings (``Coupling``'s marginals,
+``simultaneous.SimulCoupling.validate``, ``couplings.intersection_violations``)
+take the same numerators and compare sums cross-multiplied.
 
 * ``Pmf`` checks its alphabet and its masses (non-negative, exactly 1 in
   total, only on known symbols). ``JointPmf`` is a ``Pmf`` whose alphabet
@@ -22,8 +24,10 @@ error message.
   LP, the simultaneous coupling, ``Coupling`` off its alphabet) builds a
   channel of it first. ``from_law`` checks a law given on integers.
 * ``couplings.Coupling``, a law over |Y|^m tuples that are never listed
-  as an alphabet, runs its masses through ``exact_masses`` as well and
-  checks them against its declared marginals.
+  as an alphabet, runs its masses through ``exact_masses`` as well. It
+  then adds up each coordinate's numerators over the masses' L and
+  cross-multiplies them against the law of its declared marginals, a
+  ``DiscreteChannel``, so no marginal ``Pmf`` is looked up.
 
 The scalar measures of a channel with rows P_1, ..., P_n over alphabet Y:
 

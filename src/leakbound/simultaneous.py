@@ -61,8 +61,9 @@ is N_g(x) / M_g, M_g the LCM of prod_{i in g} rest_i(y) over its y (a y
 where some rest_i(y) is 0 adds nothing). ``coupling_penalty`` builds one
 ``Fraction``, for f. ``build_simultaneous_coupling`` counts the support
 off the parts, and only under its limit lists the coupling, one
-``Fraction`` per tuple, and validates it, for ``couple --mode simul``
-and as the reference the penalty is tested against.
+``Fraction`` per tuple, and validates it on the tuples' numerators over
+their LCM, for ``couple --mode simul`` and as the reference the penalty
+is tested against.
 
 One source is its own coupling: its one Y-marginal passes the condition
 with no value, the G2 weights are 0 and f = c_XY = 1. The penalty
@@ -71,9 +72,13 @@ refuses fewer than two sources.
 
 Which type validates what: each source is a ``measures.JointPmf``, a
 ``Pmf`` over its (x, y) cells; the ``DiscreteChannel`` of the sources
-checks that they share one X and one Y alphabet; ``SimulCoupling``
-checks the assembled law: total mass, every source marginal and the
-Y-projection.
+checks that they share one X and one Y alphabet; the listed Y-coupling
+is a ``couplings.Coupling``, checked against the Y-marginals' law;
+``SimulCoupling.validate`` checks the assembled law: signs, total mass,
+every source marginal and the Y-projection against the Y-coupling. Each
+check sums integer numerators over one least common denominator and
+compares them cross-multiplied; a ``Fraction`` is built only for a
+message.
 """
 
 from __future__ import annotations
@@ -113,6 +118,7 @@ from .measures import (
     JointPmf,
     Pmf,
     Symbol,
+    _over_lcm,
     doeblin,
     push_forward,
     tau_max2,
@@ -313,23 +319,32 @@ class SimulCoupling:
 
     def validate(self) -> None:
         """Exact checks of every mass's sign and every structural
-        identity, off one pass over the support; raises on failure."""
+        identity, off one pass over the support; raises on failure. The
+        masses are summed as integer numerators over their least common
+        denominator and cross-multiplied against each source's masses and
+        the Y-coupling's."""
+        scale, nums = _over_lcm(self.mass.values())
         marginals = [{} for _ in self.sources]
         proj = {}
-        for (xs, ys), q in self.mass.items():
-            if q < 0:
+        for ((xs, ys), q), num in zip(self.mass.items(), nums):
+            if num < 0:
                 raise ConstructionError(f"negative mass {exact_str(q)} at {(xs, ys)!r}")
-            proj[ys] = proj.get(ys, ZERO) + q
+            proj[ys] = proj.get(ys, 0) + num
             for got, cell in zip(marginals, zip(xs, ys)):
-                got[cell] = got.get(cell, ZERO) + q
-        total = sum(proj.values(), ZERO)
-        if total != 1:
-            raise ConstructionError(f"coupling mass sums to {total}")
+                got[cell] = got.get(cell, 0) + num
+        total = sum(proj.values())
+        if total != scale:
+            raise ConstructionError(f"coupling mass sums to {exact_str(Fraction(total, scale))}")
         for i, (src, got) in enumerate(zip(self.sources, marginals)):
             for cell in src.alphabet:
-                if got.get(cell, ZERO) != src[cell]:
+                want = src.mass.get(cell, ZERO)
+                if got.get(cell, 0) * want.denominator != want.numerator * scale:
                     raise ConstructionError(f"source {i} marginal mismatch at {cell!r}")
-        if proj != dict(self.y_coupling.mass):
+        y_den, y_nums = _over_lcm(self.y_coupling.mass.values())
+        y_mass = dict(zip(self.y_coupling.mass, y_nums))
+        if proj.keys() != y_mass.keys() or any(
+            num * y_den != y_mass[ys] * scale for ys, num in proj.items()
+        ):
             raise ConstructionError("Y-projection differs from ingredient coupling")
 
 

@@ -44,7 +44,7 @@ from leakbound.couplings import (
     Pair,
     complement_pair,
 )
-from leakbound.errors import DEFAULT_MAX_STATES, CapacityError
+from leakbound.errors import DEFAULT_MAX_STATES, CapacityError, exact_str
 from leakbound.measures import ZERO, as_fraction, push_forward
 
 DENOMINATORS = (6, 8, 10, 12, 16, 24)
@@ -355,6 +355,80 @@ def reference_intersection_violations(coupling: Coupling, pmfs) -> list[tuple]:
                 if got != want:
                     out.append((subset, y, got, want))
     return out
+
+
+def perturbed_masses(mass, keys) -> dict:
+    """Faulty copies of a coupling's masses, by name. With t1, t2 the first
+    two tuples of the sorted support (t2 the first of ``keys`` outside the
+    support when it has one tuple): "moved", half of t1's mass onto t2;
+    "halved", every mass; "negative", t1 at minus its mass and t2 up by
+    twice it, so the total is kept; "zero", a zero-mass entry at the first
+    of ``keys`` outside the support, or t1 emptied onto t2 when there is
+    none. Only "halved" when ``keys`` holds no second tuple."""
+    faults = {"halved": {t: q / 2 for t, q in mass.items()}}
+    support = sorted(mass)
+    outside = next((t for t in keys if t not in mass), None)
+    t1, t2 = support[0], support[1] if len(support) > 1 else outside
+    if t2 is None:
+        return faults
+    q = mass[t1]
+    faults["moved"] = {**mass, t1: q / 2, t2: mass.get(t2, ZERO) + q / 2}
+    faults["negative"] = {**mass, t1: -q, t2: mass.get(t2, ZERO) + 2 * q}
+    faults["zero"] = ({**mass, outside: ZERO} if outside is not None
+                      else {**mass, t1: ZERO, t2: mass[t2] + q})
+    return faults
+
+
+def reference_coupling_marginal_check(alphabet, arity: int, mass, marginals) -> dict:
+    """Reference ``Coupling`` validation: the masses through
+    ``exact_masses``, then every coordinate's projection pushed forward in
+    ``Fraction``s and looked up against its declared ``Pmf``. Returns the
+    validated masses."""
+    alphabet = tuple(alphabet)
+    marginals = tuple(marginals)
+    if arity < 1:
+        raise LeakboundError("coupling arity must be >= 1")
+    if len(marginals) != arity:
+        raise LeakboundError("need one declared marginal per coordinate")
+    if any(marginal.alphabet != alphabet for marginal in marginals):
+        DiscreteChannel(marginals)  # refuses marginals on mixed alphabets
+        raise LeakboundError("declared marginal on a different alphabet")
+    known = set(alphabet)
+    clean = reference_exact_masses(
+        ((tuple(tup), q) for tup, q in mass.items()),
+        lambda tup: len(tup) == arity and known.issuperset(tup),
+    )
+    for i, marg in enumerate(marginals):
+        got = push_forward(clean, itemgetter(i))
+        for y in alphabet:
+            if got.get(y, ZERO) != marg[y]:
+                raise LeakboundError(
+                    f"coordinate {i} marginal at {y!r} is "
+                    f"{got.get(y, ZERO)}, declared {marg[y]}"
+                )
+    return clean
+
+
+def reference_simul_validate(coupling) -> None:
+    """Reference ``SimulCoupling.validate``: every sign, the total, each
+    source marginal and the Y-projection, summed in ``Fraction``s."""
+    marginals = [{} for _ in coupling.sources]
+    proj = {}
+    for (xs, ys), q in coupling.mass.items():
+        if q < 0:
+            raise ConstructionError(f"negative mass {exact_str(q)} at {(xs, ys)!r}")
+        proj[ys] = proj.get(ys, ZERO) + q
+        for got, cell in zip(marginals, zip(xs, ys)):
+            got[cell] = got.get(cell, ZERO) + q
+    total = sum(proj.values(), ZERO)
+    if total != 1:
+        raise ConstructionError(f"coupling mass sums to {total}")
+    for i, (src, got) in enumerate(zip(coupling.sources, marginals)):
+        for cell in src.alphabet:
+            if got.get(cell, ZERO) != src[cell]:
+                raise ConstructionError(f"source {i} marginal mismatch at {cell!r}")
+    if proj != dict(coupling.y_coupling.mass):
+        raise ConstructionError("Y-projection differs from ingredient coupling")
 
 
 def bsc_rows(delta: Q) -> list[list[Q]]:

@@ -4,15 +4,18 @@ import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 from helpers import (
     ReferenceN4Ingredients,
     alphabet,
+    perturbed_masses,
     rand_family,
     rand_family_tau_max2_gt1,
     rand_family_tau_max2_le1,
     rand_pmf,
+    reference_coupling_marginal_check,
     reference_intersection_violations,
     reference_interval_parts,
     reference_mass,
@@ -110,6 +113,25 @@ class TestCouplingType:
         bad = {("0", "0"): Q(3, 2), ("1", "1"): Q(1, 2), ("0", "1"): Q(-1)}
         with pytest.raises(LeakboundError):
             Coupling("01", 2, bad, [p, p])
+
+    def test_marginal_message_abbreviates_long_integers(self):
+        # str() of an integer past 4300 digits raises ValueError; the
+        # mismatch message gives its bit length instead.
+        tiny = Q(1, 10**4400)
+        p = Pmf.from_values([tiny, 1 - tiny], "01")
+        mass = {("0", "0"): tiny, ("1", "1"): 1 - tiny}
+        with pytest.raises(LeakboundError) as err:
+            Coupling("01", 2, mass, [p, pmf(["1/2", "1/2"])])
+        assert str(err.value) == "coordinate 1 marginal at '0' is 1/<14617-bit integer>, declared 1/2"
+
+    def test_marginals_may_be_their_channel(self):
+        p, q = pmf(["1/2", "1/2"]), pmf(["1/4", "3/4"])
+        mass = {("0", "0"): Q(1, 4), ("0", "1"): Q(1, 4), ("1", "1"): Q(1, 2)}
+        coupling = Coupling("01", 2, mass, DiscreteChannel([p, q]))
+        assert coupling.mass == Coupling("01", 2, mass, [p, q]).mass
+        assert coupling.marginals == (p, q)
+        with pytest.raises(LeakboundError, match="need one declared marginal per coordinate"):
+            Coupling("01", 3, mass, DiscreteChannel([p, q]))
 
 
 class TestMixtureAssembler:
@@ -770,3 +792,65 @@ class TestMixturesAgainstReference:
         groups = [((i,), dict(p.items()), 1) for i, p in enumerate(fam)]
         want = reference_mass(reference_mixture([(1, groups)]), len(fam))
         assert independent_coupling(fam).mass == want
+
+
+def checked_or_refused(check, alphabet, arity, mass, marginals):
+    """The validated masses in order, or the type and message of the
+    refusal."""
+    try:
+        return list(check(alphabet, arity, mass, marginals).items())
+    except LeakboundError as err:
+        return type(err).__name__, str(err)
+
+
+def on_another_alphabet(p: Pmf) -> Pmf:
+    return Pmf([f"{y}*" for y in p.alphabet], {f"{y}*": q for y, q in p.mass.items()})
+
+
+class TestChecksAgainstReference:
+    """``Coupling`` and ``intersection_violations`` check on integers;
+    each gives the verdict, the masses or violations and the message of
+    its ``Fraction`` reference (``helpers.reference_*``): on the listed
+    closed forms, on faulty copies of their masses, and against PMFs that
+    are not their marginals (rotated, one or all on another alphabet)."""
+
+    @staticmethod
+    def couplings(fam):
+        yield independent_coupling(fam)
+        m = len(fam)
+        try:
+            yield (n4_mixture(n4_ingredients(fam)) if m == 4 else interval_mixture(fam)).coupling()
+        except PreconditionError:
+            pass
+
+    def compare(self, fam):
+        m, symbols = len(fam), fam[0].alphabet
+        others = [fam[1:] + fam[:1], [on_another_alphabet(fam[0])] + fam[1:],
+                  [on_another_alphabet(p) for p in fam]]
+        checked = 0
+        for coupling in self.couplings(fam):
+            faults = perturbed_masses(coupling.mass, product(symbols, repeat=m))
+            for mass in (coupling.mass, *faults.values()):
+                for marginals in (fam, *others):
+                    want = checked_or_refused(reference_coupling_marginal_check,
+                                              symbols, m, mass, marginals)
+                    got = checked_or_refused(lambda *args: Coupling(*args).mass,
+                                             symbols, m, mass, marginals)
+                    assert got == want
+                    checked += 1
+            for pmfs in (fam, *others):
+                got = intersection_violations(coupling, pmfs)
+                assert got == reference_intersection_violations(coupling, pmfs)
+        return checked
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(closed_form_families(), n4_families()))
+    def test_property_families(self, fam):
+        self.compare(fam)
+
+    def test_seeded_families(self):
+        rng = random.Random(71)
+        for m in (2, 3, 4):
+            for _ in range(8):
+                fam = rand_family_tau_max2_le1(rng, m, rng.randint(2, 4))
+                assert self.compare(fam) == 2 * 5 * 4

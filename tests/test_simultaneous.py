@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 from helpers import (
+    perturbed_masses,
     rand_couplable_net,
     rand_family_tau_max2_gt1,
     rand_family_tau_max2_le1,
@@ -23,7 +24,9 @@ from helpers import (
     reference_interval_parts,
     reference_mass,
     reference_minimal_y_coupling,
+    reference_intersection_violations,
     reference_residuals,
+    reference_simul_validate,
     refuse_pmf,
 )
 from hypothesis import given, settings
@@ -37,7 +40,9 @@ from leakbound import (
     JointPmf,
     LeakboundError,
     Pmf,
+    Coupling,
     PreconditionError,
+    build_n4_coupling,
     build_simultaneous_coupling,
     coupling_feasibility,
     coupling_penalty,
@@ -54,7 +59,14 @@ from leakbound import (
 from leakbound import bounds, simultaneous
 from leakbound.bayesnet import composite_joints
 from leakbound.cli import main
-from leakbound.couplings import Mixture, _interval_parts, _list_part, _mixture, _tuple_part
+from leakbound.couplings import (
+    Mixture,
+    _interval_parts,
+    _list_part,
+    _mixture,
+    _tuple_part,
+    intersection_violations,
+)
 from leakbound.netfile import parse_network, parse_pmf_file
 from leakbound.simultaneous import _check_mixture
 
@@ -812,6 +824,18 @@ class TestValidateRefusals:
             dataclasses.replace(coupling, y_coupling=other).validate()
         assert str(err.value) == "Y-projection differs from ingredient coupling"
 
+    def test_total_message_abbreviates_long_integers(self):
+        # str() of an integer past 4300 digits raises ValueError; the
+        # message gives its bit length instead.
+        coupling = self.built()
+        tiny = Q(1, 10**4400)
+        short = {key: q * (1 - tiny) for key, q in coupling.mass.items()}
+        with pytest.raises(ConstructionError) as err:
+            dataclasses.replace(coupling, mass=short).validate()
+        assert str(err.value) == (
+            "coupling mass sums to <14617-bit integer>/<14617-bit integer>"
+        )
+
 
 def outcome(fn, *args):
     """What a call returns, or the type, message and value of its refusal."""
@@ -968,6 +992,46 @@ class TestPenaltyAgainstReference:
         sources = sources_with_y_family(rng, fam)
         assert outcome(coupling_penalty, sources, verdict) == want
         assert outcome(reference_coupling_penalty, sources, ROOMY, verdict) == want
+
+
+class TestValidateAgainstReference:
+    """``SimulCoupling.validate`` checks on integers; it passes, or
+    refuses with the message of its ``Fraction`` reference
+    (``helpers.reference_simul_validate``), on built couplings, on faulty
+    copies of their masses (``helpers.perturbed_masses``) and with a
+    foreign Y-coupling."""
+
+    @staticmethod
+    def compare(sources):
+        """Returns the number of faulty copies compared, 0 if the build
+        refuses."""
+        try:
+            built = build_simultaneous_coupling(sources)
+        except LeakboundError:
+            return 0
+        m, xs, ys = built.arity, sources[0].x_alphabet, sources[0].y_alphabet
+        keys = ((a, b) for a in itertools.product(xs, repeat=m)
+                for b in itertools.product(ys, repeat=m))
+        faulty = [dataclasses.replace(built, mass=mass)
+                  for mass in perturbed_masses(built.mass, keys).values()]
+        foreign = independent_coupling(built.y_coupling.marginals)
+        faulty.append(dataclasses.replace(built, y_coupling=foreign))
+        for coupling in (built, *faulty):
+            assert outcome(coupling.validate) == outcome(reference_simul_validate, coupling)
+        return len(faulty)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(joint_families(), penalty_joints()))
+    def test_property_joints(self, sources):
+        self.compare(sources)
+
+    def test_seeded_joints(self):
+        rng = random.Random(72)
+        compared = Counter()
+        for m in range(2, 6):
+            for kind in KINDS:
+                compared[m] += self.compare(rand_penalty_joints(rng, m, kind))
+        assert all(compared[m] >= 5 for m in range(2, 6))
 
 
 INTERVAL_KINDS = ("dominant", "coprime", "boundary", "free")
@@ -1140,3 +1204,45 @@ def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u, monkeypatc
     joints = checked[0].joints
     assert step.penalty == reference_coupling_penalty(joints.rows)
     assert step.penalty > doeblin(joints) if "X" in v_set else step.penalty >= doeblin(joints)
+
+
+@pytest.mark.parametrize("name", [
+    "joints_pair.json", "coprime_joints.json", "pmfs_n4.json", "pmfs_cycle3.json",
+])
+def test_listed_couplings_are_checked_without_fraction_arithmetic(name, monkeypatch):
+    # A listed coupling's masses are summed and compared with the
+    # marginals' law, the sources' masses and the intersection minima on
+    # integer numerators: a Fraction is built only per listed tuple and per
+    # violation, and no Pmf at all. pmfs_cycle3 fails tau_max2 <= 1, so its
+    # product coupling is checked and its violations listed.
+    items = parse_pmf_file((WIDE_FIXTURES / name).read_text(encoding="utf-8"))
+    monkeypatch.setattr(Pmf, "__init__", refuse_pmf)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            if frame.f_code.co_name not in FRACTION_READS:
+                calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        if isinstance(items[0], JointPmf):
+            built = build_simultaneous_coupling(items)
+        else:
+            listed = [independent_coupling(items)]
+            if len(items) == 4:
+                listed.append(build_n4_coupling(items))
+            rechecked = [Coupling(c.alphabet, c.arity, c.mass, items) for c in listed]
+            violations = [intersection_violations(c, items) for c in listed]
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    monkeypatch.undo()
+    if isinstance(items[0], JointPmf):
+        reference_simul_validate(built)
+        return
+    assert [c.mass for c in rechecked] == [c.mass for c in listed]
+    assert violations == [reference_intersection_violations(c, items) for c in listed]
+    # The product coupling lacks the intersection property; the four-way
+    # coupling has it.
+    assert violations[0] and not any(violations[1:])
