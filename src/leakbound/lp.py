@@ -418,7 +418,7 @@ def _coupling_lp(
         for j, v in solution.items()
         if j < space.n_tuples
     }
-    witness = Coupling(alphabet, m, mass, marginals)
+    witness = Coupling(alphabet, m, mass, channel)
     target = tau_max(channel)
     return LpResult(
         optimal_value=value,
