@@ -122,10 +122,10 @@ class Coupling:
     Construction checks, exactly: non-negative masses summing to 1
     (``exact_masses``), and for every coordinate i the projection onto
     coordinate i equals the declared i-th marginal. ``marginals`` is one
-    ``Pmf`` per coordinate or their ``DiscreteChannel``; each projection
-    is summed on integer numerators over the masses' common denominator
-    and cross-multiplied against the marginals' law, so no marginal
-    ``Pmf`` is built or looked up.
+    ``Pmf`` per coordinate or their ``DiscreteChannel``, kept as ``law``;
+    each projection is summed on integer numerators over the masses'
+    common denominator and cross-multiplied against that law, so no
+    marginal ``Pmf`` is built or looked up.
     """
 
     __slots__ = ("alphabet", "arity", "mass", "law")

@@ -21,10 +21,10 @@ from helpers import (
     rand_partition,
     reference_check_mixture,
     reference_coupling_penalty,
+    reference_intersection_violations,
     reference_interval_parts,
     reference_mass,
     reference_minimal_y_coupling,
-    reference_intersection_violations,
     reference_residuals,
     reference_simul_validate,
     refuse_pmf,
@@ -36,11 +36,11 @@ from test_couplings import FAILING_FAMILY
 from leakbound import (
     CapacityError,
     ConstructionError,
+    Coupling,
     DiscreteChannel,
     JointPmf,
     LeakboundError,
     Pmf,
-    Coupling,
     PreconditionError,
     build_n4_coupling,
     build_simultaneous_coupling,
