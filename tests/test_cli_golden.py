@@ -40,7 +40,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
 NETS = ["bad_rowsum", "chain", "coprime", "coprime3", "coprime4", "cyclic", "diamond", "random1",
         "random2", "relay", "star5"]
-PMF_FILES = ["coprime_joints", "joints_pair", "pmfs_cycle3", "pmfs_n4"]
+PMF_FILES = ["coprime_joints", "joints_pair", "pmfs_bland", "pmfs_cycle3", "pmfs_n4"]
 
 
 def fixture_cases() -> list[dict]:
