@@ -9,27 +9,29 @@ optimum is always >= tau_max of the marginals and equals it whenever
 tau_max2 <= 1.
 
 The solver is a two-phase revised simplex with sparse +-1 columns and an
-explicitly maintained basis inverse, run on integers. The answers are
-still exact rationals: ``Fraction`` costs and right-hand sides come in,
-a ``Fraction`` optimum and ``Fraction`` solution entries go out, and the
-work in between is on integers. The right-hand side is scaled once by
-the LCM of its denominators and the costs by the LCM of theirs. The
-basis inverse is kept as B^-1 = A / D with an integer matrix A and
-D = |det B|, and the basic solution as integer numerators over D. A
-pivot on entry p of the entering column d = A a_j replaces row i by
-(p A_i - d_i A_r) / D, where the division is exact, and D by |p|
-(Edmonds 1967; Bareiss 1968). Ratios are compared by cross-
-multiplication, and reduced costs as integer numerators over the one
-common denominator; positive scaling changes no comparison, so the
-pivots are those of the same simplex on ``Fraction`` entries.
+explicit basis inverse, run on integers: ``Fraction`` costs and
+right-hand sides come in (scaled once by the LCM of their denominators),
+a ``Fraction`` optimum and solution go out. B^-1 is kept as A / D with
+an integer matrix A and D = |det B|, and the basic solution as integer
+numerators x over D. A pivot on entry p of the entering column d = A a_j
+replaces row i by (p A_i - d_i A_r) / D, an exact division, and D by |p|
+(Edmonds 1967; Bareiss 1968). The dual numerators y = c_B A and the
+objective z = c_B x take the same step off the pivot row before it
+changes: with rc the entering column's reduced-cost numerator,
+y' = sign(p) (p y + rc A_r) / D and z' = sign(p) (p z + rc x_r) / D.
+They are built from c_B only when a phase starts (so after the
+drive-out); at each phase end the kept pair is compared with that build
+and a difference raises ``LeakboundError``. Ratios and reduced costs are
+compared as integer numerators, cross-multiplied; positive scaling
+changes no comparison, so the pivots are those of the same simplex on
+``Fraction`` entries.
 
 Pricing is Dantzig's rule (most negative reduced cost, lowest column id
 on ties); whenever the objective stalls for longer than the constraint
 count the solver switches permanently to Bland's rule (the lowest column
 id with a negative reduced cost), which guarantees termination. Both
 rules and the ratio test (lowest basis id among minimum ratios) are
-deterministic, so identical inputs always give identical optimal values
-and identical witnesses.
+deterministic, so identical inputs give identical values and witnesses.
 
 The coupling LP never lists its |Y|^m tuple columns. A tuple's column id
 is the tuple of alphabet positions read as a base-|Y| number, so ids run
@@ -43,28 +45,25 @@ only counts distinct symbols
         = min_{S != {}, S ⊆ Y} |S| - sum_i max_{s in S} y_i(s).
 
 Each S is grown from S minus its top symbol, so every coordinate's
-argmax in S costs one comparison: better(arg[S - top], top). A tuple has
-at most m distinct symbols, so only 2 <= |S| <= m is visited, at most
-sum_{2<=k<=m} C(|Y|, k) <= |Y|^m subsets of m comparisons each: a pivot
-never prices more subsets than a full scan prices tuples, and the stack
-of partial subsets stays O(m |Y|). The |Y| diagonal tuples (which carry
-the floor rows) and the slacks are listed and priced explicitly; for
-|S| >= 2 a constant argmax tuple is replaced by the best
-single-coordinate deviation inside S, so the subsets price exactly the
-non-constant tuples. In phase 1 every real column costs 0, so the
-entering tuple is each coordinate's argmax over all of Y (or its best
-deviation), found directly. Ties go to the lowest symbol position per
-coordinate and to the lowest tuple id across subsets, so the entering
-column is the one a scan of all |Y|^m columns would pick: the pivots,
-and hence the witness, are those of the fully listed LP. The pricer gets
-the duals as integer numerators over one denominator and compares
-reduced costs as numerators over it.
+argmax in S costs one comparison. A tuple has at most m distinct
+symbols, so only 2 <= |S| <= m is visited: never more subsets than a
+full scan prices tuples. The |Y| diagonal tuples (which carry the floor
+rows) and the slacks are listed; for |S| >= 2 a constant argmax tuple is
+replaced by the best single-coordinate deviation inside S, so the
+subsets price exactly the non-constant tuples. In phase 1 every real
+column costs 0, so the entering tuple is each coordinate's argmax over
+Y (or its best deviation). Ties go to the lowest symbol position per
+coordinate and the lowest tuple id across subsets, so the entering
+column, and hence every pivot and the witness, is the one a scan of all
+|Y|^m columns would pick.
 
-Bland's rule and the drive-out of zero artificials after phase 1 still
-walk the tuples lazily in id order, then the slacks, and stop at the
-first hit. In the worst case that touches every column, so the variable
-guard counts |Y|^m, which also bounds the subsets priced per pivot. No
-column outlives a solve.
+Bland's rule and the drive-out of zero artificials after phase 1 walk
+the tuples in id order, then the slacks, and stop at the first hit. The
+walk builds no column: a tuple's product with a row vector v is
+v_0 + sum_i v(i, t_i), plus its floor entry when t is constant, read off
+the same per-coordinate slices of v as the pricer's gains, and a slack's
+is -v(floor + k). Only the entering column is built. The walk may touch
+every column, so the variable guard counts |Y|^m.
 
 One marginal constraint per coordinate is implied by the others plus the
 total-mass constraint, so the last symbol's row of every marginal is
@@ -90,6 +89,15 @@ ONE = Fraction(1)
 SparseCol = list
 
 
+def _pivot_duals(y: list[int], z: int, rc: int, p: int, row: list[int], x: int,
+                 det: int) -> tuple[list[int], int]:
+    """(y, z) after a pivot on entry p of a column with reduced-cost
+    numerator rc, from the pivot row (row, x) of (A, x) before it."""
+    sign = 1 if p > 0 else -1
+    return ([sign * (p * a + rc * b) // det for a, b in zip(y, row)],
+            sign * (p * z + rc * x) // det)
+
+
 def solve_sparse(
     columns: Sequence[SparseCol],
     costs: Sequence[Fraction],
@@ -111,9 +119,9 @@ def solve_sparse(
     negative reduced cost, lowest id on ties, as (reduced cost times
     ``den``, id, column, cost), or None when none is negative; the duals
     are ``y[r] / den`` with integer ``y`` and ``den > 0``, and real
-    columns cost 0 in phase 1) and ``scan()`` (every real column as
-    (id, column, cost), lazily in id order, for Bland's rule and the
-    drive-out).
+    columns cost 0 in phase 1), ``walk(v)`` (every real column as (id,
+    its product with the row vector ``v``, cost), lazily in id order, for
+    Bland's rule and the drive-out) and ``build(j)`` (the column of id j).
     """
     m = len(rhs)
     for b in rhs:
@@ -123,17 +131,17 @@ def solve_sparse(
     rhs_den = lcm(1, *(b.denominator for b in rhs))
     cost_den = lcm(1, *(c.denominator for c in costs))
 
-    def scaled(c) -> int:
-        return c.numerator * (cost_den // c.denominator)
-
     ids = pricer.ids if pricer else range(len(columns))
-    listed = [(j, col, scaled(c)) for j, col, c in zip(ids, columns, costs)]
+    listed = [(j, col, c.numerator * (cost_den // c.denominator))
+              for j, col, c in zip(ids, columns, costs)]
     width = pricer.width if pricer else len(listed)
-
-    def scan():
-        if not pricer:
-            return iter(listed)
-        return ((j, col, scaled(cost)) for j, col, cost in pricer.scan())
+    # The walk's costs are scaled by cost_den / step.
+    if pricer:
+        walk, build, step = pricer.walk, pricer.build, cost_den
+    else:
+        def walk(v: list[int]):
+            return ((j, dot(col, v), cost) for j, col, cost in listed)
+        build, step = columns.__getitem__, 1
 
     # B^-1 = binv / det and x_B = xb / (det * rhs_den), with integer binv
     # and xb and det = |det B| > 0; basic costs are scaled by cost_den.
@@ -149,26 +157,19 @@ def solve_sparse(
             total = total + vec[r] if s > 0 else total - vec[r]
         return total
 
-    def basic_costs(phase1: bool) -> list[int]:
-        if phase1:
-            return [int(j >= width) for j in basis]
-        return bcost
+    def duals(phase1: bool) -> tuple[list[int], int]:
+        """(c_B binv, c_B xb): duals over det, objective over det * rhs_den."""
+        cb = [int(j >= width) for j in basis] if phase1 else bcost
+        rows = ([c * a for a in row] for c, row in zip(cb, binv) if c)
+        return list(map(sum, zip([0] * m, *rows))), sum(c * x for c, x in zip(cb, xb) if c)
 
-    def objective(phase1: bool) -> int:
-        """c_B x_B times det * rhs_den (and cost_den in phase 2)."""
-        return sum(c * x for c, x in zip(basic_costs(phase1), xb) if c)
-
-    def entering(phase1: bool, bland: bool):
-        # Duals y / den with y = (basic costs) binv.
-        y = [0] * m
-        for cb, row in zip(basic_costs(phase1), binv):
-            if cb:
-                y = [a + cb * b for a, b in zip(y, row)]
-        den = det if phase1 else det * cost_den
+    def entering(y: list[int], phase1: bool, bland: bool):
+        """(reduced cost numerator, id, column, scaled cost) or None."""
         if bland:
-            for j, col, cost in scan():
-                if (0 if phase1 else cost * det) < dot(col, y):
-                    return j, col, cost
+            unit = 0 if phase1 else det * step
+            for j, value, cost in walk(y):
+                if cost * unit < value:
+                    return cost * unit - value, j, build(j), cost * step
             return None
         best = None
         for j, col, cost in listed:
@@ -176,10 +177,10 @@ def solve_sparse(
             if r < 0 and (best is None or (r, j) < best[:2]):
                 best = (r, j, col, cost)
         if pricer:
-            found = pricer.price(y, den, phase1)
+            found = pricer.price(y, det if phase1 else det * cost_den, phase1)
             if found and (best is None or found[:2] < best[:2]):
-                best = found[:3] + (scaled(found[3]),)
-        return None if best is None else best[1:]
+                best = found[:3] + (found[3] * step,)
+        return best
 
     def pivot(row: int, d: list[int], j: int, cost: int) -> None:
         """Edmonds' fraction-free update; the division by det is exact.
@@ -201,15 +202,16 @@ def solve_sparse(
         basis[row] = j
         bcost[row] = cost
 
-    def optimize(phase1: bool) -> None:
-        bland = False
-        stall = 0
-        best, best_det = objective(phase1), det
+    def optimize(phase1: bool) -> int:
+        """Pivot to an optimum of the phase; returns c_B xb."""
+        y, z = duals(phase1)
+        bland, stall = False, 0
+        best, best_det = z, det
         while True:
-            enter = entering(phase1, bland)
+            enter = entering(y, phase1, bland)
             if enter is None:
-                return
-            j, col, cost = enter
+                break
+            rc, j, col, cost = enter
             d = [dot(col, row) for row in binv]
             leave = -1
             for i in range(m):
@@ -223,38 +225,39 @@ def solve_sparse(
                         leave = i
             if leave < 0:
                 raise LeakboundError("unbounded LP; coupling polytopes are bounded")
+            y, z = _pivot_duals(y, z, rc, d[leave], binv[leave], xb[leave], det)
             pivot(leave, d, j, cost)
-            now = objective(phase1)
-            if now * best_det < best * det:
-                best, best_det = now, det
+            if z * best_det < best * det:
+                best, best_det = z, det
                 stall = 0
             else:
                 stall += 1
                 if stall > m + 4:
                     bland = True
+        if (y, z) != duals(phase1):
+            raise LeakboundError("kept duals differ from the basis; the pivots are inexact")
+        return z
 
     # Phase 1: artificials cost 1, everything else 0.
-    optimize(phase1=True)
-    if objective(True) != 0:
-        raise InfeasibleError(
-            f"phase 1 optimum {Fraction(objective(True), det * rhs_den)} > 0")
+    infeasibility = optimize(phase1=True)
+    if infeasibility:
+        raise InfeasibleError(f"phase 1 optimum {Fraction(infeasibility, det * rhs_den)} > 0")
 
     # Drive zero-valued artificials out of the basis. When no real column
     # can pivot in, the row is redundant; its artificial stays basic at
     # zero with zero phase-2 cost, which exact consistency keeps at zero.
     for i in range(m):
         if basis[i] >= width:
-            for j, col, cost in scan():
-                if dot(col, binv[i]):
-                    pivot(i, [dot(col, row) for row in binv], j, cost)
+            for j, value, cost in walk(binv[i]):
+                if value:
+                    col = build(j)
+                    pivot(i, [dot(col, row) for row in binv], j, cost * step)
                     break
 
-    optimize(phase1=False)
-
+    value = optimize(phase1=False)
     scale = det * rhs_den
     solution = {basis[i]: Fraction(xb[i], scale)
                 for i in range(m) if basis[i] < width and xb[i]}
-    value = sum(bcost[i] * xb[i] for i in range(m) if basis[i] < width)
     return Fraction(value, scale * cost_den), solution
 
 
@@ -273,13 +276,9 @@ class _TupleColumns:
         self.width = self.n_tuples + (size if floor is not None else 0)
         self.weights = [size ** (m - 1 - i) for i in range(m)]
         step = sum(self.weights)  # id of (1, ..., 1)
-        self.ids = [k * step for k in range(size)]
-        self.columns = [self.column((k,) * m) for k in range(size)]
-        self.costs = [1] * size
-        if floor is not None:
-            self.ids += [self.n_tuples + k for k in range(size)]
-            self.columns += [self.slack(k) for k in range(size)]
-            self.costs += [0] * size
+        self.ids = [k * step for k in range(size)] + list(range(self.n_tuples, self.width))
+        self.columns = [self.build(j) for j in self.ids]
+        self.costs = [1] * size + [0] * (self.width - self.n_tuples)
 
     def row(self, i: int, k: int) -> int:
         return 1 + i * (self.size - 1) + k
@@ -290,31 +289,43 @@ class _TupleColumns:
             col.append((self.floor + t[0], 1))
         return col
 
-    def slack(self, k: int) -> SparseCol:
-        return [(self.floor + k, -1)]
-
     def tuple_id(self, t: Sequence[int]) -> int:
         return sum(k * w for k, w in zip(t, self.weights))
 
     def decode(self, j: int) -> tuple[int, ...]:
         return tuple(j // w % self.size for w in self.weights)
 
-    def scan(self) -> Iterator[tuple[int, SparseCol, int]]:
-        """Every real column in id order: the tuples lexicographically,
-        then the slacks. Lazy: a caller that stops at its first hit
-        builds only the columns before it."""
-        for j, t in enumerate(product(range(self.size), repeat=self.m)):
-            yield j, self.column(t), len(set(t))
-        if self.floor is not None:
+    def build(self, j: int) -> SparseCol:
+        if j >= self.n_tuples:  # a slack
+            return [(self.floor + j - self.n_tuples, -1)]
+        return self.column(self.decode(j))
+
+    def gains(self, v: list[int]) -> list[list[int]]:
+        """v's entries by coordinate and symbol position: row(i, k) for
+        k < size - 1, then 0 for the last symbol, whose row is dropped."""
+        n = self.size - 1
+        return [v[1 + i * n:1 + (i + 1) * n] + [0] for i in range(self.m)]
+
+    def walk(self, v: list[int]) -> Iterator[tuple[int, int, int]]:
+        """(id, v . column, cost) of every real column in id order, lazily:
+        the tuples lexicographically, then the slacks."""
+        floor = self.floor
+        tuples = product(range(self.size), repeat=self.m)
+        for j, (t, gain) in enumerate(zip(tuples, map(sum, product(*self.gains(v))))):
+            cost = len(set(t))
+            if cost == 1 and floor is not None:
+                gain += v[floor + t[0]]
+            yield j, v[0] + gain, cost
+        if floor is not None:
             for k in range(self.size):
-                yield self.n_tuples + k, self.slack(k), 0
+                yield self.n_tuples + k, -v[floor + k], 0
 
     def price(self, y: list[int], den: int, phase1: bool):
         """Reduced costs are compared as numerators over ``den``: the
         duals are ``y[r] / den``."""
         m, size = self.m, self.size
         # gain[i][k]: dual of "coordinate i takes symbol k"
-        gain = [[y[self.row(i, k)] for k in range(size - 1)] + [0] for i in range(m)]
+        gain = self.gains(y)
         # reduced cost of a tuple with c distinct symbols = limit[c] - gain
         limit = [(0 if phase1 else c * den) - y[0] for c in range(m + 1)]
         best = None
@@ -341,8 +352,7 @@ class _TupleColumns:
             # Every real column costs 0: the per-coordinate argmax over Y
             # (lowest position on ties) has the most gain.
             if size > 1:
-                consider([max(range(size), key=lambda k: (g[k], -k)) for g in gain],
-                         (1 << size) - 1)
+                consider([g.index(max(g)) for g in gain], (1 << size) - 1)
         else:
             # Grow each S from S minus its top symbol, so every S costs m
             # comparisons; S above m symbols holds no tuple's symbol set.
@@ -356,10 +366,7 @@ class _TupleColumns:
                     consider(t, grown)
                     if count + 1 < m:
                         stack.append((t, grown, k, count + 1))
-        if best is None:
-            return None
-        r, j, t, cost = best
-        return r, j, self.column(t), cost
+        return best and best[:2] + (self.column(best[2]), best[3])
 
     def _deviate(self, s: int, mask: int, gain, total: int):
         """Best non-constant tuple inside ``mask`` when (s, ..., s) is the
@@ -413,18 +420,11 @@ def _coupling_lp(
         rhs += [min(p[y] for p in marginals) for y in alphabet]
 
     value, solution = solve_sparse(space.columns, space.costs, rhs, space)
-    mass = {
-        tuple(alphabet[k] for k in space.decode(j)): v
-        for j, v in solution.items()
-        if j < space.n_tuples
-    }
+    mass = {tuple(alphabet[k] for k in space.decode(j)): v
+            for j, v in solution.items() if j < space.n_tuples}
     witness = Coupling(alphabet, m, mass, channel)
-    target = tau_max(channel)
-    return LpResult(
-        optimal_value=value,
-        witness=witness,
-        achieves_tau_max=value == target,
-    )
+    return LpResult(optimal_value=value, witness=witness,
+                    achieves_tau_max=value == tau_max(channel))
 
 
 def min_union_coupling(

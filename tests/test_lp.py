@@ -23,6 +23,7 @@ from leakbound import (
     CapacityError,
     DiscreteChannel,
     InfeasibleError,
+    LeakboundError,
     Pmf,
     make_q_ary_symmetric,
     min_union_coupling,
@@ -55,8 +56,6 @@ class TestSimplex:
 
     def test_unbounded_detected(self):
         # no constraints and a negative cost: the ray is unbounded
-        from leakbound import LeakboundError
-
         with pytest.raises(LeakboundError):
             solve_sparse([[]], [Q(-1)], [])
 
@@ -152,7 +151,8 @@ def test_solver_matches_vertex_enumeration(system):
 
 class SplitPricer:
     """The pricer protocol in miniature: the even ids are listed, the odd
-    ids (of integer cost) are priced by a scan over integer duals."""
+    ids (of integer cost) are priced by a scan over integer duals, and the
+    walk lists every column's product with the row vector."""
 
     def __init__(self, columns, costs):
         self.all = list(zip(range(len(columns)), columns, costs))
@@ -167,8 +167,11 @@ class SplitPricer:
                 best = (r, j, col, cost)
         return best
 
-    def scan(self):
-        return iter(self.all)
+    def walk(self, v):
+        return ((j, sum(s * v[row] for row, s in col), cost) for j, col, cost in self.all)
+
+    def build(self, j):
+        return self.all[j][1]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -189,8 +192,9 @@ def test_pricer_gives_the_pivots_of_the_listed_lp(system):
 
 
 
-LOOP_FUNCTIONS = {"optimize", "entering", "pivot", "objective", "dot",
-                  "basic_costs", "price", "consider", "_deviate"}
+LOOP_FUNCTIONS = {"optimize", "entering", "pivot", "duals", "_pivot_duals", "dot",
+                  "walk", "build", "gains", "column", "decode", "tuple_id",
+                  "price", "consider", "_deviate"}
 
 
 @pytest.mark.parametrize("listed", [False, True])
@@ -457,11 +461,21 @@ def test_exact_dual_certificate(floor):
     assert above >= 1
 
 
+def scan(space):
+    """Every real column of the coupling LP built in full, as (id, column,
+    cost) in id order: the tuples lexicographically, then the slacks."""
+    for j, t in enumerate(iproduct(range(space.size), repeat=space.m)):
+        yield j, space.column(t), len(set(t))
+    if space.floor is not None:
+        for k in range(space.size):
+            yield space.n_tuples + k, [(space.floor + k, -1)], 0
+
+
 def brute_price(space, y, phase1):
     """(most negative reduced cost, lowest id attaining it) over every
     real column, or None when no reduced cost is negative."""
     best = None
-    for j, col, cost in space.scan():
+    for j, col, cost in scan(space):
         r = (Q(0) if phase1 else cost) - sum(s * y[row] for row, s in col)
         if r < 0 and (best is None or (r, j) < best):
             best = (r, j)
@@ -581,6 +595,51 @@ class TestSubsetPricing:
         assert subset_price(space, y, phase1) == brute_price(space, y, phase1)
 
 
+def assert_walk_matches_scan(space, v):
+    """The walk against building every column and taking its product with
+    v: the same ids in the same order, the same values and costs, the
+    same built column, and the same first hit for Bland's rule (at any
+    cost unit) and for the drive-out (any nonzero product)."""
+    want = [(j, sum(s * v[r] for r, s in col), cost) for j, col, cost in scan(space)]
+    assert list(space.walk(v)) == want
+    assert [space.build(j) for j, _, _ in want] == [col for _, col, _ in scan(space)]
+    for unit in (0, 1, 2, 5):
+        first = next((w for w in space.walk(v) if w[2] * unit < w[1]), None)
+        assert first == next((w for w in want if w[2] * unit < w[1]), None)
+    assert next((w for w in space.walk(v) if w[1]), None) == next(
+        (w for w in want if w[1]), None)
+
+
+class TestPositionWalk:
+    """The column-free walk behind Bland's rule and the drive-out against
+    the columns built in full."""
+
+    @pytest.mark.parametrize("floor", [False, True])
+    def test_seeded_vectors(self, floor):
+        rng = random.Random(61 + floor)
+        hits = set()
+        for m in range(2, 6):
+            for size in range(1, 5):
+                space, n_rows = space_and_rows(m, size, floor)
+                for _ in range(6):
+                    # Small integers, as dual numerators or a row of the
+                    # basis inverse; zeros are common, so some walks hit
+                    # nothing.
+                    v = [rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(n_rows)]
+                    assert_walk_matches_scan(space, v)
+                    hits.add(any(value for _, value, _ in space.walk(v)))
+        assert hits == {True, False}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_generated_vectors(self, data):
+        m = data.draw(st.integers(2, 5))
+        size = data.draw(st.integers(1, 4))
+        space, n_rows = space_and_rows(m, size, data.draw(st.booleans()))
+        v = data.draw(st.lists(st.integers(-6, 6), min_size=n_rows, max_size=n_rows))
+        assert_walk_matches_scan(space, v)
+
+
 def differential_families():
     rng = random.Random(43)
     cases = []
@@ -640,13 +699,13 @@ def test_bland_switch_runs_and_matches_reference(monkeypatch, seed, m, size):
     # phase 1, at most once per row, so more walks than rows means
     # Bland's rule ran.
     walks = []
-    scan = lp._TupleColumns.scan
+    walk = lp._TupleColumns.walk
 
-    def counting(space):
+    def counting(space, v):
         walks.append(1)
-        return scan(space)
+        return walk(space, v)
 
-    monkeypatch.setattr(lp._TupleColumns, "scan", counting)
+    monkeypatch.setattr(lp._TupleColumns, "walk", counting)
     fam = rand_family_tau_max2_le1(random.Random(seed), m, size)
     result = min_union_coupling(fam)
     monkeypatch.undo()
@@ -654,6 +713,128 @@ def test_bland_switch_runs_and_matches_reference(monkeypatch, seed, m, size):
     value, mass = reference_lp(fam, floor=False)
     assert result.optimal_value == value
     assert dict(result.witness.mass) == mass
+
+
+def check_kept_duals_step(columns, costs, rhs, rng, pivots=10):
+    """Seeded pivots from the artificial basis, done in Fractions, on the
+    solver's integer state rebuilt from the basis: D = |det B|, A = D B^-1,
+    x = D rhs_den x_B and, for the phase-1 and the phase-2 costs, y = c_B A
+    and z = c_B x. Stepping (y, z) with ``lp._pivot_duals`` from the state
+    before each pivot must give the state after it, for pivot entries of
+    either sign. Returns the number of pivots checked."""
+    m, width = len(rhs), len(columns)
+    rhs_den = math.lcm(1, *(b.denominator for b in rhs))
+    cost_den = math.lcm(1, *(c.denominator for c in costs))
+    basis = list(range(width, width + m))
+    binv = [[Q(int(i == k)) for k in range(m)] for i in range(m)]
+    det = Q(1)
+
+    def state():
+        a = [[det * v for v in row] for row in binv]
+        x = [det * rhs_den * sum(v * b for v, b in zip(row, rhs)) for row in binv]
+        assert all(v.denominator == 1 for v in x + [v for row in a for v in row])
+        kept = {}
+        for phase1 in (True, False):
+            cb = [int(j >= width) if phase1 else (costs[j] * cost_den if j < width else 0)
+                  for j in basis]
+            kept[phase1] = ([int(sum(c * row[k] for c, row in zip(cb, a))) for k in range(m)],
+                            int(sum(c * v for c, v in zip(cb, x))))
+        return [[int(v) for v in row] for row in a], [int(v) for v in x], kept
+
+    checked = 0
+    for _ in range(pivots):
+        j = rng.choice([j for j in range(width) if j not in basis] or [None])
+        if j is None:
+            break
+        col = [0] * m
+        for r, s in columns[j]:
+            col[r] += s
+        d = [sum(v * e for v, e in zip(row, col)) for row in binv]  # B^-1 a_j
+        if not any(d):
+            continue
+        r = rng.choice([i for i in range(m) if d[i]])
+        a, x, before = state()
+        old_det, p = int(det), int(det * d[r])
+        pivot_row = [v / d[r] for v in binv[r]]
+        binv = [pivot_row if i == r else [v - d[i] * w for v, w in zip(binv[i], pivot_row)]
+                for i in range(m)]
+        det, basis[r] = abs(det * d[r]), j
+        after = state()[2]
+        for phase1 in (True, False):
+            y, z = before[phase1]
+            cost = 0 if phase1 else int(costs[j] * cost_den)
+            rc = cost * old_det - sum(v * e for v, e in zip(y, col))
+            assert lp._pivot_duals(y, z, rc, p, a[r], x[r], old_det) == after[phase1]
+        checked += 1
+    return checked
+
+
+def solve_checking_every_pivot(solve, *args):
+    """``solve(*args)`` with every kept-duals step checked on the fly: the
+    (y, z) a pivot receives, which the previous pivot produced, must equal
+    the solver's own rebuild from the basis (``duals`` in the calling
+    frame); the solver compares the last pair at each phase end itself.
+    Returns (the answer, the number of pivots checked)."""
+    step, steps = lp._pivot_duals, []
+
+    def checked(y, z, *rest):
+        loop = sys._getframe(1).f_locals
+        assert (y, z) == loop["duals"](loop["phase1"])
+        steps.append(1)
+        return step(y, z, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_pivot_duals", checked)
+        return solve(*args), len(steps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bounded_pm1_systems(), st.randoms(use_true_random=False))
+def test_kept_duals_equal_their_rebuild(system, rng):
+    columns, costs, rhs = system
+    check_kept_duals_step(columns, costs, rhs, rng)
+    try:
+        answer, _ = solve_checking_every_pivot(solve_sparse, columns, costs, rhs)
+    except InfeasibleError:
+        return
+    assert answer == solve_sparse(columns, costs, rhs)
+
+
+@pytest.mark.parametrize("floor", [False, True])
+def test_kept_duals_equal_their_rebuild_on_coupling_lps(floor):
+    rng = random.Random(71 + floor)
+    solver = min_union_coupling_diag if floor else min_union_coupling
+    stepped = solved = 0
+    for fam in differential_families():
+        stepped += check_kept_duals_step(*full_coupling_lp(fam, floor), rng)
+        try:
+            _, pivots = solve_checking_every_pivot(solver, fam)
+        except InfeasibleError:
+            continue
+        solved += pivots > 0
+    assert stepped >= 300 and solved >= 20
+
+
+@pytest.mark.parametrize("drift", ["dual", "objective"])
+def test_phase_end_check_catches_drifting_duals(monkeypatch, drift):
+    # One wrong step, once: the pivots go on from the wrong pair, and the
+    # comparison with the rebuild at the phase end refuses the answer.
+    step, calls = lp._pivot_duals, []
+
+    def drifting(*args):
+        y, z = step(*args)
+        calls.append(1)
+        if len(calls) == 1:
+            if drift == "dual":
+                y = [y[0] + 1] + y[1:]
+            else:
+                z += 1
+        return y, z
+
+    monkeypatch.setattr(lp, "_pivot_duals", drifting)
+    fam = rand_family_tau_max2_le1(random.Random(3), 3, 3)
+    with pytest.raises(LeakboundError, match="kept duals differ"):
+        min_union_coupling(fam)
 
 
 GOLDEN = Path(__file__).parent / "fixtures" / "lp_golden.json"
