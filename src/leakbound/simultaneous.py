@@ -452,11 +452,16 @@ def coupling_penalty(
     return Fraction(num, den)
 
 
+def _union_sum(mass: Mapping[tuple, Fraction]) -> Fraction:
+    """sum q |set(ys)| over the cells (xs, ys) -> q, added as integer
+    numerators over the masses' least common denominator."""
+    scale, nums = _over_lcm(mass.values())
+    return Fraction(sum(num * len(set(ys)) for (_, ys), num in zip(mass, nums)), scale)
+
+
 def y_union_mass(coupling: SimulCoupling) -> Fraction:
     """sum_y P(union_i {Y_i = y}) under the coupling."""
-    return sum(
-        (q * len(set(ys)) for (xs, ys), q in coupling.mass.items()), ZERO
-    )
+    return _union_sum(coupling.mass)
 
 
 def f_quantity(coupling: SimulCoupling) -> Fraction:
@@ -465,11 +470,4 @@ def f_quantity(coupling: SimulCoupling) -> Fraction:
     With the X-coordinates playing the role of a peeled node's parents,
     this is the "loss in leakage" correction of the coupling-based bound.
     """
-    return sum(
-        (
-            q * len(set(ys))
-            for (xs, ys), q in coupling.mass.items()
-            if all(x == xs[0] for x in xs)
-        ),
-        ZERO,
-    )
+    return _union_sum({cell: q for cell, q in coupling.mass.items() if len(set(cell[0])) == 1})

@@ -431,6 +431,18 @@ def reference_simul_validate(coupling) -> None:
         raise ConstructionError("Y-projection differs from ingredient coupling")
 
 
+def reference_y_union_mass(coupling) -> Q:
+    """Reference ``y_union_mass``: one ``Fraction`` product per tuple."""
+    return sum((q * len(set(ys)) for (xs, ys), q in coupling.mass.items()), ZERO)
+
+
+def reference_f_quantity(coupling) -> Q:
+    """Reference ``f_quantity``: one ``Fraction`` product per tuple whose
+    X-part is constant."""
+    return sum((q * len(set(ys)) for (xs, ys), q in coupling.mass.items()
+                if all(x == xs[0] for x in xs)), ZERO)
+
+
 def bsc_rows(delta: Q) -> list[list[Q]]:
     return [[1 - delta, delta], [delta, 1 - delta]]
 

@@ -21,12 +21,14 @@ from helpers import (
     rand_partition,
     reference_check_mixture,
     reference_coupling_penalty,
+    reference_f_quantity,
     reference_intersection_violations,
     reference_interval_parts,
     reference_mass,
     reference_minimal_y_coupling,
     reference_residuals,
     reference_simul_validate,
+    reference_y_union_mass,
     refuse_pmf,
 )
 from hypothesis import given, settings
@@ -1032,6 +1034,52 @@ class TestValidateAgainstReference:
             for kind in KINDS:
                 compared[m] += self.compare(rand_penalty_joints(rng, m, kind))
         assert all(compared[m] >= 5 for m in range(2, 6))
+
+
+class TestUnionSumsAgainstReference:
+    """``y_union_mass`` and ``f_quantity`` add integer numerators over one
+    denominator; they equal their ``Fraction`` references
+    (``helpers.reference_y_union_mass``, ``reference_f_quantity``) on built
+    couplings and on faulty copies of their masses, which they sum as
+    given."""
+
+    @staticmethod
+    def compare(sources):
+        """Returns the number of mass tables compared, 0 if the build
+        refuses."""
+        try:
+            built = build_simultaneous_coupling(sources, max_states=ROOMY)
+        except LeakboundError:
+            return 0
+        m, xs, ys = built.arity, sources[0].x_alphabet, sources[0].y_alphabet
+        keys = ((a, b) for a in itertools.product(xs, repeat=m)
+                for b in itertools.product(ys, repeat=m))
+        tables = [built.mass, *perturbed_masses(built.mass, keys).values()]
+        for mass in tables:
+            coupling = dataclasses.replace(built, mass=mass)
+            for fast, slow in ((y_union_mass, reference_y_union_mass),
+                               (f_quantity, reference_f_quantity)):
+                got = fast(coupling)
+                assert type(got) is Q and got == slow(coupling)
+        return len(tables)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(joint_families(), penalty_joints()))
+    def test_property_joints(self, sources):
+        self.compare(sources)
+
+    def test_seeded_joints(self):
+        rng = random.Random(73)
+        compared = Counter()
+        for m in range(2, 6):
+            for kind in KINDS:
+                compared[m] += self.compare(rand_penalty_joints(rng, m, kind))
+        assert all(compared[m] >= 5 for m in range(2, 6))
+
+    @pytest.mark.parametrize("name", ["coprime_joints", "joints_pair"])
+    def test_fixtures(self, name):
+        text = (WIDE_FIXTURES / f"{name}.json").read_text(encoding="utf-8")
+        assert self.compare(parse_pmf_file(text)) > 1
 
 
 INTERVAL_KINDS = ("dominant", "coprime", "boundary", "free")
