@@ -22,9 +22,8 @@ y' = sign(p) (p y + rc A_r) / D and z' = sign(p) (p z + rc x_r) / D.
 They are built from c_B only when a phase starts (so after the
 drive-out); at each phase end the kept pair is compared with that build
 and a difference raises ``LeakboundError``. Ratios and reduced costs are
-compared as integer numerators, cross-multiplied; positive scaling
-changes no comparison, so the pivots are those of the same simplex on
-``Fraction`` entries.
+compared as integer numerators, cross-multiplied; positive scaling changes
+no comparison, so the pivots are those of the simplex on ``Fraction``s.
 
 Pricing is Dantzig's rule (most negative reduced cost, lowest column id
 on ties); whenever the objective stalls for longer than the constraint
@@ -63,12 +62,13 @@ walk builds no column: a tuple's product with a row vector v is
 v_0 + sum_i v(i, t_i), plus its floor entry when t is constant, read off
 the same per-coordinate slices of v as the pricer's gains, and a slack's
 is -v(floor + k). Only the entering column is built. The walk may touch
-every column, so the variable guard counts |Y|^m.
+every column, so the variable guard counts |Y|^m. ``_TupleColumns`` is
+the pricer that ``solve_sparse`` asks for all of this (its protocol:
+``width``, ``ids``, ``price``, ``walk`` and ``build``).
 
 One marginal constraint per coordinate is implied by the others plus the
 total-mass constraint, so the last symbol's row of every marginal is
-dropped and a single sum-to-one row kept; this makes the system full row
-rank.
+dropped and a single sum-to-one row kept: the system has full row rank.
 """
 
 from __future__ import annotations
