@@ -29,22 +29,24 @@ own coupling, f = 1, and every bound equals the exact value 1.
 the value, so bounds here always satisfy
 coupling <= doeblin <= baseline on any accepted query.
 
-Every entry takes one route. The targets are checked and put in
-topological order once per query. ``_walk`` then checks the hypotheses
-of every peel step with ``_checked_step``, which also computes the
-Doeblin penalty, and only then are the penalties mapped over the checked
-steps, which cannot fail: the coupling penalty takes the four-way
-Y-coupling at |X| = 4 and the interval Y-coupling at every other |X|,
-and solves no LP. A ``PreconditionError`` keeps the steps before the
-failure in its ``trace``, each carrying the Doeblin penalty whatever the
-method.
+Every entry folds one peel plan: the steps, each (U, V, adjoined
+parents), and the final set. ``_recursive_plan`` peels the last target
+until one node remains, ``_single_plan`` peels once, and the single-step
+bounds wrap their own (V, U); the targets are checked and put in
+topological order once per query. ``_walk`` checks the hypotheses of
+each step, computing its Doeblin penalty, and returns the first failure:
+a ``PreconditionError`` whose ``trace`` holds the steps before it, with
+the Doeblin penalty whatever the method. The bound functions raise it;
+``query_report`` logs it. ``_fold`` composes the passed steps under the
+Doeblin penalty, f or 0 (the baseline), and cannot fail: f takes the
+four-way Y-coupling at |X| = 4 and the interval one otherwise, and
+solves no LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import prod
 from typing import NamedTuple, Sequence
 
 from .bayesnet import (
@@ -85,24 +87,22 @@ class BoundReport:
         return None if value is None else value - self.exact_tau_max
 
 
-def _check_order(net: BayesNet, v_set: Sequence[str], u: str) -> None:
-    if u in v_set:
-        raise LeakboundError(f"peeled node {u!r} may not belong to V")
-    below = descendants(net, u)
-    bad = sorted(set(v_set) & below)
-    if bad:
-        raise LeakboundError(
-            f"directed path from {u!r} into {bad}; peel order invalid"
-        )
+class _Plan(NamedTuple):
+    """Peel steps, each (U, V, adjoined parents), first peel first, and
+    the final set, whose exact value the steps are folded onto."""
+
+    steps: list[tuple[str, list[str], tuple[str, ...]]]
+    last: list[str]
 
 
 class _Checked(NamedTuple):
-    """A peel step whose hypotheses passed, with what its penalties need."""
+    """A peel step whose hypotheses passed, with what its penalties need;
+    a baseline step, which is not checked, needs nothing."""
 
-    step: PeelStep  # carries the Doeblin penalty
-    tau_max_v: Fraction
-    joints: DiscreteChannel  # P_{pa(U),V|X}, over the (pa(U), V) cells
-    verdict: Feasibility
+    step: PeelStep  # carries the Doeblin penalty, or 0 for the baseline
+    tau_max_v: Fraction | None = None
+    joints: DiscreteChannel | None = None  # P_{pa(U),V|X}, over the (pa(U), V) cells
+    verdict: Feasibility | None = None
 
 
 def _record(name: str, value: Fraction | None, ok: bool) -> tuple[str, str, bool]:
@@ -110,72 +110,72 @@ def _record(name: str, value: Fraction | None, ok: bool) -> tuple[str, str, bool
     return (name, "trivial (one row)" if value is None else output_str(value), ok)
 
 
-def _checked_step(
-    net: BayesNet,
-    v_set: Sequence[str],
-    u: str,
-    adjoined: tuple[str, ...],
-    max_states: int,
-) -> _Checked:
-    """Check the hypotheses of peeling u off V; raises PreconditionError
-    when one fails. The V-side verdict goes on to the coupling penalty,
-    which then decides nothing twice."""
-    v_set = list(v_set)
-    if not v_set:
-        raise LeakboundError("V must be non-empty")
-    if u not in net.by_id:
-        raise LeakboundError(f"unknown target node {u!r}")
-    _check_order(net, v_set, u)
-    u_cpt = net.cpt(u)
-    tmu = tau_max(u_cpt)
-    # tau_max2 of U's own CPT; a single-row CPT passes trivially, and so
-    # does a single-row V-side, which is its own coupling.
-    u_value = tau_max2(u_cpt) if u_cpt.n > 1 else None
-    rec_u = _record(
-        f"tau_max2(P_{{{u}|pa}}) <= 1", u_value, u_value is None or u_value <= 1
-    )
-    v_channel = composite_channel(net, v_set, max_states=max_states)
-    verdict = coupling_feasibility(v_channel)
-    rec_v = _record(
-        f"{verdict.label} for P_{{{'+'.join(sorted(v_set))}|X}}",
-        verdict.value,
-        verdict.ok,
-    )
-    for name, value, ok in (rec_u, rec_v):
-        if not ok:
-            raise PreconditionError(name, Fraction(value))
-    joints = composite_joints(net, net.by_id[u].parents, v_set, max_states)
-    step = PeelStep(u, tuple(v_set), adjoined, tmu, doeblin(joints), (rec_u, rec_v))
-    return _Checked(step, tau_max(v_channel), joints, verdict)
+def _walk(
+    net: BayesNet, plan: _Plan, max_states: int
+) -> tuple[list[_Checked], PreconditionError | None]:
+    """Check the hypotheses of the steps of a plan in order, up to the
+    first failure: the steps that passed, and the failure or None. The
+    failure's ``trace`` holds the steps before it, carrying the Doeblin
+    penalty. Each V-side verdict goes on to the coupling penalty, which
+    then decides nothing twice."""
+    checked: list[_Checked] = []
+    for u, v_set, adjoined in plan.steps:
+        v_set = list(v_set)
+        if not v_set:
+            raise LeakboundError("V must be non-empty")
+        if u not in net.by_id:
+            raise LeakboundError(f"unknown target node {u!r}")
+        if u in v_set:
+            raise LeakboundError(f"peeled node {u!r} may not belong to V")
+        bad = sorted(set(v_set) & descendants(net, u))
+        if bad:
+            raise LeakboundError(
+                f"directed path from {u!r} into {bad}; peel order invalid"
+            )
+        u_cpt = net.cpt(u)
+        tmu = tau_max(u_cpt)
+        # tau_max2 of U's own CPT; a single-row CPT passes trivially, and so
+        # does a single-row V-side, which is its own coupling.
+        u_value = tau_max2(u_cpt) if u_cpt.n > 1 else None
+        rec_u = _record(
+            f"tau_max2(P_{{{u}|pa}}) <= 1", u_value, u_value is None or u_value <= 1
+        )
+        v_channel = composite_channel(net, v_set, max_states=max_states)
+        verdict = coupling_feasibility(v_channel)
+        rec_v = _record(
+            f"{verdict.label} for P_{{{'+'.join(sorted(v_set))}|X}}",
+            verdict.value,
+            verdict.ok,
+        )
+        for (name, _, ok), value in ((rec_u, u_value), (rec_v, verdict.value)):
+            if not ok:
+                failure = PreconditionError(name, value)
+                failure.trace = tuple(c.step for c in checked)
+                return checked, failure
+        joints = composite_joints(net, net.by_id[u].parents, v_set, max_states)
+        step = PeelStep(u, tuple(v_set), adjoined, tmu, doeblin(joints), (rec_u, rec_v))
+        checked.append(_Checked(step, tau_max(v_channel), joints, verdict))
+    return checked, None
 
 
-def _with_penalty(method: str, checked: Sequence[_Checked]) -> list[PeelStep]:
-    """The checked steps carrying the penalty of ``method``: for "doeblin"
-    the Doeblin coefficient of P_{pa(U),V|X}, for "coupling" f under the
-    simultaneous coupling of its rows, given the V-side verdict."""
-    if method == "doeblin":
-        return [c.step for c in checked]
-    return [
-        replace(c.step, penalty=coupling_penalty(c.joints, c.verdict))
-        for c in checked
-    ]
-
-
-def _compose(base: Fraction, steps: Sequence[PeelStep]) -> Fraction:
-    """Fold the steps, first peel outermost, onto tau_max of the last
-    step's V (the exact value of the final singleton in a recursion)."""
-    value = base
-    for s in reversed(steps):
-        value = s.tau_max_u * value - (s.tau_max_u - 1) * s.penalty
-    return value
-
-
-def _single_bound(
-    method: str, net: BayesNet, v_set: Sequence[str], u: str, max_states: int
-) -> Fraction:
-    checked = _checked_step(net, v_set, u, (), max_states)
-    steps = _with_penalty(method, [checked])
-    return _compose(checked.tau_max_v, steps)
+def _fold(
+    method: str, base: Fraction, checked: Sequence[_Checked]
+) -> tuple[Fraction, tuple[PeelStep, ...]]:
+    """The bound of ``method`` and its trace, each step carrying the
+    method's penalty: the Doeblin coefficient of P_{pa(U),V|X} for
+    "doeblin", f under the simultaneous coupling of its rows, given the
+    V-side verdict, for "coupling", and 0 for "baseline". The steps fold,
+    first peel outermost, onto ``base``, tau_max of the last step's V."""
+    value, steps = base, []
+    for c in reversed(checked):
+        step = c.step
+        if method == "coupling":
+            step = replace(step, penalty=coupling_penalty(c.joints, c.verdict))
+        elif method == "baseline":
+            step = replace(step, penalty=ZERO)
+        value = step.tau_max_u * value - (step.tau_max_u - 1) * step.penalty
+        steps.insert(0, step)
+    return value, tuple(steps)
 
 
 def coupling_bound(
@@ -185,7 +185,10 @@ def coupling_bound(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Fraction:
     """Single-step bound with the simultaneous-coupling penalty f."""
-    return _single_bound("coupling", net, v_set, u, max_states)
+    checked, failure = _walk(net, _Plan([(u, v_set, ())], list(v_set)), max_states)
+    if failure:
+        raise failure
+    return _fold("coupling", checked[0].tau_max_v, checked)[0]
 
 
 def doeblin_bound(
@@ -195,7 +198,10 @@ def doeblin_bound(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Fraction:
     """Single-step bound with the Doeblin-coefficient penalty."""
-    return _single_bound("doeblin", net, v_set, u, max_states)
+    checked, failure = _walk(net, _Plan([(u, v_set, ())], list(v_set)), max_states)
+    if failure:
+        raise failure
+    return _fold("doeblin", checked[0].tau_max_v, checked)[0]
 
 
 def exact_tau_max(
@@ -222,33 +228,31 @@ def _ordered(
     return sorted(targets, key=position.get), position
 
 
-def _plan(net: BayesNet, targets: Sequence[str]) -> tuple[list[tuple], list[str]]:
-    """The peel plan of ``recursive_bound``: (U, V, adjoined parents) per
-    step, and the final singleton."""
+def _recursive_plan(net: BayesNet, targets: Sequence[str]) -> _Plan:
+    """The peel plan of ``recursive_bound``: peel the topologically last
+    node, adjoining its parents, until one node, the final set, remains."""
     current, position = _ordered(net, targets)
-    plan = []
+    steps = []
     while len(current) > 1:
         *rest, u = current
         adjoin = tuple(
             p for p in net.by_id[u].parents if p not in rest and p != net.source
         )
         current = sorted(set(rest).union(adjoin), key=position.get)
-        plan.append((u, current, adjoin))
-    return plan, current
+        steps.append((u, current, adjoin))
+    return _Plan(steps, current)
 
 
-def _walk(net: BayesNet, plan: Sequence[tuple], max_states: int) -> list[_Checked]:
-    """Check every step of a peel plan. A precondition failure raises
-    with the steps before it, carrying the Doeblin penalty, in the
-    error's ``trace``."""
-    checked: list[_Checked] = []
-    for u, v_set, adjoin in plan:
-        try:
-            checked.append(_checked_step(net, v_set, u, adjoin, max_states))
-        except PreconditionError as err:
-            err.trace = tuple(c.step for c in checked)
-            raise
-    return checked
+def _single_plan(net: BayesNet, targets: Sequence[str]) -> _Plan:
+    """The single peel: the topologically last target other than the
+    source off the rest, the source allowed, as V. No step when V would
+    be empty; the final set is then the targets."""
+    ordered, _ = _ordered(net, targets, source_ok=True)
+    u = next((t for t in reversed(ordered) if t != net.source), None)
+    v_set = [t for t in ordered if t != u]
+    if u and v_set:
+        return _Plan([(u, v_set, ())], v_set)
+    return _Plan([], ordered)
 
 
 def recursive_bound(
@@ -268,18 +272,19 @@ def recursive_bound(
     carries the partial trace in its ``trace`` attribute. The method
     "baseline" checks no hypothesis and drops every penalty.
     """
-    plan, last = _plan(net, targets)
+    plan = _recursive_plan(net, targets)
     if method == "baseline":
-        steps = [
-            PeelStep(u, tuple(v_set), adjoin, tau_max(net.cpt(u)), ZERO, ())
-            for u, v_set, adjoin in plan
+        checked = [
+            _Checked(PeelStep(u, tuple(v_set), adjoin, tau_max(net.cpt(u)), ZERO, ()))
+            for u, v_set, adjoin in plan.steps
         ]
     elif method in ("doeblin", "coupling"):
-        steps = _with_penalty(method, _walk(net, plan, max_states))
+        checked, failure = _walk(net, plan, max_states)
+        if failure:
+            raise failure
     else:
         raise LeakboundError(f"unknown method {method!r}")
-    value = _compose(exact_tau_max(net, last, max_states=max_states), steps)
-    return value, tuple(steps)
+    return _fold(method, exact_tau_max(net, plan.last, max_states=max_states), checked)
 
 
 def subadditivity_baseline(
@@ -289,8 +294,7 @@ def subadditivity_baseline(
 ) -> Fraction:
     """The recursion with every penalty term dropped: the plain product
     of per-step leakage exponents times the final exact factor."""
-    value, _ = recursive_bound(net, targets, method="baseline", max_states=max_states)
-    return value
+    return recursive_bound(net, targets, method="baseline", max_states=max_states)[0]
 
 
 def query_report(
@@ -310,33 +314,26 @@ def query_report(
 
     The recursive values equal those of ``recursive_bound`` for both
     methods and of ``subadditivity_baseline``; the trace carries the
-    Doeblin penalty. Once the walk has passed, neither penalty can fail.
+    Doeblin penalty, and a single peel's trace the penalty of its method.
+    Once the walk has passed, no penalty can fail.
     """
     if method not in ("recursive", "coupling", "doeblin"):
         raise LeakboundError(f"unknown method {method!r}")
     exact = exact_tau_max(net, targets, max_states=max_states)
+    plan = (_recursive_plan if method == "recursive" else _single_plan)(net, targets)
+    checked, failure = _walk(net, plan, max_states)
     values: dict[str, Fraction] = {}
-    log: list[tuple[str, str, bool]] = []
     trace: tuple[PeelStep, ...] = ()
-    try:
-        if method == "recursive":
-            checked = _walk(net, _plan(net, targets)[0], max_states)
-        else:
-            ordered, _ = _ordered(net, targets, source_ok=True)
-            u = next((t for t in reversed(ordered) if t != net.source), None)
-            v_set = [t for t in ordered if t != u]
-            checked = [_checked_step(net, v_set, u, (), max_states)] if u and v_set else []
+    if failure:
+        log = [(failure.condition, str(failure.value), False)]
+    else:
         base = checked[-1].tau_max_v if checked else exact
         both = method == "recursive" or not checked
         names = ("coupling", "doeblin") if both else (method,)
-        peeled = {name: _with_penalty(name, checked) for name in names}
-        values = {name: _compose(base, steps) for name, steps in peeled.items()}
-        values["baseline"] = base * prod(c.step.tau_max_u for c in checked)
-        trace = tuple(peeled["doeblin" if method == "recursive" else method])
-        for step in trace:
-            log.extend(step.preconditions)
-    except PreconditionError as err:
-        log.append((err.condition, str(err.value), False))
+        folds = {name: _fold(name, base, checked) for name in names + ("baseline",)}
+        values = {name: value for name, (value, _) in folds.items()}
+        trace = folds["doeblin" if method == "recursive" else method][1]
+        log = [record for step in trace for record in step.preconditions]
 
     return BoundReport(
         query=f"{net.source} -> {{{', '.join(sorted(set(targets)))}}} [{method}]",

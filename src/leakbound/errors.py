@@ -73,8 +73,11 @@ class PreconditionError(LeakboundError):
     """A bound or coupling precondition fails; carries the offending value.
 
     ``condition`` names the check (e.g. ``"tau_max2(P_V|X) <= 1"``) and
-    ``value`` is the exact quantity that violated it.
+    ``value`` is the exact quantity that violated it. ``trace`` holds the
+    peel steps that passed before the failure (none for a single step).
     """
+
+    trace: tuple = ()
 
     def __init__(self, condition: str, value=None):
         self.condition = condition

@@ -152,6 +152,17 @@ class TestSingleStep:
             doeblin_bound(net, ["Y1"], "Y2")
         assert err.value.value == Q(3, 2)
 
+    @pytest.mark.parametrize("single", [coupling_bound, doeblin_bound])
+    def test_failed_single_step_has_empty_trace(self, single):
+        # Seeded: N2's CPT fails tau_max2 <= 1 (27/16). No step passed
+        # before it, so the error's trace is empty, as on every entry.
+        rng = random.Random(9)
+        net = rand_net(rng, n_nodes=rng.randrange(4, 6), noisy=False)
+        with pytest.raises(PreconditionError) as err:
+            single(net, ["N1"], "N2")
+        assert err.value.condition == "tau_max2(P_{N2|pa}) <= 1"
+        assert err.value.value == Q(27, 16) and err.value.trace == ()
+
 
 class TestFourValuedSourceRelaxedRoute:
     """|X| = 4 accepts V-channels beyond tau_max2 <= 1 when the four-way

@@ -71,7 +71,7 @@ def outcome(call) -> dict:
             out.update(
                 condition=err.condition,
                 value=None if err.value is None else str(err.value),
-                trace=[step_record(s) for s in getattr(err, "trace", ())],
+                trace=[step_record(s) for s in err.trace],
             )
         return out
 

@@ -34,15 +34,11 @@ ROOMY = 10**7
 def peel_steps(net, targets):
     """(U, V) of every step of the recursion on the targets other than
     the source, and of the single peel, whose V may hold the source."""
-    steps = []
+    plans = []
     if set(targets) - {net.source}:
-        plan, _ = bounds._plan(net, [t for t in targets if t != net.source])
-        steps += [(u, v_set) for u, v_set, _ in plan]
-    ordered, _ = bounds._ordered(net, targets, source_ok=True)
-    u = next((t for t in reversed(ordered) if t != net.source), None)
-    if u is not None and len(ordered) > 1:
-        steps.append((u, [t for t in ordered if t != u]))
-    return steps
+        plans.append(bounds._recursive_plan(net, [t for t in targets if t != net.source]))
+    plans.append(bounds._single_plan(net, targets))
+    return [(u, v_set) for plan in plans for u, v_set, _ in plan.steps]
 
 
 def penalty(sources):

@@ -481,9 +481,8 @@ def built_penalty(sources):
 def penalty_pairs(net, targets):
     """(direct, with the walk's verdict, built) penalties of every peel
     step of a recursive query whose preconditions all pass."""
-    try:
-        checked = bounds._walk(net, bounds._plan(net, targets)[0], ROOMY)
-    except PreconditionError:
+    checked, failure = bounds._walk(net, bounds._recursive_plan(net, targets), ROOMY)
+    if failure:
         return []
     out = []
     for _, _, joints, verdict in checked:
@@ -1233,7 +1232,8 @@ def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u, monkeypatc
     # law. With the source in V, the X-copies never agree on a cell, so f
     # is all G2/G3 mass and exceeds the Doeblin coefficient, 0.
     net = parse_network((WIDE_FIXTURES / name).read_text())
-    checked = [bounds._checked_step(net, v_set, u, (), ROOMY)]
+    (checked,), failure = bounds._walk(net, bounds._Plan([(u, v_set, ())], v_set), ROOMY)
+    assert failure is None
     monkeypatch.setattr(Pmf, "__init__", refuse_pmf)
     calls = []
 
@@ -1244,14 +1244,14 @@ def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u, monkeypatc
 
     sys.setprofile(profile)
     try:
-        (step,) = bounds._with_penalty("coupling", checked)
+        penalty = coupling_penalty(checked.joints, checked.verdict)
     finally:
         sys.setprofile(None)
     assert calls == []
     monkeypatch.undo()
-    joints = checked[0].joints
-    assert step.penalty == reference_coupling_penalty(joints.rows)
-    assert step.penalty > doeblin(joints) if "X" in v_set else step.penalty >= doeblin(joints)
+    joints = checked.joints
+    assert penalty == reference_coupling_penalty(joints.rows)
+    assert penalty > doeblin(joints) if "X" in v_set else penalty >= doeblin(joints)
 
 
 @pytest.mark.parametrize("name", [
