@@ -11,6 +11,10 @@ taken. Paths appear as ``{fixtures}`` and ``{tmp}``. The cases are
   ``test_bounds.py`` and ``test_cli.py``);
 * seeded generated networks with |X| = 2..5, each at the default and at
   a small ``--max-states``;
+* three peel shapes at the four-way boundary of ``wide_v4.json``
+  (|X| = 4): a single peel whose V-side has tau_max2 > 1 and passes the
+  four-way condition with slack 0, a passing recursion through such a
+  step, and a recursion refused with a negative slack;
 * ``sweep`` on both templates;
 * ``couple`` in every mode, with and without ``--diag`` and ``--dump``,
   on the PMF fixtures.
@@ -86,6 +90,15 @@ def generated_cases() -> list[dict]:
     return cases
 
 
+def wide_v4_cases() -> list[dict]:
+    runs = [("N3,N5", "coupling"), ("N3,N4,N6", "recursive"), ("N3,N6", "recursive")]
+    return [
+        {"argv": ["bound", "{fixtures}/wide_v4.json", "--targets", targets,
+                  "--method", method, "--compare-exact"]}
+        for targets, method in runs
+    ]
+
+
 def sweep_cases() -> list[dict]:
     runs = [
         ("chain_template", "0:1/2:1/8", "Y2"),
@@ -116,7 +129,8 @@ def couple_cases() -> list[dict]:
 
 
 def all_cases() -> list[dict]:
-    return fixture_cases() + generated_cases() + sweep_cases() + couple_cases()
+    return (fixture_cases() + generated_cases() + wide_v4_cases() + sweep_cases()
+            + couple_cases())
 
 
 def run_case(case: dict) -> dict:
