@@ -55,7 +55,7 @@ from .bayesnet import (
 )
 from .errors import LeakboundError, PreconditionError, output_str
 from .measures import ZERO, DiscreteChannel, doeblin, tau_max, tau_max2
-from .simultaneous import Feasibility, coupling_feasibility, coupling_penalty
+from .simultaneous import coupling_feasibility, coupling_penalty
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,6 @@ class _Checked(NamedTuple):
     step: PeelStep  # carries the Doeblin penalty, or 0 for the baseline
     tau_max_v: Fraction | None = None
     joints: DiscreteChannel | None = None  # P_{pa(U),V|X}, over the (pa(U), V) cells
-    verdict: Feasibility | None = None
 
 
 def _record(name: str, value: Fraction | None, ok: bool) -> tuple[str, str, bool]:
@@ -116,8 +115,8 @@ def _walk(
     """Check the hypotheses of the steps of a plan in order, up to the
     first failure: the steps that passed, and the failure or None. The
     failure's ``trace`` holds the steps before it, carrying the Doeblin
-    penalty. Each V-side verdict goes on to the coupling penalty, which
-    then decides nothing twice."""
+    penalty. The V-side condition is decided here for the log only; the
+    coupling penalty's route decides it again from the joints alone."""
     checked: list[_Checked] = []
     for u, v_set, adjoined in plan.steps:
         v_set = list(v_set)
@@ -141,20 +140,18 @@ def _walk(
             f"tau_max2(P_{{{u}|pa}}) <= 1", u_value, u_value is None or u_value <= 1
         )
         v_channel = composite_channel(net, v_set, max_states=max_states)
-        verdict = coupling_feasibility(v_channel)
+        v_ok, v_label, v_value = coupling_feasibility(v_channel)
         rec_v = _record(
-            f"{verdict.label} for P_{{{'+'.join(sorted(v_set))}|X}}",
-            verdict.value,
-            verdict.ok,
+            f"{v_label} for P_{{{'+'.join(sorted(v_set))}|X}}", v_value, v_ok
         )
-        for (name, _, ok), value in ((rec_u, u_value), (rec_v, verdict.value)):
+        for (name, _, ok), value in ((rec_u, u_value), (rec_v, v_value)):
             if not ok:
                 failure = PreconditionError(name, value)
                 failure.trace = tuple(c.step for c in checked)
                 return checked, failure
         joints = composite_joints(net, net.by_id[u].parents, v_set, max_states)
         step = PeelStep(u, tuple(v_set), adjoined, tmu, doeblin(joints), (rec_u, rec_v))
-        checked.append(_Checked(step, tau_max(v_channel), joints, verdict))
+        checked.append(_Checked(step, tau_max(v_channel), joints))
     return checked, None
 
 
@@ -163,14 +160,14 @@ def _fold(
 ) -> tuple[Fraction, tuple[PeelStep, ...]]:
     """The bound of ``method`` and its trace, each step carrying the
     method's penalty: the Doeblin coefficient of P_{pa(U),V|X} for
-    "doeblin", f under the simultaneous coupling of its rows, given the
-    V-side verdict, for "coupling", and 0 for "baseline". The steps fold,
-    first peel outermost, onto ``base``, tau_max of the last step's V."""
+    "doeblin", f under the simultaneous coupling of its rows for
+    "coupling", and 0 for "baseline". The steps fold, first peel
+    outermost, onto ``base``, tau_max of the last step's V."""
     value, steps = base, []
     for c in reversed(checked):
         step = c.step
         if method == "coupling":
-            step = replace(step, penalty=coupling_penalty(c.joints, c.verdict))
+            step = replace(step, penalty=coupling_penalty(c.joints))
         elif method == "baseline":
             step = replace(step, penalty=ZERO)
         value = step.tau_max_u * value - (step.tau_max_u - 1) * step.penalty

@@ -250,7 +250,7 @@ def cmd_couple(args) -> int:
         coupling = build_simultaneous_coupling(items, max_states=args.max_states)
         print(f"simultaneous coupling of {coupling.arity} joint PMFs")
         print(f"c_XY = {format_fraction(coupling.c_xy)}; c_Y = {format_fraction(coupling.c_y)}")
-        target = tau_max(DiscreteChannel([s.y_marginal() for s in items]))
+        target = tau_max(coupling.y_coupling.law)
         got = y_union_mass(coupling)
         print(f"y-union mass = {format_fraction(got)}; tau_max = {format_fraction(target)}"
               f" [{'OK' if got == target else 'MISMATCH'}]")

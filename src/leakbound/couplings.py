@@ -57,9 +57,9 @@ The four-way existence condition is decided in one place,
 ``PreconditionError(FOUR_WAY_CONDITION, slack)``. ``n4_mixture`` reaches
 it there and does not check beforehand. ``n4_condition`` evaluates the
 same slack without building, for callers that only ask: the ``couple
---mode n4`` report, and ``simultaneous.coupling_feasibility`` for the
-V-side precondition of the bounds. A caller that asked first passes the
-ingredients it holds to ``n4_mixture``, so they are computed once.
+--mode n4`` report, which then hands its ingredients to ``n4_mixture``,
+and ``simultaneous.coupling_feasibility`` for the logged V-side
+precondition of the bounds, whose penalty reads them again.
 
 Indices are 0-based throughout: rows are numbered 0..3 and the pair keys
 are frozensets of row indices.
@@ -244,7 +244,7 @@ def _list_part(part: tuple, arity: int) -> Iterator[tuple[tuple, int]]:
         yield tuple([combo[g][0] for g in pick]), num
 
 
-def _mixture(components: Iterable[tuple], den: int = 1) -> tuple:
+def _mixture(components: Iterable[tuple], den: int) -> tuple:
     """The parts of the mixture with the given components.
 
     A component is ``(weight, groups)`` and a group is ``(coordinates,
@@ -576,11 +576,14 @@ def intersection_violations(coupling: Coupling, pmfs: Sequence[Pmf]) -> list[tup
     """All (subset, symbol, got, want) where the coupling's probability of
     the selected coordinates all equalling the symbol differs from the
     minimum of the selected marginals, subsets by size, then symbols in
-    alphabet order."""
+    alphabet order. Refuses PMFs on an alphabet other than the coupling's,
+    whose extra symbols would go unchecked."""
     pmfs = tuple(pmfs)
     m = coupling.arity
     if len(pmfs) != m:
         raise LeakboundError("need one PMF per coupling coordinate")
+    if any(pmf.alphabet != coupling.alphabet for pmf in pmfs):
+        raise LeakboundError("PMF on a different alphabet from the coupling's")
     # The masses and the PMFs as integer numerators, each over its own
     # least common denominator. One pass over the support: a tuple's mass
     # counts for every subset of the coordinates that hold one symbol.
@@ -611,7 +614,8 @@ def intersection_violations(coupling: Coupling, pmfs: Sequence[Pmf]) -> list[tup
 
 def verify_intersection_property(coupling: Coupling, pmfs: Sequence[Pmf]) -> bool:
     """True iff P(intersection of {Y_i = y}, i in I) = min_{i in I} P_i(y)
-    for every subset I with |I| >= 2 and every symbol y."""
+    for every subset I with |I| >= 2 and every symbol y; refuses as
+    ``intersection_violations`` does."""
     return not intersection_violations(coupling, pmfs)
 
 

@@ -34,24 +34,22 @@ P_min plus, per part, prod_g sum_{y in g} prod_{i in g} |r_i(. | y)|.
 
 ``minimal_y_coupling`` gives H as a ``couplings.Mixture``: the four-way
 mixture at m = 4, the interval coupling (``_interval_parts``, one part
-per tuple) at every other m; no route solves an LP. Both pin the
-diagonal to min_i P_{Y_i}(y), which keeps H nonnegative and off the
-tied tuples. ``_check_mixture`` checks the parts: disjoint group
+per tuple) at every other m; no route solves an LP. Each route refuses
+its own failing condition, as ``coupling_feasibility`` reports it. Both
+pin the diagonal to min_i P_{Y_i}(y), which keeps H nonnegative and off
+the tied tuples. ``_check_mixture`` checks the parts: disjoint group
 supports, the Y-marginals, union mass tau_max and the diagonal. Then
 every source is preserved: the weights of the tuples with t_i = y add up
-to the residual total of source i at y, P_i(y) - sum_x P_min(x, y). A
-caller that has decided ``coupling_feasibility`` passes the verdict, not
-decided again.
+to the residual total of source i at y, P_i(y) - sum_x P_min(x, y).
 
 Everything is computed on integers, in one pass over the law of the
 joints' channel (``DiscreteChannel.columns``, each (x, y) cell as
 numerators over one den, as inference built it): P_min, the floor sum_x
 P_min(x, y), the Y-marginals, and d_i(x, y) = P_i(x, y) - P_min(x, y)
 with its total rest_i(y) = P_i(y) - floor(y), so r_i = d_i / rest_i. H
-is read off the law of the Y-marginals' channel, which a four-way
-verdict must share. A part is ``(den, groups)``, integer entries over one
-denominator (see ``couplings``); the checks cross-multiply over the LCM
-of the part denominators.
+is read off the law of the Y-marginals' channel. A part is ``(den,
+groups)``, integer entries over one denominator (see ``couplings``); the
+checks cross-multiply over the LCM of the part denominators.
 
 The bounds' penalty f = sum_y P(X_1 = ... = X_m, some Y_i = y) is read
 off the same parts, never their tuples. G1 adds c_XY, and a part of g
@@ -95,10 +93,10 @@ from .couplings import (
     TAU_MAX2_CONDITION,
     Coupling,
     Mixture,
-    N4Ingredients,
     _interval_parts,
     _list_part,
     n4_condition,
+    n4_ingredients,
     n4_mixture,
 )
 from .errors import (
@@ -106,7 +104,6 @@ from .errors import (
     CapacityError,
     ConstructionError,
     LeakboundError,
-    PreconditionError,
     exact_str,
 )
 # Unused: test_wrappers_are_installed_everywhere_and_removed_cleanly in
@@ -126,17 +123,13 @@ from .measures import (
 
 
 class Feasibility(NamedTuple):
-    """Whether a minimal coupling of some marginals is available.
-
-    ``ok``, the condition's label and its exact value; at m = 4 also the
-    four-way ingredients the verdict was read from, so a build that
-    follows it need not compute them again.
-    """
+    """Whether a minimal coupling of some marginals is available: ``ok``,
+    the condition's label and its exact value, as the route that builds
+    the coupling (``minimal_y_coupling``) would refuse them."""
 
     ok: bool
     label: str
     value: Fraction | None
-    ingredients: N4Ingredients | None = None
 
 
 def coupling_feasibility(y_pmfs: Sequence[Pmf] | DiscreteChannel) -> Feasibility:
@@ -150,7 +143,7 @@ def coupling_feasibility(y_pmfs: Sequence[Pmf] | DiscreteChannel) -> Feasibility
     channel = y_pmfs if isinstance(y_pmfs, DiscreteChannel) else DiscreteChannel(y_pmfs)
     if channel.n == 4:
         ok, ing = n4_condition(channel)
-        return Feasibility(ok, FOUR_WAY_CONDITION, ing.condition_slack(), ing)
+        return Feasibility(ok, FOUR_WAY_CONDITION, ing.condition_slack())
     if channel.n == 1:
         return Feasibility(True, TAU_MAX2_CONDITION, None)
     value = tau_max2(channel)
@@ -212,24 +205,22 @@ def _check_mixture(parts: Sequence[tuple], marginals: DiscreteChannel) -> None:
             )
 
 
-def minimal_y_coupling(y_pmfs: Sequence[Pmf], verdict: Feasibility | None = None) -> Mixture:
+def minimal_y_coupling(y_pmfs: Sequence[Pmf]) -> Mixture:
     """A coupling attaining union mass tau_max with a pinned diagonal.
 
     Two routes, by m alone: the four-way mixture at m = 4, the interval
-    coupling at every other m (at m = 1 the one marginal). Raises
-    ``PreconditionError`` when the route's condition fails. Only the
-    four-way route has its condition checked first, unless ``verdict``, the
-    ``coupling_feasibility`` of these marginals, is passed; it then builds
-    from the verdict's ingredients, which must have been read from the
-    law of ``y_pmfs``. The result is checked by ``_check_mixture``.
+    coupling at every other m (at m = 1 the one marginal). Each route
+    decides its own condition and raises ``PreconditionError`` with the
+    label and value ``coupling_feasibility`` reports when it fails. The
+    result is checked by ``_check_mixture``.
     """
     channel = DiscreteChannel(y_pmfs)
-    return Mixture(channel, _minimal_parts(channel, verdict))
+    return Mixture(channel, _minimal_parts(channel))
 
 
-def _minimal_parts(marginals: DiscreteChannel, verdict: Feasibility | None) -> tuple:
+def _minimal_parts(marginals: DiscreteChannel) -> tuple:
     """The checked parts of ``minimal_y_coupling``, read off the
-    marginals' law, which a verdict's four-way ingredients must share.
+    marginals' law.
 
     Soundness at every m: any minimal pinned Y-coupling gives a valid
     penalty f, so the route may pick any one, and f is tied to none in
@@ -238,14 +229,10 @@ def _minimal_parts(marginals: DiscreteChannel, verdict: Feasibility | None) -> t
     when tau_max2 <= 1, the V-side condition there.
     """
     den, columns, m = marginals.den, marginals.columns, marginals.n
-    if m == 4 and verdict is None:
-        verdict = coupling_feasibility(marginals)
-    ing = verdict and verdict.ingredients
-    if ing is not None and (ing.channel.den, ing.channel.columns) != (den, columns):
-        raise LeakboundError("the verdict was decided on other marginals")
-    if verdict is not None and not verdict.ok:
-        raise PreconditionError(verdict.label, verdict.value)
-    parts = n4_mixture(ing).parts if m == 4 else _interval_parts(den, columns, m)
+    if m == 4:
+        parts = n4_mixture(n4_ingredients(marginals)).parts
+    else:
+        parts = _interval_parts(den, columns, m)
     _check_mixture(parts, marginals)
     return parts
 
@@ -270,7 +257,7 @@ class _MixtureTable:
     rest: tuple[Mapping[Symbol, int], ...]
 
 
-def _mixture_table(joints: DiscreteChannel, verdict: Feasibility | None = None) -> _MixtureTable:
+def _mixture_table(joints: DiscreteChannel) -> _MixtureTable:
     """The table of ``joints``, a channel over (x, y) cells, read off its
     law in one pass over the cells."""
     den, cells, m = joints.den, joints.columns, joints.n
@@ -287,7 +274,7 @@ def _mixture_table(joints: DiscreteChannel, verdict: Feasibility | None = None) 
             if q != low:
                 residual[i].setdefault(y, {})[x] = q - low
     y_marginals = DiscreteChannel.from_law(den, y_columns, joints.axes[1:], joints.input_alphabet)
-    y_parts = _minimal_parts(y_marginals, verdict)
+    y_parts = _minimal_parts(y_marginals)
 
     rest = tuple({y: col[i] - floor.get(y, 0) for y, col in y_columns.items()} for i in range(m))
     tied = tuple((y, w) for y, col in y_columns.items() if (w := min(col) - floor.get(y, 0)))
@@ -419,9 +406,7 @@ def _group_sums(table: _MixtureTable, coords: tuple[int, ...], entries: tuple) -
     return common, sums
 
 
-def coupling_penalty(
-    sources: Sequence[JointPmf] | DiscreteChannel, verdict: Feasibility | None = None
-) -> Fraction:
+def coupling_penalty(sources: Sequence[JointPmf] | DiscreteChannel) -> Fraction:
     """``f_quantity(build_simultaneous_coupling(sources))``, unbuilt.
 
     Reads f = c_XY + sum_parts g * sum_x prod_g sum_y q_g(y) prod_{i in
@@ -429,13 +414,12 @@ def coupling_penalty(
     each part adds g * sum_x prod_g N_g(x) over part_den * prod_g M_g
     (``_group_sums``), and one ``Fraction`` is built at the end. No tuple
     is listed, so no size limit applies. ``sources`` may be the
-    channel of the joints, whose law is then read as it is.
-    ``verdict`` is passed on to the Y-coupling, as in
-    ``minimal_y_coupling``.
+    channel of the joints, whose law is then read as it is. The
+    Y-coupling refuses as in ``minimal_y_coupling``.
     """
     if not isinstance(sources, DiscreteChannel):
         sources = DiscreteChannel(sources)
-    table = _mixture_table(sources, verdict)
+    table = _mixture_table(sources)
     num, den = sum(table.p_min.values()), table.den
     for part_den, groups in table.parts:
         common = None

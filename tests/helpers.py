@@ -24,7 +24,6 @@ from leakbound import (
     Pmf,
     PreconditionError,
     build_n4_coupling,
-    coupling_feasibility,
     min_union_coupling_diag,
     tau_max,
     tau_max2,
@@ -339,6 +338,8 @@ def reference_intersection_violations(coupling: Coupling, pmfs) -> list[tuple]:
     m = coupling.arity
     if len(pmfs) != m:
         raise LeakboundError("need one PMF per coupling coordinate")
+    if any(pmf.alphabet != coupling.alphabet for pmf in pmfs):
+        raise LeakboundError("PMF on a different alphabet from the coupling's")
     out = []
     for size in range(2, m + 1):
         for subset in combinations(range(m), size):
@@ -883,19 +884,13 @@ def reference_interval_parts(y_pmfs) -> tuple:
     )
 
 
-def reference_minimal_y_coupling(y_pmfs, max_variables=DEFAULT_MAX_STATES, verdict=None) -> tuple:
-    """The reference parts of a minimal pinned Y-coupling, checked; at
-    m >= 5 the interval coupling's union mass must also be the optimum of
-    the diagonal-pinned LP."""
+def reference_minimal_y_coupling(y_pmfs, max_variables=DEFAULT_MAX_STATES) -> tuple:
+    """The reference parts of a minimal pinned Y-coupling, checked; each
+    route refuses its own failing condition. At m >= 5 the interval
+    coupling's union mass must also be the optimum of the diagonal-pinned
+    LP."""
     y_pmfs = tuple(y_pmfs)
     m = len(y_pmfs)
-    if m >= 4 and verdict is None:
-        verdict = coupling_feasibility(y_pmfs)
-    ingredients = verdict and verdict.ingredients
-    if ingredients is not None and ingredients.channel.rows != y_pmfs:
-        raise LeakboundError("the verdict was decided on other marginals")
-    if verdict is not None and not verdict.ok:
-        raise PreconditionError(verdict.label, verdict.value)
     if m == 4:
         parts = reference_n4_mixture(reference_n4_ingredients(y_pmfs))
     else:
@@ -909,14 +904,14 @@ def reference_minimal_y_coupling(y_pmfs, max_variables=DEFAULT_MAX_STATES, verdi
     return parts
 
 
-def reference_coupling_penalty(sources, max_variables=DEFAULT_MAX_STATES, verdict=None) -> Q:
+def reference_coupling_penalty(sources, max_variables=DEFAULT_MAX_STATES) -> Q:
     """f of the simultaneous coupling read off its G2/G3 parts, every
     residual r_i(x | y) a Fraction."""
     sources = tuple(sources)
     columns = fraction_columns(DiscreteChannel(sources))
     y_alphabet = sources[0].y_alphabet
     y_marginals = [s.y_marginal() for s in sources]
-    y_parts = reference_minimal_y_coupling(y_marginals, max_variables, verdict)
+    y_parts = reference_minimal_y_coupling(y_marginals, max_variables)
 
     p_min = {cell: min(columns[cell]) for cell in sources[0].mass}
     p_ymin = {y: min(p[y] for p in y_marginals) for y in y_alphabet}

@@ -318,9 +318,11 @@ QUERIES_AT_EVERY_X = [
 
 
 class TestPenaltyWork:
-    """Per peel step, the V-side condition is decided once and the coupling
-    penalty is read off the parts of the ingredient mixture: at |X| <= 4
-    no coupling of any kind is built, and at no |X| is an LP solved."""
+    """Per peel step, the walk decides the V-side condition once for its
+    log, and the coupling penalty's route decides it again on the
+    Y-marginals' law, the penalty read off the parts of the ingredient
+    mixture: at |X| <= 4 no coupling of any kind is built, and at no |X|
+    is an LP solved."""
 
     @staticmethod
     def count(monkeypatch, module, name, counts):
@@ -339,6 +341,7 @@ class TestPenaltyWork:
         counts = Counter()
         for module, name in [
             (couplings, "n4_ingredients"),
+            (simultaneous, "n4_ingredients"),
             (bounds, "coupling_feasibility"),
             (simultaneous, "coupling_feasibility"),
             (simultaneous, "build_simultaneous_coupling"),
@@ -353,8 +356,10 @@ class TestPenaltyWork:
         assert counts["coupling_feasibility"] == steps
         assert counts["build_simultaneous_coupling"] == counts["solve_sparse"] == 0
         if x_size == 4:
-            assert counts["n4_ingredients"] == counts["n4_mixture"] == steps
-            assert counts["_interval_parts"] == 0
+            # One pass for the walk's log (n4_condition), one for the
+            # penalty's route.
+            assert counts["n4_ingredients"] == 2 * steps
+            assert counts["n4_mixture"] == steps and counts["_interval_parts"] == 0
         else:
             assert counts["n4_ingredients"] == counts["n4_mixture"] == 0
             assert counts["_interval_parts"] == steps
@@ -378,7 +383,7 @@ class TestPenaltyWork:
     @pytest.mark.parametrize("name, targets, method", QUERIES_AT_EVERY_X)
     def test_warm_query_builds_no_pmf(self, monkeypatch, name, targets, method):
         # Once the CPTs are built, inference, the measures, the V-side
-        # verdict and both penalties run on the channels' integer laws at
+        # condition and both penalties run on the channels' integer laws at
         # |X| = 2, 3, 4 and 5: no Pmf row is built for any channel.
         self.query_without_pmf(monkeypatch, name, targets, method, warm=True)
 

@@ -684,6 +684,26 @@ class TestIntersectionProperty:
                 fam = rand_family_tau_max2_le1(rng, m, size)
                 assert verify_intersection_property(interval_mixture(fam).coupling(), fam)
 
+    def test_pmfs_on_another_alphabet_refused(self):
+        # P(Y1 = Y2 = "2") = 0 under a coupling on "01", but min = 1/2: a
+        # check that only scanned the coupling's alphabet would pass it.
+        p = pmf(["1/2", "1/2"])
+        p2 = pmf(["1/4", "1/4", "1/2"])
+        coupling = independent_coupling([p, p])
+        for pmfs in ([p2, p2], [p, p2], [pmf(["1/2", "1/2"], "10")] * 2):
+            for check in (intersection_violations, verify_intersection_property):
+                with pytest.raises(LeakboundError, match="different alphabet"):
+                    check(coupling, pmfs)
+
+    def test_pmfs_on_the_same_alphabet_unchanged(self):
+        p, q = pmf(["1/2", "1/2"]), pmf(["1/4", "3/4"])
+        coupling = independent_coupling([p, p])
+        assert intersection_violations(coupling, [p, p]) == [
+            ((0, 1), "0", Q(1, 4), Q(1, 2)), ((0, 1), "1", Q(1, 4), Q(1, 2))]
+        # PMFs that are not the marginals, on the coupling's alphabet.
+        assert intersection_violations(coupling, [q, p]) == [((0, 1), "1", Q(1, 4), Q(1, 2))]
+        assert verify_intersection_property(maximal_coupling_pair(p, q), [p, q])
+
     def test_diagonal_of_identical_pmfs(self):
         p = pmf(["1/3", "2/3"])
         coupling = build_n4_coupling([p, p, p, p])
@@ -803,6 +823,14 @@ def checked_or_refused(check, alphabet, arity, mass, marginals):
         return type(err).__name__, str(err)
 
 
+def violations_or_refused(check, coupling, pmfs):
+    """The violations, or the type and message of the refusal."""
+    try:
+        return check(coupling, pmfs)
+    except LeakboundError as err:
+        return type(err).__name__, str(err)
+
+
 def on_another_alphabet(p: Pmf) -> Pmf:
     return Pmf([f"{y}*" for y in p.alphabet], {f"{y}*": q for y, q in p.mass.items()})
 
@@ -839,8 +867,9 @@ class TestChecksAgainstReference:
                     assert got == want
                     checked += 1
             for pmfs in (fam, *others):
-                got = intersection_violations(coupling, pmfs)
-                assert got == reference_intersection_violations(coupling, pmfs)
+                got = violations_or_refused(intersection_violations, coupling, pmfs)
+                assert got == violations_or_refused(reference_intersection_violations,
+                                                    coupling, pmfs)
         return checked
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -15,6 +15,7 @@ import pytest
 from helpers import (
     perturbed_masses,
     rand_couplable_net,
+    rand_family,
     rand_family_tau_max2_gt1,
     rand_family_tau_max2_le1,
     rand_net,
@@ -33,7 +34,7 @@ from helpers import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_couplings import FAILING_FAMILY
+from test_couplings import FAILING_FAMILY, PAIRED_FAMILY, SEARCHED_FAMILY
 
 from leakbound import (
     CapacityError,
@@ -146,8 +147,8 @@ class TestOneSource:
     """One source value: its joint is its own coupling, and f = 1."""
 
     def test_feasibility_passes_without_a_value(self):
-        verdict = coupling_feasibility([_one_joint().y_marginal()])
-        assert (verdict.ok, verdict.value) == (True, None)
+        ok, _, value = coupling_feasibility([_one_joint().y_marginal()])
+        assert (ok, value) == (True, None)
 
     def test_minimal_y_coupling_is_the_marginal(self):
         p = _one_joint().y_marginal()
@@ -156,6 +157,30 @@ class TestOneSource:
 
     def test_penalty_is_one(self):
         assert coupling_penalty([_one_joint()]) == 1
+
+
+def feasibility_families(rng, m):
+    """Seeded (kind, family) pairs of m PMFs: tau_max2 <= 1 ("le1"),
+    tau_max2 > 1 ("gt1", from m = 3 on, where it can happen: not on one
+    symbol, nor for three rows on two, whose tau_max2 is 1), and at m = 4
+    families past tau_max2 <= 1 that pass the four-way condition
+    ("relaxed", the two frozen ones among them) or fail it ("failing")."""
+    out = []
+    for size in range(1, m + 3):
+        if m == 1:
+            out.append(("le1", rand_family(rng, 1, size)))
+        elif size >= m or (m, size) in ((3, 2), (4, 2), (4, 3)):
+            out.append(("le1", rand_family_tau_max2_le1(rng, m, size)))
+        if m >= 3 and size >= 2 and (m, size) != (3, 2):
+            out.append(("gt1", rand_family_tau_max2_gt1(rng, m, size)))
+    if m == 4:
+        relaxed = [SEARCHED_FAMILY, PAIRED_FAMILY]
+        while len(relaxed) < 8:
+            fam = rand_family_tau_max2_gt1(rng, 4, rng.choice((3, 4, 5)))
+            if coupling_feasibility(fam).ok:
+                relaxed.append(fam)
+        out += [("relaxed", fam) for fam in relaxed] + [("failing", FAILING_FAMILY)]
+    return out
 
 
 class TestMinimalYCoupling:
@@ -174,9 +199,29 @@ class TestMinimalYCoupling:
             minimal_y_coupling(fam)
 
     def test_feasibility_report(self):
+        # At every m, coupling_feasibility holds exactly when the route of
+        # minimal_y_coupling builds, and a refusal carries the condition
+        # and value it reports: the walk logs the one, the penalty meets
+        # the other.
         fam = rand_family_tau_max2_gt1(random.Random(42), 3, 3)
-        ok, label, value, _ = coupling_feasibility(fam)
+        ok, label, value = coupling_feasibility(fam)
         assert not ok and "tau_max2" in label and value > 1
+        rng = random.Random(42)
+        seen = Counter()
+        for m in range(1, 7):
+            for kind, fam in feasibility_families(rng, m):
+                ok, label, value = coupling_feasibility(fam)
+                try:
+                    minimal_y_coupling(fam)
+                except PreconditionError as err:
+                    assert not ok and (err.condition, err.value) == (label, value)
+                    seen[kind, "refused"] += 1
+                    continue
+                assert ok
+                seen[kind, "built"] += 1
+        assert seen["le1", "built"] and seen["gt1", "built"] and seen["gt1", "refused"]
+        assert seen["relaxed", "built"] == 8 and seen["failing", "refused"] == 1
+        assert not seen["le1", "refused"] and not seen["relaxed", "refused"]
 
 
 class TestBuildIdentical:
@@ -243,28 +288,42 @@ class TestBuildGeneric:
     def test_m4_refusal_matches_feasibility_report(self, capsys, tmp_path):
         # The four-way build decides the condition itself; its refusal
         # must carry the label and slack that coupling_feasibility reports.
-        sources = sources_with_y_family(random.Random(56), FAILING_FAMILY)
-        ok, label, value, _ = coupling_feasibility(FAILING_FAMILY)
+        ok, _, value = coupling_feasibility(FAILING_FAMILY)
         assert not ok and value == Q(-1, 16)
-        with pytest.raises(PreconditionError) as err:
-            build_simultaneous_coupling(sources)
-        assert (err.value.condition, err.value.value) == (label, value)
-
-        xs, ys = sources[0].x_alphabet, sources[0].y_alphabet
-        doc = {
-            "x_alphabet": list(xs),
-            "y_alphabet": list(ys),
-            "joints": [[[str(s[(x, y)]) for y in ys] for x in xs] for s in sources],
-        }
+        # So must the penalty and, from two sources on, the build and
+        # ``couple --mode simul``, at every m: each passes exactly when
+        # coupling_feasibility of the Y-marginals does.
+        rng = random.Random(56)
         path = tmp_path / "joints.json"
-        path.write_text(json.dumps(doc))
-        code = main(["couple", str(path), "--mode", "simul"])
-        out = capsys.readouterr()
-        assert code == 1
-        assert out.err == (
-            "error: precondition failed: four-way pair-capacity condition"
-            " (got -1/16)\n"
-        )
+        seen = Counter()
+        for m in range(1, 7):
+            for kind, fam in feasibility_families(rng, m):
+                ok, label, value = coupling_feasibility(fam)
+                sources = sources_with_y_family(rng, fam)
+                builds = [coupling_penalty] + [build_simultaneous_coupling] * (m >= 2)
+                if ok:
+                    for build in builds:
+                        build(sources)
+                    seen[kind, "built"] += 1
+                    continue
+                for build in builds:
+                    with pytest.raises(PreconditionError) as err:
+                        build(sources)
+                    assert (err.value.condition, err.value.value) == (label, value)
+                xs, ys = sources[0].x_alphabet, sources[0].y_alphabet
+                doc = {
+                    "x_alphabet": list(xs),
+                    "y_alphabet": list(ys),
+                    "joints": [[[str(s[(x, y)]) for y in ys] for x in xs] for s in sources],
+                }
+                path.write_text(json.dumps(doc))
+                code = main(["couple", str(path), "--mode", "simul"])
+                out = capsys.readouterr()
+                assert code == 1
+                assert out.err == f"error: precondition failed: {label} (got {value})\n"
+                seen[kind, "refused"] += 1
+        assert seen["gt1", "built"] and seen["gt1", "refused"]
+        assert seen["relaxed", "built"] == 8 and seen["failing", "refused"] == 1
 
     def test_mixture_constants_ordered(self):
         rng = random.Random(50)
@@ -479,17 +538,17 @@ def built_penalty(sources):
 
 
 def penalty_pairs(net, targets):
-    """(direct, with the walk's verdict, built) penalties of every peel
-    step of a recursive query whose preconditions all pass."""
+    """(direct, from the walk's joints channel, built) penalties of every
+    peel step of a recursive query whose preconditions all pass."""
     checked, failure = bounds._walk(net, bounds._recursive_plan(net, targets), ROOMY)
     if failure:
         return []
     out = []
-    for _, _, joints, verdict in checked:
+    for _, _, joints in checked:
         sources = joints.rows
         out.append((
             coupling_penalty(sources),
-            coupling_penalty(sources, verdict=verdict),
+            coupling_penalty(joints),
             built_penalty(sources),
         ))
     return out
@@ -555,8 +614,8 @@ class TestCouplingPenalty:
             for p in penalty_pairs(net, list(targets))
         ]
         assert pairs
-        for direct, given_verdict, built in pairs:
-            assert direct == given_verdict == built
+        for direct, from_channel, built in pairs:
+            assert direct == from_channel == built
 
     def test_seeded_nets(self):
         rng = random.Random(61)
@@ -568,8 +627,8 @@ class TestCouplingPenalty:
                 net = rand_net(rng, n_nodes=rng.randrange(3, 6), max_alphabet=3)
             ids = [nid for nid in net.node_ids() if nid != net.source]
             targets = rng.sample(ids, rng.randrange(2, len(ids) + 1))
-            for direct, given_verdict, built in penalty_pairs(net, targets):
-                assert direct == given_verdict == built
+            for direct, from_channel, built in penalty_pairs(net, targets):
+                assert direct == from_channel == built
                 compared.add(len(net.by_id[net.source].alphabet))
         assert compared == {2, 3, 4}
 
@@ -585,8 +644,7 @@ class TestCouplingPenalty:
                 coupling_penalty(sources)
             return
         assert coupling_penalty(sources) == want
-        verdict = coupling_feasibility([s.y_marginal() for s in sources])
-        assert coupling_penalty(sources, verdict=verdict) == want
+        assert coupling_penalty(DiscreteChannel(sources)) == want
 
     def test_m5_interval_route(self):
         rng = random.Random(55)
@@ -604,38 +662,13 @@ class TestCouplingPenalty:
         assert coupling_penalty(sources) == built_penalty(sources)
 
     def test_failing_verdict_refuses(self):
+        # The four-way route decides the failing family's condition itself
+        # and refuses it as coupling_feasibility reports it.
         sources = sources_with_y_family(random.Random(56), FAILING_FAMILY)
-        verdict = coupling_feasibility(FAILING_FAMILY)
+        ok, label, value = coupling_feasibility(FAILING_FAMILY)
         with pytest.raises(PreconditionError) as err:
-            coupling_penalty(sources, verdict=verdict)
-        assert (err.value.condition, err.value.value) == (verdict.label, verdict.value)
-
-    def test_verdict_on_other_marginals_refused(self):
-        # A four-way verdict carries the ingredients it was read from, so
-        # one decided on another family would build that family's coupling.
-        rng = random.Random(57)
-        mine, other = (rand_family_tau_max2_le1(rng, 4, 3) for _ in range(2))
-        verdict = coupling_feasibility(other)
-        assert verdict.ok and tuple(mine) != verdict.ingredients.channel.rows
-        with pytest.raises(LeakboundError, match="other marginals"):
-            minimal_y_coupling(mine, verdict=verdict)
-        with pytest.raises(LeakboundError, match="other marginals"):
-            coupling_penalty(sources_with_y_family(rng, mine), verdict=verdict)
-        mixture = minimal_y_coupling(mine, verdict=coupling_feasibility(mine))
-        assert mixture.marginals.rows == tuple(mine)
-
-    def test_verdict_on_the_same_law_over_another_denominator(self, monkeypatch):
-        # The walk decides the verdict on P_{V|X}, whose common denominator
-        # differs from the joints'; the laws are equal, so it is accepted,
-        # and no Y-marginal Pmf is built to match it.
-        rng = random.Random(58)
-        sources = sources_with_y_family(rng, rand_family_tau_max2_le1(rng, 4, 3), x_size=3)
-        want = coupling_penalty(sources)
-        verdict = coupling_feasibility([s.y_marginal() for s in sources])
-        joints = DiscreteChannel(sources)
-        assert joints.den != verdict.ingredients.channel.den
-        monkeypatch.setattr(Pmf, "__init__", refuse_pmf)
-        assert coupling_penalty(joints, verdict=verdict) == want
+            coupling_penalty(sources)
+        assert not ok and (err.value.condition, err.value.value) == (label, value)
 
 
 class TestCheckMixture:
@@ -914,17 +947,13 @@ class TestPenaltyAgainstReference:
     @staticmethod
     def compare(sources):
         """Asserts that the penalty, or its refusal, is the reference's from
-        the joints, from their channel and with the walk's verdict, and is
-        f of the built coupling; returns the reference outcome."""
+        the joints and from their channel, and is f of the built coupling;
+        returns the reference outcome."""
         want = outcome(reference_coupling_penalty, sources)
         assert outcome(coupling_penalty, sources) == want
-        joints = DiscreteChannel(sources)
-        assert outcome(coupling_penalty, joints) == want
-        if isinstance(want, Q):
-            verdict = coupling_feasibility([s.y_marginal() for s in sources])
-            assert coupling_penalty(joints, verdict) == want
-            if len(sources) >= 2:
-                assert built_penalty(sources) == want
+        assert outcome(coupling_penalty, DiscreteChannel(sources)) == want
+        if isinstance(want, Q) and len(sources) >= 2:
+            assert built_penalty(sources) == want
         return want
 
     @staticmethod
@@ -974,25 +1003,21 @@ class TestPenaltyAgainstReference:
         sources = parse_pmf_file(text)
         assert coupling_penalty(sources) == reference_coupling_penalty(sources)
 
-    @pytest.mark.parametrize("case", ["three-way", "four-way", "other marginals", "m >= 5"])
+    @pytest.mark.parametrize("case", ["three-way", "four-way", "m >= 5"])
     def test_refusals(self, case):
         rng = random.Random(65)
-        verdict = None
         if case == "three-way":
             fam = rand_family_tau_max2_gt1(rng, 3, 3)
         elif case == "four-way":
             fam = FAILING_FAMILY
-        elif case == "other marginals":
-            fam = rand_family_tau_max2_le1(rng, 4, 3)
-            verdict = coupling_feasibility(rand_family_tau_max2_le1(rng, 4, 3))
         else:
             fam = rand_family_tau_max2_gt1(rng, 5, 2)
-        want = outcome(reference_minimal_y_coupling, fam, ROOMY, verdict)
-        assert want[0] in ("PreconditionError", "LeakboundError")
-        assert outcome(minimal_y_coupling, fam, verdict) == want
+        want = outcome(reference_minimal_y_coupling, fam, ROOMY)
+        assert want[0] == "PreconditionError"
+        assert outcome(minimal_y_coupling, fam) == want
         sources = sources_with_y_family(rng, fam)
-        assert outcome(coupling_penalty, sources, verdict) == want
-        assert outcome(reference_coupling_penalty, sources, ROOMY, verdict) == want
+        assert outcome(coupling_penalty, sources) == want
+        assert outcome(reference_coupling_penalty, sources, ROOMY) == want
 
 
 class TestValidateAgainstReference:
@@ -1228,8 +1253,9 @@ def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u, monkeypatc
     # At |X| = 2, 3, 4 and 5 the penalty reads the joints' law, takes the
     # four-way Y-coupling at |X| = 4 and the interval one otherwise, checks
     # it and sums f on integers; a Fraction is built only for f, and no Pmf
-    # at all: at |X| = 4 the walk's verdict is matched to the Y-marginals'
-    # law. With the source in V, the X-copies never agree on a cell, so f
+    # at all: at |X| = 4 the four-way ingredients, condition included, are
+    # read off the Y-marginals' law. With the source in V, the X-copies
+    # never agree on a cell, so f
     # is all G2/G3 mass and exceeds the Doeblin coefficient, 0.
     net = parse_network((WIDE_FIXTURES / name).read_text())
     (checked,), failure = bounds._walk(net, bounds._Plan([(u, v_set, ())], v_set), ROOMY)
@@ -1244,7 +1270,7 @@ def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u, monkeypatc
 
     sys.setprofile(profile)
     try:
-        penalty = coupling_penalty(checked.joints, checked.verdict)
+        penalty = coupling_penalty(checked.joints)
     finally:
         sys.setprofile(None)
     assert calls == []
