@@ -16,9 +16,11 @@ is a numerator over the common denominator of the marginals' law
 that law directly, and ``n4_ingredients`` reads it into the
 ``N4Ingredients`` and ``MixtureWeights`` that ``n4_mixture`` takes. A
 part is ``(den, groups)``, its integer entries over its own denominator,
-so a ``Fraction`` is built only for a message, for
-``N4Ingredients.condition_slack`` and when ``Mixture.coupling`` lists a
-tuple. Besides the product ``independent_coupling`` (a baseline), there
+so a ``Fraction`` is built only for a message and for
+``N4Ingredients.condition_slack``; ``Mixture.coupling`` lists the tuples
+as numerators over the LCM of the part denominators, an ``ExactLaw``
+whose masses are built only when read. Besides the product
+``independent_coupling`` (a baseline), there
 are two closed forms, each a minimal coupling with a pinned diagonal
 (P(all coordinates equal y) = min_i P_i(y)). In each, the groups of one
 part have pairwise disjoint factor supports (an interval part is one
@@ -77,10 +79,13 @@ from .errors import ConstructionError, LeakboundError, PreconditionError, exact_
 from .measures import (
     ZERO,
     DiscreteChannel,
+    ExactLaw,
     Pmf,
     Symbol,
     _over_lcm,
+    exact_law,
     exact_masses,
+    numerators,
 )
 
 Pair = frozenset
@@ -120,12 +125,14 @@ class Coupling:
     """A joint PMF over m copies of one alphabet with declared marginals.
 
     Construction checks, exactly: non-negative masses summing to 1
-    (``exact_masses``), and for every coordinate i the projection onto
-    coordinate i equals the declared i-th marginal. ``marginals`` is one
+    (``exact_masses``, or ``exact_law`` for masses given as an
+    ``ExactLaw``), and for every coordinate i the projection onto
+    coordinate i equals the declared i-th marginal. ``mass`` keeps the
+    masses as an ``ExactLaw``, integer numerators over one denominator
+    formed once, which every check and sum reads. ``marginals`` is one
     ``Pmf`` per coordinate or their ``DiscreteChannel``, kept as ``law``;
-    each projection is summed on integer numerators over the masses'
-    common denominator and cross-multiplied against that law, so no
-    marginal ``Pmf`` is built or looked up.
+    each projection is summed on the numerators and cross-multiplied
+    against that law, so no marginal ``Pmf`` is built or looked up.
     """
 
     __slots__ = ("alphabet", "arity", "mass", "law")
@@ -151,13 +158,17 @@ class Coupling:
         if marginals.output_alphabet != alphabet:
             raise LeakboundError("declared marginal on a different alphabet")
         known = set(alphabet)
-        clean = exact_masses(
-            ((tuple(tup), q) for tup, q in mass.items()),
-            lambda tup: len(tup) == arity and known.issuperset(tup),
-        )
-        scale, nums = _over_lcm(clean.values())
+
+        def on_alphabet(tup):
+            return len(tup) == arity and known.issuperset(tup)
+
+        if isinstance(mass, ExactLaw):
+            clean = exact_law(((tuple(t), num) for t, num in mass.nums.items()), mass.den, on_alphabet)
+        else:
+            clean = ExactLaw(*numerators(exact_masses(((tuple(t), q) for t, q in mass.items()), on_alphabet)))
+        scale = clean.den
         got = [{} for _ in range(arity)]
-        for tup, num in zip(clean, nums):
+        for tup, num in clean.nums.items():
             for marginal, y in zip(got, tup):
                 marginal[y] = marginal.get(y, 0) + num
         den, columns = marginals.den, marginals.columns
@@ -196,10 +207,9 @@ class Coupling:
 
 def union_mass(coupling: Coupling) -> Fraction:
     """sum_y P(union_i {Y_i = y}): each support tuple pays its number of
-    distinct coordinate values."""
-    return sum(
-        (q * len(set(tup)) for tup, q in coupling.mass.items()), ZERO
-    )
+    distinct coordinate values, summed on the masses' numerators."""
+    den, nums = numerators(coupling.mass)
+    return Fraction(sum(num * len(set(tup)) for tup, num in nums.items()), den)
 
 
 class Mixture(NamedTuple):
@@ -217,8 +227,8 @@ class Mixture(NamedTuple):
 
     def coupling(self) -> Coupling:
         """List every tuple, adding up its numerators over the LCM of the
-        part denominators, as one ``Fraction``, and validate them against
-        the marginals' law."""
+        part denominators, and validate them, kept as an ``ExactLaw``,
+        against the marginals' law; no ``Fraction`` is built per tuple."""
         arity = self.marginals.n
         scale = lcm(*(part_den for part_den, _ in self.parts))
         nums: dict[tuple, int] = {}
@@ -226,8 +236,7 @@ class Mixture(NamedTuple):
             lift = scale // part[0]
             for tup, num in _list_part(part, arity):
                 nums[tup] = nums.get(tup, 0) + num * lift
-        mass = {tup: Fraction(num, scale) for tup, num in nums.items()}
-        return Coupling(self.marginals.output_alphabet, arity, mass, self.marginals)
+        return Coupling(self.marginals.output_alphabet, arity, ExactLaw(scale, nums), self.marginals)
 
 
 def _list_part(part: tuple, arity: int) -> Iterator[tuple[tuple, int]]:
@@ -585,14 +594,17 @@ def intersection_violations(coupling: Coupling, pmfs: Sequence[Pmf]) -> list[tup
     if any(pmf.alphabet != coupling.alphabet for pmf in pmfs):
         raise LeakboundError("PMF on a different alphabet from the coupling's")
     # The masses and the PMFs as integer numerators, each over its own
-    # least common denominator. One pass over the support: a tuple's mass
-    # counts for every subset of the coordinates that hold one symbol.
-    scale, nums = _over_lcm(coupling.mass.values())
+    # denominator. One pass over the support: a tuple's mass counts for
+    # every subset of the coordinates that hold one symbol.
+    scale, nums = numerators(coupling.mass)
     den, pmf_nums = _over_lcm(q for pmf in pmfs for q in pmf.mass.values())
     numerator = iter(pmf_nums)
     laws = [{y: next(numerator) for y in pmf.mass} for pmf in pmfs]
+    # Per subset, its column minima in alphabet order, each taken once
+    # from its prefix's: the subsets come by size, so the prefix is there.
+    minima = {(i,): [law.get(y, 0) for y in coupling.alphabet] for i, law in enumerate(laws)}
     tied: dict[tuple, int] = {}
-    for tup, num in zip(coupling.mass, nums):
+    for tup, num in nums.items():
         coords: dict[Symbol, list[int]] = {}
         for i, y in enumerate(tup):
             coords.setdefault(y, []).append(i)
@@ -604,9 +616,9 @@ def intersection_violations(coupling: Coupling, pmfs: Sequence[Pmf]) -> list[tup
     out = []
     for size in range(2, m + 1):
         for subset in combinations(range(m), size):
-            for y in coupling.alphabet:
+            minima[subset] = lows = list(map(min, minima[subset[:-1]], minima[subset[-1:]]))
+            for y, want in zip(coupling.alphabet, lows):
                 got = tied.get((subset, y), 0)
-                want = min(laws[i].get(y, 0) for i in subset)
                 if got * den != want * scale:
                     out.append((subset, y, Fraction(got, scale), Fraction(want, den)))
     return out

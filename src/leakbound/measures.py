@@ -8,11 +8,16 @@ Every ``Pmf``, ``JointPmf`` and ``couplings.Coupling`` is validated here,
 by ``exact_masses``. It reads each mass's sign off its numerator, adds
 masses only where a cell repeats, and checks the total on integers: with
 L the least common denominator of the masses, sum_cells num * (L / den)
-== L (``_over_lcm`` is the only code that forms these numerators). A
-``Fraction`` total is built only for the error message. The checks of
-the listed couplings (``Coupling``'s marginals,
-``simultaneous.SimulCoupling.validate``, ``couplings.intersection_violations``)
-take the same numerators and compare sums cross-multiplied.
+== L, the numerators formed by ``_over_lcm``. A ``Fraction`` total is
+built only for the error message. ``exact_law`` runs the same checks on
+masses given as integer numerators over one denominator, and keeps them
+as an ``ExactLaw``: a mapping that builds a ``Fraction`` only for the
+cell it is asked for. Every coupling holds its masses that way, and a
+listed closed form (``couplings.Mixture.coupling``, the simultaneous
+build) forms them once, so the checks of the listed couplings
+(``Coupling``'s marginals, ``simultaneous.SimulCoupling.validate``,
+``couplings.intersection_violations``) and their sums read those
+numerators (``numerators``) and compare sums cross-multiplied.
 
 * ``Pmf`` checks its alphabet and its masses (non-negative, exactly 1 in
   total, only on known symbols). ``JointPmf`` is a ``Pmf`` whose alphabet
@@ -24,8 +29,9 @@ take the same numerators and compare sums cross-multiplied.
   LP, the simultaneous coupling, ``Coupling`` off its alphabet) builds a
   channel of it first. ``from_law`` checks a law given on integers.
 * ``couplings.Coupling``, a law over |Y|^m tuples that are never listed
-  as an alphabet, runs its masses through ``exact_masses`` as well. It
-  then adds up each coordinate's numerators over the masses' L and
+  as an alphabet, runs its masses through ``exact_law`` when they come as
+  an ``ExactLaw``, else through ``exact_masses``, and keeps them as
+  numerators over their LCM. It then adds up each coordinate's numerators and
   cross-multiplies them against the law of its declared marginals, a
   ``DiscreteChannel``, so no marginal ``Pmf`` is looked up.
 
@@ -52,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import LeakboundError, exact_str, output_str
 
@@ -105,6 +111,44 @@ def _over_lcm(values: Iterable[Fraction]) -> tuple[int, list[int]]:
     return den, [q.numerator * (den // d) for q, d in zip(values, dens)]
 
 
+class ExactLaw(Mapping):
+    """A read-only law kept as integer numerators over one denominator:
+    ``nums`` maps each cell to its numerator over ``den``. Read as a
+    mapping, a cell's mass is ``Fraction(nums[cell], den)``, built only
+    when that cell is read."""
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self, den: int, nums: Mapping[Hashable, int]):
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactLaw is immutable")
+
+    def __getitem__(self, cell) -> Fraction:
+        return Fraction(self.nums[cell], self.den)
+
+    def __contains__(self, cell) -> bool:
+        return cell in self.nums
+
+    def __iter__(self) -> Iterator:
+        return iter(self.nums)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+
+def numerators(mass: Mapping) -> tuple[int, Mapping]:
+    """(den, cell -> numerator over den) of a mapping of masses: an
+    ``ExactLaw``'s own, with no work; any other mapping's over the LCM of
+    its masses, formed by ``_over_lcm``."""
+    if isinstance(mass, ExactLaw):
+        return mass.den, mass.nums
+    den, nums = _over_lcm(mass.values())
+    return den, dict(zip(mass, nums))
+
+
 def exact_masses(
     cells: Iterable[tuple[Hashable, object]], known: Callable[[Hashable], bool]
 ) -> dict:
@@ -130,6 +174,26 @@ def exact_masses(
         total = Fraction(sum(nums), den)
         raise LeakboundError(f"masses sum to {exact_str(total)}, expected exactly 1")
     return clean
+
+
+def exact_law(
+    cells: Iterable[tuple[Hashable, int]], den: int, known: Callable[[Hashable], bool]
+) -> ExactLaw:
+    """``exact_masses`` on (cell, numerator over ``den``) pairs, with the
+    same refusals and messages; a ``Fraction`` is built only for a
+    message. Returns the law of the positive cells."""
+    clean: dict = {}
+    for cell, num in cells:
+        if not known(cell):
+            raise LeakboundError(f"mass at unknown cell {cell!r}")
+        if num < 0:
+            raise LeakboundError(f"negative mass {exact_str(Fraction(num, den))} at {cell!r}")
+        if num:
+            clean[cell] = clean[cell] + num if cell in clean else num
+    total = sum(clean.values())
+    if total != den:
+        raise LeakboundError(f"masses sum to {exact_str(Fraction(total, den))}, expected exactly 1")
+    return ExactLaw(den, clean)
 
 
 def push_forward(mass: Mapping, key: Callable[[Hashable], Hashable]) -> dict:

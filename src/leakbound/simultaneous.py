@@ -58,10 +58,13 @@ g * sum_x prod_g sum_y q_g(y) prod_{i in g} r_i(x | y); each group's sum
 is N_g(x) / M_g, M_g the LCM of prod_{i in g} rest_i(y) over its y (a y
 where some rest_i(y) is 0 adds nothing). ``coupling_penalty`` builds one
 ``Fraction``, for f. ``build_simultaneous_coupling`` counts the support
-off the parts, and only under its limit lists the coupling, one
-``Fraction`` per tuple, and validates it on the tuples' numerators over
-their LCM, for ``couple --mode simul`` and as the reference the penalty
-is tested against.
+off the parts, and only under its limit lists the coupling, as integer
+numerators over one denominator, the LCM of den and every Y-tuple's
+part_den * prod_i rest_i(y_i), kept as a ``measures.ExactLaw``; it is
+listed for ``couple --mode simul`` and as the reference the penalty is
+tested against. ``y_union_mass`` and ``f_quantity`` sum those
+numerators, and a ``Fraction`` per tuple is built only when ``mass`` is
+read.
 
 One source is its own coupling: its one Y-marginal passes the condition
 with no value, the G2 weights are 0 and f = c_XY = 1. The penalty
@@ -70,13 +73,13 @@ refuses fewer than two sources.
 
 Which type validates what: each source is a ``measures.JointPmf``, a
 ``Pmf`` over its (x, y) cells; the ``DiscreteChannel`` of the sources
-checks that they share one X and one Y alphabet; the listed Y-coupling
-is a ``couplings.Coupling``, checked against the Y-marginals' law;
-``SimulCoupling.validate`` checks the assembled law: signs, total mass,
-every source marginal and the Y-projection against the Y-coupling. Each
-check sums integer numerators over one least common denominator and
-compares them cross-multiplied; a ``Fraction`` is built only for a
-message.
+checks that they share one X and one Y alphabet, and ``SimulCoupling``
+keeps it as ``joints``; the listed Y-coupling is a ``couplings.Coupling``,
+checked against the Y-marginals' law; ``SimulCoupling.validate`` checks
+the assembled law: signs, total mass, every source marginal against the
+law of ``joints`` and the Y-projection against the Y-coupling's
+numerators. Each check sums the kept integer numerators and compares
+them cross-multiplied; a ``Fraction`` is built only for a message.
 """
 
 from __future__ import annotations
@@ -110,13 +113,13 @@ from .errors import (
 # bench/test_bench.py asserts this binding.
 from .lp import min_union_coupling_diag  # noqa: F401
 from .measures import (
-    ZERO,
     DiscreteChannel,
+    ExactLaw,
     JointPmf,
     Pmf,
     Symbol,
-    _over_lcm,
     doeblin,
+    numerators,
     push_forward,
     tau_max2,
 )
@@ -285,17 +288,26 @@ def _mixture_table(joints: DiscreteChannel) -> _MixtureTable:
 
 @dataclass(frozen=True)
 class SimulCoupling:
-    """The assembled joint coupling plus the quantities it was built from."""
+    """The assembled joint coupling plus the quantities it was built from.
 
-    sources: tuple[JointPmf, ...]
-    mass: Mapping[tuple, Fraction]  # keys: (x_tuple, y_tuple)
+    ``mass``, keyed by (x_tuple, y_tuple), is an ``ExactLaw`` as built;
+    ``joints`` is the channel of the sources, whose law ``validate``
+    checks the source marginals against."""
+
+    joints: DiscreteChannel
+    mass: Mapping[tuple, Fraction]
     c_xy: Fraction
     c_y: Fraction
     y_coupling: Coupling
 
     @property
+    def sources(self) -> tuple[JointPmf, ...]:
+        """The source joints, built from their law when asked."""
+        return self.joints.rows
+
+    @property
     def arity(self) -> int:
-        return len(self.sources)
+        return self.joints.n
 
     def source_marginal(self, i: int) -> dict[tuple, Fraction]:
         """Projection onto (X_i, Y_i) as a cell -> mass dict."""
@@ -307,30 +319,30 @@ class SimulCoupling:
     def validate(self) -> None:
         """Exact checks of every mass's sign and every structural
         identity, off one pass over the support; raises on failure. The
-        masses are summed as integer numerators over their least common
-        denominator and cross-multiplied against each source's masses and
-        the Y-coupling's."""
-        scale, nums = _over_lcm(self.mass.values())
-        marginals = [{} for _ in self.sources]
+        masses' numerators (``measures.numerators``) are summed and
+        cross-multiplied against the law of the joints and the
+        Y-coupling's numerators."""
+        scale, nums = numerators(self.mass)
+        marginals = [{} for _ in range(self.arity)]
         proj = {}
-        for ((xs, ys), q), num in zip(self.mass.items(), nums):
+        for (xs, ys), num in nums.items():
             if num < 0:
-                raise ConstructionError(f"negative mass {exact_str(q)} at {(xs, ys)!r}")
+                raise ConstructionError(f"negative mass {exact_str(Fraction(num, scale))} at {(xs, ys)!r}")
             proj[ys] = proj.get(ys, 0) + num
             for got, cell in zip(marginals, zip(xs, ys)):
                 got[cell] = got.get(cell, 0) + num
         total = sum(proj.values())
         if total != scale:
             raise ConstructionError(f"coupling mass sums to {exact_str(Fraction(total, scale))}")
-        for i, (src, got) in enumerate(zip(self.sources, marginals)):
-            for cell in src.alphabet:
-                want = src.mass.get(cell, ZERO)
-                if got.get(cell, 0) * want.denominator != want.numerator * scale:
+        den, cells = self.joints.den, self.joints.columns
+        for i, got in enumerate(marginals):
+            for cell in self.joints.output_alphabet:
+                want = cells[cell][i] if cell in cells else 0
+                if got.get(cell, 0) * den != want * scale:
                     raise ConstructionError(f"source {i} marginal mismatch at {cell!r}")
-        y_den, y_nums = _over_lcm(self.y_coupling.mass.values())
-        y_mass = dict(zip(self.y_coupling.mass, y_nums))
-        if proj.keys() != y_mass.keys() or any(
-            num * y_den != y_mass[ys] * scale for ys, num in proj.items()
+        y_den, y_nums = numerators(self.y_coupling.mass)
+        if proj.keys() != y_nums.keys() or any(
+            num * y_den != y_nums[ys] * scale for ys, num in proj.items()
         ):
             raise ConstructionError("Y-projection differs from ingredient coupling")
 
@@ -348,7 +360,8 @@ def build_simultaneous_coupling(
     sources = tuple(sources)
     if len(sources) < 2:
         raise LeakboundError("need at least two joint PMFs")
-    table = _mixture_table(DiscreteChannel(sources))
+    joints = DiscreteChannel(sources)
+    table = _mixture_table(joints)
     m, den = len(sources), table.den
     residual, rest = table.residual, table.rest
 
@@ -360,23 +373,26 @@ def build_simultaneous_coupling(
     if est > max_states:
         raise CapacityError(est, max_states, "coupling support tuples")
 
+    # G2 and G3: a Y-tuple of weight w / part_den is spread over X-tuples
+    # as w * prod_i d_i(x_i, y_i) over norm = part_den * prod_i rest_i(y_i).
+    # Every mass is listed as a numerator over the LCM of den and the norms.
+    spread = [(ys, w, part[0] * prod(rest[i][y] for i, y in enumerate(ys)))
+              for part in table.parts for ys, w in _list_part(part, m)]
+    scale = lcm(den, *(norm for _, _, norm in spread))
     # G1: fully tied diagonal. Weight c_XY cancels the 1/c_XY normalizer.
-    mass = {((x,) * m, (y,) * m): Fraction(q, den) for (x, y), q in table.p_min.items()}
-    # G2 and G3: every X-tuple drawn from the independent residuals, a
-    # tuple of weight w / part_den spread as w * prod_i d_i(x_i, y_i) over
-    # part_den * prod_i rest_i(y_i).
-    for part in table.parts:
-        for ys, w in _list_part(part, m):
-            norm = part[0] * prod(rest[i][y] for i, y in enumerate(ys))
-            for combo in product(*(residual[i][y].items() for i, y in enumerate(ys))):
-                q = w
-                for _, d in combo:
-                    q *= d
-                mass[(tuple(x for x, _ in combo), ys)] = Fraction(q, norm)
+    lift = scale // den
+    nums = {((x,) * m, (y,) * m): q * lift for (x, y), q in table.p_min.items()}
+    for ys, w, norm in spread:
+        w *= scale // norm
+        for combo in product(*(residual[i][y].items() for i, y in enumerate(ys))):
+            q = w
+            for _, d in combo:
+                q *= d
+            nums[(tuple(x for x, _ in combo), ys)] = q
 
     built = SimulCoupling(
-        sources=sources,
-        mass=mass,
+        joints=joints,
+        mass=ExactLaw(scale, nums),
         c_xy=Fraction(sum(table.p_min.values()), den),
         c_y=doeblin(table.y_marginals),
         y_coupling=Mixture(table.y_marginals, table.y_parts).coupling(),
@@ -436,22 +452,20 @@ def coupling_penalty(sources: Sequence[JointPmf] | DiscreteChannel) -> Fraction:
     return Fraction(num, den)
 
 
-def _union_sum(mass: Mapping[tuple, Fraction]) -> Fraction:
-    """sum q |set(ys)| over the cells (xs, ys) -> q, added as integer
-    numerators over the masses' least common denominator."""
-    scale, nums = _over_lcm(mass.values())
-    return Fraction(sum(num * len(set(ys)) for (_, ys), num in zip(mass, nums)), scale)
-
-
 def y_union_mass(coupling: SimulCoupling) -> Fraction:
-    """sum_y P(union_i {Y_i = y}) under the coupling."""
-    return _union_sum(coupling.mass)
+    """sum_y P(union_i {Y_i = y}) under the coupling, summed on the
+    masses' numerators."""
+    scale, nums = numerators(coupling.mass)
+    return Fraction(sum(num * len(set(ys)) for (_, ys), num in nums.items()), scale)
 
 
 def f_quantity(coupling: SimulCoupling) -> Fraction:
-    """sum_y P(X_1 = ... = X_m and union_i {Y_i = y}).
+    """sum_y P(X_1 = ... = X_m and union_i {Y_i = y}), summed on the
+    masses' numerators.
 
     With the X-coordinates playing the role of a peeled node's parents,
     this is the "loss in leakage" correction of the coupling-based bound.
     """
-    return _union_sum({cell: q for cell, q in coupling.mass.items() if len(set(cell[0])) == 1})
+    scale, nums = numerators(coupling.mass)
+    return Fraction(sum(num * len(set(ys)) for (xs, ys), num in nums.items()
+                        if len(set(xs)) == 1), scale)

@@ -432,6 +432,30 @@ def reference_simul_validate(coupling) -> None:
         raise ConstructionError("Y-projection differs from ingredient coupling")
 
 
+def reference_simul_mass(sources) -> dict:
+    """Reference listing of ``build_simultaneous_coupling``, one Fraction
+    per tuple: P_min on the tied tuples, then every G2/G3 Y-tuple of the
+    reference parts (masses added up where parts share a tuple) spread as
+    w * prod_i r_i(x_i | y_i) over the reference residuals."""
+    sources = tuple(sources)
+    m = len(sources)
+    p_min = {cell: low for cell, col in fraction_columns(DiscreteChannel(sources)).items()
+             if (low := min(col))}
+    floor = push_forward(p_min, itemgetter(1))
+    y_marginals = [s.y_marginal() for s in sources]
+    tied = tuple((y, w) for y in sources[0].y_alphabet
+                 if (w := min(p[y] for p in y_marginals) - floor.get(y, ZERO)))
+    parts = [part for part in reference_minimal_y_coupling(y_marginals) if len(part) > 1]
+    parts.append(((tuple(range(m)), tied),))
+    residual = reference_residuals(sources)
+    mass = {((x,) * m, (y,) * m): q for (x, y), q in p_min.items()}
+    for ys, w in reference_mass(parts, m).items():
+        for combo in product(*(residual[i][y].items() for i, y in enumerate(ys))):
+            key = (tuple(x for x, _ in combo), ys)
+            mass[key] = mass.get(key, ZERO) + w * prod(r for _, r in combo)
+    return mass
+
+
 def reference_y_union_mass(coupling) -> Q:
     """Reference ``y_union_mass``: one ``Fraction`` product per tuple."""
     return sum((q * len(set(ys)) for (xs, ys), q in coupling.mass.items()), ZERO)

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from helpers import (
@@ -65,6 +66,7 @@ from leakbound.couplings import (
     n4_mixture,
     n4_mixture_weights,
 )
+from leakbound.measures import ExactLaw, numerators
 
 
 def pmf(values, letters=None):
@@ -883,3 +885,49 @@ class TestChecksAgainstReference:
             for _ in range(8):
                 fam = rand_family_tau_max2_le1(rng, m, rng.randint(2, 4))
                 assert self.compare(fam) == 2 * 5 * 4
+
+
+class TestKeptNumerators:
+    """Every listed closed form keeps its masses as one ``ExactLaw``, and
+    ``Coupling``, ``union_mass`` and ``intersection_violations`` read its
+    numerators. On the built couplings and on faulty copies of their
+    masses, given as plain ``Fraction`` mappings and as ``ExactLaw``s, each
+    gives what its ``Fraction`` reference gives: the same masses in the
+    same order, the same union mass, the same violations in the same
+    order, or the same refusal."""
+
+    def compare(self, fam):
+        m, symbols = len(fam), fam[0].alphabet
+        rotated = fam[1:] + fam[:1]
+        compared = 0
+        for coupling in TestChecksAgainstReference.couplings(fam):
+            assert type(coupling.mass) is ExactLaw
+            faults = perturbed_masses(dict(coupling.mass), product(symbols, repeat=m))
+            for mass in (dict(coupling.mass), *faults.values()):
+                for table in (mass, ExactLaw(*numerators(mass))):
+                    got = checked_or_refused(lambda *args: Coupling(*args).mass,
+                                             symbols, m, table, fam)
+                    assert got == checked_or_refused(reference_coupling_marginal_check,
+                                                     symbols, m, table, fam)
+                    tampered = SimpleNamespace(alphabet=symbols, arity=m, mass=table)
+                    union = union_mass(tampered)
+                    assert type(union) is Q
+                    assert union == sum((q * len(set(t)) for t, q in mass.items()), Q(0))
+                    for pmfs in (fam, rotated):
+                        got = violations_or_refused(intersection_violations, tampered, pmfs)
+                        assert got == violations_or_refused(reference_intersection_violations,
+                                                            tampered, pmfs)
+                    compared += 1
+        return compared
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(closed_form_families(), n4_families()))
+    def test_property_families(self, fam):
+        self.compare(fam)
+
+    def test_seeded_families(self):
+        rng = random.Random(75)
+        for m in (2, 3, 4):
+            for _ in range(6):
+                fam = rand_family_tau_max2_le1(rng, m, rng.randint(2, 4))
+                assert self.compare(fam) == 2 * 5 * 2

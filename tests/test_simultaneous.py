@@ -28,6 +28,7 @@ from helpers import (
     reference_mass,
     reference_minimal_y_coupling,
     reference_residuals,
+    reference_simul_mass,
     reference_simul_validate,
     reference_y_union_mass,
     refuse_pmf,
@@ -59,7 +60,7 @@ from leakbound import (
     union_mass,
     y_union_mass,
 )
-from leakbound import bounds, simultaneous
+from leakbound import bounds, measures, simultaneous
 from leakbound.bayesnet import composite_joints
 from leakbound.cli import main
 from leakbound.couplings import (
@@ -69,7 +70,10 @@ from leakbound.couplings import (
     _mixture,
     _tuple_part,
     intersection_violations,
+    n4_ingredients,
+    n4_mixture,
 )
+from leakbound.measures import ExactLaw, numerators
 from leakbound.netfile import parse_network, parse_pmf_file
 from leakbound.simultaneous import _check_mixture
 
@@ -1320,3 +1324,172 @@ def test_listed_couplings_are_checked_without_fraction_arithmetic(name, monkeypa
     # The product coupling lacks the intersection property; the four-way
     # coupling has it.
     assert violations[0] and not any(violations[1:])
+
+
+def interval_coupling_of(fam):
+    channel = DiscreteChannel(fam)
+    return Mixture(channel, _interval_parts(channel.den, channel.columns, channel.n)).coupling
+
+
+@pytest.mark.parametrize("name", [
+    "joints_pair.json", "coprime_joints.json", "pmfs_n4.json", "interval m = 5",
+])
+def test_listing_forms_one_law_per_coupling(name):
+    # A listed coupling puts its masses over one denominator once and
+    # builds no Fraction per tuple: one Mixture.coupling() or one
+    # build_simultaneous_coupling (which lists two couplings) calls
+    # _over_lcm at most once, for the joints' channel, and constructs
+    # fewer Fractions than the support has tuples (c_XY and c_Y).
+    if name.endswith(".json"):
+        items = parse_pmf_file((WIDE_FIXTURES / name).read_text(encoding="utf-8"))
+    else:
+        items = rand_interval_family(random.Random(3), 5, 6, "coprime")
+    if isinstance(items[0], JointPmf):
+        build = lambda: build_simultaneous_coupling(items)  # noqa: E731
+    elif len(items) == 4:
+        build = n4_mixture(n4_ingredients(items)).coupling
+    else:
+        build = interval_coupling_of(items)
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is measures._over_lcm.__code__:
+            counts["_over_lcm"] += 1
+        elif frame.f_code.co_filename == fractions.__file__ and frame.f_code.co_name == "__new__":
+            counts["Fraction"] += 1
+
+    sys.setprofile(profile)
+    try:
+        built = build()
+    finally:
+        sys.setprofile(None)
+    assert counts["_over_lcm"] <= 1
+    assert counts["Fraction"] < len(built.mass)
+    assert type(built.mass) is ExactLaw
+
+
+class TestListedLawAgainstReference:
+    """``build_simultaneous_coupling`` keeps its masses and its
+    Y-coupling's as ``ExactLaw``s; read as Fractions they are the
+    reference listings (``helpers.reference_simul_mass``,
+    ``reference_mass`` of the reference Y-parts), the reference check
+    passes them, and the union sums read off the numerators equal their
+    ``Fraction`` references."""
+
+    @staticmethod
+    def compare(sources):
+        """Returns 1 if the build lists the coupling, 0 if it refuses."""
+        try:
+            built = build_simultaneous_coupling(sources, max_states=ROOMY)
+        except LeakboundError:
+            return 0
+        assert type(built.mass) is ExactLaw and type(built.y_coupling.mass) is ExactLaw
+        plain = dataclasses.replace(built, mass=dict(built.mass))
+        assert plain.mass == reference_simul_mass(sources)
+        reference_simul_validate(plain)
+        plain.validate()
+        y_parts = reference_minimal_y_coupling([s.y_marginal() for s in sources])
+        assert dict(built.y_coupling.mass) == reference_mass(y_parts, built.arity)
+        assert y_union_mass(built) == reference_y_union_mass(plain)
+        assert f_quantity(built) == reference_f_quantity(plain)
+        assert built.sources == tuple(sources)
+        return 1
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(joint_families(), penalty_joints()))
+    def test_property_joints(self, sources):
+        self.compare(sources)
+
+    def test_seeded_joints(self):
+        rng = random.Random(74)
+        compared = Counter()
+        for m in range(2, 6):
+            for kind in KINDS * 3:
+                compared[m] += self.compare(rand_penalty_joints(rng, m, kind))
+        assert all(compared[m] >= 5 for m in range(2, 6))
+
+    @pytest.mark.parametrize("name", ["coprime_joints", "joints_pair"])
+    def test_fixtures(self, name):
+        text = (WIDE_FIXTURES / f"{name}.json").read_text(encoding="utf-8")
+        assert self.compare(parse_pmf_file(text)) == 1
+
+
+def as_law(mass) -> ExactLaw:
+    """The masses as an ExactLaw, over the LCM of their denominators."""
+    return ExactLaw(*numerators(mass))
+
+
+RATIONAL = r"\d+(/\d+)?"
+
+
+class TestTamperedLawRefusals:
+    """A tampered ``ExactLaw`` is refused with the message of the same
+    masses given as ``Fraction``s: by ``SimulCoupling.validate`` and by
+    ``Coupling``'s integer path."""
+
+    def test_validate(self):
+        coupling = TestValidateRefusals.built()
+        mass = dict(coupling.mass)
+        t1, t2 = sorted(mass)[:2]
+        shift = min(mass[t1], mass[t2]) / 2
+        doc = {"x_alphabet": ["0", "1"], "y_alphabet": ["a", "b"],
+               "joints": [[["1/8", "1/8"], ["1/4", "1/2"]], [["1/4", "1/8"], ["1/8", "1/2"]]]}
+        signed = build_simultaneous_coupling(parse_pmf_file(json.dumps(doc)))
+        negative = dict(signed.mass)
+        shift_a = 2 * min(negative[(("0", "0"), ("a", "a"))], negative[(("1", "1"), ("a", "a"))])
+        for xs, sign in ((("0", "0"), -1), (("1", "1"), -1), (("1", "0"), 1), (("0", "1"), 1)):
+            negative[(xs, ("a", "a"))] = negative.get((xs, ("a", "a")), Q(0)) + sign * shift_a
+        cases = [
+            (coupling, {**mass, t1: mass[t1] - shift, t2: mass[t2] + shift},
+             "source 1 marginal mismatch at ('0', 'a')"),
+            (coupling, {key: q / 2 for key, q in mass.items()}, "coupling mass sums to 1/2"),
+            (signed, negative, "negative mass -1/8 at (('0', '0'), ('a', 'a'))"),
+        ]
+        for built, fault, message in cases:
+            for table in (fault, as_law(fault)):
+                with pytest.raises(ConstructionError) as err:
+                    dataclasses.replace(built, mass=table).validate()
+                assert str(err.value) == message
+            tampered = dataclasses.replace(built, mass=as_law(fault))
+            assert outcome(tampered.validate) == outcome(reference_simul_validate, tampered)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("negative", rf"^negative mass -{RATIONAL} at \("),
+        ("halved", r"^masses sum to 1/2, expected exactly 1$"),
+        ("moved", rf"^coordinate \d marginal at '\w' is {RATIONAL}, declared {RATIONAL}$"),
+    ])
+    def test_coupling_integer_path(self, fault, message):
+        for items in (rand_family_tau_max2_le1(random.Random(5), 3, 3),
+                      parse_pmf_file((WIDE_FIXTURES / "pmfs_n4.json").read_text(encoding="utf-8"))):
+            coupling = (n4_mixture(n4_ingredients(items)).coupling() if len(items) == 4
+                        else interval_coupling_of(items)())
+            m, symbols = coupling.arity, coupling.alphabet
+            table = perturbed_masses(coupling.mass, itertools.product(symbols, repeat=m))[fault]
+            refusals = set()
+            for mass in (table, as_law(table)):
+                with pytest.raises(LeakboundError, match=message) as err:
+                    Coupling(symbols, m, mass, coupling.law)
+                refusals.add(str(err.value))
+            assert len(refusals) == 1
+
+
+@pytest.mark.parametrize("dump", [False, True])
+def test_couple_simul_reads_masses_only_to_dump(dump, capsys, monkeypatch):
+    # couple --mode simul prints the support size, the y-union mass and f
+    # off the numerators: a listed mass is read (one Fraction built) only
+    # for --dump, once per printed tuple.
+    reads = Counter()
+    read = ExactLaw.__getitem__
+
+    def counted(law, cell):
+        reads[id(law)] += 1
+        return read(law, cell)
+
+    monkeypatch.setattr(ExactLaw, "__getitem__", counted)
+    path = str(WIDE_FIXTURES / "coprime_joints.json")
+    assert main(["couple", path, "--mode", "simul"] + ["--dump"] * dump) == 0
+    out = capsys.readouterr().out
+    assert "support size = 32 " in out
+    assert sum(reads.values()) == (32 if dump else 0)
