@@ -11,17 +11,23 @@ tau_max2 <= 1.
 The solver is a two-phase revised simplex with sparse +-1 columns and an
 explicit basis inverse, run on integers: ``Fraction`` costs and
 right-hand sides come in (scaled once by the LCM of their denominators),
-a ``Fraction`` optimum and solution go out. B^-1 is kept as A / D with
-an integer matrix A and D = |det B|, and the basic solution as integer
-numerators x over D. A pivot on entry p of the entering column d = A a_j
-replaces row i by (p A_i - d_i A_r) / D, an exact division, and D by |p|
-(Edmonds 1967; Bareiss 1968). The dual numerators y = c_B A and the
-objective z = c_B x take the same step off the pivot row before it
-changes: with rc the entering column's reduced-cost numerator,
-y' = sign(p) (p y + rc A_r) / D and z' = sign(p) (p z + rc x_r) / D.
-They are built from c_B only when a phase starts (so after the
-drive-out); at each phase end the kept pair is compared with that build
-and a difference raises ``LeakboundError``. Ratios and reduced costs are
+a ``Fraction`` optimum and the solution's integer numerators over one
+denominator go out. B^-1 is kept as A / D with an integer matrix A and
+D = |det B|, and the basic solution as integer numerators x over D. A
+pivot on entry p of the entering column d = A a_j replaces row i != r by
+sign(p) (p A_i - d_i A_r) / D, an exact division, A_r by sign(p) A_r,
+and D by |p| (Edmonds 1967; Bareiss 1968). When |p| = D, as in most
+pivots of the coupling LP, row i becomes A_i - sign(p) d_i A_r / D: only
+the rows with d_i != 0 change, and only at A_r's nonzero columns, so
+those entries are updated in place and every other row is left as it is.
+The dual numerators y = c_B A and the objective z = c_B x take the same
+step off the pivot row before it changes: with rc the entering column's
+reduced-cost numerator, y' = sign(p) (p y + rc A_r) / D and
+z' = sign(p) (p z + rc x_r) / D, which at |p| = D is
+y' = y + sign(p) rc A_r / D, changed at A_r's nonzeros only. They are
+built from c_B only when a phase starts (so after the drive-out); at
+each phase end the kept pair is compared with that build and a
+difference raises ``LeakboundError``. Ratios and reduced costs are
 compared as integer numerators, cross-multiplied; positive scaling changes
 no comparison, so the pivots are those of the simplex on ``Fraction``s.
 
@@ -81,7 +87,7 @@ from typing import Iterator, Sequence
 
 from .couplings import Coupling
 from .errors import DEFAULT_MAX_STATES, CapacityError, InfeasibleError, LeakboundError
-from .measures import ZERO, DiscreteChannel, Pmf, tau_max
+from .measures import ZERO, DiscreteChannel, ExactLaw, Pmf, tau_max
 
 ONE = Fraction(1)
 
@@ -89,11 +95,52 @@ ONE = Fraction(1)
 SparseCol = list
 
 
+def _pivot(binv: list[list[int]], xb: list[int], det: int, r: int, d: list[int]) -> int:
+    """Edmonds' fraction-free pivot of (A, x) on entry p = d[r] of the
+    entering column d = A a_j, in place; returns the new det |p|.
+
+    Every division by det is exact. When |p| = det, row i becomes
+    A_i - sign(p) d_i A_r / det, so only A_r's nonzero columns of the rows
+    with d_i != 0 change, in place. Otherwise every row i != r is rebuilt
+    as sign(p) (p A_i - d_i A_r) / det. The pivot row is never changed in
+    place: when p < 0 it is replaced by its negation."""
+    p = d[r]
+    sign = 1 if p > 0 else -1
+    prow, xr = binv[r], xb[r]
+    if sign * p == det:
+        nonzero = [(k, a) for k, a in enumerate(prow) if a]
+        for i, f in enumerate(d):
+            if f and i != r:
+                f *= sign
+                row = binv[i]
+                for k, a in nonzero:
+                    row[k] -= f * a // det
+                xb[i] -= f * xr // det
+    else:
+        for i, f in enumerate(d):
+            if i != r:
+                binv[i] = [sign * (p * a - f * b) // det for a, b in zip(binv[i], prow)]
+                xb[i] = sign * (p * xb[i] - f * xr) // det
+    if sign < 0:
+        binv[r] = [-a for a in prow]
+        xb[r] = -xr
+    return sign * p
+
+
 def _pivot_duals(y: list[int], z: int, rc: int, p: int, row: list[int], x: int,
                  det: int) -> tuple[list[int], int]:
     """(y, z) after a pivot on entry p of a column with reduced-cost
-    numerator rc, from the pivot row (row, x) of (A, x) before it."""
+    numerator rc, from the pivot row (row, x) of (A, x) before it. When
+    |p| = det, y' = y + sign(p) rc row / det at row's nonzeros only, on a
+    copy of y; otherwise every entry is rescaled."""
     sign = 1 if p > 0 else -1
+    if sign * p == det:
+        f = sign * rc
+        y = y.copy()
+        for k, a in enumerate(row):
+            if a:
+                y[k] += f * a // det
+        return y, z + f * x // det
     return ([sign * (p * a + rc * b) // det for a, b in zip(y, row)],
             sign * (p * z + rc * x) // det)
 
@@ -103,13 +150,15 @@ def solve_sparse(
     costs: Sequence[Fraction],
     rhs: Sequence[Fraction],
     pricer=None,
-) -> tuple[Fraction, dict[int, Fraction]]:
+) -> tuple[Fraction, ExactLaw]:
     """Minimize costs . x s.t. (sparse columns) x = rhs, x >= 0.
 
     Entries of the constraint matrix must be +-1 (all coupling systems
     are). Returns (optimal value, nonzero components of one optimal
-    vertex, keyed by column id). Raises ``InfeasibleError`` when no
-    nonnegative solution exists.
+    vertex, keyed by column id). The components are an ``ExactLaw``: the
+    solver's own integer numerators over one denominator, read as
+    ``Fraction``s. Raises ``InfeasibleError`` when no nonnegative
+    solution exists.
 
     Without ``pricer`` the columns have ids 0 .. len(columns) - 1 and
     every pivot prices them all. A ``pricer`` adds columns that are never
@@ -183,22 +232,9 @@ def solve_sparse(
         return best
 
     def pivot(row: int, d: list[int], j: int, cost: int) -> None:
-        """Edmonds' fraction-free update; the division by det is exact.
-        xb is pivoted as one more column of binv."""
+        """xb is pivoted as one more column of binv."""
         nonlocal det
-        p = d[row]
-        sign = 1 if p > 0 else -1
-        prow, xr = binv[row], xb[row]
-        for i in range(m):
-            if i == row:
-                if sign < 0:
-                    binv[i] = [-a for a in prow]
-                    xb[i] = -xr
-            elif d[i] or sign * p != det:  # else row i is unchanged
-                f = d[i]
-                binv[i] = [sign * (p * a - f * b) // det for a, b in zip(binv[i], prow)]
-                xb[i] = sign * (p * xb[i] - f * xr) // det
-        det = sign * p
+        det = _pivot(binv, xb, det, row, d)
         basis[row] = j
         bcost[row] = cost
 
@@ -256,8 +292,7 @@ def solve_sparse(
 
     value = optimize(phase1=False)
     scale = det * rhs_den
-    solution = {basis[i]: Fraction(xb[i], scale)
-                for i in range(m) if basis[i] < width and xb[i]}
+    solution = ExactLaw(scale, {basis[i]: xb[i] for i in range(m) if basis[i] < width and xb[i]})
     return Fraction(value, scale * cost_den), solution
 
 
@@ -420,9 +455,9 @@ def _coupling_lp(
         rhs += [min(p[y] for p in marginals) for y in alphabet]
 
     value, solution = solve_sparse(space.columns, space.costs, rhs, space)
-    mass = {tuple(alphabet[k] for k in space.decode(j)): v
-            for j, v in solution.items() if j < space.n_tuples}
-    witness = Coupling(alphabet, m, mass, channel)
+    nums = {tuple(alphabet[k] for k in space.decode(j)): num
+            for j, num in solution.nums.items() if j < space.n_tuples}
+    witness = Coupling(alphabet, m, ExactLaw(solution.den, nums), channel)
     return LpResult(optimal_value=value, witness=witness,
                     achieves_tau_max=value == tau_max(channel))
 

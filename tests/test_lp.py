@@ -1,5 +1,7 @@
 """The exact LP oracle: solver unit tests and coupling-polytope facts."""
 
+import collections
+import contextlib
 import fractions
 import json
 import math
@@ -192,7 +194,7 @@ def test_pricer_gives_the_pivots_of_the_listed_lp(system):
 
 
 
-LOOP_FUNCTIONS = {"optimize", "entering", "pivot", "duals", "_pivot_duals", "dot",
+LOOP_FUNCTIONS = {"optimize", "entering", "pivot", "_pivot", "duals", "_pivot_duals", "dot",
                   "walk", "build", "gains", "column", "decode", "tuple_id",
                   "price", "consider", "_deviate"}
 
@@ -835,6 +837,114 @@ def test_phase_end_check_catches_drifting_duals(monkeypatch, drift):
     fam = rand_family_tau_max2_le1(random.Random(3), 3, 3)
     with pytest.raises(LeakboundError, match="kept duals differ"):
         min_union_coupling(fam)
+
+
+def exact_div(num, den):
+    q, rem = divmod(num, den)
+    assert rem == 0, "inexact division"
+    return q
+
+
+def dense_bareiss(binv, xb, det, r, d):
+    """The textbook fraction-free step on the whole of [A | x]: row i != r
+    becomes (p [A | x]_i - d_i [A | x]_r) / det, then every row and det
+    take the sign of p. Returns new lists (A', x', det')."""
+    p = d[r]
+    rows = [a + [x] for a, x in zip(binv, xb)]
+    rows = [row if i == r else [exact_div(p * a - d[i] * b, det) for a, b in zip(row, rows[r])]
+            for i, row in enumerate(rows)]
+    sign = 1 if p > 0 else -1
+    return [[sign * v for v in row[:-1]] for row in rows], [sign * row[-1] for row in rows], abs(p)
+
+
+def dense_duals(y, z, rc, p, row, x, det):
+    """sign(p) (p [y | z] + rc [A_r | x_r]) / det, every entry rescaled."""
+    sign = 1 if p > 0 else -1
+    full = [exact_div(sign * (p * a + rc * b), det) for a, b in zip(y + [z], row + [x])]
+    return full[:-1], full[-1]
+
+
+def step_kinds(p, det):
+    """Which branch of ``lp._pivot`` and ``lp._pivot_duals`` a pivot entry
+    p takes at det: the sparse |p| = det step (and its sign, and whether
+    det > 1, so that its division is a real one), or the rescale."""
+    if abs(p) != det:
+        return {"rescale"}
+    return {"sparse", "p > 0" if p > 0 else "p < 0"} | ({"det > 1"} if det > 1 else set())
+
+
+ALL_STEP_KINDS = {(fn, kind) for fn in ("_pivot", "_pivot_duals")
+                  for kind in ("sparse", "p > 0", "p < 0", "det > 1", "rescale")}
+
+
+@contextlib.contextmanager
+def checking_dense_steps(seen):
+    """A context in which every ``lp._pivot`` and ``lp._pivot_duals`` step
+    is compared with the dense step from the same state, and the pivot
+    row and the duals handed in must not change under their holder. Adds
+    each step's (function, kind) to the Counter ``seen``."""
+    pivot, pivot_duals = lp._pivot, lp._pivot_duals
+
+    def checked_pivot(binv, xb, det, r, d):
+        want = dense_bareiss(binv, xb, det, r, d)
+        prow, held = binv[r], list(binv[r])
+        got = pivot(binv, xb, det, r, d)
+        assert (binv, xb, got) == want
+        assert prow == held
+        seen.update(("_pivot", kind) for kind in step_kinds(d[r], det))
+        return got
+
+    def checked_duals(y, z, rc, p, row, x, det):
+        held = list(y), list(row)
+        got = pivot_duals(y, z, rc, p, row, x, det)
+        assert got == dense_duals(y, z, rc, p, row, x, det)
+        assert (y, row) == held
+        seen.update(("_pivot_duals", kind) for kind in step_kinds(p, det))
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_pivot", checked_pivot)
+        patch.setattr(lp, "_pivot_duals", checked_duals)
+        yield
+
+
+def check_dense_steps(seen, columns, costs, rhs, solve, rng):
+    """The seeded pivots of ``check_kept_duals_step`` and then ``solve()``,
+    every step checked against the dense one. The ratio test leaves only
+    rows with d_r > 0, so the solver hands ``_pivot_duals`` no p < 0 (and
+    ``_pivot`` gets one only in the drive-out); the seeded pivots take
+    entries of either sign."""
+    with checking_dense_steps(seen):
+        check_kept_duals_step(columns, costs, rhs, rng)
+        try:
+            return solve()
+        except InfeasibleError:
+            return None
+
+
+@pytest.mark.parametrize("floor", [False, True])
+def test_sparse_steps_equal_dense_bareiss_on_coupling_lps(floor):
+    # Every pivot of the differential families, both forms: the |p| = det
+    # steps touch only the pivot row's nonzeros, so a dropped sign at
+    # p = -det or a skipped row shows as a difference from the dense step.
+    solver = min_union_coupling_diag if floor else min_union_coupling
+    rng = random.Random(73 + floor)
+    seen = collections.Counter()
+    for fam in differential_families():
+        check_dense_steps(seen, *full_coupling_lp(fam, floor), lambda: solver(fam), rng)
+    assert set(seen) == ALL_STEP_KINDS, seen
+
+
+def test_sparse_steps_equal_dense_bareiss_on_pm1_systems():
+    seen = collections.Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(bounded_pm1_systems(), st.randoms(use_true_random=False))
+    def check(system, rng):
+        check_dense_steps(seen, *system, lambda: solve_sparse(*system), rng)
+
+    check()
+    assert set(seen) == ALL_STEP_KINDS, seen
 
 
 GOLDEN = Path(__file__).parent / "fixtures" / "lp_golden.json"
