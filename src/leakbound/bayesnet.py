@@ -31,7 +31,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import DEFAULT_MAX_STATES, CapacityError, LeakboundError, exact_str
-from .measures import DiscreteChannel, Pmf, _over_lcm, as_fraction
+from .measures import DiscreteChannel, ExactLaw, Pmf, _over_lcm, as_fraction
 
 
 @dataclass(frozen=True)
@@ -308,8 +308,8 @@ def joint_distribution(
     # The source coordinate keeps each source value's cells in walk order.
     den, columns = _projected(net, [net.source, *non_source], max_states)
     i = alphabet.index(source_value)
-    mass = {cell[1:]: Fraction(col[i], den) for cell, col in columns.items() if cell[0] == source_value}
-    return Pmf(_alphabet(net, non_source), mass)
+    nums = {cell[1:]: col[i] for cell, col in columns.items() if cell[0] == source_value}
+    return Pmf(_alphabet(net, non_source), ExactLaw(den, nums))
 
 
 def _declared(net: BayesNet, node_ids: Sequence[str]) -> list[str]:

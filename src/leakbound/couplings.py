@@ -82,9 +82,7 @@ from .measures import (
     ExactLaw,
     Pmf,
     Symbol,
-    _over_lcm,
     exact_law,
-    exact_masses,
     numerators,
 )
 
@@ -125,11 +123,11 @@ class Coupling:
     """A joint PMF over m copies of one alphabet with declared marginals.
 
     Construction checks, exactly: non-negative masses summing to 1
-    (``exact_masses``, or ``exact_law`` for masses given as an
-    ``ExactLaw``), and for every coordinate i the projection onto
-    coordinate i equals the declared i-th marginal. ``mass`` keeps the
-    masses as an ``ExactLaw``, integer numerators over one denominator
-    formed once, which every check and sum reads. ``marginals`` is one
+    (``exact_law``, on masses given as any mapping or as an ``ExactLaw``),
+    and for every coordinate i the projection onto coordinate i equals
+    the declared i-th marginal. ``mass`` keeps the masses as the
+    validated ``ExactLaw``, integer numerators over one denominator,
+    which every check and sum reads. ``marginals`` is one
     ``Pmf`` per coordinate or their ``DiscreteChannel``, kept as ``law``;
     each projection is summed on the numerators and cross-multiplied
     against that law, so no marginal ``Pmf`` is built or looked up.
@@ -162,10 +160,9 @@ class Coupling:
         def on_alphabet(tup):
             return len(tup) == arity and known.issuperset(tup)
 
-        if isinstance(mass, ExactLaw):
-            clean = exact_law(((tuple(t), num) for t, num in mass.nums.items()), mass.den, on_alphabet)
-        else:
-            clean = ExactLaw(*numerators(exact_masses(((tuple(t), q) for t, q in mass.items()), on_alphabet)))
+        den = mass.den if isinstance(mass, ExactLaw) else None
+        cells = (mass if den is None else mass.nums).items()
+        clean = exact_law(((tuple(t), q) for t, q in cells), on_alphabet, den)
         scale = clean.den
         got = [{} for _ in range(arity)]
         for tup, num in clean.nums.items():
@@ -586,23 +583,22 @@ def intersection_violations(coupling: Coupling, pmfs: Sequence[Pmf]) -> list[tup
     the selected coordinates all equalling the symbol differs from the
     minimum of the selected marginals, subsets by size, then symbols in
     alphabet order. Refuses PMFs on an alphabet other than the coupling's,
-    whose extra symbols would go unchecked."""
+    whose extra symbols would go unchecked. Reads the numerators of the
+    coupling's and the PMFs' laws, each PMF's lifted to the LCM of theirs."""
     pmfs = tuple(pmfs)
     m = coupling.arity
     if len(pmfs) != m:
         raise LeakboundError("need one PMF per coupling coordinate")
     if any(pmf.alphabet != coupling.alphabet for pmf in pmfs):
         raise LeakboundError("PMF on a different alphabet from the coupling's")
-    # The masses and the PMFs as integer numerators, each over its own
-    # denominator. One pass over the support: a tuple's mass counts for
-    # every subset of the coordinates that hold one symbol.
+    # One pass over the support: a tuple's mass counts for every subset
+    # of the coordinates that hold one symbol.
     scale, nums = numerators(coupling.mass)
-    den, pmf_nums = _over_lcm(q for pmf in pmfs for q in pmf.mass.values())
-    numerator = iter(pmf_nums)
-    laws = [{y: next(numerator) for y in pmf.mass} for pmf in pmfs]
+    den = lcm(*(pmf.mass.den for pmf in pmfs))
     # Per subset, its column minima in alphabet order, each taken once
     # from its prefix's: the subsets come by size, so the prefix is there.
-    minima = {(i,): [law.get(y, 0) for y in coupling.alphabet] for i, law in enumerate(laws)}
+    minima = {(i,): [pmf.mass.nums.get(y, 0) * (den // pmf.mass.den) for y in coupling.alphabet]
+              for i, pmf in enumerate(pmfs)}
     tied: dict[tuple, int] = {}
     for tup, num in nums.items():
         coords: dict[Symbol, list[int]] = {}

@@ -447,12 +447,14 @@ def _coupling_lp(
     if space.width > max_variables:
         raise CapacityError(space.width, max_variables, "LP variables")
 
+    # The right-hand sides, read off the channel's law.
+    den, cols = channel.den, [channel.columns.get(y, (0,) * m) for y in alphabet]
     rhs = [ONE] + [ZERO] * (n_marg_rows - 1)
     for i in range(m):
         for k in range(size - 1):
-            rhs[space.row(i, k)] = marginals[i][alphabet[k]]
+            rhs[space.row(i, k)] = Fraction(cols[k][i], den)
     if diagonal_floor:
-        rhs += [min(p[y] for p in marginals) for y in alphabet]
+        rhs += [Fraction(min(col), den) for col in cols]
 
     value, solution = solve_sparse(space.columns, space.costs, rhs, space)
     nums = {tuple(alphabet[k] for k in space.decode(j)): num

@@ -4,36 +4,32 @@ All probabilities are ``fractions.Fraction`` values and every operation in
 this module is exact; the only floating-point quantity produced anywhere is
 the logarithm taken at the reporting boundary (``maximal_leakage``).
 
-Every ``Pmf``, ``JointPmf`` and ``couplings.Coupling`` is validated here,
-by ``exact_masses``. It reads each mass's sign off its numerator, adds
-masses only where a cell repeats, and checks the total on integers: with
-L the least common denominator of the masses, sum_cells num * (L / den)
-== L, the numerators formed by ``_over_lcm``. A ``Fraction`` total is
-built only for the error message. ``exact_law`` runs the same checks on
-masses given as integer numerators over one denominator, and keeps them
-as an ``ExactLaw``: a mapping that builds a ``Fraction`` only for the
-cell it is asked for. Every coupling holds its masses that way, and a
-listed closed form (``couplings.Mixture.coupling``, the simultaneous
-build) forms them once, so the checks of the listed couplings
-(``Coupling``'s marginals, ``simultaneous.SimulCoupling.validate``,
-``couplings.intersection_violations``) and their sums read those
-numerators (``numerators``) and compare sums cross-multiplied.
+Every single law (a ``Pmf``, a ``JointPmf``, a ``couplings.Coupling``) is
+held one way, as an ``ExactLaw``: integer numerators over one
+denominator, with a ``Fraction`` built only for a cell that is read.
+Every one is validated by one function, ``exact_law``. In one pass over
+the cells it refuses unknown cells and negative masses, coercing a
+``Fraction`` mass (or taking an integer numerator); then it adds up each
+cell's masses over one denominator and checks the total on integers. A
+``Fraction`` is built only for a message. The routines that take laws read those numerators
+(``numerators``), lift them to a common denominator, and compare sums
+cross-multiplied.
 
 * ``Pmf`` checks its alphabet and its masses (non-negative, exactly 1 in
-  total, only on known symbols). ``JointPmf`` is a ``Pmf`` whose alphabet
-  is the (x, y) cells of X x Y, so it is validated, looked up and
-  compared as one.
-* ``DiscreteChannel`` holds a family's law on integers. Built from rows,
-  it checks that they share one alphabet, the only such check: every
-  routine that takes a family (the closed-form couplings, the coupling
-  LP, the simultaneous coupling, ``Coupling`` off its alphabet) builds a
-  channel of it first. ``from_law`` checks a law given on integers.
+  total, only on known symbols), and keeps them as an ``ExactLaw``.
+  ``JointPmf`` is a ``Pmf`` whose alphabet is the (x, y) cells of X x Y,
+  so it is validated, looked up and compared as one.
+* ``DiscreteChannel`` holds a family's law on integers, its rows'
+  numerators lifted to their LCM and reduced. Built from rows, it checks
+  that they share one alphabet, the only such check: every routine that
+  takes a family (the closed-form couplings, the coupling LP, the
+  simultaneous coupling, ``Coupling`` off its alphabet) builds a channel
+  of it first. ``from_law`` checks a law given on integers.
 * ``couplings.Coupling``, a law over |Y|^m tuples that are never listed
-  as an alphabet, runs its masses through ``exact_law`` when they come as
-  an ``ExactLaw``, else through ``exact_masses``, and keeps them as
-  numerators over their LCM. It then adds up each coordinate's numerators and
-  cross-multiplies them against the law of its declared marginals, a
-  ``DiscreteChannel``, so no marginal ``Pmf`` is looked up.
+  as an alphabet, runs its masses through ``exact_law``. It then adds up
+  each coordinate's numerators and cross-multiplies them against the law
+  of its declared marginals, a ``DiscreteChannel``, so no marginal
+  ``Pmf`` is looked up.
 
 The scalar measures of a channel with rows P_1, ..., P_n over alphabet Y:
 
@@ -138,6 +134,9 @@ class ExactLaw(Mapping):
     def __len__(self) -> int:
         return len(self.nums)
 
+    def __repr__(self):
+        return repr(dict(self.items()))
+
 
 def numerators(mass: Mapping) -> tuple[int, Mapping]:
     """(den, cell -> numerator over den) of a mapping of masses: an
@@ -149,51 +148,41 @@ def numerators(mass: Mapping) -> tuple[int, Mapping]:
     return den, dict(zip(mass, nums))
 
 
-def exact_masses(
-    cells: Iterable[tuple[Hashable, object]], known: Callable[[Hashable], bool]
-) -> dict:
-    """Validate (cell, mass) pairs as one probability law.
-
-    Coerces each mass to ``Fraction``, rejects cells for which ``known``
-    is false and negative masses, adds up repeated cells, drops zeros, and
-    requires a total of exactly 1, checked on integer numerators over the
-    masses' common denominator. Returns cell -> positive mass.
-    """
-    clean: dict = {}
+def exact_law(
+    cells: Iterable[tuple[Hashable, object]], known: Callable[[Hashable], bool], den: int | None = None
+) -> ExactLaw:
+    """Validate (cell, mass) pairs as one probability law: masses coerced
+    by ``as_fraction``, or integer numerators over ``den`` if given. One
+    loop refuses cells for which ``known`` is false and negative masses;
+    then each cell's positive masses are added up over the LCM of their
+    denominators, and the total must be exactly 1, on integers. Returns
+    the law of the positive cells, in order of first appearance."""
+    if den is not None and den < 1:
+        raise LeakboundError(f"denominator {den} is not positive")
+    kept, scale = [], den or 1
     for cell, raw in cells:
         if not known(cell):
             raise LeakboundError(f"mass at unknown cell {cell!r}")
-        q = as_fraction(raw)
-        num = q.numerator
+        if den is None:
+            q = as_fraction(raw)
+            num, d = q.numerator, q.denominator
+            if scale % d:
+                scale = math.lcm(scale, d)
+        else:  # a float numerator is refused as a float mass is
+            num, d = raw if type(raw) is int else as_fraction(raw), den
         if num < 0:
-            raise LeakboundError(f"negative mass {exact_str(q)} at {cell!r}")
+            raise LeakboundError(f"negative mass {exact_str(Fraction(num, d))} at {cell!r}")
         if num:
-            clean[cell] = clean[cell] + q if cell in clean else q
-    den, nums = _over_lcm(clean.values())
-    if sum(nums) != den:
-        total = Fraction(sum(nums), den)
-        raise LeakboundError(f"masses sum to {exact_str(total)}, expected exactly 1")
-    return clean
-
-
-def exact_law(
-    cells: Iterable[tuple[Hashable, int]], den: int, known: Callable[[Hashable], bool]
-) -> ExactLaw:
-    """``exact_masses`` on (cell, numerator over ``den``) pairs, with the
-    same refusals and messages; a ``Fraction`` is built only for a
-    message. Returns the law of the positive cells."""
+            kept.append((cell, num, d))
     clean: dict = {}
-    for cell, num in cells:
-        if not known(cell):
-            raise LeakboundError(f"mass at unknown cell {cell!r}")
-        if num < 0:
-            raise LeakboundError(f"negative mass {exact_str(Fraction(num, den))} at {cell!r}")
-        if num:
-            clean[cell] = clean[cell] + num if cell in clean else num
+    for cell, num, d in kept:
+        if d != scale:
+            num *= scale // d
+        clean[cell] = clean[cell] + num if cell in clean else num
     total = sum(clean.values())
-    if total != den:
-        raise LeakboundError(f"masses sum to {exact_str(Fraction(total, den))}, expected exactly 1")
-    return ExactLaw(den, clean)
+    if total != scale:
+        raise LeakboundError(f"masses sum to {exact_str(Fraction(total, scale))}, expected exactly 1")
+    return ExactLaw(scale, clean)
 
 
 def push_forward(mass: Mapping, key: Callable[[Hashable], Hashable]) -> dict:
@@ -201,23 +190,26 @@ def push_forward(mass: Mapping, key: Callable[[Hashable], Hashable]) -> dict:
     out: dict = {}
     for cell, q in mass.items():
         k = key(cell)
-        out[k] = out.get(k, ZERO) + q
+        out[k] = out.get(k, 0) + q
     return out
 
 
 class Pmf:
     """A probability mass function over a finite ordered alphabet.
 
-    Masses are exact rationals in [0, 1] summing to exactly 1; ``mass``
-    maps each symbol of the support to its positive mass. Instances are
-    immutable after construction and safe to share across threads.
+    Masses are exact rationals in [0, 1] summing to exactly 1, given as a
+    mapping or an ``ExactLaw``; ``mass`` is the validated ``ExactLaw`` of
+    the support, over a denominator that need not be reduced (equality
+    and hash compare masses). Instances are immutable after construction
+    and safe to share across threads.
     """
 
     __slots__ = ("alphabet", "mass")
 
     def __init__(self, alphabet: Iterable[Symbol], mass: Mapping[Symbol, object]):
         alphabet = check_alphabet(alphabet)
-        clean = exact_masses(mass.items(), set(alphabet).__contains__)
+        den = mass.den if isinstance(mass, ExactLaw) else None
+        clean = exact_law((mass if den is None else mass.nums).items(), set(alphabet).__contains__, den)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "mass", clean)
 
@@ -281,10 +273,10 @@ class JointPmf(Pmf):
         object.__setattr__(self, "y_alphabet", y_alphabet)
 
     def x_marginal(self) -> Pmf:
-        return Pmf(self.x_alphabet, push_forward(self.mass, itemgetter(0)))
+        return Pmf(self.x_alphabet, ExactLaw(self.mass.den, push_forward(self.mass.nums, itemgetter(0))))
 
     def y_marginal(self) -> Pmf:
-        return Pmf(self.y_alphabet, push_forward(self.mass, itemgetter(1)))
+        return Pmf(self.y_alphabet, ExactLaw(self.mass.den, push_forward(self.mass.nums, itemgetter(1))))
 
     def __repr__(self):
         return f"JointPmf(|X|={len(self.x_alphabet)}, |Y|={len(self.y_alphabet)})"
@@ -310,15 +302,16 @@ class DiscreteChannel:
         if not rows:
             raise LeakboundError("channel needs at least one row")
         first = rows[0]
-        den, nums = _over_lcm(q for row in rows for q in row.mass.values())
-        numerator, columns, n = iter(nums), {}, len(rows)
+        den = math.lcm(*(row.mass.den for row in rows))
+        columns, n = {}, len(rows)
         for i, row in enumerate(rows):
             if row.alphabet != first.alphabet:
                 raise LeakboundError(f"row {i} has a different output alphabet")
-            for sym in row.mass:
-                columns.setdefault(sym, [0] * n)[i] = next(numerator)
+            lift = den // row.mass.den
+            for sym, num in row.mass.nums.items():
+                columns.setdefault(sym, [0] * n)[i] = num * lift
         axes = (first.x_alphabet, first.y_alphabet) if isinstance(first, JointPmf) else (first.alphabet,)
-        self._hold(input_alphabet, n, axes, den, {sym: tuple(c) for sym, c in columns.items()})
+        self._hold(input_alphabet, n, axes, den, columns)
 
     @classmethod
     def from_law(cls, den: int, columns: Mapping[Symbol, Sequence[int]],
@@ -337,7 +330,7 @@ class DiscreteChannel:
             raise LeakboundError("channel needs at least one row")
         if den < 1:
             raise LeakboundError(f"denominator {den} is not positive")
-        common, law = math.gcd(den, *(q for col in columns.values() for q in col)), {}
+        law = {}
         for sym, col in columns.items():
             if not (sym in on[0] if len(on) == 1 else type(sym) is tuple and len(sym) == 2
                     and sym[0] in on[0] and sym[1] in on[1]):
@@ -347,14 +340,18 @@ class DiscreteChannel:
             if min(col) < 0:
                 raise LeakboundError(f"negative mass {exact_str(Fraction(min(col), den))} at {sym!r}")
             if any(col):
-                law[sym] = tuple([q // common for q in col]) if common > 1 else tuple(col)
-        den //= common
+                law[sym] = col
         for i, total in enumerate(list(map(sum, zip(*law.values()))) or [0] * n):
             if total != den:
                 raise LeakboundError(f"row {i} masses sum to {exact_str(Fraction(total, den))}, expected exactly 1")
         return cls.__new__(cls)._hold(input_alphabet, n, axes, den, law)
 
     def _hold(self, input_alphabet, n: int, axes: tuple, den: int, columns: dict):
+        """Keep the law, ``den`` reduced by its gcd with every entry."""
+        common = math.gcd(den, *(q for col in columns.values() for q in col))
+        columns = {sym: tuple([q // common for q in col] if common > 1 else col)
+                   for sym, col in columns.items()}
+        den //= common
         if input_alphabet is None:
             input_alphabet = (str(i) for i in range(n))
         input_alphabet = check_alphabet(input_alphabet)
@@ -384,8 +381,10 @@ class DiscreteChannel:
         return self.axes[0] if len(self.axes) == 1 else tuple(product(*self.axes))
 
     def row(self, i: int) -> Pmf:
-        """Row i, a ``Pmf`` (a ``JointPmf`` over two axes) built from the law."""
-        mass = {sym: Fraction(col[i], self.den) for sym, col in self.columns.items() if col[i]}
+        """Row i, a ``Pmf`` (a ``JointPmf`` over two axes) handed its
+        numerators over ``den`` as an ``ExactLaw``: no ``Fraction`` is
+        built per cell."""
+        mass = ExactLaw(self.den, {sym: col[i] for sym, col in self.columns.items() if col[i]})
         return Pmf(self.axes[0], mass) if len(self.axes) == 1 else JointPmf(*self.axes, mass)
 
     @property

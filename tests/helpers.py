@@ -382,9 +382,9 @@ def perturbed_masses(mass, keys) -> dict:
 
 def reference_coupling_marginal_check(alphabet, arity: int, mass, marginals) -> dict:
     """Reference ``Coupling`` validation: the masses through
-    ``exact_masses``, then every coordinate's projection pushed forward in
-    ``Fraction``s and looked up against its declared ``Pmf``. Returns the
-    validated masses."""
+    ``reference_exact_masses``, then every coordinate's projection pushed
+    forward in ``Fraction``s and looked up against its declared ``Pmf``.
+    Returns the validated masses."""
     alphabet = tuple(alphabet)
     marginals = tuple(marginals)
     if arity < 1:
@@ -657,9 +657,9 @@ def sources_for_coupling(
 
 
 def refuse_pmf(self, *args, **kwargs):
-    """Stands in for ``Pmf.__init__`` where a test asserts that no ``Pmf``
-    is built."""
-    raise AssertionError("a Pmf was built")
+    """Stands in for ``Pmf.__init__`` (or ``Pmf.__getitem__``) where a
+    test asserts that no ``Pmf`` is built (or looked up)."""
+    raise AssertionError("a Pmf was built or looked up")
 
 
 def reference_exact_masses(cells, known) -> dict:

@@ -2,9 +2,11 @@
 
 import dataclasses
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +26,7 @@ from helpers import (
     reference_n4_ingredients,
     reference_n4_mixture,
     reference_n4_mixture_weights,
+    refuse_pmf,
     three_way_by_duplication,
 )
 from hypothesis import given, settings
@@ -67,6 +70,7 @@ from leakbound.couplings import (
     n4_mixture_weights,
 )
 from leakbound.measures import ExactLaw, numerators
+from leakbound.netfile import parse_pmf_file
 
 
 def pmf(values, letters=None):
@@ -931,3 +935,45 @@ class TestKeptNumerators:
             for _ in range(6):
                 fam = rand_family_tau_max2_le1(rng, m, rng.randint(2, 4))
                 assert self.compare(fam) == 2 * 5 * 2
+
+
+def pmf_families():
+    """The four-PMF fixture, then seeded families whose PMFs have dens of
+    their own."""
+    yield parse_pmf_file((Path(__file__).parent / "fixtures" / "pmfs_n4.json").read_text(encoding="utf-8"))
+    rng = random.Random(63)
+    for size in (2, 3, 5):
+        yield [Pmf.from_values(rand_pmf(rng, size).values(), alphabet(size)) for _ in range(4)]
+        yield rand_family_tau_max2_le1(rng, 4, size)
+
+
+def test_pmf_routines_read_the_pmfs_numerators(monkeypatch):
+    # A channel of PMFs, its rows and the intersection check read each
+    # Pmf's own numerators: no PMF's masses are put over their LCM again.
+    for pmfs in pmf_families():
+        counts = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is measures._over_lcm.__code__:
+                counts["_over_lcm"] += 1
+
+        sys.setprofile(profile)
+        try:
+            channel = DiscreteChannel(pmfs)
+            rows = channel.rows
+            try:
+                holds = verify_intersection_property(build_n4_coupling(pmfs), pmfs)
+            except PreconditionError:
+                holds = True
+        finally:
+            sys.setprofile(None)
+        assert counts["_over_lcm"] == 0
+        assert rows == tuple(pmfs) and holds
+        # The coupling LP reads its right-hand sides off the channel: no
+        # marginal is looked up.
+        with monkeypatch.context() as patch:
+            patch.setattr(Pmf, "__getitem__", refuse_pmf)
+            for solve in (min_union_coupling, min_union_coupling_diag):
+                result = solve(pmfs)
+                assert result.witness.law == channel
+                assert result.optimal_value <= union_mass(independent_coupling(pmfs))

@@ -45,7 +45,7 @@ from leakbound import (
     total_variation,
 )
 from leakbound.errors import output_str
-from leakbound.measures import exact_masses, format_fraction
+from leakbound.measures import ExactLaw, exact_law, format_fraction
 import math
 
 
@@ -253,6 +253,38 @@ class TestChannel:
     def test_law_needs_a_positive_denominator(self):
         with pytest.raises(LeakboundError, match="denominator 0 is not positive"):
             DiscreteChannel.from_law(0, {"a": (0,)}, ["ab"], "x")
+
+    def test_rows_over_unreduced_dens_build_the_reduced_law(self):
+        # A row keeps the den it was given; the channel of the rows is
+        # reduced as from_law reduces, so it equals the channel of the
+        # same masses given as Fractions.
+        rows = [Pmf("abc", ExactLaw(12, {"a": 6, "b": 6})),
+                Pmf("abc", ExactLaw(30, {"c": 10, "a": 20}))]
+        same = [Pmf("abc", {"a": Q(1, 2), "b": Q(1, 2)}), Pmf("abc", {"c": Q(1, 3), "a": Q(2, 3)})]
+        assert [row.mass.den for row in rows] == [12, 30] and rows == same
+        ch = DiscreteChannel(rows, "xy")
+        law = DiscreteChannel.from_law(60, {"a": (30, 40), "b": (30, 0), "c": (0, 20)}, ["abc"], "xy")
+        assert ch == DiscreteChannel(same, "xy") == law
+        assert ch.den == law.den == 6 and list(ch.columns.items()) == list(law.columns.items())
+        assert DiscreteChannel([Pmf("ab", ExactLaw(12, {"a": 6, "b": 6}))]).den == 2
+
+    def test_rows_rebuild_the_channel(self):
+        rng = random.Random(30)
+        for _ in range(40):
+            ch = rand_channel(rng, rng.randint(1, 5), rng.randint(1, 6))
+            assert DiscreteChannel(ch.rows) == ch
+            assert DiscreteChannel(ch.rows, ch.input_alphabet).columns == ch.columns
+
+    def test_pmf_equality_and_hash_ignore_the_den(self):
+        base = Pmf("abc", {"a": Q(1, 4), "c": Q(3, 4)})
+        for den in (4, 8, 12, 4 * 10**20):
+            over = Pmf("abc", ExactLaw(den, {"a": den // 4, "c": 3 * den // 4}))
+            assert over == base and hash(over) == hash(base) and over.mass.den == den
+            assert repr(over) == repr(base) and repr(over.mass) == repr(base.mass)
+        assert repr(base.mass) == "{'a': Fraction(1, 4), 'c': Fraction(3, 4)}"
+        assert Pmf("abc", ExactLaw(8, {"a": 3, "c": 5})) != base
+        with pytest.raises(LeakboundError, match="^denominator 0 is not positive$"):
+            Pmf("abc", ExactLaw(0, {}))
 
 
 class TestTauMax:
@@ -531,15 +563,22 @@ def mass_lists(draw):
     return pairs
 
 
-def _outcome(validate, pairs):
+def _outcome(validate, pairs, *den):
     try:
-        return list(validate(pairs, set(CELLS).__contains__).items())
+        return list(validate(pairs, set(CELLS).__contains__, *den).items())
     except (LeakboundError, TypeError) as err:
         return type(err), str(err)
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(mass_lists())
-def test_exact_masses_match_fraction_reference(pairs):
-    # Same law in the same order, or the same error with the same message.
-    assert _outcome(exact_masses, pairs) == _outcome(reference_exact_masses, pairs)
+@given(mass_lists(), st.sampled_from([1, 2, 6, 10**20]))
+def test_exact_masses_match_fraction_reference(pairs, spare):
+    # exact_law, on the masses as given and on them as integer numerators
+    # over a den (``spare`` times their LCM, so not reduced unless spare is
+    # 1): the same law in the same order, or the same first refusal with
+    # the same message. A float stays a float, and is refused in place.
+    want = _outcome(reference_exact_masses, pairs)
+    assert _outcome(exact_law, pairs) == want
+    den = spare * math.lcm(*(Q(q).denominator for _, q in pairs if type(q) is not float))
+    over = [(cell, q if type(q) is float else int(Q(q) * den)) for cell, q in pairs]
+    assert _outcome(exact_law, over, den) == want

@@ -1337,9 +1337,9 @@ def interval_coupling_of(fam):
 def test_listing_forms_one_law_per_coupling(name):
     # A listed coupling puts its masses over one denominator once and
     # builds no Fraction per tuple: one Mixture.coupling() or one
-    # build_simultaneous_coupling (which lists two couplings) calls
-    # _over_lcm at most once, for the joints' channel, and constructs
-    # fewer Fractions than the support has tuples (c_XY and c_Y).
+    # build_simultaneous_coupling (which lists two couplings) never calls
+    # _over_lcm, as the joints' channel reads their numerators, and
+    # constructs fewer Fractions than the support has tuples (c_XY and c_Y).
     if name.endswith(".json"):
         items = parse_pmf_file((WIDE_FIXTURES / name).read_text(encoding="utf-8"))
     else:
@@ -1365,7 +1365,7 @@ def test_listing_forms_one_law_per_coupling(name):
         built = build()
     finally:
         sys.setprofile(None)
-    assert counts["_over_lcm"] <= 1
+    assert counts["_over_lcm"] == 0
     assert counts["Fraction"] < len(built.mass)
     assert type(built.mass) is ExactLaw
 
