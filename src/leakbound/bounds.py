@@ -38,9 +38,8 @@ each step, computing its Doeblin penalty, and returns the first failure:
 a ``PreconditionError`` whose ``trace`` holds the steps before it, with
 the Doeblin penalty whatever the method. The bound functions raise it;
 ``query_report`` logs it. ``_fold`` composes the passed steps under the
-Doeblin penalty, f or 0 (the baseline), and cannot fail: f takes the
-four-way Y-coupling at |X| = 4 and the interval one otherwise, and
-solves no LP.
+Doeblin penalty, f or 0 (the baseline), and cannot fail: f is read off
+the Y-coupling its step kept from the walk, and solves no LP.
 """
 
 from __future__ import annotations
@@ -53,9 +52,10 @@ from .bayesnet import (
     DEFAULT_MAX_STATES, BayesNet, composite_channel, composite_joints, descendants,
     topological_sort,
 )
+from .couplings import Mixture
 from .errors import LeakboundError, PreconditionError, output_str
 from .measures import ZERO, DiscreteChannel, doeblin, tau_max, tau_max2
-from .simultaneous import coupling_feasibility, coupling_penalty
+from .simultaneous import _minimal_coupling, _penalty
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class _Checked(NamedTuple):
     a baseline step, which is not checked, needs nothing."""
 
     step: PeelStep  # carries the Doeblin penalty, or 0 for the baseline
-    tau_max_v: Fraction | None = None
+    y_coupling: Mixture | None = None  # the minimal Y-coupling of P_{V|X}
     joints: DiscreteChannel | None = None  # P_{pa(U),V|X}, over the (pa(U), V) cells
 
 
@@ -115,8 +115,8 @@ def _walk(
     """Check the hypotheses of the steps of a plan in order, up to the
     first failure: the steps that passed, and the failure or None. The
     failure's ``trace`` holds the steps before it, carrying the Doeblin
-    penalty. The V-side condition is decided here for the log only; the
-    coupling penalty's route decides it again from the joints alone."""
+    penalty. The V-side condition is decided once, by building the step's
+    minimal Y-coupling from P_{V|X}, which a passed step keeps."""
     checked: list[_Checked] = []
     for u, v_set, adjoined in plan.steps:
         v_set = list(v_set)
@@ -140,7 +140,7 @@ def _walk(
             f"tau_max2(P_{{{u}|pa}}) <= 1", u_value, u_value is None or u_value <= 1
         )
         v_channel = composite_channel(net, v_set, max_states=max_states)
-        v_ok, v_label, v_value = coupling_feasibility(v_channel)
+        y_coupling, (v_ok, v_label, v_value) = _minimal_coupling(v_channel)
         rec_v = _record(
             f"{v_label} for P_{{{'+'.join(sorted(v_set))}|X}}", v_value, v_ok
         )
@@ -151,7 +151,7 @@ def _walk(
                 return checked, failure
         joints = composite_joints(net, net.by_id[u].parents, v_set, max_states)
         step = PeelStep(u, tuple(v_set), adjoined, tmu, doeblin(joints), (rec_u, rec_v))
-        checked.append(_Checked(step, tau_max(v_channel), joints))
+        checked.append(_Checked(step, y_coupling, joints))
     return checked, None
 
 
@@ -160,14 +160,14 @@ def _fold(
 ) -> tuple[Fraction, tuple[PeelStep, ...]]:
     """The bound of ``method`` and its trace, each step carrying the
     method's penalty: the Doeblin coefficient of P_{pa(U),V|X} for
-    "doeblin", f under the simultaneous coupling of its rows for
-    "coupling", and 0 for "baseline". The steps fold, first peel
-    outermost, onto ``base``, tau_max of the last step's V."""
+    "doeblin", f under the simultaneous coupling of its rows over the
+    kept Y-coupling for "coupling", and 0 for "baseline". The steps fold,
+    first peel outermost, onto ``base``, tau_max of the last step's V."""
     value, steps = base, []
     for c in reversed(checked):
         step = c.step
         if method == "coupling":
-            step = replace(step, penalty=coupling_penalty(c.joints))
+            step = replace(step, penalty=_penalty(c.joints, c.y_coupling))
         elif method == "baseline":
             step = replace(step, penalty=ZERO)
         value = step.tau_max_u * value - (step.tau_max_u - 1) * step.penalty
@@ -185,7 +185,7 @@ def coupling_bound(
     checked, failure = _walk(net, _Plan([(u, v_set, ())], list(v_set)), max_states)
     if failure:
         raise failure
-    return _fold("coupling", checked[0].tau_max_v, checked)[0]
+    return _fold("coupling", tau_max(checked[0].y_coupling.marginals), checked)[0]
 
 
 def doeblin_bound(
@@ -198,7 +198,7 @@ def doeblin_bound(
     checked, failure = _walk(net, _Plan([(u, v_set, ())], list(v_set)), max_states)
     if failure:
         raise failure
-    return _fold("doeblin", checked[0].tau_max_v, checked)[0]
+    return _fold("doeblin", tau_max(checked[0].y_coupling.marginals), checked)[0]
 
 
 def exact_tau_max(
@@ -324,7 +324,7 @@ def query_report(
     if failure:
         log = [(failure.condition, str(failure.value), False)]
     else:
-        base = checked[-1].tau_max_v if checked else exact
+        base = tau_max(checked[-1].y_coupling.marginals) if checked else exact
         both = method == "recursive" or not checked
         names = ("coupling", "doeblin") if both else (method,)
         folds = {name: _fold(name, base, checked) for name in names + ("baseline",)}

@@ -58,10 +58,10 @@ The four-way existence condition is decided in one place,
 ``n4_mixture_weights``, which refuses a negative slack with
 ``PreconditionError(FOUR_WAY_CONDITION, slack)``. ``n4_mixture`` reaches
 it there and does not check beforehand. ``n4_condition`` evaluates the
-same slack without building, for callers that only ask: the ``couple
---mode n4`` report, which then hands its ingredients to ``n4_mixture``,
-and ``simultaneous.coupling_feasibility`` for the logged V-side
-precondition of the bounds, whose penalty reads them again.
+same slack without building, for the ``couple --mode n4`` report, which
+then hands its ingredients to ``n4_mixture``. The bounds log the slack
+of the ingredients their Y-coupling is built from
+(``simultaneous._minimal_parts``).
 
 Indices are 0-based throughout: rows are numbered 0..3 and the pair keys
 are frozensets of row indices.
@@ -303,18 +303,18 @@ def _tuple_part(tup: tuple, num: int, den: int) -> tuple:
     ))
 
 
-def _interval_parts(den: int, columns: Mapping[Symbol, tuple[int, ...]], m: int) -> tuple:
-    """A minimal pinned Y-coupling of m marginals (integer numerators over
-    ``den``) laid out on [0, den): each symbol y gets a core of length
-    max2(y), the second largest entry of its column (0 at m = 1). There
-    every row but y's argmax (the lowest row on a tie) holds y on a prefix
-    of length P_i(y), and the argmax row on the whole core; each argmax
-    row then pours its excess into its own free gaps, in order. Only the
-    argmax row holds y outside y's core, so the union mass is tau_max and
-    the diagonal min_i P_i(y). Each cell between breakpoints is one tuple
-    (equal ones merged), at most 2m|Y| + 2. Refuses with
-    ``PreconditionError(TAU_MAX2_CONDITION, tau_max2)`` when the cores do
-    not fit, that is when tau_max2 > 1."""
+def _interval_parts(den: int, columns: Mapping[Symbol, tuple[int, ...]], m: int) -> tuple[int, tuple]:
+    """The core total and the parts of a minimal pinned Y-coupling of m
+    marginals (integer numerators over ``den``) laid out on [0, den): each
+    symbol y gets a core of length max2(y), the second largest entry of
+    its column (0 at m = 1). There every row but y's argmax (the lowest
+    row on a tie) holds y on a prefix of length P_i(y), and the argmax row
+    on the whole core; each argmax row then pours its excess into its own
+    free gaps, in order. Only the argmax row holds y outside y's core, so
+    the union mass is tau_max and the diagonal min_i P_i(y). Each cell
+    between breakpoints is one tuple (equal ones merged), at most
+    2m|Y| + 2. The core total, tau_max2 over ``den``, refuses with
+    ``PreconditionError(TAU_MAX2_CONDITION, tau_max2)`` past ``den``."""
     cores, end = [], 0
     for y, col in columns.items():
         arg = col.index(max(col))
@@ -346,7 +346,7 @@ def _interval_parts(den: int, columns: Mapping[Symbol, tuple[int, ...]], m: int)
     for lo, hi in zip(cuts, cuts[1:] + [den]):
         labels = tuple(row.get(lo, y) for row, y in zip(starts, labels))
         mass[labels] = mass.get(labels, 0) + hi - lo
-    return tuple(_tuple_part(tup, w, den) for tup, w in mass.items())
+    return end, tuple(_tuple_part(tup, w, den) for tup, w in mass.items())
 
 
 def maximal_coupling_pair(p: Pmf, q: Pmf) -> Coupling:
@@ -365,7 +365,7 @@ def three_way_coupling(p1: Pmf, p2: Pmf, p3: Pmf) -> Coupling:
 
 def _interval_coupling(pmfs: Sequence[Pmf]) -> Coupling:
     channel = DiscreteChannel(pmfs)
-    return Mixture(channel, _interval_parts(channel.den, channel.columns, channel.n)).coupling()
+    return Mixture(channel, _interval_parts(channel.den, channel.columns, channel.n)[1]).coupling()
 
 
 @dataclass(frozen=True)

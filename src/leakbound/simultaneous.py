@@ -32,13 +32,14 @@ every source above the floor at a cell some source attains. So the
 support size is known before anything is listed: the nonzero cells of
 P_min plus, per part, prod_g sum_{y in g} prod_{i in g} |r_i(. | y)|.
 
-``minimal_y_coupling`` gives H as a ``couplings.Mixture``: the four-way
-mixture at m = 4, the interval coupling (``_interval_parts``, one part
-per tuple) at every other m; no route solves an LP. Each route refuses
-its own failing condition, as ``coupling_feasibility`` reports it. Both
-pin the diagonal to min_i P_{Y_i}(y), which keeps H nonnegative and off
-the tied tuples. ``_check_mixture`` checks the parts: disjoint group
-supports, the Y-marginals, union mass tau_max and the diagonal. Then
+``_minimal_parts`` builds H: the four-way mixture at m = 4, the interval
+coupling (``_interval_parts``, one part per tuple) at every other m; no
+route solves an LP. It is the one place that decides the condition H
+needs: a route refuses it failing, or passes it with its label and value
+(``coupling_feasibility``). Both pin the diagonal to min_i P_{Y_i}(y),
+which keeps H nonnegative and off the tied tuples. ``_check_mixture``
+checks the parts: disjoint group supports, the Y-marginals, union mass
+tau_max and the diagonal. Then
 every source is preserved: the weights of the tuples with t_i = y add up
 to the residual total of source i at y, P_i(y) - sum_x P_min(x, y).
 
@@ -47,7 +48,8 @@ joints' channel (``DiscreteChannel.columns``, each (x, y) cell as
 numerators over one den, as inference built it): P_min, the floor sum_x
 P_min(x, y), the Y-marginals, and d_i(x, y) = P_i(x, y) - P_min(x, y)
 with its total rest_i(y) = P_i(y) - floor(y), so r_i = d_i / rest_i. H
-is read off the law of the Y-marginals' channel. A part is ``(den,
+is built from the Y-marginals' law, or is the one a peel step built from
+P_{V|X}, refused unless that is the same law. A part is ``(den,
 groups)``, integer entries over one denominator (see ``couplings``); the
 checks cross-multiply over the LCM of the part denominators.
 
@@ -98,7 +100,6 @@ from .couplings import (
     Mixture,
     _interval_parts,
     _list_part,
-    n4_condition,
     n4_ingredients,
     n4_mixture,
 )
@@ -107,6 +108,7 @@ from .errors import (
     CapacityError,
     ConstructionError,
     LeakboundError,
+    PreconditionError,
     exact_str,
 )
 # Unused: test_wrappers_are_installed_everywhere_and_removed_cleanly in
@@ -121,37 +123,33 @@ from .measures import (
     doeblin,
     numerators,
     push_forward,
-    tau_max2,
 )
 
 
 class Feasibility(NamedTuple):
-    """Whether a minimal coupling of some marginals is available: ``ok``,
-    the condition's label and its exact value, as the route that builds
-    the coupling (``minimal_y_coupling``) would refuse them."""
+    """The verdict of ``_minimal_parts`` on some marginals: ``ok``, the
+    condition's label and its exact value (None for one marginal)."""
 
     ok: bool
     label: str
     value: Fraction | None
 
 
-def coupling_feasibility(y_pmfs: Sequence[Pmf] | DiscreteChannel) -> Feasibility:
-    """Decide the existence condition of a minimal coupling, exactly.
+def _minimal_coupling(marginals: DiscreteChannel) -> tuple[Mixture | None, Feasibility]:
+    """The route's ``Mixture`` and verdict, or None and its refusal's."""
+    try:
+        parts, label, num = _minimal_parts(marginals)
+    except PreconditionError as refusal:
+        return None, Feasibility(False, refusal.condition, refusal.value)
+    value = None if num is None else Fraction(num, marginals.den)
+    return Mixture(marginals, parts), Feasibility(True, label, value)
 
-    For m != 4 the condition is tau_max2 <= 1; for m = 4 the relaxed
-    pair-normalizer condition is used, which subsumes tau_max2 <= 1.
-    One marginal is its own coupling: it passes with value None, as
-    tau_max2 of one row is undefined.
-    """
+
+def coupling_feasibility(y_pmfs: Sequence[Pmf] | DiscreteChannel) -> Feasibility:
+    """Decide the existence condition of a minimal coupling, exactly, by
+    building it (``_minimal_parts``)."""
     channel = y_pmfs if isinstance(y_pmfs, DiscreteChannel) else DiscreteChannel(y_pmfs)
-    if channel.n == 4:
-        ok, ing = n4_condition(channel)
-        return Feasibility(ok, FOUR_WAY_CONDITION, ing.condition_slack())
-    if channel.n == 1:
-        return Feasibility(True, TAU_MAX2_CONDITION, None)
-    value = tau_max2(channel)
-    # For m = 2 the second maximum is the minimum, so this always passes.
-    return Feasibility(value <= 1, TAU_MAX2_CONDITION, value)
+    return _minimal_coupling(channel)[1]
 
 
 def _check_mixture(parts: Sequence[tuple], marginals: DiscreteChannel) -> None:
@@ -209,60 +207,60 @@ def _check_mixture(parts: Sequence[tuple], marginals: DiscreteChannel) -> None:
 
 
 def minimal_y_coupling(y_pmfs: Sequence[Pmf]) -> Mixture:
-    """A coupling attaining union mass tau_max with a pinned diagonal.
-
-    Two routes, by m alone: the four-way mixture at m = 4, the interval
-    coupling at every other m (at m = 1 the one marginal). Each route
-    decides its own condition and raises ``PreconditionError`` with the
-    label and value ``coupling_feasibility`` reports when it fails. The
-    result is checked by ``_check_mixture``.
-    """
+    """A coupling attaining union mass tau_max with a pinned diagonal:
+    the parts of ``_minimal_parts``, which raises ``PreconditionError``
+    with the label and value ``coupling_feasibility`` reports."""
     channel = DiscreteChannel(y_pmfs)
-    return Mixture(channel, _minimal_parts(channel))
+    return Mixture(channel, _minimal_parts(channel)[0])
 
 
-def _minimal_parts(marginals: DiscreteChannel) -> tuple:
-    """The checked parts of ``minimal_y_coupling``, read off the
-    marginals' law.
+def _minimal_parts(marginals: DiscreteChannel) -> tuple[tuple, str, int | None]:
+    """The parts of a minimal pinned coupling of ``marginals``, read off
+    their law and checked (``_check_mixture``), with the condition they
+    passed: its label and its value's numerator over ``den``.
 
-    Soundness at every m: any minimal pinned Y-coupling gives a valid
-    penalty f, so the route may pick any one, and f is tied to none in
-    particular. At m = 4 the four-way mixture also covers families past
-    tau_max2 <= 1; at every other m the interval coupling exists exactly
-    when tau_max2 <= 1, the V-side condition there.
+    Two routes, by m alone, each refusing its own failing condition: the
+    four-way mixture at m = 4, valued by the ingredients' slack, which
+    also covers families past tau_max2 <= 1, and at every other m the
+    interval coupling, valued by its core total, tau_max2 (None at
+    m = 1), which exists exactly when tau_max2 <= 1. Soundness at every
+    m: any minimal pinned Y-coupling gives a valid penalty f, so the
+    route may pick any one, and f is tied to none in particular.
     """
     den, columns, m = marginals.den, marginals.columns, marginals.n
     if m == 4:
-        parts = n4_mixture(n4_ingredients(marginals)).parts
+        ing = n4_ingredients(marginals)
+        parts, label, num = n4_mixture(ing).parts, FOUR_WAY_CONDITION, ing._slack()
     else:
-        parts = _interval_parts(den, columns, m)
+        num, parts = _interval_parts(den, columns, m)
+        label, num = TAU_MAX2_CONDITION, num if m > 1 else None
     _check_mixture(parts, marginals)
-    return parts
+    return parts, label, num
 
 
 @dataclass(frozen=True)
 class _MixtureTable:
     """What the mixture is assembled from (see the module docstring), as
     integer numerators over ``den``, the joints' common denominator:
-    ``y_marginals`` the channel of the Y-marginals (over its own den),
-    ``y_parts`` the checked parts of H, ``parts`` the G2/G3 Y-weights as
+    ``y_coupling`` H, whose marginals are the channel of the Y-marginals
+    (over its own den), ``parts`` the G2/G3 Y-weights as
     mixture parts, ``p_min`` the nonzero cellwise minima,
     ``residual[i][y]`` mapping x to d_i(x, y) = P_i(x, y) - P_min(x, y)
     where it is nonzero, and ``rest[i][y]`` = P_i(y) - sum_x P_min(x, y),
     so that r_i(x | y) = d_i(x, y) / rest_i(y)."""
 
     den: int
-    y_marginals: DiscreteChannel
-    y_parts: tuple
+    y_coupling: Mixture
     parts: Sequence[tuple]
     p_min: Mapping[tuple, int]
     residual: tuple[Mapping[Symbol, Mapping[Symbol, int]], ...]
     rest: tuple[Mapping[Symbol, int], ...]
 
 
-def _mixture_table(joints: DiscreteChannel) -> _MixtureTable:
+def _mixture_table(joints: DiscreteChannel, y_coupling: Mixture | None = None) -> _MixtureTable:
     """The table of ``joints``, a channel over (x, y) cells, read off its
-    law in one pass over the cells."""
+    law in one pass over the cells. H is ``y_coupling``, if given, or is
+    built by ``_minimal_parts``."""
     den, cells, m = joints.den, joints.columns, joints.n
     p_min, floor, y_columns = {}, {}, {}
     residual = tuple({} for _ in range(m))
@@ -277,13 +275,16 @@ def _mixture_table(joints: DiscreteChannel) -> _MixtureTable:
             if q != low:
                 residual[i].setdefault(y, {})[x] = q - low
     y_marginals = DiscreteChannel.from_law(den, y_columns, joints.axes[1:], joints.input_alphabet)
-    y_parts = _minimal_parts(y_marginals)
+    if y_coupling is None:
+        y_coupling = Mixture(y_marginals, _minimal_parts(y_marginals)[0])
+    elif y_coupling.marginals != y_marginals:
+        raise ConstructionError("the Y-coupling's marginals are not the joints' Y-marginals")
 
     rest = tuple({y: col[i] - floor.get(y, 0) for y, col in y_columns.items()} for i in range(m))
     tied = tuple((y, w) for y, col in y_columns.items() if (w := min(col) - floor.get(y, 0)))
-    parts = [part for part in y_parts if len(part[1]) > 1]
+    parts = [part for part in y_coupling.parts if len(part[1]) > 1]
     parts.append((den, ((tuple(range(m)), tied),)))
-    return _MixtureTable(den, y_marginals, y_parts, parts, p_min, residual, rest)
+    return _MixtureTable(den, y_coupling, parts, p_min, residual, rest)
 
 
 @dataclass(frozen=True)
@@ -394,8 +395,8 @@ def build_simultaneous_coupling(
         joints=joints,
         mass=ExactLaw(scale, nums),
         c_xy=Fraction(sum(table.p_min.values()), den),
-        c_y=doeblin(table.y_marginals),
-        y_coupling=Mixture(table.y_marginals, table.y_parts).coupling(),
+        c_y=doeblin(table.y_coupling.marginals),
+        y_coupling=table.y_coupling.coupling(),
     )
     built.validate()
     return built
@@ -435,7 +436,12 @@ def coupling_penalty(sources: Sequence[JointPmf] | DiscreteChannel) -> Fraction:
     """
     if not isinstance(sources, DiscreteChannel):
         sources = DiscreteChannel(sources)
-    table = _mixture_table(sources)
+    return _penalty(sources)
+
+
+def _penalty(joints: DiscreteChannel, y_coupling: Mixture | None = None) -> Fraction:
+    """f of ``coupling_penalty``, over ``y_coupling`` if it is given."""
+    table = _mixture_table(joints, y_coupling)
     num, den = sum(table.p_min.values()), table.den
     for part_den, groups in table.parts:
         common = None

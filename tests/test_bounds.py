@@ -318,11 +318,11 @@ QUERIES_AT_EVERY_X = [
 
 
 class TestPenaltyWork:
-    """Per peel step, the walk decides the V-side condition once for its
-    log, and the coupling penalty's route decides it again on the
-    Y-marginals' law, the penalty read off the parts of the ingredient
-    mixture: at |X| <= 4 no coupling of any kind is built, and at no |X|
-    is an LP solved."""
+    """Per peel step, the walk decides the V-side condition once, where it
+    builds the step's minimal Y-coupling from P_{V|X}, and the coupling
+    penalty is read off the parts of the kept Y-coupling and the joints:
+    at |X| <= 4 no coupling of any kind is listed, and at no |X| is an LP
+    solved."""
 
     @staticmethod
     def count(monkeypatch, module, name, counts):
@@ -341,10 +341,12 @@ class TestPenaltyWork:
         counts = Counter()
         for module, name in [
             (couplings, "n4_ingredients"),
+            (couplings, "n4_condition"),
             (simultaneous, "n4_ingredients"),
-            (bounds, "coupling_feasibility"),
             (simultaneous, "coupling_feasibility"),
+            (simultaneous, "minimal_y_coupling"),
             (simultaneous, "build_simultaneous_coupling"),
+            (simultaneous, "_minimal_parts"),
             (simultaneous, "n4_mixture"),
             (simultaneous, "_interval_parts"),
             (lp, "solve_sparse"),
@@ -353,12 +355,14 @@ class TestPenaltyWork:
         report = query_report(net, targets)
         steps = len(report.trace)
         assert steps == 3 and report.coupling_bound_value is not None
-        assert counts["coupling_feasibility"] == steps
+        assert counts["_minimal_parts"] == steps
+        assert counts["coupling_feasibility"] == counts["n4_condition"] == 0
+        assert counts["minimal_y_coupling"] == 0
         assert counts["build_simultaneous_coupling"] == counts["solve_sparse"] == 0
         if x_size == 4:
-            # One pass for the walk's log (n4_condition), one for the
-            # penalty's route.
-            assert counts["n4_ingredients"] == 2 * steps
+            # One ingredients pass per step, for the condition and the
+            # Y-coupling both.
+            assert counts["n4_ingredients"] == steps
             assert counts["n4_mixture"] == steps and counts["_interval_parts"] == 0
         else:
             assert counts["n4_ingredients"] == counts["n4_mixture"] == 0

@@ -10,6 +10,14 @@ the Doeblin and coupling penalties read off them are exactly equal.
 Both channels are built from integer numerators (``DiscreteChannel.
 from_law``); each must equal the channel of its own ``Pmf`` rows, with
 the same denominator and the same columns in the same order.
+
+A peel step builds its minimal Y-coupling once, from P_{V|X}, and reads
+the coupling penalty off it and the joints. That is sound only if the
+joints' Y-marginal law is P_{V|X}; and the interval route's f depends on
+the order of the law's columns, so the penalty equals the one built from
+the joints alone only if that order agrees too. Both are checked on every
+peel step of the fixtures and of seeded nets, with the condition each
+passed step logs against ``coupling_feasibility`` of P_{V|X}.
 """
 
 import itertools
@@ -20,12 +28,12 @@ from pathlib import Path
 import pytest
 from helpers import rand_couplable_net, rand_net, sources_for_coupling
 
-from leakbound import DiscreteChannel, bounds
+from leakbound import DiscreteChannel, bounds, simultaneous
 from leakbound.bayesnet import BayesNet, NodeSpec, composite_channel, composite_joints
 from leakbound.errors import CapacityError, LeakboundError, PreconditionError
 from leakbound.measures import doeblin
 from leakbound.netfile import parse_network
-from leakbound.simultaneous import coupling_penalty
+from leakbound.simultaneous import coupling_feasibility, coupling_penalty
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOMY = 10**7
@@ -149,6 +157,85 @@ def test_seeded_nets():
             check_step(net, u, v_set)
             sizes.add(len(net.by_id[net.source].alphabet))
     assert sizes == {2, 3, 4}
+
+
+def assert_y_marginals_are_the_v_channel(net, u, v_set):
+    """The Y-marginal law of P_{pa(U),V|X}, summed cell by cell in the
+    order the cells come, is P_{V|X}: same rows, axes and den, the same
+    columns in the same order."""
+    joints = composite_joints(net, net.by_id[u].parents, v_set, ROOMY)
+    columns = {}
+    for (_, v), col in joints.columns.items():
+        columns[v] = [a + b for a, b in zip(columns.get(v, [0] * joints.n), col)]
+    y_marginals = DiscreteChannel.from_law(joints.den, columns, joints.axes[1:], joints.input_alphabet)
+    v_channel = composite_channel(net, v_set, max_states=ROOMY)
+    assert y_marginals.den == v_channel.den
+    assert list(y_marginals.columns.items()) == list(v_channel.columns.items())
+    assert y_marginals == v_channel
+
+
+def walk_plans(net, targets):
+    """The passed steps of the plans of ``peel_steps``, each checked
+    against P_{V|X}: the logged V-side condition is
+    ``coupling_feasibility``'s verdict, the kept Y-coupling is of P_{V|X},
+    and the penalty read off it is the one read off the joints alone."""
+    plans = []
+    if set(targets) - {net.source}:
+        plans.append(bounds._recursive_plan(net, [t for t in targets if t != net.source]))
+    plans.append(bounds._single_plan(net, targets))
+    passed = 0
+    for plan in plans:
+        checked, _ = bounds._walk(net, plan, ROOMY)
+        for c in checked:
+            v_set = list(c.step.v_set)
+            v_channel = composite_channel(net, v_set, max_states=ROOMY)
+            ok, label, value = coupling_feasibility(v_channel)
+            name = f"{label} for P_{{{'+'.join(sorted(v_set))}|X}}"
+            shown = "trivial (one row)" if value is None else str(value)
+            assert c.step.preconditions[1] == (name, shown, ok)
+            assert c.y_coupling.marginals == v_channel
+            assert simultaneous._penalty(c.joints, c.y_coupling) == coupling_penalty(c.joints)
+        passed += len(checked)
+    return passed
+
+
+@pytest.mark.parametrize(
+    "name", ["chain.json", "relay.json", "diamond.json", "random1.json",
+             "random2.json", "one_symbol_source.json", "coprime.json", "coprime3.json",
+             "coprime4.json", "star5.json", "wide_v4.json"],
+)
+def test_kept_y_coupling_on_fixtures(name):
+    net = parse_network((FIXTURES / name).read_text())
+    nodes = net.node_ids()
+    sets = [nodes] if name == "wide_v4.json" else [
+        list(targets) for k in range(1, len(nodes) + 1)
+        for targets in itertools.combinations(nodes, k)
+    ]
+    passed = 0
+    for targets in sets:
+        for u, v_set in peel_steps(net, targets):
+            assert_y_marginals_are_the_v_channel(net, u, v_set)
+        passed += walk_plans(net, targets)
+    assert passed
+
+
+def test_kept_y_coupling_on_seeded_nets():
+    rng = random.Random(17)
+    seen = set()
+    for k in range(150):
+        x_size = 1 + k % 5
+        if k % 2 and x_size > 1:
+            net = rand_couplable_net(rng, rng.randrange(3, 6), x_size=x_size)
+        else:
+            net = rand_net(rng, n_nodes=rng.randrange(3, 6), max_alphabet=3, x_size=x_size)
+        targets = rng.sample(net.node_ids(), rng.randrange(2, len(net.nodes) + 1))
+        for u, v_set in peel_steps(net, targets):
+            assert_y_marginals_are_the_v_channel(net, u, v_set)
+            seen.add(("step", x_size, net.source in v_set))
+        if walk_plans(net, targets):
+            seen.add(("passed", x_size))
+    assert {("passed", x) for x in range(1, 6)} <= seen
+    assert {("step", x, True) for x in range(1, 6)} <= seen
 
 
 def test_unknown_node_refused():

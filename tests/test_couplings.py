@@ -763,7 +763,7 @@ def closed_form_families(draw, m=None):
 
 def interval_mixture(fam) -> Mixture:
     channel = DiscreteChannel(fam)
-    return Mixture(channel, _interval_parts(channel.den, channel.columns, channel.n))
+    return Mixture(channel, _interval_parts(channel.den, channel.columns, channel.n)[1])
 
 
 def listed_or_refused(build, m):

@@ -70,10 +70,11 @@ from leakbound.couplings import (
     _mixture,
     _tuple_part,
     intersection_violations,
+    n4_condition,
     n4_ingredients,
     n4_mixture,
 )
-from leakbound.measures import ExactLaw, numerators
+from leakbound.measures import ExactLaw, numerators, tau_max2
 from leakbound.netfile import parse_network, parse_pmf_file
 from leakbound.simultaneous import _check_mixture
 
@@ -202,11 +203,24 @@ class TestMinimalYCoupling:
         with pytest.raises(PreconditionError):
             minimal_y_coupling(fam)
 
+    @staticmethod
+    def decided_apart(fam):
+        """The verdict decided apart from any build: the four-way slack at
+        m = 4, tau_max2 at every other m, and no value for one marginal."""
+        channel = DiscreteChannel(fam)
+        if channel.n == 4:
+            ok, ing = n4_condition(channel)
+            return ok, "four-way pair-capacity condition", ing.condition_slack()
+        if channel.n == 1:
+            return True, "tau_max2 <= 1", None
+        value = tau_max2(channel)
+        return value <= 1, "tau_max2 <= 1", value
+
     def test_feasibility_report(self):
-        # At every m, coupling_feasibility holds exactly when the route of
-        # minimal_y_coupling builds, and a refusal carries the condition
-        # and value it reports: the walk logs the one, the penalty meets
-        # the other.
+        # At every m, coupling_feasibility reads the route of
+        # minimal_y_coupling: its verdict is the condition decided apart
+        # from the build, it holds exactly when the route builds, and a
+        # refusal carries the condition and value it reports.
         fam = rand_family_tau_max2_gt1(random.Random(42), 3, 3)
         ok, label, value = coupling_feasibility(fam)
         assert not ok and "tau_max2" in label and value > 1
@@ -215,6 +229,7 @@ class TestMinimalYCoupling:
         for m in range(1, 7):
             for kind, fam in feasibility_families(rng, m):
                 ok, label, value = coupling_feasibility(fam)
+                assert (ok, label, value) == self.decided_apart(fam)
                 try:
                     minimal_y_coupling(fam)
                 except PreconditionError as err:
@@ -532,8 +547,24 @@ class TestSupportCountedFirst:
         monkeypatch.setattr(Mixture, "coupling", coupling)
         coupling_built = build_simultaneous_coupling(sources, max_states=ROOMY)
         assert listed == Counter(table.parts)
-        assert built == Counter([table.y_parts])
+        assert built == Counter([table.y_coupling.parts])
         assert f_quantity(coupling_built) == coupling_penalty(sources)
+
+    def test_kept_y_coupling_must_be_of_the_y_marginals(self):
+        # A Y-coupling handed to the table is read as H only over the law
+        # it was built for: the joints' own Y-marginals give the penalty of
+        # the joints, while H of the rows in another order, or of other
+        # marginals, is refused before a part is read.
+        rng = random.Random(58)
+        fam = rand_family_tau_max2_le1(rng, 3, 3)
+        sources = tuple(sources_with_y_family(rng, fam, 3))
+        joints = DiscreteChannel(sources)
+        own = minimal_y_coupling(fam)
+        assert simultaneous._mixture_table(joints, own).y_coupling is own
+        assert simultaneous._penalty(joints, own) == coupling_penalty(sources)
+        for other in (fam[1:] + fam[:1], rand_family_tau_max2_le1(rng, 3, 3)):
+            with pytest.raises(ConstructionError, match="not the joints' Y-marginals"):
+                simultaneous._mixture_table(joints, minimal_y_coupling(other))
 
 
 # The reference penalty: the coupling built, validated and summed.
@@ -991,7 +1022,7 @@ class TestPenaltyAgainstReference:
                     seen["built", m] += 1
                     table = simultaneous._mixture_table(DiscreteChannel(sources))
                     seen["zero rest"] += any(
-                        rest[y] == 0 and table.y_marginals.columns[y][i]
+                        rest[y] == 0 and table.y_coupling.marginals.columns[y][i]
                         for i, rest in enumerate(table.rest) for y in rest
                     )
                     seen["disjoint"] += m > 1 and not table.p_min
@@ -1189,7 +1220,9 @@ class TestIntervalParts:
         assert len(listed) == len(set(listed)) == len(mixture.parts) <= 2 * m * len(columns) + 2
         # A column of zeros adds no breakpoint.
         zero = dict(columns, z=(0,) * m)
-        assert _interval_parts(den, zero, m) == mixture.parts
+        # The core total is tau_max2's numerator over den.
+        core_total = sum(sorted(col)[-2] for col in columns.values()) if m > 1 else 0
+        assert _interval_parts(den, zero, m) == (core_total, mixture.parts)
         features = {"built"}
         if len(fam[0].alphabet) ** m <= 729:
             lp_value = min_union_coupling_diag(fam).optimal_value
@@ -1229,7 +1262,8 @@ class TestIntervalParts:
         # argmaxes of "b" and "c", pour theirs into the gaps they leave in
         # the other cores. Only [0, 1) is tied, at min_i P_i("a") = 1/4.
         rows = {"a": (4, 1, 1, 2, 2), "b": (0, 3, 0, 1, 1), "c": (0, 0, 3, 1, 1)}
-        parts = _interval_parts(4, rows, 5)
+        core_total, parts = _interval_parts(4, rows, 5)
+        assert core_total == 2 + 1 + 1
         listed = {tup: (num, den) for den, groups in parts for tup, num in _list_part((den, groups), 5)}
         assert listed == {
             ("a", "a", "a", "a", "a"): (1, 4),
@@ -1328,7 +1362,7 @@ def test_listed_couplings_are_checked_without_fraction_arithmetic(name, monkeypa
 
 def interval_coupling_of(fam):
     channel = DiscreteChannel(fam)
-    return Mixture(channel, _interval_parts(channel.den, channel.columns, channel.n)).coupling
+    return Mixture(channel, _interval_parts(channel.den, channel.columns, channel.n)[1]).coupling
 
 
 @pytest.mark.parametrize("name", [
