@@ -37,7 +37,7 @@ topological order once per query. ``_walk`` checks the hypotheses of
 each step, computing its Doeblin penalty, and returns the first failure:
 a ``PreconditionError`` whose ``trace`` holds the steps before it, with
 the Doeblin penalty whatever the method. The bound functions raise it;
-``query_report`` logs it. ``_fold`` composes the passed steps under the
+``query_report`` logs it after the checks that passed. ``_fold`` composes the passed steps under the
 Doeblin penalty, f or 0 (the baseline), and cannot fail: f is read off
 the Y-coupling its step kept from the walk, and solves no LP.
 """
@@ -111,13 +111,15 @@ def _record(name: str, value: Fraction | None, ok: bool) -> tuple[str, str, bool
 
 def _walk(
     net: BayesNet, plan: _Plan, max_states: int
-) -> tuple[list[_Checked], PreconditionError | None]:
+) -> tuple[list[_Checked], list[tuple[str, str, bool]], PreconditionError | None]:
     """Check the hypotheses of the steps of a plan in order, up to the
-    first failure: the steps that passed, and the failure or None. The
-    failure's ``trace`` holds the steps before it, carrying the Doeblin
-    penalty. The V-side condition is decided once, by building the step's
-    minimal Y-coupling from P_{V|X}, which a passed step keeps."""
+    first failure: the steps that passed, the log of every check made,
+    the failing one last, and the failure or None. The failure's
+    ``trace`` holds the steps before it, carrying the Doeblin penalty. The
+    V-side condition is decided once, by building the step's minimal
+    Y-coupling from P_{V|X}, which a passed step keeps."""
     checked: list[_Checked] = []
+    log: list[tuple[str, str, bool]] = []
     for u, v_set, adjoined in plan.steps:
         v_set = list(v_set)
         if not v_set:
@@ -144,15 +146,16 @@ def _walk(
         rec_v = _record(
             f"{v_label} for P_{{{'+'.join(sorted(v_set))}|X}}", v_value, v_ok
         )
-        for (name, _, ok), value in ((rec_u, u_value), (rec_v, v_value)):
-            if not ok:
-                failure = PreconditionError(name, value)
+        for record, value in ((rec_u, u_value), (rec_v, v_value)):
+            log.append(record)
+            if not record[2]:
+                failure = PreconditionError(record[0], value)
                 failure.trace = tuple(c.step for c in checked)
-                return checked, failure
+                return checked, log, failure
         joints = composite_joints(net, net.by_id[u].parents, v_set, max_states)
         step = PeelStep(u, tuple(v_set), adjoined, tmu, doeblin(joints), (rec_u, rec_v))
         checked.append(_Checked(step, y_coupling, joints))
-    return checked, None
+    return checked, log, None
 
 
 def _fold(
@@ -182,7 +185,7 @@ def coupling_bound(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Fraction:
     """Single-step bound with the simultaneous-coupling penalty f."""
-    checked, failure = _walk(net, _Plan([(u, v_set, ())], list(v_set)), max_states)
+    checked, _, failure = _walk(net, _Plan([(u, v_set, ())], list(v_set)), max_states)
     if failure:
         raise failure
     return _fold("coupling", tau_max(checked[0].y_coupling.marginals), checked)[0]
@@ -195,7 +198,7 @@ def doeblin_bound(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Fraction:
     """Single-step bound with the Doeblin-coefficient penalty."""
-    checked, failure = _walk(net, _Plan([(u, v_set, ())], list(v_set)), max_states)
+    checked, _, failure = _walk(net, _Plan([(u, v_set, ())], list(v_set)), max_states)
     if failure:
         raise failure
     return _fold("doeblin", tau_max(checked[0].y_coupling.marginals), checked)[0]
@@ -276,7 +279,7 @@ def recursive_bound(
             for u, v_set, adjoin in plan.steps
         ]
     elif method in ("doeblin", "coupling"):
-        checked, failure = _walk(net, plan, max_states)
+        checked, _, failure = _walk(net, plan, max_states)
         if failure:
             raise failure
     else:
@@ -305,7 +308,8 @@ def query_report(
     ``method`` is "recursive" (full peel with both penalties), "coupling"
     or "doeblin" (single peel of the topologically last target other than
     the source, with the rest, the source allowed, as V). A precondition
-    failure marks the affected bounds None but the exact value is always
+    failure marks the affected bounds None, and the log and trace keep
+    the checks and steps that passed before it; the exact value is always
     reported. With a single target, or the source alone, nothing is
     peeled and every bound is the exact value.
 
@@ -318,11 +322,10 @@ def query_report(
         raise LeakboundError(f"unknown method {method!r}")
     exact = exact_tau_max(net, targets, max_states=max_states)
     plan = (_recursive_plan if method == "recursive" else _single_plan)(net, targets)
-    checked, failure = _walk(net, plan, max_states)
+    checked, log, failure = _walk(net, plan, max_states)
     values: dict[str, Fraction] = {}
-    trace: tuple[PeelStep, ...] = ()
     if failure:
-        log = [(failure.condition, str(failure.value), False)]
+        trace = failure.trace
     else:
         base = tau_max(checked[-1].y_coupling.marginals) if checked else exact
         both = method == "recursive" or not checked
@@ -330,7 +333,6 @@ def query_report(
         folds = {name: _fold(name, base, checked) for name in names + ("baseline",)}
         values = {name: value for name, (value, _) in folds.items()}
         trace = folds["doeblin" if method == "recursive" else method][1]
-        log = [record for step in trace for record in step.preconditions]
 
     return BoundReport(
         query=f"{net.source} -> {{{', '.join(sorted(set(targets)))}}} [{method}]",

@@ -37,7 +37,7 @@ from leakbound import (
 )
 from leakbound import bounds, couplings, lp, simultaneous
 from leakbound.bayesnet import BayesNet, NodeSpec
-from leakbound.measures import log_fraction
+from leakbound.measures import log_fraction, tau_max2
 from leakbound.netfile import parse_network
 
 DELTAS = [Q(0), Q(1, 8), Q(1, 4), Q(3, 8), Q(1, 2)]
@@ -588,7 +588,10 @@ class TestQueryReport:
 
 def separate_calls(net, targets):
     """The recursive report assembled from three separate recursions on a
-    fresh copy of the net: (coupling, doeblin, baseline, log, trace)."""
+    fresh copy of the net: (coupling, doeblin, baseline, log, trace). On a
+    failure, the log holds the checks of the steps that passed, then the
+    failing step's own U check if it is its V check that failed, then the
+    failed check."""
     net = BayesNet(net.nodes, net.source)
     coupling = doeblin_value = baseline = None
     log, trace = [], ()
@@ -599,6 +602,13 @@ def separate_calls(net, targets):
         for step in trace:
             log.extend(step.preconditions)
     except PreconditionError as err:
+        trace = err.trace
+        log = [record for step in trace for record in step.preconditions]
+        u = bounds._recursive_plan(net, targets).steps[len(trace)][0]
+        u_check = f"tau_max2(P_{{{u}|pa}}) <= 1"
+        if err.condition != u_check:
+            cpt = net.cpt(u)
+            log.append((u_check, str(tau_max2(cpt)) if cpt.n > 1 else "trivial (one row)", True))
         log.append((err.condition, str(err.value), False))
     return coupling, doeblin_value, baseline, tuple(log), trace
 
@@ -645,8 +655,10 @@ class TestSingleWalk:
         assert peeled >= 200
 
     def test_precondition_failures(self):
+        # A failed report keeps every check made, the failed one last, and
+        # the steps that passed before it: two checks each.
         rng = random.Random(92)
-        failed = 0
+        failed = Counter()
         for _ in range(60):
             net = rand_net(rng, n_nodes=rng.randrange(3, 6), noisy=False)
             ids = [nid for nid in net.node_ids() if nid != net.source]
@@ -654,11 +666,14 @@ class TestSingleWalk:
             got = walked(net, targets)
             assert got == separate_calls(net, targets)
             if got[0] is None:
-                failed += 1
-                assert got[1] is None and got[2] is None
-                assert len(got[3]) == 1 and got[3][0][2] is False
-                assert got[4] == ()
-        assert failed >= 5
+                *passed, (_, _, ok) = got[3]
+                assert got[1] is None and got[2] is None and not ok
+                assert all(ok for _, _, ok in passed)
+                assert len(passed) - 2 * len(got[4]) in (0, 1)
+                failed["first step" if not got[4] else "later step"] += 1
+                failed["after its U check"] += len(passed) % 2
+        assert failed["first step"] >= 5
+        assert failed["later step"] and failed["after its U check"]
 
 
 class TestOneRoute:
@@ -683,7 +698,8 @@ class TestOneRoute:
             recursive_bound(net, targets, "coupling", max_states=16)
         assert [s.u for s in err.value.trace] == ["N4"]
         report = query_report(net, targets, max_states=16)
-        assert report.precondition_log == (
+        assert report.trace == err.value.trace
+        assert report.precondition_log == err.value.trace[0].preconditions + (
             (err.value.condition, str(err.value.value), False),
         )
         # The first step alone has a coupling bound: its m = 5 Y-coupling

@@ -255,6 +255,26 @@ class TestBound:
         assert "soundness: OK" in out
         assert Q(61063195, 663552) < Q(122568107, 1327104)
 
+    def test_failed_recursion_shows_the_checks_that_passed(self, capsys, tmp_path):
+        # The first peel (N3) passes both checks; the second fails on N2's
+        # own CPT. Text and CSV show all three checks, in order.
+        out_csv = tmp_path / "out.csv"
+        code, out, err = run(
+            capsys, "bound", FIXTURES / "random1.json", "--targets", "N1,N2,N3",
+            "--compare-exact", "--csv", out_csv,
+        )
+        assert (code, err) == (1, "")
+        checks = [
+            "tau_max2(P_{N3|pa}) <= 1: 1 [pass]",
+            "tau_max2 <= 1 for P_{N1+N2|X}: 1811/2304 [pass]",
+            "tau_max2(P_{N2|pa}) <= 1: 73/64 [FAIL]",
+        ]
+        assert "".join(f"precondition {c}\n" for c in checks) + "soundness: OK\n" in out
+        assert "; ".join(
+            c.replace(": ", "=").replace(" [pass]", ":pass").replace(" [FAIL]", ":FAIL")
+            for c in checks
+        ) in out_csv.read_text(encoding="utf-8")
+
 
 def _targets(name):
     return {

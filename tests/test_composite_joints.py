@@ -185,7 +185,7 @@ def walk_plans(net, targets):
     plans.append(bounds._single_plan(net, targets))
     passed = 0
     for plan in plans:
-        checked, _ = bounds._walk(net, plan, ROOMY)
+        checked, _, _ = bounds._walk(net, plan, ROOMY)
         for c in checked:
             v_set = list(c.step.v_set)
             v_channel = composite_channel(net, v_set, max_states=ROOMY)

@@ -575,7 +575,7 @@ def built_penalty(sources):
 def penalty_pairs(net, targets):
     """(direct, from the walk's joints channel, built) penalties of every
     peel step of a recursive query whose preconditions all pass."""
-    checked, failure = bounds._walk(net, bounds._recursive_plan(net, targets), ROOMY)
+    checked, _, failure = bounds._walk(net, bounds._recursive_plan(net, targets), ROOMY)
     if failure:
         return []
     out = []
@@ -1296,7 +1296,7 @@ def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u, monkeypatc
     # never agree on a cell, so f
     # is all G2/G3 mass and exceeds the Doeblin coefficient, 0.
     net = parse_network((WIDE_FIXTURES / name).read_text())
-    (checked,), failure = bounds._walk(net, bounds._Plan([(u, v_set, ())], v_set), ROOMY)
+    (checked,), _, failure = bounds._walk(net, bounds._Plan([(u, v_set, ())], v_set), ROOMY)
     assert failure is None
     monkeypatch.setattr(Pmf, "__init__", refuse_pmf)
     calls = []
