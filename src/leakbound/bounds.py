@@ -37,9 +37,10 @@ topological order once per query. ``_walk`` checks the hypotheses of
 each step, computing its Doeblin penalty, and returns the first failure:
 a ``PreconditionError`` whose ``trace`` holds the steps before it, with
 the Doeblin penalty whatever the method. The bound functions raise it;
-``query_report`` logs it after the checks that passed. ``_fold`` composes the passed steps under the
-Doeblin penalty, f or 0 (the baseline), and cannot fail: f is read off
-the Y-coupling its step kept from the walk, and solves no LP.
+``query_report`` logs it after the checks that passed. ``_fold``
+composes the passed steps under the Doeblin penalty, f or 0 (the
+baseline), and cannot fail: f is read off the Y-coupling its step kept
+from the walk, and solves no LP.
 """
 
 from __future__ import annotations
@@ -113,11 +114,10 @@ def _walk(
     net: BayesNet, plan: _Plan, max_states: int
 ) -> tuple[list[_Checked], list[tuple[str, str, bool]], PreconditionError | None]:
     """Check the hypotheses of the steps of a plan in order, up to the
-    first failure: the steps that passed, the log of every check made,
-    the failing one last, and the failure or None. The failure's
-    ``trace`` holds the steps before it, carrying the Doeblin penalty. The
-    V-side condition is decided once, by building the step's minimal
-    Y-coupling from P_{V|X}, which a passed step keeps."""
+    first failure: the steps that passed, every check made (the failing
+    one last), and the failure or None, whose ``trace`` holds the steps
+    before it with the Doeblin penalty. A step decides its V-side
+    condition by building its minimal Y-coupling from P_{V|X}, and keeps it."""
     checked: list[_Checked] = []
     log: list[tuple[str, str, bool]] = []
     for u, v_set, adjoined in plan.steps:
@@ -135,8 +135,7 @@ def _walk(
             )
         u_cpt = net.cpt(u)
         tmu = tau_max(u_cpt)
-        # tau_max2 of U's own CPT; a single-row CPT passes trivially, and so
-        # does a single-row V-side, which is its own coupling.
+        # tau_max2 of U's own CPT; a single-row CPT passes trivially.
         u_value = tau_max2(u_cpt) if u_cpt.n > 1 else None
         rec_u = _record(
             f"tau_max2(P_{{{u}|pa}}) <= 1", u_value, u_value is None or u_value <= 1
@@ -308,10 +307,10 @@ def query_report(
     ``method`` is "recursive" (full peel with both penalties), "coupling"
     or "doeblin" (single peel of the topologically last target other than
     the source, with the rest, the source allowed, as V). A precondition
-    failure marks the affected bounds None, and the log and trace keep
-    the checks and steps that passed before it; the exact value is always
-    reported. With a single target, or the source alone, nothing is
-    peeled and every bound is the exact value.
+    failure marks the affected bounds None (the log and trace keep what
+    passed before it), but the exact value is always reported. With a
+    single target, or the source alone, nothing is peeled and every bound
+    is the exact value.
 
     The recursive values equal those of ``recursive_bound`` for both
     methods and of ``subadditivity_baseline``; the trace carries the

@@ -39,9 +39,9 @@ needs: a route refuses it failing, or passes it with its label and value
 (``coupling_feasibility``). Both pin the diagonal to min_i P_{Y_i}(y),
 which keeps H nonnegative and off the tied tuples. ``_check_mixture``
 checks the parts: disjoint group supports, the Y-marginals, union mass
-tau_max and the diagonal. Then
-every source is preserved: the weights of the tuples with t_i = y add up
-to the residual total of source i at y, P_i(y) - sum_x P_min(x, y).
+tau_max and the diagonal. Then every source is preserved: the weights of
+the tuples with t_i = y add up to the residual total of source i at y,
+P_i(y) - sum_x P_min(x, y).
 
 Everything is computed on integers, in one pass over the law of the
 joints' channel (``DiscreteChannel.columns``, each (x, y) cell as
@@ -127,8 +127,7 @@ from .measures import (
 
 
 class Feasibility(NamedTuple):
-    """The verdict of ``_minimal_parts`` on some marginals: ``ok``, the
-    condition's label and its exact value (None for one marginal)."""
+    """The verdict of ``_minimal_parts``: ``ok``, its label and value."""
 
     ok: bool
     label: str
@@ -216,17 +215,12 @@ def minimal_y_coupling(y_pmfs: Sequence[Pmf]) -> Mixture:
 
 def _minimal_parts(marginals: DiscreteChannel) -> tuple[tuple, str, int | None]:
     """The parts of a minimal pinned coupling of ``marginals``, read off
-    their law and checked (``_check_mixture``), with the condition they
-    passed: its label and its value's numerator over ``den``.
-
-    Two routes, by m alone, each refusing its own failing condition: the
-    four-way mixture at m = 4, valued by the ingredients' slack, which
-    also covers families past tau_max2 <= 1, and at every other m the
-    interval coupling, valued by its core total, tau_max2 (None at
-    m = 1), which exists exactly when tau_max2 <= 1. Soundness at every
-    m: any minimal pinned Y-coupling gives a valid penalty f, so the
-    route may pick any one, and f is tied to none in particular.
-    """
+    their law and checked, with the condition they passed: its label and
+    its value's numerator over ``den`` (None at m = 1). Two routes, by m
+    alone, each refusing its own failing condition: the four-way mixture
+    at m = 4, valued by its slack, and the interval coupling, valued by
+    its core total, tau_max2. Soundness at every m: any minimal pinned
+    Y-coupling gives a valid penalty f, so the route may pick any one."""
     den, columns, m = marginals.den, marginals.columns, marginals.n
     if m == 4:
         ing = n4_ingredients(marginals)
@@ -434,9 +428,7 @@ def coupling_penalty(sources: Sequence[JointPmf] | DiscreteChannel) -> Fraction:
     channel of the joints, whose law is then read as it is. The
     Y-coupling refuses as in ``minimal_y_coupling``.
     """
-    if not isinstance(sources, DiscreteChannel):
-        sources = DiscreteChannel(sources)
-    return _penalty(sources)
+    return _penalty(sources if isinstance(sources, DiscreteChannel) else DiscreteChannel(sources))
 
 
 def _penalty(joints: DiscreteChannel, y_coupling: Mixture | None = None) -> Fraction:
