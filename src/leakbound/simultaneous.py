@@ -146,7 +146,7 @@ def _minimal_coupling(marginals: DiscreteChannel) -> tuple[Mixture | None, Feasi
 
 def coupling_feasibility(y_pmfs: Sequence[Pmf] | DiscreteChannel) -> Feasibility:
     """Decide the existence condition of a minimal coupling, exactly, by
-    building it (``_minimal_parts``)."""
+    building it (``_minimal_parts``); one marginal passes with value None."""
     channel = y_pmfs if isinstance(y_pmfs, DiscreteChannel) else DiscreteChannel(y_pmfs)
     return _minimal_coupling(channel)[1]
 
