@@ -39,14 +39,19 @@ FIXTURES = Path(__file__).parent / "fixtures"
 ROOMY = 10**7
 
 
-def peel_steps(net, targets):
-    """(U, V) of every step of the recursion on the targets other than
-    the source, and of the single peel, whose V may hold the source."""
+def peel_plans(net, targets):
+    """The plans of the recursion on the targets other than the source,
+    and of the single peel, whose V may hold the source."""
     plans = []
     if set(targets) - {net.source}:
         plans.append(bounds._recursive_plan(net, [t for t in targets if t != net.source]))
     plans.append(bounds._single_plan(net, targets))
-    return [(u, v_set) for plan in plans for u, v_set, _ in plan.steps]
+    return plans
+
+
+def peel_steps(net, targets):
+    """(U, V) of every step of ``peel_plans``."""
+    return [(u, v_set) for plan in peel_plans(net, targets) for u, v_set, _ in plan.steps]
 
 
 def penalty(sources):
@@ -175,16 +180,12 @@ def assert_y_marginals_are_the_v_channel(net, u, v_set):
 
 
 def walk_plans(net, targets):
-    """The passed steps of the plans of ``peel_steps``, each checked
-    against P_{V|X}: the logged V-side condition is
-    ``coupling_feasibility``'s verdict, the kept Y-coupling is of P_{V|X},
-    and the penalty read off it is the one read off the joints alone."""
-    plans = []
-    if set(targets) - {net.source}:
-        plans.append(bounds._recursive_plan(net, [t for t in targets if t != net.source]))
-    plans.append(bounds._single_plan(net, targets))
+    """The passed steps of ``peel_plans``, each checked against P_{V|X}:
+    the logged V-side condition is ``coupling_feasibility``'s verdict, the
+    kept Y-coupling is of P_{V|X}, and the penalty read off it is the one
+    read off the joints alone."""
     passed = 0
-    for plan in plans:
+    for plan in peel_plans(net, targets):
         checked, _, _ = bounds._walk(net, plan, ROOMY)
         for c in checked:
             v_set = list(c.step.v_set)

@@ -550,21 +550,22 @@ class TestSupportCountedFirst:
         assert built == Counter([table.y_coupling.parts])
         assert f_quantity(coupling_built) == coupling_penalty(sources)
 
-    def test_kept_y_coupling_must_be_of_the_y_marginals(self):
-        # A Y-coupling handed to the table is read as H only over the law
-        # it was built for: the joints' own Y-marginals give the penalty of
-        # the joints, while H of the rows in another order, or of other
-        # marginals, is refused before a part is read.
-        rng = random.Random(58)
-        fam = rand_family_tau_max2_le1(rng, 3, 3)
-        sources = tuple(sources_with_y_family(rng, fam, 3))
-        joints = DiscreteChannel(sources)
-        own = minimal_y_coupling(fam)
-        assert simultaneous._mixture_table(joints, own).y_coupling is own
-        assert simultaneous._penalty(joints, own) == coupling_penalty(sources)
-        for other in (fam[1:] + fam[:1], rand_family_tau_max2_le1(rng, 3, 3)):
-            with pytest.raises(ConstructionError, match="not the joints' Y-marginals"):
-                simultaneous._mixture_table(joints, minimal_y_coupling(other))
+
+def test_kept_y_coupling_must_be_of_the_y_marginals():
+    # A Y-coupling handed to the table is read as H only over the law
+    # it was built for: the joints' own Y-marginals give the penalty of
+    # the joints, while H of the rows in another order, or of other
+    # marginals, is refused before a part is read.
+    rng = random.Random(58)
+    fam = rand_family_tau_max2_le1(rng, 3, 3)
+    sources = tuple(sources_with_y_family(rng, fam, 3))
+    joints = DiscreteChannel(sources)
+    own = minimal_y_coupling(fam)
+    assert simultaneous._mixture_table(joints, own).y_coupling is own
+    assert simultaneous._penalty(joints, own) == coupling_penalty(sources)
+    for other in (fam[1:] + fam[:1], rand_family_tau_max2_le1(rng, 3, 3)):
+        with pytest.raises(ConstructionError, match="not the joints' Y-marginals"):
+            simultaneous._mixture_table(joints, minimal_y_coupling(other))
 
 
 # The reference penalty: the coupling built, validated and summed.
