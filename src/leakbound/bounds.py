@@ -33,14 +33,14 @@ Every entry folds one peel plan: the steps, each (U, V, adjoined
 parents), and the final set. ``_recursive_plan`` peels the last target
 until one node remains, ``_single_plan`` peels once, and the single-step
 bounds wrap their own (V, U); the targets are checked and put in
-topological order once per query. ``_walk`` checks the hypotheses of
-each step, computing its Doeblin penalty, and returns the first failure:
-a ``PreconditionError`` whose ``trace`` holds the steps before it, with
-the Doeblin penalty whatever the method. The bound functions raise it;
-``query_report`` logs it after the checks that passed. ``_fold``
-composes the passed steps under the Doeblin penalty, f or 0 (the
-baseline), and cannot fail: f is read off the Y-coupling its step kept
-from the walk, and solves no LP.
+topological order once per query. ``_walk`` projects each step once,
+onto P_{pa(U),V|X}, checks its hypotheses, computing its Doeblin
+penalty, and returns the first failure: a ``PreconditionError`` whose
+``trace`` holds the steps before it, with the Doeblin penalty whatever
+the method. The bound functions raise it; ``query_report`` logs it
+after the checks that passed. ``_fold`` composes the passed steps under
+the Doeblin penalty, f or 0 (the baseline), and cannot fail: f is read
+off the mixture table its step kept from the walk, and solves no LP.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ from .bayesnet import (
     DEFAULT_MAX_STATES, BayesNet, composite_channel, composite_joints, descendants,
     topological_sort,
 )
-from .couplings import Mixture
 from .errors import LeakboundError, PreconditionError, output_str
-from .measures import ZERO, DiscreteChannel, doeblin, tau_max, tau_max2
-from .simultaneous import _minimal_coupling, _penalty
+from .measures import ZERO, doeblin, tau_max, tau_max2
+from .simultaneous import _mixture_table, _MixtureTable, _penalty
 
 
 @dataclass(frozen=True)
@@ -97,12 +96,11 @@ class _Plan(NamedTuple):
 
 
 class _Checked(NamedTuple):
-    """A peel step whose hypotheses passed, with what its penalties need;
-    a baseline step, which is not checked, needs nothing."""
+    """A peel step whose hypotheses passed, with the mixture table of
+    P_{pa(U),V|X}; a baseline step, which is not checked, has none."""
 
     step: PeelStep  # carries the Doeblin penalty, or 0 for the baseline
-    y_coupling: Mixture | None = None  # the minimal Y-coupling of P_{V|X}
-    joints: DiscreteChannel | None = None  # P_{pa(U),V|X}, over the (pa(U), V) cells
+    table: _MixtureTable | None = None
 
 
 def _record(name: str, value: Fraction | None, ok: bool) -> tuple[str, str, bool]:
@@ -117,7 +115,8 @@ def _walk(
     first failure: the steps that passed, every check made (the failing
     one last), and the failure or None, whose ``trace`` holds the steps
     before it with the Doeblin penalty. A step decides its V-side
-    condition by building its minimal Y-coupling from P_{V|X}, and keeps it."""
+    condition by building the mixture table of P_{pa(U),V|X}, whose
+    Y-marginals are P_{V|X}, and keeps it."""
     checked: list[_Checked] = []
     log: list[tuple[str, str, bool]] = []
     for u, v_set, adjoined in plan.steps:
@@ -140,10 +139,15 @@ def _walk(
         rec_u = _record(
             f"tau_max2(P_{{{u}|pa}}) <= 1", u_value, u_value is None or u_value <= 1
         )
-        v_channel = composite_channel(net, v_set, max_states=max_states)
-        y_coupling, (v_ok, v_label, v_value) = _minimal_coupling(v_channel)
+        joints = composite_joints(net, net.by_id[u].parents, v_set, max_states)
+        try:
+            table = _mixture_table(joints)
+            v_label, num = table.condition
+            v_value = None if num is None else Fraction(num, table.y_coupling.marginals.den)
+        except PreconditionError as refusal:
+            table, v_label, v_value = None, refusal.condition, refusal.value
         rec_v = _record(
-            f"{v_label} for P_{{{'+'.join(sorted(v_set))}|X}}", v_value, v_ok
+            f"{v_label} for P_{{{'+'.join(sorted(v_set))}|X}}", v_value, table is not None
         )
         for record, value in ((rec_u, u_value), (rec_v, v_value)):
             log.append(record)
@@ -151,9 +155,8 @@ def _walk(
                 failure = PreconditionError(record[0], value)
                 failure.trace = tuple(c.step for c in checked)
                 return checked, log, failure
-        joints = composite_joints(net, net.by_id[u].parents, v_set, max_states)
         step = PeelStep(u, tuple(v_set), adjoined, tmu, doeblin(joints), (rec_u, rec_v))
-        checked.append(_Checked(step, y_coupling, joints))
+        checked.append(_Checked(step, table))
     return checked, log, None
 
 
@@ -163,18 +166,27 @@ def _fold(
     """The bound of ``method`` and its trace, each step carrying the
     method's penalty: the Doeblin coefficient of P_{pa(U),V|X} for
     "doeblin", f under the simultaneous coupling of its rows over the
-    kept Y-coupling for "coupling", and 0 for "baseline". The steps fold,
+    step's table for "coupling", and 0 for "baseline". The steps fold,
     first peel outermost, onto ``base``, tau_max of the last step's V."""
     value, steps = base, []
-    for c in reversed(checked):
-        step = c.step
+    for step, table in reversed(checked):
         if method == "coupling":
-            step = replace(step, penalty=_penalty(c.joints, c.y_coupling))
+            step = replace(step, penalty=_penalty(table))
         elif method == "baseline":
             step = replace(step, penalty=ZERO)
         value = step.tau_max_u * value - (step.tau_max_u - 1) * step.penalty
         steps.insert(0, step)
     return value, tuple(steps)
+
+
+def _single_bound(
+    method: str, net: BayesNet, v_set: Sequence[str], u: str, max_states: int
+) -> Fraction:
+    """The single-step bound of ``method``, based on tau_max of P_{V|X}."""
+    checked, _, failure = _walk(net, _Plan([(u, v_set, ())], list(v_set)), max_states)
+    if failure:
+        raise failure
+    return _fold(method, tau_max(checked[0].table.y_coupling.marginals), checked)[0]
 
 
 def coupling_bound(
@@ -184,10 +196,7 @@ def coupling_bound(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Fraction:
     """Single-step bound with the simultaneous-coupling penalty f."""
-    checked, _, failure = _walk(net, _Plan([(u, v_set, ())], list(v_set)), max_states)
-    if failure:
-        raise failure
-    return _fold("coupling", tau_max(checked[0].y_coupling.marginals), checked)[0]
+    return _single_bound("coupling", net, v_set, u, max_states)
 
 
 def doeblin_bound(
@@ -197,10 +206,7 @@ def doeblin_bound(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Fraction:
     """Single-step bound with the Doeblin-coefficient penalty."""
-    checked, _, failure = _walk(net, _Plan([(u, v_set, ())], list(v_set)), max_states)
-    if failure:
-        raise failure
-    return _fold("doeblin", tau_max(checked[0].y_coupling.marginals), checked)[0]
+    return _single_bound("doeblin", net, v_set, u, max_states)
 
 
 def exact_tau_max(
@@ -249,7 +255,7 @@ def _single_plan(net: BayesNet, targets: Sequence[str]) -> _Plan:
     ordered, _ = _ordered(net, targets, source_ok=True)
     u = next((t for t in reversed(ordered) if t != net.source), None)
     v_set = [t for t in ordered if t != u]
-    if u and v_set:
+    if u is not None and v_set:
         return _Plan([(u, v_set, ())], v_set)
     return _Plan([], ordered)
 
@@ -326,7 +332,7 @@ def query_report(
     if failure:
         trace = failure.trace
     else:
-        base = tau_max(checked[-1].y_coupling.marginals) if checked else exact
+        base = tau_max(checked[-1].table.y_coupling.marginals) if checked else exact
         both = method == "recursive" or not checked
         names = ("coupling", "doeblin") if both else (method,)
         folds = {name: _fold(name, base, checked) for name in names + ("baseline",)}

@@ -48,8 +48,8 @@ joints' channel (``DiscreteChannel.columns``, each (x, y) cell as
 numerators over one den, as inference built it): P_min, the floor sum_x
 P_min(x, y), the Y-marginals, and d_i(x, y) = P_i(x, y) - P_min(x, y)
 with its total rest_i(y) = P_i(y) - floor(y), so r_i = d_i / rest_i. H
-is built from the Y-marginals' law, or is the one a peel step built from
-P_{V|X}, refused unless that is the same law. A part is ``(den,
+is built from the Y-marginals' law, P_{V|X} for a peel step's joints
+P_{pa(U),V|X}, which decides its V-side condition. A part is ``(den,
 groups)``, integer entries over one denominator (see ``couplings``); the
 checks cross-multiply over the LCM of the part denominators.
 
@@ -134,21 +134,15 @@ class Feasibility(NamedTuple):
     value: Fraction | None
 
 
-def _minimal_coupling(marginals: DiscreteChannel) -> tuple[Mixture | None, Feasibility]:
-    """The route's ``Mixture`` and verdict, or None and its refusal's."""
-    try:
-        parts, label, num = _minimal_parts(marginals)
-    except PreconditionError as refusal:
-        return None, Feasibility(False, refusal.condition, refusal.value)
-    value = None if num is None else Fraction(num, marginals.den)
-    return Mixture(marginals, parts), Feasibility(True, label, value)
-
-
 def coupling_feasibility(y_pmfs: Sequence[Pmf] | DiscreteChannel) -> Feasibility:
     """Decide the existence condition of a minimal coupling, exactly, by
     building it (``_minimal_parts``); one marginal passes with value None."""
     channel = y_pmfs if isinstance(y_pmfs, DiscreteChannel) else DiscreteChannel(y_pmfs)
-    return _minimal_coupling(channel)[1]
+    try:
+        _, label, num = _minimal_parts(channel)
+    except PreconditionError as refusal:
+        return Feasibility(False, refusal.condition, refusal.value)
+    return Feasibility(True, label, None if num is None else Fraction(num, channel.den))
 
 
 def _check_mixture(parts: Sequence[tuple], marginals: DiscreteChannel) -> None:
@@ -237,24 +231,26 @@ class _MixtureTable:
     """What the mixture is assembled from (see the module docstring), as
     integer numerators over ``den``, the joints' common denominator:
     ``y_coupling`` H, whose marginals are the channel of the Y-marginals
-    (over its own den), ``parts`` the G2/G3 Y-weights as
-    mixture parts, ``p_min`` the nonzero cellwise minima,
-    ``residual[i][y]`` mapping x to d_i(x, y) = P_i(x, y) - P_min(x, y)
-    where it is nonzero, and ``rest[i][y]`` = P_i(y) - sum_x P_min(x, y),
-    so that r_i(x | y) = d_i(x, y) / rest_i(y)."""
+    (over its own den), ``condition`` the label of the condition H passed
+    and its value's numerator over that den (``_minimal_parts``), ``parts``
+    the G2/G3 Y-weights as mixture parts, ``p_min`` the nonzero cellwise
+    minima, ``residual[i][y]`` mapping x to d_i(x, y) = P_i(x, y) -
+    P_min(x, y) where it is nonzero, and ``rest[i][y]`` = P_i(y) - sum_x
+    P_min(x, y), so that r_i(x | y) = d_i(x, y) / rest_i(y)."""
 
     den: int
     y_coupling: Mixture
+    condition: tuple[str, int | None]
     parts: Sequence[tuple]
     p_min: Mapping[tuple, int]
     residual: tuple[Mapping[Symbol, Mapping[Symbol, int]], ...]
     rest: tuple[Mapping[Symbol, int], ...]
 
 
-def _mixture_table(joints: DiscreteChannel, y_coupling: Mixture | None = None) -> _MixtureTable:
+def _mixture_table(joints: DiscreteChannel) -> _MixtureTable:
     """The table of ``joints``, a channel over (x, y) cells, read off its
-    law in one pass over the cells. H is ``y_coupling``, if given, or is
-    built by ``_minimal_parts``."""
+    law in one pass over the cells; H is built by ``_minimal_parts`` from
+    the Y-marginals, whose refusal is raised."""
     den, cells, m = joints.den, joints.columns, joints.n
     p_min, floor, y_columns = {}, {}, {}
     residual = tuple({} for _ in range(m))
@@ -269,16 +265,13 @@ def _mixture_table(joints: DiscreteChannel, y_coupling: Mixture | None = None) -
             if q != low:
                 residual[i].setdefault(y, {})[x] = q - low
     y_marginals = DiscreteChannel.from_law(den, y_columns, joints.axes[1:], joints.input_alphabet)
-    if y_coupling is None:
-        y_coupling = Mixture(y_marginals, _minimal_parts(y_marginals)[0])
-    elif y_coupling.marginals != y_marginals:
-        raise ConstructionError("the Y-coupling's marginals are not the joints' Y-marginals")
+    h_parts, label, num = _minimal_parts(y_marginals)
 
     rest = tuple({y: col[i] - floor.get(y, 0) for y, col in y_columns.items()} for i in range(m))
     tied = tuple((y, w) for y, col in y_columns.items() if (w := min(col) - floor.get(y, 0)))
-    parts = [part for part in y_coupling.parts if len(part[1]) > 1]
+    parts = [part for part in h_parts if len(part[1]) > 1]
     parts.append((den, ((tuple(range(m)), tied),)))
-    return _MixtureTable(den, y_coupling, parts, p_min, residual, rest)
+    return _MixtureTable(den, Mixture(y_marginals, h_parts), (label, num), parts, p_min, residual, rest)
 
 
 @dataclass(frozen=True)
@@ -428,12 +421,12 @@ def coupling_penalty(sources: Sequence[JointPmf] | DiscreteChannel) -> Fraction:
     channel of the joints, whose law is then read as it is. The
     Y-coupling refuses as in ``minimal_y_coupling``.
     """
-    return _penalty(sources if isinstance(sources, DiscreteChannel) else DiscreteChannel(sources))
+    joints = sources if isinstance(sources, DiscreteChannel) else DiscreteChannel(sources)
+    return _penalty(_mixture_table(joints))
 
 
-def _penalty(joints: DiscreteChannel, y_coupling: Mixture | None = None) -> Fraction:
-    """f of ``coupling_penalty``, over ``y_coupling`` if it is given."""
-    table = _mixture_table(joints, y_coupling)
+def _penalty(table: _MixtureTable) -> Fraction:
+    """f of ``coupling_penalty``, read off ``table``."""
     num, den = sum(table.p_min.values()), table.den
     for part_den, groups in table.parts:
         common = None

@@ -527,6 +527,23 @@ def wide_net() -> BayesNet:
     return BayesNet(nodes, "X")
 
 
+def outside_parent_net() -> BayesNet:
+    """X -> A, X -> B -> C: A a copy of binary X, B a ternary copy of X,
+    and C's rows 1/2-1/2-0, 1/2-0-1/2, 0-1/2-1/2 (tau_max2 = 3/2 > 1).
+    Peeling C off V = {A} projects closure(pa(C) + V) = {X, A, B}, with
+    6 joint states, where closure(V) = {X, A} has 2."""
+    half = Q(1, 2)
+    return BayesNet(
+        [
+            NodeSpec.make("X", 2),
+            NodeSpec.make("A", 2, ["X"], [[1, 0], [0, 1]]),
+            NodeSpec.make("B", 3, ["X"], [[1, 0, 0], [0, 1, 0]]),
+            NodeSpec.make("C", 3, ["B"], [[half, half, 0], [half, 0, half], [0, half, half]]),
+        ],
+        "X",
+    )
+
+
 def rand_couplable_net(
     rng: random.Random,
     n_nodes: int,

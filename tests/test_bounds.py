@@ -1,6 +1,7 @@
 """Bound machinery: closed forms, dominance, recursion, worked shapes."""
 
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -13,6 +14,7 @@ from helpers import (
     bsc_rows,
     chain_net,
     diamond_net,
+    outside_parent_net,
     rand_couplable_net,
     rand_net,
     refuse_pmf,
@@ -22,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakbound import (
+    CapacityError,
     LeakboundError,
     Pmf,
     PreconditionError,
@@ -36,7 +39,7 @@ from leakbound import (
     tau_max,
 )
 from leakbound import bounds, couplings, lp, simultaneous
-from leakbound.bayesnet import BayesNet, NodeSpec
+from leakbound.bayesnet import BayesNet, NodeSpec, validate
 from leakbound.measures import log_fraction, tau_max2
 from leakbound.netfile import parse_network
 
@@ -319,10 +322,10 @@ QUERIES_AT_EVERY_X = [
 
 class TestPenaltyWork:
     """Per peel step, the walk decides the V-side condition once, where it
-    builds the step's minimal Y-coupling from P_{V|X}, and the coupling
-    penalty is read off the parts of the kept Y-coupling and the joints:
-    at |X| <= 4 no coupling of any kind is listed, and at no |X| is an LP
-    solved."""
+    builds the mixture table of the step's joints P_{pa(U),V|X}, whose
+    Y-marginals are P_{V|X}, and the coupling penalty is read off that
+    table: at |X| <= 4 no coupling of any kind is listed, and at no |X| is
+    an LP solved."""
 
     @staticmethod
     def count(monkeypatch, module, name, counts):
@@ -398,8 +401,9 @@ class TestPenaltyWork:
         self.query_without_pmf(monkeypatch, name, targets, method, warm=False)
 
     def test_inference_calls_per_peel_step(self, monkeypatch):
-        # One composite_channel call for the exact value and one per V-side;
-        # both penalties of a step read its one composite_joints channel.
+        # One composite_channel call, for the exact value; a step's V-side
+        # condition and both its penalties read its one composite_joints
+        # channel, whose Y-marginals are P_{V|X}.
         net = rand_couplable_net(random.Random(0), 5, x_size=3)
         targets = [nid for nid in net.node_ids() if nid != net.source]
         counts = Counter()
@@ -407,7 +411,7 @@ class TestPenaltyWork:
             self.count(monkeypatch, bounds, name, counts)
         steps = len(query_report(net, targets).trace)
         assert steps == 3
-        assert counts["composite_channel"] == steps + 1
+        assert counts["composite_channel"] == 1
         assert counts["composite_joints"] == steps
 
     @pytest.mark.parametrize("x_size", [2, 3, 4])
@@ -548,6 +552,22 @@ class TestQueryReport:
         # Inside V the source stays: Y2 is peeled off V = {X, Y1}.
         report = query_report(net, ["Y2", "X", "Y1"], method)
         assert report.trace[0].u == "Y2" and report.trace[0].v_set == ("X", "Y1")
+
+    @pytest.mark.parametrize("name", ["", "Z"])
+    def test_single_peel_takes_any_node_id(self, name):
+        # A node whose id is the empty string is peeled like any other.
+        doc = {"format_version": 1, "source": "X", "nodes": [
+            {"id": "X", "alphabet": 2, "parents": []},
+            {"id": "Y", "alphabet": 2, "parents": ["X"], "cpt": [["3/4", "1/4"], ["1/4", "3/4"]]},
+            {"id": name, "alphabet": 2, "parents": ["Y"], "cpt": [["2/3", "1/3"], ["1/3", "2/3"]]},
+        ]}
+        net = parse_network(json.dumps(doc))
+        assert validate(net) == []
+        report = query_report(net, ["Y", name], method="coupling")
+        assert [(step.u, step.v_set) for step in report.trace] == [(name, ("Y",))]
+        assert report.exact_tau_max == Q(3, 2)
+        assert report.coupling_bound_value == Q(11, 6)
+        assert report.subadditivity_value == 2
 
     def test_unknown_method_checked_first(self, monkeypatch):
         # The method is refused before any inference, so the one-state
@@ -709,6 +729,37 @@ class TestOneRoute:
         value = coupling_bound(net, v_set, first.u, max_states=16)
         exact = exact_tau_max(net, v_set + [first.u], max_states=16)
         assert exact <= value <= doeblin_bound(net, v_set, first.u, max_states=16)
+
+    @pytest.mark.parametrize("single", [coupling_bound, doeblin_bound])
+    def test_joints_closure_is_projected_before_the_checks(self, single):
+        # A step projects closure(pa(U) + V) before it logs a check. When
+        # pa(U) leaves V + {X}, that closure can be larger than V's: peeling
+        # C off {A} needs 6 joint states, so under a limit of 4 the
+        # capacity error comes before C's failing U check.
+        net = outside_parent_net()
+        with pytest.raises(CapacityError) as err:
+            single(net, ["A"], "C", max_states=4)
+        assert (err.value.requested, err.value.limit) == (6, 4)
+        with pytest.raises(PreconditionError) as err:
+            single(net, ["A"], "C", max_states=6)
+        assert (err.value.condition, err.value.value) == ("tau_max2(P_{C|pa}) <= 1", Q(3, 2))
+
+    def test_plans_keep_their_closures(self):
+        # A recursive step adjoins pa(U), so its joints share V's closure:
+        # peeling C off {B} fits 3 states and fails on C's U check. A
+        # report projects the exact value's closure first, here {X, A, B,
+        # C} with 18 states, whose capacity error the joints cannot precede.
+        net = outside_parent_net()
+        with pytest.raises(PreconditionError) as err:
+            recursive_bound(net, ["B", "C"], "coupling", max_states=3)
+        assert err.value.condition == "tau_max2(P_{C|pa}) <= 1"
+        for method in ("recursive", "coupling", "doeblin"):
+            with pytest.raises(CapacityError) as err:
+                query_report(net, ["A", "C"], method, max_states=17)
+            assert (err.value.requested, err.value.limit) == (18, 17)
+        report = query_report(net, ["A", "C"], "coupling", max_states=18)
+        assert report.coupling_bound_value is None
+        assert report.precondition_log == (("tau_max2(P_{C|pa}) <= 1", "3/2", False),)
 
     def test_error_trace_carries_doeblin_penalty(self):
         # Seeded: the first peel passes, with f = 1176649853/1788337920

@@ -11,13 +11,16 @@ Both channels are built from integer numerators (``DiscreteChannel.
 from_law``); each must equal the channel of its own ``Pmf`` rows, with
 the same denominator and the same columns in the same order.
 
-A peel step builds its minimal Y-coupling once, from P_{V|X}, and reads
-the coupling penalty off it and the joints. That is sound only if the
-joints' Y-marginal law is P_{V|X}; and the interval route's f depends on
-the order of the law's columns, so the penalty equals the one built from
-the joints alone only if that order agrees too. Both are checked on every
-peel step of the fixtures and of seeded nets, with the condition each
-passed step logs against ``coupling_feasibility`` of P_{V|X}.
+A peel step projects its closure once, onto these joints, and reads
+P_{V|X} off them: the mixture table of the joints decides the V-side
+condition on their Y-marginals and builds H from them. That replaces a
+second projection, onto P_{V|X}, so the two are checked for exact
+equality on every peel step of the fixtures and of seeded nets: each
+passed step's table has Y-marginals equal to ``composite_channel(V)``,
+with the same den and the same columns in the same order (the interval
+route's f depends on that order), each logged V-side check is
+``coupling_feasibility`` of P_{V|X}, and each f read off the table is
+``coupling_penalty`` of the joints.
 """
 
 import itertools
@@ -164,39 +167,34 @@ def test_seeded_nets():
     assert sizes == {2, 3, 4}
 
 
-def assert_y_marginals_are_the_v_channel(net, u, v_set):
-    """The Y-marginal law of P_{pa(U),V|X}, summed cell by cell in the
-    order the cells come, is P_{V|X}: same rows, axes and den, the same
-    columns in the same order."""
-    joints = composite_joints(net, net.by_id[u].parents, v_set, ROOMY)
-    columns = {}
-    for (_, v), col in joints.columns.items():
-        columns[v] = [a + b for a, b in zip(columns.get(v, [0] * joints.n), col)]
-    y_marginals = DiscreteChannel.from_law(joints.den, columns, joints.axes[1:], joints.input_alphabet)
-    v_channel = composite_channel(net, v_set, max_states=ROOMY)
-    assert y_marginals.den == v_channel.den
-    assert list(y_marginals.columns.items()) == list(v_channel.columns.items())
-    assert y_marginals == v_channel
+def v_record(net, v_set):
+    """The log entry of ``coupling_feasibility`` of P_{V|X}."""
+    ok, label, value = coupling_feasibility(composite_channel(net, v_set, max_states=ROOMY))
+    name = f"{label} for P_{{{'+'.join(sorted(v_set))}|X}}"
+    return (name, "trivial (one row)" if value is None else str(value), ok)
 
 
 def walk_plans(net, targets):
-    """The passed steps of ``peel_plans``, each checked against P_{V|X}:
-    the logged V-side condition is ``coupling_feasibility``'s verdict, the
-    kept Y-coupling is of P_{V|X}, and the penalty read off it is the one
-    read off the joints alone."""
-    passed = 0
+    """The steps that pass the walk on ``peel_plans``, each checked
+    against the two projections it replaces: every logged V-side check is
+    that of P_{V|X}, and every passed step's table has the Y-marginals
+    P_{V|X}, with den and column order, and the f of its joints."""
+    passed = []
     for plan in peel_plans(net, targets):
-        checked, _, _ = bounds._walk(net, plan, ROOMY)
-        for c in checked:
-            v_set = list(c.step.v_set)
+        checked, log, failure = bounds._walk(net, plan, ROOMY)
+        reached = plan.steps[:len(checked) + (failure is not None)]
+        for k, (_, v_set, _) in enumerate(reached):
+            assert log[2 * k + 1:2 * k + 2] in ([], [v_record(net, v_set)])
+        for (step, table), (u, v_set, _) in zip(checked, plan.steps):
             v_channel = composite_channel(net, v_set, max_states=ROOMY)
-            ok, label, value = coupling_feasibility(v_channel)
-            name = f"{label} for P_{{{'+'.join(sorted(v_set))}|X}}"
-            shown = "trivial (one row)" if value is None else str(value)
-            assert c.step.preconditions[1] == (name, shown, ok)
-            assert c.y_coupling.marginals == v_channel
-            assert simultaneous._penalty(c.joints, c.y_coupling) == coupling_penalty(c.joints)
-        passed += len(checked)
+            y_marginals = table.y_coupling.marginals
+            assert y_marginals.den == v_channel.den
+            assert list(y_marginals.columns.items()) == list(v_channel.columns.items())
+            assert y_marginals == v_channel
+            assert step.preconditions[1] == v_record(net, v_set)
+            joints = composite_joints(net, net.by_id[u].parents, v_set, ROOMY)
+            assert simultaneous._penalty(table) == coupling_penalty(joints)
+            passed.append(step)
     return passed
 
 
@@ -212,12 +210,7 @@ def test_kept_y_coupling_on_fixtures(name):
         list(targets) for k in range(1, len(nodes) + 1)
         for targets in itertools.combinations(nodes, k)
     ]
-    passed = 0
-    for targets in sets:
-        for u, v_set in peel_steps(net, targets):
-            assert_y_marginals_are_the_v_channel(net, u, v_set)
-        passed += walk_plans(net, targets)
-    assert passed
+    assert sum(len(walk_plans(net, targets)) for targets in sets)
 
 
 def test_kept_y_coupling_on_seeded_nets():
@@ -230,13 +223,8 @@ def test_kept_y_coupling_on_seeded_nets():
         else:
             net = rand_net(rng, n_nodes=rng.randrange(3, 6), max_alphabet=3, x_size=x_size)
         targets = rng.sample(net.node_ids(), rng.randrange(2, len(net.nodes) + 1))
-        for u, v_set in peel_steps(net, targets):
-            assert_y_marginals_are_the_v_channel(net, u, v_set)
-            seen.add(("step", x_size, net.source in v_set))
-        if walk_plans(net, targets):
-            seen.add(("passed", x_size))
-    assert {("passed", x) for x in range(1, 6)} <= seen
-    assert {("step", x, True) for x in range(1, 6)} <= seen
+        seen.update((x_size, net.source in step.v_set) for step in walk_plans(net, targets))
+    assert {(x, True) for x in range(1, 6)} <= seen
 
 
 def test_unknown_node_refused():

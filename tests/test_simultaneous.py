@@ -551,40 +551,23 @@ class TestSupportCountedFirst:
         assert f_quantity(coupling_built) == coupling_penalty(sources)
 
 
-def test_kept_y_coupling_must_be_of_the_y_marginals():
-    # A Y-coupling handed to the table is read as H only over the law
-    # it was built for: the joints' own Y-marginals give the penalty of
-    # the joints, while H of the rows in another order, or of other
-    # marginals, is refused before a part is read.
-    rng = random.Random(58)
-    fam = rand_family_tau_max2_le1(rng, 3, 3)
-    sources = tuple(sources_with_y_family(rng, fam, 3))
-    joints = DiscreteChannel(sources)
-    own = minimal_y_coupling(fam)
-    assert simultaneous._mixture_table(joints, own).y_coupling is own
-    assert simultaneous._penalty(joints, own) == coupling_penalty(sources)
-    for other in (fam[1:] + fam[:1], rand_family_tau_max2_le1(rng, 3, 3)):
-        with pytest.raises(ConstructionError, match="not the joints' Y-marginals"):
-            simultaneous._mixture_table(joints, minimal_y_coupling(other))
-
-
 # The reference penalty: the coupling built, validated and summed.
 def built_penalty(sources):
     return f_quantity(build_simultaneous_coupling(sources, max_states=ROOMY))
 
 
 def penalty_pairs(net, targets):
-    """(direct, from the walk's joints channel, built) penalties of every
-    peel step of a recursive query whose preconditions all pass."""
+    """(direct, from the walk's table, built) penalties of every peel step
+    of a recursive query whose preconditions all pass."""
     checked, _, failure = bounds._walk(net, bounds._recursive_plan(net, targets), ROOMY)
     if failure:
         return []
     out = []
-    for _, _, joints in checked:
-        sources = joints.rows
+    for step, table in checked:
+        sources = composite_joints(net, net.by_id[step.u].parents, step.v_set, ROOMY).rows
         out.append((
             coupling_penalty(sources),
-            coupling_penalty(joints),
+            simultaneous._penalty(table),
             built_penalty(sources),
         ))
     return out
@@ -650,8 +633,8 @@ class TestCouplingPenalty:
             for p in penalty_pairs(net, list(targets))
         ]
         assert pairs
-        for direct, from_channel, built in pairs:
-            assert direct == from_channel == built
+        for direct, from_table, built in pairs:
+            assert direct == from_table == built
 
     def test_seeded_nets(self):
         rng = random.Random(61)
@@ -663,8 +646,8 @@ class TestCouplingPenalty:
                 net = rand_net(rng, n_nodes=rng.randrange(3, 6), max_alphabet=3)
             ids = [nid for nid in net.node_ids() if nid != net.source]
             targets = rng.sample(ids, rng.randrange(2, len(ids) + 1))
-            for direct, from_channel, built in penalty_pairs(net, targets):
-                assert direct == from_channel == built
+            for direct, from_table, built in penalty_pairs(net, targets):
+                assert direct == from_table == built
                 compared.add(len(net.by_id[net.source].alphabet))
         assert compared == {2, 3, 4}
 
@@ -1299,6 +1282,7 @@ def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u, monkeypatc
     net = parse_network((WIDE_FIXTURES / name).read_text())
     (checked,), _, failure = bounds._walk(net, bounds._Plan([(u, v_set, ())], v_set), ROOMY)
     assert failure is None
+    joints = composite_joints(net, net.by_id[u].parents, v_set, ROOMY)
     monkeypatch.setattr(Pmf, "__init__", refuse_pmf)
     calls = []
 
@@ -1309,12 +1293,12 @@ def test_coupling_penalty_does_no_fraction_arithmetic(name, v_set, u, monkeypatc
 
     sys.setprofile(profile)
     try:
-        penalty = coupling_penalty(checked.joints)
+        penalty = coupling_penalty(joints)
     finally:
         sys.setprofile(None)
     assert calls == []
     monkeypatch.undo()
-    joints = checked.joints
+    assert penalty == simultaneous._penalty(checked.table)
     assert penalty == reference_coupling_penalty(joints.rows)
     assert penalty > doeblin(joints) if "X" in v_set else penalty >= doeblin(joints)
 
