@@ -10,10 +10,11 @@ and inference always conditions on its value.
 ``BayesNet`` deliberately stores raw rational rows rather than validated
 channel objects so that ``validate`` can report every defect of an
 ill-formed file (bad row sums, arity mismatches, cycles) instead of
-throwing at the first one. The validated CPT channels, and one joint per
-ancestral closure that ``composite_channel``, ``composite_joints`` and
-``joint_distribution`` project, are memoized on the instance as they are
-first needed; both depend only on the nodes, which never change.
+throwing at the first one. The validated CPT channels, their measures
+(``BayesNet.measures``), and the joints of the ancestral closures that
+``composite_channel``, ``composite_joints`` and ``joint_distribution``
+project, are memoized on the instance as they are first needed; all
+depend only on the nodes, which never change.
 
 Inference runs on integers. A closure is walked once for every source
 value, the source being its first coordinate, as integer numerators over
@@ -21,6 +22,15 @@ den, the product of the closure nodes' CPT denominators. The memo holds
 the support only; a projection adds numerators into one column per cell,
 and the channels are built from those columns
 (``DiscreteChannel.from_law``), so no ``Fraction`` is built for a cell.
+
+A memoized closure serves every closure inside it with the same law and
+column order. Both are ancestral, so ``topological_sort`` layers their
+common nodes alike, and the larger walk's order restricted to the smaller
+closure is the smaller walk's. An outside node never constrains the inner
+support: its CPT rows split each cell into numerators that add up to its
+den, which ``from_law`` cancels, and after a common prefix it takes the
+same first value whatever inner cell follows, so inner cells, and their
+projections, first appear in the lexicographic larger walk in their own order.
 """
 
 from __future__ import annotations
@@ -28,10 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import DEFAULT_MAX_STATES, CapacityError, LeakboundError, exact_str
-from .measures import DiscreteChannel, ExactLaw, Pmf, _over_lcm, as_fraction
+from .measures import DiscreteChannel, ExactLaw, MeasureSet, Pmf, _over_lcm, as_fraction, measure_set
 
 
 @dataclass(frozen=True)
@@ -73,8 +84,8 @@ class BayesNet:
         self.nodes = nodes
         self.source = source
         self.by_id: Mapping[str, NodeSpec] = {n.node_id: n for n in nodes}
-        # ("cpt", node) -> validated channel; ("joint", closure) -> the
-        # closure's joint for every source value, as _enumerate returns it.
+        # ("cpt", node) -> validated channel, ("measures", node) -> its measure_set,
+        # ("joint", closure) -> its joint for every source value, from _enumerate.
         self._memo: dict[tuple, object] = {}
 
     def node_ids(self) -> list[str]:
@@ -114,6 +125,13 @@ class BayesNet:
                     columns.setdefault(sym, [0] * len(node.rows))[i] = num
         channel = self._memo[key] = DiscreteChannel.from_law(den, columns, (node.alphabet,), configs)
         return channel
+
+    def measures(self, node_id: str) -> MeasureSet:
+        """``measure_set`` of the node's CPT, computed once."""
+        key = ("measures", node_id)
+        if key not in self._memo:
+            self._memo[key] = measure_set(self.cpt(node_id))
+        return self._memo[key]
 
     def with_source(self, source: str) -> "BayesNet":
         return BayesNet(self.nodes, source)
@@ -333,11 +351,11 @@ def _projected(
     (den, columns) for ``DiscreteChannel.from_law``, columns in order of
     first appearance, source value by source value; repeats are allowed
     in ``node_ids``, the source among them. Only their ancestral closure
-    is enumerated, since no other node changes that law; ``max_states``
-    bounds its states, and its joint for every source value is memoized on
-    ``net`` under the closure, so calls that share a closure enumerate it
-    once. Callers that skip ``validate`` get CPT and graph errors only for
-    nodes inside the closure."""
+    counts, and ``max_states`` bounds its states. Its joint is read off
+    the memoized closure with the fewest cells that holds it (the module
+    docstring says why the law and column order are the same), or else
+    enumerated and memoized on ``net``. Callers that skip ``validate`` get
+    CPT and graph errors only for nodes inside the closure."""
     closure = ancestral_closure(net, node_ids)
     states = 1
     for nid in closure:
@@ -345,16 +363,20 @@ def _projected(
             states *= len(net.by_id[nid].alphabet)
             if states > max_states:
                 raise CapacityError(states, max_states, "joint states")
-    key = ("joint", closure)
-    if key not in net._memo:
-        net._memo[key] = _enumerate(net, closure)
-    order, den, nums = net._memo[key]
+    inside = set(closure).issubset
+    walk = min((held for key, held in net._memo.items() if key[0] == "joint" and inside(key[1])),
+               key=lambda held: len(held[2]), default=None)
+    if walk is None:
+        walk = net._memo[("joint", closure)] = _enumerate(net, closure)
+    order, den, nums = walk
     picks = [order.index(nid) for nid in node_ids]
+    k = picks[0] if picks else 0  # itemgetter() raises, itemgetter(k) gives a bare value
+    pick = itemgetter(*picks) if len(picks) > 1 else itemgetter(slice(k, k + len(picks)))
     source = net.by_id[net.source].alphabet
     row = {x: i for i, x in enumerate(source)}
     columns: dict[tuple, list[int]] = {}
     for assign, num in nums.items():
-        cell = tuple(assign[k] for k in picks)
+        cell = pick(assign)
         col = columns.get(cell)
         if col is None:
             col = columns[cell] = [0] * len(source)
@@ -373,7 +395,7 @@ def composite_channel(
     declaration order (so the result is independent of the order the
     caller lists them in). The source itself may appear as a target; its
     coordinate is then a point mass at the conditioning value. Only the
-    targets' ancestral closure is enumerated (see ``_projected``).
+    targets' ancestral closure counts (see ``_projected``).
     """
     ordered = _declared(net, targets)
     if not ordered:

@@ -34,13 +34,17 @@ parents), and the final set. ``_recursive_plan`` peels the last target
 until one node remains, ``_single_plan`` peels once, and the single-step
 bounds wrap their own (V, U); the targets are checked and put in
 topological order once per query. ``_walk`` projects each step once,
-onto P_{pa(U),V|X}, checks its hypotheses, computing its Doeblin
-penalty, and returns the first failure: a ``PreconditionError`` whose
-``trace`` holds the steps before it, with the Doeblin penalty whatever
-the method. The bound functions raise it; ``query_report`` logs it
-after the checks that passed. ``_fold`` composes the passed steps under
-the Doeblin penalty, f or 0 (the baseline), and cannot fail: f is read
-off the mixture table its step kept from the walk, and solves no LP.
+onto P_{pa(U),V|X}, off the one walk that holds every step's closure
+(``bayesnet._projected``): the targets' closure, which ``query_report``
+walks first for the exact value, or in ``recursive_bound`` the first
+step's. It reads U's tau_max and tau_max2 off ``BayesNet.measures``,
+checks the step's hypotheses, computing its Doeblin penalty, and returns
+the first failure: a ``PreconditionError`` whose ``trace`` holds the
+steps before it, with the Doeblin penalty whatever the method. The bound
+functions raise it; ``query_report`` logs it after the checks that
+passed. ``_fold`` composes the passed steps under the Doeblin penalty, f
+or 0 (the baseline), and cannot fail: f is read off the mixture table
+its step kept from the walk, and solves no LP.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .bayesnet import (
     topological_sort,
 )
 from .errors import LeakboundError, PreconditionError, output_str
-from .measures import ZERO, doeblin, tau_max, tau_max2
+from .measures import ZERO, doeblin, tau_max
 from .simultaneous import _mixture_table, _MixtureTable, _penalty
 
 
@@ -132,13 +136,9 @@ def _walk(
             raise LeakboundError(
                 f"directed path from {u!r} into {bad}; peel order invalid"
             )
-        u_cpt = net.cpt(u)
-        tmu = tau_max(u_cpt)
-        # tau_max2 of U's own CPT; a single-row CPT passes trivially.
-        u_value = tau_max2(u_cpt) if u_cpt.n > 1 else None
-        rec_u = _record(
-            f"tau_max2(P_{{{u}|pa}}) <= 1", u_value, u_value is None or u_value <= 1
-        )
+        measured = net.measures(u)  # tau_max2 None: a one-row CPT passes trivially
+        u_value = measured.tau_max2
+        rec_u = _record(f"tau_max2(P_{{{u}|pa}}) <= 1", u_value, u_value is None or u_value <= 1)
         joints = composite_joints(net, net.by_id[u].parents, v_set, max_states)
         try:
             table = _mixture_table(joints)
@@ -155,7 +155,7 @@ def _walk(
                 failure = PreconditionError(record[0], value)
                 failure.trace = tuple(c.step for c in checked)
                 return checked, log, failure
-        step = PeelStep(u, tuple(v_set), adjoined, tmu, doeblin(joints), (rec_u, rec_v))
+        step = PeelStep(u, tuple(v_set), adjoined, measured.tau_max, doeblin(joints), (rec_u, rec_v))
         checked.append(_Checked(step, table))
     return checked, log, None
 
@@ -280,7 +280,7 @@ def recursive_bound(
     plan = _recursive_plan(net, targets)
     if method == "baseline":
         checked = [
-            _Checked(PeelStep(u, tuple(v_set), adjoin, tau_max(net.cpt(u)), ZERO, ()))
+            _Checked(PeelStep(u, tuple(v_set), adjoin, net.measures(u).tau_max, ZERO, ()))
             for u, v_set, adjoin in plan.steps
         ]
     elif method in ("doeblin", "coupling"):

@@ -44,7 +44,6 @@ from .measures import (
     JointPmf,
     format_fraction,
     log_fraction,
-    measure_set,
     tau_max,
     tau_max2,
 )
@@ -136,8 +135,7 @@ def cmd_measures(args) -> int:
     if args.node == net.source:
         print("the source node carries no distribution")
         return EXIT_INVALID
-    channel = net.cpt(args.node)
-    ms = measure_set(channel)
+    channel, ms = net.cpt(args.node), net.measures(args.node)
     tau2 = "undefined (single row)" if ms.tau_max2 is None else format_fraction(ms.tau_max2)
     lines = [
         f"node {args.node} ({channel.n} rows, {len(channel.output_alphabet)} outputs)",
@@ -155,7 +153,7 @@ def _measure_rows(net) -> list[dict]:
     for node in net.nodes:
         if node.node_id == net.source or node.rows is None:
             continue
-        ms = measure_set(net.cpt(node.node_id))
+        ms = net.measures(node.node_id)
         rows.append({
             **BLANK_ROW,
             "node": node.node_id,

@@ -7,13 +7,11 @@ the logarithm taken at the reporting boundary (``maximal_leakage``).
 Every single law (a ``Pmf``, a ``JointPmf``, a ``couplings.Coupling``) is
 held one way, as an ``ExactLaw``: integer numerators over one
 denominator, with a ``Fraction`` built only for a cell that is read.
-Every one is validated by one function, ``exact_law``. In one pass over
-the cells it refuses unknown cells and negative masses, coercing a
-``Fraction`` mass (or taking an integer numerator); then it adds up each
-cell's masses over one denominator and checks the total on integers. A
-``Fraction`` is built only for a message. The routines that take laws read those numerators
-(``numerators``), lift them to a common denominator, and compare sums
-cross-multiplied.
+Every one is validated by one function, ``exact_law``, which refuses
+unknown cells and negative masses and checks the total on integers (a
+``Fraction`` is built only for a message). The routines that take laws
+read those numerators (``numerators``), lift them to a common
+denominator, and compare sums cross-multiplied.
 
 * ``Pmf`` checks its alphabet and its masses (non-negative, exactly 1 in
   total, only on known symbols), and keeps them as an ``ExactLaw``.
@@ -153,12 +151,14 @@ def exact_law(
 ) -> ExactLaw:
     """Validate (cell, mass) pairs as one probability law: masses coerced
     by ``as_fraction``, or integer numerators over ``den`` if given. One
-    loop refuses cells for which ``known`` is false and negative masses;
-    then each cell's positive masses are added up over the LCM of their
-    denominators, and the total must be exactly 1, on integers. Returns
+    loop refuses cells for which ``known`` is false and negative masses,
+    and adds each positive integer numerator into its cell at once; coerced
+    masses are added up after it, over the LCM of their denominators. The
+    total must be exactly 1, on integers. Returns
     the law of the positive cells, in order of first appearance."""
     if den is not None and den < 1:
         raise LeakboundError(f"denominator {den} is not positive")
+    clean: dict = {}
     kept, scale = [], den or 1
     for cell, raw in cells:
         if not known(cell):
@@ -172,9 +172,10 @@ def exact_law(
             num, d = raw if type(raw) is int else as_fraction(raw), den
         if num < 0:
             raise LeakboundError(f"negative mass {exact_str(Fraction(num, d))} at {cell!r}")
-        if num:
+        if num and den is None:  # lifted to the LCM once it is known
             kept.append((cell, num, d))
-    clean: dict = {}
+        elif num:
+            clean[cell] = clean[cell] + num if cell in clean else num
     for cell, num, d in kept:
         if d != scale:
             num *= scale // d

@@ -78,8 +78,14 @@ def _literal(text: str) -> Fraction:
     when e >= f, and a reduced denominator above 10**(f - e - m) when
     e < f. Either bound past MAX_DIGITS refuses the literal unexpanded;
     otherwise the expansion costs no more than the digits the literal
-    holds, and the value itself is checked.
+    holds, and the value itself is checked. A ratio of ASCII digits (each
+    part of at most MAX_DIGITS digits, the denominator nonzero) is read with
+    ``int``.
     """
+    num, slash, den = text.partition("/")
+    if (slash and text.isascii() and num.isdigit() and den.isdigit()
+            and len(num) <= MAX_DIGITS and len(den) <= MAX_DIGITS and den.strip("0")):
+        return _within_digits(Fraction(int(num), int(den)), repr(text))
     form = _EXPONENT_FORM.fullmatch(text)
     if form:
         whole, frac, exp = (part.replace("_", "") for part in form.groups(""))
@@ -173,13 +179,16 @@ def _symbols(value, what: str) -> list[str]:
     return [str(symbol) for symbol in value]
 
 
-def _parse_entry(value, bindings: Mapping[str, Fraction] | None) -> Fraction:
-    if bindings is not None and isinstance(value, str):
+def _parse_entry(value, bindings: Mapping[str, Fraction] | None, parsed: dict) -> Fraction:
+    """One CPT entry; each string is parsed once, its value kept in ``parsed``."""
+    if type(value) is not str:
+        return parse_probability(value)
+    if value not in parsed:
         try:
-            return _literal(value)
+            parsed[value] = parse_probability(value) if bindings is None else _literal(value)
         except (ValueError, ZeroDivisionError):
-            return _within_digits(eval_rational_expression(value, bindings), repr(value))
-    return parse_probability(value)
+            parsed[value] = _within_digits(eval_rational_expression(value, bindings), repr(value))
+    return parsed[value]
 
 
 def parse_network(
@@ -200,7 +209,7 @@ def parse_network(
     if "nodes" not in doc or "source" not in doc:
         raise NetworkFormatError('missing "nodes" or "source"')
 
-    nodes = []
+    nodes, parsed = [], {}
     for raw in _as_list(doc["nodes"], '"nodes"'):
         if not isinstance(raw, dict) or "id" not in raw or "alphabet" not in raw:
             raise NetworkFormatError(f"bad node entry {raw!r}")
@@ -218,7 +227,7 @@ def parse_network(
         rows = None
         if "cpt" in raw and raw["cpt"] is not None:
             rows = [
-                [_parse_entry(v, bindings) for v in _as_list(row, f"{where} cpt row")]
+                [_parse_entry(v, bindings, parsed) for v in _as_list(row, f"{where} cpt row")]
                 for row in _as_list(raw["cpt"], f"{where} cpt")
             ]
         parents = _as_list(raw.get("parents", []), f"{where} parents")

@@ -239,6 +239,35 @@ class TestBound:
         assert out == WIDE_STDOUT
         assert out_csv.read_text(encoding="utf-8") == WIDE_CSV
 
+    def test_each_cpt_measured_once(self, capsys, tmp_path, monkeypatch):
+        # The peel steps and the CSV rows read one measure_set per CPT.
+        measured, real = [], leakbound.bayesnet.measure_set
+        monkeypatch.setattr(leakbound.bayesnet, "measure_set",
+                            lambda channel: measured.append(channel) or real(channel))
+        code, out, _ = run(
+            capsys, "bound", FIXTURES / "wide_v4.json", "--targets", "N3,N4,N6",
+            "--method", "recursive", "--csv", tmp_path / "out.csv",
+        )
+        assert code == 0
+        assert len(measured) == 6  # N1 to N6, the peeled N6 and N5 among them
+        assert "tau_max2(P_{N5|pa})" in out and "tau_max2(P_{N6|pa})" in out
+
+    def test_steps_keep_their_column_order(self, capsys):
+        # Each step's joints are read off the targets' walk. A, outside
+        # every closure of the query, comes before the steps' nodes in
+        # topological order, and CPTs have zero entries. f follows the
+        # column order of the steps' own walks (reversed, the coupling
+        # bound would read 713/256).
+        code, out, err = run(
+            capsys, "bound", FIXTURES / "outside_zeros.json", "--targets", "N1,N2,N3",
+            "--compare-exact",
+        )
+        assert (code, err) == (0, "")
+        assert "exact tau_max      = 13/8\n" in out
+        assert "coupling bound     = 641/256 (log 0.917852012441)\n" in out
+        assert "doeblin bound      = 821/256 (log 1.16534566497)\n" in out
+        assert "subadditivity      = 1001/256 (log 1.36357733484)\n" in out
+
     def test_five_valued_source_solves_no_lp(self, capsys):
         # The first peel couples |X| = 5 rows over the 25 values of
         # (N1, N2); an LP over those tuples would have 25**5 + 25 =

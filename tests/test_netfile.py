@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from leakbound import CapacityError, NetworkFormatError, validate
+from leakbound import CapacityError, NetworkFormatError, netfile, validate
 from leakbound.netfile import (
     eval_rational_expression,
     parse_network,
@@ -60,6 +60,50 @@ class TestParseProbability:
         assert parse_probability(10**4300 - 1) == 10**4300 - 1
 
 
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except NetworkFormatError as err:
+        return str(err)
+
+
+def _by_fraction(text: str) -> Q:
+    """parse_probability on an exponent-free string, all through Fraction."""
+    try:
+        return netfile._within_digits(Q(text), repr(text))
+    except (ValueError, ZeroDivisionError) as err:
+        raise NetworkFormatError(f"bad probability {text!r}: {err}") from None
+
+
+class TestRatioFastPath:
+    """A ratio of ASCII digits is read with int(); every string gives the
+    value, or the message, that Fraction gives."""
+
+    READ_WITH_INT = ["3/4", "03/04", "0/5", "0000/0001", "9" * 4300 + "/7",
+                     "1/" + "9" * 4300, "2" * 4300 + "/" + "4" * 4300]
+    OTHERS = ["5/0", "00/000", "+3/4", "-3/4", "- 3/4", " 3/4", "3/4 ", "\t3/4\n",
+              "3 /4", "3/ 4", "1_0/3", "1/1_0", "\u00b2/3", "3/\u00b2", "\u0663/\u0664",
+              "1/2/3", "/3", "3/", "/", "0x1/2", "3/4.0", "9" * 4301 + "/7",
+              "1/" + "1" * 4301, "0" * 4301 + "1/2", "1" + "0" * 4300 + "/1"]
+
+    @pytest.mark.parametrize("text", READ_WITH_INT + OTHERS,
+                             ids=lambda t: t if len(t) < 20 else f"{t[:4]}..{t[-4:]}({len(t)})")
+    def test_same_value_or_message_as_fraction(self, text):
+        assert _outcome(parse_probability, text) == _outcome(_by_fraction, text)
+
+    def test_plain_ratios_skip_the_regex(self, monkeypatch):
+        monkeypatch.setattr(netfile, "_EXPONENT_FORM", None)  # any use raises
+        for text in self.READ_WITH_INT:
+            assert parse_probability(text) == Q(text)
+
+    def test_a_repeated_entry_is_parsed_once(self, monkeypatch):
+        parsed, real = [], netfile.parse_probability
+        monkeypatch.setattr(netfile, "parse_probability", lambda v: parsed.append(v) or real(v))
+        net = parse_network((FIXTURES / "diamond.json").read_text())
+        assert sorted(parsed) == ["1/2", "1/4", "3/4"]  # of 20 entries
+        assert validate(net) == []
+
+
 class TestExpressions:
     def test_arithmetic(self):
         d = {"d": Q(1, 8)}
@@ -87,7 +131,8 @@ class TestExpressions:
 class TestNetworkRoundTrip:
     @pytest.mark.parametrize(
         "name",
-        ["chain.json", "relay.json", "diamond.json", "random1.json", "random2.json"],
+        ["chain.json", "relay.json", "diamond.json", "random1.json", "random2.json",
+         "outside_zeros.json"],
     )
     def test_parse_write_fixed_point(self, name):
         text = (FIXTURES / name).read_text()

@@ -9,6 +9,7 @@ agree exactly. ``joint_distribution`` itself is compared with the same
 reference.
 """
 
+import math
 import random
 from contextlib import suppress
 from fractions import Fraction as Q
@@ -31,6 +32,7 @@ from leakbound import (
     Pmf,
     PreconditionError,
     composite_channel,
+    composite_joints,
     joint_distribution,
     query_report,
     recursive_bound,
@@ -42,6 +44,10 @@ from leakbound.netfile import parse_network
 FIXTURES = Path(__file__).parent / "fixtures"
 NETWORKS = ["chain.json", "relay.json", "diamond.json", "random1.json", "random2.json"]
 TEMPLATES = ["chain_template.json", "relay_template.json"]
+EXTRA_NETWORKS = [
+    "coprime.json", "coprime3.json", "coprime4.json", "one_symbol_source.json",
+    "outside_zeros.json", "star5.json", "wide_v4.json",
+]
 
 
 def oracle(net: BayesNet, targets) -> DiscreteChannel:
@@ -172,7 +178,8 @@ class TestCapacityGuard:
 
 class TestOneWalkPerClosure:
     """The enumerator walks each ancestral closure once, for every source
-    value at once; each later projection of it reads the memo."""
+    value at once; each later projection of it, or of a closure inside
+    it, reads the memo."""
 
     @staticmethod
     def spy(monkeypatch, name, closure_of):
@@ -187,13 +194,13 @@ class TestOneWalkPerClosure:
         return seen
 
     def test_recursive_query_walks_each_closure_once(self, monkeypatch):
-        # A recursive report asks for each closure once: the exact value's,
-        # then each step's joints. recursive_bound asks twice, as its last
-        # step and its final set share a closure; the second is read from
-        # the memo.
+        # A report walks one closure, its targets', for the exact value it
+        # asks for first; every step's joints lie inside it. recursive_bound
+        # asks for its steps' closures before its final set's, and walks
+        # none twice.
         walked = self.spy(monkeypatch, "_enumerate", lambda net, closure: closure)
         asked = self.spy(monkeypatch, "_projected", ancestral_closure)
-        rng, repeats = random.Random(18), 0
+        rng, inner = random.Random(18), 0
         for _ in range(40):
             net = rand_couplable_net(rng, rng.randrange(4, 9))
             ids = net.node_ids()
@@ -203,10 +210,12 @@ class TestOneWalkPerClosure:
                 asked.clear()
                 with suppress(PreconditionError):  # a failed step ends the walk
                     query(BayesNet(net.nodes, net.source), targets)
-                assert sorted(walked) == sorted(set(asked)), targets
-                if query is recursive_bound:
-                    repeats += len(asked) - len(walked)
-        assert repeats > 0  # some closures were asked for more than once
+                if query is query_report:
+                    assert walked == [ancestral_closure(net, targets)], targets
+                assert len(set(walked)) == len(walked), targets
+                assert all(any(set(c) <= set(w) for w in walked) for c in asked), targets
+                inner += sum(c not in walked for c in asked)
+        assert inner > 0  # some projections were read from a larger closure
 
     def test_joint_distribution_after_the_channel_walks_nothing(self, monkeypatch):
         walked = self.spy(monkeypatch, "_enumerate", lambda net, closure: closure)
@@ -221,3 +230,72 @@ class TestOneWalkPerClosure:
             for x, row in zip(net.by_id[net.source].alphabet, channel.rows):
                 assert joint_distribution(net, x).mass == row.mass
             assert len(walked) == 1
+
+
+def _reduced(den: int, columns: dict) -> tuple[int, dict]:
+    """(den, columns) divided by their gcd, as ``from_law`` keeps them."""
+    common = math.gcd(den, *(q for col in columns.values() for q in col))
+    return den // common, {cell: [q // common for q in col] for cell, col in columns.items()}
+
+
+class TestProjectionFromALargerClosure:
+    """A projection read off a memoized closure that holds its own closure
+    is the projection of its own walk: the same reduced den and columns,
+    in the same column order, which the interval layout, and so f,
+    follow."""
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """Check every projection that was read from a larger closure
+        against a fresh net's own walk; count them."""
+        count, real = [0], bayesnet._projected
+
+        def wrapped(net, nodes, max_states):
+            den, columns = real(net, nodes, max_states)
+            if ("joint", ancestral_closure(net, nodes)) not in net._memo:
+                own = real(BayesNet(net.nodes, net.source), nodes, max_states)
+                assert _reduced(den, columns) == _reduced(*own), nodes
+                assert list(columns) == list(own[1]), nodes
+                count[0] += 1
+            return den, columns
+
+        monkeypatch.setattr(bayesnet, "_projected", wrapped)
+        return count
+
+    @staticmethod
+    def project_everything(net: BayesNet, rng: random.Random, queries: int = 4):
+        """Reports and recursions on fresh copies of the net, then sampled
+        pairs of node sets, and the empty pair, after the whole net's walk,
+        so that outside nodes fall anywhere in the walk order."""
+        ids = net.node_ids()
+        non_source = [nid for nid in ids if nid != net.source]
+        for _ in range(queries):
+            targets = rng.sample(non_source, rng.randrange(1, len(non_source) + 1))
+            for query in (query_report, recursive_bound):
+                with suppress(PreconditionError):
+                    query(BayesNet(net.nodes, net.source), targets)
+        composite_channel(net, non_source)
+        subsets = [list(c) for size in range(len(ids) + 1) for c in combinations(ids, size)]
+        composite_joints(net, [], [])
+        for xs in rng.sample(subsets, min(len(subsets), 12)):
+            for ys in rng.sample(subsets, min(len(subsets), 6)):
+                composite_joints(net, xs, ys)
+
+    @pytest.mark.parametrize("name", NETWORKS + TEMPLATES + EXTRA_NETWORKS)
+    def test_fixtures(self, served, name):
+        text = (FIXTURES / name).read_text()
+        net = parse_network(text, bindings={"d": Q(1, 8)} if name in TEMPLATES else None)
+        self.project_everything(net, random.Random(name))
+        assert served[0] > 0
+
+    def test_seeded_networks_with_zero_entries(self, served):
+        rng, zeros = random.Random(33), 0
+        for k in range(60):
+            n_nodes = rng.randrange(3, 8)
+            if k % 2:
+                net = rand_couplable_net(rng, n_nodes)
+            else:
+                net = rand_net(rng, n_nodes, noisy=False)
+            zeros += any(q == 0 for node in net.nodes for row in node.rows or () for q in row)
+            self.project_everything(net, rng)
+        assert zeros > 10 and served[0] > 1000
