@@ -85,7 +85,8 @@ class BayesNet:
         self.source = source
         self.by_id: Mapping[str, NodeSpec] = {n.node_id: n for n in nodes}
         # ("cpt", node) -> validated channel, ("measures", node) -> its measure_set,
-        # ("joint", closure) -> its joint for every source value, from _enumerate.
+        # ("joint", closure) -> its joint for every source value, from _enumerate,
+        # ("children",) -> each node's children, for descendants.
         self._memo: dict[tuple, object] = {}
 
     def node_ids(self) -> list[str]:
@@ -243,11 +244,15 @@ def topological_sort(net: BayesNet) -> list[str]:
 
 
 def descendants(net: BayesNet, node_id: str) -> set[str]:
-    children: dict[str, list[str]] = {nid: [] for nid in net.node_ids()}
-    for node in net.nodes:
-        for p in node.parents:
-            if p in children:
-                children[p].append(node.node_id)
+    """Every node with a directed path from ``node_id``; the net's child
+    map is built once and memoized."""
+    children = net._memo.get(("children",))
+    if children is None:
+        children = net._memo[("children",)] = {nid: [] for nid in net.node_ids()}
+        for node in net.nodes:
+            for p in node.parents:
+                if p in children:
+                    children[p].append(node.node_id)
     out: set[str] = set()
     frontier = [node_id]
     while frontier:

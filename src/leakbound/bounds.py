@@ -38,7 +38,8 @@ onto P_{pa(U),V|X}, off the one walk that holds every step's closure
 (``bayesnet._projected``): the targets' closure, which ``query_report``
 walks first for the exact value, or in ``recursive_bound`` the first
 step's. It reads U's tau_max and tau_max2 off ``BayesNet.measures``,
-checks the step's hypotheses, computing its Doeblin penalty, and returns
+checks the step's hypotheses, reads its Doeblin penalty, sum_cells
+min_i P_i(cell), off the P_min of the step's mixture table, and returns
 the first failure: a ``PreconditionError`` whose ``trace`` holds the
 steps before it, with the Doeblin penalty whatever the method. The bound
 functions raise it; ``query_report`` logs it after the checks that
@@ -58,7 +59,7 @@ from .bayesnet import (
     topological_sort,
 )
 from .errors import LeakboundError, PreconditionError, output_str
-from .measures import ZERO, doeblin, tau_max
+from .measures import ZERO, tau_max
 from .simultaneous import _mixture_table, _MixtureTable, _penalty
 
 
@@ -155,7 +156,8 @@ def _walk(
                 failure = PreconditionError(record[0], value)
                 failure.trace = tuple(c.step for c in checked)
                 return checked, log, failure
-        step = PeelStep(u, tuple(v_set), adjoined, measured.tau_max, doeblin(joints), (rec_u, rec_v))
+        c_xy = Fraction(sum(table.p_min.values()), table.den)
+        step = PeelStep(u, tuple(v_set), adjoined, measured.tau_max, c_xy, (rec_u, rec_v))
         checked.append(_Checked(step, table))
     return checked, log, None
 

@@ -6,9 +6,10 @@ The four-way form computes its ingredients and hands its components to
 ``_mixture``, which owns the rules: a component of zero weight or with
 an empty factor is skipped before any normalizer is divided by, so no
 0/0 ratio is evaluated, and a negative mass is refused. The interval
-coupling lays out its tuples directly, one part each. The resulting
-``Mixture`` lists its tuples only in ``Mixture.coupling``; the bounds
-read their penalty off its parts (``simultaneous.coupling_penalty``).
+coupling lays out its tuples directly and hands them back as one listed
+law, ``Mixture.tuples``. A ``Mixture`` lists the tuples of its parts only
+in ``Mixture.coupling``; the bounds read their penalty off its parts and
+its listed tuples (``simultaneous.coupling_penalty``).
 
 The mixtures are built on integers. Every weight, factor entry and norm
 is a numerator over the common denominator of the marginals' law
@@ -16,25 +17,25 @@ is a numerator over the common denominator of the marginals' law
 that law directly, and ``n4_ingredients`` reads it into the
 ``N4Ingredients`` and ``MixtureWeights`` that ``n4_mixture`` takes. A
 part is ``(den, groups)``, its integer entries over its own denominator,
-so a ``Fraction`` is built only for a message and for
+and a listed tuple's mass is a numerator over the marginals' den, so a
+``Fraction`` is built only for a message and for
 ``N4Ingredients.condition_slack``; ``Mixture.coupling`` lists the tuples
-as numerators over the LCM of the part denominators, an ``ExactLaw``
-whose masses are built only when read. Besides the product
+as numerators over the LCM of those denominators, an ``ExactLaw`` whose
+masses are built only when read. Besides the product
 ``independent_coupling`` (a baseline), there
 are two closed forms, each a minimal coupling with a pinned diagonal
-(P(all coordinates equal y) = min_i P_i(y)). In each, the groups of one
-part have pairwise disjoint factor supports (an interval part is one
-tuple; in the four-way form, T_p > 0 needs both rows of the pair p
-strictly above the other two, r_i > 0 needs row i strictly above all the
-others), so a part of g groups puts mass only on tuples of exactly g
-distinct symbols.
+(P(all coordinates equal y) = min_i P_i(y)). The groups of one four-way
+part have pairwise disjoint factor supports (T_p > 0 needs both rows of
+the pair p strictly above the other two, r_i > 0 needs row i strictly
+above all the others), so a part of g groups puts mass only on tuples of
+exactly g distinct symbols.
 
 * ``_interval_parts``, the interval coupling of m marginals, which
   exists iff tau_max2 <= 1: every row holds each symbol on subintervals
   of [0, 1), laid out so that rows overlap on y only inside y's core,
-  one part per tuple. It has the full intersection property (every
-  subset I of two or more coordinates ties on y with mass
-  min_{i in I} P_i(y)). ``maximal_coupling_pair`` (m = 2, union mass
+  each cell between breakpoints one listed tuple. It has the full
+  intersection property (every subset I of two or more coordinates ties
+  on y with mass min_{i in I} P_i(y)). ``maximal_coupling_pair`` (m = 2, union mass
   1 + TV(p, q)) and ``three_way_coupling`` (m = 3) list it.
 
 * ``build_n4_coupling`` (``n4_mixture``) -- a four-variable mixture
@@ -210,25 +211,32 @@ def union_mass(coupling: Coupling) -> Fraction:
 
 
 class Mixture(NamedTuple):
-    """A closed-form coupling of the channel ``marginals`` as its parts, unlisted.
+    """A closed-form coupling of the channel ``marginals``: product
+    ``parts``, unlisted, and listed ``tuples``. The four-way form fills
+    only ``parts``, the interval coupling only ``tuples``.
 
     A part is ``(den, groups)``: a positive integer and a tuple of groups
     ``(coordinates, entries)``, ``entries`` the nonzero ``(y, e)`` of the
     group's factor as integers, the part's weight folded into its first
     group. The part puts prod_g e_g(y_g) / den on the tuple whose
-    coordinates in group g all equal y_g.
+    coordinates in group g all equal y_g. ``tuples`` is one integer law
+    of m-tuples: ``(tuple, num)`` pairs, each tuple once, num its mass
+    over ``marginals.den``.
     """
 
     marginals: DiscreteChannel
     parts: tuple[tuple[int, tuple[tuple[tuple[int, ...], tuple[tuple[Symbol, int], ...]], ...]], ...]
+    tuples: tuple[tuple[tuple, int], ...] = ()
 
     def coupling(self) -> Coupling:
         """List every tuple, adding up its numerators over the LCM of the
-        part denominators, and validate them, kept as an ``ExactLaw``,
-        against the marginals' law; no ``Fraction`` is built per tuple."""
-        arity = self.marginals.n
-        scale = lcm(*(part_den for part_den, _ in self.parts))
-        nums: dict[tuple, int] = {}
+        part denominators and, for listed tuples, the marginals' den, and
+        validate them, kept as an ``ExactLaw``, against the marginals'
+        law; no ``Fraction`` is built per tuple."""
+        arity, den = self.marginals.n, self.marginals.den
+        scale = lcm(den if self.tuples else 1, *(part_den for part_den, _ in self.parts))
+        lift = scale // den
+        nums = {tup: num * lift for tup, num in self.tuples}
         for part in self.parts:
             lift = scale // part[0]
             for tup, num in _list_part(part, arity):
@@ -294,26 +302,17 @@ def _mixture(components: Iterable[tuple], den: int) -> tuple:
     return tuple(parts)
 
 
-def _tuple_part(tup: tuple, num: int, den: int) -> tuple:
-    """One tuple of mass num / den as a mixture part: a group per distinct
-    symbol."""
-    return (den, tuple(
-        (tuple(i for i, s in enumerate(tup) if s == y), ((y, num if k == 0 else 1),))
-        for k, y in enumerate(dict.fromkeys(tup))
-    ))
-
-
 def _interval_parts(den: int, columns: Mapping[Symbol, tuple[int, ...]], m: int) -> tuple[int, tuple]:
-    """The core total and the parts of a minimal pinned Y-coupling of m
-    marginals (integer numerators over ``den``) laid out on [0, den): each
+    """The core total and the listed tuples of a minimal pinned Y-coupling
+    of m marginals (integer numerators over ``den``) laid out on [0, den): each
     symbol y gets a core of length max2(y), the second largest entry of
     its column (0 at m = 1). There every row but y's argmax (the lowest
     row on a tie) holds y on a prefix of length P_i(y), and the argmax row
     on the whole core; each argmax row then pours its excess into its own
     free gaps, in order. Only the argmax row holds y outside y's core, so
     the union mass is tau_max and the diagonal min_i P_i(y). Each cell
-    between breakpoints is one tuple (equal ones merged), at most
-    2m|Y| + 2. The core total, tau_max2 over ``den``, refuses with
+    between breakpoints is one ``(tuple, num)`` pair over ``den`` (equal
+    tuples merged), at most 2m|Y| + 2. The core total, tau_max2 over ``den``, refuses with
     ``PreconditionError(TAU_MAX2_CONDITION, tau_max2)`` past ``den``."""
     cores, end = [], 0
     for y, col in columns.items():
@@ -346,7 +345,7 @@ def _interval_parts(den: int, columns: Mapping[Symbol, tuple[int, ...]], m: int)
     for lo, hi in zip(cuts, cuts[1:] + [den]):
         labels = tuple(row.get(lo, y) for row, y in zip(starts, labels))
         mass[labels] = mass.get(labels, 0) + hi - lo
-    return end, tuple(_tuple_part(tup, w, den) for tup, w in mass.items())
+    return end, tuple(mass.items())
 
 
 def maximal_coupling_pair(p: Pmf, q: Pmf) -> Coupling:
@@ -365,7 +364,7 @@ def three_way_coupling(p1: Pmf, p2: Pmf, p3: Pmf) -> Coupling:
 
 def _interval_coupling(pmfs: Sequence[Pmf]) -> Coupling:
     channel = DiscreteChannel(pmfs)
-    return Mixture(channel, _interval_parts(channel.den, channel.columns, channel.n)[1]).coupling()
+    return Mixture(channel, (), _interval_parts(channel.den, channel.columns, channel.n)[1]).coupling()
 
 
 @dataclass(frozen=True)

@@ -16,29 +16,31 @@ mixture weights cancel against the component normalizers, so the assembly
 below never divides by c_XY, c_Y - c_XY, or 1 - c_Y, and degenerate
 components simply contribute nothing.
 
-G2 and G3 are mixture parts (``couplings.Mixture``) of Y-tuple weights:
-G3 is H's parts of two or more groups, which reach untied tuples only,
-and G2 one part, a group of every coordinate giving (y, ..., y) the
-weight P_Ymin(y) - sum_x P_min(x, y). A tuple t of weight w is spread
-over X-tuples as w * prod_i r_i(x_i | t_i), r_i(. | y) the residual of
-source i above the cellwise floor, given y:
+G2 and G3 are Y-tuple weights, held as a ``couplings.Mixture`` holds
+them: G3 is H's untied listed tuples and its parts of two or more
+groups, which reach untied tuples only, and G2 the listed tuples
+(y, ..., y) of weight P_Ymin(y) - sum_x P_min(x, y). A tuple t of weight
+w is spread over X-tuples as w * prod_i r_i(x_i | t_i), r_i(. | y) the
+residual of source i above the cellwise floor, given y:
 
     r_i(x | y) = (P_i(x, y) - P_min(x, y)) / (P_i(y) - sum_x P_min(x, y)),
 
-the normalizer read off the marginal. No two parts share a Y-tuple (H's
-four-way parts each tie their own partition of the coordinates, its
-interval parts are distinct tuples), and none meets G1, which would need
-every source above the floor at a cell some source attains. So the
-support size is known before anything is listed: the nonzero cells of
-P_min plus, per part, prod_g sum_{y in g} prod_{i in g} |r_i(. | y)|.
+the normalizer read off the marginal. No two of them share a Y-tuple
+(H's four-way parts each tie their own partition of the coordinates, and
+the listed tuples are distinct, untied or tied), and none meets G1,
+which would need every source above the floor at a cell some source
+attains. So the support size is known before anything is listed: the
+nonzero cells of P_min plus, per listed tuple t, prod_i |r_i(. | t_i)|,
+plus, per part, prod_g sum_{y in g} prod_{i in g} |r_i(. | y)|.
 
-``_minimal_parts`` builds H: the four-way mixture at m = 4, the interval
-coupling (``_interval_parts``, one part per tuple) at every other m; no
-route solves an LP. It is the one place that decides the condition H
-needs: a route refuses it failing, or passes it with its label and value
-(``coupling_feasibility``). Both pin the diagonal to min_i P_{Y_i}(y),
-which keeps H nonnegative and off the tied tuples. ``_check_mixture``
-checks the parts: disjoint group supports, the Y-marginals, union mass
+``_minimal_parts`` builds H: the four-way mixture, as parts, at m = 4,
+and the interval coupling (``_interval_parts``), as listed tuples, at
+every other m; no route solves an LP. It is the one place that decides
+the condition H needs: a route refuses it failing, or passes it with its
+label and value (``coupling_feasibility``). Both pin the diagonal to
+min_i P_{Y_i}(y), which keeps H nonnegative and off the tied tuples.
+``_check_mixture`` checks H, its listed tuples in one loop and its parts
+in another: disjoint group supports, the Y-marginals, union mass
 tau_max and the diagonal. Then every source is preserved: the weights of
 the tuples with t_i = y add up to the residual total of source i at y,
 P_i(y) - sum_x P_min(x, y).
@@ -50,19 +52,24 @@ P_min(x, y), the Y-marginals, and d_i(x, y) = P_i(x, y) - P_min(x, y)
 with its total rest_i(y) = P_i(y) - floor(y), so r_i = d_i / rest_i. H
 is built from the Y-marginals' law, P_{V|X} for a peel step's joints
 P_{pa(U),V|X}, which decides its V-side condition. A part is ``(den,
-groups)``, integer entries over one denominator (see ``couplings``); the
-checks cross-multiply over the LCM of the part denominators.
+groups)``, integer entries over one denominator, and a listed tuple's
+weight a numerator over the marginals' den (see ``couplings``); the
+checks cross-multiply over the LCM of those denominators.
 
 The bounds' penalty f = sum_y P(X_1 = ... = X_m, some Y_i = y) is read
-off the same parts, never their tuples. G1 adds c_XY, and a part of g
-groups puts mass only on Y-tuples of g distinct symbols, so it adds
-g * sum_x prod_g sum_y q_g(y) prod_{i in g} r_i(x | y); each group's sum
-is N_g(x) / M_g, M_g the LCM of prod_{i in g} rest_i(y) over its y (a y
-where some rest_i(y) is 0 adds nothing). ``coupling_penalty`` builds one
-``Fraction``, for f. ``build_simultaneous_coupling`` counts the support
-off the parts, and only under its limit lists the coupling, as integer
+off the same weights, never the X-tuples they spread over. G1 adds c_XY.
+A listed Y-tuple t of weight w / den adds |set(t)| * w * sum_x prod_i
+d_i(x, t_i) over den * prod_i rest_i(t_i), in one pass over the tuples.
+A part of g groups puts mass only on Y-tuples of g distinct symbols, so
+it adds g * sum_x prod_g sum_y q_g(y) prod_{i in g} r_i(x | y); each
+group's sum is N_g(x) / M_g, M_g the LCM of prod_{i in g} rest_i(y) over
+its y. A tuple or a y where some rest_i is 0 adds nothing.
+``coupling_penalty`` builds one ``Fraction``, for f.
+``build_simultaneous_coupling`` counts the support off the listed tuples
+and the parts, and only under its limit lists the coupling, as integer
 numerators over one denominator, the LCM of den and every Y-tuple's
-part_den * prod_i rest_i(y_i), kept as a ``measures.ExactLaw``; it is
+part_den * prod_i rest_i(y_i) (part_den = den for a listed tuple), kept
+as a ``measures.ExactLaw``; it is
 listed for ``couple --mode simul`` and as the reference the penalty is
 tested against. ``y_union_mass`` and ``f_quantity`` sum those
 numerators, and a ``Fraction`` per tuple is built only when ``mass`` is
@@ -145,22 +152,33 @@ def coupling_feasibility(y_pmfs: Sequence[Pmf] | DiscreteChannel) -> Feasibility
     return Feasibility(True, label, None if num is None else Fraction(num, channel.den))
 
 
-def _check_mixture(parts: Sequence[tuple], marginals: DiscreteChannel) -> None:
-    """Check a minimal pinned Y-coupling of ``marginals`` in closed form,
-    off its parts and the marginals' law.
+def _check_mixture(mixture: Mixture) -> None:
+    """Check a minimal pinned Y-coupling of ``mixture.marginals`` in closed
+    form, off its listed tuples, its parts and the marginals' law.
 
     Raises ``ConstructionError`` unless the groups of every part have
     pairwise disjoint supports, every coordinate has its marginal, the
-    union mass sum_parts g * prod_g |q_g| is tau_max, and the diagonal,
-    which only one-group parts reach, is min_i P_i(y) at every output
-    symbol. The sums are compared cross-multiplied over the LCM of the
-    part denominators; a ``Fraction`` is built only for a message.
+    union mass sum_t |set(t)| * w_t + sum_parts g * prod_g |q_g| is
+    tau_max, and the diagonal, which only constant tuples and one-group
+    parts reach, is min_i P_i(y) at every output symbol. The sums are
+    compared cross-multiplied over the LCM of the denominators; a
+    ``Fraction`` is built only for a message.
     """
+    marginals = mixture.marginals
     den, columns, alphabet = marginals.den, marginals.columns, marginals.output_alphabet
-    scale = lcm(*(part_den for part_den, _ in parts))
+    scale = lcm(den if mixture.tuples else 1, *(part_den for part_den, _ in mixture.parts))
     got = [{} for _ in range(marginals.n)]
     diagonal, union = {}, 0
-    for part_den, groups in parts:
+    lift = scale // den
+    for tup, w in mixture.tuples:
+        w *= lift
+        for marginal, y in zip(got, tup):
+            marginal[y] = marginal.get(y, 0) + w
+        distinct = len(set(tup))
+        union += distinct * w
+        if distinct == 1:
+            diagonal[tup[0]] = diagonal.get(tup[0], 0) + w
+    for part_den, groups in mixture.parts:
         lift = scale // part_den
         seen, totals = set(), []
         for _, entries in groups:
@@ -201,29 +219,29 @@ def _check_mixture(parts: Sequence[tuple], marginals: DiscreteChannel) -> None:
 
 def minimal_y_coupling(y_pmfs: Sequence[Pmf]) -> Mixture:
     """A coupling attaining union mass tau_max with a pinned diagonal:
-    the parts of ``_minimal_parts``, which raises ``PreconditionError``
+    the mixture of ``_minimal_parts``, which raises ``PreconditionError``
     with the label and value ``coupling_feasibility`` reports."""
-    channel = DiscreteChannel(y_pmfs)
-    return Mixture(channel, _minimal_parts(channel)[0])
+    return _minimal_parts(DiscreteChannel(y_pmfs))[0]
 
 
-def _minimal_parts(marginals: DiscreteChannel) -> tuple[tuple, str, int | None]:
-    """The parts of a minimal pinned coupling of ``marginals``, read off
-    their law and checked, with the condition they passed: its label and
-    its value's numerator over ``den`` (None at m = 1). Two routes, by m
-    alone, each refusing its own failing condition: the four-way mixture
-    at m = 4, valued by its slack, and the interval coupling, valued by
-    its core total, tau_max2. Soundness at every m: any minimal pinned
-    Y-coupling gives a valid penalty f, so the route may pick any one."""
-    den, columns, m = marginals.den, marginals.columns, marginals.n
+def _minimal_parts(marginals: DiscreteChannel) -> tuple[Mixture, str, int | None]:
+    """A minimal pinned coupling of ``marginals``, read off their law and
+    checked, with the condition it passed: its label and its value's
+    numerator over ``den`` (None at m = 1). Two routes, by m alone, each
+    refusing its own failing condition: the four-way mixture at m = 4, as
+    parts, valued by its slack, and the interval coupling, as listed
+    tuples, valued by its core total, tau_max2. Soundness at every m: any
+    minimal pinned Y-coupling gives a valid penalty f, so the route may
+    pick any one."""
+    m = marginals.n
     if m == 4:
         ing = n4_ingredients(marginals)
-        parts, label, num = n4_mixture(ing).parts, FOUR_WAY_CONDITION, ing._slack()
+        mixture, label, num = n4_mixture(ing), FOUR_WAY_CONDITION, ing._slack()
     else:
-        num, parts = _interval_parts(den, columns, m)
-        label, num = TAU_MAX2_CONDITION, num if m > 1 else None
-    _check_mixture(parts, marginals)
-    return parts, label, num
+        num, tuples = _interval_parts(marginals.den, marginals.columns, m)
+        mixture, label, num = Mixture(marginals, (), tuples), TAU_MAX2_CONDITION, num if m > 1 else None
+    _check_mixture(mixture)
+    return mixture, label, num
 
 
 @dataclass(frozen=True)
@@ -232,15 +250,18 @@ class _MixtureTable:
     integer numerators over ``den``, the joints' common denominator:
     ``y_coupling`` H, whose marginals are the channel of the Y-marginals
     (over its own den), ``condition`` the label of the condition H passed
-    and its value's numerator over that den (``_minimal_parts``), ``parts``
-    the G2/G3 Y-weights as mixture parts, ``p_min`` the nonzero cellwise
-    minima, ``residual[i][y]`` mapping x to d_i(x, y) = P_i(x, y) -
-    P_min(x, y) where it is nonzero, and ``rest[i][y]`` = P_i(y) - sum_x
-    P_min(x, y), so that r_i(x | y) = d_i(x, y) / rest_i(y)."""
+    and its value's numerator over that den (``_minimal_parts``), the
+    G2/G3 Y-weights as ``tuples``, listed ``(tuple, w)`` pairs, and as
+    ``parts``, H's mixture parts of two or more groups, ``p_min`` the
+    nonzero cellwise minima, ``residual[i][y]`` mapping x to d_i(x, y) =
+    P_i(x, y) - P_min(x, y) where it is nonzero, and ``rest[i][y]`` =
+    P_i(y) - sum_x P_min(x, y), so that r_i(x | y) = d_i(x, y) /
+    rest_i(y)."""
 
     den: int
     y_coupling: Mixture
     condition: tuple[str, int | None]
+    tuples: Sequence[tuple[tuple, int]]
     parts: Sequence[tuple]
     p_min: Mapping[tuple, int]
     residual: tuple[Mapping[Symbol, Mapping[Symbol, int]], ...]
@@ -265,13 +286,15 @@ def _mixture_table(joints: DiscreteChannel) -> _MixtureTable:
             if q != low:
                 residual[i].setdefault(y, {})[x] = q - low
     y_marginals = DiscreteChannel.from_law(den, y_columns, joints.axes[1:], joints.input_alphabet)
-    h_parts, label, num = _minimal_parts(y_marginals)
+    h, label, num = _minimal_parts(y_marginals)
 
     rest = tuple({y: col[i] - floor.get(y, 0) for y, col in y_columns.items()} for i in range(m))
-    tied = tuple((y, w) for y, col in y_columns.items() if (w := min(col) - floor.get(y, 0)))
-    parts = [part for part in h_parts if len(part[1]) > 1]
-    parts.append((den, ((tuple(range(m)), tied),)))
-    return _MixtureTable(den, Mixture(y_marginals, h_parts), (label, num), parts, p_min, residual, rest)
+    # H's tuples are over the Y-marginals' den, which divides den.
+    lift = den // y_marginals.den
+    tuples = [(tup, w * lift) for tup, w in h.tuples if len(set(tup)) > 1]
+    tuples += [((y,) * m, w) for y, col in y_columns.items() if (w := min(col) - floor.get(y, 0))]
+    parts = [part for part in h.parts if len(part[1]) > 1]
+    return _MixtureTable(den, h, (label, num), tuples, parts, p_min, residual, rest)
 
 
 @dataclass(frozen=True)
@@ -355,17 +378,22 @@ def build_simultaneous_coupling(
 
     # The exact support size, before materializing anything.
     est = len(table.p_min) + sum(
+        prod(len(residual[i][y]) for i, y in enumerate(ys)) for ys, _ in table.tuples
+    ) + sum(
         prod(sum(prod(len(residual[i][y]) for i in c) for y, _ in e) for c, e in groups)
         for _, groups in table.parts
     )
     if est > max_states:
         raise CapacityError(est, max_states, "coupling support tuples")
 
-    # G2 and G3: a Y-tuple of weight w / part_den is spread over X-tuples
-    # as w * prod_i d_i(x_i, y_i) over norm = part_den * prod_i rest_i(y_i).
-    # Every mass is listed as a numerator over the LCM of den and the norms.
-    spread = [(ys, w, part[0] * prod(rest[i][y] for i, y in enumerate(ys)))
-              for part in table.parts for ys, w in _list_part(part, m)]
+    # G2 and G3: a Y-tuple of weight w / part_den (den for a listed one)
+    # is spread over X-tuples as w * prod_i d_i(x_i, y_i) over norm =
+    # part_den * prod_i rest_i(y_i). Every mass is listed as a numerator
+    # over the LCM of den and the norms.
+    listed = [(ys, w, part[0]) for part in table.parts for ys, w in _list_part(part, m)]
+    listed += [(ys, w, den) for ys, w in table.tuples]
+    spread = [(ys, w, part_den * prod(rest[i][y] for i, y in enumerate(ys)))
+              for ys, w, part_den in listed]
     scale = lcm(den, *(norm for _, _, norm in spread))
     # G1: fully tied diagonal. Weight c_XY cancels the 1/c_XY normalizer.
     lift = scale // den
@@ -413,21 +441,42 @@ def _group_sums(table: _MixtureTable, coords: tuple[int, ...], entries: tuple) -
 def coupling_penalty(sources: Sequence[JointPmf] | DiscreteChannel) -> Fraction:
     """``f_quantity(build_simultaneous_coupling(sources))``, unbuilt.
 
-    Reads f = c_XY + sum_parts g * sum_x prod_g sum_y q_g(y) prod_{i in
-    g} r_i(x | y) off the G2/G3 parts of ``_mixture_table``, in integers:
-    each part adds g * sum_x prod_g N_g(x) over part_den * prod_g M_g
-    (``_group_sums``), and one ``Fraction`` is built at the end. No tuple
-    is listed, so no size limit applies. ``sources`` may be the
-    channel of the joints, whose law is then read as it is. The
-    Y-coupling refuses as in ``minimal_y_coupling``.
+    Reads f = c_XY + sum_t |set(t)| * w_t * sum_x prod_i r_i(x | t_i) +
+    sum_parts g * sum_x prod_g sum_y q_g(y) prod_{i in g} r_i(x | y) off
+    the G2/G3 listed tuples and parts of ``_mixture_table``, in integers
+    (``_penalty``), and builds one ``Fraction`` at the end. No X-tuple is
+    listed, so no size limit applies. ``sources`` may be the channel of
+    the joints, whose law is then read as it is. The Y-coupling refuses
+    as in ``minimal_y_coupling``.
     """
     joints = sources if isinstance(sources, DiscreteChannel) else DiscreteChannel(sources)
     return _penalty(_mixture_table(joints))
 
 
 def _penalty(table: _MixtureTable) -> Fraction:
-    """f of ``coupling_penalty``, read off ``table``."""
+    """f of ``coupling_penalty``, read off ``table``: a listed tuple t of
+    weight w adds |set(t)| * w * sum_x prod_i d_i(x, t_i) over den *
+    prod_i rest_i(t_i), a part of g groups g * sum_x prod_g N_g(x) over
+    part_den * prod_g M_g (``_group_sums``)."""
     num, den = sum(table.p_min.values()), table.den
+    residual, rest = table.residual, table.rest
+    terms = []
+    for tup, w in table.tuples:
+        norm, rows = table.den, []
+        for i, y in enumerate(tup):
+            row = residual[i].get(y)
+            if row is None:
+                break  # rest_i(y) is 0: the tuple adds nothing
+            norm *= rest[i][y]
+            rows.append(row)
+        else:
+            first, *others = rows
+            total = 0
+            for x, d in first.items():
+                for row in others:
+                    d *= row.get(x, 0)
+                total += d
+            terms.append((len(set(tup)) * w * total, norm))
     for part_den, groups in table.parts:
         common = None
         for coords, entries in groups:
@@ -436,10 +485,11 @@ def _penalty(table: _MixtureTable) -> Fraction:
             common = sums if common is None else {
                 x: v * sums[x] for x, v in common.items() if x in sums
             }
-        term = len(groups) * sum(common.values())
+        terms.append((len(groups) * sum(common.values()), part_den))
+    for term, term_den in terms:
         if term:
-            both = lcm(den, part_den)
-            num, den = num * (both // den) + term * (both // part_den), both
+            both = lcm(den, term_den)
+            num, den = num * (both // den) + term * (both // term_den), both
     return Fraction(num, den)
 
 

@@ -832,10 +832,17 @@ def reference_n4_mixture(ing: ReferenceN4Ingredients) -> tuple:
     return reference_mixture(components)
 
 
-def reference_check_mixture(marginals, parts) -> None:
-    """The closed-form check of a minimal pinned Y-coupling, on Fractions."""
+def reference_check_mixture(marginals, parts, tuples=()) -> None:
+    """The closed-form check of a minimal pinned Y-coupling, on Fractions:
+    reference parts and listed ``(tuple, mass)`` pairs, the tuples first."""
     got = [{} for _ in marginals]
     diagonal, union = {}, ZERO
+    for tup, q in tuples:
+        for i, y in enumerate(tup):
+            got[i][y] = got[i].get(y, ZERO) + q
+        union += len(set(tup)) * q
+        if len(set(tup)) == 1:
+            diagonal[tup[0]] = diagonal.get(tup[0], ZERO) + q
     for part in parts:
         seen, totals = set(), []
         for _, entries in part:

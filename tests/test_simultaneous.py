@@ -68,7 +68,6 @@ from leakbound.couplings import (
     _interval_parts,
     _list_part,
     _mixture,
-    _tuple_part,
     intersection_violations,
     n4_condition,
     n4_ingredients,
@@ -526,29 +525,50 @@ class TestSupportCountedFirst:
         assert (code, captured.out, captured.err) == (2, "", WIDE_REFUSAL)
 
     def test_one_part_list(self, monkeypatch):
-        # The build and the penalty read the one G2/G3 part list; the build
-        # lists each part once, and H once more for ``y_coupling``.
+        # The build and the penalty read the table's one G2/G3 list: its
+        # listed tuples, each once, and its parts (at m = 4 only), each
+        # listed once; the build lists H once more for ``y_coupling``. Each
+        # Y-tuple gets exactly its weight, spread over X-tuples, and the
+        # support counted off the list is the listed coupling's size.
         rng = random.Random(58)
-        fam = rand_family_tau_max2_le1(rng, 3, 3)
-        sources = tuple(sources_with_y_family(rng, fam, 3))
-        table = simultaneous._mixture_table(DiscreteChannel(sources))
-        listed, built = Counter(), Counter()
-        original_list, original_coupling = simultaneous._list_part, Mixture.coupling
+        for m in (3, 4):
+            fam = rand_family_tau_max2_le1(rng, m, 3)
+            sources = tuple(sources_with_y_family(rng, fam, 3))
+            table = simultaneous._mixture_table(DiscreteChannel(sources))
+            listed, built = Counter(), Counter()
+            original_list, original_coupling = simultaneous._list_part, Mixture.coupling
 
-        def list_part(part, arity):
-            listed[part] += 1
-            return original_list(part, arity)
+            def list_part(part, arity):
+                listed[part] += 1
+                return original_list(part, arity)
 
-        def coupling(mixture):
-            built[mixture.parts] += 1
-            return original_coupling(mixture)
+            def coupling(mixture):
+                built[mixture.parts, mixture.tuples] += 1
+                return original_coupling(mixture)
 
-        monkeypatch.setattr(simultaneous, "_list_part", list_part)
-        monkeypatch.setattr(Mixture, "coupling", coupling)
-        coupling_built = build_simultaneous_coupling(sources, max_states=ROOMY)
-        assert listed == Counter(table.parts)
-        assert built == Counter([table.y_coupling.parts])
-        assert f_quantity(coupling_built) == coupling_penalty(sources)
+            monkeypatch.setattr(simultaneous, "_list_part", list_part)
+            monkeypatch.setattr(Mixture, "coupling", coupling)
+            coupling_built = build_simultaneous_coupling(sources, max_states=ROOMY)
+            monkeypatch.undo()
+            assert listed == Counter(table.parts) and bool(table.parts) == (m == 4)
+            assert built == Counter([(table.y_coupling.parts, table.y_coupling.tuples)])
+            weights = {tup: Q(w, table.den) for tup, w in table.tuples}
+            assert len(weights) == len(table.tuples)
+            for part in table.parts:
+                for tup, w in _list_part(part, m):
+                    assert tup not in weights
+                    weights[tup] = Q(w, part[0])
+            tied = {((x,) * m, (y,) * m) for x, y in table.p_min}
+            spread = Counter()
+            for (xs, ys), q in coupling_built.mass.items():
+                if (xs, ys) not in tied:
+                    spread[ys] += q
+            assert spread == weights
+            size = len(coupling_built.mass)
+            with pytest.raises(CapacityError) as err:
+                build_simultaneous_coupling(sources, max_states=size - 1)
+            assert err.value.requested == size
+            assert f_quantity(coupling_built) == coupling_penalty(sources)
 
 
 # The reference penalty: the coupling built, validated and summed.
@@ -696,15 +716,18 @@ class TestCheckMixture:
 
     @staticmethod
     def tuple_mixture(marginals, mass):
-        parts = tuple(_tuple_part(t, q.numerator, q.denominator) for t, q in mass.items())
-        return Mixture(DiscreteChannel(marginals), parts)
+        """The masses as a mixture's listed tuples, over the marginals' den."""
+        channel = DiscreteChannel(marginals)
+        tuples = tuple((t, q * channel.den) for t, q in mass.items())
+        assert all(w.denominator == 1 for _, w in tuples)
+        return Mixture(channel, (), tuple((t, int(w)) for t, w in tuples))
 
     @staticmethod
     def check(mixture):
-        """``_check_mixture`` on the mixture's parts; it passes or refuses
-        with the message of ``helpers.reference_check_mixture``, which
-        checks the parts with the part's denominator folded into its first
-        group, on Fractions."""
+        """``_check_mixture`` on the mixture; it passes or refuses with the
+        message of ``helpers.reference_check_mixture``, which checks the
+        listed tuples and the parts, with the part's denominator folded
+        into its first group, on Fractions."""
         folded = tuple(
             tuple(
                 (coords, tuple((y, Q(e, den) if g == 0 else Q(e)) for y, e in entries))
@@ -712,28 +735,35 @@ class TestCheckMixture:
             )
             for den, groups in mixture.parts
         )
+        listed = tuple((t, Q(w, mixture.marginals.den)) for t, w in mixture.tuples)
         try:
-            reference_check_mixture(mixture.marginals.rows, folded)
+            reference_check_mixture(mixture.marginals.rows, folded, listed)
         except ConstructionError as err:
             with pytest.raises(ConstructionError) as got:
-                _check_mixture(mixture.parts, mixture.marginals)
+                _check_mixture(mixture)
             assert str(got.value) == str(err)
             raise
-        _check_mixture(mixture.parts, mixture.marginals)
+        _check_mixture(mixture)
 
     def test_closed_forms_pass(self):
-        # The parts count the support exactly: each part has its own tie
-        # pattern, and its groups never share a symbol.
+        # The mixture counts the support exactly: each listed tuple once,
+        # each part its own tie pattern, whose groups never share a symbol.
+        # The four-way form fills only the parts, the interval coupling
+        # only the listed tuples.
         rng = random.Random(62)
         for m, size in ((2, 3), (3, 3), (4, 3), (4, 4), (5, 5)):
             fam = rand_family_tau_max2_le1(rng, m, size)
             mixture = minimal_y_coupling(fam)
             self.check(mixture)
-            size = sum(prod(len(entries) for _, entries in groups) for _, groups in mixture.parts)
+            assert (bool(mixture.parts), bool(mixture.tuples)) == (m == 4, m != 4)
+            assert len(dict(mixture.tuples)) == len(mixture.tuples)
+            size = len(mixture.tuples) + sum(
+                prod(len(entries) for _, entries in groups) for _, groups in mixture.parts
+            )
             assert size == len(mixture.coupling().mass)
 
     def test_moved_mass_raises(self):
-        # Moving mass between two untied parts of two symbols keeps the
+        # Moving mass between two untied tuples of two symbols keeps the
         # total, the union mass and the diagonal, but breaks a marginal.
         fam = rand_family_tau_max2_le1(random.Random(62), 3, 3)
         mass = dict(minimal_y_coupling(fam).coupling().mass)
@@ -742,6 +772,30 @@ class TestCheckMixture:
         mass[t1] += shift
         mass[t2] -= shift
         with pytest.raises(ConstructionError, match="marginal"):
+            self.check(self.tuple_mixture(fam, mass))
+
+    @pytest.mark.parametrize("m, size", [(3, 4), (5, 5)])
+    def test_wrong_union_raises(self, m, size):
+        # Swapping one coordinate between two untied tuples keeps every
+        # marginal and the diagonal, but changes the number of distinct
+        # symbols the moved mass pays for.
+        fam = rand_family_tau_max2_le1(random.Random(63), m, size)
+        mass = dict(minimal_y_coupling(fam).coupling().mass)
+        untied = [t for t in mass if len(set(t)) > 1]
+        t1, t2, i = next(
+            (t1, t2, i)
+            for t1, t2 in itertools.combinations(untied, 2) for i in range(m)
+            if len(set(u1 := t1[:i] + t2[i:i + 1] + t1[i + 1:])) > 1
+            and len(set(u2 := t2[:i] + t1[i:i + 1] + t2[i + 1:])) > 1
+            and len(set(u1)) + len(set(u2)) != len(set(t1)) + len(set(t2))
+        )
+        shift = min(mass[t1], mass[t2])
+        for old, new in ((t1, t1[:i] + t2[i:i + 1] + t1[i + 1:]),
+                         (t2, t2[:i] + t1[i:i + 1] + t2[i + 1:])):
+            mass[old] -= shift
+            mass[new] = mass.get(new, 0) + shift
+        mass = {t: q for t, q in mass.items() if q}
+        with pytest.raises(ConstructionError, match="union mass"):
             self.check(self.tuple_mixture(fam, mass))
 
     def test_overlapping_groups_raise(self):
@@ -1134,10 +1188,10 @@ def rand_interval_family(rng, m, size, kind, outside=False):
     symbol of their own and the rest on small integer weights, so
     tau_max2 <= 1; "coprime" does the same with weights over denominators
     up to 10**6. Both need size >= m, and fall back to "free" otherwise.
-    "boundary" rows are two copies of one row and rows pulled from it
-    toward distinct symbols of their own, so tau_max2 = 1 exactly and
-    the copies tie for the column maximum. "free" rows are small integer
-    weights, with zeros and ties, and mostly fail tau_max2 <= 1."""
+    "boundary" rows (m >= 2) are two copies of one row and rows pulled
+    from it toward distinct symbols of their own, so tau_max2 = 1 exactly
+    and the copies tie for the column maximum. "free" rows are small
+    integer weights, with zeros and ties, and mostly fail tau_max2 <= 1."""
     symbols = [str(k) for k in range(size)]
 
     def weights():
@@ -1152,7 +1206,7 @@ def rand_interval_family(rng, m, size, kind, outside=False):
             den = rng.randint(10**5, 10**6) if kind == "coprime" else rng.choice((8, 12, 16, 24))
             lam = Q(rng.randint(-(-(m - 1) * den // m), den), den)
             rows.append([lam * (k == spot) + (1 - lam) * q for k, q in enumerate(weights())])
-    elif kind == "boundary":
+    elif kind == "boundary" and m > 1:
         base = weights()
         spots = rng.sample(range(size), min(size, m - 2))
         rows = [base, base]
@@ -1170,16 +1224,35 @@ def rand_interval_family(rng, m, size, kind, outside=False):
 
 @st.composite
 def interval_families(draw):
-    m, size = draw(st.sampled_from((2, 3, 5, 6, 7))), draw(st.integers(1, 7))
+    m, size = draw(st.sampled_from((1, 2, 3, 5, 6, 7))), draw(st.integers(1, 7))
     kind, seed, outside = draw(st.sampled_from(INTERVAL_KINDS)), draw(st.integers(0)), draw(st.booleans())
     return rand_interval_family(random.Random(seed), m, size, kind, outside)
 
 
+def split_sources(rng, fam, x_size):
+    """One joint per marginal of ``fam``: each P_i(y) split over X by
+    small integer weights of its own, with zeros, so every source has its
+    own residuals above the cellwise floor."""
+    xs = [str(k) for k in range(x_size)]
+    sources = []
+    for p in fam:
+        mass = {}
+        for y, q in p.mass.items():
+            while not any(w := [rng.choice((0, 1, 2, 3)) for _ in xs]):
+                pass
+            mass.update(((x, y), q * Q(v, sum(w))) for x, v in zip(xs, w) if v)
+        sources.append(JointPmf(xs, p.alphabet, mass))
+    return sources
+
+
 class TestIntervalParts:
     """The interval coupling at every m but 4: a checked minimal
-    Y-coupling with a pinned diagonal on at most 2m|Y| + 2 distinct
-    tuples, refused exactly when ``coupling_feasibility`` refuses, and
-    tuple for tuple the layout of ``helpers.reference_interval_parts``."""
+    Y-coupling with a pinned diagonal, listed as at most 2m|Y| + 2
+    distinct tuples, refused exactly when ``coupling_feasibility``
+    refuses, and tuple for tuple the layout of
+    ``helpers.reference_interval_parts``; the penalty read off the listed
+    tuples of sources with those Y-marginals is f of their built
+    coupling."""
 
     @staticmethod
     def check(fam):
@@ -1199,16 +1272,26 @@ class TestIntervalParts:
             return {"refused"}
         assert verdict.ok
         TestCheckMixture.check(mixture)
-        assert mixture.coupling().mass == reference_mass(reference_interval_parts(fam), m)
-        listed = [tup for part in mixture.parts for tup, _ in _list_part(part, m)]
-        assert len(listed) == len(set(listed)) == len(mixture.parts) <= 2 * m * len(columns) + 2
+        reference = reference_mass(reference_interval_parts(fam), m)
+        assert mixture.parts == ()
+        assert [(tup, Q(w, den)) for tup, w in mixture.tuples] == list(reference.items())
+        assert mixture.coupling().mass == reference
+        listed = [tup for tup, _ in mixture.tuples]
+        assert len(listed) == len(set(listed)) <= 2 * m * len(columns) + 2
         # A column of zeros adds no breakpoint.
         zero = dict(columns, z=(0,) * m)
         # The core total is tau_max2's numerator over den.
         core_total = sum(sorted(col)[-2] for col in columns.values()) if m > 1 else 0
-        assert _interval_parts(den, zero, m) == (core_total, mixture.parts)
+        assert _interval_parts(den, zero, m) == (core_total, mixture.tuples)
+        rng = random.Random(repr(listed))
+        sources = split_sources(rng, fam, 2 if m > 3 else 3)
+        table = simultaneous._mixture_table(DiscreteChannel(sources))
+        assert table.y_coupling == mixture and table.parts == []
+        penalty = simultaneous._penalty(table)
+        # One source is its own coupling, f = 1; the build needs two.
+        assert penalty == (1 if m == 1 else built_penalty(sources))
         features = {"built"}
-        if len(fam[0].alphabet) ** m <= 729:
+        if m > 1 and len(fam[0].alphabet) ** m <= 729:
             lp_value = min_union_coupling_diag(fam).optimal_value
             assert union_mass(mixture.coupling()) == lp_value == tau_max(DiscreteChannel(fam))
             features.add("lp")
@@ -1220,7 +1303,7 @@ class TestIntervalParts:
             features.add("coprime")
         if len(columns) < len(fam[0].alphabet):
             features.add("outside")
-        return features
+        return features | {f"m = {m}"}
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(interval_families())
@@ -1230,7 +1313,7 @@ class TestIntervalParts:
     def test_seeded_families(self):
         rng = random.Random(66)
         seen = Counter()
-        for m in (2, 3, 5, 6, 7):
+        for m in (1, 2, 3, 5, 6, 7):
             for size in range(1, 8):
                 for kind in INTERVAL_KINDS:
                     for outside in (False, True):
@@ -1239,6 +1322,8 @@ class TestIntervalParts:
         assert seen["built"] > 60 and seen["refused"] > 20
         for feature in ("lp", "tie", "tau_max2 = 1", "coprime", "outside"):
             assert seen[feature]
+        for m in (1, 2, 3, 5, 6, 7):
+            assert seen[f"m = {m}"]
 
     def test_worked_layout(self):
         # Cores [0, 2), [2, 3), [3, 4) of "a", "b", "c" on [0, 4). Row 0,
@@ -1246,15 +1331,14 @@ class TestIntervalParts:
         # argmaxes of "b" and "c", pour theirs into the gaps they leave in
         # the other cores. Only [0, 1) is tied, at min_i P_i("a") = 1/4.
         rows = {"a": (4, 1, 1, 2, 2), "b": (0, 3, 0, 1, 1), "c": (0, 0, 3, 1, 1)}
-        core_total, parts = _interval_parts(4, rows, 5)
+        core_total, tuples = _interval_parts(4, rows, 5)
         assert core_total == 2 + 1 + 1
-        listed = {tup: (num, den) for den, groups in parts for tup, num in _list_part((den, groups), 5)}
-        assert listed == {
-            ("a", "a", "a", "a", "a"): (1, 4),
-            ("a", "b", "c", "a", "a"): (1, 4),
-            ("a", "b", "c", "b", "b"): (1, 4),
-            ("a", "b", "c", "c", "c"): (1, 4),
-        }
+        assert tuples == (
+            (("a", "a", "a", "a", "a"), 1),
+            (("a", "b", "c", "a", "a"), 1),
+            (("a", "b", "c", "b", "b"), 1),
+            (("a", "b", "c", "c", "c"), 1),
+        )
 
 
 FRACTION_READS = {"__new__", "numerator", "denominator"}
@@ -1347,7 +1431,7 @@ def test_listed_couplings_are_checked_without_fraction_arithmetic(name, monkeypa
 
 def interval_coupling_of(fam):
     channel = DiscreteChannel(fam)
-    return Mixture(channel, _interval_parts(channel.den, channel.columns, channel.n)[1]).coupling
+    return Mixture(channel, (), _interval_parts(channel.den, channel.columns, channel.n)[1]).coupling
 
 
 @pytest.mark.parametrize("name", [
