@@ -195,32 +195,33 @@ def validate(net: BayesNet) -> list[str]:
 
 
 def _find_cycle(net: BayesNet) -> list[str] | None:
-    ids = set(net.node_ids())
     state: dict[str, int] = {}  # 0 visiting, 1 done
-
-    def walk(u: str, stack: list[str]) -> list[str] | None:
-        state[u] = 0
-        stack.append(u)
-        node = net.by_id[u]
-        # Edges run parent -> child; walking parents finds the same cycles.
-        for p in node.parents:
-            if p not in ids:
-                continue
-            if state.get(p) == 0:
-                return stack[stack.index(p):] + [p]
-            if p not in state:
-                found = walk(p, stack)
-                if found:
-                    return found
-        stack.pop()
-        state[u] = 1
-        return None
-
     for nid in net.node_ids():
         if nid not in state:
-            found = walk(nid, [])
+            found = _walk_parents(net.by_id, nid, [], state)
             if found:
                 return found
+    return None
+
+
+def _walk_parents(by_id: dict, u: str, stack: list[str], state: dict[str, int]) -> list[str] | None:
+    """The depth-first step of ``_find_cycle``. A module-level function, not
+    a closure that calls itself, which would tie the net into a reference
+    cycle that only the cyclic garbage collector frees."""
+    state[u] = 0
+    stack.append(u)
+    # Edges run parent -> child; walking parents finds the same cycles.
+    for p in by_id[u].parents:
+        if p not in by_id:
+            continue
+        if state.get(p) == 0:
+            return stack[stack.index(p):] + [p]
+        if p not in state:
+            found = _walk_parents(by_id, p, stack, state)
+            if found:
+                return found
+    stack.pop()
+    state[u] = 1
     return None
 
 

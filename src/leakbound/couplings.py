@@ -582,40 +582,40 @@ def intersection_violations(coupling: Coupling, pmfs: Sequence[Pmf]) -> list[tup
     the selected coordinates all equalling the symbol differs from the
     minimum of the selected marginals, subsets by size, then symbols in
     alphabet order. Refuses PMFs on an alphabet other than the coupling's,
-    whose extra symbols would go unchecked. Reads the numerators of the
-    coupling's and the PMFs' laws, each PMF's lifted to the LCM of theirs."""
-    pmfs = tuple(pmfs)
-    m = coupling.arity
+    whose extra symbols would go unchecked. Reads the laws' numerators on
+    their supports, each PMF's lifted to the LCM of theirs: a tuple adds its
+    mass once per (symbol, mask of the coordinates holding it), a subset
+    ties at y the masks that contain it, and a symbol outside a selected
+    support and untied is 0 against 0, so it is not compared."""
+    pmfs, m = tuple(pmfs), coupling.arity
     if len(pmfs) != m:
         raise LeakboundError("need one PMF per coupling coordinate")
     if any(pmf.alphabet != coupling.alphabet for pmf in pmfs):
         raise LeakboundError("PMF on a different alphabet from the coupling's")
-    # One pass over the support: a tuple's mass counts for every subset
-    # of the coordinates that hold one symbol.
     scale, nums = numerators(coupling.mass)
     den = lcm(*(pmf.mass.den for pmf in pmfs))
-    # Per subset, its column minima in alphabet order, each taken once
-    # from its prefix's: the subsets come by size, so the prefix is there.
-    minima = {(i,): [pmf.mass.nums.get(y, 0) * (den // pmf.mass.den) for y in coupling.alphabet]
-              for i, pmf in enumerate(pmfs)}
     tied: dict[tuple, int] = {}
     for tup, num in nums.items():
-        coords: dict[Symbol, list[int]] = {}
+        masks: dict[Symbol, int] = {}
         for i, y in enumerate(tup):
-            coords.setdefault(y, []).append(i)
-        for y, held in coords.items():
-            for size in range(2, len(held) + 1):
-                for subset in combinations(held, size):
-                    key = (subset, y)
-                    tied[key] = tied.get(key, 0) + num
+            masks[y] = masks.get(y, 0) | 1 << i
+        for y, held in masks.items():
+            if held & (held - 1):  # two or more coordinates
+                tied[y, held] = tied.get((y, held), 0) + num
+    # A subset's minima, on the common support, come from its prefix's.
+    minima = {(i,): {y: q * (den // pmf.mass.den) for y, q in pmf.mass.nums.items()}
+              for i, pmf in enumerate(pmfs)}
     out = []
     for size in range(2, m + 1):
         for subset in combinations(range(m), size):
-            minima[subset] = lows = list(map(min, minima[subset[:-1]], minima[subset[-1:]]))
-            for y, want in zip(coupling.alphabet, lows):
-                got = tied.get((subset, y), 0)
-                if got * den != want * scale:
-                    out.append((subset, y, Fraction(got, scale), Fraction(want, den)))
+            last, mask, got = minima[subset[-1:]], sum(1 << i for i in subset), {}
+            minima[subset] = want = {y: min(q, last[y]) for y, q in minima[subset[:-1]].items() if y in last}
+            for (y, held), num in tied.items():
+                if held & mask == mask:
+                    got[y] = got.get(y, 0) + num
+            bad = [y for y in want.keys() | got.keys() if got.get(y, 0) * den != want.get(y, 0) * scale]
+            out += [(subset, y, Fraction(got.get(y, 0), scale), Fraction(want.get(y, 0), den))
+                    for y in sorted(bad, key=coupling.alphabet.index)]
     return out
 
 

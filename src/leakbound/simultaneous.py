@@ -66,14 +66,15 @@ group's sum is N_g(x) / M_g, M_g the LCM of prod_{i in g} rest_i(y) over
 its y. A tuple or a y where some rest_i is 0 adds nothing.
 ``coupling_penalty`` builds one ``Fraction``, for f.
 ``build_simultaneous_coupling`` counts the support off the listed tuples
-and the parts, and only under its limit lists the coupling, as integer
-numerators over one denominator, the LCM of den and every Y-tuple's
-part_den * prod_i rest_i(y_i) (part_den = den for a listed tuple), kept
-as a ``measures.ExactLaw``; it is
-listed for ``couple --mode simul`` and as the reference the penalty is
-tested against. ``y_union_mass`` and ``f_quantity`` sum those
-numerators, and a ``Fraction`` per tuple is built only when ``mass`` is
-read.
+and the parts, and only under its limit lists the coupling, each part
+once, as integer numerators over one denominator, the LCM of den and
+every Y-tuple's part_den * prod_i rest_i(y_i) (part_den = den for a
+listed tuple), kept as a ``measures.ExactLaw``; it is listed for
+``couple --mode simul`` and as the reference the penalty is tested
+against. The same pass forms H's law: the untied Y-tuples it spreads,
+plus the diagonal min_i P_{Y_i}(y) that ``_check_mixture`` pinned.
+``y_union_mass`` and ``f_quantity`` sum the numerators, and a
+``Fraction`` per tuple is built only when ``mass`` is read.
 
 One source is its own coupling: its one Y-marginal passes the condition
 with no value, the G2 weights are 0 and f = c_XY = 1. The penalty
@@ -83,12 +84,14 @@ refuses fewer than two sources.
 Which type validates what: each source is a ``measures.JointPmf``, a
 ``Pmf`` over its (x, y) cells; the ``DiscreteChannel`` of the sources
 checks that they share one X and one Y alphabet, and ``SimulCoupling``
-keeps it as ``joints``; the listed Y-coupling is a ``couplings.Coupling``,
-checked against the Y-marginals' law; ``SimulCoupling.validate`` checks
-the assembled law: signs, total mass, every source marginal against the
-law of ``joints`` and the Y-projection against the Y-coupling's
-numerators. Each check sums the kept integer numerators and compares
-them cross-multiplied; a ``Fraction`` is built only for a message.
+keeps it as ``joints``; the Y-coupling is a ``couplings.Coupling`` of
+H's law, checked against the Y-marginals' law; ``SimulCoupling.validate``
+checks the assembled law: signs, total mass, every source marginal
+against the nonzero cells of ``joints`` and the Y-projection against the
+Y-coupling's numerators. Each check sums the kept integer numerators
+over the support and compares them cross-multiplied; only a failure
+walks the axes, to name its first bad cell in x-major order, and a
+``Fraction`` is built only for a message.
 """
 
 from __future__ import annotations
@@ -329,28 +332,33 @@ class SimulCoupling:
 
     def validate(self) -> None:
         """Exact checks of every mass's sign and every structural
-        identity, off one pass over the support; raises on failure. The
+        identity, off passes over the support; raises on failure. The
         masses' numerators (``measures.numerators``) are summed and
         cross-multiplied against the law of the joints and the
         Y-coupling's numerators."""
         scale, nums = numerators(self.mass)
-        marginals = [{} for _ in range(self.arity)]
+        if nums and min(nums.values()) < 0:
+            cell, num = next((cell, num) for cell, num in nums.items() if num < 0)
+            raise ConstructionError(f"negative mass {exact_str(Fraction(num, scale))} at {cell!r}")
         proj = {}
-        for (xs, ys), num in nums.items():
-            if num < 0:
-                raise ConstructionError(f"negative mass {exact_str(Fraction(num, scale))} at {(xs, ys)!r}")
+        for (_, ys), num in nums.items():
             proj[ys] = proj.get(ys, 0) + num
-            for got, cell in zip(marginals, zip(xs, ys)):
-                got[cell] = got.get(cell, 0) + num
         total = sum(proj.values())
         if total != scale:
             raise ConstructionError(f"coupling mass sums to {exact_str(Fraction(total, scale))}")
         den, cells = self.joints.den, self.joints.columns
-        for i, got in enumerate(marginals):
-            for cell in self.joints.output_alphabet:
-                want = cells[cell][i] if cell in cells else 0
-                if got.get(cell, 0) * den != want * scale:
-                    raise ConstructionError(f"source {i} marginal mismatch at {cell!r}")
+        for i in range(self.arity):
+            got = {}
+            for (xs, ys), num in nums.items():
+                cell = xs[i], ys[i]
+                got[cell] = got.get(cell, 0) + num
+            want = {cell: col[i] for cell, col in cells.items() if col[i]}
+            bad = [cell for cell, num in got.items() if num * den != want.get(cell, 0) * scale]
+            bad += [cell for cell in want if cell not in got]
+            if bad:  # named by the first bad cell on the axes, x-major
+                xi, yi = ({s: k for k, s in enumerate(axis)} for axis in self.joints.axes)
+                *_, cell = min((xi[x], yi[y], (x, y)) for x, y in bad if x in xi and y in yi)
+                raise ConstructionError(f"source {i} marginal mismatch at {cell!r}")
         y_den, y_nums = numerators(self.y_coupling.mass)
         if proj.keys() != y_nums.keys() or any(
             num * y_den != y_nums[ys] * scale for ys, num in proj.items()
@@ -392,26 +400,33 @@ def build_simultaneous_coupling(
     # over the LCM of den and the norms.
     listed = [(ys, w, part[0]) for part in table.parts for ys, w in _list_part(part, m)]
     listed += [(ys, w, den) for ys, w in table.tuples]
-    spread = [(ys, w, part_den * prod(rest[i][y] for i, y in enumerate(ys)))
+    spread = [(ys, w, part_den, part_den * prod(rest[i][y] for i, y in enumerate(ys)))
               for ys, w, part_den in listed]
-    scale = lcm(den, *(norm for _, _, norm in spread))
+    scale = lcm(den, *(norm for *_, norm in spread))
+    # H, the Y-coupling, is its diagonal min_i P_{Y_i}(y), which
+    # ``_check_mixture`` pinned, plus the untied listed tuples, as
+    # numerators over the LCM of den and the part dens.
+    marginals = table.y_coupling.marginals
+    y_scale = lcm(den, *(part_den for part_den, _ in table.parts))
+    lift = y_scale // marginals.den
+    y_nums = {(y,) * m: low * lift for y, col in marginals.columns.items() if (low := min(col))}
     # G1: fully tied diagonal. Weight c_XY cancels the 1/c_XY normalizer.
     lift = scale // den
     nums = {((x,) * m, (y,) * m): q * lift for (x, y), q in table.p_min.items()}
-    for ys, w, norm in spread:
+    for ys, w, part_den, norm in spread:
+        if ys not in y_nums:  # every tied (G2) tuple is on H's diagonal
+            y_nums[ys] = w * (y_scale // part_den)
         w *= scale // norm
-        for combo in product(*(residual[i][y].items() for i, y in enumerate(ys))):
-            q = w
-            for _, d in combo:
-                q *= d
-            nums[(tuple(x for x, _ in combo), ys)] = q
+        rows = [residual[i][y] for i, y in enumerate(ys)]
+        for xs, ds in zip(product(*rows), product(*(row.values() for row in rows))):
+            nums[(xs, ys)] = w * prod(ds)
 
     built = SimulCoupling(
         joints=joints,
         mass=ExactLaw(scale, nums),
         c_xy=Fraction(sum(table.p_min.values()), den),
-        c_y=doeblin(table.y_coupling.marginals),
-        y_coupling=table.y_coupling.coupling(),
+        c_y=doeblin(marginals),
+        y_coupling=Coupling(marginals.output_alphabet, m, ExactLaw(y_scale, y_nums), marginals),
     )
     built.validate()
     return built

@@ -1,8 +1,12 @@
 """Network validation, ordering, and exact inference."""
 
+import contextlib
 import fractions
+import gc
+import io
 import random
 import sys
+import weakref
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -29,6 +33,7 @@ from leakbound import (
     validate,
 )
 from leakbound.bayesnet import BayesNet, NodeSpec, composite_joints
+from leakbound.cli import main
 from leakbound.measures import doeblin, tau_max2
 from leakbound.netfile import parse_network
 
@@ -53,6 +58,19 @@ class TestValidate:
             "X",
         )
         assert any("cycle" in p for p in validate(net))
+
+    def test_cycle_named_from_where_the_walk_meets_it(self):
+        # Parents are walked depth first from each node in declared order.
+        net = BayesNet(
+            [
+                NodeSpec.make("X", 2),
+                NodeSpec.make("A", 2, ["X", "C"], identity_rows(2) * 2),
+                NodeSpec.make("B", 2, ["A"], identity_rows(2)),
+                NodeSpec.make("C", 2, ["B"], identity_rows(2)),
+            ],
+            "X",
+        )
+        assert validate(net) == ["cycle: A -> C -> B -> A"]
 
     def test_bad_row_sum_names_node_and_row(self):
         net = BayesNet(
@@ -342,3 +360,41 @@ def test_inference_builds_no_fraction_until_rows_are_read(name, targets, x_nodes
     monkeypatch.undo()
     assert channel.rows[0].alphabet == channel.output_alphabet
     assert joints.rows[0].y_alphabet == joints.axes[1]
+
+
+@contextlib.contextmanager
+def gc_disabled():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestNoCyclicGarbage:
+    """Validating a net, a ``bound`` query, a simultaneous build and an LP
+    solve make no reference cycle: what they leave is freed by reference
+    counting alone, with the cyclic garbage collector off."""
+
+    def test_validated_net_dies_on_del(self):
+        with gc_disabled():
+            net = parse_network((FIXTURES / "diamond.json").read_text())
+            assert validate(net) == []
+            ref = weakref.ref(net)
+            del net
+            assert ref() is None
+            assert gc.collect() == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "diamond.json", "--targets", "Y1,Y2,Y3", "--compare-exact"],
+        ["couple", "joints_pair.json", "--mode", "simul", "--dump"],
+        ["couple", "pmfs_cycle3.json", "--mode", "lp", "--diag", "--dump"],
+    ])
+    def test_commands_leave_no_cycle(self, argv):
+        argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+        for _ in range(2):  # the first run may fill module-level caches
+            with gc_disabled(), contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+                left = gc.collect()
+        assert left == 0

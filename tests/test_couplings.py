@@ -690,6 +690,59 @@ class TestIntersectionProperty:
                 fam = rand_family_tau_max2_le1(rng, m, size)
                 assert verify_intersection_property(interval_mixture(fam).coupling(), fam)
 
+    def test_sparse_families_against_reference(self):
+        # PMFs of one to three support symbols on alphabets of 4-9, checked
+        # against the coupling's own family, the family rotated and another
+        # sparse family: symbols tied by the coupling but outside a selected
+        # support (want 0, got > 0) and symbols in every selected support
+        # that the coupling never ties (want > 0, got 0) both occur.
+        rng = random.Random(76)
+
+        def sparse_family(m, size):
+            fam = []
+            for _ in range(m):
+                support = rng.sample(range(size), rng.randint(1, 3))
+                weights = [rng.randint(1, 4) for _ in support]
+                row = [0] * size
+                for k, w in zip(support, weights):
+                    row[k] = Q(w, sum(weights))
+                fam.append(Pmf.from_values(row, alphabet(size)))
+            return fam
+
+        seen = Counter()
+        for m in (2, 3, 4, 5):
+            for _ in range(12):
+                size = rng.randint(4, 9)
+                fam = sparse_family(m, size)
+                coupled = [independent_coupling(fam)]
+                try:
+                    mixture = n4_mixture(n4_ingredients(fam)) if m == 4 else interval_mixture(fam)
+                    coupled.append(mixture.coupling())
+                except PreconditionError:
+                    pass
+                for coupling in coupled:
+                    for pmfs in (fam, fam[1:] + fam[:1], sparse_family(m, size)):
+                        got = intersection_violations(coupling, pmfs)
+                        assert got == reference_intersection_violations(coupling, pmfs)
+                        seen["tied outside a support"] += any(w == 0 < g for _, _, g, w in got)
+                        seen["in every support, untied"] += any(g == 0 < w for _, _, g, w in got)
+                        seen["passed"] += not got
+        assert all(seen[k] for k in ("tied outside a support", "in every support, untied", "passed"))
+
+    def test_sparse_edge_cases(self):
+        p, q = pmf(["1/2", "1/2", "0"]), pmf(["0", "1", "0"])
+        # The product of p with itself ties "0", which q lacks, and "1".
+        coupling = independent_coupling([p, p])
+        want = [((0, 1), "0", Q(1, 4), Q(0)), ((0, 1), "1", Q(1, 4), Q(1, 2))]
+        for check in (intersection_violations, reference_intersection_violations):
+            assert check(coupling, [p, q]) == want
+        # A coupling of p with itself that never ties, on symbols in both
+        # supports.
+        crossed = Coupling(p.alphabet, 2, {("0", "1"): Q(1, 2), ("1", "0"): Q(1, 2)}, [p, p])
+        want = [((0, 1), "0", Q(0), Q(1, 2)), ((0, 1), "1", Q(0), Q(1, 2))]
+        for check in (intersection_violations, reference_intersection_violations):
+            assert check(crossed, [p, p]) == want
+
     def test_pmfs_on_another_alphabet_refused(self):
         # P(Y1 = Y2 = "2") = 0 under a coupling on "01", but min = 1/2: a
         # check that only scanned the coupling's alphabet would pass it.

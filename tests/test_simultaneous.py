@@ -60,7 +60,7 @@ from leakbound import (
     union_mass,
     y_union_mass,
 )
-from leakbound import bounds, measures, simultaneous
+from leakbound import bounds, couplings, measures, simultaneous
 from leakbound.bayesnet import composite_joints
 from leakbound.cli import main
 from leakbound.couplings import (
@@ -527,7 +527,8 @@ class TestSupportCountedFirst:
     def test_one_part_list(self, monkeypatch):
         # The build and the penalty read the table's one G2/G3 list: its
         # listed tuples, each once, and its parts (at m = 4 only), each
-        # listed once; the build lists H once more for ``y_coupling``. Each
+        # listed once. The build forms H's law in the same pass, so no part
+        # is listed again and ``Mixture.coupling`` is not called. Each
         # Y-tuple gets exactly its weight, spread over X-tuples, and the
         # support counted off the list is the listed coupling's size.
         rng = random.Random(58)
@@ -547,11 +548,13 @@ class TestSupportCountedFirst:
                 return original_coupling(mixture)
 
             monkeypatch.setattr(simultaneous, "_list_part", list_part)
+            monkeypatch.setattr(couplings, "_list_part", list_part)
             monkeypatch.setattr(Mixture, "coupling", coupling)
             coupling_built = build_simultaneous_coupling(sources, max_states=ROOMY)
             monkeypatch.undo()
             assert listed == Counter(table.parts) and bool(table.parts) == (m == 4)
-            assert built == Counter([(table.y_coupling.parts, table.y_coupling.tuples)])
+            assert built == Counter()
+            assert dict(coupling_built.y_coupling.mass) == dict(table.y_coupling.coupling().mass)
             weights = {tup: Q(w, table.den) for tup, w in table.tuples}
             assert len(weights) == len(table.tuples)
             for part in table.parts:
@@ -1518,6 +1521,36 @@ class TestListedLawAgainstReference:
         text = (WIDE_FIXTURES / f"{name}.json").read_text(encoding="utf-8")
         assert self.compare(parse_pmf_file(text)) == 1
 
+    @staticmethod
+    def y_coupling_route(sources):
+        """The build's Y-coupling, formed in its own pass, is the table's
+        mixture listed by ``Mixture.coupling``, mass for mass; returns the
+        route ("four-way" or "interval"), or None if the build refuses."""
+        try:
+            built = build_simultaneous_coupling(sources, max_states=ROOMY)
+        except LeakboundError:
+            return None
+        table = simultaneous._mixture_table(DiscreteChannel(sources))
+        listed = table.y_coupling.coupling()
+        assert type(built.y_coupling.mass) is ExactLaw
+        assert dict(built.y_coupling.mass) == dict(listed.mass)
+        assert built.y_coupling.law == listed.law
+        return "four-way" if table.y_coupling.parts else "interval"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(joint_families(), penalty_joints()))
+    def test_y_coupling_property_joints(self, sources):
+        self.y_coupling_route(sources)
+
+    def test_y_coupling_seeded_joints(self):
+        rng = random.Random(76)
+        routes = Counter()
+        for m in range(2, 6):
+            for kind in KINDS * 3:
+                routes[m, self.y_coupling_route(rand_penalty_joints(rng, m, kind))] += 1
+        assert all(routes[m, "interval"] >= 5 for m in (2, 3, 5))
+        assert routes[4, "four-way"] >= 5 and not routes[4, "interval"]
+
 
 def as_law(mass) -> ExactLaw:
     """The masses as an ExactLaw, over the LCM of their denominators."""
@@ -1556,6 +1589,45 @@ class TestTamperedLawRefusals:
                     dataclasses.replace(built, mass=table).validate()
                 assert str(err.value) == message
             tampered = dataclasses.replace(built, mass=as_law(fault))
+            assert outcome(tampered.validate) == outcome(reference_simul_validate, tampered)
+
+    def test_first_bad_cell_outside_the_support(self):
+        # Source 0 puts no mass on ('0', 'a'). Half of a tuple's mass moves
+        # to the tuple with source 0's cell ('0', 'a') and source 1's cell
+        # kept: source 0 goes wrong at its own cell and, first in x-major
+        # order, at ('0', 'a'), outside its support.
+        doc = {"x_alphabet": ["0", "1"], "y_alphabet": ["a", "b"],
+               "joints": [[["0", "1/4"], ["1/4", "1/2"]], [["1/8", "1/8"], ["1/4", "1/2"]]]}
+        built = build_simultaneous_coupling(parse_pmf_file(json.dumps(doc)))
+        mass = dict(built.mass)
+        (xs, ys), q = max(mass.items(), key=lambda kv: kv[0])
+        assert (xs[0], ys[0]) != ("0", "a")
+        target = (("0", xs[1]), ("a", ys[1]))
+        assert target not in mass
+        moved = {**mass, (xs, ys): q / 2, target: q / 2}
+        for table in (moved, as_law(moved)):
+            tampered = dataclasses.replace(built, mass=table)
+            with pytest.raises(ConstructionError) as err:
+                tampered.validate()
+            assert str(err.value) == "source 0 marginal mismatch at ('0', 'a')"
+            assert outcome(tampered.validate) == outcome(reference_simul_validate, tampered)
+
+    def test_first_bad_cell_missing_from_the_law(self):
+        # Every tuple with source 0's cell ('0', 'a') moves whole to x = '1'
+        # in coordinate 0: the law no longer reaches ('0', 'a'), the first
+        # cell, and has too much at ('1', 'a').
+        built = TestValidateRefusals.built()
+        moved = {}
+        for (xs, ys), q in built.mass.items():
+            if (xs[0], ys[0]) == ("0", "a"):
+                xs = ("1", *xs[1:])
+            moved[xs, ys] = moved.get((xs, ys), 0) + q
+        assert all((xs[0], ys[0]) != ("0", "a") for xs, ys in moved)
+        for table in (moved, as_law(moved)):
+            tampered = dataclasses.replace(built, mass=table)
+            with pytest.raises(ConstructionError) as err:
+                tampered.validate()
+            assert str(err.value) == "source 0 marginal mismatch at ('0', 'a')"
             assert outcome(tampered.validate) == outcome(reference_simul_validate, tampered)
 
     @pytest.mark.parametrize("fault, message", [
