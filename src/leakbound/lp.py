@@ -8,11 +8,11 @@ triggers the event {some Y_i = y} once per distinct y it contains. The
 optimum is always >= tau_max of the marginals and equals it whenever
 tau_max2 <= 1.
 
-The solver is a two-phase revised simplex with sparse +-1 columns and an
-explicit basis inverse, run on integers: ``Fraction`` costs and
-right-hand sides come in (scaled once by the LCM of their denominators),
-a ``Fraction`` optimum and the solution's integer numerators over one
-denominator go out. B^-1 is kept as A / D with an integer matrix A and
+The solver is a revised simplex with sparse +-1 columns and an explicit
+basis inverse, run on integers: ``Fraction`` costs and right-hand sides
+come in (scaled once by the LCM of their denominators), a ``Fraction``
+optimum and the solution's integer numerators over one denominator go
+out. B^-1 is kept as A / D with an integer matrix A and
 D = |det B|, and the basic solution as integer numerators x over D. A
 pivot on entry p of the entering column d = A a_j replaces row i != r by
 sign(p) (p A_i - d_i A_r) / D, an exact division, A_r by sign(p) A_r,
@@ -30,6 +30,28 @@ each phase end the kept pair is compared with that build and a
 difference raises ``LeakboundError``. Ratios and reduced costs are
 compared as integer numerators, cross-multiplied; positive scaling changes
 no comparison, so the pivots are those of the simplex on ``Fraction``s.
+
+The coupling LP needs no phase 1: it starts from the comonotone
+coupling, the multi-marginal north-west corner rule. Let C_i(k) be
+marginal i's cumulative mass up to symbol position k. From
+t = (0, ..., 0), step m(|Y| - 1) times the coordinate (not yet at the
+last position) whose C_i(t_i) is smallest, lowest i on ties; the
+m(|Y| - 1) + 1 tuples visited are the coupling's support, zero cells
+included, as many as the rows. They form a basis with det +-1: replace
+each tuple after the first by its difference from the one before. A
+step of coordinate i from k to k + 1 leaves e(i, k + 1) - e(i, k),
+without the dropped last row, so coordinate i's steps make a bidiagonal
+block with -1 on its diagonal, and only the first tuple has the
+total-mass row.
+The basic solution is the comonotone coupling itself, so it is
+feasible. With the diagonal floor, the start is the |Y| diagonal tuples,
+at min_i P_i(y), plus the staircase over the residuals
+P_i(y) - min_j P_j(y), which all have the same total, less its constant
+tuples: the argmin row has no residual at that symbol, so those carry no
+mass. One artificial per dropped tuple stays basic at zero and is driven
+out as after a phase 1. ``solve_sparse`` pivots the start in without
+pricing or ratio tests and refuses a basis that is not feasible; phase 1
+runs only for a system given without a start.
 
 Pricing is Dantzig's rule (most negative reduced cost, lowest column id
 on ties); whenever the objective stalls for longer than the constraint
@@ -55,22 +77,21 @@ symbols, so only 2 <= |S| <= m is visited: never more subsets than a
 full scan prices tuples. The |Y| diagonal tuples (which carry the floor
 rows) and the slacks are listed; for |S| >= 2 a constant argmax tuple is
 replaced by the best single-coordinate deviation inside S, so the
-subsets price exactly the non-constant tuples. In phase 1 every real
-column costs 0, so the entering tuple is each coordinate's argmax over
-Y (or its best deviation). Ties go to the lowest symbol position per
-coordinate and the lowest tuple id across subsets, so the entering
-column, and hence every pivot and the witness, is the one a scan of all
-|Y|^m columns would pick.
+subsets price exactly the non-constant tuples. A phase 1, run only
+when no start is given, prices the same subsets with every real column
+at cost 0. Ties go to the lowest symbol position per coordinate and the
+lowest tuple id across subsets, so the entering column, and hence every pivot and the
+witness, is the one a scan of all |Y|^m columns would pick.
 
-Bland's rule and the drive-out of zero artificials after phase 1 walk
-the tuples in id order, then the slacks, and stop at the first hit. The
-walk builds no column: a tuple's product with a row vector v is
+Bland's rule and the drive-out of zero artificials walk the tuples in
+id order, then the slacks, and stop at the first hit. The walk builds
+no column: a tuple's product with a row vector v is
 v_0 + sum_i v(i, t_i), plus its floor entry when t is constant, read off
 the same per-coordinate slices of v as the pricer's gains, and a slack's
 is -v(floor + k). Only the entering column is built. The walk may touch
 every column, so the variable guard counts |Y|^m. ``_TupleColumns`` is
 the pricer that ``solve_sparse`` asks for all of this (its protocol:
-``width``, ``ids``, ``price``, ``walk`` and ``build``).
+``width``, ``ids``, ``price``, ``walk``, ``build`` and ``cost``).
 
 One marginal constraint per coordinate is implied by the others plus the
 total-mass constraint, so the last symbol's row of every marginal is
@@ -81,7 +102,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import lcm
 from typing import Iterator, Sequence
 
@@ -150,6 +171,7 @@ def solve_sparse(
     costs: Sequence[Fraction],
     rhs: Sequence[Fraction],
     pricer=None,
+    start: Sequence[int] | None = None,
 ) -> tuple[Fraction, ExactLaw]:
     """Minimize costs . x s.t. (sparse columns) x = rhs, x >= 0.
 
@@ -157,8 +179,18 @@ def solve_sparse(
     are). Returns (optimal value, nonzero components of one optimal
     vertex, keyed by column id). The components are an ``ExactLaw``: the
     solver's own integer numerators over one denominator, read as
-    ``Fraction``s. Raises ``InfeasibleError`` when no nonnegative
-    solution exists.
+    ``Fraction``s.
+
+    Without ``start`` the solver starts from the all-artificial basis and
+    runs phase 1; it raises ``InfeasibleError`` when no nonnegative
+    solution exists. ``start`` (column ids) skips phase 1: each start
+    column is pivoted in at the first row, in row order, whose artificial
+    is still basic and where its entering column is nonzero; a column
+    with no such row is skipped. The basis reached must be feasible, with
+    every basic artificial at zero, or ``LeakboundError`` is raised: a
+    start that carries no feasible point is a caller's bug, not an
+    infeasible system. Zero artificials left basic are driven out as
+    after phase 1, and phase 2 runs as without a start.
 
     Without ``pricer`` the columns have ids 0 .. len(columns) - 1 and
     every pivot prices them all. A ``pricer`` adds columns that are never
@@ -170,7 +202,8 @@ def solve_sparse(
     are ``y[r] / den`` with integer ``y`` and ``den > 0``, and real
     columns cost 0 in phase 1), ``walk(v)`` (every real column as (id,
     its product with the row vector ``v``, cost), lazily in id order, for
-    Bland's rule and the drive-out) and ``build(j)`` (the column of id j).
+    Bland's rule and the drive-out), ``build(j)`` (the column of id j) and,
+    when a ``start`` is given, ``cost(j)`` (the cost of column j).
     """
     m = len(rhs)
     for b in rhs:
@@ -274,10 +307,22 @@ def solve_sparse(
             raise LeakboundError("kept duals differ from the basis; the pivots are inexact")
         return z
 
-    # Phase 1: artificials cost 1, everything else 0.
-    infeasibility = optimize(phase1=True)
-    if infeasibility:
-        raise InfeasibleError(f"phase 1 optimum {Fraction(infeasibility, det * rhs_den)} > 0")
+    if start is None:
+        # Phase 1: artificials cost 1, everything else 0.
+        infeasibility = optimize(phase1=True)
+        if infeasibility:
+            raise InfeasibleError(f"phase 1 optimum {Fraction(infeasibility, det * rhs_den)} > 0")
+    else:
+        # Crash: no pricing and no ratio test, so values may pass through
+        # negatives; only the basis reached is checked.
+        for j in start:
+            col = build(j)
+            d = [dot(col, row) for row in binv]
+            r = next((i for i in range(m) if d[i] and basis[i] >= width), None)
+            if r is not None:
+                pivot(r, d, j, pricer.cost(j) * step if pricer else listed[j][2])
+        if any(x < 0 or (j >= width and x) for j, x in zip(basis, xb)):
+            raise LeakboundError("the start basis is infeasible")
 
     # Drive zero-valued artificials out of the basis. When no real column
     # can pivot in, the row is redundant; its artificial stays basic at
@@ -335,6 +380,9 @@ class _TupleColumns:
             return [(self.floor + j - self.n_tuples, -1)]
         return self.column(self.decode(j))
 
+    def cost(self, j: int) -> int:
+        return len(set(self.decode(j))) if j < self.n_tuples else 0
+
     def gains(self, v: list[int]) -> list[list[int]]:
         """v's entries by coordinate and symbol position: row(i, k) for
         k < size - 1, then 0 for the last symbol, whose row is dropped."""
@@ -383,24 +431,18 @@ class _TupleColumns:
                 if best is None or (r, j) < best[:2]:
                     best = (r, j, t, cost)
 
-        if phase1:
-            # Every real column costs 0: the per-coordinate argmax over Y
-            # (lowest position on ties) has the most gain.
-            if size > 1:
-                consider([g.index(max(g)) for g in gain], (1 << size) - 1)
-        else:
-            # Grow each S from S minus its top symbol, so every S costs m
-            # comparisons; S above m symbols holds no tuple's symbol set.
-            # A singleton is a diagonal tuple, which is listed.
-            stack = [([k] * m, 1 << k, k, 1) for k in range(size)]
-            while stack:
-                arg, mask, top, count = stack.pop()
-                for k in range(top + 1, size):
-                    t = [a if g[a] >= g[k] else k for g, a in zip(gain, arg)]
-                    grown = mask | 1 << k
-                    consider(t, grown)
-                    if count + 1 < m:
-                        stack.append((t, grown, k, count + 1))
+        # Grow each S from S minus its top symbol, so every S costs m
+        # comparisons; S above m symbols holds no tuple's symbol set.
+        # A singleton is a diagonal tuple, which is listed.
+        stack = [([k] * m, 1 << k, k, 1) for k in range(size)]
+        while stack:
+            arg, mask, top, count = stack.pop()
+            for k in range(top + 1, size):
+                t = [a if g[a] >= g[k] else k for g, a in zip(gain, arg)]
+                grown = mask | 1 << k
+                consider(t, grown)
+                if count + 1 < m:
+                    stack.append((t, grown, k, count + 1))
         return best and best[:2] + (self.column(best[2]), best[3])
 
     def _deviate(self, s: int, mask: int, gain, total: int):
@@ -418,6 +460,39 @@ class _TupleColumns:
         t = [s] * self.m
         t[i] = k
         return t, total - loss
+
+
+def _staircase(masses: list[list[int]]) -> list[tuple[int, ...]]:
+    """The support of the comonotone coupling of integer rows of one total
+    (``masses[i][k]``: row i's mass at position k), zero cells included:
+    from (0, ..., 0), step m(|Y| - 1) times the coordinate, not yet at the
+    last position, whose cumulative mass up to its position is smallest,
+    lowest coordinate on ties."""
+    size = len(masses[0])
+    cums = [list(accumulate(row)) for row in masses]
+    t = [0] * len(masses)
+    tuples = [tuple(t)]
+    for _ in range(len(masses) * (size - 1)):
+        i = min((i for i, k in enumerate(t) if k < size - 1), key=lambda i: cums[i][t[i]])
+        t[i] += 1
+        tuples.append(tuple(t))
+    return tuples
+
+
+def _comonotone_start(cols: list[tuple[int, ...]], m: int,
+                      diagonal_floor: bool) -> list[tuple[int, ...]]:
+    """The start basis of the coupling LP as tuples of positions, from the
+    integer law ``cols`` (per symbol, each marginal's numerator): the
+    comonotone staircase, or with the floor the |Y| diagonal tuples and
+    the staircase of the residuals P_i(y) - min_j P_j(y) less its
+    constant tuples."""
+    rows = [[col[i] for col in cols] for i in range(m)]
+    if not diagonal_floor:
+        return _staircase(rows)
+    floors = [min(col) for col in cols]
+    residuals = [[a - f for a, f in zip(row, floors)] for row in rows]
+    return ([(k,) * m for k in range(len(cols))]
+            + [t for t in _staircase(residuals) if len(set(t)) > 1])
 
 
 @dataclass(frozen=True)
@@ -456,7 +531,8 @@ def _coupling_lp(
     if diagonal_floor:
         rhs += [Fraction(min(col), den) for col in cols]
 
-    value, solution = solve_sparse(space.columns, space.costs, rhs, space)
+    start = [space.tuple_id(t) for t in _comonotone_start(cols, m, diagonal_floor)]
+    value, solution = solve_sparse(space.columns, space.costs, rhs, space, start)
     nums = {tuple(alphabet[k] for k in space.decode(j)): num
             for j, num in solution.nums.items() if j < space.n_tuples}
     witness = Coupling(alphabet, m, ExactLaw(solution.den, nums), channel)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -130,6 +130,28 @@ def rand_family_tau_max2_le1(rng: random.Random, m: int, size: int) -> list[Pmf]
         raise ValueError(f"no generator for m={m}, size={size}")
     assert tau_max2(DiscreteChannel(out)) <= 1
     return out
+
+
+def reference_comonotone(pmfs, floor: bool = False) -> dict:
+    """The comonotone coupling of ``pmfs`` as {symbol tuple: mass} on its
+    positive cells, read off the quantile functions: [0, 1) is cut at
+    every cumulative mass of every row, and on each piece each coordinate
+    takes the first symbol whose cumulative mass passes the piece's left
+    end. With ``floor`` each (y, ..., y) first gets min_i P_i(y), and the
+    residuals P_i(y) - min_j P_j(y), all of one total, are cut so."""
+    symbols = pmfs[0].alphabet
+    rows = [[p[y] for y in symbols] for p in pmfs]
+    mass = {}
+    if floor:
+        floors = [min(col) for col in zip(*rows)]
+        rows = [[a - f for a, f in zip(row, floors)] for row in rows]
+        mass = {(y,) * len(pmfs): f for y, f in zip(symbols, floors) if f}
+    cums = [list(accumulate(row)) for row in rows]
+    cuts = sorted({Q(0)} | {c for cum in cums for c in cum})
+    for lo, hi in zip(cuts, cuts[1:]):
+        t = tuple(symbols[next(k for k, c in enumerate(cum) if c > lo)] for cum in cums)
+        mass[t] = mass.get(t, Q(0)) + hi - lo
+    return mass
 
 
 def rand_family_tau_max2_gt1(rng: random.Random, m: int, size: int) -> list[Pmf]:

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    alphabet,
     rand_family,
     rand_family_tau_max2_gt1,
     rand_family_tau_max2_le1,
     rand_pmf,
+    reference_comonotone,
 )
 
 from leakbound import (
@@ -195,8 +197,8 @@ def test_pricer_gives_the_pivots_of_the_listed_lp(system):
 
 
 LOOP_FUNCTIONS = {"optimize", "entering", "pivot", "_pivot", "duals", "_pivot_duals", "dot",
-                  "walk", "build", "gains", "column", "decode", "tuple_id",
-                  "price", "consider", "_deviate"}
+                  "walk", "build", "cost", "gains", "column", "decode", "tuple_id",
+                  "price", "consider", "_deviate", "_staircase", "_comonotone_start"}
 
 
 @pytest.mark.parametrize("listed", [False, True])
@@ -401,10 +403,21 @@ def full_coupling_lp(fam, floor):
     return columns, costs, rhs
 
 
+def library_start(fam, floor):
+    """The start basis that ``min_union_coupling[_diag]`` hands
+    ``solve_sparse``, as column ids of ``full_coupling_lp``'s listing."""
+    m = len(fam)
+    channel = DiscreteChannel(fam)
+    cols = [channel.columns.get(y, (0,) * m) for y in channel.output_alphabet]
+    return [sum(k * len(cols) ** (m - 1 - i) for i, k in enumerate(t))
+            for t in lp._comonotone_start(cols, m, floor)]
+
+
 def reference_lp(fam, floor):
-    """(optimal value, witness mass) of the fully listed LP."""
+    """(optimal value, witness mass) of the fully listed LP, solved from
+    the library's start basis."""
     columns, costs, rhs = full_coupling_lp(fam, floor)
-    value, x = solve_sparse(columns, costs, rhs)
+    value, x = solve_sparse(columns, costs, rhs, start=library_start(fam, floor))
     tuples = list(iproduct(fam[0].alphabet, repeat=len(fam)))
     return value, {tuples[j]: v for j, v in x.items() if j < len(tuples)}
 
@@ -656,30 +669,65 @@ def differential_families():
     return cases
 
 
+def check_against_full_lp(fam, floor):
+    """min_union_coupling[_diag] against solve_sparse on the fully listed
+    columns from the same start: identical optimal values, and (since the
+    pricer breaks ties as a full scan does) identical witnesses. The
+    listing solved from phase 1, with no start, reaches the same value.
+    Each witness is a valid coupling whose union mass is the optimum, and
+    repeats exactly."""
+    solver = min_union_coupling_diag if floor else min_union_coupling
+    want_value, want_mass = reference_lp(fam, floor)
+    result = solver(fam)
+    assert result.optimal_value == want_value
+    assert union_mass(result.witness) == want_value
+    assert dict(result.witness.mass) == want_mass
+    assert solve_sparse(*full_coupling_lp(fam, floor))[0] == want_value
+    again = solver(fam)
+    assert again.optimal_value == want_value
+    assert again.witness.mass == result.witness.mass
+
+
 @pytest.mark.parametrize("floor", [False, True])
 def test_generated_columns_match_full_lp(floor):
-    """min_union_coupling[_diag] against solve_sparse on the fully listed
-    columns: identical optimal values, and (since the pricer breaks ties
-    as a full scan does) identical witnesses; each witness is a valid
-    coupling whose union mass is the optimum, and repeats exactly."""
-    solver = min_union_coupling_diag if floor else min_union_coupling
-    solved = 0
     for fam in differential_families():
-        try:
-            want_value, want_mass = reference_lp(fam, floor)
-        except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                solver(fam)
-            continue
-        result = solver(fam)
-        assert result.optimal_value == want_value
-        assert union_mass(result.witness) == want_value
-        assert dict(result.witness.mass) == want_mass
-        again = solver(fam)
-        assert again.optimal_value == want_value
-        assert again.witness.mass == result.witness.mass
-        solved += 1
-    assert solved >= 20
+        check_against_full_lp(fam, floor)
+
+
+@pytest.mark.parametrize("floor", [False, True])
+def test_bench_shapes_match_full_lp(floor):
+    # The lp benchmark's shapes, m 4-5 and |Y| 3-4 (81 to 1024 columns),
+    # couplable or not.
+    rng = random.Random(45 + floor)
+    for m, size in [(4, 3), (4, 4), (5, 3), (5, 4)]:
+        for couplable in (True, False):
+            fam = (rand_family_tau_max2_le1(rng, m, size)
+                   if couplable and (size >= m or (m, size) == (4, 3))
+                   else rand_family(rng, m, size))
+            check_against_full_lp(fam, floor)
+
+
+@st.composite
+def pmf_families(draw):
+    """m = 2-5 PMFs on |Y| = 1-4 symbols, each row over a denominator of
+    its own, and a drawn number of copies of the first row: zeros, ties
+    of cumulative masses and point masses are common."""
+    m, size = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    rows = []
+    for _ in range(m):
+        den = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=size - 1,
+                                    max_size=size - 1)))
+        rows.append([Q(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])])
+    copies = draw(st.integers(0, m - 1))
+    rows[m - copies:] = [rows[0]] * copies
+    return [Pmf.from_values(row, alphabet(size)) for row in rows]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pmf_families(), st.booleans())
+def test_generated_families_match_full_lp(fam, floor):
+    check_against_full_lp(fam, floor)
 
 
 @pytest.mark.parametrize("floor", [False, True])
@@ -693,26 +741,160 @@ def test_large_alphabet_matches_full_lp(floor):
     assert union_mass(result.witness) == value
 
 
-@pytest.mark.parametrize("seed, m, size", [(3, 3, 4), (14, 3, 4), (72, 3, 4), (140, 4, 3)])
-def test_bland_switch_runs_and_matches_reference(monkeypatch, seed, m, size):
-    # These instances stall past rows + 4 pivots under Dantzig's rule, so
-    # the solver switches to Bland's rule, which walks the columns in id
-    # order on every pivot. The only other walk is the drive-out after
-    # phase 1, at most once per row, so more walks than rows means
-    # Bland's rule ran.
-    walks = []
-    walk = lp._TupleColumns.walk
+def solve_reading_the_start(solver, fam):
+    """``solver(fam)`` and the basic solution at its first phase-2
+    pricing, read off ``solve_sparse``'s frame as {symbol tuple: mass}
+    (a slack or an artificial by its column id): the basis the crash
+    pivots reached, after the drive-out, which moves no value."""
+    price, seen = lp._TupleColumns.price, []
+
+    def reading(space, y, den, phase1):
+        if not seen:
+            frame = sys._getframe(1)
+            while frame.f_code.co_name != "solve_sparse":
+                frame = frame.f_back
+            state = frame.f_locals
+            scale = state["det"] * state["rhs_den"]
+            symbols = fam[0].alphabet
+            seen.append({
+                (tuple(symbols[k] for k in space.decode(j)) if j < space.n_tuples else j):
+                    Q(x, scale)
+                for j, x in zip(state["basis"], state["xb"]) if x})
+        return price(space, y, den, phase1)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp._TupleColumns, "price", reading)
+        result = solver(fam)
+    return result, seen[0]
+
+
+def start_families():
+    """Seeded families at m = 2-5 and |Y| = 1-4: rows over one
+    denominator (cumulative masses tie across rows; zeros are common),
+    rows over their own denominators, one row repeated, and point masses
+    with and without other rows."""
+    rng = random.Random(83)
+    cases = []
+    for m in range(2, 6):
+        for size in range(1, 5):
+            point = Pmf.from_values([Q(int(k == size - 1)) for k in range(size)],
+                                    alphabet(size))
+            cases += [rand_family(rng, m, size) for _ in range(2)]
+            cases.append([rand_pmf(rng, size) for _ in range(m)])
+            cases.append([rand_pmf(rng, size)] * m)
+            cases.append([point] + rand_family(rng, m - 1, size))
+            cases.append([point] * m)
+    return cases
+
+
+@pytest.mark.parametrize("floor", [False, True])
+def test_start_is_the_comonotone_coupling(floor):
+    # Cell for cell, and no basic slack or artificial carries mass: the
+    # crash pivots land on the (floor-pinned) comonotone coupling.
+    solver = min_union_coupling_diag if floor else min_union_coupling
+    for fam in start_families():
+        _, start = solve_reading_the_start(solver, fam)
+        assert start == reference_comonotone(fam, floor)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pmf_families(), st.booleans())
+def test_start_on_generated_families(fam, floor):
+    solver = min_union_coupling_diag if floor else min_union_coupling
+    _, start = solve_reading_the_start(solver, fam)
+    assert start == reference_comonotone(fam, floor)
+
+
+def coupling_system(fam, floor):
+    """The arguments ``min_union_coupling[_diag]`` hands ``solve_sparse``:
+    (columns, costs, rhs, pricer, start)."""
+    solve, calls = lp.solve_sparse, []
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "solve_sparse", spy)
+        (min_union_coupling_diag if floor else min_union_coupling)(fam)
+    return calls[0]
+
+
+@pytest.mark.parametrize("floor", [False, True])
+@pytest.mark.parametrize("tamper", ["drop", "antitone", "repeat"])
+def test_tampered_start_is_refused(floor, tamper):
+    # A start that carries no feasible point is a bug, not an infeasible
+    # LP: LeakboundError, never InfeasibleError, on the pricer's system
+    # and on the listing. "drop" removes (0, 0), which carries mass 1/4 in
+    # both forms, so an artificial stays nonzero; "antitone"
+    # steps the coordinate of largest cumulative mass first, (0, 0) ->
+    # (1, 0) -> (1, 1) (plain) or trades (0, 1) for (1, 0) (pinned), which
+    # puts -1/4 on (1, 0); "repeat" hands the first column over and over,
+    # so every later one is skipped.
+    fam = [Pmf.from_values([Q(1, 2), Q(1, 2)]), Pmf.from_values([Q(1, 4), Q(3, 4)])]
+    columns, costs, rhs, pricer, start = coupling_system(fam, floor)
+    assert start == ([0, 3, 1] if floor else [0, 1, 3])
+    bad = {"drop": start[1:],
+           "antitone": [0, 3, 2] if floor else [0, 2, 3],
+           "repeat": start[:1] * len(start)}[tamper]
+    for system in ((columns, costs, rhs, pricer), full_coupling_lp(fam, floor)):
+        with pytest.raises(LeakboundError, match="start basis is infeasible") as refused:
+            solve_sparse(*system, start=bad)
+        assert not isinstance(refused.value, InfeasibleError)
+
+
+def counting_walks(monkeypatch):
+    """A list that gains one entry per ``_TupleColumns.walk``."""
+    walks, walk = [], lp._TupleColumns.walk
 
     def counting(space, v):
         walks.append(1)
         return walk(space, v)
 
     monkeypatch.setattr(lp._TupleColumns, "walk", counting)
-    fam = rand_family_tau_max2_le1(random.Random(seed), m, size)
-    result = min_union_coupling(fam)
+    return walks
+
+
+def artificials_left(fam, floor):
+    """Rows whose artificial the crash leaves basic (at zero)."""
+    m, size = len(fam), len(fam[0].alphabet)
+    return 1 + m * (size - 1) + (size if floor else 0) - len(library_start(fam, floor))
+
+
+# Found by a seeded search over rand_family(random.Random(seed), m, size)
+# in both forms: seeds 0-2999 at (m, |Y|) = (5, 3), (4, 3) and (3, 4), and
+# 0-1499 at (4, 4). Of those 21,000 solves from the comonotone start, 2
+# plain and 11 pinned ones stalled past rows + 4 pivots; the first two of
+# each form are kept. rand_family_tau_max2_le1 families (seeds 0-399 at
+# (3, 3), (3, 4), (4, 3) and (4, 4)) gave none.
+@pytest.mark.parametrize("seed, m, size, floor", [
+    (165, 5, 3, False), (807, 4, 4, False), (15, 5, 3, True), (224, 4, 4, True)])
+def test_bland_switch_runs_and_matches_reference(monkeypatch, seed, m, size, floor):
+    # Bland's rule walks the columns in id order on every pivot. The only
+    # other walk is the drive-out, once per artificial the crash leaves
+    # (none in the plain form), so more walks than that means Bland's rule
+    # ran.
+    walks = counting_walks(monkeypatch)
+    fam = rand_family(random.Random(seed), m, size)
+    result = (min_union_coupling_diag if floor else min_union_coupling)(fam)
     monkeypatch.undo()
-    assert len(walks) > 1 + m * (size - 1)
-    value, mass = reference_lp(fam, floor=False)
+    assert len(walks) > artificials_left(fam, floor)
+    value, mass = reference_lp(fam, floor)
+    assert result.optimal_value == value
+    assert dict(result.witness.mass) == mass
+
+
+def test_drive_out_after_the_pinned_start(monkeypatch):
+    # The pinned start drops the constant tuples of the residual
+    # staircase, (0, ..., 0) among them, so their artificials stay basic
+    # at zero, and the drive-out walks once for each. This family does not
+    # stall, so those are all the walks.
+    fam = rand_family(random.Random(7), 4, 3)
+    walks = counting_walks(monkeypatch)
+    result = min_union_coupling_diag(fam)
+    monkeypatch.undo()
+    assert len(walks) == artificials_left(fam, True) >= 2
+    value, mass = reference_lp(fam, True)
     assert result.optimal_value == value
     assert dict(result.witness.mass) == mass
 
@@ -950,14 +1132,31 @@ def test_sparse_steps_equal_dense_bareiss_on_pm1_systems():
 GOLDEN = Path(__file__).parent / "fixtures" / "lp_golden.json"
 
 
+def check_recorded_witness(fam, value, mass, pinned):
+    """A recorded witness on its own, in Fractions: positive masses on
+    m-tuples with the family's marginals, union mass equal to the recorded
+    value and, when pinned, the diagonal at the column minima."""
+    m = len(fam)
+    mass = {tuple(t): Q(q) for t, q in mass}
+    assert min(mass.values()) > 0 and {len(t) for t in mass} == {m}
+    for i, p in enumerate(fam):
+        for y in p.alphabet:
+            assert sum(q for t, q in mass.items() if t[i] == y) == p[y]
+    assert sum(q * len(set(t)) for t, q in mass.items()) == Q(value)
+    for y in fam[0].alphabet if pinned else ():
+        assert mass.get((y,) * m, 0) == min(p[y] for p in fam)
+
+
 @pytest.mark.parametrize("form", ["plain", "diag"])
 def test_frozen_answers_of_the_fraction_solver(form):
-    """Optimal values and witnesses recorded from the solver that pivoted
-    on Fractions (commit fe06a6a), before it was replaced by the integer
-    one: the differential families, two families per lp-benchmark shape
-    (m 4-5, |Y| 3-4) and rand_family(Random(20), 2, 20). The integer
-    pivots must be the same pivots, so every entry repeats exactly; None
-    records an InfeasibleError."""
+    """Optimal values recorded from the solver that pivoted on Fractions
+    (commit fe06a6a), before it was replaced by the integer one: the
+    differential families, two families per lp-benchmark shape (m 4-5,
+    |Y| 3-4) and rand_family(Random(20), 2, 20). Every value repeats
+    exactly. The witnesses were re-recorded when the solver began at the
+    comonotone start, which reaches another optimal vertex on some cases;
+    each must repeat exactly, and is checked on its own as a coupling of
+    that value."""
     solver = min_union_coupling_diag if form == "diag" else min_union_coupling
     cases = json.loads(GOLDEN.read_text())
     families = differential_families()
@@ -966,10 +1165,7 @@ def test_frozen_answers_of_the_fraction_solver(form):
         if case["name"].startswith("differential/"):
             assert fam == families[int(case["name"].split("/")[1])], case["name"]
         want = case[form]
-        if want is None:
-            with pytest.raises(InfeasibleError):
-                solver(fam)
-            continue
+        check_recorded_witness(fam, want["value"], want["mass"], form == "diag")
         result = solver(fam)
         assert str(result.optimal_value) == want["value"], case["name"]
         got = [[list(t), str(q)] for t, q in sorted(result.witness.mass.items())]

@@ -813,11 +813,11 @@ class TestCheckMixture:
     def test_diagonal_off_the_floor_raises(self):
         # A minimal coupling of this family need not pin its diagonal: the
         # plain LP's witness attains tau_max with every marginal, yet puts
-        # less than the floor on ("0", "0", "0").
-        fam = rand_family_tau_max2_le1(random.Random(17), 3, 3)
+        # less than the floor on ("1", "1", "1").
+        fam = rand_family_tau_max2_le1(random.Random(0), 3, 3)
         witness = min_union_coupling(fam).witness
         assert union_mass(witness) == tau_max(DiscreteChannel(fam))
-        with pytest.raises(ConstructionError, match="diagonal at '0'"):
+        with pytest.raises(ConstructionError, match="diagonal at '1'"):
             self.check(self.tuple_mixture(fam, witness.mass))
         self.check(minimal_y_coupling(fam))
 
